@@ -70,6 +70,7 @@ impl CanonicalCase {
             count,
             hash,
             violations,
+            bursts: net.bursts_run(),
         };
         (report, net.traffic_digest())
     }
@@ -85,6 +86,9 @@ pub struct CaseReport {
     pub hash: u64,
     /// Invariant violations (empty for a correct stack).
     pub violations: Vec<Violation>,
+    /// Parallel bursts the run executed (0 on the sequential engine): a
+    /// sharded run that never bursts matches the oracle vacuously.
+    pub bursts: u64,
 }
 
 impl CaseReport {
@@ -320,12 +324,14 @@ mod tests {
                 count: 7,
                 hash: 0xdead_beef,
                 violations: Vec::new(),
+                bursts: 0,
             },
             CaseReport {
                 name: "alpha",
                 count: 3,
                 hash: 1,
                 violations: Vec::new(),
+                bursts: 0,
             },
         ];
         let text = format_digests(&reports);
@@ -353,6 +359,7 @@ mod tests {
             count: 5,
             hash: 0xaa,
             violations: Vec::new(),
+            bursts: 0,
         };
         assert!(conformance(&ok, &golden).is_none());
         let bad_count = CaseReport { count: 6, ..ok };
@@ -364,6 +371,7 @@ mod tests {
             hash: 0xbb,
             name: "case",
             violations: Vec::new(),
+            bursts: 0,
         };
         assert!(conformance(&bad_hash, &golden).unwrap().contains("hash"));
         let unknown = CaseReport {
@@ -371,6 +379,7 @@ mod tests {
             count: 5,
             hash: 0xaa,
             violations: Vec::new(),
+            bursts: 0,
         };
         assert!(conformance(&unknown, &golden).unwrap().contains("bless"));
     }

@@ -1,4 +1,4 @@
-//! Differential testing of the sharded burst-batch engine against the
+//! Differential testing of the sharded wave-burst engine against the
 //! sequential oracle.
 //!
 //! Random scenario specs are drawn through the same vendored-proptest
@@ -111,8 +111,49 @@ fn random_scenarios_match_the_sequential_oracle() {
         }
     }
     // The comparison is vacuous if no case ever left the sequential
-    // path; dense chains under a 7.5 µs horizon must produce bursts.
+    // path. A chain's interior nodes reach exactly `MIN_BATCH` receivers
+    // (two hops either side), so chains of four hops and more burst.
     assert!(total_bursts > 0, "no case engaged the parallel engine");
+}
+
+/// A burst is a run of one wave's receivers, so engagement needs waves of
+/// at least `MIN_BATCH` receivers with nothing else due inside them. The
+/// paper's grid and random field reach a dozen and more per transmission:
+/// every sharded run of them must burst, and still match the oracle.
+#[test]
+fn dense_fields_engage_the_parallel_engine_and_match() {
+    use mwn::Transport;
+    use mwn_phy::DataRate;
+    let fields = [
+        (
+            "grid6",
+            Scenario::grid6(DataRate::MBPS_11, Transport::newreno(), 1),
+        ),
+        (
+            "random10",
+            Scenario::random10(DataRate::MBPS_2, Transport::vegas(2), 42),
+        ),
+    ];
+    for (name, scenario) in fields {
+        let run = |shards: usize| {
+            let (records, net) = run_case_sharded(&scenario, 40, DEADLINE, shards);
+            let obs = (
+                trace_digest(&records),
+                net.now(),
+                net.total_delivered(),
+                net.drop_report().grand_total(),
+                net.frames_in_flight(),
+                net.stale_frame_releases(),
+            );
+            (obs, net.bursts_run())
+        };
+        let (oracle, _) = run(1);
+        for &shards in &SHARD_COUNTS {
+            let (sharded, bursts) = run(shards);
+            assert_eq!(sharded, oracle, "{name} shards={shards}");
+            assert!(bursts > 0, "{name} shards={shards} never burst");
+        }
+    }
 }
 
 #[test]

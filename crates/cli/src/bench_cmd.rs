@@ -1,15 +1,17 @@
 //! `mwn bench` — engine-throughput benchmark with a committed baseline.
 //!
 //! Runs a fixed set of canonical scenarios with [`mwn::EngineProfile`]
-//! self-profiling enabled, reports wall-clock events per second for each,
-//! and maintains `BENCH_engine.json` — the committed perf trajectory of
-//! the event engine. Every entry records the same scenarios with the same
-//! workloads, so entries are comparable row-by-row across commits.
+//! self-profiling enabled, reports wall-clock seconds and events per
+//! second for each, and maintains `BENCH_engine.json` — the committed
+//! perf trajectory of the event engine. Every entry records the same
+//! scenarios with the same workloads (fixed delivery targets), so wall
+//! seconds are comparable row-by-row across commits; events per second
+//! are not, once a change alters how much work one event stands for.
 //!
 //! ```text
 //! mwn bench                      run the full set, compare vs the baseline
 //! mwn bench --quick              run the quick subset only (CI gate)
-//! mwn bench --check              exit non-zero on >20% events/sec regression
+//! mwn bench --check              exit non-zero when a case's wall time regresses >20%
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
@@ -18,7 +20,7 @@
 //! ```
 //!
 //! `--shards` runs the sharded parallel engine (results are digest-
-//! identical to the sequential oracle, so events/sec is the only thing
+//! identical to the sequential oracle, so wall time is the only thing
 //! that can move). Sharded entries get distinct labels when recorded, so
 //! `--check` always compares like against like.
 
@@ -26,7 +28,8 @@ use std::time::Instant;
 
 use mwn::mobility::RandomWaypoint;
 use mwn::{
-    topology, AodvConfig, FlowSpec, NodeId, Scenario, SimDuration, SimTime, TrafficModel, Transport,
+    topology, AodvConfig, EngineProfile, FlowSpec, NodeId, Scenario, SimDuration, SimTime,
+    TrafficModel, Transport,
 };
 use mwn_obs::json::Obj;
 use mwn_phy::DataRate;
@@ -36,9 +39,46 @@ use crate::args::{parse, reject_leftovers, take_flag, take_value};
 /// Version tag of the `BENCH_engine.json` schema.
 const SCHEMA: &str = "mwn-bench-engine/1";
 
-/// Relative events/sec drop (vs the committed baseline) that fails
-/// `--check`.
+/// Relative speed drop (committed wall seconds ÷ measured wall seconds,
+/// per case) that fails `--check`. Wall time, not events/sec: every
+/// case's delivery target is fixed, so wall is what a user waits for,
+/// while events/sec falls whenever a change makes one event do more.
 const REGRESSION_TOLERANCE: f64 = 0.20;
+
+/// What the engine profile says about signal fan-out now that a wave
+/// event, not an event per receiver, carries it.
+pub(crate) struct WaveRatios {
+    /// Events popped per packet delivered to a transport sink.
+    pub events_per_pkt: f64,
+    /// Signal edges per transmission, halved: receptions (decodable or
+    /// carrier-sense only) per frame put on the air.
+    pub rx_per_tx: f64,
+    /// Share of wave segments that ended by going back through the queue
+    /// instead of reaching the wave's last receiver.
+    pub yield_share: f64,
+}
+
+impl WaveRatios {
+    pub(crate) fn new(profile: &EngineProfile, delivered: u64) -> Self {
+        let by_kind = profile.by_kind();
+        let kind = |name: &str| {
+            by_kind
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map_or(0, |&(_, n)| n) as f64
+        };
+        let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
+        WaveRatios {
+            events_per_pkt: ratio(profile.events_processed() as f64, delivered as f64),
+            // Every transmission ends in exactly one `tx_end`.
+            rx_per_tx: ratio(profile.signal_edges() as f64 / 2.0, kind("tx_end")),
+            yield_share: ratio(
+                profile.wave_yields() as f64,
+                kind("signal_start") + kind("signal_end"),
+            ),
+        }
+    }
+}
 
 /// One benchmark scenario. Workloads are fixed forever: changing a target
 /// or seed would silently invalidate every committed baseline entry.
@@ -277,6 +317,11 @@ struct Measurement {
     medium_lazy_secs: f64,
     /// Parallel bursts the best run executed (0 on the sequential path).
     bursts: u64,
+    /// Per-receiver signal edges the best run's waves delivered.
+    signal_edges: u64,
+    /// Wave segments of the best run that yielded to the queue.
+    wave_yields: u64,
+    ratios: WaveRatios,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
     bytes_per_node: u64,
@@ -324,6 +369,11 @@ impl Measurement {
             .f64("medium_tick_secs", self.medium_tick_secs)
             .f64("medium_lazy_secs", self.medium_lazy_secs)
             .u64("bursts", self.bursts)
+            .u64("signal_edges", self.signal_edges)
+            .u64("wave_yields", self.wave_yields)
+            .f64("events_per_pkt", self.ratios.events_per_pkt)
+            .f64("rx_per_tx", self.ratios.rx_per_tx)
+            .f64("wave_yield_share", self.ratios.yield_share)
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
@@ -368,6 +418,9 @@ fn run_case(case: &BenchCase, repeat: u32, shards: usize) -> Measurement {
             medium_tick_secs: profile.timed_secs("medium_tick"),
             medium_lazy_secs: profile.timed_secs("medium_lazy"),
             bursts: net.bursts_run(),
+            signal_edges: profile.signal_edges(),
+            wave_yields: profile.wave_yields(),
+            ratios: WaveRatios::new(profile, net.total_delivered()),
             bytes_per_node: net.bytes_per_node(),
             peak_rss_bytes: peak_rss_bytes(),
         };
@@ -421,7 +474,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     });
 
     let baseline = std::fs::read_to_string(&out).ok();
-    let baseline_eps = baseline.as_deref().map(last_entry_eps);
+    let baseline_rows = baseline.as_deref().map(last_entry);
 
     let selected: Vec<BenchCase> = cases()
         .into_iter()
@@ -450,10 +503,11 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     for case in &selected {
         let m = run_case(case, repeat, shards);
         let eps = m.events_per_sec();
-        let vs = baseline_eps
+        // (speed ratio on wall seconds — the gated one — and on ev/s).
+        let vs = baseline_rows
             .as_ref()
-            .and_then(|b| b.iter().find(|(n, _)| n == m.name))
-            .map(|&(_, base)| eps / base);
+            .and_then(|b| b.iter().find(|r| r.name == m.name))
+            .map(|base| (base.wall_secs / m.wall_secs, eps / base.events_per_sec));
         // Derived medium share of wall: a column on every row (static
         // cases read 0.0%), so lazy-path regressions are readable at a
         // glance without jq over BENCH_engine.json.
@@ -465,25 +519,29 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         } else {
             String::new()
         };
+        let waves = format!(
+            "  {:.0} ev/pkt  {:.1} rx/tx  yield {:.0}%",
+            m.ratios.events_per_pkt,
+            m.ratios.rx_per_tx,
+            100.0 * m.ratios.yield_share
+        );
         let mut mem = format!("  {:.1} KiB/node", m.bytes_per_node as f64 / 1024.0);
         if let Some(rss) = m.peak_rss_bytes {
             mem.push_str(&format!("  rss {:.0} MiB", rss as f64 / (1024.0 * 1024.0)));
         }
-        match vs {
-            Some(r) => {
-                println!(
-                    "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  ({:.2}x vs baseline){mem}{medium}{bursts}",
-                    m.name, m.events, m.wall_secs, eps, r
-                );
-                if worst_ratio.is_none_or(|(w, _)| r < w) {
-                    worst_ratio = Some((r, m.name));
+        let versus = match vs {
+            Some((wall, evs)) => {
+                if worst_ratio.is_none_or(|(w, _)| wall < w) {
+                    worst_ratio = Some((wall, m.name));
                 }
+                format!("({wall:.2}x wall, {evs:.2}x ev/s vs baseline)")
             }
-            None => println!(
-                "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  (no baseline){mem}{medium}{bursts}",
-                m.name, m.events, m.wall_secs, eps
-            ),
-        }
+            None => "(no baseline)".to_string(),
+        };
+        println!(
+            "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  {versus}{waves}{mem}{medium}{bursts}",
+            m.name, m.events, m.wall_secs, eps
+        );
         measurements.push(m);
     }
 
@@ -501,14 +559,14 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         };
         if ratio < 1.0 - REGRESSION_TOLERANCE {
             return Err(format!(
-                "events/sec regression: {name} at {:.0}% of the committed baseline \
-                 (tolerance {:.0}%)",
+                "wall-clock regression: {name} runs at {:.0}% of the committed \
+                 baseline's speed (tolerance {:.0}%)",
                 ratio * 100.0,
                 (1.0 - REGRESSION_TOLERANCE) * 100.0
             ));
         }
         println!(
-            "check passed: worst scenario {name} at {:.2}x of the committed baseline",
+            "check passed: worst scenario {name} at {:.2}x of the committed baseline's speed (wall)",
             ratio
         );
     }
@@ -538,23 +596,29 @@ fn entry_lines(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Per-scenario events/sec of the *last* (most recent) entry.
-fn last_entry_eps(text: &str) -> Vec<(String, f64)> {
+/// One scenario row of a committed entry, as far as `--check` reads it.
+struct BaselineRow {
+    name: String,
+    wall_secs: f64,
+    events_per_sec: f64,
+}
+
+/// The scenario rows of the *last* (most recent) entry.
+fn last_entry(text: &str) -> Vec<BaselineRow> {
     let Some(last) = entry_lines(text).into_iter().next_back() else {
         return Vec::new();
     };
-    let mut out = Vec::new();
     // Scenario objects never nest, so splitting on '{' yields one chunk
     // per scenario object (plus the entry prefix, which has no "name").
-    for chunk in last.split('{') {
-        let Some(name) = extract_str(chunk, "name") else {
-            continue;
-        };
-        if let Some(eps) = extract_num(chunk, "events_per_sec") {
-            out.push((name, eps));
-        }
-    }
-    out
+    last.split('{')
+        .filter_map(|chunk| {
+            Some(BaselineRow {
+                name: extract_str(chunk, "name")?,
+                wall_secs: extract_num(chunk, "wall_secs")?,
+                events_per_sec: extract_num(chunk, "events_per_sec")?,
+            })
+        })
+        .collect()
 }
 
 fn extract_str(chunk: &str, key: &str) -> Option<String> {
@@ -643,6 +707,13 @@ mod tests {
             medium_tick_secs: 0.045,
             medium_lazy_secs: 0.08,
             bursts: 0,
+            signal_edges: 4_000,
+            wave_yields: 30,
+            ratios: WaveRatios {
+                events_per_pkt: events as f64 / 100.0,
+                rx_per_tx: 4.0,
+                yield_share: 0.25,
+            },
             bytes_per_node: 2_048,
             peak_rss_bytes: Some(64 << 20),
         }
@@ -655,10 +726,34 @@ mod tests {
         let second = render_file(Some(&first), "post", &[meas("a", 4000, 0.5)]).unwrap();
         assert_eq!(entry_lines(&second).len(), 2);
         // The comparison baseline is the most recent entry.
-        let eps = last_entry_eps(&second);
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].0, "a");
-        assert!((eps[0].1 - 8000.0).abs() < 1e-9);
+        let rows = last_entry(&second);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].name, "a");
+        assert!((rows[0].wall_secs - 0.5).abs() < 1e-12);
+        assert!((rows[0].events_per_sec - 8000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn wave_ratios_come_from_the_profile_and_survive_empty_runs() {
+        let mut p = EngineProfile::new();
+        for _ in 0..3 {
+            p.record("signal_start", 1);
+        }
+        p.record("signal_end", 1);
+        p.record_wave(12, true);
+        p.record_wave(8, false);
+        p.record("tx_end", 1);
+        p.record("tx_end", 1);
+        let r = WaveRatios::new(&p, 3);
+        assert!((r.events_per_pkt - 2.0).abs() < 1e-12);
+        assert!((r.rx_per_tx - 5.0).abs() < 1e-12, "20 edges / 2 / 2 tx");
+        assert!((r.yield_share - 0.25).abs() < 1e-12, "1 yield / 4 segments");
+        let idle = WaveRatios::new(&EngineProfile::new(), 0);
+        assert_eq!(
+            (idle.events_per_pkt, idle.rx_per_tx, idle.yield_share),
+            (0.0, 0.0, 0.0),
+            "zero denominators must not divide"
+        );
     }
 
     #[test]
@@ -689,6 +784,13 @@ mod tests {
         assert_eq!(extract_num(&line, "medium_tick_secs"), Some(0.045));
         assert_eq!(extract_num(&line, "medium_lazy_secs"), Some(0.08));
         assert_eq!(extract_num(&line, "medium_recompute_secs"), Some(0.125));
+        // Receptions per transmission stay visible now that they are no
+        // longer an event count.
+        assert_eq!(extract_num(&line, "signal_edges"), Some(4000.0));
+        assert_eq!(extract_num(&line, "wave_yields"), Some(30.0));
+        assert_eq!(extract_num(&line, "rx_per_tx"), Some(4.0));
+        assert_eq!(extract_num(&line, "wave_yield_share"), Some(0.25));
+        assert_eq!(extract_num(&line, "events_per_pkt"), Some(1.23));
     }
 
     #[test]

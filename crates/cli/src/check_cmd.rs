@@ -6,8 +6,9 @@
 //! engine; the committed digests don't change, so conformance doubles as
 //! a proof that the parallel engine is byte-identical to the sequential
 //! oracle. The full suite additionally runs a determinism stress: every
-//! case is re-run at shard counts 2 and 8 plus one repeat, and every
-//! digest line and traffic journal must match the base run exactly.
+//! case is re-run at shard counts 2 and 8 plus one repeat, every digest
+//! line and traffic journal must match the base run exactly, and every
+//! sharded pass must actually have run parallel bursts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -165,8 +166,18 @@ fn determinism_stress(
                 );
             }
         }
+        // Engagement: a sharded pass whose every wave fell below the
+        // burst threshold only ever ran the oracle against itself.
+        let bursts: u64 = rerun.iter().map(|(r, _)| r.bursts).sum();
+        if shards > 1 && bursts == 0 {
+            mismatches += 1;
+            println!("FAIL determinism shards={shards}: no case engaged the parallel engine");
+        }
         if mismatches == 0 {
-            println!("ok   determinism shards={shards} ({} cases)", cases.len());
+            println!(
+                "ok   determinism shards={shards} ({} cases, {bursts} bursts)",
+                cases.len()
+            );
         }
         failures += mismatches;
     }

@@ -8,7 +8,7 @@
 //! mwn list                                                    list reproducible experiments
 //! mwn trace [--hops H] [--events N] [--format text|jsonl]     print an annotated event trace
 //! mwn check [--suite fast|full] [--bless] [--fuzz N]          invariants + golden-trace conformance
-//! mwn bench [--quick] [--check] [--record LABEL]              engine events/sec vs committed baseline
+//! mwn bench [--quick] [--check] [--record LABEL]              engine wall time vs committed baseline
 //! mwn traffic [--nodes N] [--flows F] [--profile P]           open-loop workload, per-class FCT percentiles
 //! mwn report [--store F] [--csv] [--curve] [--diff F2]        aggregate/diff a sweep's JSONL store
 //! ```
@@ -104,10 +104,11 @@ fn print_usage() {
          \x20     fails); --fuzz N adds N random checked scenarios with\n\
          \x20     shrinking on failure.\n\n\
          \x20 mwn bench [--quick] [--check] [--record LABEL] [--repeat N] [--out F] [--shards N]\n\
-         \x20     Measure engine events/sec on the canonical benchmark\n\
-         \x20     scenarios and compare against the committed baseline in\n\
-         \x20     BENCH_engine.json. --record appends this run to the\n\
-         \x20     baseline file; --check fails on a >20% regression\n\
+         \x20     Measure engine wall time and events/sec on the canonical\n\
+         \x20     benchmark scenarios and compare against the committed\n\
+         \x20     baseline in BENCH_engine.json. --record appends this run\n\
+         \x20     to the baseline file; --check fails when a scenario's\n\
+         \x20     wall time is >20% slower than the baseline's\n\
          \x20     (CI sets MWN_BENCH_SKIP=1 on machines too noisy to gate).\n\n\
          \x20 mwn traffic [--nodes N] [--flows F] [--profile web|mixed|heavy]\n\
          \x20             [--load F] [--transport <variant>] [--rate 2|5.5|11]\n\

@@ -10,6 +10,7 @@ use mwn::{ExperimentScale, ProbeKind, ProbeSample, Scenario};
 use mwn_obs::{CounterBlock, DropReason};
 
 use crate::args;
+use crate::bench_cmd::WaveRatios;
 
 /// Probe samples retained for the time-series section.
 const PROBE_CAPACITY: usize = 1 << 18;
@@ -99,6 +100,26 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     println!("  peak event queue {:>12}", m.profile.peak_queue_depth());
     for (kind, count) in m.profile.by_kind() {
         println!("    {kind:<18} {count:>10}");
+    }
+    // signal_start / signal_end above count wave segments (queue pops);
+    // the receivers they reached are the edges here.
+    let delivered: u64 = m
+        .totals
+        .flows
+        .iter()
+        .filter_map(|f| f.sink.as_ref())
+        .map(|s| s.delivered)
+        .sum();
+    let waves = WaveRatios::new(&m.profile, delivered);
+    println!("  signal edges     {:>12}", m.profile.signal_edges());
+    println!(
+        "  wave yields      {:>12}  ({:.0}% of wave segments)",
+        m.profile.wave_yields(),
+        100.0 * waves.yield_share
+    );
+    println!("  receptions/tx    {:>12.1}", waves.rx_per_tx);
+    if delivered > 0 {
+        println!("  events/packet    {:>12.1}", waves.events_per_pkt);
     }
     for (kind, invocations, secs) in m.profile.timed() {
         println!(

@@ -2,10 +2,12 @@
 //!
 //! Event *dispatch* lives in [`cascade`], written once over abstract
 //! effect/state traits so the sequential oracle and the sharded batch
-//! workers run the identical code. This module owns the state (and the
-//! sequential instantiation); [`batch`] owns the parallel one.
+//! workers run the identical code. This module owns the state, the
+//! sequential instantiation and the run loop — including the walk that
+//! carries one transmission's signal edge across its receivers
+//! ([`Network::walk_wave`]); [`batch`] owns the parallel instantiation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mwn_aodv::{AodvCounters, NodeMap, Router};
@@ -34,7 +36,7 @@ mod flows;
 mod frames;
 
 use batch::BatchRuntime;
-use cascade::{Cascade, Pools, SeqEffects, SeqStates};
+use cascade::{Cascade, Pools, SeqCascade, SeqEffects, SeqStates};
 use flows::{FlowDst, FlowMeta, FlowSrc, Flows};
 use frames::FrameSlab;
 
@@ -57,14 +59,10 @@ impl Role {
 
 #[derive(Debug)]
 enum Event {
-    /// A signal begins arriving at `node`.
-    SignalStart {
-        node: NodeId,
-        tx: TxId,
-        class: mwn_phy::SignalClass,
-    },
-    /// A signal stops arriving at `node`.
-    SignalEnd { node: NodeId, tx: TxId },
+    /// The leading (`end = false`) or trailing edge of transmission `tx`
+    /// reaches the receiver under its wave's cursor — and, walked in
+    /// place, the receivers after it (see [`Network::walk_wave`]).
+    Wave { tx: TxId, end: bool },
     /// `node`'s own transmission ends.
     TxEnd { node: NodeId },
     /// A MAC timer fires at `node`.
@@ -91,11 +89,13 @@ enum Event {
     MobilityTick,
 }
 
-/// Stable event-kind name for the engine profile's histogram.
+/// Stable event-kind name for the engine profile's histogram. The two
+/// signal kinds count wave *segments* (wheel pops), not receivers; the
+/// receivers are [`EngineProfile::signal_edges`].
 fn event_kind(event: &Event) -> &'static str {
     match event {
-        Event::SignalStart { .. } => "signal_start",
-        Event::SignalEnd { .. } => "signal_end",
+        Event::Wave { end: false, .. } => "signal_start",
+        Event::Wave { end: true, .. } => "signal_end",
         Event::TxEnd { .. } => "tx_end",
         Event::Mac { .. } => "mac_timer",
         Event::AodvSend { .. } => "aodv_send",
@@ -200,10 +200,6 @@ pub enum StepOutcome {
 pub struct Network {
     now: SimTime,
     queue: EventQueue<Event>,
-    /// Events popped ahead of time (e.g. a parallel batch cut short) and
-    /// not yet handled. Always consumed before the queue, preserving the
-    /// global `(time, seq)` order; empty whenever `shards <= 1`.
-    pending: VecDeque<(SimTime, Event)>,
     medium: Medium,
     params: mwn_mac80211::MacParams,
     transceivers: Vec<Transceiver>,
@@ -253,10 +249,15 @@ pub struct Network {
     /// The sharded batch engine's worker pool and per-worker contexts;
     /// `None` means pure sequential execution (the oracle path).
     batch: Option<BatchRuntime>,
-    /// Most in-order packets a single `SignalEnd` can deliver (the
-    /// largest receive window across scenario flows): the batch engine's
-    /// overshoot bound for delivery-targeted runs.
+    /// Most in-order packets a single trailing signal edge can deliver
+    /// (the largest receive window across scenario flows): the batch
+    /// engine's overshoot bound for delivery-targeted runs.
     delivery_bound: u64,
+    /// Test oracle: hand every wave back to the queue after each
+    /// receiver — by construction the one-event-per-receiver schedule
+    /// the in-place walk must be indistinguishable from.
+    #[cfg(any(test, feature = "oracle"))]
+    yield_every_receiver: bool,
 }
 
 impl std::fmt::Debug for Network {
@@ -406,7 +407,7 @@ impl Network {
         )));
         flight::register(&flight);
 
-        // One SignalEnd at a TCP sink can release a whole reassembly
+        // One trailing edge at a TCP sink can release a whole reassembly
         // buffer in order — at most the advertised window. Paced UDP
         // delivers one packet per arrival.
         let delivery_bound = scenario
@@ -424,7 +425,6 @@ impl Network {
         Network {
             now: SimTime::ZERO,
             queue,
-            pending: VecDeque::new(),
             medium,
             params,
             transceivers,
@@ -450,6 +450,8 @@ impl Network {
             pools: Pools::default(),
             batch: None,
             delivery_bound,
+            #[cfg(any(test, feature = "oracle"))]
+            yield_every_receiver: false,
         }
     }
 
@@ -499,8 +501,8 @@ impl Network {
 
     /// Sets the worker count for the sharded batch engine. `1` (the
     /// default) runs the pure sequential oracle; `n > 1` lets eligible
-    /// signal-event bursts run on `n` shards with results replayed in
-    /// the sequential order, so every observable output is unchanged.
+    /// runs of a wave's receivers execute on `n` shards with results
+    /// replayed in walk order, so every observable output is unchanged.
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.max(1);
         if shards == self.shards() {
@@ -777,34 +779,34 @@ impl Network {
             .sum()
     }
 
-    /// Timestamp of the next event to be handled, honouring the carried
-    /// `pending` buffer before the queue.
-    fn peek_next_time(&mut self) -> Option<SimTime> {
-        if let Some((t, _)) = self.pending.front() {
-            return Some(*t);
-        }
-        self.queue.peek_time()
+    /// The run loop: steps until `done` says so (checked before every
+    /// event), the next event lies past `deadline`, or the queue drains.
+    /// `target` is `done`'s delivery bound, if it has one — the batch
+    /// engine's overshoot gate needs the number itself.
+    fn run_loop(
+        &mut self,
+        deadline: SimTime,
+        target: Option<u64>,
+        done: impl Fn(&Network) -> bool,
+    ) -> StepOutcome {
+        let outcome = loop {
+            if done(self) {
+                break StepOutcome::TargetReached;
+            }
+            match self.queue.peek_time() {
+                None => break StepOutcome::Quiescent,
+                Some(t) if t > deadline => break StepOutcome::DeadlineExpired,
+                Some(_) => self.step_bounded(deadline, target),
+            }
+        };
+        self.flush_medium_profile();
+        outcome
     }
 
     /// Runs until `target` total packets are delivered, the simulated-time
     /// `deadline` passes, or the event queue drains.
     pub fn run_until_delivered(&mut self, target: u64, deadline: SimTime) -> StepOutcome {
-        let outcome = loop {
-            if self.total_delivered >= target {
-                break StepOutcome::TargetReached;
-            }
-            match self.peek_next_time() {
-                None => break StepOutcome::Quiescent,
-                Some(t) if t > deadline => break StepOutcome::DeadlineExpired,
-                Some(_) => {
-                    if !self.try_batch(deadline, Some(target)) {
-                        self.step();
-                    }
-                }
-            }
-        };
-        self.flush_medium_profile();
-        outcome
+        self.run_loop(deadline, Some(target), |net| net.total_delivered >= target)
     }
 
     /// `true` once the open-loop workload has spawned its whole arrival
@@ -819,18 +821,7 @@ impl Network {
     /// Runs until [`Network::traffic_done`], the simulated-time
     /// `deadline` passes, or the event queue drains.
     pub fn run_until_traffic_done(&mut self, deadline: SimTime) -> StepOutcome {
-        let outcome = loop {
-            if self.traffic_done() {
-                break StepOutcome::TargetReached;
-            }
-            match self.peek_next_time() {
-                None => break StepOutcome::Quiescent,
-                Some(t) if t > deadline => break StepOutcome::DeadlineExpired,
-                Some(_) => self.step(),
-            }
-        };
-        self.flush_medium_profile();
-        outcome
+        self.run_loop(deadline, None, Network::traffic_done)
     }
 
     /// Streaming per-class FCT/goodput accounting for the open-loop
@@ -864,38 +855,44 @@ impl Network {
 
     /// Runs until simulated time `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.peek_next_time() {
-            if t > deadline {
-                break;
-            }
-            if !self.try_batch(deadline, None) {
-                self.step();
-            }
-        }
+        self.run_loop(deadline, None, |_| false);
         self.now = self.now.max(deadline);
-        self.flush_medium_profile();
     }
 
     /// Processes a single event. No-op if the queue is empty.
+    ///
+    /// One step is one event popped from the queue, which is not always
+    /// one node's worth of work: a wave event delivers a signal edge to
+    /// every receiver it can reach before something else is due, so
+    /// [`Network::now`] may advance by up to the propagation skew across
+    /// the interference range within a single step.
     pub fn step(&mut self) {
-        let next = self.pending.pop_front().or_else(|| self.queue.pop());
-        let Some((t, event)) = next else {
+        self.step_bounded(SimTime::MAX, None);
+    }
+
+    /// [`Network::step`] for the run loops: a wave walk stops short of
+    /// `deadline`, and `target` feeds the batch engine's overshoot gate.
+    fn step_bounded(&mut self, deadline: SimTime, target: Option<u64>) {
+        let Some((t, event)) = self.queue.pop() else {
             return;
         };
         self.now = t;
         if let Some(p) = &mut self.profile {
-            p.record(event_kind(&event), self.queue.len() + self.pending.len());
+            p.record(event_kind(&event), self.queue.len());
         }
-        self.handle(event);
+        match event {
+            Event::MobilityTick => self.mobility_tick(),
+            Event::Wave { tx, end } => self.walk_wave(tx, end, deadline, target),
+            event => self.with_cascade(|c| c.handle_event(event)),
+        }
     }
 
     // ---- event dispatch --------------------------------------------------
 
-    fn handle(&mut self, event: Event) {
-        if matches!(event, Event::MobilityTick) {
-            self.mobility_tick();
-            return;
-        }
+    /// Runs `f` on the sequential cascade — every effect applied
+    /// immediately to the network's own structures — and adopts the
+    /// clock `f` left it at.
+    fn with_cascade<R>(&mut self, f: impl FnOnce(&mut SeqCascade<'_, '_>) -> R) -> R {
         let unattributed = self.ledger.class_names().len() - 1;
         let mut states = SeqStates {
             transceivers: &mut self.transceivers,
@@ -927,7 +924,72 @@ impl Network {
             pools: &mut self.pools,
             unattributed,
         };
-        cascade.handle_event(event);
+        let out = f(&mut cascade);
+        self.now = cascade.now;
+        out
+    }
+
+    /// Handles one popped wave event: carries `tx`'s leading or trailing
+    /// edge to the receiver under the wave's cursor and on to the
+    /// receivers after it for as long as that is *exactly* what popping
+    /// one event per receiver would have done, then files the wave back
+    /// under its next receiver's own `(time, seq)` key.
+    ///
+    /// The walk may pass to the next receiver without consulting the
+    /// queue iff no other pending event is due at or before that
+    /// receiver's time (on a tie the queue decides, by sequence number,
+    /// as it always did). One bounded peek up to the last receiver's time
+    /// answers that for the whole segment, because nothing a signal-edge
+    /// cascade schedules lands inside the wave's own skew window (the
+    /// lookahead fact in `network/batch.rs`, re-checked after every
+    /// receiver in debug builds). The peek must be the read-only one: a
+    /// committing peek would move the wheel's cursor to an event the
+    /// walk does not pop.
+    ///
+    /// Two more things end a segment early, so that every run loop stops
+    /// on the same event and nanosecond it always did: a receiver past
+    /// `deadline`, and a receiver whose cascade moved what the loops'
+    /// stop conditions read ([`SeqCascade::walk`]).
+    fn walk_wave(&mut self, tx: TxId, end: bool, deadline: SimTime, target: Option<u64>) {
+        let wave = self.frames.wave(tx);
+        let (lo, len) = (wave.cursor, wave.receivers().len());
+        let mut hi = lo + 1;
+        if hi < len {
+            let limit = wave.time(len - 1, end).min(deadline);
+            let horizon = self.queue.peek_time_within(limit);
+            while hi < len {
+                let t = wave.time(hi, end);
+                if t > limit || horizon.is_some_and(|h| t >= h) {
+                    break;
+                }
+                hi += 1;
+            }
+        }
+        #[cfg(any(test, feature = "oracle"))]
+        if self.yield_every_receiver {
+            hi = lo + 1;
+        }
+
+        let hi = if self.burst_allowed(end, hi - lo, target) {
+            self.run_burst(tx, end, lo, hi);
+            hi
+        } else {
+            self.with_cascade(|c| c.walk(tx, end, lo, hi))
+        };
+
+        // The trailing edge's last receiver released the slot: only a
+        // wave with receivers left (or a leading edge) is touched again.
+        if hi < len {
+            self.frames.set_cursor(tx, hi);
+            let (time, seq) = self.frames.wave(tx).key(hi, end);
+            self.queue
+                .schedule_keyed(time, seq, Event::Wave { tx, end });
+        } else if !end {
+            self.frames.set_cursor(tx, 0);
+        }
+        if let Some(p) = &mut self.profile {
+            p.record_wave((hi - lo) as u64, hi < len);
+        }
     }
 
     fn mobility_tick(&mut self) {
@@ -983,6 +1045,15 @@ impl Network {
     /// revalidations) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
+    }
+
+    /// Test oracle: makes every wave yield to the queue after each
+    /// receiver, which *is* the one-event-per-receiver schedule. Every
+    /// observable must be identical either way; the differential tests
+    /// in `mwn-check` hold the in-place walk to that.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_yield_every_receiver(&mut self, on: bool) {
+        self.yield_every_receiver = on;
     }
 }
 

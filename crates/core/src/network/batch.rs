@@ -1,80 +1,77 @@
-//! The sharded batch engine: parallel signal-event bursts, replayed in
-//! sequential order.
+//! The sharded batch engine: one wave segment's receivers handled in
+//! parallel, replayed in walk order.
 //!
 //! # Model
 //!
-//! The sequential loop pops one event at a time. With `--shards n`, the
-//! loop instead looks for a *burst*: a maximal queue-head prefix of
-//! signal-edge events (`SignalStart` / `SignalEnd` / `TxEnd`) whose
-//! times all fall within [`HORIZON`] of the first. Those cascades are
-//! node-local (a signal edge at node X touches only X's transceiver,
-//! MAC, router, and flow halves anchored at X), so the burst is
-//! partitioned by `node % shards` and handled on worker threads running
-//! the *same* generic cascade code as the sequential oracle
-//! ([`super::cascade`]). Every global side effect a worker cascade
-//! would have — schedules, timer table changes, trace/probe/ledger/
-//! audit/flight records, frame releases, the delivered counter — is
-//! captured as a [`BatchOp`] instead of applied, then replayed on the
-//! driving thread in exact global `(time, seq)` event order through the
-//! sequential [`SeqEffects`]. Observables are therefore byte-identical
-//! to the oracle by construction; the differential suite in `mwn-check`
-//! holds the construction to it.
+//! The sequential loop carries a transmission's signal edge across its
+//! receivers in place (`Network::walk_wave`): one popped wave event
+//! covers a *segment* — the run of consecutive receivers that can be
+//! visited before any other pending event is due. With `--shards n`, a
+//! segment of at least [`MIN_BATCH`] receivers becomes a *burst*. Those
+//! cascades are node-local (a signal edge at node X touches only X's
+//! transceiver, MAC, router, and flow halves anchored at X) and a wave
+//! lists every receiver once, so the segment is partitioned by
+//! `node % shards` and handled on worker threads running the *same*
+//! generic cascade code as the sequential oracle ([`super::cascade`]).
+//! Every global side effect a worker cascade would have — schedules,
+//! timer table changes, trace/probe/ledger/audit/flight records, frame
+//! releases, the delivered counter — is captured as a [`BatchOp`]
+//! instead of applied, then replayed on the driving thread in walk order
+//! through the sequential [`SeqEffects`]. Observables are therefore
+//! byte-identical to the oracle by construction; the differential suite
+//! in `mwn-check` holds the construction to it.
 //!
-//! # Why the horizon is safe
+//! # Why a segment is safe
 //!
-//! Batching event `j` after event `i` without first applying `i`'s
-//! effects is sound because nothing `i` does can affect `j`:
+//! Handling receiver `j` after receiver `i` without first applying
+//! `i`'s effects is sound because nothing `i` does can affect `j`, and
+//! nothing either does can land between them:
 //!
-//! * The earliest thing a signal cascade can *schedule* is a SIFS
-//!   response timer (10 µs) or a jittered AODV forward
-//!   ([`mwn_aodv::MIN_JITTER`], 16 µs). With `HORIZON` at 7.5 µs,
-//!   every new event lands strictly after every event in the burst.
-//! * The DCF only emits `StartTx` from timer handlers, and MAC timers
-//!   are not batch kinds — so no new transmission (no new signal edges,
-//!   no frame-slab allocation, no energy metering) happens mid-burst.
+//! * A segment spans at most the propagation skew across the
+//!   interference range (550 m: 1.83 µs). The earliest thing a
+//!   signal-edge cascade can *schedule* is a SIFS response timer (10 µs)
+//!   or a jittered AODV forward ([`mwn_aodv::MIN_JITTER`], 16 µs), so
+//!   every new event lands strictly after every receiver in the segment
+//!   — which is also why the walk's single up-front peek bounds the
+//!   whole segment. Debug builds re-check this after every receiver,
+//!   sequential or replayed.
+//! * The DCF only emits `StartTx` from timer handlers, and a segment
+//!   holds signal edges only — so no new transmission (no new wave, no
+//!   frame-slab allocation, no energy metering) happens mid-burst.
 //!   [`WorkerEffects::start_tx`] is `unreachable!` and would loudly say
 //!   so if the invariant ever broke.
-//! * Batch kinds are never the target of a timer cancel (only MAC,
-//!   transport and discovery timers are cancellable), so no burst event
-//!   can invalidate another.
-//! * Frame-slab releases are deferred as ops: the slab is read-only
-//!   while workers run, so a `TxId` can never be recycled mid-burst.
+//! * Wave events are never the target of a timer cancel (only MAC,
+//!   transport and discovery timers are cancellable), so nothing in a
+//!   burst can invalidate the wave being walked.
+//! * Frame-slab releases are deferred as ops: the slab — payload and
+//!   wave snapshot both — is read-only while workers run, so a `TxId`
+//!   can never be recycled mid-burst.
 //!
 //! # Stopping exactly on target
 //!
-//! `run_until_delivered(target, ..)` must stop after the very event
-//! that reaches `target`, mid-burst if need be. Rather than unwinding,
-//! the driver refuses to *start* a burst that could overshoot: each
-//! `SignalEnd` can deliver at most [`Network::delivery_bound`] packets
-//! (the largest receive window can release a whole reassembly buffer at
-//! once), so a burst with `ends` signal-ends is only batched while
-//! `target - delivered > ends * bound`. Near the stop point execution
-//! degrades to the sequential path and lands on the identical event.
+//! `run_until_delivered(target, ..)` must stop after the very receiver
+//! whose cascade reaches `target`. The sequential walk does that by
+//! ending its segment at any receiver that delivers; a burst cannot, so
+//! the driver refuses to *start* one that could overshoot: each trailing
+//! edge can deliver at most [`Network::delivery_bound`] packets (the
+//! largest receive window can release a whole reassembly buffer at
+//! once), so a trailing-edge segment of `ends` receivers is only batched
+//! while `target - delivered > ends * bound`. Near the stop point
+//! execution degrades to the sequential walk and lands on the identical
+//! event.
 //!
 //! Open-loop traffic scenarios (`traffic.is_some()`) always take the
 //! sequential path: flow churn re-keys slots mid-run, which would
 //! invalidate the workers' slot-ownership reasoning. `--shards` is
 //! accepted and simply has no effect there (documented in
 //! `EXPERIMENTS.md`).
-//!
-//! # Stale timer fires
-//!
-//! Collection can pop a timer event (the burst's non-batchable tail)
-//! into `pending` *before* a cascade earlier in the same burst cancels
-//! it at replay. The cancel then misses (the event already left the
-//! queue) and the timer fires stale, where the owner's generation check
-//! ignores it — the same check that protects the sequential engine from
-//! lazily-cancelled wheel entries. Behavior is unchanged; the only
-//! visible effect is a slightly higher `events_processed` in the engine
-//! profile (~0.02 % on the bench scenarios), which is why the profile's
-//! event count is *not* part of the byte-identical contract.
 
 use mwn_mac80211::MacTimer;
 use mwn_obs::flight::FlightRecord;
 use mwn_obs::{DropReason, ProbeKind};
 use mwn_phy::TxId;
 use mwn_pkt::{FlowId, NodeId};
-use mwn_sim::{SharedSlice, SimDuration, SimTime, WorkerPool};
+use mwn_sim::{SharedSlice, SimTime, WorkerPool};
 use mwn_tcp::TransportTimer;
 
 use crate::trace::TraceRecord;
@@ -82,39 +79,11 @@ use crate::trace::TraceRecord;
 use super::cascade::{Cascade, Effects, NodeStates, Pools, SeqEffects};
 use super::flows::{FlowDst, FlowMeta, FlowSlot, FlowSrc, FlowStore};
 use super::frames::FrameSlab;
-use super::{event_kind, Event, Network, Role, SourceAgent};
+use super::{Event, Network, Role, SourceAgent};
 
-/// Burst window: every event in a batch lies within this of the first.
-/// Must stay strictly below the smallest delay a batched cascade can
-/// schedule at — SIFS (10 µs); see the module docs.
-pub(super) const HORIZON: SimDuration = SimDuration::from_nanos(7_500);
-
-/// Bursts shorter than this run sequentially — the barrier costs more
+/// Segments shorter than this run sequentially — the barrier costs more
 /// than it buys.
 pub(super) const MIN_BATCH: usize = 4;
-
-/// Upper bound on one burst, so replay granularity (and the stop-gate
-/// overshoot term) stays bounded.
-pub(super) const MAX_BATCH: usize = 512;
-
-/// `true` for the three event kinds a worker may handle.
-fn is_batchable(event: &Event) -> bool {
-    matches!(
-        event,
-        Event::SignalStart { .. } | Event::SignalEnd { .. } | Event::TxEnd { .. }
-    )
-}
-
-/// The node a batchable event is anchored at (= the only node state its
-/// cascade touches).
-fn batch_node(event: &Event) -> NodeId {
-    match event {
-        Event::SignalStart { node, .. } | Event::SignalEnd { node, .. } | Event::TxEnd { node } => {
-            *node
-        }
-        _ => unreachable!("only signal-edge events are batched"),
-    }
-}
 
 /// One captured global side effect, replayed through [`SeqEffects`] in
 /// event order. Times are absolute — the cascade already added `now`.
@@ -388,7 +357,7 @@ impl Effects for WorkerEffects<'_> {
     }
 
     fn clear_mac_timer(&mut self, _node: NodeId, _timer: MacTimer) {
-        unreachable!("MAC timer events are not batch kinds")
+        unreachable!("MAC timer events are never batched")
     }
 
     fn set_transport_timer(
@@ -412,7 +381,7 @@ impl Effects for WorkerEffects<'_> {
     }
 
     fn clear_transport_timer(&mut self, _: FlowId, _: Role, _: TransportTimer) {
-        unreachable!("transport timer events are not batch kinds")
+        unreachable!("transport timer events are never batched")
     }
 
     fn cancel_all_transport_timers(&mut self, _: FlowId) {
@@ -433,7 +402,7 @@ impl Effects for WorkerEffects<'_> {
     }
 
     fn clear_discovery_timer(&mut self, _node: NodeId, _dst: NodeId) {
-        unreachable!("discovery timer events are not batch kinds")
+        unreachable!("discovery timer events are never batched")
     }
 
     fn trace(
@@ -528,7 +497,7 @@ impl Effects for WorkerEffects<'_> {
     ) {
         unreachable!(
             "a batched cascade tried to transmit: the DCF must only emit \
-             StartTx from timer handlers, which are not batch kinds"
+             StartTx from timer handlers, which are never batched"
         )
     }
 }
@@ -539,7 +508,7 @@ impl Effects for WorkerEffects<'_> {
 /// op lists of the current burst.
 struct WorkerCtx {
     pools: Pools,
-    /// `(global event index, captured ops)`, ascending in event index.
+    /// `(wave position, captured ops)`, ascending in position.
     out: Vec<(u32, Vec<BatchOp>)>,
     /// Recycled op vectors.
     spare: Vec<Vec<BatchOp>>,
@@ -593,73 +562,26 @@ impl BatchRuntime {
 }
 
 impl Network {
-    /// Tries to run one parallel burst. Returns `true` if a burst was
-    /// executed (the caller's loop re-checks its stop condition), `false`
-    /// if the head of the queue should be handled sequentially instead.
-    ///
-    /// `target` is the delivery stop bound of the enclosing run loop, if
-    /// it has one — see the module docs on stopping exactly on target.
-    pub(super) fn try_batch(&mut self, deadline: SimTime, target: Option<u64>) -> bool {
-        if self.batch.is_none() || self.traffic.is_some() || !self.pending.is_empty() {
+    /// Whether a wave segment of `run` receivers may run as a parallel
+    /// burst. `target` is the delivery stop bound of the enclosing run
+    /// loop, if it has one — see the module docs on stopping exactly on
+    /// target.
+    pub(super) fn burst_allowed(&self, end: bool, run: usize, target: Option<u64>) -> bool {
+        if self.batch.is_none() || self.traffic.is_some() || run < MIN_BATCH {
             return false;
         }
-        let Some(t0) = self.queue.peek_time() else {
-            return false;
-        };
-        if t0 > deadline {
-            return false;
-        }
-        let horizon = t0 + HORIZON;
-        let limit = horizon.min(deadline);
-
-        // Collect the candidate burst: the maximal queue-head prefix of
-        // batchable events within the horizon (and the deadline). The
-        // first non-batchable event popped goes to `pending`, which the
-        // sequential path consumes before the queue — order preserved.
-        // The probe is the *bounded* peek: a plain peek would commit the
-        // wheel to the next event's granule, making the replay's
-        // earlier-but-still-future schedules illegal.
-        let mut events: Vec<(SimTime, Event)> = Vec::with_capacity(MAX_BATCH.min(64));
-        let mut tail = None;
-        while events.len() < MAX_BATCH {
-            if self.queue.peek_time_within(limit).is_none() {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event vanished");
-            if is_batchable(&ev) {
-                events.push((t, ev));
-            } else {
-                tail = Some((t, ev));
-                break;
-            }
-        }
-
-        let ends = events
-            .iter()
-            .filter(|(_, e)| matches!(e, Event::SignalEnd { .. }))
-            .count() as u64;
-        let could_overshoot = target.is_some_and(|t| {
-            t.saturating_sub(self.total_delivered) <= ends.saturating_mul(self.delivery_bound)
-        });
-        if events.len() < MIN_BATCH || could_overshoot {
-            // Not worth (or not safe to) batching: hand everything to the
-            // sequential path, in order.
-            self.pending.extend(events);
-            if let Some(t) = tail {
-                self.pending.push_back(t);
-            }
-            return false;
-        }
-        if let Some(t) = tail {
-            self.pending.push_back(t);
-        }
-        self.run_burst(events);
-        true
+        let could_overshoot = end
+            && target.is_some_and(|t| {
+                t.saturating_sub(self.total_delivered)
+                    <= (run as u64).saturating_mul(self.delivery_bound)
+            });
+        !could_overshoot
     }
 
-    /// Runs one burst: parallel capture on the shard workers, then an
-    /// in-order replay of every captured op on this thread.
-    fn run_burst(&mut self, events: Vec<(SimTime, Event)>) {
+    /// Runs receivers `lo..hi` of `tx`'s wave as one burst: parallel
+    /// capture on the shard workers, then an in-order replay of every
+    /// captured op on this thread.
+    pub(super) fn run_burst(&mut self, tx: TxId, end: bool, lo: usize, hi: usize) {
         let mut rt = self.batch.take().expect("run_burst without a runtime");
         rt.bursts += 1;
         let shards = rt.shards;
@@ -678,13 +600,13 @@ impl Network {
             let dsts = SharedSlice::new(dsts);
             let ctxs = SharedSlice::new(&mut rt.workers);
             let frames: &FrameSlab = &self.frames;
-            let events: &[(SimTime, Event)] = &events;
+            let wave = frames.wave(tx);
             let job = move |w: usize| {
                 // SAFETY: worker w exclusively owns context w.
                 let ctx = unsafe { ctxs.get_mut(w) };
                 ctx.out.clear();
-                for (idx, (t, ev)) in events.iter().enumerate() {
-                    if batch_node(ev).index() % shards != w {
+                for (idx, rx) in wave.receivers()[..hi].iter().enumerate().skip(lo) {
+                    if rx.node.index() % shards != w {
                         continue;
                     }
                     let mut ops = ctx.spare.pop().unwrap_or_default();
@@ -710,7 +632,7 @@ impl Network {
                         audit_on,
                     };
                     let mut cascade = Cascade {
-                        now: *t,
+                        now: wave.time(idx, end),
                         states: &mut states,
                         flows: &mut flows,
                         traffic: None,
@@ -718,55 +640,35 @@ impl Network {
                         pools: &mut ctx.pools,
                         unattributed,
                     };
-                    cascade.handle_signal(ev);
+                    cascade.signal_edge(rx, tx, end);
                     ctx.out.push((idx as u32, ops));
                 }
             };
             rt.pool.run(&job);
         }
 
-        // Replay: walk the burst in global order; each event's ops come
+        // Replay: walk the segment in order; each receiver's ops come
         // from its owner's list, whose entries are already ascending in
-        // event index (workers walked the burst in order).
-        let n = events.len();
+        // wave position (workers walked the segment in order).
         let mut cursors = vec![0usize; shards];
-        for (idx, (t, ev)) in events.into_iter().enumerate() {
-            self.now = t;
-            if let Some(p) = &mut self.profile {
-                // Depth as the sequential loop would have seen it: the
-                // queue and carry buffer, plus the burst's own not-yet-
-                // handled suffix.
-                p.record(
-                    event_kind(&ev),
-                    self.queue.len() + self.pending.len() + (n - 1 - idx),
-                );
+        self.with_cascade(|c| {
+            for idx in lo..hi {
+                let wave = c.eff.frames.wave(tx);
+                let w = wave.receivers()[idx].node.index() % shards;
+                c.now = wave.time(idx, end);
+                let entry = &mut rt.workers[w].out[cursors[w]];
+                assert_eq!(entry.0 as usize, idx, "replay cursor out of step");
+                cursors[w] += 1;
+                let mut ops = std::mem::take(&mut entry.1);
+                for op in ops.drain(..) {
+                    apply_op(c.eff, op);
+                }
+                rt.workers[w].spare.push(ops);
+                if idx + 1 < hi {
+                    c.debug_assert_lookahead(tx, end, idx + 1);
+                }
             }
-            let w = batch_node(&ev).index() % shards;
-            let entry = &mut rt.workers[w].out[cursors[w]];
-            assert_eq!(entry.0, idx as u32, "replay cursor out of step");
-            cursors[w] += 1;
-            let mut ops = std::mem::take(&mut entry.1);
-            let mut eff = SeqEffects {
-                queue: &mut self.queue,
-                mac_timers: &mut self.mac_timers,
-                discovery_timers: &mut self.discovery_timers,
-                transport_timers: &mut self.transport_timers,
-                trace: &mut self.trace,
-                probes: &mut self.probes,
-                ledger: &mut self.ledger,
-                audit: &mut self.audit,
-                flight: &self.flight,
-                total_delivered: &mut self.total_delivered,
-                frames: &mut self.frames,
-                medium: &mut self.medium,
-                energy: &mut self.energy,
-                params: &self.params,
-            };
-            for op in ops.drain(..) {
-                apply_op(&mut eff, op);
-            }
-            rt.workers[w].spare.push(ops);
-        }
+        });
         self.batch = Some(rt);
     }
 }
@@ -777,7 +679,7 @@ mod tests {
     use crate::scenario::{Scenario, Transport};
     use mwn_phy::DataRate;
     use mwn_pkt::FlowId;
-    use mwn_sim::SimTime;
+    use mwn_sim::{SimDuration, SimTime};
 
     fn deadline(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)

@@ -2,12 +2,11 @@
 //!
 //! Handling one event (a signal edge, a timer, a delivered packet) fans
 //! out through the layers: PHY → MAC → AODV → transport → back down to
-//! the MAC. PR 8 runs these cascades both *sequentially* (the oracle
-//! path, byte-identical to the pre-sharding engine) and *inside a
-//! parallel batch* on worker threads. Maintaining two hand-mirrored
-//! copies of ~500 lines of ordering-sensitive dispatch would make digest
-//! equality a permanent debugging exercise, so the cascade is generic
-//! over three capability traits instead:
+//! the MAC. These cascades run both *sequentially* (the oracle path) and
+//! *inside a parallel burst* on worker threads. Maintaining two
+//! hand-mirrored copies of ~500 lines of ordering-sensitive dispatch
+//! would make digest equality a permanent debugging exercise, so the
+//! cascade is generic over three capability traits instead:
 //!
 //! * [`Effects`] — every *global* side effect (scheduling, timer tables,
 //!   trace/probe/ledger/audit/flight records, frame-slab access, the
@@ -21,6 +20,25 @@
 //! A cascade only ever touches the *current node's* state plus flow
 //! halves anchored at that node — the locality fact the batch engine's
 //! safety argument rests on (see `EXPERIMENTS.md`).
+//!
+//! # Signal edges arrive as waves
+//!
+//! A transmission reaches every node within interference range, each a
+//! propagation delay later. [`SeqEffects::start_tx`] does not schedule
+//! those arrivals one by one: it snapshots the receivers into the
+//! transmission's frame-slab slot in arrival order
+//! ([`FrameSlab::insert`]) and schedules one `Event::Wave` for the
+//! leading edge and one for the trailing edge. The network loop walks
+//! the snapshot in place, advancing the clock per receiver and calling
+//! [`Cascade::signal_edge`] — the same per-receiver cascade as ever.
+//!
+//! The global order is *exactly* what per-receiver events would give.
+//! `start_tx` reserves the `2 · n` sequence numbers those events would
+//! have drawn, a wave event is always queued under its next receiver's
+//! own `(time, seq)` key, and the walk only continues to a receiver
+//! without going back through the queue when nothing else is pending at
+//! or before that receiver's time (`Network::walk_wave` picks the
+//! segment, [`SeqCascade::walk`] walks it).
 
 use std::sync::{Arc, Mutex};
 
@@ -28,7 +46,7 @@ use mwn_aodv::{AodvAction, AodvDropReason, Router};
 use mwn_mac80211::{Dcf, MacAction, MacDropReason, MacParams, MacTimer};
 use mwn_obs::flight::{FlightKind, FlightRecord, FlightRecorder, NO_REASON};
 use mwn_obs::{ConservationAudit, DropLedger, DropReason, ProbeBuffer, ProbeKind};
-use mwn_phy::{EnergyMeter, Medium, RadioEvent, Transceiver, TxId};
+use mwn_phy::{EnergyMeter, Medium, RadioEvent, SignalClass, Transceiver, TxId};
 use mwn_pkt::{Body, FlowId, MacFrame, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
 use mwn_sim::{EventId, EventQueue, SimTime};
@@ -38,7 +56,7 @@ use crate::scenario::Transport;
 use crate::trace::{TraceBuffer, TraceEvent, TraceRecord};
 
 use super::flows::{FlowDst, FlowMeta, FlowSrc, FlowStore};
-use super::frames::FrameSlab;
+use super::frames::{FrameSlab, WaveRx};
 use super::{
     fnv_mix, transport_flow, Event, Role, SinkAgent, SourceAgent, TrafficState, JOURNAL_ARRIVAL,
     JOURNAL_COMPLETION, PERSISTENT,
@@ -96,8 +114,9 @@ pub(super) trait Effects {
     fn frame(&self, tx: TxId) -> Option<&MacFrame>;
     /// Drops one receiver's claim on `tx` (the slab frees at zero).
     fn release_frame(&mut self, tx: TxId);
-    /// Puts `frame` on the air from `node`: schedules the signal edges at
-    /// every receiver, meters energy, and starts the local transceiver
+    /// Puts `frame` on the air from `node`: schedules the wave that
+    /// carries its signal edges to every receiver, meters energy, and
+    /// starts the local transceiver
     /// (whose radio events land in `evs` for the cascade to process).
     /// Worker cascades never transmit — see the batch safety argument.
     fn start_tx(
@@ -140,12 +159,11 @@ pub(super) struct Cascade<'a, E, F, S> {
 }
 
 impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
-    /// Full dispatch: every event kind except `MobilityTick`, which the
-    /// sequential loop handles directly (it rebuilds the medium).
+    /// Dispatch for every event kind except the two the network loop
+    /// handles itself: `MobilityTick` (it moves the medium) and `Wave`
+    /// (it walks the receiver list, calling [`Self::signal_edge`]).
     pub(super) fn handle_event(&mut self, event: Event) {
         match event {
-            Event::SignalStart { node, tx, class } => self.signal_start(node, tx, class),
-            Event::SignalEnd { node, tx } => self.signal_end(node, tx),
             Event::TxEnd { node } => self.tx_end(node),
             Event::Mac { node, timer } => {
                 self.eff.clear_mac_timer(node, timer);
@@ -186,23 +204,24 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
             }
             Event::FlowStart { flow } => self.flow_start(flow),
             Event::TrafficArrival { class } => self.handle_traffic_arrival(class),
-            Event::MobilityTick => unreachable!("mobility ticks are handled sequentially"),
+            Event::Wave { .. } | Event::MobilityTick => {
+                unreachable!("waves and mobility ticks are handled by the network loop")
+            }
         }
     }
 
-    /// Worker dispatch: the three batch-eligible kinds, by reference
-    /// (their payloads are `Copy`; the caller keeps the event for the
-    /// replay bookkeeping).
-    pub(super) fn handle_signal(&mut self, event: &Event) {
-        match *event {
-            Event::SignalStart { node, tx, class } => self.signal_start(node, tx, class),
-            Event::SignalEnd { node, tx } => self.signal_end(node, tx),
-            Event::TxEnd { node } => self.tx_end(node),
-            _ => unreachable!("only signal-edge events are batched"),
+    /// One receiver's share of a wave: the leading (`end = false`) or
+    /// trailing edge of transmission `tx` arriving at `rx.node`. The
+    /// caller has already set [`Self::now`] to the arrival time.
+    pub(super) fn signal_edge(&mut self, rx: &WaveRx, tx: TxId, end: bool) {
+        if end {
+            self.signal_end(rx.node, tx);
+        } else {
+            self.signal_start(rx.node, tx, rx.class);
         }
     }
 
-    fn signal_start(&mut self, node: NodeId, tx: TxId, class: mwn_phy::SignalClass) {
+    fn signal_start(&mut self, node: NodeId, tx: TxId, class: SignalClass) {
         let mut evs = self.pools.radio.pop().unwrap_or_default();
         self.states.tr(node).signal_start(tx, class, &mut evs);
         self.process_radio_events(node, evs);
@@ -978,6 +997,54 @@ impl NodeStates for SeqStates<'_> {
     }
 }
 
+/// The sequential instantiation of the cascade.
+pub(super) type SeqCascade<'a, 'b> =
+    Cascade<'a, SeqEffects<'b>, super::flows::Flows, SeqStates<'b>>;
+
+impl SeqCascade<'_, '_> {
+    /// Everything a run loop's stop condition reads, folded into one
+    /// number that only ever grows: packets delivered, plus traffic legs
+    /// spawned and completed.
+    fn stop_mark(&self) -> u64 {
+        *self.eff.total_delivered + self.traffic.as_ref().map_or(0, |t| t.journal_count)
+    }
+
+    /// Walks receivers `lo..hi` of `tx`'s wave, advancing the clock per
+    /// receiver, and stops after the first whose cascade moved the
+    /// [stop mark](Self::stop_mark) — so `run_until_delivered` and
+    /// `run_until_traffic_done` regain control after the very receiver
+    /// that satisfied them. Returns the first receiver *not* visited.
+    pub(super) fn walk(&mut self, tx: TxId, end: bool, lo: usize, hi: usize) -> usize {
+        let mark = self.stop_mark();
+        for i in lo..hi {
+            let wave = self.eff.frames.wave(tx);
+            let rx = wave.receivers()[i];
+            self.now = wave.time(i, end);
+            self.signal_edge(&rx, tx, end);
+            if i + 1 < hi {
+                if self.stop_mark() != mark {
+                    return i + 1;
+                }
+                self.debug_assert_lookahead(tx, end, i + 1);
+            }
+        }
+        hi
+    }
+
+    /// Debug builds: nothing the cascades so far scheduled is due at or
+    /// before receiver `next`'s edge — the lookahead fact that lets one
+    /// peek (or one burst) cover a whole segment (`network/batch.rs`).
+    pub(super) fn debug_assert_lookahead(&self, tx: TxId, end: bool, next: usize) {
+        debug_assert!(
+            self.eff
+                .queue
+                .peek_time_within(self.eff.frames.wave(tx).time(next, end))
+                .is_none(),
+            "a signal-edge cascade scheduled inside its wave's skew window"
+        );
+    }
+}
+
 /// The oracle path: every effect applied immediately to the network's
 /// own structures, in exactly the order the pre-sharding engine did.
 pub(super) struct SeqEffects<'a> {
@@ -1173,27 +1240,25 @@ impl Effects for SeqEffects<'_> {
         // Transmission time is where lazy medium staleness resolves:
         // `refresh` rebuilds the effect list only if this node's 3×3
         // neighborhood changed since the list was built. The returned
-        // borrow lives in place; the loop only touches disjoint fields
-        // (queue, frames, energy), so no copy of the list is made.
+        // borrow lives in place while the slab copies it; everything
+        // touched meanwhile (queue, frames, energy) is a disjoint field.
         let effects = self.medium.refresh(node);
         if !effects.is_empty() {
-            let tx = self.frames.insert(frame, effects.len());
+            // The numbers the per-receiver start/end events would have
+            // drawn, so everything scheduled from here on keeps its
+            // tie-break (`TxEnd` below is number `base + 2n`, as ever).
+            let seq_base = self.queue.reserve_seqs(2 * effects.len() as u64);
+            let tx = self.frames.insert(frame, now, duration, seq_base, effects);
             for e in effects {
-                self.queue.schedule(
-                    now + e.delay,
-                    Event::SignalStart {
-                        node: e.node,
-                        tx,
-                        class: e.class,
-                    },
-                );
-                self.queue.schedule(
-                    now + e.delay + duration,
-                    Event::SignalEnd { node: e.node, tx },
-                );
                 if e.class.decodable {
                     self.energy[e.node.index()].add_rx(duration);
                 }
+            }
+            let wave = self.frames.wave(tx);
+            for end in [false, true] {
+                let (time, seq) = wave.key(0, end);
+                self.queue
+                    .schedule_keyed(time, seq, Event::Wave { tx, end });
             }
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });

@@ -1,21 +1,28 @@
-//! Frame slab: `Send`-able storage for frames on the air.
+//! Frame slab: `Send`-able storage for transmissions on the air.
 //!
-//! PR 4 shared one `Rc<MacFrame>` per transmission between every receiver's
-//! pending `SignalEnd`. `Rc` pins the whole network to one thread, so the
-//! sharded engine replaces it with a slab: the payload lives in a slot, and
-//! the [`TxId`] carried by `SignalStart`/`SignalEnd` events packs the slot
-//! index with a reuse generation. Receivers borrow the frame by id; the
-//! generation check makes a stale id (a straggler event naming a slot that
-//! was freed and recycled) a *detected* miss instead of silently decoding
-//! the slot's next tenant — the failure mode the fault-injection tests in
-//! this module pin down.
+//! One slot per transmission holds the two things every receiver shares:
+//! the frame payload, and the transmission's *wave* — a snapshot of the
+//! transmitter's effect list in arrival order, which the network loop
+//! walks in place once for the signal's leading edge and once for its
+//! trailing edge (see [`super::cascade`]). The [`TxId`] carried by the
+//! wave event packs the slot index with a reuse generation. Receivers
+//! borrow the frame by id; the generation check makes a stale id (a
+//! straggler naming a slot that was freed and recycled) a *detected* miss
+//! instead of silently decoding the slot's next tenant — the failure mode
+//! the fault-injection tests in this module pin down.
 //!
-//! Slots are freed when the last outstanding `SignalEnd` releases them, so
-//! allocation order (and therefore every `TxId` value) is a deterministic
-//! function of the event sequence.
+//! The wave is a copy, not a borrow of the medium's list: a mobility tick
+//! between a frame's two walks may rebuild that list, and the trailing
+//! edge must visit exactly the receivers the leading edge visited. The
+//! buffer stays with the slot and is reused by its next tenant.
+//!
+//! Slots are freed when the last receiver's trailing edge releases them,
+//! so allocation order (and therefore every `TxId` value) is a
+//! deterministic function of the event sequence.
 
-use mwn_phy::TxId;
-use mwn_pkt::MacFrame;
+use mwn_phy::{Effect, SignalClass, TxId};
+use mwn_pkt::{MacFrame, NodeId};
+use mwn_sim::{SimDuration, SimTime};
 
 /// Bits of a [`TxId`] holding the slot index; the high bits hold the
 /// slot's reuse generation. 2^32 concurrent transmissions is unreachable
@@ -23,13 +30,69 @@ use mwn_pkt::MacFrame;
 const SLOT_BITS: u32 = 32;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// One in-flight transmission: the shared payload plus the number of
-/// receivers whose `SignalEnd` has not yet fired.
-#[derive(Debug)]
+/// One receiver of a transmission, as its wave visits it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct WaveRx {
+    pub node: NodeId,
+    pub class: SignalClass,
+    /// Propagation delay from the transmitter.
+    delay: SimDuration,
+    /// Position in the transmitter's effect list, which fixes the
+    /// receiver's two sequence numbers.
+    index: u32,
+}
+
+/// A transmission's receivers in arrival order, plus what turns a
+/// position in that order into the `(time, seq)` key the receiver's
+/// signal edge holds in the global event order.
+#[derive(Debug, Default)]
+pub(super) struct Wave {
+    rx: Vec<WaveRx>,
+    /// Next receiver to visit. One cursor serves both walks: airtime
+    /// (≥ the 192 µs preamble) exceeds the propagation skew across the
+    /// interference range (< 2 µs), so the leading edge has reached the
+    /// last receiver before the trailing edge reaches the first.
+    pub cursor: usize,
+    /// When the transmission began.
+    start: SimTime,
+    airtime: SimDuration,
+    /// First of the `2 · len` sequence numbers reserved for this wave:
+    /// effect-list entry `j` owns `seq_base + 2j` for its leading edge
+    /// and `seq_base + 2j + 1` for its trailing edge.
+    seq_base: u64,
+}
+
+impl Wave {
+    pub(super) fn receivers(&self) -> &[WaveRx] {
+        &self.rx
+    }
+
+    /// When receiver `i`'s leading (`end = false`) or trailing edge
+    /// arrives.
+    pub(super) fn time(&self, i: usize, end: bool) -> SimTime {
+        let edge = self.start + self.rx[i].delay;
+        if end {
+            edge + self.airtime
+        } else {
+            edge
+        }
+    }
+
+    /// The `(time, seq)` key of receiver `i`'s edge.
+    pub(super) fn key(&self, i: usize, end: bool) -> (SimTime, u64) {
+        let seq = self.seq_base + 2 * u64::from(self.rx[i].index) + u64::from(end);
+        (self.time(i, end), seq)
+    }
+}
+
+/// One in-flight transmission: the shared payload, its wave, and the
+/// number of receivers whose trailing edge has not yet arrived.
+#[derive(Debug, Default)]
 struct Slot {
     generation: u32,
     remaining: usize,
     frame: Option<MacFrame>,
+    wave: Wave,
 }
 
 /// Generation-checked slab of in-flight frames (see module docs).
@@ -56,33 +119,83 @@ impl FrameSlab {
         ((tx.0 & SLOT_MASK) as u32, (tx.0 >> SLOT_BITS) as u32)
     }
 
-    /// Stores `frame` with `remaining` outstanding receivers and returns
-    /// its generation-tagged id.
+    /// Puts a transmission that began at `start` and lasts `airtime` on
+    /// the air: stores `frame`, snapshots `effects` into the slot's wave
+    /// in arrival order — `(delay, list position)`, which is the order
+    /// per-receiver events numbered from `seq_base` would pop in — and
+    /// returns the generation-tagged id.
     ///
     /// # Panics
     ///
-    /// Panics if `remaining` is zero: a transmission nobody receives is
+    /// Panics if `effects` is empty: a transmission nobody receives is
     /// never inserted (the caller skips the slab entirely).
-    pub(super) fn insert(&mut self, frame: MacFrame, remaining: usize) -> TxId {
-        assert!(remaining > 0, "in-flight frame needs at least one receiver");
-        match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                debug_assert!(s.frame.is_none(), "free list pointed at a live slot");
-                s.remaining = remaining;
-                s.frame = Some(frame);
-                Self::pack(slot, s.generation)
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    generation: 0,
-                    remaining,
-                    frame: Some(frame),
-                });
-                Self::pack(slot, 0)
-            }
-        }
+    pub(super) fn insert(
+        &mut self,
+        frame: MacFrame,
+        start: SimTime,
+        airtime: SimDuration,
+        seq_base: u64,
+        effects: &[Effect],
+    ) -> TxId {
+        assert!(
+            !effects.is_empty(),
+            "in-flight frame needs at least one receiver"
+        );
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
+            self.slots.len() as u32 - 1
+        });
+        let s = &mut self.slots[slot as usize];
+        debug_assert!(s.frame.is_none(), "free list pointed at a live slot");
+        s.remaining = effects.len();
+        s.frame = Some(frame);
+        let wave = &mut s.wave;
+        wave.rx.clear();
+        wave.rx
+            .extend(effects.iter().enumerate().map(|(j, e)| WaveRx {
+                node: e.node,
+                class: e.class,
+                delay: e.delay,
+                index: j as u32,
+            }));
+        wave.rx.sort_unstable_by_key(|r| (r.delay, r.index));
+        wave.cursor = 0;
+        wave.start = start;
+        wave.airtime = airtime;
+        wave.seq_base = seq_base;
+        debug_assert!(
+            wave.time(effects.len() - 1, false) < wave.time(0, true),
+            "propagation skew exceeds airtime: one cursor cannot serve both walks"
+        );
+        Self::pack(slot, s.generation)
+    }
+
+    /// The slot of live transmission `tx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dead or recycled id: a wave event only exists while
+    /// its transmission has receivers left to visit.
+    fn live_slot(&self, tx: TxId) -> usize {
+        let (slot, generation) = Self::unpack(tx);
+        let s = &self.slots[slot as usize];
+        assert!(
+            s.generation == generation && s.frame.is_some(),
+            "wave event for a transmission no longer on the air"
+        );
+        slot as usize
+    }
+
+    /// The wave of live transmission `tx` (panics on a stale id).
+    pub(super) fn wave(&self, tx: TxId) -> &Wave {
+        &self.slots[self.live_slot(tx)].wave
+    }
+
+    /// Moves `tx`'s wave cursor (see [`Wave::cursor`]; panics on a stale
+    /// id).
+    pub(super) fn set_cursor(&mut self, tx: TxId, cursor: usize) {
+        let slot = self.live_slot(tx);
+        self.slots[slot].wave.cursor = cursor;
     }
 
     /// The payload of transmission `tx`, if its slot is live and the
@@ -132,7 +245,35 @@ impl FrameSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwn_pkt::NodeId;
+
+    /// `n` co-located decodable receivers: enough to drive the refcount.
+    fn effects(n: usize) -> Vec<Effect> {
+        (0..n)
+            .map(|i| Effect {
+                node: NodeId(i as u32 + 1),
+                class: SignalClass {
+                    decodable: true,
+                    senses: true,
+                    interferes: true,
+                    power: 1.0,
+                },
+                delay: SimDuration::from_nanos(700),
+            })
+            .collect()
+    }
+
+    impl FrameSlab {
+        /// Test shorthand: a transmission with `receivers` receivers.
+        fn insert_n(&mut self, frame: MacFrame, receivers: usize) -> TxId {
+            self.insert(
+                frame,
+                SimTime::ZERO,
+                SimDuration::from_micros(300),
+                0,
+                &effects(receivers),
+            )
+        }
+    }
 
     fn frame(seq: u16) -> MacFrame {
         MacFrame::Rts {
@@ -145,7 +286,7 @@ mod tests {
     #[test]
     fn insert_get_release_roundtrip() {
         let mut slab = FrameSlab::new();
-        let tx = slab.insert(frame(1), 2);
+        let tx = slab.insert_n(frame(1), 2);
         assert!(slab.get(tx).is_some());
         assert_eq!(slab.live(), 1);
         slab.release(tx);
@@ -159,9 +300,9 @@ mod tests {
     #[test]
     fn slot_reuse_bumps_generation_so_ids_never_alias() {
         let mut slab = FrameSlab::new();
-        let old = slab.insert(frame(1), 1);
+        let old = slab.insert_n(frame(1), 1);
         slab.release(old);
-        let new = slab.insert(frame(2), 1);
+        let new = slab.insert_n(frame(2), 1);
         assert_ne!(old, new, "recycled slot must mint a fresh id");
         assert!(slab.get(old).is_none(), "stale id must not see new tenant");
         assert!(slab.get(new).is_some());
@@ -173,9 +314,9 @@ mod tests {
     #[test]
     fn stale_release_is_rejected_not_replayed() {
         let mut slab = FrameSlab::new();
-        let old = slab.insert(frame(1), 1);
+        let old = slab.insert_n(frame(1), 1);
         slab.release(old);
-        let new = slab.insert(frame(2), 3);
+        let new = slab.insert_n(frame(2), 3);
         // Straggler releases of the dead id: all rejected.
         slab.release(old);
         slab.release(old);
@@ -192,14 +333,42 @@ mod tests {
     }
 
     #[test]
+    fn wave_is_in_arrival_order_with_the_per_receiver_keys() {
+        let mut slab = FrameSlab::new();
+        let class = effects(1)[0].class;
+        let at = |node, ns| Effect {
+            node: NodeId(node),
+            class,
+            delay: SimDuration::from_nanos(ns),
+        };
+        // List order 7, 3, 9; node 3 is nearest, 7 and 9 tie on delay.
+        let list = [at(7, 900), at(3, 200), at(9, 900)];
+        let start = SimTime::from_nanos(1_000);
+        let airtime = SimDuration::from_micros(250);
+        let tx = slab.insert(frame(1), start, airtime, 40, &list);
+        let wave = slab.wave(tx);
+        let nodes: Vec<u32> = wave.receivers().iter().map(|r| r.node.raw()).collect();
+        assert_eq!(nodes, vec![3, 7, 9], "delay first, list position on ties");
+        // Entry j of the list owns seq 40 + 2j (start) and 40 + 2j + 1 (end).
+        assert_eq!(wave.key(0, false), (SimTime::from_nanos(1_200), 42));
+        assert_eq!(wave.key(1, false), (SimTime::from_nanos(1_900), 40));
+        assert_eq!(wave.key(2, false), (SimTime::from_nanos(1_900), 44));
+        assert_eq!(wave.key(0, true), (SimTime::from_nanos(251_200), 43));
+        assert_eq!(wave.key(2, true), (SimTime::from_nanos(251_900), 45));
+        assert_eq!(wave.cursor, 0);
+        slab.set_cursor(tx, 2);
+        assert_eq!(slab.wave(tx).cursor, 2);
+    }
+
+    #[test]
     fn allocation_order_is_deterministic_lifo() {
         let mut slab = FrameSlab::new();
-        let a = slab.insert(frame(1), 1);
-        let b = slab.insert(frame(2), 1);
+        let a = slab.insert_n(frame(1), 1);
+        let b = slab.insert_n(frame(2), 1);
         slab.release(a);
         slab.release(b);
         // LIFO: b's slot comes back first.
-        let c = slab.insert(frame(3), 1);
+        let c = slab.insert_n(frame(3), 1);
         assert_eq!(c.0 & SLOT_MASK, b.0 & SLOT_MASK);
         assert_eq!(c.0 >> SLOT_BITS, (b.0 >> SLOT_BITS) + 1);
     }

@@ -9,6 +9,7 @@
 
 use std::collections::VecDeque;
 
+use mwn_pkt::FlowId;
 use mwn_sim::SimTime;
 
 use crate::json::Obj;
@@ -48,6 +49,17 @@ impl ProbeKind {
             ProbeKind::IfqDepth => 3,
         }
     }
+
+    /// Where series `id` of this kind keeps its last value. Per-flow ids
+    /// pack a reuse generation above the flow-table slot; only one flow
+    /// per slot is ever live, so the table is dense by *slot* — indexing
+    /// by the packed id would grow it by 2²⁰ entries per slot reuse.
+    fn series_index(self, id: u32) -> usize {
+        match self {
+            ProbeKind::Cwnd | ProbeKind::Srtt | ProbeKind::VegasDiff => FlowId(id).slot() as usize,
+            ProbeKind::IfqDepth => id as usize,
+        }
+    }
 }
 
 /// One probe sample.
@@ -81,12 +93,13 @@ pub struct ProbeBuffer {
     samples: VecDeque<ProbeSample>,
     capacity: usize,
     dropped: u64,
-    /// Last stored value per series, for change detection — flat: one
-    /// dense id-indexed `Vec` per kind (`NaN` = never recorded, which a
-    /// `==` change check treats as always-changed, exactly what we
-    /// want). Replaces a `(kind, id)`-keyed hash map whose bucket
-    /// overhead dominated the probe footprint at city scale.
-    last: [Vec<f64>; KIND_COUNT],
+    /// Last stored `(id, value)` per series, for change detection —
+    /// flat: one dense `Vec` per kind, indexed by
+    /// [`ProbeKind::series_index`] (`NaN` = never recorded, which a `==`
+    /// change check treats as always-changed, exactly what we want).
+    /// The id rides along so a flow slot's next tenant reads as changed
+    /// even when its first value equals the previous tenant's last.
+    last: [Vec<(u32, f64)>; KIND_COUNT],
 }
 
 impl ProbeBuffer {
@@ -110,14 +123,14 @@ impl ProbeBuffer {
     /// equals the series' previous value.
     pub fn record(&mut self, time: SimTime, kind: ProbeKind, id: u32, value: f64) {
         let series = &mut self.last[kind.index()];
-        let idx = id as usize;
+        let idx = kind.series_index(id);
         if series.len() <= idx {
-            series.resize(idx + 1, f64::NAN);
+            series.resize(idx + 1, (0, f64::NAN));
         }
-        if series[idx] == value {
+        if series[idx] == (id, value) {
             return;
         }
-        series[idx] = value;
+        series[idx] = (id, value);
         if self.samples.len() == self.capacity {
             self.samples.pop_front();
             self.dropped += 1;
@@ -169,7 +182,7 @@ impl ProbeBuffer {
             + self
                 .last
                 .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<f64>())
+                .map(|v| v.capacity() * std::mem::size_of::<(u32, f64)>())
                 .sum::<usize>()
     }
 }
@@ -202,6 +215,28 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.series(ProbeKind::Cwnd, 0).count(), 1);
         assert_eq!(b.series(ProbeKind::Cwnd, 1).count(), 1);
+    }
+
+    /// Flow churn: 10 000 generations through 8 slots must not grow the
+    /// change table past the slots, and every tenant's first sample is
+    /// stored even though it repeats the previous tenant's last value.
+    #[test]
+    fn slot_reuse_keeps_the_table_dense_and_every_first_sample() {
+        let mut b = ProbeBuffer::new(1 << 17);
+        for generation in 0..10_000u32 {
+            for slot in 0..8u32 {
+                let id = FlowId::from_parts(slot, generation).raw();
+                b.record(t(u64::from(generation)), ProbeKind::Cwnd, id, 1.0);
+                b.record(t(u64::from(generation)), ProbeKind::Cwnd, id, 1.0);
+            }
+        }
+        assert_eq!(b.len(), 80_000, "one sample per tenant, duplicates folded");
+        assert_eq!(b.dropped(), 0);
+        let table = b.memory_bytes() - b.samples.capacity() * std::mem::size_of::<ProbeSample>();
+        assert!(
+            table <= 64 * std::mem::size_of::<(u32, f64)>(),
+            "change table grew to {table} bytes for 8 slots"
+        );
     }
 
     #[test]

@@ -90,14 +90,37 @@ impl<E> ReferenceEventQueue<E> {
     /// Panics if `time` is earlier than the last popped event: the simulation
     /// clock cannot run backwards.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+        let seq = self.reserve_seqs(1);
+        self.schedule_keyed(time, seq, event)
+    }
+
+    /// Sets aside the next `n` sequence numbers and returns the first,
+    /// mirroring [`EventQueue::reserve_seqs`](crate::EventQueue::reserve_seqs).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_id;
+        self.next_id += n;
+        first
+    }
+
+    /// Schedules under a reserved sequence number, mirroring
+    /// [`EventQueue::schedule_keyed`](crate::EventQueue::schedule_keyed).
+    /// The handle *is* the number here, which is why each reserved number
+    /// may be used only once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the last popped event, or if
+    /// `seq` was never reserved.
+    pub fn schedule_keyed(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
         assert!(
             time >= self.last_popped,
             "scheduling into the past: {time} < {}",
             self.last_popped
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.pending.insert(id);
+        assert!(seq < self.next_id, "sequence number {seq} was not reserved");
+        let id = EventId(seq);
+        let fresh = self.pending.insert(id);
+        assert!(fresh, "sequence number {seq} already has a pending event");
         self.heap.push(Reverse(Entry { time, id, event }));
         id
     }

@@ -5,7 +5,11 @@
 //! processed, an event-count histogram by kind, and the peak future-event
 //! list depth. Wall-clock rates are derived by the caller
 //! ([`EngineProfile::events_per_sec`]) so the event histogram stays a pure
-//! function of the simulation. Hosts may additionally time named hot
+//! function of the simulation. An event may stand for several units of
+//! work — one wave segment delivers a signal edge to a run of receivers —
+//! so the host also counts those edges and how often a wave handed
+//! control back to the queue ([`EngineProfile::record_wave`]). Hosts may
+//! additionally time named hot
 //! sections ([`EngineProfile::record_timed`], e.g. the medium rebuild on
 //! a mobility tick); those buckets carry wall-clock seconds and are
 //! reported separately.
@@ -21,6 +25,11 @@ pub struct EngineProfile {
     events_processed: u64,
     peak_queue_depth: usize,
     by_kind: Vec<(&'static str, u64)>,
+    /// Per-receiver signal edges delivered by wave events.
+    signal_edges: u64,
+    /// Wave segments that ended by re-queuing the wave rather than by
+    /// reaching its last receiver.
+    wave_yields: u64,
     /// Named timed sections: (name, invocations, total wall seconds).
     timed: Vec<(&'static str, u64, f64)>,
 }
@@ -39,6 +48,14 @@ impl EngineProfile {
             self.peak_queue_depth = queue_depth;
         }
         self.bump(kind, 1);
+    }
+
+    /// Records what one wave segment (already counted by
+    /// [`record`](Self::record)) did: the signal `edges` it delivered, and
+    /// whether it `yielded` the rest of its receivers back to the queue.
+    pub fn record_wave(&mut self, edges: u64, yielded: bool) {
+        self.signal_edges += edges;
+        self.wave_yields += u64::from(yielded);
     }
 
     /// Adds `n` to `kind`'s bucket. Callers pass the same literal for the
@@ -108,6 +125,18 @@ impl EngineProfile {
         self.peak_queue_depth
     }
 
+    /// Per-receiver signal edges (starts plus ends) delivered so far —
+    /// divided by two and by the transmission count, the receptions per
+    /// transmission.
+    pub fn signal_edges(&self) -> u64 {
+        self.signal_edges
+    }
+
+    /// Wave segments that yielded to the queue before their last receiver.
+    pub fn wave_yields(&self) -> u64 {
+        self.wave_yields
+    }
+
     /// The event-count histogram, sorted by kind name (deterministic).
     pub fn by_kind(&self) -> Vec<(&'static str, u64)> {
         let mut v = self.by_kind.clone();
@@ -128,6 +157,8 @@ impl EngineProfile {
     pub fn merge(&mut self, other: &EngineProfile) {
         self.events_processed += other.events_processed;
         self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
+        self.signal_edges += other.signal_edges;
+        self.wave_yields += other.wave_yields;
         for &(k, n) in &other.by_kind {
             self.bump(k, n);
         }
@@ -223,5 +254,22 @@ mod tests {
         assert_eq!(a.events_processed(), 3);
         assert_eq!(a.peak_queue_depth(), 9);
         assert_eq!(a.by_kind(), vec![("x", 2), ("y", 1)]);
+    }
+
+    #[test]
+    fn wave_counters_accumulate_and_merge_outside_the_histogram() {
+        let mut a = EngineProfile::new();
+        a.record("signal_start", 1);
+        a.record_wave(5, true);
+        a.record("signal_start", 1);
+        a.record_wave(3, false);
+        let mut b = EngineProfile::new();
+        b.record_wave(4, true);
+        a.merge(&b);
+        assert_eq!(a.signal_edges(), 12);
+        assert_eq!(a.wave_yields(), 2);
+        // Edges are work done, not events popped.
+        assert_eq!(a.events_processed(), 2);
+        assert_eq!(a.by_kind(), vec![("signal_start", 2)]);
     }
 }

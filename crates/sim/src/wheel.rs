@@ -154,13 +154,42 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the last popped event: the simulation
     /// clock cannot run backwards.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+        let seq = self.reserve_seqs(1);
+        self.schedule_keyed(time, seq, event)
+    }
+
+    /// Sets aside the next `n` schedule sequence numbers and returns the
+    /// first. A caller that stands in for `n` events with fewer wheel
+    /// entries (one cursor event walking a list, say) reserves the
+    /// numbers those events would have drawn, so everything scheduled
+    /// afterwards keeps the FIFO tie-break it would have had, and files
+    /// its stand-in under the reserved numbers with
+    /// [`schedule_keyed`](Self::schedule_keyed).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// [`schedule`](Self::schedule) under a sequence number taken from
+    /// [`reserve_seqs`](Self::reserve_seqs): the event pops exactly where
+    /// an event scheduled with that number at `time` would have. Each
+    /// reserved number may be used once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the last popped event, or if
+    /// `seq` was never reserved.
+    pub fn schedule_keyed(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
         assert!(
             time >= self.last_popped,
             "scheduling into the past: {time} < {}",
             self.last_popped
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was not reserved"
+        );
         let idx = match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slab[idx as usize];
@@ -594,6 +623,35 @@ mod tests {
         assert_eq!(q.pop(), Some((t(10), 1)));
         q.schedule(t(10), 2);
         assert_eq!(q.pop(), Some((t(10), 2)));
+    }
+
+    /// A stand-in filed under a reserved number pops where an event
+    /// scheduled with that number would have: before same-instant events
+    /// scheduled after the reservation, however late it is filed.
+    #[test]
+    fn keyed_schedule_takes_the_reserved_place_in_line() {
+        let mut q = EventQueue::new();
+        q.schedule(t(5), 'a');
+        let base = q.reserve_seqs(2);
+        q.schedule(t(5), 'd');
+        q.schedule_keyed(t(5), base + 1, 'c');
+        q.schedule_keyed(t(5), base, 'b');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop_keyed().map(|(_, _, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
+        // Time still comes first: an old number does not jump the clock.
+        let base = q.reserve_seqs(1);
+        q.schedule(t(6), 'x');
+        q.schedule_keyed(t(7), base, 'y');
+        assert_eq!(q.pop_keyed(), Some((t(6), base + 1, 'x')));
+        assert_eq!(q.pop_keyed(), Some((t(7), base, 'y')));
+    }
+
+    #[test]
+    #[should_panic(expected = "was not reserved")]
+    fn keyed_schedule_rejects_unreserved_numbers() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1), ());
+        q.schedule_keyed(t(2), 1, ());
     }
 
     /// One event per wheel level plus one in the overflow heap.

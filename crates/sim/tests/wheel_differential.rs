@@ -4,8 +4,9 @@
 //! [`ReferenceEventQueue`] (binary heap + tombstones) on the engine's hot
 //! path. The two must be observationally identical: for ANY interleaving
 //! of schedules, cancels and pops — including cancels of ids that already
-//! fired — both queues must pop the exact same `(time, payload)` sequence
-//! and report the same live count.
+//! fired, and schedules filed under sequence numbers reserved earlier —
+//! both queues must pop the exact same `(time, seq, payload)` sequence and
+//! report the same live count.
 
 use mwn_sim::{EventQueue, ReferenceEventQueue, SimTime};
 use proptest::prelude::*;
@@ -17,6 +18,11 @@ enum Op {
     Schedule { delta_ns: u64 },
     /// Cancel the k-th id ever handed out (possibly already fired).
     Cancel { k: usize },
+    /// Reserve `n` sequence numbers for later keyed schedules.
+    Reserve { n: u64 },
+    /// Schedule under the k-th still-unused reserved number (a plain
+    /// schedule when none is left), `delta_ns` after the last pop.
+    ScheduleKeyed { delta_ns: u64, k: usize },
     /// Pop one event from both queues and compare.
     Pop,
 }
@@ -30,6 +36,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..500).prop_map(|delta_ns| Op::Schedule { delta_ns }),
         (0u64..(1 << 50)).prop_map(|delta_ns| Op::Schedule { delta_ns }),
         (0usize..256).prop_map(|k| Op::Cancel { k }),
+        (1u64..8).prop_map(|n| Op::Reserve { n }),
+        // Keyed schedules land where a wave cursor's do: a few µs out,
+        // under a number older than everything scheduled since.
+        (0u64..4_000, 0usize..64).prop_map(|(delta_ns, k)| Op::ScheduleKeyed { delta_ns, k }),
         Just(Op::Pop),
         Just(Op::Pop),
     ]
@@ -45,6 +55,7 @@ proptest! {
         let mut wheel = EventQueue::new();
         let mut reference = ReferenceEventQueue::new();
         let mut ids = Vec::new();
+        let mut reserved: Vec<u64> = Vec::new();
         let mut now = 0u64;
         let mut payload = 0u32;
         for op in ops {
@@ -52,6 +63,24 @@ proptest! {
                 Op::Schedule { delta_ns } => {
                     let at = SimTime::from_nanos(now + delta_ns);
                     ids.push((wheel.schedule(at, payload), reference.schedule(at, payload)));
+                    payload += 1;
+                }
+                Op::Reserve { n } => {
+                    let first = wheel.reserve_seqs(n);
+                    prop_assert_eq!(first, reference.reserve_seqs(n));
+                    reserved.extend(first..first + n);
+                }
+                Op::ScheduleKeyed { delta_ns, k } => {
+                    let at = SimTime::from_nanos(now + delta_ns);
+                    if reserved.is_empty() {
+                        ids.push((wheel.schedule(at, payload), reference.schedule(at, payload)));
+                    } else {
+                        let seq = reserved.swap_remove(k % reserved.len());
+                        ids.push((
+                            wheel.schedule_keyed(at, seq, payload),
+                            reference.schedule_keyed(at, seq, payload),
+                        ));
+                    }
                     payload += 1;
                 }
                 Op::Cancel { k } => {
@@ -62,10 +91,10 @@ proptest! {
                     }
                 }
                 Op::Pop => {
-                    prop_assert_eq!(wheel.peek_time(), reference.peek_time());
-                    let got = wheel.pop();
-                    prop_assert_eq!(got, reference.pop());
-                    if let Some((t, _)) = got {
+                    prop_assert_eq!(wheel.peek_key(), reference.peek_key());
+                    let got = wheel.pop_keyed();
+                    prop_assert_eq!(got, reference.pop_keyed());
+                    if let Some((t, _, _)) = got {
                         now = t.as_nanos();
                     }
                 }
@@ -75,8 +104,8 @@ proptest! {
         }
         // Drain both to the end: the full tail must match too.
         loop {
-            let got = wheel.pop();
-            prop_assert_eq!(got, reference.pop());
+            let got = wheel.pop_keyed();
+            prop_assert_eq!(got, reference.pop_keyed());
             if got.is_none() {
                 break;
             }
