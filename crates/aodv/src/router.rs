@@ -11,9 +11,10 @@ use crate::table::RoutingTable;
 
 /// Floor on every non-zero broadcast-jitter draw. This is the *only*
 /// sub-SIFS delay any protocol cascade can request, so flooring it gives
-/// the sharded engine a hard lookahead: every event a cascade schedules
-/// lands at least `min(SIFS, MIN_JITTER)` after the cascade's own
-/// timestamp. 16 µs sits above the batch horizon and five orders of
+/// the network loop's wave walk a hard lookahead: every event a cascade
+/// schedules lands at least `min(SIFS, MIN_JITTER)` after the cascade's
+/// own timestamp — past the ≤ 1.83 µs propagation skew a wave spans, so
+/// one queue peek covers a whole walk. 16 µs sits five orders of
 /// magnitude below the default 10 ms jitter window, so route-discovery
 /// de-synchronisation is unaffected.
 pub const MIN_JITTER: SimDuration = SimDuration::from_micros(16);
@@ -373,12 +374,12 @@ impl Router {
             SimDuration::ZERO
         } else {
             // Clamp to MIN_JITTER so a jittered rebroadcast is the only
-            // event a cascade can schedule closer than a SIFS: the sharded
-            // engine's burst-batching window relies on every in-cascade
-            // schedule landing at least min(SIFS, MIN_JITTER) in the
-            // future. One draw in ~625 lands below 16 µs with the default
-            // 10 ms jitter, so the clamp is a one-time golden re-bless,
-            // not a behavioural change at protocol timescales.
+            // event a cascade can schedule closer than a SIFS: the
+            // network loop's wave walk relies on every in-cascade schedule
+            // landing at least min(SIFS, MIN_JITTER) in the future. One
+            // draw in ~625 lands below 16 µs with the default 10 ms
+            // jitter, so the clamp is not a behavioural change at protocol
+            // timescales.
             SimDuration::from_nanos(self.rng.gen_range_u64(max).max(MIN_JITTER.as_nanos()))
         }
     }

@@ -50,29 +50,19 @@ impl CanonicalCase {
     /// Runs the case: trace, digest, invariant check and the post-run
     /// packet-custody conservation audit.
     pub fn run(&self) -> CaseReport {
-        self.run_sharded(1).0
-    }
-
-    /// [`Self::run`] on `shards` worker threads (1 = the sequential
-    /// oracle). Also returns the open-loop traffic completion-journal
-    /// digest (`None` for closed-loop cases), so determinism stress can
-    /// hold the journal — not just the trace — identical across shard
-    /// counts.
-    pub fn run_sharded(&self, shards: usize) -> (CaseReport, Option<(u64, u64)>) {
         let scenario = self.scenario();
-        let (records, net) = crate::run_case_sharded(&scenario, self.target, self.deadline, shards);
+        let (records, net) = crate::run_case(&scenario, self.target, self.deadline);
         let ctx = CheckContext::for_scenario(&scenario);
         let mut violations = check(&records, &ctx);
         violations.extend(crate::conservation_violations(&net));
         let (count, hash) = trace_digest(&records);
-        let report = CaseReport {
+        CaseReport {
             name: self.name,
             count,
             hash,
             violations,
-            bursts: net.bursts_run(),
-        };
-        (report, net.traffic_digest())
+            traffic_journal: net.traffic_digest(),
+        }
     }
 }
 
@@ -86,9 +76,10 @@ pub struct CaseReport {
     pub hash: u64,
     /// Invariant violations (empty for a correct stack).
     pub violations: Vec<Violation>,
-    /// Parallel bursts the run executed (0 on the sequential engine): a
-    /// sharded run that never bursts matches the oracle vacuously.
-    pub bursts: u64,
+    /// The open-loop traffic completion-journal digest (`None` for
+    /// closed-loop cases), so a determinism repeat can hold the journal —
+    /// not just the trace — identical.
+    pub traffic_journal: Option<(u64, u64)>,
 }
 
 impl CaseReport {
@@ -324,14 +315,14 @@ mod tests {
                 count: 7,
                 hash: 0xdead_beef,
                 violations: Vec::new(),
-                bursts: 0,
+                traffic_journal: None,
             },
             CaseReport {
                 name: "alpha",
                 count: 3,
                 hash: 1,
                 violations: Vec::new(),
-                bursts: 0,
+                traffic_journal: None,
             },
         ];
         let text = format_digests(&reports);
@@ -359,7 +350,7 @@ mod tests {
             count: 5,
             hash: 0xaa,
             violations: Vec::new(),
-            bursts: 0,
+            traffic_journal: None,
         };
         assert!(conformance(&ok, &golden).is_none());
         let bad_count = CaseReport { count: 6, ..ok };
@@ -371,7 +362,7 @@ mod tests {
             hash: 0xbb,
             name: "case",
             violations: Vec::new(),
-            bursts: 0,
+            traffic_journal: None,
         };
         assert!(conformance(&bad_hash, &golden).unwrap().contains("hash"));
         let unknown = CaseReport {
@@ -379,7 +370,7 @@ mod tests {
             count: 5,
             hash: 0xaa,
             violations: Vec::new(),
-            bursts: 0,
+            traffic_journal: None,
         };
         assert!(conformance(&unknown, &golden).unwrap().contains("bless"));
     }

@@ -56,21 +56,7 @@ pub fn run_case(
     target: u64,
     deadline: SimDuration,
 ) -> (Vec<TraceRecord>, Network) {
-    run_case_sharded(scenario, target, deadline, 1)
-}
-
-/// [`run_case`] on `shards` worker threads. The sharded engine is held to
-/// byte-identical traces, so the returned records (and every digest taken
-/// over them) must match the sequential run exactly — that contract is
-/// what `mwn check --shards` and the differential tests enforce.
-pub fn run_case_sharded(
-    scenario: &Scenario,
-    target: u64,
-    deadline: SimDuration,
-    shards: usize,
-) -> (Vec<TraceRecord>, Network) {
     let mut net = scenario.build();
-    net.set_shards(shards);
     net.enable_trace(TRACE_CAPACITY);
     net.enable_audit();
     let _ = net.run_until_delivered(target, SimTime::ZERO + deadline);

@@ -56,3 +56,19 @@ fn digest_detects_a_changed_trace() {
     let short = run_traced(&case.scenario(), case.target / 2, case.deadline);
     assert_ne!(trace_digest(&full), trace_digest(&short));
 }
+
+/// The determinism repeat `mwn check --suite full` performs, as a plain
+/// test: a run is a pure function of its scenario, so running a case
+/// twice yields the same digest line and — for the open-loop case — the
+/// same traffic completion journal.
+#[test]
+fn repeated_runs_yield_identical_digests_and_traffic_journals() {
+    let mut journals = 0;
+    for case in fast_cases() {
+        let (first, again) = (case.run(), case.run());
+        assert_eq!(first.digest_line(), again.digest_line());
+        assert_eq!(first.traffic_journal, again.traffic_journal);
+        journals += usize::from(first.traffic_journal.is_some());
+    }
+    assert!(journals > 0, "the fast suite lost its open-loop case");
+}

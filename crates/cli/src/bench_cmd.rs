@@ -15,14 +15,8 @@
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
-//! mwn bench --shards N           run the engine on N shard workers
 //! mwn bench --case SUBSTR        run only cases whose name contains SUBSTR
 //! ```
-//!
-//! `--shards` runs the sharded parallel engine (results are digest-
-//! identical to the sequential oracle, so wall time is the only thing
-//! that can move). Sharded entries get distinct labels when recorded, so
-//! `--check` always compares like against like.
 
 use std::time::Instant;
 
@@ -315,8 +309,6 @@ struct Measurement {
     /// Wall seconds the best run spent in lazy transmission-time effect
     /// rebuilds. `medium_lazy` profile bucket.
     medium_lazy_secs: f64,
-    /// Parallel bursts the best run executed (0 on the sequential path).
-    bursts: u64,
     /// Per-receiver signal edges the best run's waves delivered.
     signal_edges: u64,
     /// Wave segments of the best run that yielded to the queue.
@@ -340,9 +332,7 @@ impl Measurement {
         }
     }
 
-    /// Total medium wall seconds: tick bookkeeping plus lazy rebuilds —
-    /// the same quantity the pre-split `medium_recompute` bucket held,
-    /// so entries stay comparable row-by-row across the PR 10 boundary.
+    /// Total medium wall seconds: tick bookkeeping plus lazy rebuilds.
     fn medium_secs(&self) -> f64 {
         self.medium_tick_secs + self.medium_lazy_secs
     }
@@ -365,10 +355,8 @@ impl Measurement {
             .u64("delivered", self.delivered)
             .f64("sim_secs", self.sim_secs)
             .f64("wall_secs", self.wall_secs)
-            .f64("medium_recompute_secs", self.medium_secs())
             .f64("medium_tick_secs", self.medium_tick_secs)
             .f64("medium_lazy_secs", self.medium_lazy_secs)
-            .u64("bursts", self.bursts)
             .u64("signal_edges", self.signal_edges)
             .u64("wave_yields", self.wave_yields)
             .f64("events_per_pkt", self.ratios.events_per_pkt)
@@ -383,21 +371,10 @@ impl Measurement {
     }
 }
 
-fn run_case(case: &BenchCase, repeat: u32, shards: usize) -> Measurement {
+fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
     let mut best: Option<Measurement> = None;
-    for rep in 0..repeat.max(1) {
-        let scenario = (case.build)();
-        if rep == 0 && shards > 1 && scenario.traffic.is_some() {
-            // Not silent: the engine accepts --shards but open-loop flow
-            // churn re-keys slots mid-burst, so it runs sequentially.
-            println!(
-                "  note: {}: open-loop traffic runs on the sequential path \
-                 (bursts will read 0)",
-                case.name
-            );
-        }
-        let mut net = scenario.build();
-        net.set_shards(shards);
+    for _ in 0..repeat.max(1) {
+        let mut net = (case.build)().build();
         net.enable_profiling();
         let started = Instant::now();
         net.run_until_delivered(case.target, SimTime::ZERO + case.deadline);
@@ -417,7 +394,6 @@ fn run_case(case: &BenchCase, repeat: u32, shards: usize) -> Measurement {
             wall_secs,
             medium_tick_secs: profile.timed_secs("medium_tick"),
             medium_lazy_secs: profile.timed_secs("medium_lazy"),
-            bursts: net.bursts_run(),
             signal_edges: profile.signal_edges(),
             wave_yields: profile.wave_yields(),
             ratios: WaveRatios::new(profile, net.total_delivered()),
@@ -452,10 +428,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         Some(v) => parse(&v, "repeat count")?,
         None => 1,
     };
-    let shards: usize = match take_value(&mut argv, "--shards")? {
-        Some(v) => parse::<usize>(&v, "shard count")?.max(1),
-        None => 1,
-    };
     reject_leftovers(&argv)?;
     if record.is_some() && quick {
         return Err("--record requires the full scenario set (drop --quick)".to_string());
@@ -463,15 +435,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     if record.is_some() && case_filter.is_some() {
         return Err("--record requires the full scenario set (drop --case)".to_string());
     }
-    // Sharded recordings get a `-sN` label suffix so sequential and
-    // sharded trajectories never silently become each other's baseline.
-    let record = record.map(|l| {
-        if shards > 1 {
-            format!("{l}-s{shards}")
-        } else {
-            l
-        }
-    });
 
     let baseline = std::fs::read_to_string(&out).ok();
     let baseline_rows = baseline.as_deref().map(last_entry);
@@ -492,16 +455,15 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         ));
     }
     println!(
-        "running {} scenario(s), best of {} run(s) each, {} shard(s):",
+        "running {} scenario(s), best of {} run(s) each:",
         selected.len(),
-        repeat.max(1),
-        shards
+        repeat.max(1)
     );
 
     let mut measurements = Vec::new();
     let mut worst_ratio: Option<(f64, &'static str)> = None;
     for case in &selected {
-        let m = run_case(case, repeat, shards);
+        let m = run_case(case, repeat);
         let eps = m.events_per_sec();
         // (speed ratio on wall seconds — the gated one — and on ev/s).
         let vs = baseline_rows
@@ -512,13 +474,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         // cases read 0.0%), so lazy-path regressions are readable at a
         // glance without jq over BENCH_engine.json.
         let medium = format!("  medium {:>4.1}%", m.medium_pct());
-        // Sharded runs always show the burst count — "bursts 0" under
-        // --shards N is exactly the sequential-fallback signal.
-        let bursts = if m.bursts > 0 || shards > 1 {
-            format!("  bursts {}", m.bursts)
-        } else {
-            String::new()
-        };
         let waves = format!(
             "  {:.0} ev/pkt  {:.1} rx/tx  yield {:.0}%",
             m.ratios.events_per_pkt,
@@ -539,7 +494,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
             None => "(no baseline)".to_string(),
         };
         println!(
-            "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  {versus}{waves}{mem}{medium}{bursts}",
+            "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  {versus}{waves}{mem}{medium}",
             m.name, m.events, m.wall_secs, eps
         );
         measurements.push(m);
@@ -706,7 +661,6 @@ mod tests {
             wall_secs: wall,
             medium_tick_secs: 0.045,
             medium_lazy_secs: 0.08,
-            bursts: 0,
             signal_edges: 4_000,
             wave_yields: 30,
             ratios: WaveRatios {
@@ -778,12 +732,8 @@ mod tests {
             extract_num(&line, "peak_rss_bytes"),
             Some((64u64 << 20) as f64)
         );
-        // The split medium buckets ride along, and the pre-split sum
-        // keeps its historical key so old and new entries compare
-        // row-by-row.
         assert_eq!(extract_num(&line, "medium_tick_secs"), Some(0.045));
         assert_eq!(extract_num(&line, "medium_lazy_secs"), Some(0.08));
-        assert_eq!(extract_num(&line, "medium_recompute_secs"), Some(0.125));
         // Receptions per transmission stay visible now that they are no
         // longer an event count.
         assert_eq!(extract_num(&line, "signal_edges"), Some(4000.0));

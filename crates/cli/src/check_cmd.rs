@@ -2,13 +2,9 @@
 //! conformance over the canonical scenarios, optionally fuzzing random
 //! scenarios on top.
 //!
-//! With `--shards N` the canonical runs execute on the sharded parallel
-//! engine; the committed digests don't change, so conformance doubles as
-//! a proof that the parallel engine is byte-identical to the sequential
-//! oracle. The full suite additionally runs a determinism stress: every
-//! case is re-run at shard counts 2 and 8 plus one repeat, every digest
-//! line and traffic journal must match the base run exactly, and every
-//! sharded pass must actually have run parallel bursts.
+//! The full suite additionally runs a determinism repeat: every case is
+//! run a second time, and every digest line and traffic journal must
+//! match the first run exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -22,10 +18,6 @@ use crate::args::{parse, reject_leftovers, take_flag, take_value};
 /// relative to the repository root.
 const GOLDEN_PATH: &str = "crates/check/golden/digests.txt";
 
-/// Shard counts the full-suite determinism stress re-runs every case at
-/// (on top of the base run and one base-shard repeat).
-const STRESS_SHARDS: [usize; 2] = [2, 8];
-
 pub fn command(argv: &[String]) -> Result<(), String> {
     let mut argv = argv.to_vec();
     let suite = take_value(&mut argv, "--suite")?.unwrap_or_else(|| "full".to_string());
@@ -38,20 +30,11 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         Some(v) => parse(&v, "job count")?,
         None => 0,
     };
-    let shards: usize = match take_value(&mut argv, "--shards")? {
-        Some(v) => parse::<usize>(&v, "shard count")?.max(1),
-        None => 1,
-    };
     let golden_path = take_value(&mut argv, "--golden")?;
     reject_leftovers(&argv)?;
 
     // Blessing always regenerates the complete digest file; a partial
-    // suite would silently drop the other scenarios' lines. It also
-    // always uses the sequential oracle — goldens define the reference
-    // behavior the sharded engine is held to.
-    if bless && shards > 1 {
-        return Err("--bless records the sequential oracle (drop --shards)".to_string());
-    }
+    // suite would silently drop the other scenarios' lines.
     let cases = if bless {
         canonical_cases()
     } else {
@@ -62,9 +45,9 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         }
     };
 
-    let runs = run_cases(&cases, jobs, shards);
+    let reports = run_cases(&cases, jobs);
     let mut failures = 0usize;
-    for (report, _) in &runs {
+    for report in &reports {
         for v in &report.violations {
             failures += 1;
             print!("{v}");
@@ -77,7 +60,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
                 "{failures} invariant violation(s); refusing to bless a non-conforming trace"
             ));
         }
-        let reports: Vec<CaseReport> = runs.into_iter().map(|(r, _)| r).collect();
         let path = golden_path.unwrap_or_else(|| GOLDEN_PATH.to_string());
         std::fs::write(&path, format_digests(&reports))
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -95,7 +77,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         None => BUILTIN_DIGESTS,
     };
     let golden = parse_digests(golden_text)?;
-    for (report, _) in &runs {
+    for report in &reports {
         match conformance(report, &golden) {
             Some(msg) => {
                 failures += 1;
@@ -105,11 +87,11 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         }
     }
 
-    // Determinism stress (full suite only): the committed digests pin
-    // the sequential behavior; this pins the *equivalence* — every case
-    // byte-identical across shard counts and across repeated runs.
+    // Determinism repeat (full suite only): the committed digests pin
+    // the behavior; this pins that a run is a pure function of its
+    // scenario — every case byte-identical when run again.
     if suite == "full" {
-        failures += determinism_stress(&cases, &runs, jobs, shards);
+        failures += determinism_repeat(&cases, &reports, jobs);
     }
 
     if fuzz_cases > 0 {
@@ -129,65 +111,37 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// One canonical run: the report plus the open-loop traffic journal
-/// digest (`None` for closed-loop cases).
-type CaseRun = (CaseReport, Option<(u64, u64)>);
-
-/// Re-runs every case at [`STRESS_SHARDS`] worker counts plus one repeat
-/// at `base_shards`, comparing digest lines and traffic journals against
-/// the base `runs`. Returns the number of mismatches.
-fn determinism_stress(
-    cases: &[CanonicalCase],
-    runs: &[CaseRun],
-    jobs: usize,
-    base_shards: usize,
-) -> usize {
-    let mut failures = 0;
-    let mut passes: Vec<usize> = STRESS_SHARDS.to_vec();
-    passes.push(base_shards); // repeat: same engine, run twice
-    for shards in passes {
-        let rerun = run_cases(cases, jobs, shards);
-        let mut mismatches = 0;
-        for ((base, base_journal), (again, journal)) in runs.iter().zip(&rerun) {
-            if base.digest_line() != again.digest_line() {
-                mismatches += 1;
-                println!(
-                    "FAIL determinism {} shards={shards}: {} != {}",
-                    base.name,
-                    again.digest_line(),
-                    base.digest_line()
-                );
-            }
-            if base_journal != journal {
-                mismatches += 1;
-                println!(
-                    "FAIL determinism {} shards={shards}: traffic journal {journal:?} != {base_journal:?}",
-                    base.name
-                );
-            }
-        }
-        // Engagement: a sharded pass whose every wave fell below the
-        // burst threshold only ever ran the oracle against itself.
-        let bursts: u64 = rerun.iter().map(|(r, _)| r.bursts).sum();
-        if shards > 1 && bursts == 0 {
+/// Re-runs every case once, comparing digest lines and traffic journals
+/// against the first `reports`. Returns the number of mismatches.
+fn determinism_repeat(cases: &[CanonicalCase], reports: &[CaseReport], jobs: usize) -> usize {
+    let mut mismatches = 0;
+    for (base, again) in reports.iter().zip(&run_cases(cases, jobs)) {
+        if base.digest_line() != again.digest_line() {
             mismatches += 1;
-            println!("FAIL determinism shards={shards}: no case engaged the parallel engine");
-        }
-        if mismatches == 0 {
             println!(
-                "ok   determinism shards={shards} ({} cases, {bursts} bursts)",
-                cases.len()
+                "FAIL determinism {}: {} != {}",
+                base.name,
+                again.digest_line(),
+                base.digest_line()
             );
         }
-        failures += mismatches;
+        if base.traffic_journal != again.traffic_journal {
+            mismatches += 1;
+            println!(
+                "FAIL determinism {}: traffic journal {:?} != {:?}",
+                base.name, again.traffic_journal, base.traffic_journal
+            );
+        }
     }
-    failures
+    if mismatches == 0 {
+        println!("ok   determinism repeat ({} cases)", cases.len());
+    }
+    mismatches
 }
 
 /// Runs the canonical cases on `jobs` worker threads (0 = one per CPU),
-/// preserving case order in the returned reports. Each case itself runs
-/// on `shards` engine workers (1 = the sequential oracle).
-fn run_cases(cases: &[CanonicalCase], jobs: usize, shards: usize) -> Vec<CaseRun> {
+/// preserving case order in the returned reports.
+fn run_cases(cases: &[CanonicalCase], jobs: usize) -> Vec<CaseReport> {
     let jobs = if jobs == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -196,14 +150,15 @@ fn run_cases(cases: &[CanonicalCase], jobs: usize, shards: usize) -> Vec<CaseRun
     .min(cases.len().max(1));
 
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CaseRun>>> = Mutex::new((0..cases.len()).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<CaseReport>>> =
+        Mutex::new((0..cases.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(case) = cases.get(i) else { break };
-                let run = case.run_sharded(shards);
-                slots.lock().unwrap()[i] = Some(run);
+                let report = case.run();
+                slots.lock().unwrap()[i] = Some(report);
             });
         }
     });

@@ -1,7 +1,7 @@
 //! `mwn` — command-line front end for the multihop-wireless TCP study.
 //!
 //! ```text
-//! mwn repro <experiment|all> [--scale N] [--jobs N] [--shards N] [--csv]   regenerate paper figures/tables
+//! mwn repro <experiment|all> [--scale N] [--jobs N] [--csv]   regenerate paper figures/tables
 //! mwn sweep [--suite chain|full|traffic|load] [--jobs N] [--out F]  parallel sweep into a JSONL store
 //! mwn run [options]                                           run one scenario, print measures
 //! mwn stats [options]                                         run instrumented, print metrics
@@ -63,11 +63,10 @@ fn print_usage() {
         "mwn — TCP over multihop wireless 802.11, reproduction of \
          ElRakabawy/Lindemann/Vernon (DSN 2005)\n\n\
          USAGE:\n\
-         \x20 mwn repro <experiment|all> [--scale N] [--jobs N] [--shards N] [--csv]\n\
+         \x20 mwn repro <experiment|all> [--scale N] [--jobs N] [--csv]\n\
          \x20     Regenerate a paper figure/table (see `mwn list`).\n\
          \x20     --scale N   batch size multiplier (1 = quick, 25 = paper scale)\n\
          \x20     --jobs N    run experiments on N worker threads (0 = one per CPU)\n\
-         \x20     --shards N  engine worker threads per run (results identical)\n\
          \x20     --csv       emit CSV instead of aligned text\n\n\
          \x20 mwn sweep [--suite chain|full|traffic|load] [--jobs N] [--out results.jsonl] [--scale N]\n\
          \x20           [--metrics]\n\
@@ -78,9 +77,8 @@ fn print_usage() {
          \x20                 profile to every result row\n\n\
          \x20 mwn run [--topology chain|grid|random] [--hops H] [--mbits 2|5.5|11]\n\
          \x20         [--variant vegas|vegas-thin|newreno|newreno-thin|reno|tahoe|optwin|udp]\n\
-         \x20         [--seed S] [--scale N] [--shards N]\n\
-         \x20     Run one scenario and print the steady-state measures\n\
-         \x20     (--shards runs the engine on N workers, same results).\n\n\
+         \x20         [--seed S] [--scale N]\n\
+         \x20     Run one scenario and print the steady-state measures.\n\n\
          \x20 mwn stats [--topology chain|grid|random|random200|random500]\n\
          \x20           [--hops H] [--rate 2|5.5|11]\n\
          \x20           [--transport <variant>] [--seed S] [--scale N] [--series N]\n\
@@ -92,18 +90,15 @@ fn print_usage() {
          \x20 mwn trace [--hops H] [--events N] [--transport <variant>]\n\
          \x20           [--rate 2|5.5|11] [--format text|jsonl]\n\
          \x20     Show the annotated event trace of a chain's first packets.\n\n\
-         \x20 mwn check [--suite fast|full] [--bless] [--fuzz N] [--jobs N] [--shards N]\n\
-         \x20           [--golden F]\n\
+         \x20 mwn check [--suite fast|full] [--bless] [--fuzz N] [--jobs N] [--golden F]\n\
          \x20     Run the canonical scenarios under the cross-layer invariant\n\
          \x20     checker and compare trace digests against the committed\n\
-         \x20     golden file. --shards N runs each case on the sharded\n\
-         \x20     parallel engine (digests must still match); the full suite\n\
-         \x20     adds a determinism stress re-running every case at shard\n\
-         \x20     counts 2 and 8 plus a repeat. --bless regenerates the\n\
-         \x20     digests (full suite, sequential, refused if any invariant\n\
-         \x20     fails); --fuzz N adds N random checked scenarios with\n\
-         \x20     shrinking on failure.\n\n\
-         \x20 mwn bench [--quick] [--check] [--record LABEL] [--repeat N] [--out F] [--shards N]\n\
+         \x20     golden file. The full suite adds a determinism repeat:\n\
+         \x20     every case run twice, digests and traffic journals equal.\n\
+         \x20     --bless regenerates the digests (full suite, refused if\n\
+         \x20     any invariant fails); --fuzz N adds N random checked\n\
+         \x20     scenarios with shrinking on failure.\n\n\
+         \x20 mwn bench [--quick] [--check] [--record LABEL] [--repeat N] [--out F]\n\
          \x20     Measure engine wall time and events/sec on the canonical\n\
          \x20     benchmark scenarios and compare against the committed\n\
          \x20     baseline in BENCH_engine.json. --record appends this run\n\
@@ -112,8 +107,7 @@ fn print_usage() {
          \x20     (CI sets MWN_BENCH_SKIP=1 on machines too noisy to gate).\n\n\
          \x20 mwn traffic [--nodes N] [--flows F] [--profile web|mixed|heavy]\n\
          \x20             [--load F] [--transport <variant>] [--rate 2|5.5|11]\n\
-         \x20             [--seed S] [--reps R] [--jobs N] [--deadline SECS] [--shards N]\n\
-         \x20             [--json]\n\
+         \x20             [--seed S] [--reps R] [--jobs N] [--deadline SECS] [--json]\n\
          \x20     Drive an open-loop workload (finite flows, flow churn) over\n\
          \x20     a connected random topology until every flow completes, and\n\
          \x20     report per-class FCT percentiles, goodput and the journal\n\

@@ -108,14 +108,6 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         None => 1,
     };
     let csv = args::take_flag(&mut argv, "--csv");
-    if let Some(v) = args::take_value(&mut argv, "--shards")? {
-        let shards = args::parse::<usize>(&v, "shard count")?.max(1);
-        // Experiment producers own their run loops, so the engine worker
-        // count travels via the environment (see
-        // `ObsConfig::effective_shards`). Results are unchanged either
-        // way — the sharded engine is digest-identical to the oracle.
-        std::env::set_var("MWN_SHARDS", shards.to_string());
-    }
     let Some(which) = argv.first().cloned() else {
         return Err("repro needs an experiment id (see `mwn list`)".into());
     };

@@ -1,6 +1,6 @@
 //! `mwn run` — one scenario, full measures.
 
-use mwn::{experiment, ExperimentScale, ObsConfig, Scenario};
+use mwn::{experiment, ExperimentScale, Scenario};
 
 use crate::args;
 
@@ -19,10 +19,6 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     };
     let mult: u64 = match args::take_value(&mut argv, "--scale")? {
         Some(v) => args::parse(&v, "scale")?,
-        None => 1,
-    };
-    let shards: usize = match args::take_value(&mut argv, "--shards")? {
-        Some(v) => args::parse::<usize>(&v, "shard count")?.max(1),
         None => 1,
     };
     args::reject_leftovers(&argv)?;
@@ -51,7 +47,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         scale.batch_packets,
     );
 
-    let r = experiment::run_instrumented(&scenario, scale, ObsConfig::off().with_shards(shards));
+    let r = experiment::run(&scenario, scale);
     println!(
         "aggregate goodput      {:>10.1} kbit/s (±{:.1})",
         r.aggregate_goodput_kbps.mean, r.aggregate_goodput_kbps.half_width

@@ -16,10 +16,6 @@ struct RepResult {
     live_at_end: usize,
     journal: (u64, u64),
     arrivals: (u64, u64),
-    /// Parallel bursts the engine executed ([`mwn::Network::bursts_run`]):
-    /// 0 whenever the open-loop workload forced the sequential path, so
-    /// "did --shards actually engage?" is visible per replication.
-    bursts: u64,
     /// Pre-rendered per-class report (text or JSON).
     report: String,
 }
@@ -63,10 +59,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         Some(v) => parse(&v, "deadline (simulated seconds)")?,
         None => 1_000_000,
     };
-    let shards: usize = match take_value(&mut argv, "--shards")? {
-        Some(v) => parse::<usize>(&v, "shard count")?.max(1),
-        None => 1,
-    };
     let json = take_flag(&mut argv, "--json");
     reject_leftovers(&argv)?;
 
@@ -81,23 +73,15 @@ pub fn command(argv: &[String]) -> Result<(), String> {
             )
         })?
         .with_load(load);
+    model
+        .validate()
+        .map_err(|e| format!("invalid traffic model: {e}"))?;
     if !matches!(transport, Transport::Tcp { .. }) {
         return Err("open-loop traffic needs a TCP transport (not udp)".to_string());
     }
     if nodes < 2 {
         return Err("traffic needs at least two nodes".to_string());
     }
-    if shards > 1 {
-        // Not silent: the engine accepts --shards but open-loop flow
-        // churn re-keys flow-table slots mid-burst, so batching is
-        // declined and the run proceeds sequentially (ROADMAP sharded
-        // residual (b)). The per-rep `bursts=` field confirms it.
-        println!(
-            "note: --shards {shards} accepted, but open-loop traffic runs on the \
-             sequential path; bursts will read 0"
-        );
-    }
-
     let results = run_reps(
         nodes,
         &model,
@@ -107,15 +91,14 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         reps,
         jobs,
         deadline_secs,
-        shards,
         json,
     );
 
     let mut failures = 0usize;
     for r in &results {
         println!(
-            "rep seed={} journal={}:{:016x} arrivals={}:{:016x} bursts={}",
-            r.seed, r.journal.0, r.journal.1, r.arrivals.0, r.arrivals.1, r.bursts
+            "rep seed={} journal={}:{:016x} arrivals={}:{:016x}",
+            r.seed, r.journal.0, r.journal.1, r.arrivals.0, r.arrivals.1
         );
         print!("{}", r.report);
         if r.outcome != StepOutcome::TargetReached {
@@ -148,7 +131,6 @@ fn run_reps(
     reps: u64,
     jobs: usize,
     deadline_secs: u64,
-    shards: usize,
     json: bool,
 ) -> Vec<RepResult> {
     let jobs = if jobs == 0 {
@@ -175,7 +157,6 @@ fn run_reps(
                     rate,
                     rep_seed,
                     deadline_secs,
-                    shards,
                     json,
                 );
                 slots.lock().unwrap()[i] = Some(result);
@@ -190,7 +171,6 @@ fn run_reps(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     nodes: usize,
     model: TrafficModel,
@@ -198,16 +178,10 @@ fn run_one(
     rate: mwn_phy::DataRate,
     seed: u64,
     deadline_secs: u64,
-    shards: usize,
     json: bool,
 ) -> RepResult {
     let scenario = Scenario::open_loop(nodes, model, transport, rate, seed);
     let mut net = scenario.build();
-    // Open-loop churn currently degrades to the sequential path inside
-    // the engine (`command` prints a notice and `bursts` records the
-    // engagement); it becomes live the day the traffic engine joins the
-    // batch path, with no CLI change.
-    net.set_shards(shards);
     let deadline = SimTime::ZERO + SimDuration::from_secs(deadline_secs);
     let outcome = net.run_until_traffic_done(deadline);
     let summary = net.traffic_summary().expect("open-loop run has a summary");
@@ -242,7 +216,6 @@ fn run_one(
         live_at_end: net.live_flow_count(),
         journal: net.traffic_digest().expect("traffic digest"),
         arrivals: net.traffic_arrival_digest().expect("arrival digest"),
-        bursts: net.bursts_run(),
         report,
     }
 }

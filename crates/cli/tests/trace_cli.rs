@@ -48,3 +48,28 @@ fn trace_unknown_transport_exits_2() {
         "diagnostic should name the bad variant: {stderr}"
     );
 }
+
+/// Bad arguments are usage errors on every subcommand: exit code 2 (never
+/// a panic's 101), the reason on stderr, and nothing but the usage text on
+/// stdout — no run started. `--shards` is here because the within-run
+/// sharded engine it selected is gone; it must be rejected, not ignored.
+#[test]
+fn bad_arguments_exit_2_before_anything_runs() {
+    let usage = mwn(&["--help"]).stdout;
+    let shards = "unrecognized argument \"--shards\"";
+    let table: [(&[&str], &str); 6] = [
+        (&["repro", "fig10", "--shards", "2"], shards),
+        (&["run", "--shards", "2"], shards),
+        (&["check", "--suite", "fast", "--shards", "2"], shards),
+        (&["bench", "--quick", "--shards", "2"], shards),
+        (&["traffic", "--shards", "2"], shards),
+        (&["traffic", "--flows", "0"], "max_flows must be positive"),
+    ];
+    for (args, reason) in table {
+        let out = mwn(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+        assert!(out.stdout == usage, "{args:?} printed more than usage");
+    }
+}

@@ -101,10 +101,9 @@ pub struct ObsConfig {
     /// Run the packet-custody conservation audit alongside the drop
     /// ledger; the verdict lands in [`RunResults::conservation`].
     pub audit: bool,
-    /// Engine worker threads for the sharded parallel engine. `0`
-    /// inherits `MWN_SHARDS` from the environment (default 1); `1` is
-    /// the sequential oracle. The sharded engine is byte-identical to
-    /// the oracle, so this never changes results — only wall time.
+    /// Ignored; kept only so the frozen benchmark source under `bench/`
+    /// (which builds this struct as a literal) compiles. Delete with
+    /// ROADMAP item 2(c).
     pub shards: usize,
 }
 
@@ -123,27 +122,6 @@ impl ObsConfig {
             audit: true,
             shards: 0,
         }
-    }
-
-    /// `self` with the engine worker count pinned (overrides
-    /// `MWN_SHARDS`).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The worker count a run should use: the explicit setting, else
-    /// `MWN_SHARDS` from the environment, else the sequential oracle.
-    /// The env fallback lets `mwn repro` parallelize without threading a
-    /// knob through every experiment's signature.
-    pub fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        std::env::var("MWN_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
     }
 
     fn enabled(&self) -> bool {
@@ -242,7 +220,6 @@ pub fn run(scenario: &Scenario, scale: ExperimentScale) -> RunResults {
 /// for; the report lands in [`RunResults::metrics`].
 pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsConfig) -> RunResults {
     let mut net = scenario.build();
-    net.set_shards(obs.effective_shards());
     if obs.probe_capacity > 0 {
         net.enable_probes(obs.probe_capacity);
     }

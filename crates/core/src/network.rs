@@ -1,11 +1,9 @@
 //! The network: every protocol layer wired to one event loop.
 //!
-//! Event *dispatch* lives in [`cascade`], written once over abstract
-//! effect/state traits so the sequential oracle and the sharded batch
-//! workers run the identical code. This module owns the state, the
-//! sequential instantiation and the run loop — including the walk that
+//! This module owns the state and the run loop — including the walk that
 //! carries one transmission's signal edge across its receivers
-//! ([`Network::walk_wave`]); [`batch`] owns the parallel instantiation.
+//! ([`Network::walk_wave`]). What handling one event *does* — its fan-out
+//! through the layers — is more `impl Network`, in [`cascade`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -30,13 +28,11 @@ use crate::mobility::MobilityModel;
 use crate::scenario::{Scenario, Transport};
 use crate::trace::{TraceBuffer, TraceRecord};
 
-mod batch;
 mod cascade;
 mod flows;
 mod frames;
 
-use batch::BatchRuntime;
-use cascade::{Cascade, Pools, SeqCascade, SeqEffects, SeqStates};
+use cascade::Pools;
 use flows::{FlowDst, FlowMeta, FlowSrc, Flows};
 use frames::FrameSlab;
 
@@ -206,9 +202,8 @@ pub struct Network {
     macs: Vec<Dcf>,
     routers: Vec<Router>,
     energy: Vec<EnergyMeter>,
-    /// Flow slab, split into meta/src/dst halves for the sharded engine:
-    /// persistent flows occupy slots `0..n` forever; traffic flows churn
-    /// through the remainder via the free list.
+    /// Flow slab: persistent flows occupy slots `0..n` forever; traffic
+    /// flows churn through the remainder via the free list.
     flows: Flows,
     /// Open-loop workload state, if the scenario has one.
     traffic: Option<TrafficState>,
@@ -228,6 +223,8 @@ pub struct Network {
     profile: Option<EngineProfile>,
     /// Always-on loss ledger: one array increment per drop event.
     ledger: DropLedger,
+    /// Index of the ledger's trailing `unattributed` class.
+    unattributed: usize,
     /// Opt-in custody tracking for the conservation audit.
     audit: Option<ConservationAudit>,
     /// Always-on flight recorder of the rare events, shared with the
@@ -239,20 +236,14 @@ pub struct Network {
     /// position actually changed (paused nodes don't) are handed to the
     /// medium's incremental update.
     moved: Vec<(NodeId, mwn_phy::Position)>,
-    /// When set, every mobility tick eagerly refreshes all effect lists
-    /// (the pre-lazy behaviour) instead of leaving stale lists for
+    /// Recycled action/event buffers for the cascade.
+    pools: Pools,
+    /// Test oracle: every mobility tick eagerly refreshes all effect
+    /// lists (the pre-lazy behaviour) instead of leaving stale lists for
     /// transmission-time refresh. Observables are identical either way —
     /// this switch exists so the lazy-vs-eager differential can prove it.
+    #[cfg(any(test, feature = "oracle"))]
     eager_medium: bool,
-    /// Recycled action/event buffers for the sequential cascade lane.
-    pools: Pools,
-    /// The sharded batch engine's worker pool and per-worker contexts;
-    /// `None` means pure sequential execution (the oracle path).
-    batch: Option<BatchRuntime>,
-    /// Most in-order packets a single trailing signal edge can deliver
-    /// (the largest receive window across scenario flows): the batch
-    /// engine's overshoot bound for delivery-targeted runs.
-    delivery_bound: u64,
     /// Test oracle: hand every wave back to the queue after each
     /// receiver — by construction the one-event-per-receiver schedule
     /// the in-place walk must be indistinguishable from.
@@ -401,25 +392,12 @@ impl Network {
             .unwrap_or_default();
         class_names.push("persistent".into());
         class_names.push("unattributed".into());
+        let unattributed = class_names.len() - 1;
         let ledger = DropLedger::new(n, class_names);
         let flight = Arc::new(Mutex::new(FlightRecorder::new(
             mwn_obs::flight::DEFAULT_CAPACITY,
         )));
         flight::register(&flight);
-
-        // One trailing edge at a TCP sink can release a whole reassembly
-        // buffer in order — at most the advertised window. Paced UDP
-        // delivers one packet per arrival.
-        let delivery_bound = scenario
-            .flows
-            .iter()
-            .map(|spec| match spec.transport {
-                Transport::Tcp { config, .. } => u64::from(config.wmax),
-                Transport::PacedUdp { .. } => 1,
-            })
-            .max()
-            .unwrap_or(1)
-            .max(1);
 
         let flow_count = scenario.flows.len();
         Network {
@@ -442,14 +420,14 @@ impl Network {
             probes: None,
             profile: None,
             ledger,
+            unattributed,
             audit: None,
             flight,
             mobility,
             moved: Vec::new(),
-            eager_medium: false,
             pools: Pools::default(),
-            batch: None,
-            delivery_bound,
+            #[cfg(any(test, feature = "oracle"))]
+            eager_medium: false,
             #[cfg(any(test, feature = "oracle"))]
             yield_every_receiver: false,
         }
@@ -499,30 +477,6 @@ impl Network {
         self.profile.as_ref()
     }
 
-    /// Sets the worker count for the sharded batch engine. `1` (the
-    /// default) runs the pure sequential oracle; `n > 1` lets eligible
-    /// runs of a wave's receivers execute on `n` shards with results
-    /// replayed in walk order, so every observable output is unchanged.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        if shards == self.shards() {
-            return;
-        }
-        self.batch = (shards > 1).then(|| BatchRuntime::new(shards));
-    }
-
-    /// The current worker count (`1` = sequential oracle).
-    pub fn shards(&self) -> usize {
-        self.batch.as_ref().map_or(1, BatchRuntime::shards)
-    }
-
-    /// Parallel bursts executed so far (0 on the sequential path). A
-    /// sharded run that stays at 0 never left the oracle — tests use this
-    /// to prove the parallel engine actually engaged.
-    pub fn bursts_run(&self) -> u64 {
-        self.batch.as_ref().map_or(0, BatchRuntime::bursts)
-    }
-
     /// Enables custody tracking so [`Network::conservation_report`] can
     /// verify `created = destroyed + residual` per node and per flow.
     /// Call before running; the equations only balance when every custody
@@ -542,7 +496,7 @@ impl Network {
     /// `unattributed` class.
     pub fn drop_report(&self) -> DropLedger {
         let mut ledger = self.ledger.clone();
-        let unattributed = ledger.class_names().len() - 1;
+        let unattributed = self.unattributed;
         for (i, t) in self.transceivers.iter().enumerate() {
             let c = t.counters();
             ledger.add(i, unattributed, DropReason::PhyCollision, c.collisions);
@@ -781,14 +735,7 @@ impl Network {
 
     /// The run loop: steps until `done` says so (checked before every
     /// event), the next event lies past `deadline`, or the queue drains.
-    /// `target` is `done`'s delivery bound, if it has one — the batch
-    /// engine's overshoot gate needs the number itself.
-    fn run_loop(
-        &mut self,
-        deadline: SimTime,
-        target: Option<u64>,
-        done: impl Fn(&Network) -> bool,
-    ) -> StepOutcome {
+    fn run_loop(&mut self, deadline: SimTime, done: impl Fn(&Network) -> bool) -> StepOutcome {
         let outcome = loop {
             if done(self) {
                 break StepOutcome::TargetReached;
@@ -796,7 +743,7 @@ impl Network {
             match self.queue.peek_time() {
                 None => break StepOutcome::Quiescent,
                 Some(t) if t > deadline => break StepOutcome::DeadlineExpired,
-                Some(_) => self.step_bounded(deadline, target),
+                Some(_) => self.step_bounded(deadline),
             }
         };
         self.flush_medium_profile();
@@ -806,7 +753,7 @@ impl Network {
     /// Runs until `target` total packets are delivered, the simulated-time
     /// `deadline` passes, or the event queue drains.
     pub fn run_until_delivered(&mut self, target: u64, deadline: SimTime) -> StepOutcome {
-        self.run_loop(deadline, Some(target), |net| net.total_delivered >= target)
+        self.run_loop(deadline, |net| net.total_delivered >= target)
     }
 
     /// `true` once the open-loop workload has spawned its whole arrival
@@ -821,7 +768,7 @@ impl Network {
     /// Runs until [`Network::traffic_done`], the simulated-time
     /// `deadline` passes, or the event queue drains.
     pub fn run_until_traffic_done(&mut self, deadline: SimTime) -> StepOutcome {
-        self.run_loop(deadline, None, Network::traffic_done)
+        self.run_loop(deadline, Network::traffic_done)
     }
 
     /// Streaming per-class FCT/goodput accounting for the open-loop
@@ -855,7 +802,7 @@ impl Network {
 
     /// Runs until simulated time `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_loop(deadline, None, |_| false);
+        self.run_loop(deadline, |_| false);
         self.now = self.now.max(deadline);
     }
 
@@ -867,12 +814,12 @@ impl Network {
     /// [`Network::now`] may advance by up to the propagation skew across
     /// the interference range within a single step.
     pub fn step(&mut self) {
-        self.step_bounded(SimTime::MAX, None);
+        self.step_bounded(SimTime::MAX);
     }
 
     /// [`Network::step`] for the run loops: a wave walk stops short of
-    /// `deadline`, and `target` feeds the batch engine's overshoot gate.
-    fn step_bounded(&mut self, deadline: SimTime, target: Option<u64>) {
+    /// `deadline`.
+    fn step_bounded(&mut self, deadline: SimTime) {
         let Some((t, event)) = self.queue.pop() else {
             return;
         };
@@ -882,51 +829,9 @@ impl Network {
         }
         match event {
             Event::MobilityTick => self.mobility_tick(),
-            Event::Wave { tx, end } => self.walk_wave(tx, end, deadline, target),
-            event => self.with_cascade(|c| c.handle_event(event)),
+            Event::Wave { tx, end } => self.walk_wave(tx, end, deadline),
+            event => self.handle_event(event),
         }
-    }
-
-    // ---- event dispatch --------------------------------------------------
-
-    /// Runs `f` on the sequential cascade — every effect applied
-    /// immediately to the network's own structures — and adopts the
-    /// clock `f` left it at.
-    fn with_cascade<R>(&mut self, f: impl FnOnce(&mut SeqCascade<'_, '_>) -> R) -> R {
-        let unattributed = self.ledger.class_names().len() - 1;
-        let mut states = SeqStates {
-            transceivers: &mut self.transceivers,
-            macs: &mut self.macs,
-            routers: &mut self.routers,
-        };
-        let mut eff = SeqEffects {
-            queue: &mut self.queue,
-            mac_timers: &mut self.mac_timers,
-            discovery_timers: &mut self.discovery_timers,
-            transport_timers: &mut self.transport_timers,
-            trace: &mut self.trace,
-            probes: &mut self.probes,
-            ledger: &mut self.ledger,
-            audit: &mut self.audit,
-            flight: &self.flight,
-            total_delivered: &mut self.total_delivered,
-            frames: &mut self.frames,
-            medium: &mut self.medium,
-            energy: &mut self.energy,
-            params: &self.params,
-        };
-        let mut cascade = Cascade {
-            now: self.now,
-            states: &mut states,
-            flows: &mut self.flows,
-            traffic: self.traffic.as_mut(),
-            eff: &mut eff,
-            pools: &mut self.pools,
-            unattributed,
-        };
-        let out = f(&mut cascade);
-        self.now = cascade.now;
-        out
     }
 
     /// Handles one popped wave event: carries `tx`'s leading or trailing
@@ -940,17 +845,29 @@ impl Network {
     /// receiver's time (on a tie the queue decides, by sequence number,
     /// as it always did). One bounded peek up to the last receiver's time
     /// answers that for the whole segment, because nothing a signal-edge
-    /// cascade schedules lands inside the wave's own skew window (the
-    /// lookahead fact in `network/batch.rs`, re-checked after every
-    /// receiver in debug builds). The peek must be the read-only one: a
-    /// committing peek would move the wheel's cursor to an event the
-    /// walk does not pop.
+    /// cascade does lands inside the wave's own skew window:
+    ///
+    /// * A wave spans at most the propagation skew across the
+    ///   interference range (550 m: 1.83 µs). The earliest thing a
+    ///   signal-edge cascade can *schedule* is a SIFS response timer
+    ///   (10 µs) or a jittered AODV forward ([`mwn_aodv::MIN_JITTER`],
+    ///   16 µs), so every new event lands strictly after every receiver
+    ///   in the segment.
+    /// * The DCF only emits `StartTx` from timer handlers, and a segment
+    ///   holds signal edges only — so no new transmission, whose wave
+    ///   would reach its nearest receivers within nanoseconds, starts
+    ///   mid-segment.
+    ///
+    /// Debug builds re-check that after every receiver
+    /// ([`Network::debug_assert_lookahead`]). The peek must be the
+    /// read-only one: a committing peek would move the wheel's cursor to
+    /// an event the walk does not pop.
     ///
     /// Two more things end a segment early, so that every run loop stops
     /// on the same event and nanosecond it always did: a receiver past
     /// `deadline`, and a receiver whose cascade moved what the loops'
-    /// stop conditions read ([`SeqCascade::walk`]).
-    fn walk_wave(&mut self, tx: TxId, end: bool, deadline: SimTime, target: Option<u64>) {
+    /// stop conditions read ([`Network::walk_segment`]).
+    fn walk_wave(&mut self, tx: TxId, end: bool, deadline: SimTime) {
         let wave = self.frames.wave(tx);
         let (lo, len) = (wave.cursor, wave.receivers().len());
         let mut hi = lo + 1;
@@ -970,12 +887,7 @@ impl Network {
             hi = lo + 1;
         }
 
-        let hi = if self.burst_allowed(end, hi - lo, target) {
-            self.run_burst(tx, end, lo, hi);
-            hi
-        } else {
-            self.with_cascade(|c| c.walk(tx, end, lo, hi))
-        };
+        let hi = self.walk_segment(tx, end, lo, hi);
 
         // The trailing edge's last receiver released the slot: only a
         // wave with receivers left (or a leading edge) is touched again.
@@ -990,6 +902,47 @@ impl Network {
         if let Some(p) = &mut self.profile {
             p.record_wave((hi - lo) as u64, hi < len);
         }
+    }
+
+    /// Everything a run loop's stop condition reads, folded into one
+    /// number that only ever grows: packets delivered, plus traffic legs
+    /// spawned and completed.
+    fn stop_mark(&self) -> u64 {
+        self.total_delivered + self.traffic.as_ref().map_or(0, |t| t.journal_count)
+    }
+
+    /// Walks receivers `lo..hi` of `tx`'s wave, advancing the clock per
+    /// receiver, and stops after the first whose cascade moved the
+    /// [stop mark](Self::stop_mark) — so `run_until_delivered` and
+    /// `run_until_traffic_done` regain control after the very receiver
+    /// that satisfied them. Returns the first receiver *not* visited.
+    fn walk_segment(&mut self, tx: TxId, end: bool, lo: usize, hi: usize) -> usize {
+        let mark = self.stop_mark();
+        for i in lo..hi {
+            let wave = self.frames.wave(tx);
+            let rx = wave.receivers()[i];
+            self.now = wave.time(i, end);
+            self.signal_edge(&rx, tx, end);
+            if i + 1 < hi {
+                if self.stop_mark() != mark {
+                    return i + 1;
+                }
+                self.debug_assert_lookahead(tx, end, i + 1);
+            }
+        }
+        hi
+    }
+
+    /// Debug builds: nothing the cascades so far scheduled is due at or
+    /// before receiver `next`'s edge — the lookahead fact that lets
+    /// [`Network::walk_wave`]'s one peek cover a whole segment.
+    fn debug_assert_lookahead(&self, tx: TxId, end: bool, next: usize) {
+        debug_assert!(
+            self.queue
+                .peek_time_within(self.frames.wave(tx).time(next, end))
+                .is_none(),
+            "a signal-edge cascade scheduled inside its wave's skew window"
+        );
     }
 
     fn mobility_tick(&mut self) {
@@ -1012,6 +965,7 @@ impl Network {
             if let Some(p) = &mut self.profile {
                 p.record_timed("medium_tick", started.elapsed().as_secs_f64());
             }
+            #[cfg(any(test, feature = "oracle"))]
             if self.eager_medium {
                 self.medium.refresh_all();
             }
@@ -1032,19 +986,20 @@ impl Network {
         }
     }
 
-    /// Forces the pre-lazy eager behaviour: every mobility tick refreshes
-    /// all effect lists immediately. Observables are identical to the
-    /// default lazy mode (effect lists are pure functions of current
-    /// positions at query time); this exists for the lazy-vs-eager
-    /// differential tests and A/B profiling.
-    pub fn set_eager_medium(&mut self, eager: bool) {
-        self.eager_medium = eager;
-    }
-
     /// Cumulative lazy-medium statistics (epoch, queries, rebuilds,
     /// revalidations) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
+    }
+
+    /// Test oracle: forces the pre-lazy eager behaviour — every mobility
+    /// tick refreshes all effect lists immediately. Observables are
+    /// identical to the default lazy mode (effect lists are pure functions
+    /// of current positions at query time); the lazy-vs-eager differential
+    /// in `mwn-check` holds the lazy medium to that.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_eager_medium(&mut self, eager: bool) {
+        self.eager_medium = eager;
     }
 
     /// Test oracle: makes every wave yield to the queue after each
@@ -1068,9 +1023,8 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(secs)
     }
 
-    /// Stage-A proof for the sharded engine: with `Rc`/`RefCell` gone, a
-    /// whole network (and thus any disjoint slice of its node state) can
-    /// cross threads.
+    /// No `Rc`/`RefCell` anywhere in the state: a whole network can be
+    /// built on one thread and run on another.
     #[test]
     fn network_is_send() {
         fn assert_send<T: Send>() {}

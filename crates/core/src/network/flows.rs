@@ -1,21 +1,14 @@
-//! Flow store split for the sharded engine.
+//! The flow store: a generation-checked slab of flows.
 //!
-//! PR 6's slab kept each flow as one struct. During a parallel batch the
-//! same flow's two endpoints can be handled by *different* workers in the
-//! same window (the source's ACK cascade and the sink's data cascade), so
-//! one `&mut Flow` per flow would alias across threads. The store
-//! therefore splits each flow three ways:
+//! Each flow's state is kept in three parallel vectors, by who touches
+//! it:
 //!
-//! * [`FlowMeta`] — endpoints, class, transaction bookkeeping. Immutable
-//!   while a batch is in flight (flow churn is sequential-only), so
-//!   workers read it freely.
-//! * [`FlowSrc`] — the sender agent and its window average. Owned by the
-//!   worker that owns `meta.src`.
-//! * [`FlowDst`] — the sink agent and delivery accounting. Owned by the
-//!   worker that owns `meta.dst`.
-//!
-//! The [`FlowStore`] trait is how the cascade code sees either the real
-//! sequential store ([`Flows`]) or a worker's disjoint-ownership view.
+//! * [`FlowMeta`] — endpoints, class, transaction bookkeeping. Never
+//!   changes while the flow is live.
+//! * [`FlowSrc`] — the sender agent and its window average. Mutated only
+//!   by cascades at `meta.src`.
+//! * [`FlowDst`] — the sink agent and delivery accounting. Mutated only
+//!   by cascades at `meta.dst`.
 
 use mwn_pkt::{FlowId, NodeId};
 use mwn_sim::stats::TimeWeightedAverage;
@@ -23,8 +16,7 @@ use mwn_sim::SimTime;
 
 use super::{SinkAgent, SourceAgent};
 
-/// Per-flow facts that never change while the flow is live (and, during
-/// a parallel batch, are not written at all).
+/// Per-flow facts that never change while the flow is live.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct FlowMeta {
     pub src: NodeId,
@@ -67,9 +59,9 @@ pub(super) struct FlowSlot {
     pub meta: Option<FlowMeta>,
 }
 
-/// The sequential flow store: parallel slot/src/dst vectors plus the
-/// free list. Persistent flows occupy slots `0..n` forever; traffic
-/// flows churn through the remainder.
+/// The flow store: parallel slot/src/dst vectors plus the free list.
+/// Persistent flows occupy slots `0..n` forever; traffic flows churn
+/// through the remainder.
 #[derive(Debug, Default)]
 pub(super) struct Flows {
     pub slots: Vec<FlowSlot>,
@@ -100,8 +92,8 @@ impl Flows {
         self.slots.iter().filter(|s| s.meta.is_some()).count()
     }
 
-    /// Generation-checked read access to a flow's immutable half.
-    pub(super) fn meta_ref(&self, flow: FlowId) -> Option<&FlowMeta> {
+    /// Generation-checked lookup of a flow's immutable half.
+    pub(super) fn meta(&self, flow: FlowId) -> Option<&FlowMeta> {
         let slot = self.slots.get(flow.slot() as usize)?;
         if slot.generation != flow.generation() {
             return None;
@@ -111,71 +103,31 @@ impl Flows {
 
     /// Generation-checked read access to the source half.
     pub(super) fn src_ref(&self, flow: FlowId) -> Option<&FlowSrc> {
-        self.meta_ref(flow)?;
+        self.meta(flow)?;
         self.srcs[flow.slot() as usize].as_ref()
     }
 
     /// Generation-checked read access to the sink half.
     pub(super) fn dst_ref(&self, flow: FlowId) -> Option<&FlowDst> {
-        self.meta_ref(flow)?;
+        self.meta(flow)?;
         self.dsts[flow.slot() as usize].as_ref()
     }
 
-    /// Disjoint borrows for a parallel batch: shared slots/metas, and the
-    /// two mutable halves for [`super::batch`]'s ownership-checked views.
-    pub(super) fn split_for_batch(
-        &mut self,
-    ) -> (&[FlowSlot], &mut [Option<FlowSrc>], &mut [Option<FlowDst>]) {
-        (&self.slots, &mut self.srcs, &mut self.dsts)
-    }
-}
-
-/// How cascade code reaches flow state: implemented by the sequential
-/// [`Flows`] store and by the per-worker disjoint view in
-/// [`super::batch`]. The slot-churn methods (`spawn_slot` / `fill_slot` /
-/// `vacate`) exist only on the sequential path — open-loop traffic never
-/// runs inside a batch — and panic on a worker view.
-pub(super) trait FlowStore {
-    /// Generation-checked lookup of the immutable half.
-    fn meta(&self, flow: FlowId) -> Option<&FlowMeta>;
     /// Generation-checked lookup of the source half.
-    fn src_mut(&mut self, flow: FlowId) -> Option<&mut FlowSrc>;
-    /// Generation-checked lookup of the sink half.
-    fn dst_mut(&mut self, flow: FlowId) -> Option<&mut FlowDst>;
-    /// Appends (in slot order) every live TCP flow whose source is `node`
-    /// — the ELFN route-failure fanout set.
-    fn collect_tcp_src_flows(&self, node: NodeId, out: &mut Vec<FlowId>);
-    /// Claims a slot for a new traffic flow: `(slot, generation)`.
-    fn spawn_slot(&mut self) -> (u32, u32);
-    /// Fills a slot claimed by [`spawn_slot`](Self::spawn_slot).
-    fn fill_slot(&mut self, slot: u32, meta: FlowMeta, src: FlowSrc, dst: FlowDst);
-    /// Vacates a completed flow's slot (bumping its generation) and
-    /// returns the evicted state.
-    fn vacate(&mut self, flow: FlowId) -> (FlowMeta, FlowSrc, FlowDst);
-}
-
-impl FlowStore for Flows {
-    fn meta(&self, flow: FlowId) -> Option<&FlowMeta> {
-        self.meta_ref(flow)
-    }
-
-    fn src_mut(&mut self, flow: FlowId) -> Option<&mut FlowSrc> {
-        let slot = self.slots.get(flow.slot() as usize)?;
-        if slot.generation != flow.generation() || slot.meta.is_none() {
-            return None;
-        }
+    pub(super) fn src_mut(&mut self, flow: FlowId) -> Option<&mut FlowSrc> {
+        self.meta(flow)?;
         self.srcs[flow.slot() as usize].as_mut()
     }
 
-    fn dst_mut(&mut self, flow: FlowId) -> Option<&mut FlowDst> {
-        let slot = self.slots.get(flow.slot() as usize)?;
-        if slot.generation != flow.generation() || slot.meta.is_none() {
-            return None;
-        }
+    /// Generation-checked lookup of the sink half.
+    pub(super) fn dst_mut(&mut self, flow: FlowId) -> Option<&mut FlowDst> {
+        self.meta(flow)?;
         self.dsts[flow.slot() as usize].as_mut()
     }
 
-    fn collect_tcp_src_flows(&self, node: NodeId, out: &mut Vec<FlowId>) {
+    /// Appends (in slot order) every live TCP flow whose source is `node`
+    /// — the ELFN route-failure fanout set.
+    pub(super) fn collect_tcp_src_flows(&self, node: NodeId, out: &mut Vec<FlowId>) {
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(meta) = &slot.meta else { continue };
             if meta.src != node {
@@ -191,7 +143,8 @@ impl FlowStore for Flows {
         }
     }
 
-    fn spawn_slot(&mut self) -> (u32, u32) {
+    /// Claims a slot for a new traffic flow: `(slot, generation)`.
+    pub(super) fn spawn_slot(&mut self) -> (u32, u32) {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -208,7 +161,8 @@ impl FlowStore for Flows {
         (slot, self.slots[slot as usize].generation)
     }
 
-    fn fill_slot(&mut self, slot: u32, meta: FlowMeta, src: FlowSrc, dst: FlowDst) {
+    /// Fills a slot claimed by [`spawn_slot`](Self::spawn_slot).
+    pub(super) fn fill_slot(&mut self, slot: u32, meta: FlowMeta, src: FlowSrc, dst: FlowDst) {
         let i = slot as usize;
         debug_assert!(self.slots[i].meta.is_none(), "filling an occupied slot");
         self.slots[i].meta = Some(meta);
@@ -216,7 +170,9 @@ impl FlowStore for Flows {
         self.dsts[i] = Some(dst);
     }
 
-    fn vacate(&mut self, flow: FlowId) -> (FlowMeta, FlowSrc, FlowDst) {
+    /// Vacates a completed flow's slot (bumping its generation) and
+    /// returns the evicted state.
+    pub(super) fn vacate(&mut self, flow: FlowId) -> (FlowMeta, FlowSrc, FlowDst) {
         let i = flow.slot() as usize;
         let entry = &mut self.slots[i];
         debug_assert_eq!(entry.generation, flow.generation(), "stale completion");

@@ -15,11 +15,10 @@
 //! reference, so a finished run's recorder is collected normally.
 //!
 //! The recorder is shared as `Arc<Mutex<_>>` (not `Rc<RefCell<_>>`) so a
-//! network holding one stays `Send`: the sharded engine moves per-node
-//! work across worker threads, and rare-event recording must not be the
-//! one field pinning the whole simulation to a single thread. The panic
-//! hook uses `try_lock`, so a panic while the lock is held degrades to
-//! "no dump", never to a second panic.
+//! network holding one stays `Send`: rare-event recording must not be
+//! the one field pinning the whole simulation to a single thread. The
+//! panic hook uses `try_lock`, so a panic while the lock is held degrades
+//! to "no dump", never to a second panic.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, Once, Weak};

@@ -12,10 +12,7 @@
 //! * [`stats`] — batch-means steady-state statistics, confidence intervals,
 //!   time-weighted averages and Jain's fairness index,
 //! * [`profile`] — event-loop self-profiling (events processed, histogram
-//!   by kind, peak pending-event depth),
-//! * [`shard`] — sharded conservative parallel execution: a persistent
-//!   [`WorkerPool`], disjoint-index [`SharedSlice`] sharing, and the
-//!   lookahead-windowed [`ShardedEngine`].
+//!   by kind, peak pending-event depth).
 //!
 //! # Example
 //!
@@ -34,7 +31,6 @@ mod event;
 pub mod fxhash;
 pub mod profile;
 mod rng;
-pub mod shard;
 pub mod stats;
 mod time;
 mod wheel;
@@ -43,6 +39,5 @@ pub use event::ReferenceEventQueue;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use profile::EngineProfile;
 pub use rng::Pcg32;
-pub use shard::{Emitter, ShardedEngine, SharedSlice, WorkerPool};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{EventId, EventQueue};

@@ -47,7 +47,17 @@ impl EngineProfile {
         if queue_depth > self.peak_queue_depth {
             self.peak_queue_depth = queue_depth;
         }
-        self.bump(kind, 1);
+        // Callers pass the same literal for the same kind, so
+        // `std::ptr::eq` almost always hits; content equality is the
+        // correctness fallback for distinct instances of equal strings
+        // (e.g. across codegen units).
+        for (k, count) in &mut self.by_kind {
+            if std::ptr::eq(*k as *const str, kind as *const str) || *k == kind {
+                *count += 1;
+                return;
+            }
+        }
+        self.by_kind.push((kind, 1));
     }
 
     /// Records what one wave segment (already counted by
@@ -56,20 +66,6 @@ impl EngineProfile {
     pub fn record_wave(&mut self, edges: u64, yielded: bool) {
         self.signal_edges += edges;
         self.wave_yields += u64::from(yielded);
-    }
-
-    /// Adds `n` to `kind`'s bucket. Callers pass the same literal for the
-    /// same kind, so `std::ptr::eq` almost always hits; content equality
-    /// is the correctness fallback for distinct instances of equal
-    /// strings (e.g. across codegen units).
-    fn bump(&mut self, kind: &'static str, n: u64) {
-        for (k, count) in &mut self.by_kind {
-            if std::ptr::eq(*k as *const str, kind as *const str) || *k == kind {
-                *count += n;
-                return;
-            }
-        }
-        self.by_kind.push((kind, n));
     }
 
     /// Adds one invocation of the timed section `kind` lasting `secs`
@@ -152,26 +148,6 @@ impl EngineProfile {
             0.0
         }
     }
-
-    /// Folds another profile into this one (peak depth takes the max).
-    pub fn merge(&mut self, other: &EngineProfile) {
-        self.events_processed += other.events_processed;
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        self.signal_edges += other.signal_edges;
-        self.wave_yields += other.wave_yields;
-        for &(k, n) in &other.by_kind {
-            self.bump(k, n);
-        }
-        for &(k, count, secs) in &other.timed {
-            match self.timed.iter_mut().find(|(mk, ..)| *mk == k) {
-                Some((_, mcount, mtotal)) => {
-                    *mcount += count;
-                    *mtotal += secs;
-                }
-                None => self.timed.push((k, count, secs)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,14 +185,6 @@ mod tests {
         assert_eq!(a.timed(), vec![("medium_recompute", 2, 0.75)]);
         assert!((a.timed_secs("medium_recompute") - 0.75).abs() < 1e-12);
         assert_eq!(a.timed_secs("unknown"), 0.0);
-        let mut b = EngineProfile::new();
-        b.record_timed("medium_recompute", 0.25);
-        b.record_timed("other", 1.0);
-        a.merge(&b);
-        assert_eq!(
-            a.timed(),
-            vec![("medium_recompute", 3, 1.0), ("other", 1, 1.0)]
-        );
     }
 
     #[test]
@@ -232,28 +200,6 @@ mod tests {
         let (sk, sn, ss) = singles.timed()[0];
         assert_eq!((bk, bn), (sk, sn));
         assert!((bs - ss).abs() < 1e-12, "batched {bs} vs singles {ss}");
-        // Split buckets survive a merge with per-bucket fidelity — the
-        // sharded path must report identical totals at any shard count.
-        let mut merged = EngineProfile::new();
-        merged.record_timed_n("medium_tick", 2, 0.1);
-        merged.merge(&batched);
-        assert_eq!(
-            merged.timed(),
-            vec![("medium_lazy", 3, 0.6), ("medium_tick", 2, 0.1)]
-        );
-    }
-
-    #[test]
-    fn merge_sums_counts_and_maxes_depth() {
-        let mut a = EngineProfile::new();
-        a.record("x", 4);
-        let mut b = EngineProfile::new();
-        b.record("x", 9);
-        b.record("y", 1);
-        a.merge(&b);
-        assert_eq!(a.events_processed(), 3);
-        assert_eq!(a.peak_queue_depth(), 9);
-        assert_eq!(a.by_kind(), vec![("x", 2), ("y", 1)]);
     }
 
     #[test]
@@ -263,11 +209,8 @@ mod tests {
         a.record_wave(5, true);
         a.record("signal_start", 1);
         a.record_wave(3, false);
-        let mut b = EngineProfile::new();
-        b.record_wave(4, true);
-        a.merge(&b);
-        assert_eq!(a.signal_edges(), 12);
-        assert_eq!(a.wave_yields(), 2);
+        assert_eq!(a.signal_edges(), 8);
+        assert_eq!(a.wave_yields(), 1);
         // Edges are work done, not events popped.
         assert_eq!(a.events_processed(), 2);
         assert_eq!(a.by_kind(), vec![("signal_start", 2)]);

@@ -317,8 +317,8 @@ impl<E> EventQueue<E> {
     /// [`peek_time`](Self::peek_time) commits the wheel's cursor to the
     /// next event's granule, after which nothing earlier may be
     /// scheduled. Callers that peek ahead *speculatively* — like the
-    /// batch engine probing whether another event falls inside its
-    /// burst horizon — must not pay that commitment for events they
+    /// network loop probing whether another event falls inside a wave's
+    /// skew window — must not pay that commitment for events they
     /// will not pop. This read-only scan visits only the buckets whose
     /// tick range intersects `[cur, limit]`, so with a limit a few
     /// granules out it touches a handful of slots regardless of queue

@@ -34,6 +34,11 @@ cargo test -q
 echo "==> mwn check --suite fast --fuzz 32"
 cargo run --release -q -p mwn-cli -- check --suite fast --fuzz 32
 
+# All 12 committed digests, plus the determinism repeat: every case run
+# a second time, digest lines and traffic journals compared.
+echo "==> mwn check --suite full (12 goldens + determinism repeat)"
+cargo run --release -q -p mwn-cli -- check --suite full --jobs 0
+
 # Open-loop traffic determinism: the same finite-flow workload must
 # print byte-identical reports — journal and arrival digests included —
 # for any worker count. Two replications, one vs four workers.
@@ -98,43 +103,6 @@ cargo test --release -q -p mwn-check --test lazy_medium
 # between a frame's two walks.
 echo "==> wave walk differential (inline walk vs one event per receiver)"
 cargo test --release -q -p mwn-check --test wave_walk
-
-# Sharded parallel engine: the wave-burst engine must be byte-identical
-# to the sequential oracle. Three angles: the differential tests (random
-# scenarios plus dense fields, burst engagement asserted), the fast
-# canonical suite run entirely on 4 shard workers against the
-# *committed* sequential digests, and the full suite's determinism
-# stress (every case re-run at shard counts 2 and 8 plus a repeat,
-# digests and traffic journals compared line by line).
-echo "==> sharded engine differential (proptest + goldens at --shards 4 + full-suite stress)"
-cargo test --release -q -p mwn-check --test sharded_differential
-cargo run --release -q -p mwn-cli -- check --suite fast --shards 4
-cargo run --release -q -p mwn-cli -- check --suite full --jobs 0
-
-# Opt-in ThreadSanitizer pass over the sharded engine's concurrency
-# primitives (worker pool, shared slices, burst batching). Needs a
-# nightly toolchain with rust-src (-Zsanitizer=thread rebuilds std), so
-# it is off by default and skips gracefully when nightly is missing.
-if [ "${MWN_TSAN:-0}" = "1" ]; then
-    host=$(rustc -vV | sed -n 's/^host: //p')
-    if cargo +nightly --version >/dev/null 2>&1; then
-        echo "==> thread sanitizer (nightly, ${host})"
-        RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Zbuild-std --target "$host" -q \
-            -p mwn-sim shard:: -- --test-threads=1 || {
-            echo "error: thread sanitizer reported races in the shard engine" >&2
-            exit 1
-        }
-        RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Zbuild-std --target "$host" -q \
-            -p mwn batch:: -- --test-threads=1 || {
-            echo "error: thread sanitizer reported races in the batch engine" >&2
-            exit 1
-        }
-    else
-        echo "==> MWN_TSAN=1 set but no nightly toolchain; skipping sanitizer"
-    fi
-fi
 
 # Engine regression gate: the quick scenario subset against the
 # committed BENCH_engine.json baseline, failing when a case's wall time
