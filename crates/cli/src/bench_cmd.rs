@@ -12,6 +12,7 @@
 //! mwn bench                      run the full set, compare vs the baseline
 //! mwn bench --quick              run the quick subset only (CI gate)
 //! mwn bench --check              exit non-zero when a case's wall time regresses >20%
+//!                                or its events/packet grows >1%
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
@@ -38,6 +39,12 @@ const SCHEMA: &str = "mwn-bench-engine/1";
 /// case's delivery target is fixed, so wall is what a user waits for,
 /// while events/sec falls whenever a change makes one event do more.
 const REGRESSION_TOLERANCE: f64 = 0.20;
+
+/// Relative growth of a case's events per delivered packet over the
+/// baseline entry's that fails `--check`. The count is a pure function of
+/// the code (same scenario, seed and target on every host), so the
+/// margin only has to absorb a deliberate, small trade.
+const EVENTS_PER_PKT_TOLERANCE: f64 = 0.01;
 
 /// What the engine profile says about signal fan-out now that a wave
 /// event, not an event per receiver, carries it.
@@ -314,6 +321,11 @@ struct Measurement {
     /// Wave segments of the best run that yielded to the queue.
     wave_yields: u64,
     ratios: WaveRatios,
+    /// What the best run's bystander path avoided (the profile's
+    /// counters of the same names).
+    nav_parked: u64,
+    nav_materialised: u64,
+    mac_batches_without_actions: u64,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
     bytes_per_node: u64,
@@ -362,6 +374,12 @@ impl Measurement {
             .f64("events_per_pkt", self.ratios.events_per_pkt)
             .f64("rx_per_tx", self.ratios.rx_per_tx)
             .f64("wave_yield_share", self.ratios.yield_share)
+            .u64("nav_parked", self.nav_parked)
+            .u64("nav_materialised", self.nav_materialised)
+            .u64(
+                "mac_batches_without_actions",
+                self.mac_batches_without_actions,
+            )
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
@@ -397,6 +415,9 @@ fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
             signal_edges: profile.signal_edges(),
             wave_yields: profile.wave_yields(),
             ratios: WaveRatios::new(profile, net.total_delivered()),
+            nav_parked: profile.nav_parked,
+            nav_materialised: profile.nav_materialised,
+            mac_batches_without_actions: profile.mac_batches_without_actions,
             bytes_per_node: net.bytes_per_node(),
             peak_rss_bytes: peak_rss_bytes(),
         };
@@ -462,14 +483,22 @@ pub fn command(argv: &[String]) -> Result<(), String> {
 
     let mut measurements = Vec::new();
     let mut worst_ratio: Option<(f64, &'static str)> = None;
+    // Largest events/packet growth over the baseline (1.0 = unchanged).
+    let mut worst_growth: Option<(f64, &'static str)> = None;
     for case in &selected {
         let m = run_case(case, repeat);
         let eps = m.events_per_sec();
-        // (speed ratio on wall seconds — the gated one — and on ev/s).
-        let vs = baseline_rows
+        let base = baseline_rows
             .as_ref()
-            .and_then(|b| b.iter().find(|r| r.name == m.name))
-            .map(|base| (base.wall_secs / m.wall_secs, eps / base.events_per_sec));
+            .and_then(|b| b.iter().find(|r| r.name == m.name));
+        // (speed ratio on wall seconds — the gated one — and on ev/s).
+        let vs = base.map(|base| (base.wall_secs / m.wall_secs, eps / base.events_per_sec));
+        if let Some(base_epp) = base.and_then(|b| b.events_per_pkt).filter(|&e| e > 0.0) {
+            let growth = m.ratios.events_per_pkt / base_epp;
+            if worst_growth.is_none_or(|(g, _)| growth > g) {
+                worst_growth = Some((growth, m.name));
+            }
+        }
         // Derived medium share of wall: a column on every row (static
         // cases read 0.0%), so lazy-path regressions are readable at a
         // glance without jq over BENCH_engine.json.
@@ -524,6 +553,20 @@ pub fn command(argv: &[String]) -> Result<(), String> {
             "check passed: worst scenario {name} at {:.2}x of the committed baseline's speed (wall)",
             ratio
         );
+        // Entries older than PR 14 carry no events/packet; nothing to gate.
+        if let Some((growth, name)) = worst_growth {
+            if growth > 1.0 + EVENTS_PER_PKT_TOLERANCE {
+                return Err(format!(
+                    "event-count regression: {name} pops {:.1}% more events per delivered \
+                     packet than the committed baseline (tolerance {:.0}%)",
+                    (growth - 1.0) * 100.0,
+                    EVENTS_PER_PKT_TOLERANCE * 100.0
+                ));
+            }
+            println!(
+                "check passed: worst scenario {name} at {growth:.3}x of the committed baseline's events/packet"
+            );
+        }
     }
     Ok(())
 }
@@ -556,6 +599,8 @@ struct BaselineRow {
     name: String,
     wall_secs: f64,
     events_per_sec: f64,
+    /// `None` in entries recorded before the key existed.
+    events_per_pkt: Option<f64>,
 }
 
 /// The scenario rows of the *last* (most recent) entry.
@@ -571,6 +616,7 @@ fn last_entry(text: &str) -> Vec<BaselineRow> {
                 name: extract_str(chunk, "name")?,
                 wall_secs: extract_num(chunk, "wall_secs")?,
                 events_per_sec: extract_num(chunk, "events_per_sec")?,
+                events_per_pkt: extract_num(chunk, "events_per_pkt"),
             })
         })
         .collect()
@@ -668,6 +714,9 @@ mod tests {
                 rx_per_tx: 4.0,
                 yield_share: 0.25,
             },
+            nav_parked: 70,
+            nav_materialised: 2,
+            mac_batches_without_actions: 900,
             bytes_per_node: 2_048,
             peak_rss_bytes: Some(64 << 20),
         }
@@ -685,6 +734,8 @@ mod tests {
         assert_eq!(rows[0].name, "a");
         assert!((rows[0].wall_secs - 0.5).abs() < 1e-12);
         assert!((rows[0].events_per_sec - 8000.0).abs() < 1e-9);
+        // The host-independent gate reads this one.
+        assert_eq!(rows[0].events_per_pkt, Some(40.0));
     }
 
     #[test]
@@ -741,6 +792,12 @@ mod tests {
         assert_eq!(extract_num(&line, "rx_per_tx"), Some(4.0));
         assert_eq!(extract_num(&line, "wave_yield_share"), Some(0.25));
         assert_eq!(extract_num(&line, "events_per_pkt"), Some(1.23));
+        assert_eq!(extract_num(&line, "nav_parked"), Some(70.0));
+        assert_eq!(extract_num(&line, "nav_materialised"), Some(2.0));
+        assert_eq!(
+            extract_num(&line, "mac_batches_without_actions"),
+            Some(900.0)
+        );
     }
 
     #[test]

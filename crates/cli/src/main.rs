@@ -103,15 +103,17 @@ fn print_usage() {
          \x20     benchmark scenarios and compare against the committed\n\
          \x20     baseline in BENCH_engine.json. --record appends this run\n\
          \x20     to the baseline file; --check fails when a scenario's\n\
-         \x20     wall time is >20% slower than the baseline's\n\
+         \x20     wall time is >20% slower than the baseline's or its\n\
+         \x20     events per delivered packet grew >1%\n\
          \x20     (CI sets MWN_BENCH_SKIP=1 on machines too noisy to gate).\n\n\
          \x20 mwn traffic [--nodes N] [--flows F] [--profile web|mixed|heavy]\n\
          \x20             [--load F] [--transport <variant>] [--rate 2|5.5|11]\n\
          \x20             [--seed S] [--reps R] [--jobs N] [--deadline SECS] [--json]\n\
          \x20     Drive an open-loop workload (finite flows, flow churn) over\n\
          \x20     a connected random topology until every flow completes, and\n\
-         \x20     report per-class FCT percentiles, goodput and the journal\n\
-         \x20     digest (bit-identical across --jobs worker counts).\n\n\
+         \x20     report per-class FCT percentiles, goodput, the summed TCP\n\
+         \x20     statistics of completed flows and the journal digest\n\
+         \x20     (bit-identical across --jobs worker counts).\n\n\
          \x20 mwn report [--store results.jsonl] [--scenario S] [--variant V] [--seed N]\n\
          \x20            [--csv] [--curve] [--diff OTHER.jsonl]\n\
          \x20     Aggregate a sweep's JSONL store: per-cell goodput, summed\n\

@@ -121,6 +121,17 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     if delivered > 0 {
         println!("  events/packet    {:>12.1}", waves.events_per_pkt);
     }
+    // What bystanders did not cost: NAV timers that never entered the
+    // queue, and radio-event batches the MAC had no answer to.
+    let p = &m.profile;
+    let nav_sets = p.nav_parked + p.nav_armed;
+    println!(
+        "  nav parked       {:>12}  ({:.0}% of {nav_sets} NAV sets; {} materialised)",
+        p.nav_parked,
+        100.0 * p.nav_parked as f64 / nav_sets.max(1) as f64,
+        p.nav_materialised
+    );
+    println!("  quiet mac batches{:>12}", p.mac_batches_without_actions);
     for (kind, invocations, secs) in m.profile.timed() {
         println!(
             "  {kind:<18} {invocations:>10} calls  {secs:>8.3} s  ({:.0}% of wall)",

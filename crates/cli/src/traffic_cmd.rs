@@ -5,6 +5,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mwn::{Scenario, SimDuration, SimTime, StepOutcome, TrafficModel, Transport};
+use mwn_obs::json::Obj;
+use mwn_obs::CounterBlock;
 
 use crate::args::{parse, parse_rate, parse_transport, reject_leftovers, take_flag, take_value};
 
@@ -185,8 +187,18 @@ fn run_one(
     let deadline = SimTime::ZERO + SimDuration::from_secs(deadline_secs);
     let outcome = net.run_until_traffic_done(deadline);
     let summary = net.traffic_summary().expect("open-loop run has a summary");
+    // Completed flows' slots are recycled; their TCP counters live on
+    // only in the retired totals.
+    let (sender, sink) = net.retired_tcp_stats().expect("open-loop run");
     let report = if json {
-        format!("{}\n", summary.to_json(net.now()))
+        let retired = Obj::new()
+            .raw("sender", &sender.to_json())
+            .raw("sink", &sink.to_json());
+        format!(
+            "{}\n{}\n",
+            summary.to_json(net.now()),
+            Obj::new().raw("retired_tcp", &retired.finish()).finish()
+        )
     } else {
         let mut out = String::new();
         out.push_str(
@@ -207,6 +219,15 @@ fn run_one(
                     .map_or("-".to_string(), |x| format!("{x:.1}")),
             ));
         }
+        out.push_str(&format!(
+            "  tcp, completed flows: {} data sent  {} retransmitted  {} timeouts  \
+             {} fast retransmits  {} acks sent\n",
+            sender.data_packets_sent,
+            sender.retransmissions,
+            sender.timeouts,
+            sender.fast_retransmits,
+            sink.acks_sent
+        ));
         out
     };
     RepResult {

@@ -166,6 +166,8 @@ struct TrafficState {
     journal_hash: u64,
     arrival_count: u64,
     arrival_hash: u64,
+    /// Summed TCP statistics of completed legs (their slots are recycled).
+    retired: (TcpSenderStats, TcpSinkStats),
 }
 
 /// Network-wide aggregate counters (sums over nodes).
@@ -185,7 +187,8 @@ pub enum StepOutcome {
     /// The simulated-time deadline passed first.
     DeadlineExpired,
     /// The event queue drained (network dead — indicates a bug or an
-    /// unreachable destination with no retry source).
+    /// unreachable destination with no retry source). Parked NAV timers are
+    /// not in the queue: they neither keep a run alive nor move its clock.
     Quiescent,
 }
 
@@ -211,6 +214,10 @@ pub struct Network {
     frames: FrameSlab,
     /// Flat per-node MAC timer table, indexed by [`MacTimer::index`].
     mac_timers: Vec<[Option<EventId>; MacTimer::COUNT]>,
+    /// Per node: the `(time, seq)` of a parked NAV (`cascade::set_mac_timer`).
+    nav_parked: Vec<Option<(SimTime, u64)>>,
+    /// Earliest NAV woken during the segment [`Network::walk_segment`] walks.
+    wave_floor: SimTime,
     /// Flat per-node AODV discovery timer table: outer `Vec` indexed by
     /// node, inner sorted map keyed by the destination being discovered
     /// (a node rarely runs more than a handful of discoveries at once).
@@ -238,17 +245,13 @@ pub struct Network {
     moved: Vec<(NodeId, mwn_phy::Position)>,
     /// Recycled action/event buffers for the cascade.
     pools: Pools,
-    /// Test oracle: every mobility tick eagerly refreshes all effect
-    /// lists (the pre-lazy behaviour) instead of leaving stale lists for
-    /// transmission-time refresh. Observables are identical either way —
-    /// this switch exists so the lazy-vs-eager differential can prove it.
+    /// Test oracles, each documented at its setter.
     #[cfg(any(test, feature = "oracle"))]
     eager_medium: bool,
-    /// Test oracle: hand every wave back to the queue after each
-    /// receiver — by construction the one-event-per-receiver schedule
-    /// the in-place walk must be indistinguishable from.
     #[cfg(any(test, feature = "oracle"))]
     yield_every_receiver: bool,
+    #[cfg(any(test, feature = "oracle"))]
+    eager_nav: bool,
 }
 
 impl std::fmt::Debug for Network {
@@ -366,6 +369,7 @@ impl Network {
                 journal_hash: FNV_OFFSET,
                 arrival_count: 0,
                 arrival_hash: FNV_OFFSET,
+                retired: Default::default(),
             }
         });
         if let Some(t) = &mut traffic {
@@ -413,6 +417,8 @@ impl Network {
             traffic,
             frames: FrameSlab::new(),
             mac_timers: vec![[None; MacTimer::COUNT]; n],
+            nav_parked: vec![None; n],
+            wave_floor: SimTime::MAX,
             discovery_timers: vec![NodeMap::new(); n],
             transport_timers: vec![[[None; TransportTimer::COUNT]; 2]; flow_count],
             total_delivered: 0,
@@ -430,6 +436,8 @@ impl Network {
             eager_medium: false,
             #[cfg(any(test, feature = "oracle"))]
             yield_every_receiver: false,
+            #[cfg(any(test, feature = "oracle"))]
+            eager_nav: false,
         }
     }
 
@@ -605,6 +613,7 @@ impl Network {
             + size_of::<Router>()
             + size_of::<EnergyMeter>()
             + size_of::<[Option<EventId>; MacTimer::COUNT]>()
+            + size_of::<Option<(SimTime, u64)>>()
             + size_of::<NodeMap<EventId>>();
         let dynamic: usize = (0..n)
             .map(|i| {
@@ -632,7 +641,7 @@ impl Network {
     }
 
     /// Sender statistics for a TCP flow (`None` for paced UDP or a
-    /// vacated slot).
+    /// vacated slot — see [`Network::retired_tcp_stats`]).
     pub fn flow_sender_stats(&self, flow: FlowId) -> Option<&TcpSenderStats> {
         match &self.flows.src_ref(flow)?.source {
             SourceAgent::Tcp(s) => Some(s.stats()),
@@ -795,6 +804,12 @@ impl Network {
             .map(|t| (t.arrival_count, t.arrival_hash))
     }
 
+    /// Summed sender and sink statistics of every *completed* traffic leg
+    /// (completion recycles the slot that held the per-flow ones).
+    pub fn retired_tcp_stats(&self) -> Option<(TcpSenderStats, TcpSinkStats)> {
+        self.traffic.as_ref().map(|t| t.retired)
+    }
+
     /// Traffic legs spawned so far (requests plus response legs).
     pub fn traffic_spawned(&self) -> u64 {
         self.traffic.as_ref().map_or(0, |t| t.spawn_counter)
@@ -858,7 +873,11 @@ impl Network {
     ///   would reach its nearest receivers within nanoseconds, starts
     ///   mid-segment.
     ///
-    /// Debug builds re-check that after every receiver
+    /// * The one exception is checked, not assumed: a cascade that hands a
+    ///   bystander a packet wakes its parked NAV, perhaps inside the window.
+    ///   [`Network::walk_segment`] yields at the first receiver at or after it.
+    ///
+    /// Debug builds re-check the rest after every receiver
     /// ([`Network::debug_assert_lookahead`]). The peek must be the
     /// read-only one: a committing peek would move the wheel's cursor to
     /// an event the walk does not pop.
@@ -912,23 +931,24 @@ impl Network {
     }
 
     /// Walks receivers `lo..hi` of `tx`'s wave, advancing the clock per
-    /// receiver, and stops after the first whose cascade moved the
-    /// [stop mark](Self::stop_mark) — so `run_until_delivered` and
-    /// `run_until_traffic_done` regain control after the very receiver
-    /// that satisfied them. Returns the first receiver *not* visited.
+    /// receiver. Stops early after a receiver whose cascade moved the
+    /// [stop mark](Self::stop_mark) — the run loops regain control at the
+    /// very receiver that satisfied them — and before one due at or after a
+    /// NAV an earlier cascade woke. Returns the first receiver *not* visited.
     fn walk_segment(&mut self, tx: TxId, end: bool, lo: usize, hi: usize) -> usize {
         let mark = self.stop_mark();
+        self.wave_floor = SimTime::MAX;
         for i in lo..hi {
             let wave = self.frames.wave(tx);
-            let rx = wave.receivers()[i];
-            self.now = wave.time(i, end);
-            self.signal_edge(&rx, tx, end);
-            if i + 1 < hi {
-                if self.stop_mark() != mark {
-                    return i + 1;
+            let (rx, time) = (wave.receivers()[i], wave.time(i, end));
+            if i > lo {
+                if self.stop_mark() != mark || time >= self.wave_floor {
+                    return i;
                 }
-                self.debug_assert_lookahead(tx, end, i + 1);
+                self.debug_assert_lookahead(tx, end, i);
             }
+            self.now = time;
+            self.signal_edge(&rx, tx, end);
         }
         hi
     }
@@ -1000,6 +1020,13 @@ impl Network {
     #[cfg(any(test, feature = "oracle"))]
     pub fn set_eager_medium(&mut self, eager: bool) {
         self.eager_medium = eager;
+    }
+
+    /// Test oracle: queues every NAV timer, parks none. A run that reaches
+    /// its target is identical either way (`mwn-check`, `wave_walk.rs`).
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_eager_nav(&mut self, eager: bool) {
+        self.eager_nav = eager;
     }
 
     /// Test oracle: makes every wave yield to the queue after each

@@ -8,32 +8,19 @@
 //! recorder). A cascade only ever touches the *current node's* protocol
 //! state plus flow halves anchored at that node.
 //!
-//! # Signal edges arrive as waves
-//!
-//! A transmission reaches every node within interference range, each a
-//! propagation delay later. [`Network::start_tx`] does not schedule
-//! those arrivals one by one: it snapshots the receivers into the
-//! transmission's frame-slab slot in arrival order
-//! ([`FrameSlab::insert`](super::frames::FrameSlab::insert)) and
-//! schedules one `Event::Wave` for the leading edge and one for the
-//! trailing edge. The network loop walks the snapshot in place,
-//! advancing the clock per receiver and calling
-//! [`Network::signal_edge`] — the same per-receiver cascade as ever.
-//!
-//! The global order is *exactly* what per-receiver events would give.
-//! `start_tx` reserves the `2 · n` sequence numbers those events would
-//! have drawn, a wave event is always queued under its next receiver's
-//! own `(time, seq)` key, and the walk only continues to a receiver
-//! without going back through the queue when nothing else is pending at
-//! or before that receiver's time ([`Network::walk_wave`] picks the
-//! segment and walks it, and carries the lookahead argument for why one
-//! peek covers it).
+//! Signal edges arrive as *waves*: [`Network::start_tx`] snapshots a
+//! transmission's receivers into its frame-slab slot and schedules one
+//! `Event::Wave` per edge kind; [`Network::walk_wave`] (which carries the
+//! exactness argument) walks the snapshot in place, one
+//! [`Network::signal_edge`] per receiver. Most receivers are bystanders and
+//! pay for their radio state only: a MAC that answers with no action skips
+//! the apply path, and a NAV it has no use for is parked, not queued.
 
 use mwn_aodv::{AodvAction, AodvDropReason};
 use mwn_mac80211::{MacAction, MacDropReason, MacTimer};
 use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
-use mwn_obs::{DropReason, ProbeKind};
-use mwn_phy::{RadioEvent, SignalClass, TxId};
+use mwn_obs::{CounterBlock, DropReason, ProbeKind};
+use mwn_phy::{RadioEvent, TxId};
 use mwn_pkt::{Body, FlowId, MacFrame, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
 use mwn_sim::SimTime;
@@ -49,16 +36,16 @@ use super::{
     JOURNAL_COMPLETION, PERSISTENT,
 };
 
-/// Recycled action/event buffers. Dispatch re-enters (a delivered frame
-/// can trigger a new send), so each taker pops its own buffer and the
-/// apply path returns it once drained — the steady state allocates
-/// nothing.
+/// Recycled action buffers. Dispatch re-enters (a delivered frame can
+/// trigger a new send), so each taker pops its own buffer and the apply
+/// path returns it once drained — the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub(super) struct Pools {
     pub mac: Vec<Vec<MacAction>>,
     pub aodv: Vec<Vec<AodvAction>>,
     pub transport: Vec<Vec<TransportAction>>,
-    pub radio: Vec<Vec<RadioEvent>>,
+    /// A transceiver call's ≤ 2 events, copied out before anything re-enters.
+    pub edge_scratch: Vec<RadioEvent>,
     /// Scratch for the ELFN route-failure fanout.
     pub flow_scratch: Vec<FlowId>,
 }
@@ -115,33 +102,25 @@ impl Network {
     /// trailing edge of transmission `tx` arriving at `rx.node`. The
     /// caller has already set [`Self::now`] to the arrival time.
     pub(super) fn signal_edge(&mut self, rx: &WaveRx, tx: TxId, end: bool) {
+        let radio = &mut self.transceivers[rx.node.index()];
         if end {
-            self.signal_end(rx.node, tx);
+            radio.signal_end(tx, &mut self.pools.edge_scratch);
         } else {
-            self.signal_start(rx.node, tx, rx.class);
+            radio.signal_start(tx, rx.class, &mut self.pools.edge_scratch);
+        }
+        self.process_radio_events(rx.node);
+        if end {
+            self.frames.release(tx);
         }
     }
 
-    fn signal_start(&mut self, node: NodeId, tx: TxId, class: SignalClass) {
-        let mut evs = self.pools.radio.pop().unwrap_or_default();
-        self.transceivers[node.index()].signal_start(tx, class, &mut evs);
-        self.process_radio_events(node, evs);
-    }
-
-    fn signal_end(&mut self, node: NodeId, tx: TxId) {
-        let mut evs = self.pools.radio.pop().unwrap_or_default();
-        self.transceivers[node.index()].signal_end(tx, &mut evs);
-        self.process_radio_events(node, evs);
-        self.frames.release(tx);
-    }
-
     fn tx_end(&mut self, node: NodeId) {
-        let mut evs = self.pools.radio.pop().unwrap_or_default();
-        self.transceivers[node.index()].tx_end(&mut evs);
         let mut actions = self.pools.mac.pop().unwrap_or_default();
         self.macs[node.index()].on_tx_done(self.now, &mut actions);
+        // (No `StartTx` in there: the DCF only sends from timer handlers.)
         self.apply_mac_actions(node, actions);
-        self.process_radio_events(node, evs);
+        self.transceivers[node.index()].tx_end(&mut self.pools.edge_scratch);
+        self.process_radio_events(node);
     }
 
     /// One open-loop arrival: draw the flow, reschedule the class's next
@@ -285,16 +264,19 @@ impl Network {
     /// response leg or journals the finished transaction.
     fn complete_traffic_flow(&mut self, flow: FlowId) {
         self.cancel_all_transport_timers(flow);
-        let (meta, src_half, _dst_half) = self.flows.vacate(flow);
+        let (meta, src_half, dst_half) = self.flows.vacate(flow);
 
-        let budget = match &src_half.source {
-            SourceAgent::Tcp(s) => s.budget().expect("traffic sender has a budget"),
-            SourceAgent::Udp(_) => unreachable!("traffic flows are TCP"),
+        let (SourceAgent::Tcp(sender), SinkAgent::Tcp(sink)) = (&src_half.source, &dst_half.sink)
+        else {
+            unreachable!("traffic flows are TCP");
         };
+        let budget = sender.budget().expect("traffic sender has a budget");
         let total = meta.carried + budget;
         let now = self.now;
         let t = self.traffic.as_mut().expect("traffic flow without state");
         t.live -= 1;
+        let (tx, rx) = t.retired;
+        t.retired = (tx.plus(sender.stats()), rx.plus(sink.stats()));
         if let Some(resp) = meta.response {
             // Response leg runs the other way; the transaction's clock
             // and packet tally keep running.
@@ -417,9 +399,19 @@ impl Network {
 
     // ---- PHY plumbing ----------------------------------------------------
 
-    fn process_radio_events(&mut self, node: NodeId, mut events: Vec<RadioEvent>) {
-        for ev in events.drain(..) {
-            let mut actions = self.pools.mac.pop().unwrap_or_default();
+    /// Feeds the transceiver call's events to `node`'s MAC. One buffer
+    /// serves the batch and only a non-empty one is applied.
+    fn process_radio_events(&mut self, node: NodeId) {
+        let evs = &mut self.pools.edge_scratch;
+        debug_assert!(evs.len() <= 2, "a transceiver call reported {evs:?}");
+        let batch = [evs.first().copied(), evs.get(1).copied()];
+        evs.clear();
+        if batch[0].is_none() {
+            return;
+        }
+        let mut actions = self.pools.mac.pop().unwrap_or_default();
+        let mut quiet = true;
+        for ev in batch.into_iter().flatten() {
             match ev {
                 RadioEvent::CarrierBusy => {
                     self.macs[node.index()].on_carrier_busy(self.now, &mut actions);
@@ -428,24 +420,30 @@ impl Network {
                     self.macs[node.index()].on_carrier_idle(self.now, &mut actions);
                 }
                 RadioEvent::RxStart(_) => {}
-                RadioEvent::UndecodedEnd => {
+                RadioEvent::RxEnd { tx, ok: true } => {
+                    self.trace_event(node, || TraceEvent::PhyRxOk);
+                    let frame = self.frames.get(tx).expect("RxEnd for unknown transmission");
+                    self.macs[node.index()].on_rx_frame(self.now, frame, &mut actions);
+                }
+                RadioEvent::RxEnd { ok: false, .. } | RadioEvent::UndecodedEnd => {
                     self.trace_event(node, || TraceEvent::PhyCorrupt);
                     self.macs[node.index()].on_rx_corrupt(self.now);
                 }
-                RadioEvent::RxEnd { tx, ok } => {
-                    if ok {
-                        self.trace_event(node, || TraceEvent::PhyRxOk);
-                        let frame = self.frames.get(tx).expect("RxEnd for unknown transmission");
-                        self.macs[node.index()].on_rx_frame(self.now, frame, &mut actions);
-                    } else {
-                        self.trace_event(node, || TraceEvent::PhyCorrupt);
-                        self.macs[node.index()].on_rx_corrupt(self.now);
-                    }
-                }
             }
-            self.apply_mac_actions(node, actions);
+            if actions.is_empty() {
+                // An empty apply still ran the probe, which dates first samples.
+                let depth = self.macs[node.index()].queue_len();
+                self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
+            } else {
+                quiet = false;
+                self.apply_mac_actions(node, actions);
+                actions = self.pools.mac.pop().unwrap_or_default();
+            }
         }
-        self.pools.radio.push(events);
+        self.pools.mac.push(actions);
+        if let Some(p) = self.profile.as_mut().filter(|_| quiet) {
+            p.mac_batches_without_actions += 1;
+        }
     }
 
     // ---- action application ----------------------------------------------
@@ -453,11 +451,7 @@ impl Network {
     fn apply_mac_actions(&mut self, node: NodeId, mut actions: Vec<MacAction>) {
         for action in actions.drain(..) {
             match action {
-                MacAction::StartTx(frame) => {
-                    let mut evs = self.pools.radio.pop().unwrap_or_default();
-                    self.start_tx(node, frame, &mut evs);
-                    self.process_radio_events(node, evs);
-                }
+                MacAction::StartTx(frame) => self.start_tx(node, frame),
                 MacAction::SetTimer { timer, delay } => {
                     if timer == MacTimer::Defer {
                         self.trace_event(node, || TraceEvent::MacDefer {
@@ -527,6 +521,7 @@ impl Network {
         let depth = self.macs[node.index()].queue_len();
         self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
         self.pools.mac.push(actions);
+        self.wake_parked_nav(node);
     }
 
     fn apply_aodv_actions(&mut self, node: NodeId, mut actions: Vec<AodvAction>) {
@@ -852,17 +847,54 @@ impl Network {
 // ---- queue, timer tables and side-band records ----------------------------
 
 impl Network {
+    /// Arms `timer` — except a NAV whose expiry would do nothing
+    /// (`!Dcf::wants_medium`): that one is *parked*, out of the queue, with the
+    /// sequence number it would have drawn so later events keep their tie-break.
     fn set_mac_timer(&mut self, time: SimTime, node: NodeId, timer: MacTimer) {
-        let slot = &mut self.mac_timers[node.index()][timer.index()];
-        if let Some(old) = slot.take() {
-            self.queue.cancel(old);
+        self.cancel_mac_timer(node, timer);
+        let park = timer == MacTimer::Nav && !self.macs[node.index()].wants_medium();
+        #[cfg(any(test, feature = "oracle"))]
+        let park = park && !self.eager_nav;
+        if park {
+            self.nav_parked[node.index()] = Some((time, self.queue.reserve_seqs(1)));
+        } else {
+            let id = self.queue.schedule(time, Event::Mac { node, timer });
+            self.mac_timers[node.index()][timer.index()] = Some(id);
         }
-        *slot = Some(self.queue.schedule(time, Event::Mac { node, timer }));
+        if let Some(p) = self.profile.as_mut().filter(|_| timer == MacTimer::Nav) {
+            p.nav_parked += u64::from(park);
+            p.nav_armed += u64::from(!park);
+        }
     }
 
     fn cancel_mac_timer(&mut self, node: NodeId, timer: MacTimer) {
         if let Some(old) = self.mac_timers[node.index()][timer.index()].take() {
             self.queue.cancel(old);
+        }
+        if timer == MacTimer::Nav {
+            self.nav_parked[node.index()] = None;
+        }
+    }
+
+    /// Ends [`Self::apply_mac_actions`], which every input that can give a MAC
+    /// something to send passes through: a parked NAV whose MAC now wants the
+    /// medium is queued under its own `(time, seq)` and pops where it always did
+    /// (one already due fired unnoticed, a no-op); a walked wave yields to it.
+    fn wake_parked_nav(&mut self, node: NodeId) {
+        let i = node.index();
+        let Some((time, seq)) = self.nav_parked[i].filter(|_| self.macs[i].wants_medium()) else {
+            return;
+        };
+        self.nav_parked[i] = None;
+        if time > self.now {
+            let timer = MacTimer::Nav;
+            let nav = Event::Mac { node, timer };
+            let id = self.queue.schedule_keyed(time, seq, nav);
+            self.mac_timers[i][timer.index()] = Some(id);
+            self.wave_floor = self.wave_floor.min(time);
+            if let Some(p) = &mut self.profile {
+                p.nav_materialised += 1;
+            }
         }
     }
 
@@ -942,9 +974,8 @@ impl Network {
 
     /// Puts `frame` on the air from `node`: schedules the wave that
     /// carries its signal edges to every receiver, meters energy, and
-    /// starts the local transceiver (whose radio events land in `evs`
-    /// for the cascade to process).
-    fn start_tx(&mut self, node: NodeId, frame: MacFrame, evs: &mut Vec<RadioEvent>) {
+    /// starts the local transceiver.
+    fn start_tx(&mut self, node: NodeId, frame: MacFrame) {
         let now = self.now;
         let duration = self.params.airtime(&frame);
         let (kind, dst, bytes, nav) = (frame.kind(), frame.dst(), frame.size_bytes(), frame.nav());
@@ -981,6 +1012,202 @@ impl Network {
             }
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });
-        self.transceivers[node.index()].tx_start(evs);
+        self.transceivers[node.index()].tx_start(&mut self.pools.edge_scratch);
+        self.process_radio_events(node);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Scenario;
+    use crate::topology::Topology;
+    use crate::StepOutcome;
+    use mwn_phy::{DataRate, Position};
+    use mwn_pkt::AodvMessage;
+    use mwn_sim::SimDuration;
+
+    const S: NodeId = NodeId(0);
+    const B: NodeId = NodeId(1);
+    const F: NodeId = NodeId(2);
+
+    /// Three idle nodes on a line, no flows: S, a bystander B 100 m
+    /// (333 ns) from it and F 240 m (800 ns) from it, so S's wave passes
+    /// B 467 ns before F. The clock is set to `t0`.
+    fn line(t0: SimTime, eager_nav: bool) -> Network {
+        let at = |x| Position::new(x, 0.0);
+        let topology = Topology::from_positions(vec![at(0.0), at(100.0), at(240.0)]);
+        let mut net = Scenario::new(topology, Vec::new(), DataRate::MBPS_2, 1).build();
+        net.enable_trace(10_000);
+        net.enable_probes(10_000);
+        net.enable_profiling();
+        net.set_eager_nav(eager_nav);
+        net.now = t0;
+        net
+    }
+
+    /// B overhears an RTS (F → S) whose NAV runs until `until`.
+    fn overhear_rts(net: &mut Network, until: SimTime) {
+        let rts = MacFrame::Rts {
+            src: F,
+            dst: S,
+            nav: until.duration_since(net.now),
+        };
+        let mut actions = Vec::new();
+        net.macs[B.index()].on_rx_frame(net.now, &rts, &mut actions);
+        net.apply_mac_actions(B, actions);
+    }
+
+    fn trace_lines(net: &Network) -> Vec<String> {
+        net.trace().iter().map(|r| format!("{r:?}")).collect()
+    }
+
+    /// A radio batch the MAC has no answer to costs one buffer round trip
+    /// and no `apply_mac_actions` — but still dates the node's first
+    /// queue-depth sample, as the empty apply it replaces did.
+    #[test]
+    fn quiet_radio_batch_balances_the_pool_and_dates_the_first_ifq_sample() {
+        let t0 = SimTime::from_nanos(5_000);
+        let mut net = line(t0, false);
+        let batch = |net: &mut Network, evs: &[RadioEvent]| {
+            net.pools.edge_scratch.extend_from_slice(evs);
+            net.process_radio_events(B);
+            assert!(net.pools.edge_scratch.is_empty());
+        };
+        let locked = [RadioEvent::CarrierBusy, RadioEvent::RxStart(TxId(7))];
+        batch(&mut net, &locked);
+        let pooled = net.pools.mac.len();
+        assert_eq!(pooled, 1, "the one buffer taken went back");
+        net.now = SimTime::from_nanos(9_000);
+        batch(&mut net, &[RadioEvent::CarrierIdle]);
+        batch(&mut net, &[]);
+        assert_eq!(net.pools.mac.len(), pooled);
+        assert!(net.pools.mac.iter().all(Vec::is_empty));
+
+        let profile = net.profile().unwrap();
+        assert_eq!(
+            profile.mac_batches_without_actions, 2,
+            "empty batches don't count"
+        );
+        let samples: Vec<_> = net.probes().unwrap().samples().collect();
+        assert_eq!(samples.len(), 1, "on-change: depth never moved");
+        assert_eq!(
+            (
+                samples[0].time,
+                samples[0].kind,
+                samples[0].id,
+                samples[0].value
+            ),
+            (t0, ProbeKind::IfqDepth, B.raw(), 0.0)
+        );
+    }
+
+    /// A NAV at a MAC with nothing to send is parked, never queued: the
+    /// queue of an otherwise idle network stays empty, so a run ends
+    /// `Quiescent` on the spot with the clock where it was — where the
+    /// eager schedule runs on to pop the timer and do nothing.
+    #[test]
+    fn parked_nav_neither_keeps_the_queue_alive_nor_moves_the_clock() {
+        let t0 = SimTime::from_nanos(1_000_000);
+        let until = t0 + SimDuration::from_micros(700);
+        let deadline = t0 + SimDuration::from_secs(1);
+        for (eager, end) in [(false, t0), (true, until)] {
+            let mut net = line(t0, eager);
+            overhear_rts(&mut net, until);
+            assert_eq!(net.nav_parked[B.index()].is_some(), !eager);
+            assert_eq!(net.queue.len(), usize::from(eager));
+            assert_eq!(net.run_until_delivered(1, deadline), StepOutcome::Quiescent);
+            assert_eq!(net.now(), end, "eager = {eager}");
+            let p = net.profile().unwrap();
+            assert_eq!(
+                (p.nav_parked, p.nav_armed),
+                (u64::from(!eager), u64::from(eager))
+            );
+            assert_eq!(p.nav_materialised, 0);
+        }
+    }
+
+    /// The one way a signal-edge cascade puts an event inside its own
+    /// wave's skew window: S floods a route request for B; B — a
+    /// bystander whose parked NAV expires 233 ns after the request's
+    /// trailing edge reaches it — answers at once, so its MAC suddenly
+    /// wants the medium and the NAV enters the queue *between* B's edge
+    /// and F's. The walk must yield before F. Without the floor check in
+    /// `walk_segment` the debug build trips `debug_assert_lookahead` and
+    /// the release build runs the clock backwards (both assertions below
+    /// fail).
+    #[test]
+    fn nav_woken_inside_a_walked_segment_pops_before_the_later_receivers() {
+        let t0 = SimTime::from_nanos(1_000_000);
+        let rreq = Packet::new(
+            77,
+            S,
+            NodeId::BROADCAST,
+            Body::Aodv(AodvMessage::Rreq {
+                rreq_id: 1,
+                orig: S,
+                orig_seq: 1,
+                dst: B,
+                dst_seq: None,
+                hop_count: 0,
+            }),
+        );
+        let run = |eager: bool| {
+            let mut net = line(t0, eager);
+            // An idle MAC sends a broadcast one DIFS after it is queued.
+            let on_air = t0 + net.params.difs();
+            let airtime = net.params.airtime(&MacFrame::Data {
+                src: S,
+                dst: NodeId::BROADCAST,
+                seq: 0,
+                retry: false,
+                nav: SimDuration::ZERO,
+                packet: rreq.clone(),
+            });
+            let delay = |net: &mut Network, to: NodeId| {
+                let effects = net.medium.refresh(S);
+                effects.iter().find(|e| e.node == to).unwrap().delay
+            };
+            let edge_at_b = on_air + airtime + delay(&mut net, B);
+            let edge_at_f = on_air + airtime + delay(&mut net, F);
+            let nav_until = edge_at_b + SimDuration::from_nanos(233);
+            assert!(nav_until < edge_at_f);
+
+            overhear_rts(&mut net, nav_until);
+            net.handle_event(Event::AodvSend {
+                node: S,
+                next_hop: NodeId::BROADCAST,
+                packet: rreq.clone(),
+            });
+            net.run_until(edge_at_f + SimDuration::from_micros(5));
+            (net, nav_until, edge_at_f)
+        };
+
+        let (net, nav_until, edge_at_f) = run(false);
+        let p = net.profile().unwrap();
+        assert_eq!((p.nav_parked, p.nav_materialised), (1, 1));
+        assert!(
+            p.wave_yields() >= 1,
+            "the trailing edge went back to the queue"
+        );
+        let times: Vec<SimTime> = net.trace().iter().map(|r| r.time).collect();
+        assert!(
+            times.windows(2).all(|w| w[0] <= w[1]),
+            "clock ran backwards"
+        );
+        // B's NAV expiry (it arms a DIFS) precedes F's reception.
+        let position = |node, time, what: fn(&TraceEvent) -> bool| {
+            net.trace()
+                .iter()
+                .position(|r| r.node == node && r.time == time && what(&r.event))
+                .expect("record present")
+        };
+        let expiry = position(B, nav_until, |e| matches!(e, TraceEvent::MacDefer { .. }));
+        let reception = position(F, edge_at_f, |e| matches!(e, TraceEvent::PhyRxOk));
+        assert!(expiry < reception);
+
+        let (oracle, ..) = run(true);
+        assert_eq!(trace_lines(&net), trace_lines(&oracle));
+        assert_eq!(net.totals(), oracle.totals());
     }
 }

@@ -243,6 +243,15 @@ impl Dcf {
         self.me
     }
 
+    /// `true` if this MAC has a reason to contend for the medium: a
+    /// packet queued or in service, or a post-transmission backoff still
+    /// owed. While it is `false`, a NAV expiry ([`Dcf::on_timer`] with
+    /// [`MacTimer::Nav`]) emits no action and changes no state, so a host
+    /// may leave that timer unarmed until this turns `true`.
+    pub fn wants_medium(&self) -> bool {
+        self.have_traffic() || self.backoff.pending()
+    }
+
     /// Accepts a packet from the network layer for transmission to
     /// `next_hop` (or [`NodeId::BROADCAST`]); resulting actions are
     /// appended to `out`.
@@ -393,7 +402,7 @@ impl Dcf {
         if self.on_air.is_some() || self.awaiting.is_some() || self.pending_resp.is_some() {
             return;
         }
-        if !self.have_traffic() && !self.backoff.pending() {
+        if !self.wants_medium() {
             return;
         }
         if !self.medium_idle(now) {
@@ -984,6 +993,60 @@ mod tests {
 
         // NAV expires: contention starts.
         let a = act!(m.on_timer(t(7400), MacTimer::Nav));
+        assert!(has_timer(&a, MacTimer::Defer));
+    }
+
+    /// The fact a host relies on to leave a bystander's NAV timer
+    /// unarmed: with nothing to send and no backoff owed, a NAV expiry
+    /// emits nothing and changes nothing — in every state a MAC without
+    /// traffic passes through (idle, NAV set, carrier busy, answering an
+    /// RTS, CTS on the air, after the exchange).
+    #[test]
+    fn nav_expiry_is_inert_whenever_the_mac_does_not_want_the_medium() {
+        fn assert_inert(m: &mut Dcf, now: SimTime, state: &str) {
+            assert!(!m.wants_medium(), "{state}: premise");
+            let before = format!("{m:?}");
+            let a = act!(m.on_timer(now, MacTimer::Nav));
+            assert!(a.is_empty(), "{state}: NAV expiry emitted {a:?}");
+            assert_eq!(
+                format!("{m:?}"),
+                before,
+                "{state}: NAV expiry changed state"
+            );
+        }
+        let mut m = mac(2);
+        assert_inert(&mut m, t(0), "idle");
+        let overheard = MacFrame::Rts {
+            src: NodeId(0),
+            dst: NodeId(1),
+            nav: SimDuration::from_micros(700),
+        };
+        act!(m.on_rx_frame(t(400), &overheard));
+        assert_inert(&mut m, t(500), "NAV running");
+        assert_inert(&mut m, t(1100), "NAV expired");
+        act!(m.on_carrier_busy(t(1200)));
+        assert_inert(&mut m, t(1250), "carrier busy");
+        act!(m.on_carrier_idle(t(1300)));
+        m.on_rx_corrupt(t(1300));
+        assert_inert(&mut m, t(1300), "EIFS owed");
+        let rts = MacFrame::Rts {
+            src: NodeId(3),
+            dst: NodeId(2),
+            nav: SimDuration::from_micros(7000),
+        };
+        let a = act!(m.on_rx_frame(t(2000), &rts));
+        assert!(has_timer(&a, MacTimer::Sifs));
+        assert_inert(&mut m, t(2005), "CTS pending");
+        act!(m.on_timer(t(2010), MacTimer::Sifs));
+        assert_inert(&mut m, t(2100), "CTS on the air");
+        act!(m.on_tx_done(t(2314)));
+        assert_inert(&mut m, t(2314), "after the response");
+
+        // And the flip side: once a packet waits, the expiry matters.
+        act!(m.on_rx_frame(t(3000), &overheard));
+        act!(m.enqueue(t(3100), NodeId(3), data_packet(9)));
+        assert!(m.wants_medium());
+        let a = act!(m.on_timer(t(3700), MacTimer::Nav));
         assert!(has_timer(&a, MacTimer::Defer));
     }
 

@@ -8,7 +8,8 @@
 //! function of the simulation. An event may stand for several units of
 //! work — one wave segment delivers a signal edge to a run of receivers —
 //! so the host also counts those edges and how often a wave handed
-//! control back to the queue ([`EngineProfile::record_wave`]). Hosts may
+//! control back to the queue ([`EngineProfile::record_wave`]) — and what
+//! it *avoided* doing for bystanders (the public counters). Hosts may
 //! additionally time named hot
 //! sections ([`EngineProfile::record_timed`], e.g. the medium rebuild on
 //! a mobility tick); those buckets carry wall-clock seconds and are
@@ -32,6 +33,20 @@ pub struct EngineProfile {
     wave_yields: u64,
     /// Named timed sections: (name, invocations, total wall seconds).
     timed: Vec<(&'static str, u64, f64)>,
+    /// NAV timers the host scheduled at once, because the MAC wanted the
+    /// medium. With [`nav_parked`](Self::nav_parked), every NAV set.
+    /// (These four are incremented by the host.)
+    pub nav_armed: u64,
+    /// NAV timers the host parked beside the node instead of scheduling,
+    /// because the MAC had nothing to send.
+    pub nav_parked: u64,
+    /// Parked NAV timers that entered the queue after all, because the
+    /// MAC got something to send before they expired. The rest of
+    /// [`nav_parked`](Self::nav_parked) never cost a queue operation.
+    pub nav_materialised: u64,
+    /// Batches of radio events (one transceiver call's worth) to which
+    /// the MAC answered with no action at all.
+    pub mac_batches_without_actions: u64,
 }
 
 impl EngineProfile {

@@ -100,14 +100,22 @@ cargo test --release -q -p mwn-check --test lazy_medium
 # must be exactly the one-event-per-receiver schedule it replaced —
 # differential against the yield-after-every-receiver oracle (static,
 # mobile and open-loop specs), stop-point slicing, mobility ticks
-# between a frame's two walks.
-echo "==> wave walk differential (inline walk vs one event per receiver)"
+# between a frame's two walks. Every case also runs against the eager-NAV
+# oracle (parked NAV timers queued after all), and the two cases of a NAV
+# woken inside a walked segment — one found in a 50-node field, one
+# hand-built in the cascade's unit tests — run here in release, where a
+# missing floor check shows as a clock running backwards rather than as
+# a debug assertion.
+echo "==> wave walk differential (inline walk vs one event per receiver, dormant vs eager NAV)"
 cargo test --release -q -p mwn-check --test wave_walk
+cargo test --release -q -p mwn --lib network::cascade
 
 # Engine regression gate: the quick scenario subset against the
 # committed BENCH_engine.json baseline, failing when a case's wall time
 # is >20% slower (delivery targets are fixed per case; events/sec is
-# printed but not gated — it falls whenever one event does more work).
+# printed but not gated — it falls whenever one event does more work)
+# or its events per delivered packet — a pure function of the code, the
+# same on every host — grew by more than 1%.
 # The quick subset includes random200-mobility, which doubles as
 # the large-topology spatial-grid smoke (200 nodes, incremental
 # move_nodes on every mobility tick). Wall-clock dependent: best-of-5

@@ -170,3 +170,60 @@ fn open_loop_run_reports_per_class_percentiles() {
     assert_eq!(records, 3 * 150);
     assert_eq!(net.traffic_spawned(), 2 * 150);
 }
+
+/// Completing a flow recycles its slot and with it the per-flow TCP
+/// counters; `retired_tcp_stats` is where they go. On a lossy run the
+/// timeouts and retransmissions of finished flows must survive there.
+#[test]
+fn completed_flows_keep_their_tcp_statistics() {
+    // Lossy: 10 nodes of web traffic at nominal load on 2 Mbit/s.
+    let s = Scenario::open_loop(
+        10,
+        TrafficModel::web(150),
+        Transport::newreno(),
+        DataRate::MBPS_2,
+        7,
+    );
+    let mut net = s.build();
+    assert_eq!(net.retired_tcp_stats(), Some(Default::default()));
+    assert_eq!(
+        net.run_until_traffic_done(deadline(20_000)),
+        StepOutcome::TargetReached
+    );
+    // Everything has completed: no live flow holds statistics any more.
+    assert_eq!(net.live_flow_count(), 0);
+    assert!((0..net.flow_count()).all(|slot| net.flow_at(slot).is_none()));
+
+    let sum = net.traffic_summary().unwrap();
+    let budgets: u64 = sum.classes().iter().map(|c| c.packets_completed()).sum();
+    let (sender, sink) = net.retired_tcp_stats().unwrap();
+    assert!(budgets > 150, "web flows carry more than a packet each");
+    // Every completed leg delivered exactly its budget, in order…
+    assert_eq!(sink.delivered, budgets);
+    // …and sent each of those packets at least once as new data. (Not
+    // exactly once: after a timeout's go-back-N, a late cumulative ACK
+    // lets the sender re-send acknowledged sequence numbers as new.)
+    let first_sends = sender.data_packets_sent - sender.retransmissions;
+    assert!(first_sends >= budgets, "{first_sends} < {budgets}");
+    assert!(
+        sender.timeouts > 0 && sender.retransmissions > 0,
+        "{sender:?}"
+    );
+    assert!(sink.acks_sent >= budgets / 2);
+
+    // Without losses the identity is exact: one flow, one hop, nobody to
+    // collide with.
+    let mut quiet = paced_scenario(1, 3).build();
+    assert_eq!(
+        quiet.run_until_traffic_done(deadline(1_000)),
+        StepOutcome::TargetReached
+    );
+    let (sender, sink) = quiet.retired_tcp_stats().unwrap();
+    assert_eq!(sender.timeouts, 0);
+    assert_eq!(sender.data_packets_sent - sender.retransmissions, 3);
+    assert_eq!(sink.delivered, 3);
+
+    // Scenarios without a workload have nothing to retire.
+    let persistent = Scenario::chain(1, DataRate::MBPS_2, Transport::newreno(), 1).build();
+    assert_eq!(persistent.retired_tcp_stats(), None);
+}
