@@ -27,7 +27,7 @@ use mwn::{
     TrafficModel, Transport,
 };
 use mwn_obs::json::Obj;
-use mwn_phy::DataRate;
+use mwn_phy::{DataRate, MediumCounters};
 
 use crate::args::{parse, reject_leftovers, take_flag, take_value};
 
@@ -313,8 +313,9 @@ struct Measurement {
     /// position diffs, grid relocation and epoch stamping (0 for static
     /// scenarios). `medium_tick` profile bucket.
     medium_tick_secs: f64,
-    /// Wall seconds the best run spent in lazy transmission-time effect
-    /// rebuilds. `medium_lazy` profile bucket.
+    /// Wall seconds the best run spent keeping effect lists current at
+    /// transmission time: revalidations, rebuilds and sorts into arrival
+    /// order (`medium_revalidate` + `medium_lazy` + `medium_sort`).
     medium_lazy_secs: f64,
     /// Per-receiver signal edges the best run's waves delivered.
     signal_edges: u64,
@@ -326,6 +327,9 @@ struct Measurement {
     nav_parked: u64,
     nav_materialised: u64,
     mac_batches_without_actions: u64,
+    /// The best run's lazy-medium counters (rebuilds, revalidations, and
+    /// sorts into arrival order — at most `rebuilds + nodes`).
+    medium: MediumCounters,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
     bytes_per_node: u64,
@@ -344,7 +348,7 @@ impl Measurement {
         }
     }
 
-    /// Total medium wall seconds: tick bookkeeping plus lazy rebuilds.
+    /// Total medium wall seconds: tick bookkeeping plus lazy upkeep.
     fn medium_secs(&self) -> f64 {
         self.medium_tick_secs + self.medium_lazy_secs
     }
@@ -380,6 +384,9 @@ impl Measurement {
                 "mac_batches_without_actions",
                 self.mac_batches_without_actions,
             )
+            .u64("medium_rebuilds", self.medium.rebuilds)
+            .u64("medium_revalidations", self.medium.revalidations)
+            .u64("medium_sorts", self.medium.sorts)
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
@@ -411,13 +418,17 @@ fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
             sim_secs: net.now().as_secs_f64(),
             wall_secs,
             medium_tick_secs: profile.timed_secs("medium_tick"),
-            medium_lazy_secs: profile.timed_secs("medium_lazy"),
+            medium_lazy_secs: ["medium_revalidate", "medium_lazy", "medium_sort"]
+                .map(|kind| profile.timed_secs(kind))
+                .iter()
+                .sum(),
             signal_edges: profile.signal_edges(),
             wave_yields: profile.wave_yields(),
             ratios: WaveRatios::new(profile, net.total_delivered()),
             nav_parked: profile.nav_parked,
             nav_materialised: profile.nav_materialised,
             mac_batches_without_actions: profile.mac_batches_without_actions,
+            medium: net.medium_counters(),
             bytes_per_node: net.bytes_per_node(),
             peak_rss_bytes: peak_rss_bytes(),
         };
@@ -717,6 +728,12 @@ mod tests {
             nav_parked: 70,
             nav_materialised: 2,
             mac_batches_without_actions: 900,
+            medium: MediumCounters {
+                rebuilds: 40,
+                revalidations: 7,
+                sorts: 49,
+                ..MediumCounters::default()
+            },
             bytes_per_node: 2_048,
             peak_rss_bytes: Some(64 << 20),
         }
@@ -798,6 +815,9 @@ mod tests {
             extract_num(&line, "mac_batches_without_actions"),
             Some(900.0)
         );
+        assert_eq!(extract_num(&line, "medium_rebuilds"), Some(40.0));
+        assert_eq!(extract_num(&line, "medium_revalidations"), Some(7.0));
+        assert_eq!(extract_num(&line, "medium_sorts"), Some(49.0));
     }
 
     #[test]

@@ -173,6 +173,19 @@ pub(crate) mod args {
         }
     }
 
+    /// Extracts `--scale N` (default 1). `ExperimentScale::scaled` would
+    /// quietly run a 0 at scale 1, so it is refused here.
+    pub fn take_scale(argv: &mut Vec<String>) -> Result<u64, String> {
+        let mult = match take_value(argv, "--scale")? {
+            Some(v) => parse(&v, "scale")?,
+            None => 1,
+        };
+        if mult == 0 {
+            return Err("--scale must be at least 1".into());
+        }
+        Ok(mult)
+    }
+
     /// Extracts a boolean `--flag`.
     pub fn take_flag(argv: &mut Vec<String>, key: &str) -> bool {
         if let Some(pos) = argv.iter().position(|a| a == key) {

@@ -89,13 +89,7 @@ pub fn list() {
 
 pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
-    let mult: u64 = match args::take_value(&mut argv, "--scale")? {
-        Some(v) => args::parse(&v, "scale")?,
-        None => 1,
-    };
-    if mult == 0 {
-        return Err("--scale must be at least 1".into());
-    }
+    let mult = args::take_scale(&mut argv)?;
     let jobs: usize = match args::take_value(&mut argv, "--jobs")? {
         Some(v) => {
             let n: usize = args::parse(&v, "job count")?;

@@ -17,10 +17,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         Some(v) => args::parse(&v, "seed")?,
         None => 42,
     };
-    let mult: u64 = match args::take_value(&mut argv, "--scale")? {
-        Some(v) => args::parse(&v, "scale")?,
-        None => 1,
-    };
+    let mult = args::take_scale(&mut argv)?;
     args::reject_leftovers(&argv)?;
 
     let bandwidth = args::parse_rate(&mbits)?;

@@ -28,10 +28,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         Some(v) => args::parse(&v, "seed")?,
         None => 42,
     };
-    let mult: u64 = match args::take_value(&mut argv, "--scale")? {
-        Some(v) => args::parse(&v, "scale")?,
-        None => 1,
-    };
+    let mult = args::take_scale(&mut argv)?;
     let series: usize = match args::take_value(&mut argv, "--series")? {
         Some(v) => args::parse(&v, "series length")?,
         None => 24,
@@ -132,7 +129,18 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         p.nav_materialised
     );
     println!("  quiet mac batches{:>12}", p.mac_batches_without_actions);
-    for (kind, invocations, secs) in m.profile.timed() {
+    // The lazy medium's tiers, from their timed buckets: every sort puts
+    // a list a build or rebuild left behind into arrival order.
+    let timed = m.profile.timed();
+    let calls = |kind: &str| timed.iter().find(|t| t.0 == kind).map_or(0, |t| t.1);
+    println!(
+        "  medium sorts     {:>12}  (≤ {} rebuilds + {} nodes; {} revalidations)",
+        calls("medium_sort"),
+        calls("medium_lazy"),
+        scenario.topology.len(),
+        calls("medium_revalidate")
+    );
+    for (kind, invocations, secs) in timed {
         println!(
             "  {kind:<18} {invocations:>10} calls  {secs:>8.3} s  ({:.0}% of wall)",
             100.0 * secs / wall_secs.max(f64::MIN_POSITIVE)

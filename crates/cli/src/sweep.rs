@@ -14,13 +14,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         None => 0, // auto: one worker per CPU
     };
     let out = args::take_value(&mut argv, "--out")?.unwrap_or_else(|| "results.jsonl".into());
-    let mult: u64 = match args::take_value(&mut argv, "--scale")? {
-        Some(v) => args::parse(&v, "scale")?,
-        None => 1,
-    };
-    if mult == 0 {
-        return Err("--scale must be at least 1".into());
-    }
+    let mult = args::take_scale(&mut argv)?;
     let suite = args::take_value(&mut argv, "--suite")?.unwrap_or_else(|| "chain".into());
     let metrics = args::take_flag(&mut argv, "--metrics");
     args::reject_leftovers(&argv)?;

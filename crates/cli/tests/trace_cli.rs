@@ -57,13 +57,16 @@ fn trace_unknown_transport_exits_2() {
 fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
-    let table: [(&[&str], &str); 6] = [
+    let scale = "--scale must be at least 1";
+    let table: [(&[&str], &str); 8] = [
         (&["repro", "fig10", "--shards", "2"], shards),
         (&["run", "--shards", "2"], shards),
         (&["check", "--suite", "fast", "--shards", "2"], shards),
         (&["bench", "--quick", "--shards", "2"], shards),
         (&["traffic", "--shards", "2"], shards),
         (&["traffic", "--flows", "0"], "max_flows must be positive"),
+        (&["run", "--scale", "0"], scale),
+        (&["stats", "--scale", "0"], scale),
     ];
     for (args, reason) in table {
         let out = mwn(args);

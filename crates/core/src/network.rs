@@ -995,19 +995,23 @@ impl Network {
         }
     }
 
-    /// Drains the lazy medium's accrued rebuild costs into the profile's
-    /// `medium_lazy` bucket (no-op without profiling). Called once per
-    /// mobility tick and at the end of every run loop, so the bucket is
-    /// complete whenever a caller reads the profile.
+    /// Drains what `Medium::refresh` accrued into the profile's timed
+    /// buckets (no-op without profiling): revalidations into
+    /// `medium_revalidate`, rebuilds into `medium_lazy`, sorts into
+    /// `medium_sort`. Called once per mobility tick and at the end of
+    /// every run loop, so the buckets are complete whenever a caller reads
+    /// the profile.
     fn flush_medium_profile(&mut self) {
         if let Some(p) = &mut self.profile {
-            let (rebuilds, secs) = self.medium.take_lazy_profile();
-            p.record_timed_n("medium_lazy", rebuilds, secs);
+            let tiers = ["medium_revalidate", "medium_lazy", "medium_sort"];
+            for (kind, (calls, secs)) in tiers.into_iter().zip(self.medium.take_lazy_profile()) {
+                p.record_timed_n(kind, calls, secs);
+            }
         }
     }
 
     /// Cumulative lazy-medium statistics (epoch, queries, rebuilds,
-    /// revalidations) since construction.
+    /// revalidations, sorts) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
     }

@@ -20,7 +20,7 @@ use mwn_aodv::{AodvAction, AodvDropReason};
 use mwn_mac80211::{MacAction, MacDropReason, MacTimer};
 use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
 use mwn_obs::{CounterBlock, DropReason, ProbeKind};
-use mwn_phy::{RadioEvent, TxId};
+use mwn_phy::{Effect, RadioEvent, TxId};
 use mwn_pkt::{Body, FlowId, MacFrame, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
 use mwn_sim::SimTime;
@@ -30,7 +30,6 @@ use crate::scenario::Transport;
 use crate::trace::{TraceEvent, TraceRecord};
 
 use super::flows::{FlowDst, FlowMeta, FlowSrc};
-use super::frames::WaveRx;
 use super::{
     fnv_mix, transport_flow, Event, Network, Role, SinkAgent, SourceAgent, JOURNAL_ARRIVAL,
     JOURNAL_COMPLETION, PERSISTENT,
@@ -44,7 +43,8 @@ pub(super) struct Pools {
     pub mac: Vec<Vec<MacAction>>,
     pub aodv: Vec<Vec<AodvAction>>,
     pub transport: Vec<Vec<TransportAction>>,
-    /// A transceiver call's ≤ 2 events, copied out before anything re-enters.
+    /// Radio events as a stack: a transceiver call pushes its ≤ 2 above
+    /// the caller's `base`; [`Network::process_radio_events`] pops them.
     pub edge_scratch: Vec<RadioEvent>,
     /// Scratch for the ELFN route-failure fanout.
     pub flow_scratch: Vec<FlowId>,
@@ -101,14 +101,15 @@ impl Network {
     /// One receiver's share of a wave: the leading (`end = false`) or
     /// trailing edge of transmission `tx` arriving at `rx.node`. The
     /// caller has already set [`Self::now`] to the arrival time.
-    pub(super) fn signal_edge(&mut self, rx: &WaveRx, tx: TxId, end: bool) {
+    pub(super) fn signal_edge(&mut self, rx: &Effect, tx: TxId, end: bool) {
+        let base = self.pools.edge_scratch.len();
         let radio = &mut self.transceivers[rx.node.index()];
         if end {
             radio.signal_end(tx, &mut self.pools.edge_scratch);
         } else {
             radio.signal_start(tx, rx.class, &mut self.pools.edge_scratch);
         }
-        self.process_radio_events(rx.node);
+        self.process_radio_events(rx.node, base);
         if end {
             self.frames.release(tx);
         }
@@ -119,8 +120,9 @@ impl Network {
         self.macs[node.index()].on_tx_done(self.now, &mut actions);
         // (No `StartTx` in there: the DCF only sends from timer handlers.)
         self.apply_mac_actions(node, actions);
+        let base = self.pools.edge_scratch.len();
         self.transceivers[node.index()].tx_end(&mut self.pools.edge_scratch);
-        self.process_radio_events(node);
+        self.process_radio_events(node, base);
     }
 
     /// One open-loop arrival: draw the flow, reschedule the class's next
@@ -399,20 +401,20 @@ impl Network {
 
     // ---- PHY plumbing ----------------------------------------------------
 
-    /// Feeds the transceiver call's events to `node`'s MAC. One buffer
-    /// serves the batch and only a non-empty one is applied.
-    fn process_radio_events(&mut self, node: NodeId) {
-        let evs = &mut self.pools.edge_scratch;
-        debug_assert!(evs.len() <= 2, "a transceiver call reported {evs:?}");
-        let batch = [evs.first().copied(), evs.get(1).copied()];
-        evs.clear();
-        if batch[0].is_none() {
+    /// Feeds the events a transceiver call pushed above `base` to `node`'s
+    /// MAC in the order reported, reading them in place, and pops them. A
+    /// call nested inside the batch (none is: the DCF only sends from timer
+    /// handlers) pops back to its own base. Only a non-empty batch is applied.
+    fn process_radio_events(&mut self, node: NodeId, base: usize) {
+        let top = self.pools.edge_scratch.len();
+        debug_assert!(top - base <= 2, "{} events from one radio call", top - base);
+        if top == base {
             return;
         }
         let mut actions = self.pools.mac.pop().unwrap_or_default();
         let mut quiet = true;
-        for ev in batch.into_iter().flatten() {
-            match ev {
+        for k in base..top {
+            match self.pools.edge_scratch[k] {
                 RadioEvent::CarrierBusy => {
                     self.macs[node.index()].on_carrier_busy(self.now, &mut actions);
                 }
@@ -439,7 +441,9 @@ impl Network {
                 self.apply_mac_actions(node, actions);
                 actions = self.pools.mac.pop().unwrap_or_default();
             }
+            debug_assert_eq!(self.pools.edge_scratch.len(), top, "nested batch left");
         }
+        self.pools.edge_scratch.truncate(base);
         self.pools.mac.push(actions);
         if let Some(p) = self.profile.as_mut().filter(|_| quiet) {
             p.mac_batches_without_actions += 1;
@@ -1012,8 +1016,9 @@ impl Network {
             }
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });
+        let base = self.pools.edge_scratch.len();
         self.transceivers[node.index()].tx_start(&mut self.pools.edge_scratch);
-        self.process_radio_events(node);
+        self.process_radio_events(node, base);
     }
 }
 
@@ -1071,7 +1076,7 @@ mod tests {
         let mut net = line(t0, false);
         let batch = |net: &mut Network, evs: &[RadioEvent]| {
             net.pools.edge_scratch.extend_from_slice(evs);
-            net.process_radio_events(B);
+            net.process_radio_events(B, 0);
             assert!(net.pools.edge_scratch.is_empty());
         };
         let locked = [RadioEvent::CarrierBusy, RadioEvent::RxStart(TxId(7))];
@@ -1100,6 +1105,42 @@ mod tests {
             ),
             (t0, ProbeKind::IfqDepth, B.raw(), 0.0)
         );
+    }
+
+    /// The radio-event buffer is a stack: a batch pushed above a non-zero
+    /// `base` (as by a transceiver call made while an outer batch is still
+    /// being handled) is read in place in the order reported and popped
+    /// back to `base`, leaving the entries below it as they were.
+    #[test]
+    fn radio_batch_above_a_base_is_handled_in_order_and_popped_to_it() {
+        let t0 = SimTime::from_nanos(5_000);
+        let mut net = line(t0, false);
+        // F's RTS to S is on the air; B, 140 m from F, decodes it.
+        let rts = MacFrame::Rts {
+            src: F,
+            dst: S,
+            nav: SimDuration::from_micros(300),
+        };
+        let effects = net.medium.refresh(F).to_vec();
+        let airtime = SimDuration::from_micros(200);
+        let tx = net.frames.insert(rts, t0, airtime, 0, &effects);
+        let below = [RadioEvent::CarrierBusy, RadioEvent::RxStart(TxId(7))];
+        net.pools.edge_scratch.extend_from_slice(&below);
+        let reported = [RadioEvent::UndecodedEnd, RadioEvent::RxEnd { tx, ok: true }];
+        net.pools.edge_scratch.extend_from_slice(&reported);
+        net.process_radio_events(B, below.len());
+
+        assert_eq!(net.pools.edge_scratch, below);
+        let phy: Vec<TraceEvent> = net
+            .trace()
+            .iter()
+            .filter(|r| r.node == B)
+            .map(|r| r.event)
+            .filter(|e| matches!(e, TraceEvent::PhyCorrupt | TraceEvent::PhyRxOk))
+            .collect();
+        assert_eq!(phy, [TraceEvent::PhyCorrupt, TraceEvent::PhyRxOk]);
+        assert!(net.nav_parked[B.index()].is_some(), "the RTS set B's NAV");
+        assert_eq!(net.profile().unwrap().mac_batches_without_actions, 0);
     }
 
     /// A NAV at a MAC with nothing to send is parked, never queued: the

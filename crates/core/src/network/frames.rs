@@ -1,8 +1,9 @@
 //! Frame slab: `Send`-able storage for transmissions on the air.
 //!
 //! One slot per transmission holds the two things every receiver shares:
-//! the frame payload, and the transmission's *wave* — a snapshot of the
-//! transmitter's effect list in arrival order, which the network loop
+//! the frame payload, and the transmission's *wave* — a copy of the
+//! transmitter's effect list, which the medium hands over in arrival
+//! order (by propagation delay, ties by node id) and the network loop
 //! walks in place once for the signal's leading edge and once for its
 //! trailing edge (see [`super::cascade`]). The [`TxId`] carried by the
 //! wave event packs the slot index with a reuse generation. Receivers
@@ -16,12 +17,17 @@
 //! edge must visit exactly the receivers the leading edge visited. The
 //! buffer stays with the slot and is reused by its next tenant.
 //!
+//! Numbering edges by arrival position orders them exactly as the old
+//! node-ordered numbering did: edges of one wave that share a time share
+//! a delay, so both put them in node-id order, and the reserved block sits
+//! where it always did (EXPERIMENTS.md, "Edge cost").
+//!
 //! Slots are freed when the last receiver's trailing edge releases them,
 //! so allocation order (and therefore every `TxId` value) is a
 //! deterministic function of the event sequence.
 
-use mwn_phy::{Effect, SignalClass, TxId};
-use mwn_pkt::{MacFrame, NodeId};
+use mwn_phy::{Effect, TxId};
+use mwn_pkt::MacFrame;
 use mwn_sim::{SimDuration, SimTime};
 
 /// Bits of a [`TxId`] holding the slot index; the high bits hold the
@@ -30,24 +36,12 @@ use mwn_sim::{SimDuration, SimTime};
 const SLOT_BITS: u32 = 32;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// One receiver of a transmission, as its wave visits it.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct WaveRx {
-    pub node: NodeId,
-    pub class: SignalClass,
-    /// Propagation delay from the transmitter.
-    delay: SimDuration,
-    /// Position in the transmitter's effect list, which fixes the
-    /// receiver's two sequence numbers.
-    index: u32,
-}
-
 /// A transmission's receivers in arrival order, plus what turns a
 /// position in that order into the `(time, seq)` key the receiver's
 /// signal edge holds in the global event order.
 #[derive(Debug, Default)]
 pub(super) struct Wave {
-    rx: Vec<WaveRx>,
+    rx: Vec<Effect>,
     /// Next receiver to visit. One cursor serves both walks: airtime
     /// (≥ the 192 µs preamble) exceeds the propagation skew across the
     /// interference range (< 2 µs), so the leading edge has reached the
@@ -57,13 +51,13 @@ pub(super) struct Wave {
     start: SimTime,
     airtime: SimDuration,
     /// First of the `2 · len` sequence numbers reserved for this wave:
-    /// effect-list entry `j` owns `seq_base + 2j` for its leading edge
-    /// and `seq_base + 2j + 1` for its trailing edge.
+    /// receiver `i` owns `seq_base + 2i` for its leading edge and
+    /// `seq_base + 2i + 1` for its trailing edge.
     seq_base: u64,
 }
 
 impl Wave {
-    pub(super) fn receivers(&self) -> &[WaveRx] {
+    pub(super) fn receivers(&self) -> &[Effect] {
         &self.rx
     }
 
@@ -80,7 +74,7 @@ impl Wave {
 
     /// The `(time, seq)` key of receiver `i`'s edge.
     pub(super) fn key(&self, i: usize, end: bool) -> (SimTime, u64) {
-        let seq = self.seq_base + 2 * u64::from(self.rx[i].index) + u64::from(end);
+        let seq = self.seq_base + 2 * i as u64 + u64::from(end);
         (self.time(i, end), seq)
     }
 }
@@ -120,10 +114,9 @@ impl FrameSlab {
     }
 
     /// Puts a transmission that began at `start` and lasts `airtime` on
-    /// the air: stores `frame`, snapshots `effects` into the slot's wave
-    /// in arrival order — `(delay, list position)`, which is the order
-    /// per-receiver events numbered from `seq_base` would pop in — and
-    /// returns the generation-tagged id.
+    /// the air: stores `frame`, copies `effects` — already in arrival
+    /// order, `(delay, node id)` — into the slot's wave, whose keys are
+    /// numbered from `seq_base`, and returns the generation-tagged id.
     ///
     /// # Panics
     ///
@@ -149,16 +142,11 @@ impl FrameSlab {
         debug_assert!(s.frame.is_none(), "free list pointed at a live slot");
         s.remaining = effects.len();
         s.frame = Some(frame);
+        let arrival = |w: &[Effect]| (w[0].delay, w[0].node) < (w[1].delay, w[1].node);
+        debug_assert!(effects.windows(2).all(arrival), "list not in arrival order");
         let wave = &mut s.wave;
         wave.rx.clear();
-        wave.rx
-            .extend(effects.iter().enumerate().map(|(j, e)| WaveRx {
-                node: e.node,
-                class: e.class,
-                delay: e.delay,
-                index: j as u32,
-            }));
-        wave.rx.sort_unstable_by_key(|r| (r.delay, r.index));
+        wave.rx.extend_from_slice(effects);
         wave.cursor = 0;
         wave.start = start;
         wave.airtime = airtime;
@@ -245,6 +233,8 @@ impl FrameSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwn_phy::{Medium, Position, RangeModel, SignalClass};
+    use mwn_pkt::NodeId;
 
     /// `n` co-located decodable receivers: enough to drive the refcount.
     fn effects(n: usize) -> Vec<Effect> {
@@ -332,32 +322,81 @@ mod tests {
         assert_eq!(slab.stale_releases(), 3);
     }
 
+    /// Node 0's effect list as the medium hands it over: `near` 60 m away,
+    /// both `tied` nodes exactly 270 m away (one on each axis), every other
+    /// id parked far out of range.
+    fn arrival_list(near: u32, tied: [u32; 2]) -> Vec<Effect> {
+        let n = near.max(tied[0]).max(tied[1]) as usize + 1;
+        let mut at: Vec<Position> = (0..n)
+            .map(|i| Position::new(10_000.0 + 600.0 * i as f64, 10_000.0))
+            .collect();
+        at[0] = Position::new(0.0, 0.0);
+        at[near as usize] = Position::new(60.0, 0.0);
+        at[tied[0] as usize] = Position::new(270.0, 0.0);
+        at[tied[1] as usize] = Position::new(0.0, 270.0);
+        Medium::new(at, RangeModel::paper())
+            .refresh(NodeId(0))
+            .to_vec()
+    }
+
     #[test]
     fn wave_is_in_arrival_order_with_the_per_receiver_keys() {
         let mut slab = FrameSlab::new();
-        let class = effects(1)[0].class;
-        let at = |node, ns| Effect {
-            node: NodeId(node),
-            class,
-            delay: SimDuration::from_nanos(ns),
-        };
-        // List order 7, 3, 9; node 3 is nearest, 7 and 9 tie on delay.
-        let list = [at(7, 900), at(3, 200), at(9, 900)];
+        // Node 3 is nearest, 9 and 7 tie on delay.
+        let list = arrival_list(3, [9, 7]);
         let start = SimTime::from_nanos(1_000);
         let airtime = SimDuration::from_micros(250);
         let tx = slab.insert(frame(1), start, airtime, 40, &list);
         let wave = slab.wave(tx);
         let nodes: Vec<u32> = wave.receivers().iter().map(|r| r.node.raw()).collect();
-        assert_eq!(nodes, vec![3, 7, 9], "delay first, list position on ties");
-        // Entry j of the list owns seq 40 + 2j (start) and 40 + 2j + 1 (end).
-        assert_eq!(wave.key(0, false), (SimTime::from_nanos(1_200), 42));
-        assert_eq!(wave.key(1, false), (SimTime::from_nanos(1_900), 40));
-        assert_eq!(wave.key(2, false), (SimTime::from_nanos(1_900), 44));
-        assert_eq!(wave.key(0, true), (SimTime::from_nanos(251_200), 43));
-        assert_eq!(wave.key(2, true), (SimTime::from_nanos(251_900), 45));
+        assert_eq!(nodes, vec![3, 7, 9], "delay first, node id on ties");
+        let (near, far) = (list[0].delay, list[1].delay);
+        assert!(near < far && list[2].delay == far);
+        // Receiver i owns seq 40 + 2i (start) and 40 + 2i + 1 (end).
+        assert_eq!(wave.key(0, false), (start + near, 40));
+        assert_eq!(wave.key(1, false), (start + far, 42));
+        assert_eq!(wave.key(2, false), (start + far, 44));
+        assert_eq!(wave.key(0, true), (start + near + airtime, 41));
+        assert_eq!(wave.key(2, true), (start + far + airtime, 45));
         assert_eq!(wave.cursor, 0);
         slab.set_cursor(tx, 2);
         assert_eq!(slab.wave(tx).cursor, 2);
+    }
+
+    /// Why numbering edges by arrival position keeps the event order: the
+    /// per-receiver events a wave replaced were numbered by position in a
+    /// node-ordered list. With the nearest receiver holding the highest id
+    /// and two receivers at the same distance, both numberings sort the
+    /// wave's edges into the order the walk visits them, and the tied pair
+    /// goes in node-id order under either.
+    #[test]
+    fn tied_receivers_are_visited_in_node_order_under_the_node_ordered_keys() {
+        let mut slab = FrameSlab::new();
+        let list = arrival_list(9, [5, 2]);
+        let start = SimTime::from_nanos(1_000);
+        let tx = slab.insert(frame(1), start, SimDuration::from_micros(250), 40, &list);
+        let wave = slab.wave(tx);
+        let nodes: Vec<NodeId> = wave.receivers().iter().map(|r| r.node).collect();
+        assert_eq!(nodes, [NodeId(9), NodeId(2), NodeId(5)]);
+        let mut by_id = nodes.clone();
+        by_id.sort_unstable();
+        let node_ordered_key = |i: usize, end: bool| {
+            let j = by_id.iter().position(|&n| n == nodes[i]).unwrap() as u64;
+            (wave.time(i, end), 40 + 2 * j + u64::from(end))
+        };
+        let walked: Vec<(usize, bool)> = [false, true]
+            .into_iter()
+            .flat_map(|end| (0..nodes.len()).map(move |i| (i, end)))
+            .collect();
+        let mut old = walked.clone();
+        old.sort_by_key(|&(i, end)| node_ordered_key(i, end));
+        let mut new = walked.clone();
+        new.sort_by_key(|&(i, end)| wave.key(i, end));
+        assert_eq!(old, walked);
+        assert_eq!(new, walked);
+        // Nodes 2 and 5 arrive together: 2 first, under either key.
+        assert_eq!(wave.time(1, false), wave.time(2, false));
+        assert!(node_ordered_key(1, false) < node_ordered_key(2, false));
     }
 
     #[test]

@@ -38,4 +38,8 @@ pub struct MediumCounters {
     /// Queries whose 3×3 neighborhood carried no newer stamp: marked
     /// current without rebuilding.
     pub revalidations: u64,
+    /// Effect lists put into arrival order: at most one per rebuild plus
+    /// one per node per full build, so `sorts ≤ rebuilds + nodes` for a
+    /// medium built once.
+    pub sorts: u64,
 }

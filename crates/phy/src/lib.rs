@@ -24,7 +24,9 @@ mod transceiver;
 pub use counters::{MediumCounters, PhyCounters};
 pub use energy::{EnergyMeter, EnergyParams};
 pub use grid::SpatialGrid;
-pub use medium::{Effect, Medium, RangeModel, ReferenceMedium, SignalClass};
+#[cfg(any(test, feature = "oracle"))]
+pub use medium::ReferenceMedium;
+pub use medium::{Effect, Medium, RangeModel, SignalClass};
 pub use position::Position;
 pub use rate::{DataRate, PhyTiming};
 pub use transceiver::{RadioEvent, Transceiver, TxId};

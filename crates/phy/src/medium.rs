@@ -1,5 +1,7 @@
 //! The shared wireless medium: who hears whom, and how.
 
+use std::time::Instant;
+
 use mwn_pkt::NodeId;
 use mwn_sim::{FxHashMap, SimDuration};
 
@@ -192,13 +194,14 @@ pub struct SignalClass {
 /// every tick but transmit rarely, so almost all recompute work
 /// vanishes; correctness is unchanged because link sets depend only on
 /// *current* positions at query time (pinned by the lazy-vs-eager
-/// differentials against [`ReferenceMedium`]).
+/// differentials against the dense all-pairs `ReferenceMedium` oracle).
 ///
 /// The grid is a pure acceleration structure: candidate receivers still
-/// pass the exact [`RangeModel::classify`] distance tests and each
-/// effect list stays sorted by node id, so results are bit-identical to
-/// the dense scan (checked against [`ReferenceMedium`] by a differential
-/// proptest).
+/// pass the exact [`RangeModel::classify`] distance tests, and a refreshed
+/// list is in *arrival order* — by propagation delay, ties by node id — so
+/// it is bit-identical to the dense scan's (a differential proptest checks
+/// this). Builds and rebuilds leave lists unsorted; [`Medium::refresh`]
+/// sorts each such list once.
 ///
 /// # Example
 ///
@@ -212,20 +215,23 @@ pub struct SignalClass {
 ///     Position::new(200.0, 0.0),
 ///     Position::new(400.0, 0.0),
 /// ];
-/// let medium = Medium::new(positions, RangeModel::paper());
-/// let fx = medium.effects_of(NodeId(0));
+/// let mut medium = Medium::new(positions, RangeModel::paper());
+/// let fx = medium.refresh(NodeId(0));
 /// assert_eq!(fx.len(), 2);
 /// assert!(fx[0].class.decodable);   // node 1
 /// assert!(!fx[1].class.decodable);  // node 2: senses only
 /// assert!(fx[1].class.senses);
+/// assert!(fx[0].delay < fx[1].delay);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Medium {
     positions: Vec<Position>,
     ranges: RangeModel,
-    /// `effects[tx]` lists every node affected by a transmission from `tx`,
-    /// ordered by node id. Exact as of epoch `node_epoch[tx]`.
+    /// `effects[tx]` lists every node a transmission from `tx` affects, exact
+    /// as of epoch `node_epoch[tx]`, in arrival order unless `unsorted[tx]`.
     effects: Vec<Vec<Effect>>,
+    /// Lists a build or rebuild left for [`Medium::refresh`] to sort.
+    unsorted: Vec<bool>,
     /// Node index per cell; cell size = `ranges.max_range()`.
     grid: SpatialGrid,
     /// Reusable candidate-id buffer (steady state allocates nothing).
@@ -242,10 +248,9 @@ pub struct Medium {
     stamps: FxHashMap<(i64, i64), u64>,
     /// Cumulative lazy-path statistics (see [`MediumCounters`]).
     counters: MediumCounters,
-    /// Rebuilds and wall seconds accrued since the last
-    /// [`Medium::take_lazy_profile`] drain.
-    pending_rebuilds: u64,
-    pending_secs: f64,
+    /// Calls and wall seconds per lazy tier — revalidations, rebuilds,
+    /// sorts — since the last [`Medium::take_lazy_profile`] drain.
+    pending: [(u64, f64); 3],
 }
 
 /// One receiver affected by a given transmitter.
@@ -276,14 +281,14 @@ impl Medium {
             positions,
             ranges,
             effects: Vec::new(),
+            unsorted: vec![true; n],
             grid,
             scratch: Vec::new(),
             epoch: 0,
             node_epoch: vec![0; n],
             stamps: FxHashMap::default(),
             counters: MediumCounters::default(),
-            pending_rebuilds: 0,
-            pending_secs: 0.0,
+            pending: [(0, 0.0); 3],
         };
         medium.recompute_all();
         medium
@@ -347,31 +352,48 @@ impl Medium {
         }
     }
 
-    /// Brings `tx`'s effect list up to date and returns it — the hot-path
-    /// accessor for transmission-time fan-out. Three tiers, cheapest
-    /// first: a node already at the current epoch returns immediately; a
-    /// node whose current 3×3 cell neighborhood carries no stamp newer
-    /// than its list is *revalidated* (marked current without a rebuild,
-    /// at most one 9-cell stamp scan per node per epoch); only a node
-    /// whose neighborhood actually changed pays the O(k) rebuild.
+    /// Brings `tx`'s effect list up to date and returns it in arrival order
+    /// — the hot-path accessor for transmission-time fan-out. Cheapest
+    /// first: a list current at this epoch returns at once; one whose 3×3
+    /// cell neighborhood carries no newer stamp is *revalidated* (no
+    /// rebuild; one 9-cell stamp scan per node per epoch); any other is
+    /// rebuilt in O(k). A list a build or rebuild left unsorted is sorted.
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
         let i = tx.index();
         self.counters.queries += 1;
+        if self.node_epoch[i] == self.epoch && !self.unsorted[i] {
+            return &self.effects[i];
+        }
+        let mut mark = Instant::now();
         if self.node_epoch[i] != self.epoch {
-            if self.max_stamp_near(self.positions[i]) <= self.node_epoch[i] {
+            let tier = if self.max_stamp_near(self.positions[i]) <= self.node_epoch[i] {
                 self.counters.revalidations += 1;
+                0
             } else {
-                let started = std::time::Instant::now();
-                let (bucket, scratch) = self.take_buffers(i);
-                let (bucket, scratch) = self.fill_effects(i, bucket, scratch);
-                self.put_buffers(i, bucket, scratch);
+                self.fill_effects(i);
+                self.unsorted[i] = true;
                 self.counters.rebuilds += 1;
-                self.pending_rebuilds += 1;
-                self.pending_secs += started.elapsed().as_secs_f64();
-            }
+                1
+            };
             self.node_epoch[i] = self.epoch;
+            mark = self.accrue(tier, mark);
+        }
+        if self.unsorted[i] {
+            sort_into_arrival_order(&mut self.effects[i]);
+            self.unsorted[i] = false;
+            self.counters.sorts += 1;
+            self.accrue(2, mark);
         }
         &self.effects[i]
+    }
+
+    /// Charges the time since `since` to lazy tier `tier`; returns "now".
+    fn accrue(&mut self, tier: usize, since: Instant) -> Instant {
+        let now = Instant::now();
+        let (calls, secs) = &mut self.pending[tier];
+        *calls += 1;
+        *secs += (now - since).as_secs_f64();
+        now
     }
 
     /// Brings every effect list up to date (the eager mode of the
@@ -420,14 +442,11 @@ impl Medium {
         }
     }
 
-    /// Drains the `(rebuilds, wall seconds)` accrued by lazy rebuilds
-    /// since the last drain — the host feeds these into its engine
-    /// profile's `medium_lazy` bucket.
-    pub fn take_lazy_profile(&mut self) -> (u64, f64) {
-        let drained = (self.pending_rebuilds, self.pending_secs);
-        self.pending_rebuilds = 0;
-        self.pending_secs = 0.0;
-        drained
+    /// Drains the `(calls, wall seconds)` [`Medium::refresh`] spent per
+    /// lazy tier since the last drain: `[revalidations, rebuilds, sorts]`
+    /// — the host feeds these into its engine profile's timed buckets.
+    pub fn take_lazy_profile(&mut self) -> [(u64, f64); 3] {
+        std::mem::take(&mut self.pending)
     }
 
     /// Rebuilds every per-transmitter effect list in place via the grid,
@@ -435,22 +454,22 @@ impl Medium {
     /// symmetric (squaring the coordinate deltas erases their sign), so
     /// one exact test feeds both directions' effect lists — bit-identical
     /// to two independent per-transmitter scans at half the distance
-    /// work. Buffers are reused, so a rebuild costs no allocations once
-    /// they have grown to their working size.
+    /// work, once sorted. Buffers are reused, so a rebuild costs no
+    /// allocations once they have grown to their working size.
     fn recompute_all(&mut self) {
         let n = self.positions.len();
         self.effects.resize_with(n, Vec::new);
         for bucket in &mut self.effects {
             bucket.clear();
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let scratch = &mut self.scratch;
         let limit = self.ranges.max_range() + 1e-6;
         let limit2 = limit * limit;
         for a in 0..n {
             let pa = self.positions[a];
             scratch.clear();
-            self.grid.candidates_near(pa, &mut scratch);
-            for &rx in &scratch {
+            self.grid.candidates_near(pa, scratch);
+            for &rx in scratch.iter() {
                 let b = rx as usize;
                 if b <= a {
                     continue; // each unordered pair exactly once
@@ -476,49 +495,30 @@ impl Medium {
                 }
             }
         }
-        for bucket in &mut self.effects {
-            bucket.sort_unstable_by_key(|e| e.node.raw());
-        }
-        self.scratch = scratch;
+        self.unsorted.fill(true);
         // A full rebuild reflects every position: all lists are exact at
         // the current epoch. (Stamps never exceed the epoch, so the
         // validity check holds without clearing them.)
         self.node_epoch.fill(self.epoch);
     }
 
-    fn take_buffers(&mut self, tx: usize) -> (Vec<Effect>, Vec<u32>) {
-        (
-            std::mem::take(&mut self.effects[tx]),
-            std::mem::take(&mut self.scratch),
-        )
-    }
-
-    fn put_buffers(&mut self, tx: usize, bucket: Vec<Effect>, scratch: Vec<u32>) {
-        self.effects[tx] = bucket;
-        self.scratch = scratch;
-    }
-
-    /// Recomputes `tx`'s effect list from its grid neighborhood into
-    /// `bucket`. Candidates beyond `max_range` (plus a 1 µm guard for the
+    /// Recomputes `tx`'s effect list in place from its grid neighborhood.
+    /// Candidates beyond `max_range` (plus a 1 µm guard for the
     /// inclusive boundary) are rejected on the squared distance, skipping
     /// the sqrt for the ~⅔ of each 3×3 neighborhood that lies outside the
     /// range circle; survivors pass the exact [`RangeModel::classify`]
     /// test on `sqrt(d²)` — bit-identical to [`Position::distance_to`],
-    /// which evaluates the same expression. The finished list is sorted
-    /// by node id, so ordering matches a dense 0..n scan.
-    fn fill_effects(
-        &self,
-        tx: usize,
-        mut bucket: Vec<Effect>,
-        mut scratch: Vec<u32>,
-    ) -> (Vec<Effect>, Vec<u32>) {
+    /// which evaluates the same expression. The list is left in candidate
+    /// order for [`Medium::refresh`] to sort.
+    fn fill_effects(&mut self, tx: usize) {
+        let pos = self.positions[tx];
+        let (bucket, scratch) = (&mut self.effects[tx], &mut self.scratch);
         bucket.clear();
         scratch.clear();
-        let pos = self.positions[tx];
-        self.grid.candidates_near(pos, &mut scratch);
+        self.grid.candidates_near(pos, scratch);
         let limit = self.ranges.max_range() + 1e-6;
         let limit2 = limit * limit;
-        for &rx in &scratch {
+        for &rx in scratch.iter() {
             if rx as usize == tx {
                 continue;
             }
@@ -536,8 +536,6 @@ impl Medium {
                 });
             }
         }
-        bucket.sort_unstable_by_key(|e| e.node.raw());
-        (bucket, scratch)
     }
 
     /// Number of nodes.
@@ -565,9 +563,9 @@ impl Medium {
     ///
     /// Reads the stored list without refreshing it: exact for a static
     /// medium (no moves ever), or after [`Medium::refresh`] /
-    /// [`Medium::refresh_all`]. Hosts driving mobility use
-    /// [`Medium::refresh`] instead; a stale read trips a debug
-    /// assertion.
+    /// [`Medium::refresh_all`], and in arrival order only once refreshed.
+    /// Hosts driving mobility use [`Medium::refresh`] instead; a stale
+    /// read trips a debug assertion.
     pub fn effects_of(&self, tx: NodeId) -> &[Effect] {
         debug_assert!(
             self.is_fresh(tx),
@@ -597,12 +595,19 @@ impl Medium {
     }
 }
 
+/// Puts an effect list into arrival order: by propagation delay, ties by
+/// node id — the one order every list is read in.
+fn sort_into_arrival_order(list: &mut [Effect]) {
+    list.sort_unstable_by_key(|e| (e.delay, e.node));
+}
+
 /// The dense all-pairs medium the spatial grid replaced, kept as the
 /// oracle for differential tests (mirroring `ReferenceEventQueue` in
-/// `mwn-sim`): every [`Medium`] query must return bit-identical results
-/// to this O(n²) implementation for any position set and move sequence.
+/// `mwn-sim`): every refreshed [`Medium`] list must be bit-identical to
+/// this O(n²) implementation's for any position set and move sequence.
 ///
-/// Not used on any hot path — construction and every update cost O(n²).
+/// Test-only (the `oracle` feature): construction and updates cost O(n²).
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Debug, Clone)]
 pub struct ReferenceMedium {
     positions: Vec<Position>,
@@ -610,6 +615,7 @@ pub struct ReferenceMedium {
     effects: Vec<Vec<Effect>>,
 }
 
+#[cfg(any(test, feature = "oracle"))]
 impl ReferenceMedium {
     /// Builds the reference medium with a dense all-pairs scan.
     ///
@@ -666,7 +672,7 @@ impl ReferenceMedium {
     /// per-node oracle for large-field lazy differentials, where a full
     /// O(n²) recompute after every move batch would dominate the test.
     /// Produces exactly what [`ReferenceMedium::effects_of`] would hold
-    /// for `tx` if the medium were rebuilt at these positions.
+    /// for `tx` (in arrival order) if rebuilt at these positions.
     pub fn effects_from(positions: &[Position], ranges: RangeModel, tx: NodeId) -> Vec<Effect> {
         let mut bucket = Vec::new();
         for rx in 0..positions.len() {
@@ -682,6 +688,7 @@ impl ReferenceMedium {
                 });
             }
         }
+        sort_into_arrival_order(&mut bucket);
         bucket
     }
 
@@ -693,7 +700,7 @@ impl ReferenceMedium {
         }
     }
 
-    /// Every node affected by a transmission from `tx`, ordered by id.
+    /// Every node affected by a transmission from `tx`, in arrival order.
     pub fn effects_of(&self, tx: NodeId) -> &[Effect] {
         &self.effects[tx.index()]
     }
@@ -831,7 +838,7 @@ mod mobility_tests {
         for tx in 0..4u32 {
             assert_eq!(
                 incremental.refresh(NodeId(tx)).to_vec(),
-                rebuilt.effects_of(NodeId(tx)),
+                rebuilt.refresh(NodeId(tx)),
                 "effect lists diverged for tx {tx}"
             );
         }
@@ -898,7 +905,7 @@ mod mobility_tests {
     fn nodes_exactly_on_cell_boundaries_are_not_lost() {
         // Cell size is 550 m: place nodes exactly on multiples of the
         // cell size, where floor() assigns them to the higher cell.
-        let m = Medium::new(
+        let mut m = Medium::new(
             vec![
                 Position::new(550.0, 550.0),
                 Position::new(1100.0, 550.0),
@@ -910,7 +917,7 @@ mod mobility_tests {
         // Every pairwise distance ≤ 550√2; check against a dense oracle.
         let r = ReferenceMedium::new(m.positions().to_vec(), m.ranges());
         for tx in 0..4u32 {
-            assert_eq!(m.effects_of(NodeId(tx)), r.effects_of(NodeId(tx)));
+            assert_eq!(m.refresh(NodeId(tx)), r.effects_of(NodeId(tx)));
         }
         assert!(m.effects_of(NodeId(3)).iter().all(|e| e.class.senses));
     }
@@ -977,12 +984,13 @@ mod lazy_tests {
     fn take_lazy_profile_drains_rebuild_costs() {
         let mut m = cluster_and_far();
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
-        m.refresh(NodeId(0));
-        m.refresh(NodeId(2)); // revalidation: not profiled as a rebuild
-        let (rebuilds, secs) = m.take_lazy_profile();
-        assert_eq!(rebuilds, 1);
-        assert!(secs >= 0.0);
-        assert_eq!(m.take_lazy_profile(), (0, 0.0), "drain must reset");
+        m.refresh(NodeId(0)); // rebuild, then sort
+        m.refresh(NodeId(2)); // revalidation, then the sort the build left
+        m.refresh(NodeId(2)); // neither
+        let [revalidations, rebuilds, sorts] = m.take_lazy_profile();
+        assert_eq!((revalidations.0, rebuilds.0, sorts.0), (1, 1, 2));
+        assert!(rebuilds.1 >= 0.0);
+        assert_eq!(m.take_lazy_profile(), [(0, 0.0); 3], "drain must reset");
     }
 
     #[test]

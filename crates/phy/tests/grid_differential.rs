@@ -9,9 +9,10 @@
 //! on cell boundaries, and distances exactly at the inclusive
 //! 250 m / 550 m classification boundaries — both media must agree on
 //! every refreshed effect list bit for bit: same receivers in the same
-//! (node-id) order, same signal class, same power, same delay.
+//! arrival order (delay, then node id), same signal class, same power,
+//! same delay.
 
-use mwn_phy::{Medium, Position, RangeModel, ReferenceMedium};
+use mwn_phy::{Effect, Medium, Position, RangeModel, ReferenceMedium};
 use mwn_pkt::NodeId;
 use proptest::prelude::*;
 
@@ -35,6 +36,19 @@ fn positions_of(raw: &[(f64, f64, u32)]) -> Vec<Position> {
     raw.iter()
         .map(|&(x, y, lat)| Position::new(snap(x, lat), snap(y, lat / 4 + lat % 4)))
         .collect()
+}
+
+/// A list as a multiset: node ids are unique within one, so ordering by
+/// id is canonical.
+fn as_multiset(list: &[Effect]) -> Vec<Effect> {
+    let mut v = list.to_vec();
+    v.sort_by_key(|e| e.node);
+    v
+}
+
+fn in_arrival_order(list: &[Effect]) -> bool {
+    list.windows(2)
+        .all(|w| (w[0].delay, w[0].node) < (w[1].delay, w[1].node))
 }
 
 proptest! {
@@ -98,7 +112,60 @@ proptest! {
         dense.set_positions(&next);
         for tx in 0..n {
             let id = NodeId(tx as u32);
-            prop_assert_eq!(grid.effects_of(id), dense.effects_of(id));
+            prop_assert_eq!(grid.refresh(id), dense.effects_of(id));
         }
+    }
+
+    /// The order contract. Whatever moves came before, `refresh` returns
+    /// a list strictly sorted by `(delay, node)` that equals the dense
+    /// per-transmitter scan; a list a full build left for `refresh` to
+    /// sort already holds the same effects, in some order.
+    #[test]
+    fn refreshed_lists_are_in_arrival_order(
+        initial in proptest::collection::vec(arb_point(), 1..32),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..32, arb_point()), 1..8),
+            0..6,
+        ),
+        next in proptest::collection::vec(arb_point(), 1..32),
+    ) {
+        let initial = positions_of(&initial);
+        let n = initial.len();
+        let ranges = RangeModel::paper();
+        let mut grid = Medium::new(initial, ranges);
+        let check = |grid: &mut Medium, when: &str| {
+            for tx in 0..n {
+                let id = NodeId(tx as u32);
+                let dense = ReferenceMedium::effects_from(grid.positions(), ranges, id);
+                let list = grid.refresh(id);
+                prop_assert!(in_arrival_order(list), "tx {tx} {when}: {list:?}");
+                prop_assert_eq!(list, dense.as_slice(), "tx {tx} {when}");
+            }
+        };
+        let unrefreshed = |grid: &Medium| {
+            for tx in 0..n {
+                let id = NodeId(tx as u32);
+                let dense = ReferenceMedium::effects_from(grid.positions(), ranges, id);
+                prop_assert_eq!(as_multiset(grid.effects_of(id)), as_multiset(&dense));
+            }
+        };
+        unrefreshed(&grid);
+        for (b, batch) in batches.iter().enumerate() {
+            let points: Vec<_> = batch.iter().map(|&(_, p)| p).collect();
+            let moves: Vec<(NodeId, Position)> = batch
+                .iter()
+                .map(|&(i, _)| NodeId((i % n) as u32))
+                .zip(positions_of(&points))
+                .collect();
+            grid.move_nodes(&moves);
+            check(&mut grid, &format!("after move batch {b}"));
+        }
+        let mut next = positions_of(&next);
+        next.resize(n, grid.positions()[0]);
+        grid.set_positions(&next);
+        unrefreshed(&grid);
+        check(&mut grid, "after set_positions");
+        let c = grid.counters();
+        prop_assert!(c.sorts <= c.rebuilds + 2 * n as u64, "{c:?}");
     }
 }

@@ -5,7 +5,7 @@
 //! unchanged in behaviour — as the trusted oracle for the differential
 //! proptests in `tests/wheel_differential.rs`: any schedule/cancel/pop
 //! interleaving must produce the identical pop sequence on both
-//! implementations.
+//! implementations. Compiled only for tests and under the `oracle` feature.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

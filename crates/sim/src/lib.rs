@@ -6,8 +6,9 @@
 //! * [`SimTime`] and [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`EventQueue`] — a cancellable future-event list with a deterministic
 //!   tie-break for events scheduled at the same instant, implemented as a
-//!   hierarchical timer wheel ([`ReferenceEventQueue`] is the retained
-//!   binary-heap oracle it is differentially tested against),
+//!   hierarchical timer wheel (`ReferenceEventQueue`, behind the `oracle`
+//!   feature, is the retained binary-heap oracle it is differentially
+//!   tested against),
 //! * [`Pcg32`] — a small, fully deterministic pseudo-random number generator,
 //! * [`stats`] — batch-means steady-state statistics, confidence intervals,
 //!   time-weighted averages and Jain's fairness index,
@@ -27,6 +28,7 @@
 //! assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(1));
 //! ```
 
+#[cfg(any(test, feature = "oracle"))]
 mod event;
 pub mod fxhash;
 pub mod profile;
@@ -35,6 +37,7 @@ pub mod stats;
 mod time;
 mod wheel;
 
+#[cfg(any(test, feature = "oracle"))]
 pub use event::ReferenceEventQueue;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use profile::EngineProfile;

@@ -1,6 +1,6 @@
 //! Hierarchical timer-wheel future-event list.
 //!
-//! Drop-in replacement for the binary-heap [`ReferenceEventQueue`]: same API,
+//! Drop-in replacement for the binary-heap `ReferenceEventQueue`: same API,
 //! same pop order (time, then FIFO by schedule order), same panics — but tuned
 //! to the event mix of an 802.11 multihop simulation, where almost every
 //! pending event is a MAC-scale timer (SIFS/DIFS/slot/NAV, tens of

@@ -80,13 +80,16 @@ cargo test --release -q -p mwn-check --test conservation
 echo "==> observability overhead bench (trace disabled vs enabled)"
 cargo bench -p mwn-bench --bench obs_overhead -- --quick
 
-# Spatial-grid medium differential: the proptest oracle check (grid vs
-# dense all-pairs ReferenceMedium, incremental moves included) and the
-# random-waypoint trajectory differential, run explicitly and in release
-# so the gate exercises the exact medium build CI benchmarks below.
-echo "==> spatial-grid medium differential (proptest + mobility trajectories)"
-cargo test --release -q -p mwn-phy --test grid_differential
+# Oracle differentials, in release so the gate exercises the exact build
+# CI benchmarks below. The oracles (ReferenceMedium, ReferenceEventQueue)
+# exist only under each crate's `oracle` feature. Medium: grid vs dense
+# all-pairs, incremental moves included, every refreshed list in arrival
+# order, plus the random-waypoint trajectory differential. Wheel: timer
+# wheel vs binary heap on the engine's schedule/cancel/pop mix.
+echo "==> medium and wheel differentials (proptest + mobility trajectories)"
+cargo test --release -q -p mwn-phy --features oracle --test grid_differential
 cargo test --release -q -p mwn-check --test medium_mobility
+cargo test --release -q -p mwn-sim --features oracle --test wheel_differential
 
 # Lazy epoch-stamped medium: the lazy-vs-dense-oracle differential
 # proptest (random-waypoint mobility, refreshed lists compared against
