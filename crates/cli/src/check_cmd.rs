@@ -6,11 +6,9 @@
 //! run a second time, and every digest line and traffic journal must
 //! match the first run exactly.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use mwn_check::golden::{conformance, format_digests, parse_digests, BUILTIN_DIGESTS};
 use mwn_check::{canonical_cases, fast_cases, fuzz, CanonicalCase, CaseReport};
+use mwn_runner::pool;
 
 use crate::args::{parse, reject_leftovers, take_flag, take_value};
 
@@ -45,8 +43,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         }
     };
 
-    let reports = run_cases(&cases, jobs);
     let mut failures = 0usize;
+    let reports = run_cases(&cases, jobs, &mut failures);
     for report in &reports {
         for v in &report.violations {
             failures += 1;
@@ -115,7 +113,12 @@ pub fn command(argv: &[String]) -> Result<(), String> {
 /// against the first `reports`. Returns the number of mismatches.
 fn determinism_repeat(cases: &[CanonicalCase], reports: &[CaseReport], jobs: usize) -> usize {
     let mut mismatches = 0;
-    for (base, again) in reports.iter().zip(&run_cases(cases, jobs)) {
+    let repeated = run_cases(cases, jobs, &mut mismatches);
+    for base in reports {
+        // A case that panicked on either run is already counted.
+        let Some(again) = repeated.iter().find(|r| r.name == base.name) else {
+            continue;
+        };
         if base.digest_line() != again.digest_line() {
             mismatches += 1;
             println!(
@@ -140,32 +143,22 @@ fn determinism_repeat(cases: &[CanonicalCase], reports: &[CaseReport], jobs: usi
 }
 
 /// Runs the canonical cases on `jobs` worker threads (0 = one per CPU),
-/// preserving case order in the returned reports.
-fn run_cases(cases: &[CanonicalCase], jobs: usize) -> Vec<CaseReport> {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        jobs
-    }
-    .min(cases.len().max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CaseReport>>> =
-        Mutex::new((0..cases.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let report = case.run();
-                slots.lock().unwrap()[i] = Some(report);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("every case ran"))
+/// preserving case order in the returned reports. A case that panics is
+/// printed as `FAIL <name>: <message>`, counted in `failures` and left
+/// out of the reports.
+fn run_cases(cases: &[CanonicalCase], jobs: usize, failures: &mut usize) -> Vec<CaseReport> {
+    let workers = mwn_runner::worker_count(jobs);
+    let results = pool::parallel_map(cases.iter().collect(), workers, |case| case.run());
+    cases
+        .iter()
+        .zip(results)
+        .filter_map(|(case, result)| match result {
+            Ok(report) => Some(report),
+            Err(msg) => {
+                *failures += 1;
+                println!("FAIL {}: {msg}", case.name);
+                None
+            }
+        })
         .collect()
 }

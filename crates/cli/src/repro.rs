@@ -91,14 +91,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
     let mult = args::take_scale(&mut argv)?;
     let jobs: usize = match args::take_value(&mut argv, "--jobs")? {
-        Some(v) => {
-            let n: usize = args::parse(&v, "job count")?;
-            if n == 0 {
-                mwn_runner::default_workers()
-            } else {
-                n
-            }
-        }
+        Some(v) => mwn_runner::worker_count(args::parse(&v, "job count")?),
         None => 1,
     };
     let csv = args::take_flag(&mut argv, "--csv");
@@ -124,29 +117,26 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         found
     };
 
-    // Experiments are independent, so with --jobs > 1 they run on a worker
-    // pool; output is collected and printed in catalog order either way.
-    let produced: Vec<(&str, Result<Output, String>)> = if jobs > 1 {
-        let ids: Vec<&str> = selected.iter().map(|(id, _, _)| *id).collect();
-        eprintln!(
-            "[repro] {} experiment(s) on {jobs} worker(s) (scale x{mult})...",
-            ids.len()
-        );
-        let results = pool::parallel_map(selected, jobs, |(_, _, produce)| produce(scale));
-        ids.into_iter().zip(results).collect()
-    } else {
-        selected
-            .into_iter()
-            .map(|(id, desc, produce)| {
+    // Experiments are independent, so they run on a worker pool (one
+    // worker by default); output is collected and printed in catalog
+    // order whatever the worker count.
+    let mut produced: Vec<Option<Result<Output, String>>> = selected.iter().map(|_| None).collect();
+    pool::run(
+        selected.clone(),
+        jobs,
+        |(_, _, produce)| produce(scale),
+        |event| match event {
+            pool::Event::Started { index, .. } => {
+                let (id, desc, _) = selected[index];
                 eprintln!("[{id}] {desc} (scale x{mult})...");
-                (id, Ok(produce(scale)))
-            })
-            .collect()
-    };
+            }
+            pool::Event::Finished { index, result, .. } => produced[index] = Some(result),
+        },
+    );
 
     let mut failures = Vec::new();
-    for (id, outcome) in produced {
-        let (figures, tables) = match outcome {
+    for ((id, _, _), outcome) in selected.into_iter().zip(produced) {
+        let (figures, tables) = match outcome.expect("pool finished every experiment") {
             Ok(data) => data,
             Err(panic) => {
                 eprintln!("[{id}] FAILED: {panic}");

@@ -3,7 +3,7 @@
 
 use mwn::jobs::{self, JobSpec};
 use mwn::{ExperimentScale, RunResults};
-use mwn_runner::{default_workers, run_sweep, simulate, simulate_instrumented, SweepOptions};
+use mwn_runner::{run_sweep, simulate, simulate_instrumented, worker_count, SweepOptions};
 
 use crate::args;
 
@@ -32,14 +32,10 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         }
     };
 
-    let shown = if workers == 0 {
-        default_workers()
-    } else {
-        workers
-    };
     eprintln!(
-        "suite {suite:?}: {} job(s) at scale x{mult}, {shown} worker(s)",
-        jobs.len()
+        "suite {suite:?}: {} job(s) at scale x{mult}, {} worker(s)",
+        jobs.len(),
+        worker_count(workers)
     );
     let opts = SweepOptions::new(&out).workers(workers);
     let exec: &(dyn Fn(&JobSpec) -> RunResults + Sync) = if metrics {

@@ -1,18 +1,15 @@
 //! `mwn traffic` — drive an open-loop workload over a random topology
 //! and report per-class flow-completion-time percentiles.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use mwn::{Scenario, SimDuration, SimTime, StepOutcome, TrafficModel, Transport};
 use mwn_obs::json::Obj;
 use mwn_obs::CounterBlock;
+use mwn_runner::pool;
 
 use crate::args::{parse, parse_rate, parse_transport, reject_leftovers, take_flag, take_value};
 
 /// One replication's result.
 struct RepResult {
-    seed: u64,
     outcome: StepOutcome,
     end: SimTime,
     live_at_end: usize,
@@ -84,30 +81,49 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     if nodes < 2 {
         return Err("traffic needs at least two nodes".to_string());
     }
-    let results = run_reps(
-        nodes,
-        &model,
-        transport,
-        rate,
-        seed,
-        reps,
-        jobs,
-        deadline_secs,
-        json,
-    );
+    // The deadline becomes a u64 count of nanoseconds.
+    let max_deadline = u64::MAX / 1_000_000_000;
+    if deadline_secs > max_deadline {
+        return Err(format!(
+            "--deadline must be at most {max_deadline} simulated seconds"
+        ));
+    }
+
+    // Replications (seeds `seed..seed+reps`) run on a worker pool and
+    // print in seed order.
+    let seeds: Vec<u64> = (0..reps).map(|i| seed + i).collect();
+    let workers = mwn_runner::worker_count(jobs);
+    let results = pool::parallel_map(seeds.clone(), workers, |&rep_seed| {
+        run_one(
+            nodes,
+            model.clone(),
+            transport,
+            rate,
+            rep_seed,
+            deadline_secs,
+            json,
+        )
+    });
 
     let mut failures = 0usize;
-    for r in &results {
+    for (seed, result) in seeds.into_iter().zip(results) {
+        let r = match result {
+            Ok(r) => r,
+            Err(msg) => {
+                failures += 1;
+                println!("FAIL seed={seed}: {msg}");
+                continue;
+            }
+        };
         println!(
-            "rep seed={} journal={}:{:016x} arrivals={}:{:016x}",
-            r.seed, r.journal.0, r.journal.1, r.arrivals.0, r.arrivals.1
+            "rep seed={seed} journal={}:{:016x} arrivals={}:{:016x}",
+            r.journal.0, r.journal.1, r.arrivals.0, r.arrivals.1
         );
         print!("{}", r.report);
         if r.outcome != StepOutcome::TargetReached {
             failures += 1;
             println!(
-                "FAIL seed={}: {:?} at t={:.1}s with {} flows still live",
-                r.seed,
+                "FAIL seed={seed}: {:?} at t={:.1}s with {} flows still live",
                 r.outcome,
                 r.end.as_secs_f64(),
                 r.live_at_end
@@ -119,58 +135,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     } else {
         Ok(())
     }
-}
-
-/// Runs `reps` independent replications (seeds `seed..seed+reps`) on a
-/// worker pool, preserving seed order in the output.
-#[allow(clippy::too_many_arguments)]
-fn run_reps(
-    nodes: usize,
-    model: &TrafficModel,
-    transport: Transport,
-    rate: mwn_phy::DataRate,
-    seed: u64,
-    reps: u64,
-    jobs: usize,
-    deadline_secs: u64,
-    json: bool,
-) -> Vec<RepResult> {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        jobs
-    }
-    .min(reps as usize);
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<RepResult>>> = Mutex::new((0..reps).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i as u64 >= reps {
-                    break;
-                }
-                let rep_seed = seed + i as u64;
-                let result = run_one(
-                    nodes,
-                    model.clone(),
-                    transport,
-                    rate,
-                    rep_seed,
-                    deadline_secs,
-                    json,
-                );
-                slots.lock().unwrap()[i] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("every replication ran"))
-        .collect()
 }
 
 fn run_one(
@@ -231,7 +195,6 @@ fn run_one(
         out
     };
     RepResult {
-        seed,
         outcome,
         end: net.now(),
         live_at_end: net.live_flow_count(),

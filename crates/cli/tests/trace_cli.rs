@@ -58,13 +58,17 @@ fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
     let scale = "--scale must be at least 1";
-    let table: [(&[&str], &str); 8] = [
+    let table: [(&[&str], &str); 9] = [
         (&["repro", "fig10", "--shards", "2"], shards),
         (&["run", "--shards", "2"], shards),
         (&["check", "--suite", "fast", "--shards", "2"], shards),
         (&["bench", "--quick", "--shards", "2"], shards),
         (&["traffic", "--shards", "2"], shards),
         (&["traffic", "--flows", "0"], "max_flows must be positive"),
+        (
+            &["traffic", "--deadline", "18446744074"],
+            "--deadline must be at most 18446744073",
+        ),
         (&["run", "--scale", "0"], scale),
         (&["stats", "--scale", "0"], scale),
     ];

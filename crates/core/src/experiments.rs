@@ -1,9 +1,11 @@
 //! One driver per figure and table of the paper's evaluation (Section 4).
 //!
-//! Each function runs the exact workload of the corresponding figure/table
-//! and returns printable [`FigureData`]/[`TableData`]. Figures that the
-//! paper derives from the *same* simulation runs (e.g. Figures 6–9) are
-//! produced together so the runs are not repeated.
+//! Each function returns printable [`FigureData`]/[`TableData`]. The
+//! figure drivers run the jobs of their [`crate::jobs`] grid — the same
+//! jobs a sweep runs — and fold the results into curves; they own only
+//! titles, axis labels and which metric each figure reads. Figures that
+//! the paper derives from the *same* simulation runs (e.g. Figures 6–9)
+//! are produced together so the runs are not repeated.
 //!
 //! Scale: pass [`ExperimentScale::from_env`] to honor `MWN_SCALE`
 //! (`MWN_SCALE=25` reproduces the paper's 11 × 10 000-packet runs).
@@ -13,6 +15,7 @@ use mwn_sim::stats::Estimate;
 use mwn_sim::{SimDuration, SimTime};
 
 use crate::experiment::{self, ExperimentScale, RunResults};
+use crate::jobs::{self, JobSpec, SeriesJobs};
 use crate::scenario::{Scenario, Transport};
 
 /// The paper's chain lengths (hops), log-spaced as on the figures' x-axes.
@@ -21,10 +24,6 @@ pub const PAPER_HOPS: [usize; 6] = [2, 4, 8, 16, 32, 64];
 /// The paper's bandwidths.
 pub const PAPER_BANDWIDTHS: [DataRate; 3] =
     [DataRate::MBPS_2, DataRate::MBPS_5_5, DataRate::MBPS_11];
-
-/// A pacing gap that saturates the chain at every bandwidth; the resulting
-/// goodput is the plateau (optimal) paced-UDP goodput.
-const SATURATING_UDP_GAP: SimDuration = SimDuration::from_millis(2);
 
 /// One curve of a figure.
 #[derive(Debug, Clone)]
@@ -218,9 +217,10 @@ fn format_estimate(e: &Estimate) -> String {
 
 /// Deterministic seed for a (figure, series, point) triple.
 ///
-/// Public so that [`crate::jobs`] enumerates the sweep grid with the
-/// *identical* seeds these figure drivers use — a sweep result and the
-/// corresponding figure point come from the same simulation run.
+/// The paper figures' seeds are spelled once, in the [`crate::jobs`]
+/// grids the figure drivers fold; table 2, the ablations and the
+/// extensions, which set scenario fields a [`JobSpec`] cannot express,
+/// call it here.
 pub fn seed_for(parts: &[u64]) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     for &p in parts {
@@ -230,7 +230,7 @@ pub fn seed_for(parts: &[u64]) -> u64 {
     h
 }
 
-fn bw_mbit(bw: DataRate) -> f64 {
+pub(crate) fn bw_mbit(bw: DataRate) -> f64 {
     bw.bits_per_sec() as f64 / 1e6
 }
 
@@ -289,367 +289,204 @@ pub fn table2() -> TableData {
 }
 
 // ---------------------------------------------------------------------
-// Figures 2–3: Vegas α sweep over chain length
+// Figure drivers: folds over the `jobs` grids
 // ---------------------------------------------------------------------
+
+/// One figure series with its runs done: legend label and
+/// `(x, job, results)` per point.
+struct Curve {
+    label: String,
+    points: Vec<(f64, JobSpec, RunResults)>,
+}
+
+/// Runs every job of a figure grid, in series-major order, exactly as a
+/// sweep runs it.
+fn run_grid(grid: Vec<SeriesJobs>) -> Vec<Curve> {
+    grid.into_iter()
+        .map(|series| Curve {
+            label: series.label,
+            points: series
+                .points
+                .into_iter()
+                .map(|(x, job)| {
+                    let results = experiment::run(&job.scenario(), job.scale);
+                    (x, job, results)
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Reads `metric` off every run: one series per curve, or per TCP curve
+/// if `tcp_only` (window and retransmissions mean nothing for paced UDP).
+fn series(
+    curves: &[Curve],
+    tcp_only: bool,
+    metric: impl Fn(&RunResults) -> Estimate,
+) -> Vec<Series> {
+    let is_tcp =
+        |(_, job, _): &(f64, JobSpec, RunResults)| matches!(job.transport, Transport::Tcp { .. });
+    curves
+        .iter()
+        .filter(|c| !tcp_only || c.points.iter().all(is_tcp))
+        .map(|c| Series {
+            label: c.label.clone(),
+            points: c.points.iter().map(|(x, _, r)| (*x, metric(r))).collect(),
+        })
+        .collect()
+}
+
+fn figure(id: &str, title: &str, x_label: &str, y_label: &str, series: Vec<Series>) -> FigureData {
+    FigureData {
+        id: id.into(),
+        title: title.into(),
+        x_label: x_label.into(),
+        y_label: y_label.into(),
+        series,
+    }
+}
 
 /// Figures 2 and 3: TCP Vegas with α ∈ {2, 3, 4} on the h-hop chain at
 /// 2 Mbit/s — goodput (Fig 2) and average window size (Fig 3) vs hops.
 pub fn figs_2_3(scale: ExperimentScale) -> (FigureData, FigureData) {
-    let mut goodput = Vec::new();
-    let mut window = Vec::new();
-    for alpha in [2u32, 3, 4] {
-        let mut gp = Series {
-            label: format!("Vegas a={alpha}"),
-            points: Vec::new(),
-        };
-        let mut win = Series {
-            label: format!("Vegas a={alpha}"),
-            points: Vec::new(),
-        };
-        for hops in PAPER_HOPS {
-            let r = chain_run(
-                hops,
-                DataRate::MBPS_2,
-                Transport::vegas(alpha),
-                seed_for(&[23, u64::from(alpha), hops as u64]),
-                scale,
-            );
-            gp.points.push((hops as f64, r.aggregate_goodput_kbps));
-            win.points.push((hops as f64, r.per_flow[0].avg_window));
-        }
-        goodput.push(gp);
-        window.push(win);
-    }
+    let curves = run_grid(jobs::fig2_3(scale));
     (
-        FigureData {
-            id: "Fig 2".into(),
-            title: "h-hop chain with 2 Mbit/s: TCP Vegas goodput vs number of hops".into(),
-            x_label: "hops".into(),
-            y_label: "goodput [kbit/s]".into(),
-            series: goodput,
-        },
-        FigureData {
-            id: "Fig 3".into(),
-            title: "h-hop chain with 2 Mbit/s: TCP Vegas average window size vs number of hops"
-                .into(),
-            x_label: "hops".into(),
-            y_label: "window [packets]".into(),
-            series: window,
-        },
+        figure(
+            "Fig 2",
+            "h-hop chain with 2 Mbit/s: TCP Vegas goodput vs number of hops",
+            "hops",
+            "goodput [kbit/s]",
+            series(&curves, false, |r| r.aggregate_goodput_kbps),
+        ),
+        figure(
+            "Fig 3",
+            "h-hop chain with 2 Mbit/s: TCP Vegas average window size vs number of hops",
+            "hops",
+            "window [packets]",
+            series(&curves, false, |r| r.per_flow[0].avg_window),
+        ),
     )
 }
 
 /// Figure 4: 7-hop chain, TCP Vegas goodput for α ∈ {2, 3, 4} at each
 /// bandwidth.
 pub fn fig4(scale: ExperimentScale) -> FigureData {
-    let mut series = Vec::new();
-    for alpha in [2u32, 3, 4] {
-        let mut s = Series {
-            label: format!("Vegas a={alpha}"),
-            points: Vec::new(),
-        };
-        for bw in PAPER_BANDWIDTHS {
-            let r = chain_run(
-                7,
-                bw,
-                Transport::vegas(alpha),
-                seed_for(&[4, u64::from(alpha), bw.bits_per_sec()]),
-                scale,
-            );
-            s.points.push((bw_mbit(bw), r.aggregate_goodput_kbps));
-        }
-        series.push(s);
-    }
-    FigureData {
-        id: "Fig 4".into(),
-        title: "7-hop chain: TCP Vegas goodput for different bandwidths".into(),
-        x_label: "Mbit/s".into(),
-        y_label: "goodput [kbit/s]".into(),
-        series,
-    }
+    let curves = run_grid(jobs::fig4(scale));
+    figure(
+        "Fig 4",
+        "7-hop chain: TCP Vegas goodput for different bandwidths",
+        "Mbit/s",
+        "goodput [kbit/s]",
+        series(&curves, false, |r| r.aggregate_goodput_kbps),
+    )
 }
 
 /// Figure 5: Vegas with ACK thinning for α ∈ {2, 3, 4}, against plain
 /// Vegas α = 2, on the 2 Mbit/s chain.
 pub fn fig5(scale: ExperimentScale) -> FigureData {
-    let variants: Vec<(String, Transport)> = vec![
-        ("Vegas a=2".into(), Transport::vegas(2)),
-        ("Vegas a=2 +thin".into(), Transport::vegas_thinning(2)),
-        ("Vegas a=3 +thin".into(), Transport::vegas_thinning(3)),
-        ("Vegas a=4 +thin".into(), Transport::vegas_thinning(4)),
-    ];
-    let mut series = Vec::new();
-    for (vi, (label, t)) in variants.into_iter().enumerate() {
-        let mut s = Series {
-            label,
-            points: Vec::new(),
-        };
-        for hops in PAPER_HOPS {
-            let r = chain_run(
-                hops,
-                DataRate::MBPS_2,
-                t,
-                seed_for(&[5, vi as u64, hops as u64]),
-                scale,
-            );
-            s.points.push((hops as f64, r.aggregate_goodput_kbps));
-        }
-        series.push(s);
-    }
-    FigureData {
-        id: "Fig 5".into(),
-        title: "h-hop chain with 2 Mbit/s: TCP Vegas with ACK thinning: goodput vs hops".into(),
-        x_label: "hops".into(),
-        y_label: "goodput [kbit/s]".into(),
-        series,
-    }
+    let curves = run_grid(jobs::fig5(scale));
+    figure(
+        "Fig 5",
+        "h-hop chain with 2 Mbit/s: TCP Vegas with ACK thinning: goodput vs hops",
+        "hops",
+        "goodput [kbit/s]",
+        series(&curves, false, |r| r.aggregate_goodput_kbps),
+    )
 }
-
-// ---------------------------------------------------------------------
-// Figures 6–9: the main chain comparison
-// ---------------------------------------------------------------------
 
 /// Figures 6–9 (one set of runs): goodput, transport retransmissions,
 /// average window and false route failures vs chain length at 2 Mbit/s,
 /// for Vegas, NewReno, NewReno + ACK thinning and paced UDP.
 pub fn figs_6_to_9(scale: ExperimentScale) -> [FigureData; 4] {
-    let variants: Vec<(String, Transport, bool)> = vec![
-        ("Vegas".into(), Transport::vegas(2), true),
-        ("NewReno".into(), Transport::newreno(), true),
-        ("NewReno +thin".into(), Transport::newreno_thinning(), true),
-        (
-            "Paced UDP".into(),
-            Transport::paced_udp(SATURATING_UDP_GAP),
-            false,
-        ),
-    ];
-    let mut goodput = Vec::new();
-    let mut retx = Vec::new();
-    let mut window = Vec::new();
-    let mut frf = Vec::new();
-    for (vi, (label, t, is_tcp)) in variants.into_iter().enumerate() {
-        let mut gp = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        let mut rx = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        let mut win = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        let mut ff = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        for hops in PAPER_HOPS {
-            let r = chain_run(
-                hops,
-                DataRate::MBPS_2,
-                t,
-                seed_for(&[6, vi as u64, hops as u64]),
-                scale,
-            );
-            gp.points.push((hops as f64, r.aggregate_goodput_kbps));
-            if is_tcp {
-                rx.points.push((hops as f64, r.per_flow[0].retx_per_packet));
-                win.points.push((hops as f64, r.per_flow[0].avg_window));
-            }
-            ff.points.push((
-                hops as f64,
-                Estimate {
-                    mean: r.false_route_failures_paper_scale,
-                    half_width: 0.0,
-                },
-            ));
-        }
-        goodput.push(gp);
-        if is_tcp {
-            retx.push(rx);
-            window.push(win);
-        }
-        frf.push(ff);
-    }
+    let curves = run_grid(jobs::fig6_9(scale));
     [
-        FigureData {
-            id: "Fig 6".into(),
-            title: "h-hop chain with 2 Mbit/s: goodput vs number of hops".into(),
-            x_label: "hops".into(),
-            y_label: "goodput [kbit/s]".into(),
-            series: goodput,
-        },
-        FigureData {
-            id: "Fig 7".into(),
-            title: "h-hop chain with 2 Mbit/s: retransmissions vs number of hops".into(),
-            x_label: "hops".into(),
-            y_label: "retransmissions per delivered packet".into(),
-            series: retx,
-        },
-        FigureData {
-            id: "Fig 8".into(),
-            title: "h-hop chain with 2 Mbit/s: window size vs number of hops".into(),
-            x_label: "hops".into(),
-            y_label: "window [packets]".into(),
-            series: window,
-        },
-        FigureData {
-            id: "Fig 9".into(),
-            title: "h-hop chain with 2 Mbit/s: false route failures vs number of hops \
-                    (normalized to the paper's 110k-packet run length)"
-                .into(),
-            x_label: "hops".into(),
-            y_label: "false route failures".into(),
-            series: frf,
-        },
+        figure(
+            "Fig 6",
+            "h-hop chain with 2 Mbit/s: goodput vs number of hops",
+            "hops",
+            "goodput [kbit/s]",
+            series(&curves, false, |r| r.aggregate_goodput_kbps),
+        ),
+        figure(
+            "Fig 7",
+            "h-hop chain with 2 Mbit/s: retransmissions vs number of hops",
+            "hops",
+            "retransmissions per delivered packet",
+            series(&curves, true, |r| r.per_flow[0].retx_per_packet),
+        ),
+        figure(
+            "Fig 8",
+            "h-hop chain with 2 Mbit/s: window size vs number of hops",
+            "hops",
+            "window [packets]",
+            series(&curves, true, |r| r.per_flow[0].avg_window),
+        ),
+        figure(
+            "Fig 9",
+            "h-hop chain with 2 Mbit/s: false route failures vs number of hops \
+             (normalized to the paper's 110k-packet run length)",
+            "hops",
+            "false route failures",
+            series(&curves, false, |r| Estimate {
+                mean: r.false_route_failures_paper_scale,
+                half_width: 0.0,
+            }),
+        ),
     ]
 }
 
 /// Figure 10: paced-UDP goodput on the 7-hop 2 Mbit/s chain vs the time
 /// between successive packet transmissions (paper optimum ≈ 35.7 ms).
 pub fn fig10(scale: ExperimentScale) -> FigureData {
-    let mut s = Series {
-        label: "Paced UDP".into(),
-        points: Vec::new(),
-    };
-    for gap_ms in (20..=44u64).step_by(2) {
-        let gap = SimDuration::from_millis(gap_ms);
-        let r = experiment::run(
-            &Scenario::chain(
-                7,
-                DataRate::MBPS_2,
-                Transport::paced_udp(gap),
-                seed_for(&[10, gap_ms]),
-            ),
-            scale,
-        );
-        s.points.push((gap_ms as f64, r.aggregate_goodput_kbps));
-    }
-    FigureData {
-        id: "Fig 10".into(),
-        title: "7-hop chain with 2 Mbit/s: goodput vs packet inter-sending time".into(),
-        x_label: "t [ms]".into(),
-        y_label: "goodput [kbit/s]".into(),
-        series: vec![s],
-    }
-}
-
-// ---------------------------------------------------------------------
-// Figures 11–14: 7-hop chain across bandwidths
-// ---------------------------------------------------------------------
-
-/// The six variants of Figures 11–14, in the paper's legend order.
-fn bandwidth_variants() -> Vec<(String, Transport, bool)> {
-    vec![
-        ("Vegas".into(), Transport::vegas(2), true),
-        ("NewReno".into(), Transport::newreno(), true),
-        ("Vegas +thin".into(), Transport::vegas_thinning(2), true),
-        ("NewReno +thin".into(), Transport::newreno_thinning(), true),
-        (
-            "NewReno OptWin".into(),
-            Transport::newreno_optimal_window(3),
-            true,
-        ),
-        (
-            "Paced UDP".into(),
-            Transport::paced_udp(SATURATING_UDP_GAP),
-            false,
-        ),
-    ]
+    let curves = run_grid(jobs::fig10(scale));
+    figure(
+        "Fig 10",
+        "7-hop chain with 2 Mbit/s: goodput vs packet inter-sending time",
+        "t [ms]",
+        "goodput [kbit/s]",
+        series(&curves, false, |r| r.aggregate_goodput_kbps),
+    )
 }
 
 /// Figures 11–14 (one set of runs): goodput, retransmissions, window and
 /// link-layer dropping probability on the 7-hop chain at 2/5.5/11 Mbit/s.
 pub fn figs_11_to_14(scale: ExperimentScale) -> [FigureData; 4] {
-    let mut goodput = Vec::new();
-    let mut retx = Vec::new();
-    let mut window = Vec::new();
-    let mut drops = Vec::new();
-    for (vi, (label, t, is_tcp)) in bandwidth_variants().into_iter().enumerate() {
-        let mut gp = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        let mut rx = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        let mut win = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        let mut dr = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        for bw in PAPER_BANDWIDTHS {
-            let r = chain_run(
-                7,
-                bw,
-                t,
-                seed_for(&[11, vi as u64, bw.bits_per_sec()]),
-                scale,
-            );
-            gp.points.push((bw_mbit(bw), r.aggregate_goodput_kbps));
-            if is_tcp {
-                rx.points.push((bw_mbit(bw), r.per_flow[0].retx_per_packet));
-                win.points.push((bw_mbit(bw), r.per_flow[0].avg_window));
-            }
-            dr.points.push((bw_mbit(bw), r.drop_probability));
-        }
-        goodput.push(gp);
-        if is_tcp {
-            retx.push(rx);
-            window.push(win);
-        }
-        drops.push(dr);
-    }
+    let curves = run_grid(jobs::fig11_14(scale));
     [
-        FigureData {
-            id: "Fig 11".into(),
-            title: "7-hop chain: goodput for different bandwidths".into(),
-            x_label: "Mbit/s".into(),
-            y_label: "goodput [kbit/s]".into(),
-            series: goodput,
-        },
-        FigureData {
-            id: "Fig 12".into(),
-            title: "7-hop chain: retransmissions for different bandwidths".into(),
-            x_label: "Mbit/s".into(),
-            y_label: "retransmissions per delivered packet".into(),
-            series: retx,
-        },
-        FigureData {
-            id: "Fig 13".into(),
-            title: "7-hop chain: window size for different bandwidths".into(),
-            x_label: "Mbit/s".into(),
-            y_label: "window [packets]".into(),
-            series: window,
-        },
-        FigureData {
-            id: "Fig 14".into(),
-            title: "7-hop chain: packet dropping probability at link layer".into(),
-            x_label: "Mbit/s".into(),
-            y_label: "drop probability".into(),
-            series: drops,
-        },
+        figure(
+            "Fig 11",
+            "7-hop chain: goodput for different bandwidths",
+            "Mbit/s",
+            "goodput [kbit/s]",
+            series(&curves, false, |r| r.aggregate_goodput_kbps),
+        ),
+        figure(
+            "Fig 12",
+            "7-hop chain: retransmissions for different bandwidths",
+            "Mbit/s",
+            "retransmissions per delivered packet",
+            series(&curves, true, |r| r.per_flow[0].retx_per_packet),
+        ),
+        figure(
+            "Fig 13",
+            "7-hop chain: window size for different bandwidths",
+            "Mbit/s",
+            "window [packets]",
+            series(&curves, true, |r| r.per_flow[0].avg_window),
+        ),
+        figure(
+            "Fig 14",
+            "7-hop chain: packet dropping probability at link layer",
+            "Mbit/s",
+            "drop probability",
+            series(&curves, false, |r| r.drop_probability),
+        ),
     ]
 }
 
 // ---------------------------------------------------------------------
-// Grid topology: Figures 16–17, Table 3
+// Multi-flow studies: Figures 16–19, Tables 3–4
 // ---------------------------------------------------------------------
-
-/// The four multi-flow variants of the grid/random studies.
-fn multiflow_variants() -> Vec<(String, Transport)> {
-    vec![
-        ("Vegas".into(), Transport::vegas(2)),
-        ("NewReno".into(), Transport::newreno()),
-        ("Vegas +thin".into(), Transport::vegas_thinning(2)),
-        ("NewReno +thin".into(), Transport::newreno_thinning()),
-    ]
-}
 
 fn fairness_cell(e: &Estimate) -> String {
     format!("{:.2} [{:.2} : {:.2}]", e.mean, e.lo(), e.hi())
@@ -660,9 +497,7 @@ fn fairness_cell(e: &Estimate) -> String {
 /// 11 Mbit/s, and Jain's fairness index.
 pub fn grid_study(scale: ExperimentScale) -> (FigureData, FigureData, TableData) {
     multiflow_study(
-        scale,
-        16,
-        Scenario::grid6,
+        jobs::fig16_17(scale),
         (
             "Fig 16",
             "Grid topology: aggregate goodput for different bandwidths",
@@ -676,9 +511,7 @@ pub fn grid_study(scale: ExperimentScale) -> (FigureData, FigureData, TableData)
 /// topology with ten concurrent flows.
 pub fn random_study(scale: ExperimentScale) -> (FigureData, FigureData, TableData) {
     multiflow_study(
-        scale,
-        18,
-        Scenario::random10,
+        jobs::fig18_19(scale),
         (
             "Fig 18",
             "Random topology: aggregate goodput for different bandwidths",
@@ -689,70 +522,70 @@ pub fn random_study(scale: ExperimentScale) -> (FigureData, FigureData, TableDat
 }
 
 fn multiflow_study(
-    scale: ExperimentScale,
-    fig_seed: u64,
-    build: impl Fn(DataRate, Transport, u64) -> Scenario,
+    grid: Vec<SeriesJobs>,
     agg_meta: (&str, &str),
     flow_meta: (&str, &str),
     table_meta: (&str, &str),
 ) -> (FigureData, FigureData, TableData) {
-    let mut agg_series = Vec::new();
-    let mut flow_series = Vec::new();
-    let mut table_rows: Vec<Vec<String>> = PAPER_BANDWIDTHS
+    let curves = run_grid(grid);
+    // Per-flow goodput at 11 Mbit/s; x is the flow's 1-based index.
+    let per_flow = curves
         .iter()
-        .map(|bw| vec![format!("{bw}")])
+        .filter_map(|c| {
+            let (_, _, r) = c
+                .points
+                .iter()
+                .find(|(_, job, _)| job.bandwidth == DataRate::MBPS_11)?;
+            let points = r
+                .per_flow
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (i as f64 + 1.0, f.goodput_kbps))
+                .collect();
+            Some(Series {
+                label: c.label.clone(),
+                points,
+            })
+        })
         .collect();
-
-    for (label, t) in multiflow_variants() {
-        let mut agg = Series {
-            label: label.clone(),
-            points: Vec::new(),
-        };
-        for (bi, bw) in PAPER_BANDWIDTHS.into_iter().enumerate() {
-            // The topology and flow endpoints must be identical across
-            // variants, so the seed excludes the variant.
-            let seed = seed_for(&[fig_seed, bw.bits_per_sec()]);
-            let r = experiment::run(&build(bw, t, seed), scale);
-            agg.points.push((bw_mbit(bw), r.aggregate_goodput_kbps));
-            table_rows[bi].push(fairness_cell(&r.fairness));
-            if bw == DataRate::MBPS_11 {
-                let points = r
-                    .per_flow
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (i as f64 + 1.0, f.goodput_kbps))
-                    .collect();
-                flow_series.push(Series {
-                    label: label.clone(),
-                    points,
-                });
-            }
-        }
-        agg_series.push(agg);
-    }
-    let headers: Vec<String> = std::iter::once(String::new())
-        .chain(multiflow_variants().into_iter().map(|(l, _)| l))
+    // Fairness: one row per bandwidth, one column per variant.
+    let rows = curves[0]
+        .points
+        .iter()
+        .enumerate()
+        .map(|(i, (_, job, _))| {
+            std::iter::once(job.bandwidth.to_string())
+                .chain(
+                    curves
+                        .iter()
+                        .map(|c| fairness_cell(&c.points[i].2.fairness)),
+                )
+                .collect()
+        })
+        .collect();
+    let headers = std::iter::once(String::new())
+        .chain(curves.iter().map(|c| c.label.clone()))
         .collect();
     (
-        FigureData {
-            id: agg_meta.0.into(),
-            title: agg_meta.1.into(),
-            x_label: "Mbit/s".into(),
-            y_label: "aggregate goodput [kbit/s]".into(),
-            series: agg_series,
-        },
-        FigureData {
-            id: flow_meta.0.into(),
-            title: flow_meta.1.into(),
-            x_label: "flow".into(),
-            y_label: "goodput [kbit/s]".into(),
-            series: flow_series,
-        },
+        figure(
+            agg_meta.0,
+            agg_meta.1,
+            "Mbit/s",
+            "aggregate goodput [kbit/s]",
+            series(&curves, false, |r| r.aggregate_goodput_kbps),
+        ),
+        figure(
+            flow_meta.0,
+            flow_meta.1,
+            "flow",
+            "goodput [kbit/s]",
+            per_flow,
+        ),
         TableData {
             id: table_meta.0.into(),
             title: table_meta.1.into(),
             headers,
-            rows: table_rows,
+            rows,
         },
     )
 }
@@ -1182,6 +1015,21 @@ mod tests {
             assert_eq!(s.points.len(), 3);
             // Goodput grows with bandwidth.
             assert!(s.points[2].1.mean > s.points[0].1.mean);
+        }
+        // Every figure point is the run of the matching sweep cell.
+        let cells: Vec<JobSpec> = jobs::full_suite(tiny())
+            .into_iter()
+            .filter(|job| job.group == "fig4")
+            .collect();
+        let points: Vec<Estimate> = f
+            .series
+            .iter()
+            .flat_map(|s| s.points.iter().map(|(_, e)| *e))
+            .collect();
+        assert_eq!(points.len(), cells.len());
+        for (point, cell) in points.iter().zip(&cells) {
+            let run = experiment::run(&cell.scenario(), cell.scale);
+            assert_eq!(*point, run.aggregate_goodput_kbps, "{}", cell.point);
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Serializable experiment jobs: the unit of work of the parallel sweep
-//! engine (`mwn-runner`).
+//! engine (`mwn-runner`), and the one place that knows which simulation
+//! runs make up each paper figure.
 //!
 //! The paper's evaluation is a grid of independent simulation runs —
 //! (topology × bandwidth × transport × seed). A [`JobSpec`] captures one
@@ -8,12 +9,14 @@
 //! skipped on re-invocation when a result with the same key already
 //! exists.
 //!
-//! [`full_suite`] and [`chain_study`] enumerate the grids behind the
-//! paper's figures using the *same* [`seed_for`] seeds as the
-//! [`crate::experiments`] drivers, so a sweep cell and the corresponding
-//! figure point are the same simulation run. [`traffic_study`] adds the
-//! open-loop workload extension: built-in [`TrafficModel`] profiles
-//! crossed with the TCP variants.
+//! Each figure family has one grid here, [`fig2_3`] through
+//! [`fig18_19`]: its legend series in order, each with one job per x
+//! value. The [`crate::experiments`] drivers run those jobs and fold the
+//! results into figures; [`full_suite`] is the concatenation of the
+//! grids and [`chain_study`] a slice of one, so a sweep cell and the
+//! figure point it feeds are the same job. [`traffic_study`] and
+//! [`traffic_load_study`] add the open-loop workload extension: built-in
+//! [`TrafficModel`] profiles crossed with the TCP variants.
 
 use mwn_phy::DataRate;
 use mwn_sim::{fxhash, SimDuration};
@@ -21,7 +24,7 @@ use mwn_tcp::{AckPolicy, Flavor};
 use mwn_traffic::TrafficModel;
 
 use crate::experiment::ExperimentScale;
-use crate::experiments::{seed_for, PAPER_BANDWIDTHS, PAPER_HOPS};
+use crate::experiments::{bw_mbit, seed_for, PAPER_BANDWIDTHS, PAPER_HOPS};
 use crate::scenario::{Scenario, Transport};
 
 /// Which topology/flow layout a job simulates.
@@ -185,55 +188,13 @@ impl JobSpec {
     }
 }
 
-/// The pacing gap that saturates the chain at every bandwidth (matches
-/// the figure drivers' `SATURATING_UDP_GAP`).
-const SATURATING_UDP_GAP: SimDuration = SimDuration::from_millis(2);
-
-fn chain_job(
-    group: &str,
-    point: String,
-    hops: usize,
-    bw: DataRate,
-    transport: Transport,
-    seed: u64,
-    scale: ExperimentScale,
-) -> JobSpec {
-    JobSpec {
-        group: group.to_string(),
-        point,
-        kind: ScenarioKind::Chain { hops },
-        bandwidth: bw,
-        transport,
-        seed,
-        scale,
-    }
-}
-
-/// The quick chain study: the Figure 6–9 grid (four transport variants ×
-/// chain length) at 2 Mbit/s, restricted to the short chains so a sweep
-/// completes in minutes at quick scale.
+/// The quick chain study: the Figure 6–9 grid ([`fig6_9`]) restricted
+/// to chains of at most 8 hops, so a sweep completes in minutes at quick
+/// scale.
 pub fn chain_study(scale: ExperimentScale) -> Vec<JobSpec> {
-    let variants: [(&str, Transport); 4] = [
-        ("Vegas", Transport::vegas(2)),
-        ("NewReno", Transport::newreno()),
-        ("NewReno +thin", Transport::newreno_thinning()),
-        ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
-    ];
-    let mut jobs = Vec::new();
-    for (vi, (label, t)) in variants.into_iter().enumerate() {
-        for hops in [2usize, 4, 8] {
-            jobs.push(chain_job(
-                "fig6-9",
-                format!("variant={label} hops={hops}"),
-                hops,
-                DataRate::MBPS_2,
-                t,
-                seed_for(&[6, vi as u64, hops as u64]),
-                scale,
-            ));
-        }
-    }
-    jobs
+    grid_jobs(fig6_9(scale))
+        .filter(|job| matches!(job.kind, ScenarioKind::Chain { hops } if hops <= 8))
+        .collect()
 }
 
 /// The open-loop traffic study (extension): every built-in workload
@@ -297,99 +258,202 @@ pub fn traffic_load_study(scale: ExperimentScale) -> Vec<JobSpec> {
     jobs
 }
 
-/// The full figure suite: every simulation run behind Figures 2–14, the
-/// grid study (Figures 16–17 / Table 3) and the random study (Figures
-/// 18–19 / Table 4), with the exact seeds of the figure drivers.
-pub fn full_suite(scale: ExperimentScale) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
+/// One legend series of a paper figure: its label and one job per x
+/// value, in axis order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeriesJobs {
+    /// Legend label, e.g. `"NewReno +thin"`.
+    pub label: String,
+    /// `(x, job)` per point.
+    pub points: Vec<(f64, JobSpec)>,
+}
 
-    // Figures 2–3: Vegas α sweep over chain length at 2 Mbit/s.
-    for alpha in [2u32, 3, 4] {
-        for hops in PAPER_HOPS {
-            jobs.push(chain_job(
+/// A pacing gap that saturates the chain at every bandwidth; the
+/// resulting goodput is the plateau (optimal) paced-UDP goodput.
+const SATURATING_UDP_GAP: SimDuration = SimDuration::from_millis(2);
+
+/// Every figure family's grid, in paper order.
+const FIGURE_GRIDS: [fn(ExperimentScale) -> Vec<SeriesJobs>; 8] = [
+    fig2_3, fig4, fig5, fig6_9, fig10, fig11_14, fig16_17, fig18_19,
+];
+
+/// The jobs of a figure grid, series-major.
+fn grid_jobs(grid: Vec<SeriesJobs>) -> impl Iterator<Item = JobSpec> {
+    grid.into_iter()
+        .flat_map(|series| series.points.into_iter().map(|(_, job)| job))
+}
+
+/// One series over [`PAPER_HOPS`] on the 2 Mbit/s chain: x is the hop
+/// count, the point label `"{coord} hops={hops}"`.
+fn over_hops(
+    group: &str,
+    label: &str,
+    coord: &str,
+    transport: Transport,
+    seed: impl Fn(u64) -> u64,
+    scale: ExperimentScale,
+) -> SeriesJobs {
+    let points = PAPER_HOPS.map(|hops| {
+        let job = JobSpec {
+            group: group.to_string(),
+            point: format!("{coord} hops={hops}"),
+            kind: ScenarioKind::Chain { hops },
+            bandwidth: DataRate::MBPS_2,
+            transport,
+            seed: seed(hops as u64),
+            scale,
+        };
+        (hops as f64, job)
+    });
+    SeriesJobs {
+        label: label.to_string(),
+        points: points.into(),
+    }
+}
+
+/// One series over [`PAPER_BANDWIDTHS`] on `kind`: x is the rate in
+/// Mbit/s, the point label `"{coord} bw={bw}"`, and `seed` is given the
+/// rate in bit/s.
+fn over_bandwidths(
+    group: &str,
+    label: &str,
+    coord: &str,
+    kind: ScenarioKind,
+    transport: Transport,
+    seed: impl Fn(u64) -> u64,
+    scale: ExperimentScale,
+) -> SeriesJobs {
+    let points = PAPER_BANDWIDTHS.map(|bw| {
+        let job = JobSpec {
+            group: group.to_string(),
+            point: format!("{coord} bw={bw}"),
+            kind,
+            bandwidth: bw,
+            transport,
+            seed: seed(bw.bits_per_sec()),
+            scale,
+        };
+        (bw_mbit(bw), job)
+    });
+    SeriesJobs {
+        label: label.to_string(),
+        points: points.into(),
+    }
+}
+
+/// Figures 2–3: TCP Vegas with α ∈ {2, 3, 4} over chain length at
+/// 2 Mbit/s.
+pub fn fig2_3(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    [2u32, 3, 4]
+        .into_iter()
+        .map(|alpha| {
+            over_hops(
                 "fig2-3",
-                format!("alpha={alpha} hops={hops}"),
-                hops,
-                DataRate::MBPS_2,
+                &format!("Vegas a={alpha}"),
+                &format!("alpha={alpha}"),
                 Transport::vegas(alpha),
-                seed_for(&[23, u64::from(alpha), hops as u64]),
+                |hops| seed_for(&[23, u64::from(alpha), hops]),
                 scale,
-            ));
-        }
-    }
+            )
+        })
+        .collect()
+}
 
-    // Figure 4: Vegas α per bandwidth on the 7-hop chain.
-    for alpha in [2u32, 3, 4] {
-        for bw in PAPER_BANDWIDTHS {
-            jobs.push(chain_job(
+/// Figure 4: TCP Vegas with α ∈ {2, 3, 4} per bandwidth on the 7-hop
+/// chain.
+pub fn fig4(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    [2u32, 3, 4]
+        .into_iter()
+        .map(|alpha| {
+            over_bandwidths(
                 "fig4",
-                format!("alpha={alpha} bw={bw}"),
-                7,
-                bw,
+                &format!("Vegas a={alpha}"),
+                &format!("alpha={alpha}"),
+                ScenarioKind::Chain { hops: 7 },
                 Transport::vegas(alpha),
-                seed_for(&[4, u64::from(alpha), bw.bits_per_sec()]),
+                |bps| seed_for(&[4, u64::from(alpha), bps]),
                 scale,
-            ));
-        }
-    }
+            )
+        })
+        .collect()
+}
 
-    // Figure 5: Vegas with ACK thinning vs plain Vegas.
-    let fig5: [(&str, Transport); 4] = [
+/// Figure 5: Vegas with ACK thinning for α ∈ {2, 3, 4}, against plain
+/// Vegas α = 2, over chain length at 2 Mbit/s.
+pub fn fig5(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let variants = [
         ("Vegas a=2", Transport::vegas(2)),
         ("Vegas a=2 +thin", Transport::vegas_thinning(2)),
         ("Vegas a=3 +thin", Transport::vegas_thinning(3)),
         ("Vegas a=4 +thin", Transport::vegas_thinning(4)),
     ];
-    for (vi, (label, t)) in fig5.into_iter().enumerate() {
-        for hops in PAPER_HOPS {
-            jobs.push(chain_job(
+    (0u64..)
+        .zip(variants)
+        .map(|(vi, (label, t))| {
+            over_hops(
                 "fig5",
-                format!("variant={label} hops={hops}"),
-                hops,
-                DataRate::MBPS_2,
+                label,
+                &format!("variant={label}"),
                 t,
-                seed_for(&[5, vi as u64, hops as u64]),
+                |hops| seed_for(&[5, vi, hops]),
                 scale,
-            ));
-        }
-    }
+            )
+        })
+        .collect()
+}
 
-    // Figures 6–9: the main chain comparison.
-    let fig6: [(&str, Transport); 4] = [
+/// Figures 6–9: Vegas, NewReno, NewReno + ACK thinning and paced UDP over
+/// chain length at 2 Mbit/s.
+pub fn fig6_9(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let variants = [
         ("Vegas", Transport::vegas(2)),
         ("NewReno", Transport::newreno()),
         ("NewReno +thin", Transport::newreno_thinning()),
         ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
     ];
-    for (vi, (label, t)) in fig6.into_iter().enumerate() {
-        for hops in PAPER_HOPS {
-            jobs.push(chain_job(
+    (0u64..)
+        .zip(variants)
+        .map(|(vi, (label, t))| {
+            over_hops(
                 "fig6-9",
-                format!("variant={label} hops={hops}"),
-                hops,
-                DataRate::MBPS_2,
+                label,
+                &format!("variant={label}"),
                 t,
-                seed_for(&[6, vi as u64, hops as u64]),
+                |hops| seed_for(&[6, vi, hops]),
                 scale,
-            ));
-        }
-    }
+            )
+        })
+        .collect()
+}
 
-    // Figure 10: paced-UDP inter-sending-time sweep on the 7-hop chain.
-    for gap_ms in (20..=44u64).step_by(2) {
-        jobs.push(chain_job(
-            "fig10",
-            format!("gap={gap_ms}ms"),
-            7,
-            DataRate::MBPS_2,
-            Transport::paced_udp(SimDuration::from_millis(gap_ms)),
-            seed_for(&[10, gap_ms]),
-            scale,
-        ));
-    }
+/// Figure 10: paced UDP on the 7-hop 2 Mbit/s chain; x is the time
+/// between successive packet transmissions in milliseconds.
+pub fn fig10(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let points = (20..=44u64)
+        .step_by(2)
+        .map(|gap_ms| {
+            let job = JobSpec {
+                group: "fig10".to_string(),
+                point: format!("gap={gap_ms}ms"),
+                kind: ScenarioKind::Chain { hops: 7 },
+                bandwidth: DataRate::MBPS_2,
+                transport: Transport::paced_udp(SimDuration::from_millis(gap_ms)),
+                seed: seed_for(&[10, gap_ms]),
+                scale,
+            };
+            (gap_ms as f64, job)
+        })
+        .collect();
+    vec![SeriesJobs {
+        label: "Paced UDP".to_string(),
+        points,
+    }]
+}
 
-    // Figures 11–14: the 7-hop chain across bandwidths.
-    let fig11: [(&str, Transport); 6] = [
+/// Figures 11–14: the six variants, in the paper's legend order, on the
+/// 7-hop chain per bandwidth.
+pub fn fig11_14(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let variants = [
         ("Vegas", Transport::vegas(2)),
         ("NewReno", Transport::newreno()),
         ("Vegas +thin", Transport::vegas_thinning(2)),
@@ -397,49 +461,73 @@ pub fn full_suite(scale: ExperimentScale) -> Vec<JobSpec> {
         ("NewReno OptWin", Transport::newreno_optimal_window(3)),
         ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
     ];
-    for (vi, (label, t)) in fig11.into_iter().enumerate() {
-        for bw in PAPER_BANDWIDTHS {
-            jobs.push(chain_job(
+    (0u64..)
+        .zip(variants)
+        .map(|(vi, (label, t))| {
+            over_bandwidths(
                 "fig11-14",
-                format!("variant={label} bw={bw}"),
-                7,
-                bw,
+                label,
+                &format!("variant={label}"),
+                ScenarioKind::Chain { hops: 7 },
                 t,
-                seed_for(&[11, vi as u64, bw.bits_per_sec()]),
+                |bps| seed_for(&[11, vi, bps]),
                 scale,
-            ));
-        }
-    }
+            )
+        })
+        .collect()
+}
 
-    // Grid and random multi-flow studies. The topology/flow seed is
-    // shared across variants (paired comparison), so distinct variants at
-    // one bandwidth are distinct jobs with the *same* seed.
-    let multiflow: [(&str, Transport); 4] = [
+/// Figures 16–17 and Table 3: the 21-node grid with six flows.
+pub fn fig16_17(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    multiflow("fig16-17", ScenarioKind::Grid6, 16, scale)
+}
+
+/// Figures 18–19 and Table 4: the 120-node random topology with ten
+/// flows.
+pub fn fig18_19(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    multiflow("fig18-19", ScenarioKind::Random10, 18, scale)
+}
+
+/// The four variants of the multi-flow studies per bandwidth. The
+/// topology and flow endpoints must be identical across variants (paired
+/// comparison), so the seed excludes the variant: distinct variants at
+/// one bandwidth are distinct jobs with the *same* seed.
+fn multiflow(
+    group: &str,
+    kind: ScenarioKind,
+    fig_seed: u64,
+    scale: ExperimentScale,
+) -> Vec<SeriesJobs> {
+    let variants = [
         ("Vegas", Transport::vegas(2)),
         ("NewReno", Transport::newreno()),
         ("Vegas +thin", Transport::vegas_thinning(2)),
         ("NewReno +thin", Transport::newreno_thinning()),
     ];
-    for (group, kind, fig_seed) in [
-        ("fig16-17", ScenarioKind::Grid6, 16u64),
-        ("fig18-19", ScenarioKind::Random10, 18),
-    ] {
-        for (label, t) in multiflow {
-            for bw in PAPER_BANDWIDTHS {
-                jobs.push(JobSpec {
-                    group: group.to_string(),
-                    point: format!("variant={label} bw={bw}"),
-                    kind,
-                    bandwidth: bw,
-                    transport: t,
-                    seed: seed_for(&[fig_seed, bw.bits_per_sec()]),
-                    scale,
-                });
-            }
-        }
-    }
+    variants
+        .into_iter()
+        .map(|(label, t)| {
+            over_bandwidths(
+                group,
+                label,
+                &format!("variant={label}"),
+                kind,
+                t,
+                |bps| seed_for(&[fig_seed, bps]),
+                scale,
+            )
+        })
+        .collect()
+}
 
-    jobs
+/// The full figure suite: every simulation run behind Figures 2–14, the
+/// grid study (Figures 16–17 / Table 3) and the random study (Figures
+/// 18–19 / Table 4) — the figure grids concatenated in paper order.
+pub fn full_suite(scale: ExperimentScale) -> Vec<JobSpec> {
+    FIGURE_GRIDS
+        .into_iter()
+        .flat_map(|grid| grid_jobs(grid(scale)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -487,6 +575,36 @@ mod tests {
         // fig2-3: 3×6, fig4: 3×3, fig5: 4×6, fig6-9: 4×6, fig10: 13,
         // fig11-14: 6×3, grid: 4×3, random: 4×3.
         assert_eq!(jobs.len(), 18 + 9 + 24 + 24 + 13 + 18 + 12 + 12);
+    }
+
+    #[test]
+    fn full_suite_is_the_figure_lists_concatenated() {
+        let scale = ExperimentScale::quick();
+        let lists = [
+            fig2_3(scale),
+            fig4(scale),
+            fig5(scale),
+            fig6_9(scale),
+            fig10(scale),
+            fig11_14(scale),
+            fig16_17(scale),
+            fig18_19(scale),
+        ];
+        let mut groups: Vec<String> = Vec::new();
+        let mut concatenated: Vec<String> = Vec::new();
+        for list in lists {
+            let jobs: Vec<JobSpec> = grid_jobs(list).collect();
+            let group = &jobs[0].group;
+            assert!(
+                jobs.iter().all(|j| &j.group == group),
+                "{group} mixes groups"
+            );
+            assert!(!groups.contains(group), "{group} appears in two lists");
+            groups.push(group.clone());
+            concatenated.extend(jobs.iter().map(JobSpec::key));
+        }
+        let suite: Vec<String> = full_suite(scale).iter().map(JobSpec::key).collect();
+        assert_eq!(suite, concatenated);
     }
 
     #[test]

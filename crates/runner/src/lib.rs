@@ -117,9 +117,14 @@ pub fn simulate(spec: &JobSpec) -> RunResults {
     mwn::experiment::run(&spec.scenario(), spec.scale)
 }
 
-/// Worker count used when [`SweepOptions::workers`] is 0.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
+/// Worker threads for a `--jobs` value or [`SweepOptions::workers`]: 0
+/// means one per available CPU.
+pub fn worker_count(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        jobs
+    }
 }
 
 /// Runs `jobs` on a worker pool, streaming results into the store at
@@ -140,11 +145,7 @@ pub fn run_sweep(
     executor: &(dyn Fn(&JobSpec) -> RunResults + Sync),
 ) -> std::io::Result<SweepSummary> {
     let start = Instant::now();
-    let workers = if opts.workers == 0 {
-        default_workers()
-    } else {
-        opts.workers
-    };
+    let workers = worker_count(opts.workers);
 
     // Deduplicate by content key, preserving first occurrence.
     let mut seen = FxHashSet::default();
@@ -168,21 +169,15 @@ pub fn run_sweep(
     let mut events_processed = 0u64;
 
     pool::run(
-        pending,
+        pending.clone(),
         workers,
-        |spec| match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| executor(spec))) {
-            Ok(results) => {
-                let events = results
-                    .metrics
-                    .as_ref()
-                    .map_or(0, |m| m.profile.events_processed());
-                (store::done_line(spec, &results), false, events)
-            }
-            Err(payload) => (
-                store::failed_line(spec, &pool::panic_message(payload)),
-                true,
-                0,
-            ),
+        |spec| {
+            let results = executor(spec);
+            let events = results
+                .metrics
+                .as_ref()
+                .map_or(0, |m| m.profile.events_processed());
+            (store::done_line(spec, &results), events)
         },
         |event| match event {
             pool::Event::Started { worker, index } => {
@@ -193,16 +188,12 @@ pub fn run_sweep(
                 index,
                 result,
             } => {
-                // The executor is already wrapped in catch_unwind, so the
-                // pool-level Err arm only fires if line *serialization*
-                // panics; fold both into a failed record.
+                // A panic in the executor or in serialising its line is
+                // recorded as a failed line under the job's key, so the
+                // next invocation retries it.
                 let (line, failed, events) = match result {
-                    Ok(triple) => triple,
-                    Err(msg) => (
-                        format!("{{\"type\":\"error\",\"detail\":{msg:?}}}"),
-                        true,
-                        0,
-                    ),
+                    Ok((line, events)) => (line, false, events),
+                    Err(msg) => (store::failed_line(pending[index], &msg), true, 0),
                 };
                 events_processed += events;
                 if let Err(e) = journal.append(&line) {

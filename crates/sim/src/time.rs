@@ -98,8 +98,16 @@ impl SimDuration {
     }
 
     /// Creates a duration from whole seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the duration does not fit in `u64` nanoseconds (about
+    /// 584 years).
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        match s.checked_mul(1_000_000_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration overflow"),
+        }
     }
 
     /// Creates a duration from fractional seconds, rounding to nanoseconds.
@@ -301,6 +309,14 @@ mod tests {
             SimDuration::from_nanos(5).saturating_sub(SimDuration::from_nanos(9)),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn from_secs_panics_on_overflow() {
+        let max = u64::MAX / 1_000_000_000;
+        assert_eq!(SimDuration::from_secs(max).as_nanos(), max * 1_000_000_000);
+        let _ = SimDuration::from_secs(max + 1);
     }
 
     #[test]

@@ -51,6 +51,14 @@ if [ "$t1" != "$t4" ]; then
     exit 1
 fi
 
+# Paper reproduction smoke: one figure through `mwn repro` on the worker
+# pool (one worker per CPU) must exit 0 and print its CSV header. About
+# 5 s at quick scale.
+echo "==> mwn repro fig4 --csv"
+repro_csv=$(cargo run --release -q -p mwn-cli -- repro fig4 --scale 1 --jobs 0 --csv 2>/dev/null)
+sed -n 2p <<<"$repro_csv" | grep -qx "Mbit/s,Vegas_a=2,Vegas_a=2_ci95,Vegas_a=3,Vegas_a=3_ci95,Vegas_a=4,Vegas_a=4_ci95" || {
+    echo "error: mwn repro fig4 --csv header mismatch" >&2; exit 1; }
+
 # Store analytics smoke: a tiny instrumented chain sweep must aggregate
 # through `mwn report` in table, CSV and self-diff modes. Uses a temp
 # store so reruns start clean.
