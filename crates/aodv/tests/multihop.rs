@@ -44,7 +44,7 @@ impl Line {
         }
     }
 
-    fn neighbors(&self, i: usize) -> Vec<usize> {
+    fn chain_neighbors(&self, i: usize) -> Vec<usize> {
         let mut v = Vec::new();
         if i > 0 {
             v.push(i - 1);
@@ -62,13 +62,13 @@ impl Line {
                     packet, next_hop, ..
                 } => {
                     if next_hop.is_broadcast() {
-                        for n in self.neighbors(node) {
+                        for n in self.chain_neighbors(node) {
                             self.in_flight.push_back((n, node, packet.clone()));
                         }
                     } else {
                         let hop = next_hop.index();
                         assert!(
-                            self.neighbors(node).contains(&hop),
+                            self.chain_neighbors(node).contains(&hop),
                             "n{node} routed to non-neighbor {next_hop}"
                         );
                         self.in_flight.push_back((hop, node, packet));

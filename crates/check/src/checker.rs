@@ -9,7 +9,7 @@
 //!
 //! Geometry-dependent rules (carrier sense, NAV) rebuild the same
 //! [`Medium`] the simulation used, so arrival times match the traced
-//! timestamps bit for bit; they are skipped under mobility, where the
+//! event times bit for bit; they are skipped under mobility, where the
 //! static geometry assumption does not hold.
 
 use std::collections::{HashMap, HashSet};

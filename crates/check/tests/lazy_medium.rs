@@ -110,7 +110,8 @@ proptest! {
             prop_assert_eq!(medium.effects_of(tx), expected.as_slice());
         }
         let c = medium.counters();
-        prop_assert!(c.queries >= c.rebuilds + c.revalidations);
+        prop_assert!(c.queries >= c.rebuilds);
+        prop_assert_eq!(c.revalidations, 0);
         prop_assert_eq!(c.epoch, medium.epoch());
     }
 }

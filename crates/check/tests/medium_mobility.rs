@@ -12,14 +12,39 @@
 //! deliberately *sparse* — only a rotating subset of nodes is refreshed
 //! each tick, so staleness accumulates across many epochs before a node
 //! is read, exactly the transmission pattern the lazy medium optimizes
-//! for. A missed stamp, an under-scanned neighborhood, or a premature
-//! revalidation would surface here as a divergent refresh.
+//! for. A list served without the rebuild a move batch demands would
+//! surface here as a divergent refresh, and a rebuild the staleness rule
+//! does not call for as a counter mismatch.
 
 use mwn::mobility::{MobilityModel, RandomWaypoint};
 use mwn::{topology, SimDuration};
 use mwn_phy::{Medium, Position, RangeModel, ReferenceMedium};
 use mwn_pkt::NodeId;
 use mwn_sim::Pcg32;
+
+/// The medium's staleness rule, modelled outside it: the epoch each
+/// node's list was last built at (0 = the construction build), and the
+/// queries that found their list built at the current epoch.
+struct Staleness {
+    built: Vec<u64>,
+    hits: u64,
+}
+
+impl Staleness {
+    fn new(nodes: usize) -> Self {
+        Staleness {
+            built: vec![0; nodes],
+            hits: 0,
+        }
+    }
+
+    /// Every query either hits or rebuilds, and it rebuilds iff a move
+    /// batch happened since the list was built.
+    fn assert_matches(&self, c: &mwn_phy::MediumCounters) {
+        assert_eq!(c.queries, self.hits + c.rebuilds, "{c:?}");
+        assert_eq!(c.revalidations, 0);
+    }
+}
 
 /// Refreshes `grid`'s list for every node satisfying `pick` and compares
 /// it against the dense oracle, which is recomputed eagerly every tick.
@@ -28,6 +53,7 @@ fn assert_media_agree(
     dense: &ReferenceMedium,
     tick: usize,
     pick: impl Fn(usize) -> bool,
+    model: &mut Staleness,
 ) {
     assert_eq!(
         grid.positions(),
@@ -36,6 +62,10 @@ fn assert_media_agree(
     );
     for tx in (0..grid.positions().len()).filter(|&tx| pick(tx)) {
         let id = NodeId(tx as u32);
+        if model.built[tx] == grid.epoch() {
+            model.hits += 1;
+        }
+        model.built[tx] = grid.epoch();
         assert_eq!(
             grid.refresh(id),
             dense.effects_of(id),
@@ -62,7 +92,8 @@ fn waypoint_trajectories_keep_lazy_and_dense_media_identical() {
     let mut model = MobilityModel::new(params, topo.positions().to_vec(), Pcg32::new(99));
     let mut grid = Medium::new(topo.positions().to_vec(), RangeModel::paper());
     let mut dense = ReferenceMedium::new(topo.positions().to_vec(), RangeModel::paper());
-    assert_media_agree(&mut grid, &dense, 0, |_| true);
+    let mut staleness = Staleness::new(40);
+    assert_media_agree(&mut grid, &dense, 0, |_| true, &mut staleness);
 
     let mut moves: Vec<(NodeId, Position)> = Vec::new();
     for tick in 1..=300 {
@@ -77,25 +108,25 @@ fn waypoint_trajectories_keep_lazy_and_dense_media_identical() {
         grid.move_nodes(&moves);
         dense.move_nodes(&moves);
         let full = tick % 25 == 0 || tick == 300;
-        assert_media_agree(&mut grid, &dense, tick, |tx| full || (tx + tick) % 3 == 0);
+        assert_media_agree(
+            &mut grid,
+            &dense,
+            tick,
+            |tx| full || (tx + tick) % 3 == 0,
+            &mut staleness,
+        );
     }
     let c = grid.counters();
     assert!(c.epoch > 0, "trajectories never moved anything");
-    assert_eq!(c.queries, c.rebuilds + c.revalidations + fast_hits(&c));
-}
-
-fn fast_hits(c: &mwn_phy::MediumCounters) -> u64 {
-    c.queries - c.rebuilds - c.revalidations
+    staleness.assert_matches(&c);
 }
 
 /// Long pauses make the per-tick moved set *sparse* (most nodes paused,
-/// a few in flight) — the regime where most refreshes should resolve as
-/// cheap revalidations (nothing moved near the queried node) and a
-/// revalidation that wrongly skips a genuinely changed neighborhood
-/// would get away with it for many ticks before diverging. The field is
-/// a 150-node paper-density draw (~2800 × 1100 m²): wide enough that a
-/// 3×3 cell neighborhood (1650 m at the 550 m cell size) does *not*
-/// cover the whole field, so revalidation is geometrically possible.
+/// a few in flight): most queried lists saw nothing move near them, and
+/// a refresh that skipped a genuinely changed neighborhood would get
+/// away with it for many ticks before diverging. The field is a 150-node
+/// paper-density draw (~2800 × 1100 m²), wider than one node's 3×3 grid
+/// cell neighborhood (1650 m at the 550 m cell size).
 #[test]
 fn sparse_moves_under_long_pauses_stay_identical() {
     let (width, height) = topology::random_large_dims(150);
@@ -113,6 +144,7 @@ fn sparse_moves_under_long_pauses_stay_identical() {
     let mut model = MobilityModel::new(params, topo.positions().to_vec(), Pcg32::new(5));
     let mut grid = Medium::new(topo.positions().to_vec(), RangeModel::paper());
     let mut dense = ReferenceMedium::new(topo.positions().to_vec(), RangeModel::paper());
+    let mut staleness = Staleness::new(150);
 
     let mut moves: Vec<(NodeId, Position)> = Vec::new();
     let mut saw_sparse_tick = false;
@@ -130,18 +162,17 @@ fn sparse_moves_under_long_pauses_stay_identical() {
         grid.move_nodes(&moves);
         dense.move_nodes(&moves);
         let full = tick % 200 == 0 || tick == 2000;
-        assert_media_agree(&mut grid, &dense, tick, |tx| {
-            full || (tx * 7 + tick) % 5 == 0
-        });
+        assert_media_agree(
+            &mut grid,
+            &dense,
+            tick,
+            |tx| full || (tx * 7 + tick) % 5 == 0,
+            &mut staleness,
+        );
     }
     assert!(
         saw_sparse_tick,
         "pause regime never produced a sparse move batch; test lost its point"
     );
-    let c = grid.counters();
-    assert!(
-        c.revalidations > 0,
-        "sparse movement never produced a rebuild-free revalidation; \
-         the cheap tier is dead code under the regime built to exercise it"
-    );
+    staleness.assert_matches(&grid.counters());
 }

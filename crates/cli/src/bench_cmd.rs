@@ -11,8 +11,8 @@
 //! ```text
 //! mwn bench                      run the full set, compare vs the baseline
 //! mwn bench --quick              run the quick subset only (CI gate)
-//! mwn bench --check              exit non-zero when a case's wall time regresses >20%
-//!                                or its events/packet grows >1%
+//! mwn bench --check              exit non-zero when a case's wall time regresses >20%,
+//!                                its events/packet grows >1% or its medium rebuilds grow
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
@@ -28,6 +28,7 @@ use mwn::{
 };
 use mwn_obs::json::Obj;
 use mwn_phy::{DataRate, MediumCounters};
+use mwn_runner::query::Json;
 
 use crate::args::{parse, reject_leftovers, take_flag, take_value};
 
@@ -310,12 +311,12 @@ struct Measurement {
     /// Best (smallest) wall time over the repeats.
     wall_secs: f64,
     /// Wall seconds the best run spent in the mobility tick proper:
-    /// position diffs, grid relocation and epoch stamping (0 for static
+    /// position diffs, grid relocation and the epoch bump (0 for static
     /// scenarios). `medium_tick` profile bucket.
     medium_tick_secs: f64,
     /// Wall seconds the best run spent keeping effect lists current at
-    /// transmission time: revalidations, rebuilds and sorts into arrival
-    /// order (`medium_revalidate` + `medium_lazy` + `medium_sort`).
+    /// transmission time: rebuilds and sorts into arrival order
+    /// (`medium_lazy` + `medium_sort`).
     medium_lazy_secs: f64,
     /// Per-receiver signal edges the best run's waves delivered.
     signal_edges: u64,
@@ -327,8 +328,8 @@ struct Measurement {
     nav_parked: u64,
     nav_materialised: u64,
     mac_batches_without_actions: u64,
-    /// The best run's lazy-medium counters (rebuilds, revalidations, and
-    /// sorts into arrival order — at most `rebuilds + nodes`).
+    /// The best run's lazy-medium counters (rebuilds, and sorts into
+    /// arrival order — at most `rebuilds + nodes`).
     medium: MediumCounters,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
@@ -385,7 +386,6 @@ impl Measurement {
                 self.mac_batches_without_actions,
             )
             .u64("medium_rebuilds", self.medium.rebuilds)
-            .u64("medium_revalidations", self.medium.revalidations)
             .u64("medium_sorts", self.medium.sorts)
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
@@ -418,10 +418,7 @@ fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
             sim_secs: net.now().as_secs_f64(),
             wall_secs,
             medium_tick_secs: profile.timed_secs("medium_tick"),
-            medium_lazy_secs: ["medium_revalidate", "medium_lazy", "medium_sort"]
-                .map(|kind| profile.timed_secs(kind))
-                .iter()
-                .sum(),
+            medium_lazy_secs: profile.timed_secs("medium_lazy") + profile.timed_secs("medium_sort"),
             signal_edges: profile.signal_edges(),
             wave_yields: profile.wave_yields(),
             ratios: WaveRatios::new(profile, net.total_delivered()),
@@ -468,8 +465,15 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         return Err("--record requires the full scenario set (drop --case)".to_string());
     }
 
-    let baseline = std::fs::read_to_string(&out).ok();
-    let baseline_rows = baseline.as_deref().map(last_entry);
+    let baseline = match std::fs::read_to_string(&out) {
+        Ok(text) => Some(Baseline::parse(text).map_err(|e| format!("{out}: {e}"))?),
+        Err(_) => None,
+    };
+    if let Some(label) = &record {
+        // Dry-run the rewrite: a refusal must cost no run.
+        render_file(baseline.as_ref(), label, &[]).map_err(|e| format!("{out}: {e}"))?;
+    }
+    let baseline_rows = baseline.as_ref().map(Baseline::last_entry);
 
     let selected: Vec<BenchCase> = cases()
         .into_iter()
@@ -496,6 +500,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let mut worst_ratio: Option<(f64, &'static str)> = None;
     // Largest events/packet growth over the baseline (1.0 = unchanged).
     let mut worst_growth: Option<(f64, &'static str)> = None;
+    // Largest medium-rebuild excess over the baseline (0 = unchanged).
+    let mut worst_rebuilds: Option<(i64, &'static str)> = None;
     for case in &selected {
         let m = run_case(case, repeat);
         let eps = m.events_per_sec();
@@ -508,6 +514,11 @@ pub fn command(argv: &[String]) -> Result<(), String> {
             let growth = m.ratios.events_per_pkt / base_epp;
             if worst_growth.is_none_or(|(g, _)| growth > g) {
                 worst_growth = Some((growth, m.name));
+            }
+        }
+        if let Some(excess) = base.and_then(|b| rebuild_excess(m.medium.rebuilds, b)) {
+            if worst_rebuilds.is_none_or(|(e, _)| excess > e) {
+                worst_rebuilds = Some((excess, m.name));
             }
         }
         // Derived medium share of wall: a column on every row (static
@@ -541,7 +552,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     }
 
     if let Some(label) = record {
-        let text = render_file(baseline.as_deref(), &label, &measurements)?;
+        let text = render_file(baseline.as_ref(), &label, &measurements)?;
         std::fs::write(&out, text).map_err(|e| format!("writing {out}: {e}"))?;
         println!("recorded entry {label:?} in {out}");
     }
@@ -578,14 +589,26 @@ pub fn command(argv: &[String]) -> Result<(), String> {
                 "check passed: worst scenario {name} at {growth:.3}x of the committed baseline's events/packet"
             );
         }
+        // Entries older than PR 28 carry no rebuild count; nothing to gate.
+        if let Some((excess, name)) = worst_rebuilds {
+            if excess > 0 {
+                return Err(format!(
+                    "medium-rebuild regression: {name} rebuilt {excess} more effect lists \
+                     than the committed baseline (exact gate: any growth fails)"
+                ));
+            }
+            println!(
+                "check passed: worst scenario {name} at {excess:+} medium rebuilds vs the committed baseline"
+            );
+        }
     }
     Ok(())
 }
 
 // ---- BENCH_engine.json ----------------------------------------------------
 //
-// The file is JSON, laid out one entry per line so entries can be parsed
-// (and preserved across `--record`) without a full JSON parser:
+// The file is JSON, written one entry per line so `--record` appends an
+// entry by rewriting the lines it read:
 //
 //   {
 //     "schema": "mwn-bench-engine/1",
@@ -594,15 +617,69 @@ pub fn command(argv: &[String]) -> Result<(), String> {
 //       {"label":"...","scenarios":[{...},{...}]}
 //     ]
 //   }
+//
+// Reading parses the whole document, so a reformatted file still serves
+// as a baseline; `--record` refuses to rewrite one whose entries are not
+// one per line instead of dropping them.
 
-/// Extracts the existing entry lines (everything inside `"entries": [...]`
-/// that looks like an entry object).
-fn entry_lines(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with(r#"{"label""#))
-        .map(|l| l.trim_end_matches(',').to_string())
-        .collect()
+/// A parsed baseline file.
+struct Baseline {
+    text: String,
+    entries: Vec<Json>,
+}
+
+impl Baseline {
+    fn parse(text: String) -> Result<Self, String> {
+        let doc = Json::parse(&text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+        let entries = doc
+            .get("entries")
+            .and_then(Json::as_arr)
+            .ok_or("baseline has no \"entries\" array")?
+            .to_vec();
+        Ok(Baseline { text, entries })
+    }
+
+    /// The scenario rows of the *last* (most recent) entry.
+    fn last_entry(&self) -> Vec<BaselineRow> {
+        let scenarios = self
+            .entries
+            .last()
+            .and_then(|e| e.get("scenarios"))
+            .and_then(Json::as_arr)
+            .unwrap_or_default();
+        scenarios
+            .iter()
+            .filter_map(|s| {
+                let num = |key| s.get(key).and_then(Json::as_f64);
+                Some(BaselineRow {
+                    name: s.get("name")?.as_str()?.to_string(),
+                    wall_secs: num("wall_secs")?,
+                    events_per_sec: num("events_per_sec")?,
+                    events_per_pkt: num("events_per_pkt"),
+                    medium_rebuilds: s.get("medium_rebuilds").and_then(Json::as_u64),
+                })
+            })
+            .collect()
+    }
+
+    /// The entry lines `--record` keeps, or an error when they are not
+    /// all of the parsed entries.
+    fn entry_lines(&self) -> Result<Vec<String>, String> {
+        let lines: Vec<String> = self
+            .text
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with(r#"{"label""#))
+            .map(|l| l.trim_end_matches(',').to_string())
+            .collect();
+        if lines.len() != self.entries.len() {
+            return Err(format!(
+                "entries are not one per line; refusing to rewrite {} entries",
+                self.entries.len()
+            ));
+        }
+        Ok(lines)
+    }
 }
 
 /// One scenario row of a committed entry, as far as `--check` reads it.
@@ -612,42 +689,14 @@ struct BaselineRow {
     events_per_sec: f64,
     /// `None` in entries recorded before the key existed.
     events_per_pkt: Option<f64>,
+    /// `None` in entries recorded before the key existed.
+    medium_rebuilds: Option<u64>,
 }
 
-/// The scenario rows of the *last* (most recent) entry.
-fn last_entry(text: &str) -> Vec<BaselineRow> {
-    let Some(last) = entry_lines(text).into_iter().next_back() else {
-        return Vec::new();
-    };
-    // Scenario objects never nest, so splitting on '{' yields one chunk
-    // per scenario object (plus the entry prefix, which has no "name").
-    last.split('{')
-        .filter_map(|chunk| {
-            Some(BaselineRow {
-                name: extract_str(chunk, "name")?,
-                wall_secs: extract_num(chunk, "wall_secs")?,
-                events_per_sec: extract_num(chunk, "events_per_sec")?,
-                events_per_pkt: extract_num(chunk, "events_per_pkt"),
-            })
-        })
-        .collect()
-}
-
-fn extract_str(chunk: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = chunk.find(&pat)? + pat.len();
-    let end = chunk[start..].find('"')?;
-    Some(chunk[start..start + end].to_string())
-}
-
-fn extract_num(chunk: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = chunk.find(&pat)? + pat.len();
-    let rest = &chunk[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Effect-list rebuilds a case paid beyond its baseline row's (positive
+/// fails `--check`), or `None` when the row predates the key.
+fn rebuild_excess(rebuilds: u64, base: &BaselineRow) -> Option<i64> {
+    base.medium_rebuilds.map(|b| rebuilds as i64 - b as i64)
 }
 
 fn render_entry(label: &str, measurements: &[Measurement]) -> String {
@@ -666,20 +715,24 @@ fn quoted(s: &str) -> String {
 }
 
 fn render_file(
-    existing: Option<&str>,
+    existing: Option<&Baseline>,
     label: &str,
     measurements: &[Measurement],
 ) -> Result<String, String> {
-    let mut entries = existing.map(entry_lines).unwrap_or_default();
-    let taken: Vec<String> = entries
-        .iter()
-        .filter_map(|e| extract_str(e, "label"))
+    let mut entries = existing
+        .map(Baseline::entry_lines)
+        .transpose()?
+        .unwrap_or_default();
+    let taken: Vec<&str> = existing
+        .into_iter()
+        .flat_map(|b| &b.entries)
+        .filter_map(|e| e.get("label")?.as_str())
         .collect();
-    if taken.iter().any(|t| t == label) {
+    if taken.contains(&label) {
         // Suggest the first numeric suffix that is actually free.
         let suggestion = (2..)
             .map(|i| format!("{label}-{i}"))
-            .find(|s| !taken.iter().any(|t| t == s))
+            .find(|s| !taken.contains(&s.as_str()))
             .expect("unbounded suffix search");
         return Err(format!(
             "entry {label:?} already recorded; baseline entries are append-only \
@@ -730,7 +783,6 @@ mod tests {
             mac_batches_without_actions: 900,
             medium: MediumCounters {
                 rebuilds: 40,
-                revalidations: 7,
                 sorts: 49,
                 ..MediumCounters::default()
             },
@@ -739,20 +791,75 @@ mod tests {
         }
     }
 
+    fn parsed(text: &str) -> Baseline {
+        Baseline::parse(text.to_string()).expect("valid baseline")
+    }
+
     #[test]
     fn file_roundtrip_preserves_entries() {
         let first = render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap();
         assert!(first.contains(SCHEMA));
-        let second = render_file(Some(&first), "post", &[meas("a", 4000, 0.5)]).unwrap();
-        assert_eq!(entry_lines(&second).len(), 2);
+        let second = render_file(Some(&parsed(&first)), "post", &[meas("a", 4000, 0.5)]).unwrap();
+        let second = parsed(&second);
+        assert_eq!(second.entries.len(), 2);
+        assert_eq!(second.entry_lines().unwrap().len(), 2);
         // The comparison baseline is the most recent entry.
-        let rows = last_entry(&second);
+        let rows = second.last_entry();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "a");
         assert!((rows[0].wall_secs - 0.5).abs() < 1e-12);
         assert!((rows[0].events_per_sec - 8000.0).abs() < 1e-9);
-        // The host-independent gate reads this one.
+        // The host-independent gates read these.
         assert_eq!(rows[0].events_per_pkt, Some(40.0));
+        assert_eq!(rows[0].medium_rebuilds, Some(40));
+    }
+
+    /// A baseline reformatted by a JSON tool (one key per line) still
+    /// serves `--check`, but `--record` must not rewrite it from the
+    /// entry lines it can no longer find.
+    #[test]
+    fn reformatted_baseline_is_read_but_never_rewritten() {
+        let first = render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap();
+        let two = render_file(Some(&parsed(&first)), "post", &[meas("a", 4000, 0.25)]).unwrap();
+        let pretty = parsed(&two.replace(r#"{"label":"#, "{\n      \"label\": "));
+        let rows = pretty.last_entry();
+        assert_eq!(rows.len(), 1);
+        assert!(
+            (rows[0].wall_secs - 0.25).abs() < 1e-12,
+            "not the last entry"
+        );
+        let err = render_file(Some(&pretty), "next", &[meas("a", 1, 1.0)]).unwrap_err();
+        assert!(
+            err.contains("refusing to rewrite 2 entries"),
+            "unhelpful error: {err}"
+        );
+    }
+
+    #[test]
+    fn unparsable_baseline_is_an_error_not_an_empty_one() {
+        for text in ["", "{\"entries\": [", "{\"schema\": \"x\"}", "[]"] {
+            assert!(Baseline::parse(text.to_string()).is_err(), "{text:?}");
+        }
+        assert!(parsed(r#"{"entries": []}"#).last_entry().is_empty());
+    }
+
+    #[test]
+    fn rebuild_gate_fails_on_growth_only() {
+        let row = |medium_rebuilds| BaselineRow {
+            name: "a".to_string(),
+            wall_secs: 1.0,
+            events_per_sec: 1.0,
+            events_per_pkt: None,
+            medium_rebuilds,
+        };
+        assert_eq!(rebuild_excess(41, &row(Some(40))), Some(1), "more fails");
+        assert_eq!(rebuild_excess(40, &row(Some(40))), Some(0), "equal passes");
+        assert_eq!(rebuild_excess(3, &row(Some(40))), Some(-37), "fewer passes");
+        assert_eq!(
+            rebuild_excess(40, &row(None)),
+            None,
+            "pre-PR-28 row skipped"
+        );
     }
 
     #[test]
@@ -780,44 +887,38 @@ mod tests {
 
     #[test]
     fn duplicate_label_rejected_with_a_free_suggestion() {
-        let first = render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap();
+        let first = parsed(&render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap());
         let err = render_file(Some(&first), "pre", &[meas("a", 1, 1.0)]).unwrap_err();
         assert!(err.contains("\"pre-2\""), "unhelpful error: {err}");
         // The suggestion skips suffixes that are themselves taken.
         let second = render_file(Some(&first), "pre-2", &[meas("a", 1000, 0.5)]).unwrap();
-        let err = render_file(Some(&second), "pre", &[meas("a", 1, 1.0)]).unwrap_err();
+        let err = render_file(Some(&parsed(&second)), "pre", &[meas("a", 1, 1.0)]).unwrap_err();
         assert!(err.contains("\"pre-3\""), "suggestion not free: {err}");
     }
 
     #[test]
     fn fmt_f64_in_scenario_json_is_parseable() {
-        let line = meas("chain", 123, 0.25).to_json();
-        assert_eq!(extract_str(&line, "name").as_deref(), Some("chain"));
-        assert_eq!(extract_num(&line, "events"), Some(123.0));
-        assert_eq!(extract_num(&line, "events_per_sec"), Some(492.0));
-        assert_eq!(extract_num(&line, "bytes_per_node"), Some(2048.0));
-        assert_eq!(
-            extract_num(&line, "peak_rss_bytes"),
-            Some((64u64 << 20) as f64)
-        );
-        assert_eq!(extract_num(&line, "medium_tick_secs"), Some(0.045));
-        assert_eq!(extract_num(&line, "medium_lazy_secs"), Some(0.08));
+        let row = Json::parse(&meas("chain", 123, 0.25).to_json()).unwrap();
+        let num = |key| row.get(key).and_then(Json::as_f64);
+        assert_eq!(row.get("name").and_then(Json::as_str), Some("chain"));
+        assert_eq!(num("events"), Some(123.0));
+        assert_eq!(num("events_per_sec"), Some(492.0));
+        assert_eq!(num("bytes_per_node"), Some(2048.0));
+        assert_eq!(num("peak_rss_bytes"), Some((64u64 << 20) as f64));
+        assert_eq!(num("medium_tick_secs"), Some(0.045));
+        assert_eq!(num("medium_lazy_secs"), Some(0.08));
         // Receptions per transmission stay visible now that they are no
         // longer an event count.
-        assert_eq!(extract_num(&line, "signal_edges"), Some(4000.0));
-        assert_eq!(extract_num(&line, "wave_yields"), Some(30.0));
-        assert_eq!(extract_num(&line, "rx_per_tx"), Some(4.0));
-        assert_eq!(extract_num(&line, "wave_yield_share"), Some(0.25));
-        assert_eq!(extract_num(&line, "events_per_pkt"), Some(1.23));
-        assert_eq!(extract_num(&line, "nav_parked"), Some(70.0));
-        assert_eq!(extract_num(&line, "nav_materialised"), Some(2.0));
-        assert_eq!(
-            extract_num(&line, "mac_batches_without_actions"),
-            Some(900.0)
-        );
-        assert_eq!(extract_num(&line, "medium_rebuilds"), Some(40.0));
-        assert_eq!(extract_num(&line, "medium_revalidations"), Some(7.0));
-        assert_eq!(extract_num(&line, "medium_sorts"), Some(49.0));
+        assert_eq!(num("signal_edges"), Some(4000.0));
+        assert_eq!(num("wave_yields"), Some(30.0));
+        assert_eq!(num("rx_per_tx"), Some(4.0));
+        assert_eq!(num("wave_yield_share"), Some(0.25));
+        assert_eq!(num("events_per_pkt"), Some(1.23));
+        assert_eq!(num("nav_parked"), Some(70.0));
+        assert_eq!(num("nav_materialised"), Some(2.0));
+        assert_eq!(num("mac_batches_without_actions"), Some(900.0));
+        assert_eq!(num("medium_rebuilds"), Some(40.0));
+        assert_eq!(num("medium_sorts"), Some(49.0));
     }
 
     #[test]
@@ -843,10 +944,17 @@ mod tests {
             line.contains(r#""peak_rss_bytes":null"#),
             "schema lost the field: {line}"
         );
-        assert_eq!(extract_num(&line, "peak_rss_bytes"), None);
+        let row = Json::parse(&line).unwrap();
+        assert_eq!(row.get("peak_rss_bytes"), Some(&Json::Null));
         // The numeric fields around it still parse.
-        assert_eq!(extract_num(&line, "bytes_per_node"), Some(2048.0));
-        assert_eq!(extract_num(&line, "events_per_sec"), Some(492.0));
+        assert_eq!(
+            row.get("bytes_per_node").and_then(Json::as_f64),
+            Some(2048.0)
+        );
+        assert_eq!(
+            row.get("events_per_sec").and_then(Json::as_f64),
+            Some(492.0)
+        );
     }
 
     #[test]

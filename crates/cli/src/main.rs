@@ -103,8 +103,9 @@ fn print_usage() {
          \x20     benchmark scenarios and compare against the committed\n\
          \x20     baseline in BENCH_engine.json. --record appends this run\n\
          \x20     to the baseline file; --check fails when a scenario's\n\
-         \x20     wall time is >20% slower than the baseline's or its\n\
-         \x20     events per delivered packet grew >1%\n\
+         \x20     wall time is >20% slower than the baseline's, its\n\
+         \x20     events per delivered packet grew >1% or its medium\n\
+         \x20     rebuilds grew at all\n\
          \x20     (CI sets MWN_BENCH_SKIP=1 on machines too noisy to gate).\n\n\
          \x20 mwn traffic [--nodes N] [--flows F] [--profile web|mixed|heavy]\n\
          \x20             [--load F] [--transport <variant>] [--rate 2|5.5|11]\n\

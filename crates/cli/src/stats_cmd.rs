@@ -134,11 +134,10 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     let timed = m.profile.timed();
     let calls = |kind: &str| timed.iter().find(|t| t.0 == kind).map_or(0, |t| t.1);
     println!(
-        "  medium sorts     {:>12}  (≤ {} rebuilds + {} nodes; {} revalidations)",
+        "  medium sorts     {:>12}  (≤ {} rebuilds + {} nodes)",
         calls("medium_sort"),
         calls("medium_lazy"),
-        scenario.topology.len(),
-        calls("medium_revalidate")
+        scenario.topology.len()
     );
     for (kind, invocations, secs) in timed {
         println!(

@@ -80,3 +80,32 @@ fn bad_arguments_exit_2_before_anything_runs() {
         assert!(out.stdout == usage, "{args:?} printed more than usage");
     }
 }
+
+/// A baseline file reformatted by a JSON tool (one key per line) no
+/// longer holds its entries one per line. `mwn bench --record` must
+/// refuse before running anything and leave the file byte for byte as it
+/// was, instead of rewriting it with the new entry alone.
+#[test]
+fn bench_record_refuses_a_reformatted_baseline() {
+    let path = std::env::temp_dir().join(format!("mwn-bench-pretty-{}.json", std::process::id()));
+    let pretty = "{\n  \"schema\": \"mwn-bench-engine/1\",\n  \"entries\": [\n    {\n      \
+                  \"label\": \"a\",\n      \"scenarios\": []\n    },\n    {\n      \
+                  \"label\": \"b\",\n      \"scenarios\": []\n    }\n  ]\n}\n";
+    std::fs::write(&path, pretty).expect("write baseline");
+    let out = mwn(&[
+        "bench",
+        "--record",
+        "c",
+        "--out",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    let after = std::fs::read_to_string(&path).expect("read baseline");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(
+        stderr.contains("entries are not one per line; refusing to rewrite 2 entries"),
+        "{stderr}"
+    );
+    assert_eq!(after, pretty, "the baseline was rewritten");
+}

@@ -978,7 +978,7 @@ impl Network {
                     self.moved.push((NodeId(i as u32), new));
                 }
             }
-            // O(moved): positions, grid relocation and epoch stamps only.
+            // O(moved): positions, grid relocation and an epoch bump only.
             // Effect-list rebuilds happen at transmission time and are
             // accounted separately (the `medium_lazy` bucket).
             self.medium.move_nodes(&self.moved);
@@ -996,14 +996,13 @@ impl Network {
     }
 
     /// Drains what `Medium::refresh` accrued into the profile's timed
-    /// buckets (no-op without profiling): revalidations into
-    /// `medium_revalidate`, rebuilds into `medium_lazy`, sorts into
-    /// `medium_sort`. Called once per mobility tick and at the end of
-    /// every run loop, so the buckets are complete whenever a caller reads
-    /// the profile.
+    /// buckets (no-op without profiling): rebuilds into `medium_lazy`,
+    /// sorts into `medium_sort`. Called once per mobility tick and at the
+    /// end of every run loop, so the buckets are complete whenever a
+    /// caller reads the profile.
     fn flush_medium_profile(&mut self) {
         if let Some(p) = &mut self.profile {
-            let tiers = ["medium_revalidate", "medium_lazy", "medium_sort"];
+            let tiers = ["medium_lazy", "medium_sort"];
             for (kind, (calls, secs)) in tiers.into_iter().zip(self.medium.take_lazy_profile()) {
                 p.record_timed_n(kind, calls, secs);
             }
@@ -1011,7 +1010,7 @@ impl Network {
     }
 
     /// Cumulative lazy-medium statistics (epoch, queries, rebuilds,
-    /// revalidations, sorts) since construction.
+    /// sorts) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
     }

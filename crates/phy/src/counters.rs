@@ -21,12 +21,12 @@ pub struct PhyCounters {
 
 /// Cumulative statistics of the lazy epoch-stamped medium (see
 /// `Medium`): how often transmission-time queries found their effect
-/// list already exact, provably unchanged, or actually stale.
+/// list built at the current epoch, or stale.
 ///
-/// `queries = fast-path hits + revalidations + rebuilds` — the fast-path
-/// count is the difference. A mobile workload where `rebuilds` stays far
-/// below `epoch × nodes` is exactly the regime the lazy medium exists
-/// for: most nodes move every tick but transmit rarely.
+/// `queries = fast-path hits + rebuilds` — the fast-path count is the
+/// difference. A mobile workload where `rebuilds` stays far below
+/// `epoch × nodes` is exactly the regime the lazy medium exists for: most
+/// nodes move every tick but transmit rarely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumCounters {
     /// Global move epoch (one bump per non-empty move batch).
@@ -35,8 +35,8 @@ pub struct MediumCounters {
     pub queries: u64,
     /// Queries that paid an O(k) effect-list rebuild.
     pub rebuilds: u64,
-    /// Queries whose 3×3 neighborhood carried no newer stamp: marked
-    /// current without rebuilding.
+    /// Always 0; kept only so the frozen benchmark source under `bench/`
+    /// (which reads it) compiles. Delete with ROADMAP item 2(c).
     pub revalidations: u64,
     /// Effect lists put into arrival order: at most one per rebuild plus
     /// one per node per full build, so `sorts ≤ rebuilds + nodes` for a

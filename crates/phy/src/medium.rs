@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use mwn_pkt::NodeId;
-use mwn_sim::{FxHashMap, SimDuration};
+use mwn_sim::SimDuration;
 
 use crate::counters::MediumCounters;
 use crate::grid::SpatialGrid;
@@ -182,19 +182,15 @@ pub struct SignalClass {
 /// # Epoch-stamped laziness
 ///
 /// [`Medium::move_nodes`] is O(moved): it only updates positions,
-/// relocates grid occupants, bumps a global **epoch** and stamps the
-/// touched cells with it. Effect lists are *not* recomputed at move
-/// time. Instead each node carries the epoch its list was last valid at
-/// ([`Medium::refresh`] recomputes on demand): a list built at epoch *e*
-/// is still exact iff no cell in the node's current 3×3 neighborhood
-/// carries a stamp `> e` — every node that moved into, out of, or within
-/// the neighborhood (including the node itself) stamped a neighborhood
-/// cell, because the cell side equals `max_range` and effect lists only
-/// ever contain nodes within `max_range`. At city scale most nodes move
-/// every tick but transmit rarely, so almost all recompute work
-/// vanishes; correctness is unchanged because link sets depend only on
-/// *current* positions at query time (pinned by the lazy-vs-eager
-/// differentials against the dense all-pairs `ReferenceMedium` oracle).
+/// relocates grid occupants and bumps a global **epoch**. Effect lists
+/// are *not* recomputed at move time. Instead each node carries the epoch
+/// its list was built at, and [`Medium::refresh`] rebuilds a list iff
+/// that epoch is not the current one: a list built at epoch *e* is exact
+/// iff no move batch happened since. At city scale most nodes move every
+/// tick but transmit rarely, so almost all recompute work vanishes;
+/// correctness is unchanged because link sets depend only on *current*
+/// positions at query time (pinned by the lazy-vs-eager differentials
+/// against the dense all-pairs `ReferenceMedium` oracle).
 ///
 /// The grid is a pure acceleration structure: candidate receivers still
 /// pass the exact [`RangeModel::classify`] distance tests, and a refreshed
@@ -239,18 +235,13 @@ pub struct Medium {
     /// Global move epoch: bumped once per non-empty [`Medium::move_nodes`]
     /// batch.
     epoch: u64,
-    /// Epoch at which each node's effect list was last known exact.
+    /// Epoch at which each node's effect list was built.
     node_epoch: Vec<u64>,
-    /// Last epoch any occupant of a cell moved into, out of, or within
-    /// it. Entries persist after a cell empties — a stale reader must
-    /// still see that its neighborhood changed. Bounded by the number of
-    /// cells ever occupied.
-    stamps: FxHashMap<(i64, i64), u64>,
     /// Cumulative lazy-path statistics (see [`MediumCounters`]).
     counters: MediumCounters,
-    /// Calls and wall seconds per lazy tier — revalidations, rebuilds,
-    /// sorts — since the last [`Medium::take_lazy_profile`] drain.
-    pending: [(u64, f64); 3],
+    /// Calls and wall seconds per lazy tier — rebuilds, sorts — since the
+    /// last [`Medium::take_lazy_profile`] drain.
+    pending: [(u64, f64); 2],
 }
 
 /// One receiver affected by a given transmitter.
@@ -280,49 +271,29 @@ impl Medium {
         let mut medium = Medium {
             positions,
             ranges,
-            effects: Vec::new(),
+            effects: vec![Vec::new(); n],
             unsorted: vec![true; n],
             grid,
             scratch: Vec::new(),
             epoch: 0,
             node_epoch: vec![0; n],
-            stamps: FxHashMap::default(),
             counters: MediumCounters::default(),
-            pending: [(0, 0.0); 3],
+            pending: [(0, 0.0); 2],
         };
-        medium.recompute_all();
+        medium.build_all();
         medium
     }
 
-    /// Moves the nodes to new positions and recomputes every effect list
-    /// (used when a caller does not track which nodes moved; mobility
-    /// ticks use the incremental [`Medium::move_nodes`]). Signals already
-    /// in flight keep the classification they were launched with — an
-    /// accepted approximation for node speeds far below frame airtimes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of positions changes.
-    pub fn set_positions(&mut self, positions: &[Position]) {
-        assert_eq!(
-            positions.len(),
-            self.positions.len(),
-            "node count is fixed for the lifetime of the medium"
-        );
-        self.positions.copy_from_slice(positions);
-        self.grid = SpatialGrid::build(self.ranges.max_range(), &self.positions);
-        self.recompute_all();
-    }
-
-    /// Applies a batch of position updates lazily, in O(moved): each
-    /// mover is relocated in the grid, its old and new cells are stamped
-    /// with a freshly bumped epoch, and *no* effect list is recomputed —
-    /// stale lists are rebuilt on demand by [`Medium::refresh`] when a
-    /// transmission (or carrier-sense fan-out) actually reads them.
+    /// Applies a batch of position updates lazily, in O(moved): the epoch
+    /// is bumped, each mover is relocated in the grid, and *no* effect
+    /// list is recomputed — stale lists are rebuilt on demand by
+    /// [`Medium::refresh`] when a transmission (or carrier-sense fan-out)
+    /// actually reads them.
     ///
     /// Duplicate ids in `moves` are applied in order (last position
     /// wins). Signals already in flight keep the classification they
-    /// were launched with, exactly as [`Medium::set_positions`].
+    /// were launched with — an accepted approximation for node speeds far
+    /// below frame airtimes.
     ///
     /// # Panics
     ///
@@ -332,32 +303,21 @@ impl Medium {
             return;
         }
         self.epoch += 1;
-        let epoch = self.epoch;
         for &(id, new) in moves {
             assert!(
                 id.index() < self.positions.len(),
                 "move references node {id:?} outside the medium"
             );
-            let old = self.positions[id.index()];
-            let old_cell = self.grid.cell_of(old);
-            let new_cell = self.grid.cell_of(new);
-            self.grid.relocate(id.raw(), old, new);
+            self.grid
+                .relocate(id.raw(), self.positions[id.index()], new);
             self.positions[id.index()] = new;
-            // Stamp the old cell even for a within-cell move: the
-            // distances to every neighbor changed.
-            self.stamps.insert(old_cell, epoch);
-            if new_cell != old_cell {
-                self.stamps.insert(new_cell, epoch);
-            }
         }
     }
 
     /// Brings `tx`'s effect list up to date and returns it in arrival order
-    /// — the hot-path accessor for transmission-time fan-out. Cheapest
-    /// first: a list current at this epoch returns at once; one whose 3×3
-    /// cell neighborhood carries no newer stamp is *revalidated* (no
-    /// rebuild; one 9-cell stamp scan per node per epoch); any other is
-    /// rebuilt in O(k). A list a build or rebuild left unsorted is sorted.
+    /// — the hot-path accessor for transmission-time fan-out. A list built
+    /// at this epoch returns at once; any other is rebuilt in O(k). A list
+    /// a build or rebuild left unsorted is sorted.
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
         let i = tx.index();
         self.counters.queries += 1;
@@ -366,23 +326,17 @@ impl Medium {
         }
         let mut mark = Instant::now();
         if self.node_epoch[i] != self.epoch {
-            let tier = if self.max_stamp_near(self.positions[i]) <= self.node_epoch[i] {
-                self.counters.revalidations += 1;
-                0
-            } else {
-                self.fill_effects(i);
-                self.unsorted[i] = true;
-                self.counters.rebuilds += 1;
-                1
-            };
+            self.fill_effects(i);
             self.node_epoch[i] = self.epoch;
-            mark = self.accrue(tier, mark);
+            self.unsorted[i] = true;
+            self.counters.rebuilds += 1;
+            mark = self.accrue(0, mark);
         }
         if self.unsorted[i] {
             sort_into_arrival_order(&mut self.effects[i]);
             self.unsorted[i] = false;
             self.counters.sorts += 1;
-            self.accrue(2, mark);
+            self.accrue(1, mark);
         }
         &self.effects[i]
     }
@@ -405,28 +359,10 @@ impl Medium {
         }
     }
 
-    /// `true` if `tx`'s effect list is exact for the current positions —
-    /// i.e. [`Medium::effects_of`] may be read without a
-    /// [`Medium::refresh`].
+    /// `true` if `tx`'s effect list was built at the current epoch — i.e.
+    /// [`Medium::effects_of`] may be read without a [`Medium::refresh`].
     pub fn is_fresh(&self, tx: NodeId) -> bool {
-        let i = tx.index();
-        self.node_epoch[i] == self.epoch
-            || self.max_stamp_near(self.positions[i]) <= self.node_epoch[i]
-    }
-
-    /// The largest stamp over the 3×3 cell neighborhood of `p` (0 if no
-    /// occupant of those cells ever moved).
-    fn max_stamp_near(&self, p: Position) -> u64 {
-        let (cx, cy) = self.grid.cell_of(p);
-        let mut max = 0;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(&s) = self.stamps.get(&(cx + dx, cy + dy)) {
-                    max = max.max(s);
-                }
-            }
-        }
-        max
+        self.node_epoch[tx.index()] == self.epoch
     }
 
     /// The current move epoch (0 until the first [`Medium::move_nodes`]).
@@ -443,25 +379,20 @@ impl Medium {
     }
 
     /// Drains the `(calls, wall seconds)` [`Medium::refresh`] spent per
-    /// lazy tier since the last drain: `[revalidations, rebuilds, sorts]`
-    /// — the host feeds these into its engine profile's timed buckets.
-    pub fn take_lazy_profile(&mut self) -> [(u64, f64); 3] {
+    /// lazy tier since the last drain: `[rebuilds, sorts]` — the host
+    /// feeds these into its engine profile's timed buckets.
+    pub fn take_lazy_profile(&mut self) -> [(u64, f64); 2] {
         std::mem::take(&mut self.pending)
     }
 
-    /// Rebuilds every per-transmitter effect list in place via the grid,
-    /// visiting each unordered pair once: distance, class and delay are
-    /// symmetric (squaring the coordinate deltas erases their sign), so
-    /// one exact test feeds both directions' effect lists — bit-identical
-    /// to two independent per-transmitter scans at half the distance
-    /// work, once sorted. Buffers are reused, so a rebuild costs no
-    /// allocations once they have grown to their working size.
-    fn recompute_all(&mut self) {
+    /// Builds every per-transmitter effect list via the grid, visiting
+    /// each unordered pair once: distance, class and delay are symmetric
+    /// (squaring the coordinate deltas erases their sign), so one exact
+    /// test feeds both directions' effect lists — bit-identical to two
+    /// independent per-transmitter scans at half the distance work, once
+    /// sorted.
+    fn build_all(&mut self) {
         let n = self.positions.len();
-        self.effects.resize_with(n, Vec::new);
-        for bucket in &mut self.effects {
-            bucket.clear();
-        }
         let scratch = &mut self.scratch;
         let limit = self.ranges.max_range() + 1e-6;
         let limit2 = limit * limit;
@@ -495,11 +426,6 @@ impl Medium {
                 }
             }
         }
-        self.unsorted.fill(true);
-        // A full rebuild reflects every position: all lists are exact at
-        // the current epoch. (Stamps never exceed the epoch, so the
-        // validity check holds without clearing them.)
-        self.node_epoch.fill(self.epoch);
     }
 
     /// Recomputes `tx`'s effect list in place from its grid neighborhood.
@@ -573,26 +499,6 @@ impl Medium {
         );
         &self.effects[tx.index()]
     }
-
-    /// `true` if `a` can decode frames transmitted by `b` (symmetric in
-    /// this model).
-    pub fn in_tx_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.positions[a.index()].distance_to(self.positions[b.index()]) <= self.ranges.tx_range
-    }
-
-    /// Ids of nodes within transmission range of `node`. Reads the stored
-    /// effect list, with the same freshness contract as
-    /// [`Medium::effects_of`].
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        debug_assert!(
-            self.is_fresh(node),
-            "neighbors({node:?}) on a stale list; call refresh() after move_nodes()"
-        );
-        self.effects[node.index()]
-            .iter()
-            .filter(|e| e.class.decodable)
-            .map(|e| e.node)
-    }
 }
 
 /// Puts an effect list into arrival order: by propagation delay, ties by
@@ -649,22 +555,6 @@ impl ReferenceMedium {
             );
             self.positions[id.index()] = new;
         }
-        self.recompute();
-    }
-
-    /// Replaces every position and recomputes densely; the oracle
-    /// counterpart of [`Medium::set_positions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of positions changes.
-    pub fn set_positions(&mut self, positions: &[Position]) {
-        assert_eq!(
-            positions.len(),
-            self.positions.len(),
-            "node count is fixed for the lifetime of the medium"
-        );
-        self.positions.copy_from_slice(positions);
         self.recompute();
     }
 
@@ -739,7 +629,7 @@ mod tests {
     #[test]
     fn paper_chain_hidden_terminal_geometry() {
         // 8 nodes, 200 m apart: the canonical chain of Fig 1.
-        let m = chain(8, 200.0);
+        let mut m = chain(8, 200.0);
         // Node 3 (600 m from node 0) cannot sense node 0's transmission...
         assert!(!m.effects_of(NodeId(0)).iter().any(|e| e.node == NodeId(3)));
         // ...but interferes at node 1 (400 m away): the hidden terminal.
@@ -749,19 +639,27 @@ mod tests {
             .find(|e| e.node == NodeId(1))
             .expect("node 3 reaches node 1");
         assert!(e.class.interferes && !e.class.decodable);
-        // Adjacent nodes decode each other.
-        assert!(m.in_tx_range(NodeId(0), NodeId(1)));
-        // Two-hop nodes (400 m) sense but cannot decode.
-        assert!(!m.in_tx_range(NodeId(0), NodeId(2)));
+        // Adjacent nodes decode each other; two-hop nodes (400 m) sense
+        // but cannot decode.
+        assert_eq!(decoders(&mut m, 0), [NodeId(1)]);
+        assert_eq!(decoders(&mut m, 1), [NodeId(0), NodeId(2)]);
+    }
+
+    /// The nodes that decode `tx`'s frames, in arrival order.
+    pub(super) fn decoders(m: &mut Medium, tx: u32) -> Vec<NodeId> {
+        m.refresh(NodeId(tx))
+            .iter()
+            .filter(|e| e.class.decodable)
+            .map(|e| e.node)
+            .collect()
     }
 
     #[test]
-    fn neighbors_in_chain() {
-        let m = chain(5, 200.0);
-        let n: Vec<NodeId> = m.neighbors(NodeId(2)).collect();
-        assert_eq!(n, vec![NodeId(1), NodeId(3)]);
-        let n: Vec<NodeId> = m.neighbors(NodeId(0)).collect();
-        assert_eq!(n, vec![NodeId(1)]);
+    fn decodable_effects_in_chain() {
+        let mut m = chain(5, 200.0);
+        // Equidistant receivers arrive together; ties go by node id.
+        assert_eq!(decoders(&mut m, 2), [NodeId(1), NodeId(3)]);
+        assert_eq!(decoders(&mut m, 0), [NodeId(1)]);
     }
 
     #[test]
@@ -789,33 +687,27 @@ mod tests {
 
 #[cfg(test)]
 mod mobility_tests {
+    use super::tests::decoders;
     use super::*;
 
     #[test]
-    fn set_positions_recomputes_effects() {
+    fn moves_recompute_effects() {
         let mut m = Medium::new(
             vec![Position::new(0.0, 0.0), Position::new(200.0, 0.0)],
             RangeModel::paper(),
         );
-        assert!(m.in_tx_range(NodeId(0), NodeId(1)));
+        assert_eq!(decoders(&mut m, 0), [NodeId(1)]);
         // Node 1 walks out of decode range but stays sensed.
-        m.set_positions(&[Position::new(0.0, 0.0), Position::new(400.0, 0.0)]);
-        assert!(!m.in_tx_range(NodeId(0), NodeId(1)));
+        m.move_nodes(&[(NodeId(1), Position::new(400.0, 0.0))]);
+        assert!(decoders(&mut m, 0).is_empty());
         assert!(m.effects_of(NodeId(0)).iter().any(|e| e.class.senses));
         // And fully out of range.
-        m.set_positions(&[Position::new(0.0, 0.0), Position::new(900.0, 0.0)]);
-        assert!(m.effects_of(NodeId(0)).is_empty());
+        m.move_nodes(&[(NodeId(1), Position::new(900.0, 0.0))]);
+        assert!(m.refresh(NodeId(0)).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "node count is fixed")]
-    fn node_count_change_rejected() {
-        let mut m = Medium::new(vec![Position::new(0.0, 0.0)], RangeModel::paper());
-        m.set_positions(&[Position::new(0.0, 0.0), Position::new(1.0, 0.0)]);
-    }
-
-    #[test]
-    fn move_nodes_matches_set_positions() {
+    fn move_nodes_matches_a_fresh_build() {
         let initial = vec![
             Position::new(0.0, 0.0),
             Position::new(200.0, 0.0),
@@ -823,18 +715,17 @@ mod mobility_tests {
             Position::new(600.0, 0.0),
         ];
         let mut incremental = Medium::new(initial.clone(), RangeModel::paper());
-        let mut rebuilt = Medium::new(initial, RangeModel::paper());
         // Node 1 leaves decode range of 0; node 3 walks next to 0.
         let moves = [
             (NodeId(1), Position::new(200.0, 500.0)),
             (NodeId(3), Position::new(100.0, 0.0)),
         ];
         incremental.move_nodes(&moves);
-        let mut positions = rebuilt.positions().to_vec();
+        let mut positions = initial;
         for &(id, p) in &moves {
             positions[id.index()] = p;
         }
-        rebuilt.set_positions(&positions);
+        let mut rebuilt = Medium::new(positions, RangeModel::paper());
         for tx in 0..4u32 {
             assert_eq!(
                 incremental.refresh(NodeId(tx)).to_vec(),
@@ -855,7 +746,7 @@ mod mobility_tests {
             (NodeId(1), Position::new(100.0, 0.0)),
         ]);
         assert_eq!(m.positions()[1], Position::new(100.0, 0.0));
-        assert!(m.in_tx_range(NodeId(0), NodeId(1)));
+        assert_eq!(decoders(&mut m, 0), [NodeId(1)]);
     }
 
     #[test]
@@ -927,8 +818,8 @@ mod mobility_tests {
 mod lazy_tests {
     use super::*;
 
-    /// Two nodes 200 m apart at the origin plus one node 5 km away:
-    /// the far node's 3×3 neighborhood is disjoint from the cluster's.
+    /// Two nodes 200 m apart at the origin plus one node 5 km away,
+    /// beyond every range of the cluster.
     fn cluster_and_far() -> Medium {
         Medium::new(
             vec![
@@ -959,51 +850,55 @@ mod lazy_tests {
     fn refresh_tiers_and_counters() {
         let mut m = cluster_and_far();
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
-        // The mover and its (non-moving) neighbor are both stale; the far
-        // node's neighborhood saw no movement.
-        assert!(!m.is_fresh(NodeId(0)));
-        assert!(!m.is_fresh(NodeId(1)));
-        assert!(m.is_fresh(NodeId(2)));
-        // Tier 3: stale neighborhoods pay a rebuild.
+        // One move batch makes every list stale, near the mover or not.
+        for i in 0..3u32 {
+            assert!(!m.is_fresh(NodeId(i)));
+        }
+        // A stale list pays a rebuild.
         let fx = m.refresh(NodeId(0));
         assert_eq!(fx.len(), 1, "node 1 is ~224 m away");
         assert!(fx[0].class.decodable);
-        m.refresh(NodeId(1));
-        // Tier 2: the far node is revalidated without a rebuild.
         m.refresh(NodeId(2));
-        // Tier 1: a second query at the same epoch is a no-op.
+        // A second query at the same epoch is a no-op.
         m.refresh(NodeId(2));
+        assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(1)));
         let c = m.counters();
-        assert_eq!(c.epoch, 1);
-        assert_eq!(c.queries, 4);
-        assert_eq!(c.rebuilds, 2);
-        assert_eq!(c.revalidations, 1);
+        assert_eq!((c.epoch, c.queries, c.rebuilds), (1, 3, 2));
+        assert_eq!(c.revalidations, 0);
     }
 
     #[test]
     fn take_lazy_profile_drains_rebuild_costs() {
         let mut m = cluster_and_far();
+        m.refresh(NodeId(2)); // only the sort the build left
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
         m.refresh(NodeId(0)); // rebuild, then sort
-        m.refresh(NodeId(2)); // revalidation, then the sort the build left
-        m.refresh(NodeId(2)); // neither
-        let [revalidations, rebuilds, sorts] = m.take_lazy_profile();
-        assert_eq!((revalidations.0, rebuilds.0, sorts.0), (1, 1, 2));
-        assert!(rebuilds.1 >= 0.0);
-        assert_eq!(m.take_lazy_profile(), [(0, 0.0); 3], "drain must reset");
+        m.refresh(NodeId(0)); // neither
+        let [rebuilds, sorts] = m.take_lazy_profile();
+        assert_eq!((rebuilds.0, sorts.0), (1, 2));
+        assert!(rebuilds.1 >= 0.0 && sorts.1 >= 0.0);
+        assert_eq!(m.take_lazy_profile(), [(0, 0.0); 2], "drain must reset");
     }
 
+    /// The one staleness rule: a move batch rebuilds every list read
+    /// after it, even one nothing moved near — and the rebuild runs the
+    /// same exact scan and sort, so the list comes back bit for bit.
     #[test]
-    fn set_positions_marks_everything_fresh() {
+    fn far_move_rebuilds_an_unchanged_list_bit_for_bit() {
         let mut m = cluster_and_far();
-        m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
+        let before = m.refresh(NodeId(0)).to_vec();
+        m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
         assert!(!m.is_fresh(NodeId(0)));
-        let positions = m.positions().to_vec();
-        m.set_positions(&positions);
-        for i in 0..3u32 {
-            assert!(m.is_fresh(NodeId(i)));
-            m.effects_of(NodeId(i)); // must not trip the freshness assert
-        }
+        let after = m.refresh(NodeId(0)).to_vec();
+        let c = m.counters();
+        assert_eq!((c.rebuilds, c.revalidations), (1, 0));
+        let bits = |list: &[Effect]| -> Vec<_> {
+            list.iter()
+                .map(|e| (e.node, e.delay, e.class.power.to_bits()))
+                .collect()
+        };
+        assert_eq!(after, before);
+        assert_eq!(bits(&after), bits(&before));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`Medium`] derives effect lists from a spatial hash grid and, since
 //! the lazy epoch-stamped refactor, defers rebuilding them from
-//! [`Medium::move_nodes`] to the first [`Medium::refresh`] that touches a
-//! stale 3×3 neighborhood; [`ReferenceMedium`] is the dense all-pairs
+//! [`Medium::move_nodes`] to the first [`Medium::refresh`] of a list built
+//! before the latest move batch; [`ReferenceMedium`] is the dense all-pairs
 //! implementation it replaced. For ANY initial placement and ANY
 //! sequence of move batches — including co-located nodes, nodes exactly
 //! on cell boundaries, and distances exactly at the inclusive
@@ -44,6 +44,17 @@ fn as_multiset(list: &[Effect]) -> Vec<Effect> {
     let mut v = list.to_vec();
     v.sort_by_key(|e| e.node);
     v
+}
+
+/// One move batch taking every node to the drawn `next` positions,
+/// trimmed to the node count or padded with the first node's position.
+fn every_node_to(next: &[(f64, f64, u32)], current: &[Position]) -> Vec<(NodeId, Position)> {
+    let mut next = positions_of(next);
+    next.resize(current.len(), current[0]);
+    next.into_iter()
+        .enumerate()
+        .map(|(i, p)| (NodeId(i as u32), p))
+        .collect()
 }
 
 fn in_arrival_order(list: &[Effect]) -> bool {
@@ -94,7 +105,7 @@ proptest! {
         }
     }
 
-    /// `set_positions` (full reposition, still grid-backed) against the
+    /// A full reposition — every node moved in one batch — against the
     /// dense oracle.
     #[test]
     fn set_positions_matches_dense_reference(
@@ -103,17 +114,16 @@ proptest! {
     ) {
         let initial = positions_of(&initial);
         let n = initial.len();
-        // Reuse the initial draw to pad/trim `next` to the same length.
-        let mut next = positions_of(&next);
-        next.resize(n, initial[0]);
         let mut grid = Medium::new(initial.clone(), RangeModel::paper());
         let mut dense = ReferenceMedium::new(initial, RangeModel::paper());
-        grid.set_positions(&next);
-        dense.set_positions(&next);
+        let moves = every_node_to(&next, grid.positions());
+        grid.move_nodes(&moves);
+        dense.move_nodes(&moves);
         for tx in 0..n {
             let id = NodeId(tx as u32);
             prop_assert_eq!(grid.refresh(id), dense.effects_of(id));
         }
+        prop_assert_eq!(grid.positions(), dense.positions());
     }
 
     /// The order contract. Whatever moves came before, `refresh` returns
@@ -160,12 +170,9 @@ proptest! {
             grid.move_nodes(&moves);
             check(&mut grid, &format!("after move batch {b}"));
         }
-        let mut next = positions_of(&next);
-        next.resize(n, grid.positions()[0]);
-        grid.set_positions(&next);
-        unrefreshed(&grid);
-        check(&mut grid, "after set_positions");
+        grid.move_nodes(&every_node_to(&next, grid.positions()));
+        check(&mut grid, "after repositioning every node");
         let c = grid.counters();
-        prop_assert!(c.sorts <= c.rebuilds + 2 * n as u64, "{c:?}");
+        prop_assert!(c.sorts <= c.rebuilds + n as u64, "{c:?}");
     }
 }

@@ -124,9 +124,10 @@ cargo test --release -q -p mwn --lib network::cascade
 # Engine regression gate: the quick scenario subset against the
 # committed BENCH_engine.json baseline, failing when a case's wall time
 # is >20% slower (delivery targets are fixed per case; events/sec is
-# printed but not gated — it falls whenever one event does more work)
-# or its events per delivered packet — a pure function of the code, the
-# same on every host — grew by more than 1%.
+# printed but not gated — it falls whenever one event does more work),
+# its events per delivered packet grew by more than 1%, or its medium
+# effect-list rebuilds grew at all. The last two are pure functions of
+# the code and scenario, the same on every host, so they gate exactly.
 # The quick subset includes random200-mobility, which doubles as
 # the large-topology spatial-grid smoke (200 nodes, incremental
 # move_nodes on every mobility tick). Wall-clock dependent: best-of-5
