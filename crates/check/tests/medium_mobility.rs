@@ -23,25 +23,35 @@ use mwn_pkt::NodeId;
 use mwn_sim::Pcg32;
 
 /// The medium's staleness rule, modelled outside it: the epoch each
-/// node's list was last built at (0 = the construction build), and the
-/// queries that found their list built at the current epoch.
+/// node's list was last built at (`None` = never built), the lists
+/// built up front, and what each query found.
 struct Staleness {
-    built: Vec<u64>,
+    built: Vec<Option<u64>>,
+    up_front: u64,
     hits: u64,
+    builds: u64,
+    rebuilds: u64,
 }
 
 impl Staleness {
-    fn new(nodes: usize) -> Self {
+    /// The model of a `Medium::new` medium (every list built at epoch
+    /// 0) or, with `eager` false, of a `Medium::lazy` one (none built).
+    fn new(nodes: usize, eager: bool) -> Self {
         Staleness {
-            built: vec![0; nodes],
+            built: vec![eager.then_some(0); nodes],
+            up_front: if eager { nodes as u64 } else { 0 },
             hits: 0,
+            builds: 0,
+            rebuilds: 0,
         }
     }
 
-    /// Every query either hits or rebuilds, and it rebuilds iff a move
-    /// batch happened since the list was built.
+    /// Every query hits, builds or rebuilds: it builds iff the list was
+    /// never built, and rebuilds iff a move batch happened since it was.
     fn assert_matches(&self, c: &mwn_phy::MediumCounters) {
-        assert_eq!(c.queries, self.hits + c.rebuilds, "{c:?}");
+        assert_eq!(c.queries, self.hits + self.builds + self.rebuilds, "{c:?}");
+        assert_eq!(c.builds, self.up_front + self.builds, "{c:?}");
+        assert_eq!(c.rebuilds, self.rebuilds, "{c:?}");
         assert_eq!(c.revalidations, 0);
     }
 }
@@ -62,10 +72,12 @@ fn assert_media_agree(
     );
     for tx in (0..grid.positions().len()).filter(|&tx| pick(tx)) {
         let id = NodeId(tx as u32);
-        if model.built[tx] == grid.epoch() {
-            model.hits += 1;
+        match model.built[tx] {
+            Some(epoch) if epoch == grid.epoch() => model.hits += 1,
+            Some(_) => model.rebuilds += 1,
+            None => model.builds += 1,
         }
-        model.built[tx] = grid.epoch();
+        model.built[tx] = Some(grid.epoch());
         assert_eq!(
             grid.refresh(id),
             dense.effects_of(id),
@@ -92,7 +104,7 @@ fn waypoint_trajectories_keep_lazy_and_dense_media_identical() {
     let mut model = MobilityModel::new(params, topo.positions().to_vec(), Pcg32::new(99));
     let mut grid = Medium::new(topo.positions().to_vec(), RangeModel::paper());
     let mut dense = ReferenceMedium::new(topo.positions().to_vec(), RangeModel::paper());
-    let mut staleness = Staleness::new(40);
+    let mut staleness = Staleness::new(40, true);
     assert_media_agree(&mut grid, &dense, 0, |_| true, &mut staleness);
 
     let mut moves: Vec<(NodeId, Position)> = Vec::new();
@@ -126,7 +138,9 @@ fn waypoint_trajectories_keep_lazy_and_dense_media_identical() {
 /// a refresh that skipped a genuinely changed neighborhood would get
 /// away with it for many ticks before diverging. The field is a 150-node
 /// paper-density draw (~2800 × 1100 m²), wider than one node's 3×3 grid
-/// cell neighborhood (1650 m at the 550 m cell size).
+/// cell neighborhood (1650 m at the 550 m cell size). The medium is a
+/// `Medium::lazy` one, so each list is first built whenever its node is
+/// first queried, after any number of move batches.
 #[test]
 fn sparse_moves_under_long_pauses_stay_identical() {
     let (width, height) = topology::random_large_dims(150);
@@ -142,9 +156,9 @@ fn sparse_moves_under_long_pauses_stay_identical() {
         tick: SimDuration::from_millis(200),
     };
     let mut model = MobilityModel::new(params, topo.positions().to_vec(), Pcg32::new(5));
-    let mut grid = Medium::new(topo.positions().to_vec(), RangeModel::paper());
+    let mut grid = Medium::lazy(topo.positions().to_vec(), RangeModel::paper());
     let mut dense = ReferenceMedium::new(topo.positions().to_vec(), RangeModel::paper());
-    let mut staleness = Staleness::new(150);
+    let mut staleness = Staleness::new(150, false);
 
     let mut moves: Vec<(NodeId, Position)> = Vec::new();
     let mut saw_sparse_tick = false;
@@ -174,5 +188,6 @@ fn sparse_moves_under_long_pauses_stay_identical() {
         saw_sparse_tick,
         "pause regime never produced a sparse move batch; test lost its point"
     );
+    assert!(staleness.builds > 0 && staleness.rebuilds > 0);
     staleness.assert_matches(&grid.counters());
 }

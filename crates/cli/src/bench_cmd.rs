@@ -12,7 +12,8 @@
 //! mwn bench                      run the full set, compare vs the baseline
 //! mwn bench --quick              run the quick subset only (CI gate)
 //! mwn bench --check              exit non-zero when a case's wall time regresses >20%,
-//!                                its events/packet grows >1% or its medium rebuilds grow
+//!                                its events/packet grows >1% or its medium list builds
+//!                                or rebuilds grow
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
@@ -310,12 +311,15 @@ struct Measurement {
     sim_secs: f64,
     /// Best (smallest) wall time over the repeats.
     wall_secs: f64,
+    /// Wall seconds the best run's `Scenario::build` took (set-up, which
+    /// `wall_secs` leaves out).
+    build_secs: f64,
     /// Wall seconds the best run spent in the mobility tick proper:
     /// position diffs, grid relocation and the epoch bump (0 for static
     /// scenarios). `medium_tick` profile bucket.
     medium_tick_secs: f64,
     /// Wall seconds the best run spent keeping effect lists current at
-    /// transmission time: rebuilds and sorts into arrival order
+    /// transmission time: builds, rebuilds and sorts into arrival order
     /// (`medium_lazy` + `medium_sort`).
     medium_lazy_secs: f64,
     /// Per-receiver signal edges the best run's waves delivered.
@@ -328,8 +332,8 @@ struct Measurement {
     nav_parked: u64,
     nav_materialised: u64,
     mac_batches_without_actions: u64,
-    /// The best run's lazy-medium counters (rebuilds, and sorts into
-    /// arrival order — at most `rebuilds + nodes`).
+    /// The best run's lazy-medium counters (builds, rebuilds, and sorts
+    /// into arrival order — one per build or rebuild).
     medium: MediumCounters,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
@@ -372,6 +376,7 @@ impl Measurement {
             .u64("delivered", self.delivered)
             .f64("sim_secs", self.sim_secs)
             .f64("wall_secs", self.wall_secs)
+            .f64("build_secs", self.build_secs)
             .f64("medium_tick_secs", self.medium_tick_secs)
             .f64("medium_lazy_secs", self.medium_lazy_secs)
             .u64("signal_edges", self.signal_edges)
@@ -385,6 +390,7 @@ impl Measurement {
                 "mac_batches_without_actions",
                 self.mac_batches_without_actions,
             )
+            .u64("medium_builds", self.medium.builds)
             .u64("medium_rebuilds", self.medium.rebuilds)
             .u64("medium_sorts", self.medium.sorts)
             .u64("bytes_per_node", self.bytes_per_node);
@@ -399,7 +405,10 @@ impl Measurement {
 fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
     let mut best: Option<Measurement> = None;
     for _ in 0..repeat.max(1) {
-        let mut net = (case.build)().build();
+        let scenario = (case.build)();
+        let started = Instant::now();
+        let mut net = scenario.build();
+        let build_secs = started.elapsed().as_secs_f64();
         net.enable_profiling();
         let started = Instant::now();
         net.run_until_delivered(case.target, SimTime::ZERO + case.deadline);
@@ -417,6 +426,7 @@ fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
             delivered: net.total_delivered(),
             sim_secs: net.now().as_secs_f64(),
             wall_secs,
+            build_secs,
             medium_tick_secs: profile.timed_secs("medium_tick"),
             medium_lazy_secs: profile.timed_secs("medium_lazy") + profile.timed_secs("medium_sort"),
             signal_edges: profile.signal_edges(),
@@ -500,8 +510,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let mut worst_ratio: Option<(f64, &'static str)> = None;
     // Largest events/packet growth over the baseline (1.0 = unchanged).
     let mut worst_growth: Option<(f64, &'static str)> = None;
-    // Largest medium-rebuild excess over the baseline (0 = unchanged).
-    let mut worst_rebuilds: Option<(i64, &'static str)> = None;
+    // Largest excess over the baseline per exact gate (0 = unchanged).
+    let mut worst_exact: [Option<(i64, &'static str)>; EXACT_GATES.len()] = Default::default();
     for case in &selected {
         let m = run_case(case, repeat);
         let eps = m.events_per_sec();
@@ -516,15 +526,22 @@ pub fn command(argv: &[String]) -> Result<(), String> {
                 worst_growth = Some((growth, m.name));
             }
         }
-        if let Some(excess) = base.and_then(|b| rebuild_excess(m.medium.rebuilds, b)) {
-            if worst_rebuilds.is_none_or(|(e, _)| excess > e) {
-                worst_rebuilds = Some((excess, m.name));
+        if let Some(base) = base {
+            for (worst, excess) in worst_exact.iter_mut().zip(exact_excess(&m.medium, base)) {
+                let Some(excess) = excess else { continue };
+                if worst.is_none_or(|(e, _)| excess > e) {
+                    *worst = Some((excess, m.name));
+                }
             }
         }
         // Derived medium share of wall: a column on every row (static
         // cases read 0.0%), so lazy-path regressions are readable at a
         // glance without jq over BENCH_engine.json.
-        let medium = format!("  medium {:>4.1}%", m.medium_pct());
+        let medium = format!(
+            "  medium {:>4.1}%  {} lists built",
+            m.medium_pct(),
+            m.medium.builds
+        );
         let waves = format!(
             "  {:.0} ev/pkt  {:.1} rx/tx  yield {:.0}%",
             m.ratios.events_per_pkt,
@@ -589,16 +606,20 @@ pub fn command(argv: &[String]) -> Result<(), String> {
                 "check passed: worst scenario {name} at {growth:.3}x of the committed baseline's events/packet"
             );
         }
-        // Entries older than PR 28 carry no rebuild count; nothing to gate.
-        if let Some((excess, name)) = worst_rebuilds {
+        // Entries recorded before a counter's key carry no count for it;
+        // nothing to gate.
+        for (what, worst) in EXACT_GATES.into_iter().zip(worst_exact) {
+            let Some((excess, name)) = worst else {
+                continue;
+            };
             if excess > 0 {
                 return Err(format!(
-                    "medium-rebuild regression: {name} rebuilt {excess} more effect lists \
-                     than the committed baseline (exact gate: any growth fails)"
+                    "{what} regression: {name} paid {excess} more {what} than the \
+                     committed baseline (exact gate: any growth fails)"
                 ));
             }
             println!(
-                "check passed: worst scenario {name} at {excess:+} medium rebuilds vs the committed baseline"
+                "check passed: worst scenario {name} at {excess:+} {what} vs the committed baseline"
             );
         }
     }
@@ -657,6 +678,7 @@ impl Baseline {
                     events_per_sec: num("events_per_sec")?,
                     events_per_pkt: num("events_per_pkt"),
                     medium_rebuilds: s.get("medium_rebuilds").and_then(Json::as_u64),
+                    medium_builds: s.get("medium_builds").and_then(Json::as_u64),
                 })
             })
             .collect()
@@ -691,12 +713,23 @@ struct BaselineRow {
     events_per_pkt: Option<f64>,
     /// `None` in entries recorded before the key existed.
     medium_rebuilds: Option<u64>,
+    /// `None` in entries recorded before the key existed.
+    medium_builds: Option<u64>,
 }
 
-/// Effect-list rebuilds a case paid beyond its baseline row's (positive
-/// fails `--check`), or `None` when the row predates the key.
-fn rebuild_excess(rebuilds: u64, base: &BaselineRow) -> Option<i64> {
-    base.medium_rebuilds.map(|b| rebuilds as i64 - b as i64)
+/// The host-independent counters `--check` gates exactly (any growth
+/// fails), in [`exact_excess`] order.
+const EXACT_GATES: [&str; 2] = ["medium rebuilds", "medium list builds"];
+
+/// Per [`EXACT_GATES`] counter, what a case paid beyond its baseline
+/// row's (positive fails `--check`; a network medium built eagerly again
+/// builds one list per node), or `None` when the row predates the key.
+fn exact_excess(m: &MediumCounters, base: &BaselineRow) -> [Option<i64>; EXACT_GATES.len()] {
+    let excess = |count: u64, base: Option<u64>| base.map(|b| count as i64 - b as i64);
+    [
+        excess(m.rebuilds, base.medium_rebuilds),
+        excess(m.builds, base.medium_builds),
+    ]
 }
 
 fn render_entry(label: &str, measurements: &[Measurement]) -> String {
@@ -769,6 +802,7 @@ mod tests {
             delivered: 100,
             sim_secs: 2.5,
             wall_secs: wall,
+            build_secs: 0.125,
             medium_tick_secs: 0.045,
             medium_lazy_secs: 0.08,
             signal_edges: 4_000,
@@ -782,6 +816,7 @@ mod tests {
             nav_materialised: 2,
             mac_batches_without_actions: 900,
             medium: MediumCounters {
+                builds: 9,
                 rebuilds: 40,
                 sorts: 49,
                 ..MediumCounters::default()
@@ -812,6 +847,7 @@ mod tests {
         // The host-independent gates read these.
         assert_eq!(rows[0].events_per_pkt, Some(40.0));
         assert_eq!(rows[0].medium_rebuilds, Some(40));
+        assert_eq!(rows[0].medium_builds, Some(9));
     }
 
     /// A baseline reformatted by a JSON tool (one key per line) still
@@ -843,22 +879,38 @@ mod tests {
         assert!(parsed(r#"{"entries": []}"#).last_entry().is_empty());
     }
 
+    /// Both counters are exact on every host, so any growth fails — a
+    /// network medium built eagerly again builds one list per node.
     #[test]
     fn rebuild_gate_fails_on_growth_only() {
-        let row = |medium_rebuilds| BaselineRow {
+        let row = |medium_rebuilds, medium_builds| BaselineRow {
             name: "a".to_string(),
             wall_secs: 1.0,
             events_per_sec: 1.0,
             events_per_pkt: None,
             medium_rebuilds,
+            medium_builds,
         };
-        assert_eq!(rebuild_excess(41, &row(Some(40))), Some(1), "more fails");
-        assert_eq!(rebuild_excess(40, &row(Some(40))), Some(0), "equal passes");
-        assert_eq!(rebuild_excess(3, &row(Some(40))), Some(-37), "fewer passes");
+        let counts = |rebuilds, builds| MediumCounters {
+            rebuilds,
+            builds,
+            ..MediumCounters::default()
+        };
+        let base = row(Some(40), Some(72));
+        let gate = |rebuilds, builds| exact_excess(&counts(rebuilds, builds), &base);
+        assert_eq!(gate(41, 72), [Some(1), Some(0)], "more rebuilds fail");
+        assert_eq!(gate(40, 5_000), [Some(0), Some(4_928)], "more builds fail");
+        assert_eq!(gate(40, 72), [Some(0), Some(0)], "equal passes");
+        assert_eq!(gate(3, 70), [Some(-37), Some(-2)], "fewer passes");
         assert_eq!(
-            rebuild_excess(40, &row(None)),
-            None,
-            "pre-PR-28 row skipped"
+            exact_excess(&counts(40, 5_000), &row(None, None)),
+            [None, None],
+            "rows without the keys skipped"
+        );
+        assert_eq!(
+            exact_excess(&counts(40, 5_000), &row(Some(40), None)),
+            [Some(0), None],
+            "pre-builds row gates rebuilds only"
         );
     }
 
@@ -917,8 +969,10 @@ mod tests {
         assert_eq!(num("nav_parked"), Some(70.0));
         assert_eq!(num("nav_materialised"), Some(2.0));
         assert_eq!(num("mac_batches_without_actions"), Some(900.0));
+        assert_eq!(num("medium_builds"), Some(9.0));
         assert_eq!(num("medium_rebuilds"), Some(40.0));
         assert_eq!(num("medium_sorts"), Some(49.0));
+        assert_eq!(num("build_secs"), Some(0.125));
     }
 
     #[test]

@@ -129,17 +129,19 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         p.nav_materialised
     );
     println!("  quiet mac batches{:>12}", p.mac_batches_without_actions);
-    // The lazy medium's tiers, from their timed buckets: every sort puts
-    // a list a build or rebuild left behind into arrival order.
-    let timed = m.profile.timed();
-    let calls = |kind: &str| timed.iter().find(|t| t.0 == kind).map_or(0, |t| t.1);
+    // The lazy medium: a list is built when its node first transmits,
+    // and every sort puts a list a build or rebuild left behind into
+    // arrival order.
     println!(
-        "  medium sorts     {:>12}  (≤ {} rebuilds + {} nodes)",
-        calls("medium_sort"),
-        calls("medium_lazy"),
+        "  lists built      {:>12}  of {} nodes",
+        m.medium.builds,
         scenario.topology.len()
     );
-    for (kind, invocations, secs) in timed {
+    println!(
+        "  medium sorts     {:>12}  (= {} builds + {} rebuilds)",
+        m.medium.sorts, m.medium.builds, m.medium.rebuilds
+    );
+    for (kind, invocations, secs) in m.profile.timed() {
         println!(
             "  {kind:<18} {invocations:>10} calls  {secs:>8.3} s  ({:.0}% of wall)",
             100.0 * secs / wall_secs.max(f64::MIN_POSITIVE)

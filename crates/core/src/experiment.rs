@@ -376,6 +376,7 @@ pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsCon
             .map(|p| p.samples().copied().collect())
             .unwrap_or_default(),
         profile: net.profile().cloned().unwrap_or_default(),
+        medium: net.medium_counters(),
         drops: Some(net.drop_report()),
         fct: net.traffic_summary().map(|s| s.to_json(end)),
     });

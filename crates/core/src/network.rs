@@ -269,7 +269,9 @@ impl Network {
     pub(crate) fn build(scenario: &Scenario) -> Network {
         let n = scenario.topology.len();
         let params = scenario.mac_params();
-        let medium = Medium::new(scenario.topology.positions().to_vec(), scenario.ranges);
+        // Lists are built when their node first transmits: a mobile
+        // field's first tick would make any list built here stale.
+        let medium = Medium::lazy(scenario.topology.positions().to_vec(), scenario.ranges);
         let mut root = Pcg32::new(scenario.seed);
 
         let transceivers = vec![Transceiver::with_capture(scenario.ranges.capture_threshold); n];
@@ -979,8 +981,8 @@ impl Network {
                 }
             }
             // O(moved): positions, grid relocation and an epoch bump only.
-            // Effect-list rebuilds happen at transmission time and are
-            // accounted separately (the `medium_lazy` bucket).
+            // Effect-list builds and rebuilds happen at transmission time
+            // and are accounted separately (the `medium_lazy` bucket).
             self.medium.move_nodes(&self.moved);
             if let Some(p) = &mut self.profile {
                 p.record_timed("medium_tick", started.elapsed().as_secs_f64());
@@ -996,10 +998,10 @@ impl Network {
     }
 
     /// Drains what `Medium::refresh` accrued into the profile's timed
-    /// buckets (no-op without profiling): rebuilds into `medium_lazy`,
-    /// sorts into `medium_sort`. Called once per mobility tick and at the
-    /// end of every run loop, so the buckets are complete whenever a
-    /// caller reads the profile.
+    /// buckets (no-op without profiling): builds and rebuilds into
+    /// `medium_lazy`, sorts into `medium_sort`. Called once per mobility
+    /// tick and at the end of every run loop, so the buckets are complete
+    /// whenever a caller reads the profile.
     fn flush_medium_profile(&mut self) {
         if let Some(p) = &mut self.profile {
             let tiers = ["medium_lazy", "medium_sort"];
@@ -1009,8 +1011,8 @@ impl Network {
         }
     }
 
-    /// Cumulative lazy-medium statistics (epoch, queries, rebuilds,
-    /// sorts) since construction.
+    /// Cumulative lazy-medium statistics (epoch, queries, builds,
+    /// rebuilds, sorts) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
     }

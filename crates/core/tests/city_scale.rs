@@ -86,3 +86,36 @@ fn expanding_ring_cuts_rreq_rebroadcasts_5x_on_random5k() {
         flood.rreqs_forwarded
     );
 }
+
+/// The network's medium builds an effect list when its node first
+/// transmits, not at set-up: a 5000-node field starts with no list, and
+/// a static run ends with exactly one build per node that put a frame on
+/// the air — no rebuilds, since nothing moved.
+#[test]
+fn effect_lists_are_built_on_first_transmission() {
+    let topology = topology::random_large_giant(5000, 4242);
+    let flows = local_flows(&topology, 3);
+    let mut scenario = Scenario::new(topology, flows, DataRate::MBPS_11, 4242);
+    scenario.aodv = AodvConfig::city();
+    let mut net = scenario.build();
+    let c = net.medium_counters();
+    assert_eq!((c.builds, c.rebuilds, c.queries), (0, 0, 0), "{c:?}");
+
+    net.enable_trace(1 << 20);
+    net.run_until_delivered(20, SimTime::ZERO + SimDuration::from_secs(10));
+    assert!(net.total_delivered() > 0, "the run proved nothing");
+    assert_eq!(net.trace_dropped(), 0, "trace buffer overflowed");
+    let transmitters: std::collections::BTreeSet<NodeId> = net
+        .trace()
+        .into_iter()
+        .filter(|r| matches!(r.event, mwn::trace::TraceEvent::MacTx { .. }))
+        .map(|r| r.node)
+        .collect();
+    let c = net.medium_counters();
+    assert_eq!(c.builds, transmitters.len() as u64, "{c:?}");
+    assert_eq!(c.rebuilds, 0, "{c:?}");
+    assert!(
+        c.builds < 5000 / 2,
+        "most of the city never transmitted: {c:?}"
+    );
+}

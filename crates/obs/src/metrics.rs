@@ -14,7 +14,7 @@
 
 use mwn_aodv::AodvCounters;
 use mwn_mac80211::MacCounters;
-use mwn_phy::PhyCounters;
+use mwn_phy::{MediumCounters, PhyCounters};
 use mwn_sim::profile::EngineProfile;
 use mwn_sim::{Pcg32, SimTime};
 use mwn_tcp::{TcpSenderStats, TcpSinkStats};
@@ -515,6 +515,9 @@ pub struct MetricsReport {
     pub probes: Vec<ProbeSample>,
     /// Engine self-profiling (zeroed unless profiling was enabled).
     pub profile: EngineProfile,
+    /// The medium's lazy-path counters at the end of the run (list
+    /// builds, rebuilds, sorts).
+    pub medium: MediumCounters,
     /// The drop ledger (loss counts per reason, node and traffic
     /// class), when loss accounting was collected.
     pub drops: Option<crate::drop::DropLedger>,
@@ -802,6 +805,7 @@ mod tests {
             totals: MetricsSnapshot::empty(SimTime::from_nanos(1_000_000_000)),
             probes: vec![],
             profile: EngineProfile::default(),
+            medium: MediumCounters::default(),
             drops: None,
             fct: None,
         };
@@ -818,6 +822,7 @@ mod tests {
             totals: MetricsSnapshot::empty(SimTime::ZERO),
             probes: vec![],
             profile: EngineProfile::default(),
+            medium: MediumCounters::default(),
             drops: Some(crate::drop::DropLedger::new(1, vec!["all".into()])),
             fct: Some(r#"{"classes":[]}"#.into()),
         };

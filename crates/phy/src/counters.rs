@@ -21,25 +21,31 @@ pub struct PhyCounters {
 
 /// Cumulative statistics of the lazy epoch-stamped medium (see
 /// `Medium`): how often transmission-time queries found their effect
-/// list built at the current epoch, or stale.
+/// list built at the current epoch, never built, or stale.
 ///
-/// `queries = fast-path hits + rebuilds` — the fast-path count is the
-/// difference. A mobile workload where `rebuilds` stays far below
-/// `epoch × nodes` is exactly the regime the lazy medium exists for: most
-/// nodes move every tick but transmit rarely.
+/// For a `Medium::lazy` medium, `queries = fast-path hits + builds +
+/// rebuilds` — the fast-path count is the difference. A mobile workload
+/// where `builds + rebuilds` stays far below `epoch × nodes` is exactly
+/// the regime the lazy medium exists for: most nodes move every tick but
+/// transmit rarely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumCounters {
     /// Global move epoch (one bump per non-empty move batch).
     pub epoch: u64,
     /// `Medium::refresh` calls.
     pub queries: u64,
-    /// Queries that paid an O(k) effect-list rebuild.
+    /// Effect lists built where none existed: every list of a
+    /// `Medium::new`, and each node's first `Medium::refresh` on a
+    /// `Medium::lazy` medium.
+    pub builds: u64,
+    /// Queries that paid an O(k) effect-list rebuild because a move batch
+    /// came after the list was built.
     pub rebuilds: u64,
     /// Always 0; kept only so the frozen benchmark source under `bench/`
     /// (which reads it) compiles. Delete with ROADMAP item 2(c).
     pub revalidations: u64,
-    /// Effect lists put into arrival order: at most one per rebuild plus
-    /// one per node per full build, so `sorts ≤ rebuilds + nodes` for a
-    /// medium built once.
+    /// Effect lists put into arrival order: at most one per build or
+    /// rebuild, so `sorts ≤ builds + rebuilds` (equal on a `Medium::lazy`
+    /// medium, where every list is sorted by the refresh that built it).
     pub sorts: u64,
 }

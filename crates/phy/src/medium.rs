@@ -173,11 +173,11 @@ pub struct SignalClass {
 }
 
 /// The shared wireless medium: node positions plus the range model, with
-/// per-transmitter effect lists rebuilt *lazily*.
+/// per-transmitter effect lists built and rebuilt *lazily*.
 ///
 /// Effect lists are derived through a uniform [`SpatialGrid`] with cell
-/// size [`RangeModel::max_range`], so construction costs O(n·k) for k =
-/// nodes per 3×3 cell neighborhood (instead of the dense O(n²)).
+/// size [`RangeModel::max_range`], so one list costs O(k) for k = nodes
+/// per 3×3 cell neighborhood (instead of the dense O(n)).
 ///
 /// # Epoch-stamped laziness
 ///
@@ -186,8 +186,11 @@ pub struct SignalClass {
 /// are *not* recomputed at move time. Instead each node carries the epoch
 /// its list was built at, and [`Medium::refresh`] rebuilds a list iff
 /// that epoch is not the current one: a list built at epoch *e* is exact
-/// iff no move batch happened since. At city scale most nodes move every
-/// tick but transmit rarely, so almost all recompute work vanishes;
+/// iff no move batch happened since. [`Medium::lazy`] builds no list at
+/// all: it stamps every node with an epoch no list can reach, so the same
+/// rule builds each list when its node first transmits. At city scale
+/// most nodes move every tick but transmit rarely, so almost all build
+/// and recompute work vanishes;
 /// correctness is unchanged because link sets depend only on *current*
 /// positions at query time (pinned by the lazy-vs-eager differentials
 /// against the dense all-pairs `ReferenceMedium` oracle).
@@ -198,6 +201,10 @@ pub struct SignalClass {
 /// it is bit-identical to the dense scan's (a differential proptest checks
 /// this). Builds and rebuilds leave lists unsorted; [`Medium::refresh`]
 /// sorts each such list once.
+///
+/// [`Medium::new`] is the eager constructor, for callers that read lists
+/// through `&self` ([`Medium::effects_of`]) right away; a host that reads
+/// through [`Medium::refresh`] uses [`Medium::lazy`].
 ///
 /// # Example
 ///
@@ -235,14 +242,19 @@ pub struct Medium {
     /// Global move epoch: bumped once per non-empty [`Medium::move_nodes`]
     /// batch.
     epoch: u64,
-    /// Epoch at which each node's effect list was built.
+    /// Epoch at which each node's effect list was built; [`NEVER_BUILT`]
+    /// before its first build.
     node_epoch: Vec<u64>,
     /// Cumulative lazy-path statistics (see [`MediumCounters`]).
     counters: MediumCounters,
-    /// Calls and wall seconds per lazy tier — rebuilds, sorts — since the
-    /// last [`Medium::take_lazy_profile`] drain.
+    /// Calls and wall seconds per lazy tier — builds and rebuilds, sorts —
+    /// since the last [`Medium::take_lazy_profile`] drain.
     pending: [(u64, f64); 2],
 }
+
+/// The `node_epoch` of a list never built: an epoch the move counter
+/// never reaches, so [`Medium::refresh`]'s one staleness rule builds it.
+const NEVER_BUILT: u64 = u64::MAX;
 
 /// One receiver affected by a given transmitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -257,31 +269,44 @@ pub struct Effect {
 
 impl Medium {
     /// Builds the medium and precomputes all effect lists through the
-    /// spatial grid.
+    /// spatial grid — the eager constructor, for callers that read lists
+    /// through [`Medium::effects_of`] without refreshing them first.
     ///
     /// # Panics
     ///
     /// Panics if `positions` is empty or `ranges` is geometrically
     /// inconsistent (see [`RangeModel::validate`]).
     pub fn new(positions: Vec<Position>, ranges: RangeModel) -> Self {
+        let mut medium = Self::lazy(positions, ranges);
+        medium.build_all();
+        medium
+    }
+
+    /// Builds the grid and the positions but no effect list: each list is
+    /// built by the first [`Medium::refresh`] of its node, through the
+    /// same scan and sort a rebuild uses, so it is bit-identical to the
+    /// list [`Medium::new`] would have served.
+    ///
+    /// # Panics
+    ///
+    /// As [`Medium::new`].
+    pub fn lazy(positions: Vec<Position>, ranges: RangeModel) -> Self {
         assert!(!positions.is_empty(), "medium needs at least one node");
         ranges.validate();
         let grid = SpatialGrid::build(ranges.max_range(), &positions);
         let n = positions.len();
-        let mut medium = Medium {
+        Medium {
             positions,
             ranges,
             effects: vec![Vec::new(); n],
-            unsorted: vec![true; n],
+            unsorted: vec![false; n],
             grid,
             scratch: Vec::new(),
             epoch: 0,
-            node_epoch: vec![0; n],
+            node_epoch: vec![NEVER_BUILT; n],
             counters: MediumCounters::default(),
             pending: [(0, 0.0); 2],
-        };
-        medium.build_all();
-        medium
+        }
     }
 
     /// Applies a batch of position updates lazily, in O(moved): the epoch
@@ -316,8 +341,9 @@ impl Medium {
 
     /// Brings `tx`'s effect list up to date and returns it in arrival order
     /// — the hot-path accessor for transmission-time fan-out. A list built
-    /// at this epoch returns at once; any other is rebuilt in O(k). A list
-    /// a build or rebuild left unsorted is sorted.
+    /// at this epoch returns at once; any other is built (first use) or
+    /// rebuilt (a move batch came after it) in O(k). A list a build or
+    /// rebuild left unsorted is sorted.
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
         let i = tx.index();
         self.counters.queries += 1;
@@ -326,10 +352,14 @@ impl Medium {
         }
         let mut mark = Instant::now();
         if self.node_epoch[i] != self.epoch {
+            if self.node_epoch[i] == NEVER_BUILT {
+                self.counters.builds += 1;
+            } else {
+                self.counters.rebuilds += 1;
+            }
             self.fill_effects(i);
             self.node_epoch[i] = self.epoch;
             self.unsorted[i] = true;
-            self.counters.rebuilds += 1;
             mark = self.accrue(0, mark);
         }
         if self.unsorted[i] {
@@ -361,6 +391,7 @@ impl Medium {
 
     /// `true` if `tx`'s effect list was built at the current epoch — i.e.
     /// [`Medium::effects_of`] may be read without a [`Medium::refresh`].
+    /// A list never built is not fresh.
     pub fn is_fresh(&self, tx: NodeId) -> bool {
         self.node_epoch[tx.index()] == self.epoch
     }
@@ -379,8 +410,8 @@ impl Medium {
     }
 
     /// Drains the `(calls, wall seconds)` [`Medium::refresh`] spent per
-    /// lazy tier since the last drain: `[rebuilds, sorts]` — the host
-    /// feeds these into its engine profile's timed buckets.
+    /// lazy tier since the last drain: `[builds and rebuilds, sorts]` —
+    /// the host feeds these into its engine profile's timed buckets.
     pub fn take_lazy_profile(&mut self) -> [(u64, f64); 2] {
         std::mem::take(&mut self.pending)
     }
@@ -390,9 +421,12 @@ impl Medium {
     /// (squaring the coordinate deltas erases their sign), so one exact
     /// test feeds both directions' effect lists — bit-identical to two
     /// independent per-transmitter scans at half the distance work, once
-    /// sorted.
+    /// sorted. Runs on a freshly [`Medium::lazy`] medium only.
     fn build_all(&mut self) {
         let n = self.positions.len();
+        self.node_epoch.fill(self.epoch);
+        self.unsorted.fill(true);
+        self.counters.builds += n as u64;
         let scratch = &mut self.scratch;
         let limit = self.ranges.max_range() + 1e-6;
         let limit2 = limit * limit;
@@ -488,12 +522,17 @@ impl Medium {
     /// and propagation delay.
     ///
     /// Reads the stored list without refreshing it: exact for a static
-    /// medium (no moves ever), or after [`Medium::refresh`] /
-    /// [`Medium::refresh_all`], and in arrival order only once refreshed.
-    /// Hosts driving mobility use [`Medium::refresh`] instead; a stale
-    /// read trips a debug assertion.
+    /// [`Medium::new`] medium (no moves ever), or after
+    /// [`Medium::refresh`] / [`Medium::refresh_all`], and in arrival order
+    /// only once refreshed. Hosts driving mobility, and any
+    /// [`Medium::lazy`] medium, use [`Medium::refresh`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list is stale or was never built (not
+    /// [`Medium::is_fresh`]), in release builds too.
     pub fn effects_of(&self, tx: NodeId) -> &[Effect] {
-        debug_assert!(
+        assert!(
             self.is_fresh(tx),
             "effects_of({tx:?}) on a stale list; call refresh() after move_nodes()"
         );
@@ -878,6 +917,83 @@ mod lazy_tests {
         assert_eq!((rebuilds.0, sorts.0), (1, 2));
         assert!(rebuilds.1 >= 0.0 && sorts.1 >= 0.0);
         assert_eq!(m.take_lazy_profile(), [(0, 0.0); 2], "drain must reset");
+        // A lazy medium's first refresh is timed in the same tier.
+        let mut lazy = Medium::lazy(m.positions().to_vec(), m.ranges());
+        lazy.refresh(NodeId(1));
+        let [builds, sorts] = lazy.take_lazy_profile();
+        assert_eq!((builds.0, sorts.0), (1, 1));
+    }
+
+    /// Bit-level view of a list: node, delay and the power's exact bits.
+    fn bits(list: &[Effect]) -> Vec<(NodeId, SimDuration, u64)> {
+        list.iter()
+            .map(|e| (e.node, e.delay, e.class.power.to_bits()))
+            .collect()
+    }
+
+    /// `Medium::lazy` builds nothing up front; each node's first refresh
+    /// builds its list through the rebuild's scan and sort, bit for bit
+    /// what the eager `Medium::new` serves, and counts one build.
+    #[test]
+    fn lazy_medium_builds_each_list_on_first_refresh() {
+        let mut eager = cluster_and_far();
+        let mut lazy = Medium::lazy(eager.positions().to_vec(), eager.ranges());
+        assert_eq!(lazy.counters(), MediumCounters::default());
+        assert!((0..3).all(|i| !lazy.is_fresh(NodeId(i))), "nothing built");
+        assert_eq!(eager.counters().builds, 3, "the eager build counts");
+        for i in 0..3u32 {
+            let want = eager.refresh(NodeId(i)).to_vec();
+            let got = lazy.refresh(NodeId(i)).to_vec();
+            assert_eq!(got, want, "tx {i}");
+            assert_eq!(bits(&got), bits(&want), "tx {i}");
+            assert!(lazy.is_fresh(NodeId(i)));
+            let c = lazy.counters();
+            assert_eq!(
+                (c.queries, c.builds, c.rebuilds),
+                (2 * i as u64 + 1, i as u64 + 1, 0)
+            );
+            // A second refresh at the same epoch is a fast hit.
+            lazy.refresh(NodeId(i));
+            let c = lazy.counters();
+            assert_eq!(
+                (c.queries, c.builds, c.sorts),
+                (2 * i as u64 + 2, i as u64 + 1, i as u64 + 1)
+            );
+        }
+        assert_eq!(eager.counters().builds, 3, "refreshing built nothing new");
+    }
+
+    /// A node first read after move batches is a build: staleness is
+    /// about lists that exist, and this one never did.
+    #[test]
+    fn first_refresh_after_moves_counts_a_build_not_a_rebuild() {
+        let mut m = Medium::lazy(cluster_and_far().positions().to_vec(), RangeModel::paper());
+        m.move_nodes(&[(NodeId(1), Position::new(150.0, 0.0))]);
+        m.move_nodes(&[(NodeId(2), Position::new(5000.0, 50.0))]);
+        let fx = m.refresh(NodeId(0)).to_vec();
+        let c = m.counters();
+        assert_eq!((c.epoch, c.builds, c.rebuilds), (2, 1, 0));
+        assert_eq!(
+            fx,
+            ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(0))
+        );
+        // The same list after the next batch is a rebuild.
+        m.move_nodes(&[(NodeId(2), Position::new(5000.0, 0.0))]);
+        m.refresh(NodeId(0));
+        let c = m.counters();
+        assert_eq!((c.builds, c.rebuilds), (1, 1));
+    }
+
+    /// `effects_of` serves no list it cannot vouch for — in release too:
+    /// a never-built list would read as empty.
+    #[test]
+    #[should_panic(expected = "on a stale list")]
+    fn effects_of_a_never_built_list_panics() {
+        let m = Medium::lazy(
+            vec![Position::new(0.0, 0.0), Position::new(200.0, 0.0)],
+            RangeModel::paper(),
+        );
+        let _ = m.effects_of(NodeId(0));
     }
 
     /// The one staleness rule: a move batch rebuilds every list read
@@ -892,11 +1008,6 @@ mod lazy_tests {
         let after = m.refresh(NodeId(0)).to_vec();
         let c = m.counters();
         assert_eq!((c.rebuilds, c.revalidations), (1, 0));
-        let bits = |list: &[Effect]| -> Vec<_> {
-            list.iter()
-                .map(|e| (e.node, e.delay, e.class.power.to_bits()))
-                .collect()
-        };
         assert_eq!(after, before);
         assert_eq!(bits(&after), bits(&before));
     }

@@ -523,7 +523,9 @@ mod tests {
         );
     }
 
+    /// The duplicate-id check is a debug assertion (skipped in release).
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate signal id")]
     fn duplicate_signal_panics() {
         let mut r = Transceiver::new();

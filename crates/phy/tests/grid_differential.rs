@@ -3,7 +3,8 @@
 //! [`Medium`] derives effect lists from a spatial hash grid and, since
 //! the lazy epoch-stamped refactor, defers rebuilding them from
 //! [`Medium::move_nodes`] to the first [`Medium::refresh`] of a list built
-//! before the latest move batch; [`ReferenceMedium`] is the dense all-pairs
+//! before the latest move batch ([`Medium::lazy`] defers even the first
+//! build to the first refresh); [`ReferenceMedium`] is the dense all-pairs
 //! implementation it replaced. For ANY initial placement and ANY
 //! sequence of move batches — including co-located nodes, nodes exactly
 //! on cell boundaries, and distances exactly at the inclusive
@@ -105,6 +106,54 @@ proptest! {
         }
     }
 
+    /// `Medium::lazy` against the dense oracle: each node is first read
+    /// at a drawn epoch (some never), so lists are built after any number
+    /// of move batches; every read list must equal the oracle's, a
+    /// node's first read counts a build and every later stale read a
+    /// rebuild.
+    #[test]
+    fn lazy_medium_matches_dense_reference(
+        initial in proptest::collection::vec(arb_point(), 1..32),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..32, arb_point()), 1..8),
+            0..6,
+        ),
+        first_read in proptest::collection::vec(0usize..8, 32..33),
+    ) {
+        let initial = positions_of(&initial);
+        let n = initial.len();
+        let mut lazy = Medium::lazy(initial.clone(), RangeModel::paper());
+        let mut dense = ReferenceMedium::new(initial, RangeModel::paper());
+        prop_assert_eq!(lazy.counters().builds, 0);
+        let (mut built, mut rebuilt) = (0u64, 0u64);
+        for epoch in 0..=batches.len() {
+            if epoch > 0 {
+                let batch = &batches[epoch - 1];
+                let points: Vec<_> = batch.iter().map(|&(_, p)| p).collect();
+                let moves: Vec<(NodeId, Position)> = batch
+                    .iter()
+                    .map(|&(i, _)| NodeId((i % n) as u32))
+                    .zip(positions_of(&points))
+                    .collect();
+                lazy.move_nodes(&moves);
+                dense.move_nodes(&moves);
+            }
+            for tx in (0..n).filter(|&tx| first_read[tx] <= epoch) {
+                let id = NodeId(tx as u32);
+                if first_read[tx] == epoch {
+                    prop_assert!(!lazy.is_fresh(id), "tx {} built before its first read", tx);
+                    built += 1;
+                } else if !lazy.is_fresh(id) {
+                    rebuilt += 1;
+                }
+                prop_assert_eq!(lazy.refresh(id), dense.effects_of(id), "tx {} at epoch {}", tx, epoch);
+            }
+            let c = lazy.counters();
+            prop_assert_eq!((c.builds, c.rebuilds, c.sorts), (built, rebuilt, built + rebuilt));
+        }
+        prop_assert_eq!(lazy.positions(), dense.positions());
+    }
+
     /// A full reposition — every node moved in one batch — against the
     /// dense oracle.
     #[test]
@@ -173,6 +222,7 @@ proptest! {
         grid.move_nodes(&every_node_to(&next, grid.positions()));
         check(&mut grid, "after repositioning every node");
         let c = grid.counters();
-        prop_assert!(c.sorts <= c.rebuilds + n as u64, "{c:?}");
+        prop_assert_eq!(c.builds, n as u64);
+        prop_assert!(c.sorts <= c.builds + c.rebuilds, "{c:?}");
     }
 }

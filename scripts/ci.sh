@@ -90,12 +90,15 @@ cargo bench -p mwn-bench --bench obs_overhead -- --quick
 
 # Oracle differentials, in release so the gate exercises the exact build
 # CI benchmarks below. The oracles (ReferenceMedium, ReferenceEventQueue)
-# exist only under each crate's `oracle` feature. Medium: grid vs dense
-# all-pairs, incremental moves included, every refreshed list in arrival
-# order, plus the random-waypoint trajectory differential. Wheel: timer
-# wheel vs binary heap on the engine's schedule/cancel/pop mix.
+# exist only under each crate's `oracle` feature. Medium: the whole
+# mwn-phy crate (its unit tests too, so the lazy-construction tests and
+# the release-mode `effects_of` assertion run in this build): grid vs
+# dense all-pairs, incremental moves and lists first built at any epoch
+# included, every refreshed list in arrival order, plus the
+# random-waypoint trajectory differential. Wheel: timer wheel vs binary
+# heap on the engine's schedule/cancel/pop mix.
 echo "==> medium and wheel differentials (proptest + mobility trajectories)"
-cargo test --release -q -p mwn-phy --features oracle --test grid_differential
+cargo test --release -q -p mwn-phy --features oracle
 cargo test --release -q -p mwn-check --test medium_mobility
 cargo test --release -q -p mwn-sim --features oracle --test wheel_differential
 
@@ -126,8 +129,9 @@ cargo test --release -q -p mwn --lib network::cascade
 # is >20% slower (delivery targets are fixed per case; events/sec is
 # printed but not gated — it falls whenever one event does more work),
 # its events per delivered packet grew by more than 1%, or its medium
-# effect-list rebuilds grew at all. The last two are pure functions of
-# the code and scenario, the same on every host, so they gate exactly.
+# effect-list builds or rebuilds grew at all. The last three are pure
+# functions of the code and scenario, the same on every host, so they
+# gate exactly.
 # The quick subset includes random200-mobility, which doubles as
 # the large-topology spatial-grid smoke (200 nodes, incremental
 # move_nodes on every mobility tick). Wall-clock dependent: best-of-5
