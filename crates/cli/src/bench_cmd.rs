@@ -414,11 +414,6 @@ fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
         net.run_until_delivered(case.target, SimTime::ZERO + case.deadline);
         let wall_secs = started.elapsed().as_secs_f64();
         let profile = net.profile().expect("profiling enabled above");
-        if std::env::var_os("MWN_BENCH_HISTO").is_some() {
-            for (kind, count) in profile.by_kind() {
-                eprintln!("    {kind:<18} {count:>12}");
-            }
-        }
         let m = Measurement {
             name: case.name,
             events: profile.events_processed(),

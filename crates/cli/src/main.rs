@@ -75,8 +75,8 @@ fn print_usage() {
          \x20     resumes: completed jobs are skipped, failed ones retried.\n\
          \x20     --metrics   attach per-batch counter deltas and an engine\n\
          \x20                 profile to every result row\n\n\
-         \x20 mwn run [--topology chain|grid|random] [--hops H] [--mbits 2|5.5|11]\n\
-         \x20         [--variant vegas|vegas-thin|newreno|newreno-thin|reno|tahoe|optwin|udp]\n\
+         \x20 mwn run [--topology chain|grid|random] [--hops H] [--rate 2|5.5|11]\n\
+         \x20         [--transport vegas|vegas-thin|newreno|newreno-thin|reno|tahoe|optwin|udp]\n\
          \x20         [--seed S] [--scale N]\n\
          \x20     Run one scenario and print the steady-state measures.\n\n\
          \x20 mwn stats [--topology chain|grid|random|random200|random500]\n\
@@ -129,8 +129,81 @@ fn print_usage() {
 
 /// Shared argument helpers.
 pub(crate) mod args {
-    use mwn::{SimDuration, Transport};
+    use mwn::{ExperimentScale, Scenario, SimDuration, Transport};
     use mwn_phy::DataRate;
+
+    /// The scenario flags `run` and `stats` share.
+    pub struct ScenarioArgs {
+        pub topology: String,
+        hops: usize,
+        pub bandwidth: DataRate,
+        pub transport: Transport,
+        pub seed: u64,
+        pub scale: ExperimentScale,
+    }
+
+    /// Extracts `--topology` (default chain), `--hops`, `--rate` (default
+    /// 2), `--transport`, `--seed` (default 42) and `--scale`; each
+    /// command passes its own hop and transport defaults.
+    pub fn take_scenario(
+        argv: &mut Vec<String>,
+        default_hops: usize,
+        default_transport: &str,
+    ) -> Result<ScenarioArgs, String> {
+        let topology = take_value(argv, "--topology")?.unwrap_or_else(|| "chain".into());
+        let hops: usize = match take_value(argv, "--hops")? {
+            Some(v) => parse(&v, "hop count")?,
+            None => default_hops,
+        };
+        if hops == 0 {
+            return Err("--hops must be positive".into());
+        }
+        let bandwidth = parse_rate(&take_value(argv, "--rate")?.unwrap_or_else(|| "2".into()))?;
+        let transport = parse_transport(
+            &take_value(argv, "--transport")?.unwrap_or_else(|| default_transport.into()),
+        )?;
+        let seed: u64 = match take_value(argv, "--seed")? {
+            Some(v) => parse(&v, "seed")?,
+            None => 42,
+        };
+        let scale = ExperimentScale::scaled(take_scale(argv)?);
+        Ok(ScenarioArgs {
+            topology,
+            hops,
+            bandwidth,
+            transport,
+            seed,
+            scale,
+        })
+    }
+
+    impl ScenarioArgs {
+        /// The chain, grid or random preset; `None` for any other
+        /// `--topology`.
+        pub fn preset(&self) -> Option<Scenario> {
+            let (bandwidth, transport, seed) = (self.bandwidth, self.transport, self.seed);
+            match self.topology.as_str() {
+                "chain" => Some(Scenario::chain(self.hops, bandwidth, transport, seed)),
+                "grid" => Some(Scenario::grid6(bandwidth, transport, seed)),
+                "random" => Some(Scenario::random10(bandwidth, transport, seed)),
+                _ => None,
+            }
+        }
+
+        /// Prints the one-line run banner to stderr.
+        pub fn announce(&self, scenario: &Scenario) {
+            eprintln!(
+                "{} | {} nodes, {} flow(s), {}, seed {}, {} batches x {} packets",
+                scenario.flows[0].transport.label(),
+                scenario.topology.len(),
+                scenario.flows.len(),
+                self.bandwidth,
+                self.seed,
+                self.scale.batches,
+                self.scale.batch_packets,
+            );
+        }
+    }
 
     /// Parses a bandwidth argument (Mbit/s) into a PHY data rate.
     pub fn parse_rate(mbits: &str) -> Result<DataRate, String> {

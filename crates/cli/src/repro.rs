@@ -75,6 +75,9 @@ fn catalog() -> Vec<(&'static str, &'static str, Producer)> {
         ("ext-80211g", "802.11g OFDM rates", |s| {
             (vec![experiments::extension_80211g(s)], vec![])
         }),
+        ("ext-elfn", "mobility + ELFN (Holland & Vaidya)", |s| {
+            (vec![experiments::extension_mobility_elfn(s)], vec![])
+        }),
     ]
 }
 
@@ -162,5 +165,39 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("experiment(s) failed: {}", failures.join(", ")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::catalog;
+
+    /// Exactly one id per public function in `mwn::experiments` (bar
+    /// `seed_for`): one missing here can be run from no command.
+    #[test]
+    fn catalog_names_every_experiment_once() {
+        let ids: Vec<&str> = catalog().iter().map(|(id, _, _)| *id).collect();
+        assert_eq!(
+            ids,
+            [
+                "table2",
+                "fig2-3",
+                "fig4",
+                "fig5",
+                "fig6-9",
+                "fig10",
+                "fig11-14",
+                "fig16-17",
+                "fig18-19",
+                "ablation-capture",
+                "ablation-basic-rate",
+                "ablation-cs-range",
+                "ext-fu",
+                "ext-variants",
+                "ext-optwin",
+                "ext-80211g",
+                "ext-elfn",
+            ]
+        );
     }
 }

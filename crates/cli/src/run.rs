@@ -1,50 +1,19 @@
 //! `mwn run` — one scenario, full measures.
 
-use mwn::{experiment, ExperimentScale, Scenario};
+use mwn::experiment;
 
 use crate::args;
 
 pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
-    let topology = args::take_value(&mut argv, "--topology")?.unwrap_or_else(|| "chain".into());
-    let hops: usize = match args::take_value(&mut argv, "--hops")? {
-        Some(v) => args::parse(&v, "hop count")?,
-        None => 7,
-    };
-    let mbits = args::take_value(&mut argv, "--mbits")?.unwrap_or_else(|| "2".into());
-    let variant = args::take_value(&mut argv, "--variant")?.unwrap_or_else(|| "vegas".into());
-    let seed: u64 = match args::take_value(&mut argv, "--seed")? {
-        Some(v) => args::parse(&v, "seed")?,
-        None => 42,
-    };
-    let mult = args::take_scale(&mut argv)?;
+    let a = args::take_scenario(&mut argv, 7, "vegas")?;
     args::reject_leftovers(&argv)?;
+    let scenario = a
+        .preset()
+        .ok_or_else(|| format!("unknown topology {:?} (chain|grid|random)", a.topology))?;
+    a.announce(&scenario);
 
-    let bandwidth = args::parse_rate(&mbits)?;
-    let transport = args::parse_transport(&variant)?;
-    if hops == 0 {
-        return Err("--hops must be positive".into());
-    }
-
-    let scenario = match topology.as_str() {
-        "chain" => Scenario::chain(hops, bandwidth, transport, seed),
-        "grid" => Scenario::grid6(bandwidth, transport, seed),
-        "random" => Scenario::random10(bandwidth, transport, seed),
-        other => return Err(format!("unknown topology {other:?} (chain|grid|random)")),
-    };
-
-    let scale = ExperimentScale::scaled(mult);
-
-    eprintln!(
-        "{} | {} nodes, {} flow(s), {bandwidth}, seed {seed}, {} batches x {} packets",
-        scenario.flows[0].transport.label(),
-        scenario.topology.len(),
-        scenario.flows.len(),
-        scale.batches,
-        scale.batch_packets,
-    );
-
-    let r = experiment::run(&scenario, scale);
+    let r = experiment::run(&scenario, a.scale);
     println!(
         "aggregate goodput      {:>10.1} kbit/s (±{:.1})",
         r.aggregate_goodput_kbps.mean, r.aggregate_goodput_kbps.half_width

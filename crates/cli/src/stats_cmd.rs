@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use mwn::experiment::{run_instrumented, ObsConfig};
-use mwn::{ExperimentScale, ProbeKind, ProbeSample, Scenario};
+use mwn::{ProbeKind, ProbeSample, Scenario};
 use mwn_obs::{CounterBlock, DropReason};
 
 use crate::args;
@@ -17,40 +17,21 @@ const PROBE_CAPACITY: usize = 1 << 18;
 
 pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
-    let topology = args::take_value(&mut argv, "--topology")?.unwrap_or_else(|| "chain".into());
-    let hops: usize = match args::take_value(&mut argv, "--hops")? {
-        Some(v) => args::parse(&v, "hop count")?,
-        None => 6,
-    };
-    let rate = args::take_value(&mut argv, "--rate")?.unwrap_or_else(|| "2".into());
-    let variant = args::take_value(&mut argv, "--transport")?.unwrap_or_else(|| "newreno".into());
-    let seed: u64 = match args::take_value(&mut argv, "--seed")? {
-        Some(v) => args::parse(&v, "seed")?,
-        None => 42,
-    };
-    let mult = args::take_scale(&mut argv)?;
+    let a = args::take_scenario(&mut argv, 6, "newreno")?;
     let series: usize = match args::take_value(&mut argv, "--series")? {
         Some(v) => args::parse(&v, "series length")?,
         None => 24,
     };
     args::reject_leftovers(&argv)?;
-    if hops == 0 {
-        return Err("--hops must be positive".into());
-    }
-    let bandwidth = args::parse_rate(&rate)?;
-    let transport = args::parse_transport(&variant)?;
 
-    let scenario = match topology.as_str() {
-        "chain" => Scenario::chain(hops, bandwidth, transport, seed),
-        "grid" => Scenario::grid6(bandwidth, transport, seed),
-        "random" => Scenario::random10(bandwidth, transport, seed),
+    let scenario = match a.topology.as_str() {
         // The large presets run under waypoint mobility (like the
         // `random200-mobility` / `random500-mobility` benches), so the
         // profile includes the `medium_tick` timed section (and
         // `medium_lazy` for the transmission-time rebuilds).
         "random200" | "random500" => {
-            let nodes = if topology == "random200" { 200 } else { 500 };
-            let mut s = Scenario::random_large(nodes, bandwidth, transport, seed);
+            let nodes = if a.topology == "random200" { 200 } else { 500 };
+            let mut s = Scenario::random_large(nodes, a.bandwidth, a.transport, a.seed);
             let (width, height) = mwn::topology::random_large_dims(nodes);
             s.mobility = Some(mwn::mobility::RandomWaypoint {
                 width,
@@ -62,25 +43,14 @@ pub fn command(rest: &[String]) -> Result<(), String> {
             });
             s
         }
-        other => {
-            return Err(format!(
-                "unknown topology {other:?} (chain|grid|random|random200|random500)"
-            ))
-        }
+        other => a.preset().ok_or_else(|| {
+            format!("unknown topology {other:?} (chain|grid|random|random200|random500)")
+        })?,
     };
-    let scale = ExperimentScale::scaled(mult);
-
-    eprintln!(
-        "{} | {} nodes, {} flow(s), {bandwidth}, seed {seed}, {} batches x {} packets",
-        scenario.flows[0].transport.label(),
-        scenario.topology.len(),
-        scenario.flows.len(),
-        scale.batches,
-        scale.batch_packets,
-    );
+    a.announce(&scenario);
 
     let wall = Instant::now();
-    let r = run_instrumented(&scenario, scale, ObsConfig::full(PROBE_CAPACITY));
+    let r = run_instrumented(&scenario, a.scale, ObsConfig::full(PROBE_CAPACITY));
     let wall_secs = wall.elapsed().as_secs_f64();
     let m = r
         .metrics

@@ -53,12 +53,22 @@ fn trace_unknown_transport_exits_2() {
 /// a panic's 101), the reason on stderr, and nothing but the usage text on
 /// stdout — no run started. `--shards` is here because the within-run
 /// sharded engine it selected is gone; it must be rejected, not ignored.
+/// So are `run`'s old `--mbits`/`--variant`: it reads `--rate` and
+/// `--transport`, like `stats`.
 #[test]
 fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
     let scale = "--scale must be at least 1";
-    let table: [(&[&str], &str); 9] = [
+    let table: [(&[&str], &str); 11] = [
+        (
+            &["run", "--mbits", "2"],
+            "unrecognized argument \"--mbits\"",
+        ),
+        (
+            &["run", "--variant", "vegas"],
+            "unrecognized argument \"--variant\"",
+        ),
         (&["repro", "fig10", "--shards", "2"], shards),
         (&["run", "--shards", "2"], shards),
         (&["check", "--suite", "fast", "--shards", "2"], shards),

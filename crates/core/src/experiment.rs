@@ -39,7 +39,7 @@ impl ExperimentScale {
         }
     }
 
-    /// A reduced scale for `cargo bench` runs: 11 × 400 packets.
+    /// The default scale of `mwn repro` (`--scale 1`): 11 × 400 packets.
     pub fn quick() -> Self {
         ExperimentScale {
             batch_packets: 400,
@@ -73,16 +73,6 @@ impl ExperimentScale {
             batches: quick.batches,
             deadline: SimDuration::from_secs(secs),
         }
-    }
-
-    /// Reads `MWN_SCALE` from the environment: a multiplier on the quick
-    /// scale's batch size (`MWN_SCALE=25` reproduces the paper's 10 000).
-    pub fn from_env() -> Self {
-        let mult: u64 = std::env::var("MWN_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        Self::scaled(mult)
     }
 }
 
@@ -260,9 +250,7 @@ pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsCon
         let elapsed = now.duration_since(batch_start);
 
         if res != StepOutcome::TargetReached {
-            outcome = RunOutcome::Truncated {
-                completed_batches: completed_batches.saturating_sub(0),
-            };
+            outcome = RunOutcome::Truncated { completed_batches };
             break;
         }
 
@@ -344,13 +332,6 @@ pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsCon
         }
         net.reset_window_averages();
         batch_start = now;
-    }
-
-    if let RunOutcome::Truncated {
-        completed_batches: ref mut cb,
-    } = outcome
-    {
-        *cb = completed_batches;
     }
 
     let frf = net
@@ -503,14 +484,6 @@ mod tests {
         // The FCT section rides along for open-loop runs.
         let m = r.metrics.expect("instrumented");
         assert!(m.fct.as_deref().is_some_and(|f| f.contains("\"classes\"")));
-    }
-
-    #[test]
-    fn scale_from_env_defaults_to_quick() {
-        // (Does not set the variable; checks the default path.)
-        let s = ExperimentScale::from_env();
-        assert_eq!(s.batch_packets % ExperimentScale::quick().batch_packets, 0);
-        assert_eq!(s.batches, 11);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! the paper derives from the *same* simulation runs (e.g. Figures 6–9)
 //! are produced together so the runs are not repeated.
 //!
-//! Scale: pass [`ExperimentScale::from_env`] to honor `MWN_SCALE`
-//! (`MWN_SCALE=25` reproduces the paper's 11 × 10 000-packet runs).
+//! `mwn repro <id> --scale N` runs each function at
+//! [`ExperimentScale::scaled`]`(N)`; `--scale 25` reproduces the paper's
+//! 11 × 10 000-packet runs.
 
 use mwn_phy::DataRate;
 use mwn_sim::stats::Estimate;

@@ -1,8 +1,8 @@
 //! A vendored, dependency-free stand-in for the [`criterion`] crate.
 //!
 //! This repository must build with no registry access, so the workspace's
-//! `criterion` dependency points here. Only the surface the `mwn-bench`
-//! targets use is provided: [`Criterion::bench_function`],
+//! `criterion` dependency points here. Only the surface the `mwn` crate's
+//! Criterion benches use is provided: [`Criterion::bench_function`],
 //! [`Criterion::benchmark_group`], [`Bencher::iter`],
 //! [`Bencher::iter_batched`], [`BatchSize`], [`criterion_group!`] and
 //! [`criterion_main!`].

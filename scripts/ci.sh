@@ -85,8 +85,12 @@ rm -f "$report_store"
 echo "==> conservation audit fault-injection (flight-recorder dump check)"
 cargo test --release -q -p mwn-check --test conservation
 
+# The Criterion benches are compiled nowhere else when clippy is absent.
+echo "==> cargo bench --no-run (engine_micro, obs_overhead)"
+cargo bench -p mwn --no-run
+
 echo "==> observability overhead bench (trace disabled vs enabled)"
-cargo bench -p mwn-bench --bench obs_overhead -- --quick
+cargo bench -p mwn --bench obs_overhead -- --quick
 
 # Oracle differentials, in release so the gate exercises the exact build
 # CI benchmarks below. The oracles (ReferenceMedium, ReferenceEventQueue)
