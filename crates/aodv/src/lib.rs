@@ -28,7 +28,10 @@ mod nodemap;
 mod router;
 mod table;
 
-pub use config::AodvConfig;
+pub use config::{
+    AodvConfig, ACTIVE_ROUTE_LIFETIME, BROADCAST_JITTER, BUFFER_CAPACITY, RREQ_WAIT, TTL_INCREMENT,
+    TTL_START, TTL_THRESHOLD,
+};
 pub use nodemap::NodeMap;
 pub use router::{AodvAction, AodvCounters, AodvDropReason, Router, MIN_JITTER};
 pub use table::{Route, RoutingTable};

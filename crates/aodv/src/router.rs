@@ -5,7 +5,10 @@ use std::collections::VecDeque;
 use mwn_pkt::{AodvMessage, Body, NodeId, Packet};
 use mwn_sim::{Pcg32, SimDuration, SimTime};
 
-use crate::config::AodvConfig;
+use crate::config::{
+    AodvConfig, ACTIVE_ROUTE_LIFETIME, BROADCAST_JITTER, BUFFER_CAPACITY, RREQ_WAIT, TTL_INCREMENT,
+    TTL_START, TTL_THRESHOLD,
+};
 use crate::nodemap::NodeMap;
 use crate::table::RoutingTable;
 
@@ -18,6 +21,10 @@ use crate::table::RoutingTable;
 /// magnitude below the default 10 ms jitter window, so route-discovery
 /// de-synchronisation is unaffected.
 pub const MIN_JITTER: SimDuration = SimDuration::from_micros(16);
+
+/// The first discovery attempt that floods at the network-wide TTL under
+/// expanding-ring search (attempts before it walk the rings 1, 3, 5, 7).
+const FIRST_FULL_TTL_ATTEMPT: u32 = ((TTL_THRESHOLD - TTL_START) / TTL_INCREMENT) as u32 + 2;
 
 /// Why the router dropped a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +166,7 @@ pub struct Router {
     next_uid: u64,
     counters: AodvCounters,
     /// `true` once the `fault_double_flush` hook has fired.
+    #[cfg(any(test, feature = "oracle"))]
     fault_flushed: bool,
 }
 
@@ -178,6 +186,7 @@ impl Router {
             pending: NodeMap::new(),
             next_uid: uid_base,
             counters: AodvCounters::default(),
+            #[cfg(any(test, feature = "oracle"))]
             fault_flushed: false,
         }
     }
@@ -214,13 +223,19 @@ impl Router {
 
     /// The transport layer sends `packet` (with `packet.src == me`);
     /// resulting actions are appended to `out`.
-    pub fn send(&mut self, now: SimTime, mut packet: Packet, out: &mut Vec<AodvAction>) {
-        if self.config.fault_ttl_mishandle {
-            // Planted TTL bug: originate data with the first-ring TTL so
-            // an intermediate forwarder's TTL check fires (and, with the
-            // same flag set there, swallows the packet unaccounted).
-            packet.ttl = self.config.ttl_start;
-        }
+    pub fn send(&mut self, now: SimTime, packet: Packet, out: &mut Vec<AodvAction>) {
+        #[cfg(any(test, feature = "oracle"))]
+        let packet = {
+            let mut packet = packet;
+            if self.config.fault_ttl_mishandle {
+                // Planted TTL bug: originate data with the first-ring TTL
+                // so an intermediate forwarder's TTL check fires (and,
+                // with the same flag set there, swallows the packet
+                // unaccounted).
+                packet.ttl = TTL_START;
+            }
+            packet
+        };
         let dst = packet.dst;
         if dst == self.me {
             out.push(AodvAction::Deliver(packet));
@@ -228,8 +243,7 @@ impl Router {
         }
         if let Some(route) = self.table.active(dst, now) {
             let next_hop = route.next_hop;
-            self.table
-                .refresh(dst, now, self.config.active_route_lifetime);
+            self.table.refresh(dst, now, ACTIVE_ROUTE_LIFETIME);
             out.push(AodvAction::Send {
                 packet,
                 next_hop,
@@ -252,7 +266,7 @@ impl Router {
         // 1-hop route to it (without sequence information, seq 0 suffices
         // to fill a hole but never downgrades a real entry).
         self.table
-            .update(from, from, 1, 0, now, self.config.active_route_lifetime);
+            .update(from, from, 1, 0, now, ACTIVE_ROUTE_LIFETIME);
 
         // Copy the message fields out first so the packet itself can move
         // into the handlers without cloning the message body.
@@ -344,7 +358,7 @@ impl Router {
         let Some(d) = self.pending.get_mut(dst) else {
             return; // stale timer
         };
-        if d.attempts > self.config.rreq_retries {
+        if d.attempts > self.config.rreq_retries() {
             let d = self.pending.remove(dst).expect("checked above");
             for packet in d.buffered {
                 self.counters.no_route_drops += 1;
@@ -369,55 +383,36 @@ impl Router {
     }
 
     fn jitter(&mut self) -> SimDuration {
-        let max = self.config.broadcast_jitter.as_nanos();
-        if max == 0 {
-            SimDuration::ZERO
-        } else {
-            // Clamp to MIN_JITTER so a jittered rebroadcast is the only
-            // event a cascade can schedule closer than a SIFS: the
-            // network loop's wave walk relies on every in-cascade schedule
-            // landing at least min(SIFS, MIN_JITTER) in the future. One
-            // draw in ~625 lands below 16 µs with the default 10 ms
-            // jitter, so the clamp is not a behavioural change at protocol
-            // timescales.
-            SimDuration::from_nanos(self.rng.gen_range_u64(max).max(MIN_JITTER.as_nanos()))
-        }
-    }
-
-    /// The first discovery attempt that floods at the network-wide TTL
-    /// (attempts before it walk the expanding rings).
-    fn first_full_ttl_attempt(&self) -> u32 {
-        let c = &self.config;
-        if c.ttl_start > c.ttl_threshold {
-            1
-        } else {
-            u32::from(c.ttl_threshold - c.ttl_start) / u32::from(c.ttl_increment.max(1)) + 2
-        }
+        // Clamp to MIN_JITTER so a jittered rebroadcast is the only
+        // event a cascade can schedule closer than a SIFS: the network
+        // loop's wave walk relies on every in-cascade schedule landing at
+        // least min(SIFS, MIN_JITTER) in the future. One draw in ~625
+        // lands below 16 µs with the 10 ms jitter, so the clamp is not a
+        // behavioural change at protocol timescales.
+        let draw = self.rng.gen_range_u64(BROADCAST_JITTER.as_nanos());
+        SimDuration::from_nanos(draw.max(MIN_JITTER.as_nanos()))
     }
 
     /// The RREQ TTL for discovery attempt `attempt` (1-based) under
-    /// expanding-ring search: `ttl_start`, growing by `ttl_increment` per
-    /// retry, capped at `ttl_threshold`; past the threshold, attempts
+    /// expanding-ring search: [`TTL_START`], growing by [`TTL_INCREMENT`]
+    /// per retry up to [`TTL_THRESHOLD`]; past the threshold, attempts
     /// flood network-wide.
-    fn ring_ttl(&self, attempt: u32) -> u8 {
-        if attempt >= self.first_full_ttl_attempt() {
+    fn ring_ttl(attempt: u32) -> u8 {
+        if attempt >= FIRST_FULL_TTL_ATTEMPT {
             mwn_pkt::sizes::DEFAULT_TTL
         } else {
-            let c = &self.config;
-            let staged = u32::from(c.ttl_start) + (attempt - 1) * u32::from(c.ttl_increment);
-            staged.min(u32::from(c.ttl_threshold)) as u8
+            TTL_START + (attempt - 1) as u8 * TTL_INCREMENT
         }
     }
 
     fn buffer_and_discover(&mut self, now: SimTime, packet: Packet, actions: &mut Vec<AodvAction>) {
         let dst = packet.dst;
-        let capacity = self.config.buffer_capacity;
         let discovery_needed = !self.pending.contains_key(dst);
         let d = self.pending.or_insert_with(dst, || Discovery {
             attempts: 1,
             buffered: VecDeque::new(),
         });
-        if d.buffered.len() >= capacity {
+        if d.buffered.len() >= BUFFER_CAPACITY {
             actions.push(AodvAction::Drop {
                 packet,
                 reason: AodvDropReason::BufferFull,
@@ -457,19 +452,18 @@ impl Router {
             Body::Aodv(msg),
         );
         let wait = if self.config.expanding_ring {
-            packet.ttl = self.ring_ttl(attempt);
+            packet.ttl = Self::ring_ttl(attempt);
             // Ring attempts wait a constant RREQ round trip (RFC 3561
             // §6.4's ring traversal time); binary backoff only starts
             // once attempts flood network-wide.
-            let first_full = self.first_full_ttl_attempt();
-            if attempt < first_full {
-                self.config.rreq_wait
+            if attempt < FIRST_FULL_TTL_ATTEMPT {
+                RREQ_WAIT
             } else {
-                self.config.rreq_wait * (1u64 << (attempt - first_full).min(16))
+                RREQ_WAIT * (1u64 << (attempt - FIRST_FULL_TTL_ATTEMPT).min(16))
             }
         } else {
             // Binary exponential wait: 1x, 2x, 4x, ...
-            self.config.rreq_wait * (1u64 << (attempt - 1).min(16))
+            RREQ_WAIT * (1u64 << (attempt - 1).min(16))
         };
         let delay = self.jitter();
         actions.push(AodvAction::Send {
@@ -504,7 +498,7 @@ impl Router {
             hop_count.saturating_add(1),
             orig_seq,
             now,
-            self.config.active_route_lifetime,
+            ACTIVE_ROUTE_LIFETIME,
         ) {
             actions.push(AodvAction::RouteInstalled {
                 dst: orig,
@@ -533,7 +527,7 @@ impl Router {
                 self.seq = self.seq.max(requested);
             }
             self.send_rrep(now, from, orig, self.me, self.seq, 0, actions);
-        } else if self.config.intermediate_rrep {
+        } else {
             // Intermediate reply if we know a fresh-enough route.
             let fresh = self
                 .table
@@ -580,18 +574,6 @@ impl Router {
                     actions,
                 );
             }
-        } else {
-            self.rebroadcast_rreq(
-                now,
-                &mut packet,
-                rreq_id,
-                orig,
-                orig_seq,
-                dst,
-                dst_seq,
-                hop_count,
-                actions,
-            );
         }
     }
 
@@ -682,7 +664,7 @@ impl Router {
             hop_count.saturating_add(1),
             dst_seq,
             now,
-            self.config.active_route_lifetime,
+            ACTIVE_ROUTE_LIFETIME,
         ) {
             actions.push(AodvAction::RouteInstalled {
                 dst,
@@ -699,8 +681,7 @@ impl Router {
         } else if let Some(route) = self.table.active(orig, now) {
             // Forward the RREP along the reverse path.
             let next_hop = route.next_hop;
-            self.table
-                .refresh(orig, now, self.config.active_route_lifetime);
+            self.table.refresh(orig, now, ACTIVE_ROUTE_LIFETIME);
             let fwd = AodvMessage::Rrep {
                 orig,
                 dst,
@@ -774,16 +755,15 @@ impl Router {
     ) {
         // Forwarding refreshes the route back to the source (RFC 3561
         // §6.2) — this keeps the TCP-ACK return path alive.
-        self.table
-            .refresh(packet.src, now, self.config.active_route_lifetime);
-        self.table
-            .refresh(from, now, self.config.active_route_lifetime);
+        self.table.refresh(packet.src, now, ACTIVE_ROUTE_LIFETIME);
+        self.table.refresh(from, now, ACTIVE_ROUTE_LIFETIME);
 
         if packet.dst == self.me {
             actions.push(AodvAction::Deliver(packet));
             return;
         }
         if packet.ttl <= 1 {
+            #[cfg(any(test, feature = "oracle"))]
             if self.config.fault_ttl_mishandle {
                 // Planted TTL bug: the packet vanishes without a Drop
                 // action — an unaccounted copy the conservation audit
@@ -799,8 +779,7 @@ impl Router {
         packet.ttl -= 1;
         if let Some(route) = self.table.active(packet.dst, now) {
             let next_hop = route.next_hop;
-            self.table
-                .refresh(packet.dst, now, self.config.active_route_lifetime);
+            self.table.refresh(packet.dst, now, ACTIVE_ROUTE_LIFETIME);
             actions.push(AodvAction::Send {
                 packet,
                 next_hop,
@@ -825,8 +804,8 @@ impl Router {
         for packet in d.buffered {
             if let Some(route) = self.table.active(dst, now) {
                 let next_hop = route.next_hop;
-                self.table
-                    .refresh(dst, now, self.config.active_route_lifetime);
+                self.table.refresh(dst, now, ACTIVE_ROUTE_LIFETIME);
+                #[cfg(any(test, feature = "oracle"))]
                 if self.config.fault_double_flush && !self.fault_flushed {
                     // Planted custody double-free: the same buffered packet
                     // is handed to the MAC twice, for the
@@ -1314,7 +1293,7 @@ mod ring_tests {
     #[test]
     fn expanding_ring_stages_ttls_then_escalates() {
         let mut r = city_router(0);
-        let wait = AodvConfig::default().rreq_wait;
+        let wait = RREQ_WAIT;
         let mut shapes = vec![rreq_shape(&act!(r.send(t(0), data(1, 0, 5))))];
         for i in 1..=5 {
             shapes.push(rreq_shape(&act!(
@@ -1343,7 +1322,7 @@ mod ring_tests {
         // Digest guard: the paper configuration must keep flooding at
         // DEFAULT_TTL with binary backoff from the first retry.
         let mut r = Router::new(NodeId(0), AodvConfig::default(), Pcg32::new(0), 0);
-        let wait = AodvConfig::default().rreq_wait;
+        let wait = RREQ_WAIT;
         let (ttl, w1) = rreq_shape(&act!(r.send(t(0), data(1, 0, 5))));
         assert_eq!((ttl, w1), (DEFAULT_TTL, wait));
         let (ttl, w2) = rreq_shape(&act!(r.on_discovery_timeout(t(10_000), NodeId(5))));

@@ -134,7 +134,7 @@ impl CheckContext {
         CheckContext {
             slot_ns: params.slot.as_nanos(),
             eifs_ns: params.eifs().as_nanos(),
-            route_lifetime_ns: s.aodv.active_route_lifetime.as_nanos(),
+            route_lifetime_ns: mwn::ACTIVE_ROUTE_LIFETIME.as_nanos(),
             flow_wmax,
             traffic_wmax,
             medium,

@@ -96,6 +96,20 @@ struct BenchCase {
     build: fn() -> Scenario,
 }
 
+/// Random-waypoint mobility over a `(width, height)` m field, as every
+/// mobile bench case and `mwn stats --topology random200|random500` run
+/// it: 1–10 m/s, 2 s pauses, 100 ms position ticks.
+pub(crate) fn waypoints((width, height): (f64, f64)) -> RandomWaypoint {
+    RandomWaypoint {
+        width,
+        height,
+        min_speed: 1.0,
+        max_speed: 10.0,
+        pause: SimDuration::from_secs(2),
+        tick: SimDuration::from_millis(100),
+    }
+}
+
 /// The 50-node random topology shared by the two heaviest cases: 50 nodes
 /// on a 1500 × 500 m² field with five deterministic long TCP flows.
 fn random50(transport: Transport, mobility: bool) -> Scenario {
@@ -112,14 +126,7 @@ fn random50(transport: Transport, mobility: bool) -> Scenario {
         .collect();
     let mut s = Scenario::new(topo, flows, DataRate::MBPS_2, seed);
     if mobility {
-        s.mobility = Some(RandomWaypoint {
-            width: 1500.0,
-            height: 500.0,
-            min_speed: 1.0,
-            max_speed: 10.0,
-            pause: SimDuration::from_secs(2),
-            tick: SimDuration::from_millis(100),
-        });
+        s.mobility = Some(waypoints((1500.0, 500.0)));
     }
     s
 }
@@ -131,15 +138,7 @@ fn random50(transport: Transport, mobility: bool) -> Scenario {
 fn random_large_mobility(nodes: usize, transport: Transport) -> Scenario {
     let seed = 4242;
     let mut s = Scenario::random_large(nodes, DataRate::MBPS_2, transport, seed);
-    let (width, height) = topology::random_large_dims(nodes);
-    s.mobility = Some(RandomWaypoint {
-        width,
-        height,
-        min_speed: 1.0,
-        max_speed: 10.0,
-        pause: SimDuration::from_secs(2),
-        tick: SimDuration::from_millis(100),
-    });
+    s.mobility = Some(waypoints(topology::random_large_dims(nodes)));
     s
 }
 
@@ -178,15 +177,7 @@ fn city(nodes: usize, mobility: bool) -> Scenario {
     let mut s = Scenario::new(topo, flows, DataRate::MBPS_11, seed);
     s.aodv = AodvConfig::city();
     if mobility {
-        let (width, height) = topology::random_large_dims(nodes);
-        s.mobility = Some(RandomWaypoint {
-            width,
-            height,
-            min_speed: 1.0,
-            max_speed: 10.0,
-            pause: SimDuration::from_secs(2),
-            tick: SimDuration::from_millis(100),
-        });
+        s.mobility = Some(waypoints(topology::random_large_dims(nodes)));
     }
     s
 }

@@ -158,10 +158,7 @@ pub(crate) mod args {
         if hops == 0 {
             return Err("--hops must be positive".into());
         }
-        let bandwidth = parse_rate(&take_value(argv, "--rate")?.unwrap_or_else(|| "2".into()))?;
-        let transport = parse_transport(
-            &take_value(argv, "--transport")?.unwrap_or_else(|| default_transport.into()),
-        )?;
+        let (bandwidth, transport) = take_link(argv, "2", default_transport)?;
         let seed: u64 = match take_value(argv, "--seed")? {
             Some(v) => parse(&v, "seed")?,
             None => 42,
@@ -205,8 +202,22 @@ pub(crate) mod args {
         }
     }
 
+    /// Extracts `--rate` (Mbit/s) and `--transport`, falling back to the
+    /// command's defaults; every command that takes either flag parses
+    /// both here.
+    pub fn take_link(
+        argv: &mut Vec<String>,
+        default_rate: &str,
+        default_transport: &str,
+    ) -> Result<(DataRate, Transport), String> {
+        let rate = take_value(argv, "--rate")?.unwrap_or_else(|| default_rate.into());
+        let transport =
+            take_value(argv, "--transport")?.unwrap_or_else(|| default_transport.into());
+        Ok((parse_rate(&rate)?, parse_transport(&transport)?))
+    }
+
     /// Parses a bandwidth argument (Mbit/s) into a PHY data rate.
-    pub fn parse_rate(mbits: &str) -> Result<DataRate, String> {
+    fn parse_rate(mbits: &str) -> Result<DataRate, String> {
         match mbits {
             "2" => Ok(DataRate::MBPS_2),
             "5.5" => Ok(DataRate::MBPS_5_5),
@@ -217,9 +228,8 @@ pub(crate) mod args {
         }
     }
 
-    /// Parses a transport-variant name shared by `run`, `stats` and
-    /// `trace`.
-    pub fn parse_transport(variant: &str) -> Result<Transport, String> {
+    /// Parses a transport-variant name.
+    fn parse_transport(variant: &str) -> Result<Transport, String> {
         match variant {
             "vegas" => Ok(Transport::vegas(2)),
             "vegas-thin" => Ok(Transport::vegas_thinning(2)),

@@ -10,7 +10,7 @@ use mwn::{ProbeKind, ProbeSample, Scenario};
 use mwn_obs::{CounterBlock, DropReason};
 
 use crate::args;
-use crate::bench_cmd::WaveRatios;
+use crate::bench_cmd::{waypoints, WaveRatios};
 
 /// Probe samples retained for the time-series section.
 const PROBE_CAPACITY: usize = 1 << 18;
@@ -32,15 +32,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         "random200" | "random500" => {
             let nodes = if a.topology == "random200" { 200 } else { 500 };
             let mut s = Scenario::random_large(nodes, a.bandwidth, a.transport, a.seed);
-            let (width, height) = mwn::topology::random_large_dims(nodes);
-            s.mobility = Some(mwn::mobility::RandomWaypoint {
-                width,
-                height,
-                min_speed: 1.0,
-                max_speed: 10.0,
-                pause: mwn::SimDuration::from_secs(2),
-                tick: mwn::SimDuration::from_millis(100),
-            });
+            s.mobility = Some(waypoints(mwn::topology::random_large_dims(nodes)));
             s
         }
         other => a.preset().ok_or_else(|| {

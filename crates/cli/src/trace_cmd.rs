@@ -14,15 +14,12 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         Some(v) => args::parse(&v, "event count")?,
         None => 60,
     };
-    let rate = args::take_value(&mut argv, "--rate")?.unwrap_or_else(|| "2".into());
-    let variant = args::take_value(&mut argv, "--transport")?.unwrap_or_else(|| "newreno".into());
+    let (bandwidth, transport) = args::take_link(&mut argv, "2", "newreno")?;
     let format = args::take_value(&mut argv, "--format")?.unwrap_or_else(|| "text".into());
     args::reject_leftovers(&argv)?;
     if hops == 0 {
         return Err("--hops must be positive".into());
     }
-    let bandwidth = args::parse_rate(&rate)?;
-    let transport = args::parse_transport(&variant)?;
     if !matches!(format.as_str(), "text" | "jsonl") {
         return Err(format!("unknown format {format:?} (use text or jsonl)"));
     }

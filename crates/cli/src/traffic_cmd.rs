@@ -6,7 +6,7 @@ use mwn_obs::json::Obj;
 use mwn_obs::CounterBlock;
 use mwn_runner::pool;
 
-use crate::args::{parse, parse_rate, parse_transport, reject_leftovers, take_flag, take_value};
+use crate::args::{parse, reject_leftovers, take_flag, take_link, take_value};
 
 /// One replication's result.
 struct RepResult {
@@ -34,14 +34,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         Some(v) => parse(&v, "load factor")?,
         None => 1.0,
     };
-    let transport = match take_value(&mut argv, "--transport")? {
-        Some(v) => parse_transport(&v)?,
-        None => Transport::newreno(),
-    };
-    let rate = match take_value(&mut argv, "--rate")? {
-        Some(v) => parse_rate(&v)?,
-        None => mwn_phy::DataRate::MBPS_11,
-    };
+    let (rate, transport) = take_link(&mut argv, "11", "newreno")?;
     let seed: u64 = match take_value(&mut argv, "--seed")? {
         Some(v) => parse(&v, "seed")?,
         None => 1,

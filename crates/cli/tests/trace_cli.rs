@@ -60,7 +60,7 @@ fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
     let scale = "--scale must be at least 1";
-    let table: [(&[&str], &str); 11] = [
+    let table: [(&[&str], &str); 13] = [
         (
             &["run", "--mbits", "2"],
             "unrecognized argument \"--mbits\"",
@@ -81,6 +81,11 @@ fn bad_arguments_exit_2_before_anything_runs() {
         ),
         (&["run", "--scale", "0"], scale),
         (&["stats", "--scale", "0"], scale),
+        (&["trace", "--rate", "3"], "unsupported bandwidth \"3\""),
+        (
+            &["traffic", "--transport", "bogus"],
+            "unknown variant \"bogus\"",
+        ),
     ];
     for (args, reason) in table {
         let out = mwn(args);

@@ -20,7 +20,7 @@
 
 use mwn_phy::DataRate;
 use mwn_sim::{fxhash, SimDuration};
-use mwn_tcp::{AckPolicy, Flavor};
+use mwn_tcp::{AckPolicy, Flavor, TcpConfig};
 use mwn_traffic::TrafficModel;
 
 use crate::experiment::ExperimentScale;
@@ -119,14 +119,22 @@ pub fn transport_token(t: &Transport) -> String {
             config,
             ack_policy,
         } => {
+            // Every `TcpConfig` field is named, so a field added later
+            // fails to compile here until the key covers it.
+            let TcpConfig {
+                wmax,
+                alpha,
+                #[cfg(feature = "oracle")]
+                    fault_cwnd_overshoot: _,
+            } = *config;
             let mut s = match flavor {
-                Flavor::Vegas => format!("vegas:{}", config.alpha),
+                Flavor::Vegas => format!("vegas:{alpha}"),
                 Flavor::NewReno => "newreno".to_string(),
                 Flavor::Reno => "reno".to_string(),
                 Flavor::Tahoe => "tahoe".to_string(),
             };
-            if config.wmax != 64 {
-                s.push_str(&format!(":w{}", config.wmax));
+            if wmax != 64 {
+                s.push_str(&format!(":w{wmax}"));
             }
             if *ack_policy == AckPolicy::Thinning {
                 s.push_str("+thin");

@@ -56,7 +56,7 @@ pub use mwn_obs::{
 pub use mwn_sim::EngineProfile;
 
 // Re-export the pieces users need to build scenarios.
-pub use mwn_aodv::AodvConfig;
+pub use mwn_aodv::{AodvConfig, ACTIVE_ROUTE_LIFETIME};
 pub use mwn_mac80211::MacParams;
 pub use mwn_phy::{DataRate, Position, RangeModel};
 pub use mwn_pkt::{FlowId, NodeId};

@@ -9,7 +9,7 @@ use mwn_sim::{Pcg32, SimDuration, SimTime};
 
 use crate::backoff::Backoff;
 use crate::counters::MacCounters;
-use crate::params::MacParams;
+use crate::params::{MacParams, CW_MAX, LONG_RETRY_LIMIT, QUEUE_CAPACITY, SHORT_RETRY_LIMIT};
 
 /// Timers the DCF asks the host to arm. At most one timer of each kind is
 /// outstanding; a `SetTimer` for a kind replaces any previous one.
@@ -179,6 +179,7 @@ pub struct Dcf {
     retry_ewma: f64,
     counters: MacCounters,
     /// `true` once the `fault_leak_packet` hook has fired.
+    #[cfg(any(test, feature = "oracle"))]
     fault_leaked: bool,
 }
 
@@ -204,6 +205,7 @@ impl Dcf {
             rx_cache: FxHashMap::default(),
             retry_ewma: 0.0,
             counters: MacCounters::default(),
+            #[cfg(any(test, feature = "oracle"))]
             fault_leaked: false,
         }
     }
@@ -262,6 +264,7 @@ impl Dcf {
         packet: Packet,
         out: &mut Vec<MacAction>,
     ) {
+        #[cfg(any(test, feature = "oracle"))]
         if self.params.fault_leak_packet
             && !self.fault_leaked
             && !matches!(packet.body, mwn_pkt::Body::Aodv(_))
@@ -273,7 +276,7 @@ impl Dcf {
             self.fault_leaked = true;
             return;
         }
-        if self.queue.len() >= self.params.queue_capacity {
+        if self.queue.len() >= QUEUE_CAPACITY {
             self.counters.queue_drops += 1;
             out.push(MacAction::Dropped {
                 packet,
@@ -412,7 +415,10 @@ impl Dcf {
             return;
         }
         self.defer_armed = true;
-        let delay = if self.eifs_next && !self.params.fault_skip_eifs {
+        let eifs = self.eifs_next;
+        #[cfg(any(test, feature = "oracle"))]
+        let eifs = eifs && !self.params.fault_skip_eifs;
+        let delay = if eifs {
             self.params.eifs()
         } else {
             self.params.difs()
@@ -673,7 +679,7 @@ impl Dcf {
         self.awaiting = None;
         self.counters.cts_timeouts += 1;
         let cur = self.current.as_ref().expect("awaiting cts implies current");
-        if cur.ssrc >= self.params.short_retry_limit {
+        if cur.ssrc >= SHORT_RETRY_LIMIT {
             let cur = self.current.take().expect("checked above");
             self.note_exchange_retries(cur.attempts);
             self.counters.rts_retry_drops += 1;
@@ -695,7 +701,7 @@ impl Dcf {
         self.awaiting = None;
         self.counters.ack_timeouts += 1;
         let cur = self.current.as_ref().expect("awaiting ack implies current");
-        if cur.slrc >= self.params.long_retry_limit {
+        if cur.slrc >= LONG_RETRY_LIMIT {
             let cur = self.current.take().expect("checked above");
             self.note_exchange_retries(cur.attempts);
             self.counters.data_retry_drops += 1;
@@ -713,7 +719,7 @@ impl Dcf {
     /// Doubles the contention window and schedules a retry of the current
     /// exchange (restarting from RTS).
     fn retry(&mut self, now: SimTime, actions: &mut Vec<MacAction>) {
-        self.cw = ((self.cw + 1) * 2 - 1).min(self.params.cw_max);
+        self.cw = ((self.cw + 1) * 2 - 1).min(CW_MAX);
         let slots = self.rng.gen_range_u32(self.cw + 1);
         self.backoff.set_slots(slots);
         self.maybe_start_contention(now, actions);

@@ -24,4 +24,6 @@ mod params;
 pub use backoff::Backoff;
 pub use counters::MacCounters;
 pub use dcf::{Dcf, MacAction, MacDropReason, MacTimer};
-pub use params::{LinkRedParams, MacParams};
+pub use params::{
+    LinkRedParams, MacParams, CW_MAX, LONG_RETRY_LIMIT, QUEUE_CAPACITY, SHORT_RETRY_LIMIT,
+};

@@ -4,6 +4,20 @@ use mwn_phy::{DataRate, PhyTiming};
 use mwn_pkt::{sizes, MacFrame};
 use mwn_sim::SimDuration;
 
+/// Maximum contention window (1023), the same for the 802.11b DSSS and
+/// 802.11g OFDM PHYs.
+pub const CW_MAX: u32 = 1023;
+
+/// Attempts for frames preceded by RTS before giving up (7). The paper:
+/// "after seven unsuccessful transmissions for RTS control packets".
+pub const SHORT_RETRY_LIMIT: u32 = 7;
+
+/// Attempts for DATA frames before giving up (4).
+pub const LONG_RETRY_LIMIT: u32 = 4;
+
+/// Interface queue capacity in packets (paper §4.1: 50).
+pub const QUEUE_CAPACITY: usize = 50;
+
 /// IEEE 802.11 DCF parameters.
 ///
 /// Defaults (via [`MacParams::ieee80211b`]) follow the 802.11b DSSS PHY
@@ -25,17 +39,8 @@ pub struct MacParams {
     pub slot: SimDuration,
     /// Short interframe space (10 µs).
     pub sifs: SimDuration,
-    /// Minimum contention window (31).
+    /// Minimum contention window (31); the window grows to [`CW_MAX`].
     pub cw_min: u32,
-    /// Maximum contention window (1023).
-    pub cw_max: u32,
-    /// Attempts for frames preceded by RTS before giving up (7). The paper:
-    /// "after seven unsuccessful transmissions for RTS control packets".
-    pub short_retry_limit: u32,
-    /// Attempts for DATA frames before giving up (4).
-    pub long_retry_limit: u32,
-    /// Interface queue capacity in packets (paper §4.1: 50).
-    pub queue_capacity: usize,
     /// PHY timing (PLCP overhead, basic rate).
     pub timing: PhyTiming,
     /// Rate for data frame bodies.
@@ -55,12 +60,14 @@ pub struct MacParams {
     /// uses DIFS even when EIFS deference is required after a corrupted
     /// reception. Exists only so `mwn check` can demonstrate that the
     /// EIFS invariant catches the bug; never set in real experiments.
+    #[cfg(any(test, feature = "oracle"))]
     pub fault_skip_eifs: bool,
     /// Fault-injection hook for the conservation audit: when set, the DCF
     /// silently discards the first data (non-AODV) packet it accepts —
     /// no `Dropped` action, no `TxConfirm` — planting a custody leak
     /// that the `conservation` rule must catch. Never set in real
     /// experiments.
+    #[cfg(any(test, feature = "oracle"))]
     pub fault_leak_packet: bool,
 }
 
@@ -99,16 +106,8 @@ impl MacParams {
             slot: SimDuration::from_micros(9),
             sifs: SimDuration::from_micros(16),
             cw_min: 15,
-            cw_max: 1023,
-            short_retry_limit: 7,
-            long_retry_limit: 4,
-            queue_capacity: 50,
             timing: PhyTiming::ieee80211g(),
-            data_rate,
-            adaptive_pacing: false,
-            link_red: None,
-            fault_skip_eifs: false,
-            fault_leak_packet: false,
+            ..Self::ieee80211b(data_rate)
         }
     }
 
@@ -118,15 +117,13 @@ impl MacParams {
             slot: SimDuration::from_micros(20),
             sifs: SimDuration::from_micros(10),
             cw_min: 31,
-            cw_max: 1023,
-            short_retry_limit: 7,
-            long_retry_limit: 4,
-            queue_capacity: 50,
             timing: PhyTiming::ieee80211b(),
             data_rate,
             adaptive_pacing: false,
             link_red: None,
+            #[cfg(any(test, feature = "oracle"))]
             fault_skip_eifs: false,
+            #[cfg(any(test, feature = "oracle"))]
             fault_leak_packet: false,
         }
     }

@@ -5,7 +5,7 @@
 //! the MAC never requests two overlapping transmissions, never panics,
 //! and keeps its counters consistent.
 
-use mwn_mac80211::{Dcf, MacAction, MacParams, MacTimer};
+use mwn_mac80211::{Dcf, MacAction, MacParams, MacTimer, QUEUE_CAPACITY};
 use mwn_phy::DataRate;
 use mwn_pkt::{Body, FlowId, MacFrame, NodeId, Packet, TcpSegment};
 use mwn_sim::{Pcg32, SimDuration, SimTime};
@@ -157,7 +157,7 @@ proptest! {
                 "more CTS timeouts than RTS sent");
             prop_assert!(c.data_sent >= c.ack_timeouts,
                 "more ACK timeouts than DATA sent");
-            prop_assert!(dcf.queue_len() <= params.queue_capacity);
+            prop_assert!(dcf.queue_len() <= QUEUE_CAPACITY);
         }
     }
 

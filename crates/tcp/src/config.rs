@@ -2,36 +2,41 @@
 
 use mwn_sim::SimDuration;
 
-/// TCP parameters (paper Table 1 plus timer granularity).
+/// Initial window used in slow start and after a timeout (Table 1: 1).
+pub const WINIT: u32 = 1;
+
+/// Coarse timer granularity (ns-2 `tcpTick_`).
+pub const TICK: SimDuration = SimDuration::from_millis(100);
+
+/// Lower bound on the retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
+/// RTO used before the first RTT sample.
+pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+
+/// Upper bound on the (backed-off) retransmission timeout.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(64);
+
+/// Interval between ELFN probes while a route-failure notice has the
+/// sender frozen (extension; Holland & Vaidya use seconds-scale probing).
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// The TCP parameters an experiment varies (paper Table 1); the rest are
+/// constants of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpConfig {
     /// Maximum window advertised by the receiver (Table 1: 64 packets).
     pub wmax: u32,
-    /// Initial window used in slow start and after a timeout (Table 1: 1).
-    pub winit: u32,
-    /// Vegas lower throughput threshold α in packets (Table 1: 2).
+    /// Vegas throughput threshold α in packets (Table 1: 2). The paper
+    /// sets the upper threshold β = α for fairness and the slow-start
+    /// exit threshold γ = α, so α is all three.
     pub alpha: u32,
-    /// Vegas upper threshold β; the paper sets β = α for fairness.
-    pub beta: u32,
-    /// Vegas slow-start exit threshold γ (Table 1: γ = α).
-    pub gamma: u32,
-    /// Coarse timer granularity (ns-2 `tcpTick_`).
-    pub tick: SimDuration,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// RTO used before the first RTT sample.
-    pub initial_rto: SimDuration,
-    /// Upper bound on the (backed-off) retransmission timeout.
-    pub max_rto: SimDuration,
-    /// Interval between ELFN probes while a route-failure notice has the
-    /// sender frozen (extension; Holland & Vaidya use seconds-scale
-    /// probing).
-    pub probe_interval: SimDuration,
     /// Fault-injection hook for the invariant checker: when set, the
     /// sender's window-growth paths clamp `cwnd` to `4 × wmax` instead of
     /// `wmax`, so slow start overshoots the receiver's advertised window.
     /// Exists only so `mwn check` can demonstrate that the cwnd-bound
     /// invariant catches the bug; never set in real experiments.
+    #[cfg(any(test, feature = "oracle"))]
     pub fault_cwnd_overshoot: bool,
 }
 
@@ -40,15 +45,8 @@ impl TcpConfig {
     pub fn paper(alpha: u32) -> Self {
         TcpConfig {
             wmax: 64,
-            winit: 1,
             alpha,
-            beta: alpha,
-            gamma: alpha,
-            tick: SimDuration::from_millis(100),
-            min_rto: SimDuration::from_millis(200),
-            initial_rto: SimDuration::from_secs(1),
-            max_rto: SimDuration::from_secs(64),
-            probe_interval: SimDuration::from_secs(2),
+            #[cfg(any(test, feature = "oracle"))]
             fault_cwnd_overshoot: false,
         }
     }
@@ -74,9 +72,8 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let c = TcpConfig::default();
-        assert_eq!(c.wmax, 64);
-        assert_eq!(c.winit, 1);
-        assert_eq!((c.alpha, c.beta, c.gamma), (2, 2, 2));
+        assert_eq!((c.wmax, c.alpha), (64, 2));
+        assert!(!c.fault_cwnd_overshoot);
     }
 
     #[test]

@@ -27,7 +27,7 @@ mod sender;
 mod sink;
 pub mod vegas_model;
 
-pub use config::TcpConfig;
+pub use config::{TcpConfig, INITIAL_RTO, MAX_RTO, MIN_RTO, PROBE_INTERVAL, TICK, WINIT};
 pub use paced_udp::{PacedUdpSource, UdpSink};
 pub use rto::RtoEstimator;
 pub use sender::{Flavor, TcpSender, TcpSenderStats};

@@ -4,7 +4,7 @@
 use mwn_pkt::{Body, FlowId, NodeId, Packet, TcpSegment};
 use mwn_sim::{FxHashMap, SimDuration, SimTime};
 
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, INITIAL_RTO, MAX_RTO, MIN_RTO, PROBE_INTERVAL, TICK, WINIT};
 use crate::rto::RtoEstimator;
 use crate::{TransportAction, TransportTimer};
 
@@ -25,9 +25,10 @@ pub enum Flavor {
     Tahoe,
     /// Proactive, delay-driven congestion control: once per RTT compares
     /// expected (`W/baseRTT`) and actual (`W/RTT`) throughput and keeps
-    /// `diff = (W/baseRTT − W/RTT)·baseRTT` between α and β; slow start
-    /// doubles only every other RTT and exits when `diff > γ`; duplicate
-    /// ACKs trigger fine-grained (sub-3-dupack) retransmission checks.
+    /// `diff = (W/baseRTT − W/RTT)·baseRTT` between α and β (= α); slow
+    /// start doubles only every other RTT and exits when `diff > γ` (= α);
+    /// duplicate ACKs trigger fine-grained (sub-3-dupack) retransmission
+    /// checks.
     Vegas,
 }
 
@@ -196,18 +197,13 @@ impl TcpSender {
             t_seqno: 0,
             acked: 0,
             budget: None,
-            cwnd: f64::from(config.winit),
+            cwnd: f64::from(WINIT),
             ssthresh: f64::from(config.wmax),
             dupacks: 0,
             in_recovery: false,
             recover: 0,
             sent: FxHashMap::default(),
-            rto: RtoEstimator::new(
-                config.tick,
-                config.min_rto,
-                config.initial_rto,
-                config.max_rto,
-            ),
+            rto: RtoEstimator::new(TICK, MIN_RTO, INITIAL_RTO, MAX_RTO),
             rtx_armed: false,
             frozen: false,
             saved_cwnd: 0.0,
@@ -339,7 +335,7 @@ impl TcpSender {
         }
         out.push(TransportAction::SetTimer {
             timer: TransportTimer::Probe,
-            delay: self.config.probe_interval,
+            delay: PROBE_INTERVAL,
         });
     }
 
@@ -355,7 +351,7 @@ impl TcpSender {
         }
         out.push(TransportAction::SetTimer {
             timer: TransportTimer::Probe,
-            delay: self.config.probe_interval,
+            delay: PROBE_INTERVAL,
         });
     }
 
@@ -378,7 +374,7 @@ impl TcpSender {
         }
         self.stats.timeouts += 1;
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
-        self.cwnd = f64::from(self.config.winit);
+        self.cwnd = f64::from(WINIT);
         self.dupacks = 0;
         self.in_recovery = false;
         if let FlavorState::Vegas(v) = &mut self.flavor {
@@ -462,11 +458,11 @@ impl TcpSender {
     /// `fault_cwnd_overshoot` checker hook relaxes it to `4 × wmax`.
     fn wmax_cap(&self) -> f64 {
         let cap = f64::from(self.config.wmax);
+        #[cfg(any(test, feature = "oracle"))]
         if self.config.fault_cwnd_overshoot {
-            cap * 4.0
-        } else {
-            cap
+            return cap * 4.0;
         }
+        cap
     }
 
     /// Slow start / congestion avoidance opening shared by the reactive
@@ -512,17 +508,20 @@ impl TcpSender {
         if self.acked > v.epoch_marker {
             if let (Some(base), Some(rtt)) = (v.base_rtt, v.last_rtt) {
                 let diff = self.cwnd * (1.0 - base / rtt);
+                // α = β = γ (Table 1): one threshold is both edges of the
+                // congestion-avoidance band and the slow-start exit.
+                let alpha = f64::from(self.config.alpha);
                 if v.in_slow_start {
-                    if diff > f64::from(self.config.gamma) {
+                    if diff > alpha {
                         // Exit slow start with a 1/8 reduction.
                         v.in_slow_start = false;
                         self.cwnd = (self.cwnd * 7.0 / 8.0).max(2.0);
                     } else {
                         v.ss_grow = !v.ss_grow;
                     }
-                } else if diff < f64::from(self.config.alpha) {
+                } else if diff < alpha {
                     self.cwnd += 1.0;
-                } else if diff > f64::from(self.config.beta) {
+                } else if diff > alpha {
                     self.cwnd = (self.cwnd - 1.0).max(2.0);
                 }
                 self.cwnd = self.cwnd.min(cap);
@@ -558,7 +557,7 @@ impl TcpSender {
                 if self.dupacks == 3 && !self.in_recovery {
                     // Fast retransmit, then back to slow start from 1.
                     self.ssthresh = (self.cwnd / 2.0).max(2.0);
-                    self.cwnd = f64::from(self.config.winit);
+                    self.cwnd = f64::from(WINIT);
                     let seq = self.acked;
                     self.stats.fast_retransmits += 1;
                     self.send_seq(now, seq, actions);

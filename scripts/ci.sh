@@ -79,11 +79,15 @@ grep -q "0.0" <<<"$report_diff" || {
     echo "error: mwn report --diff of a store against itself is not a zero delta" >&2; exit 1; }
 rm -f "$report_store"
 
-# Conservation audit + flight recorder: the planted leak/double-free
-# faults must trip the `conservation` rule and the violation must carry
-# the flight-recorder dump (crates/check/tests/conservation.rs).
-echo "==> conservation audit fault-injection (flight-recorder dump check)"
-cargo test --release -q -p mwn-check --test conservation
+# Fault injection: the planted-bug hooks (`fault_*` in MacParams,
+# AodvConfig and TcpConfig) exist only under `cfg(test)` or the `oracle`
+# feature, which mwn-check's dev-dependencies turn on through `mwn`.
+# The EIFS-skip and cwnd-overshoot faults must trip their trace rules
+# (crates/check/tests/faults.rs); the leak/double-free/TTL faults must
+# trip the `conservation` rule and the violation must carry the
+# flight-recorder dump (crates/check/tests/conservation.rs).
+echo "==> fault injection (invariant rules, conservation audit, flight-recorder dump)"
+cargo test --release -q -p mwn-check --test faults --test conservation
 
 # The Criterion benches are compiled nowhere else when clippy is absent.
 echo "==> cargo bench --no-run (engine_micro, obs_overhead)"
