@@ -22,16 +22,16 @@
 
 use std::time::Instant;
 
-use mwn::mobility::RandomWaypoint;
 use mwn::{
-    topology, AodvConfig, EngineProfile, FlowSpec, NodeId, Scenario, SimDuration, SimTime,
+    topology, AodvConfig, FlowSpec, MetricsReport, NodeId, Scenario, SimDuration, SimTime,
     TrafficModel, Transport,
 };
-use mwn_obs::json::Obj;
+use mwn_obs::json::{arr, Obj};
 use mwn_phy::{DataRate, MediumCounters};
 use mwn_runner::query::Json;
 
-use crate::args::{parse, reject_leftovers, take_flag, take_value};
+use crate::args::{reject_leftovers, take_count, take_flag, take_value};
+use crate::waypoints;
 
 /// Version tag of the `BENCH_engine.json` schema.
 const SCHEMA: &str = "mwn-bench-engine/1";
@@ -48,41 +48,6 @@ const REGRESSION_TOLERANCE: f64 = 0.20;
 /// margin only has to absorb a deliberate, small trade.
 const EVENTS_PER_PKT_TOLERANCE: f64 = 0.01;
 
-/// What the engine profile says about signal fan-out now that a wave
-/// event, not an event per receiver, carries it.
-pub(crate) struct WaveRatios {
-    /// Events popped per packet delivered to a transport sink.
-    pub events_per_pkt: f64,
-    /// Signal edges per transmission, halved: receptions (decodable or
-    /// carrier-sense only) per frame put on the air.
-    pub rx_per_tx: f64,
-    /// Share of wave segments that ended by going back through the queue
-    /// instead of reaching the wave's last receiver.
-    pub yield_share: f64,
-}
-
-impl WaveRatios {
-    pub(crate) fn new(profile: &EngineProfile, delivered: u64) -> Self {
-        let by_kind = profile.by_kind();
-        let kind = |name: &str| {
-            by_kind
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map_or(0, |&(_, n)| n) as f64
-        };
-        let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        WaveRatios {
-            events_per_pkt: ratio(profile.events_processed() as f64, delivered as f64),
-            // Every transmission ends in exactly one `tx_end`.
-            rx_per_tx: ratio(profile.signal_edges() as f64 / 2.0, kind("tx_end")),
-            yield_share: ratio(
-                profile.wave_yields() as f64,
-                kind("signal_start") + kind("signal_end"),
-            ),
-        }
-    }
-}
-
 /// One benchmark scenario. Workloads are fixed forever: changing a target
 /// or seed would silently invalidate every committed baseline entry.
 struct BenchCase {
@@ -94,20 +59,6 @@ struct BenchCase {
     /// Simulated-time safety deadline (never binding on a healthy engine).
     deadline: SimDuration,
     build: fn() -> Scenario,
-}
-
-/// Random-waypoint mobility over a `(width, height)` m field, as every
-/// mobile bench case and `mwn stats --topology random200|random500` run
-/// it: 1–10 m/s, 2 s pauses, 100 ms position ticks.
-pub(crate) fn waypoints((width, height): (f64, f64)) -> RandomWaypoint {
-    RandomWaypoint {
-        width,
-        height,
-        min_speed: 1.0,
-        max_speed: 10.0,
-        pause: SimDuration::from_secs(2),
-        tick: SimDuration::from_millis(100),
-    }
 }
 
 /// The 50-node random topology shared by the two heaviest cases: 50 nodes
@@ -296,106 +247,82 @@ fn cases() -> Vec<BenchCase> {
 /// One measured scenario run.
 struct Measurement {
     name: &'static str,
-    events: u64,
-    peak_queue_depth: usize,
-    delivered: u64,
-    sim_secs: f64,
     /// Best (smallest) wall time over the repeats.
     wall_secs: f64,
     /// Wall seconds the best run's `Scenario::build` took (set-up, which
     /// `wall_secs` leaves out).
     build_secs: f64,
-    /// Wall seconds the best run spent in the mobility tick proper:
-    /// position diffs, grid relocation and the epoch bump (0 for static
-    /// scenarios). `medium_tick` profile bucket.
-    medium_tick_secs: f64,
-    /// Wall seconds the best run spent keeping effect lists current at
-    /// transmission time: builds, rebuilds and sorts into arrival order
-    /// (`medium_lazy` + `medium_sort`).
-    medium_lazy_secs: f64,
-    /// Per-receiver signal edges the best run's waves delivered.
-    signal_edges: u64,
-    /// Wave segments of the best run that yielded to the queue.
-    wave_yields: u64,
-    ratios: WaveRatios,
-    /// What the best run's bystander path avoided (the profile's
-    /// counters of the same names).
-    nav_parked: u64,
-    nav_materialised: u64,
-    mac_batches_without_actions: u64,
-    /// The best run's lazy-medium counters (builds, rebuilds, and sorts
-    /// into arrival order — one per build or rebuild).
-    medium: MediumCounters,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
     bytes_per_node: u64,
     /// Process peak RSS (`VmHWM`) in bytes, `None` where `/proc` is
     /// unavailable. Cumulative across the process, so within one bench
-    /// invocation it only ever grows case-over-case.
+    /// invocation it only ever grows case-over-case. Read before the
+    /// report is built, so the report's own allocation is not counted.
     peak_rss_bytes: Option<u64>,
+    /// The best run's report (profile, medium counters, deliveries).
+    report: MetricsReport,
 }
 
 impl Measurement {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Total medium wall seconds: tick bookkeeping plus lazy upkeep.
-    fn medium_secs(&self) -> f64 {
-        self.medium_tick_secs + self.medium_lazy_secs
+    /// Wall seconds the best run spent on the medium: in the mobility
+    /// tick proper (position diffs, grid relocation, the epoch bump; 0 for
+    /// static scenarios), and keeping effect lists current at transmission
+    /// time (builds, rebuilds and sorts into arrival order).
+    fn medium_secs(&self) -> (f64, f64) {
+        let p = &self.report.profile;
+        let lazy = p.timed_secs("medium_lazy") + p.timed_secs("medium_sort");
+        (p.timed_secs("medium_tick"), lazy)
     }
 
     /// Medium share of wall time in percent (the at-a-glance regression
     /// signal for the lazy path).
     fn medium_pct(&self) -> f64 {
+        let (tick, lazy) = self.medium_secs();
         if self.wall_secs > 0.0 {
-            100.0 * self.medium_secs() / self.wall_secs
+            100.0 * (tick + lazy) / self.wall_secs
         } else {
             0.0
         }
     }
 
     fn to_json(&self) -> String {
+        let (r, p) = (&self.report, &self.report.profile);
+        let (tick, lazy) = self.medium_secs();
         let obj = Obj::new()
             .str("name", self.name)
-            .u64("events", self.events)
-            .usize("peak_queue_depth", self.peak_queue_depth)
-            .u64("delivered", self.delivered)
-            .f64("sim_secs", self.sim_secs)
+            .u64("events", p.events_processed())
+            .usize("peak_queue_depth", p.peak_queue_depth())
+            .u64("delivered", r.delivered)
+            .f64("sim_secs", r.totals.time.as_secs_f64())
             .f64("wall_secs", self.wall_secs)
             .f64("build_secs", self.build_secs)
-            .f64("medium_tick_secs", self.medium_tick_secs)
-            .f64("medium_lazy_secs", self.medium_lazy_secs)
-            .u64("signal_edges", self.signal_edges)
-            .u64("wave_yields", self.wave_yields)
-            .f64("events_per_pkt", self.ratios.events_per_pkt)
-            .f64("rx_per_tx", self.ratios.rx_per_tx)
-            .f64("wave_yield_share", self.ratios.yield_share)
-            .u64("nav_parked", self.nav_parked)
-            .u64("nav_materialised", self.nav_materialised)
-            .u64(
-                "mac_batches_without_actions",
-                self.mac_batches_without_actions,
-            )
-            .u64("medium_builds", self.medium.builds)
-            .u64("medium_rebuilds", self.medium.rebuilds)
-            .u64("medium_sorts", self.medium.sorts)
+            .f64("medium_tick_secs", tick)
+            .f64("medium_lazy_secs", lazy)
+            .u64("signal_edges", p.signal_edges())
+            .u64("wave_yields", p.wave_yields())
+            .f64("events_per_pkt", r.events_per_packet())
+            .f64("rx_per_tx", r.rx_per_tx())
+            .f64("wave_yield_share", r.wave_yield_share())
+            .u64("nav_parked", p.nav_parked)
+            .u64("nav_materialised", p.nav_materialised)
+            .u64("mac_batches_without_actions", p.mac_batches_without_actions)
+            .u64("medium_builds", r.medium.builds)
+            .u64("medium_rebuilds", r.medium.rebuilds)
+            .u64("medium_sorts", r.medium.sorts)
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
             None => obj.raw("peak_rss_bytes", "null"),
         };
-        obj.f64("events_per_sec", self.events_per_sec()).finish()
+        obj.f64("events_per_sec", p.events_per_sec(self.wall_secs))
+            .finish()
     }
 }
 
-fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
+fn run_case(case: &BenchCase, repeat: u64) -> Measurement {
     let mut best: Option<Measurement> = None;
-    for _ in 0..repeat.max(1) {
+    for _ in 0..repeat {
         let scenario = (case.build)();
         let started = Instant::now();
         let mut net = scenario.build();
@@ -404,30 +331,18 @@ fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
         let started = Instant::now();
         net.run_until_delivered(case.target, SimTime::ZERO + case.deadline);
         let wall_secs = started.elapsed().as_secs_f64();
-        let profile = net.profile().expect("profiling enabled above");
-        let m = Measurement {
+        if best.as_ref().is_some_and(|b| b.wall_secs <= wall_secs) {
+            continue;
+        }
+        let peak_rss_bytes = peak_rss_bytes();
+        best = Some(Measurement {
             name: case.name,
-            events: profile.events_processed(),
-            peak_queue_depth: profile.peak_queue_depth(),
-            delivered: net.total_delivered(),
-            sim_secs: net.now().as_secs_f64(),
             wall_secs,
             build_secs,
-            medium_tick_secs: profile.timed_secs("medium_tick"),
-            medium_lazy_secs: profile.timed_secs("medium_lazy") + profile.timed_secs("medium_sort"),
-            signal_edges: profile.signal_edges(),
-            wave_yields: profile.wave_yields(),
-            ratios: WaveRatios::new(profile, net.total_delivered()),
-            nav_parked: profile.nav_parked,
-            nav_materialised: profile.nav_materialised,
-            mac_batches_without_actions: profile.mac_batches_without_actions,
-            medium: net.medium_counters(),
             bytes_per_node: net.bytes_per_node(),
-            peak_rss_bytes: peak_rss_bytes(),
-        };
-        if best.as_ref().is_none_or(|b| m.wall_secs < b.wall_secs) {
-            best = Some(m);
-        }
+            peak_rss_bytes,
+            report: net.report(),
+        });
     }
     best.expect("repeat >= 1")
 }
@@ -449,10 +364,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let record = take_value(&mut argv, "--record")?;
     let case_filter = take_value(&mut argv, "--case")?;
     let out = take_value(&mut argv, "--out")?.unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let repeat: u32 = match take_value(&mut argv, "--repeat")? {
-        Some(v) => parse(&v, "repeat count")?,
-        None => 1,
-    };
+    let repeat = take_count(&mut argv, "--repeat", "repeat count")?;
     reject_leftovers(&argv)?;
     if record.is_some() && quick {
         return Err("--record requires the full scenario set (drop --quick)".to_string());
@@ -487,12 +399,13 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         ));
     }
     println!(
-        "running {} scenario(s), best of {} run(s) each:",
-        selected.len(),
-        repeat.max(1)
+        "running {} scenario(s), best of {repeat} run(s) each:",
+        selected.len()
     );
 
-    let mut measurements = Vec::new();
+    // Rendered rows, not measurements: a case's report is dropped before
+    // the next case runs, so it does not count towards that one's RSS.
+    let mut rows = Vec::new();
     let mut worst_ratio: Option<(f64, &'static str)> = None;
     // Largest events/packet growth over the baseline (1.0 = unchanged).
     let mut worst_growth: Option<(f64, &'static str)> = None;
@@ -500,20 +413,23 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let mut worst_exact: [Option<(i64, &'static str)>; EXACT_GATES.len()] = Default::default();
     for case in &selected {
         let m = run_case(case, repeat);
-        let eps = m.events_per_sec();
+        let eps = m.report.profile.events_per_sec(m.wall_secs);
         let base = baseline_rows
             .as_ref()
             .and_then(|b| b.iter().find(|r| r.name == m.name));
         // (speed ratio on wall seconds — the gated one — and on ev/s).
         let vs = base.map(|base| (base.wall_secs / m.wall_secs, eps / base.events_per_sec));
         if let Some(base_epp) = base.and_then(|b| b.events_per_pkt).filter(|&e| e > 0.0) {
-            let growth = m.ratios.events_per_pkt / base_epp;
+            let growth = m.report.events_per_packet() / base_epp;
             if worst_growth.is_none_or(|(g, _)| growth > g) {
                 worst_growth = Some((growth, m.name));
             }
         }
         if let Some(base) = base {
-            for (worst, excess) in worst_exact.iter_mut().zip(exact_excess(&m.medium, base)) {
+            for (worst, excess) in worst_exact
+                .iter_mut()
+                .zip(exact_excess(&m.report.medium, base))
+            {
                 let Some(excess) = excess else { continue };
                 if worst.is_none_or(|(e, _)| excess > e) {
                     *worst = Some((excess, m.name));
@@ -526,13 +442,13 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         let medium = format!(
             "  medium {:>4.1}%  {} lists built",
             m.medium_pct(),
-            m.medium.builds
+            m.report.medium.builds
         );
         let waves = format!(
             "  {:.0} ev/pkt  {:.1} rx/tx  yield {:.0}%",
-            m.ratios.events_per_pkt,
-            m.ratios.rx_per_tx,
-            100.0 * m.ratios.yield_share
+            m.report.events_per_packet(),
+            m.report.rx_per_tx(),
+            100.0 * m.report.wave_yield_share()
         );
         let mut mem = format!("  {:.1} KiB/node", m.bytes_per_node as f64 / 1024.0);
         if let Some(rss) = m.peak_rss_bytes {
@@ -549,13 +465,16 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         };
         println!(
             "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  {versus}{waves}{mem}{medium}",
-            m.name, m.events, m.wall_secs, eps
+            m.name,
+            m.report.profile.events_processed(),
+            m.wall_secs,
+            eps
         );
-        measurements.push(m);
+        rows.push(m.to_json());
     }
 
     if let Some(label) = record {
-        let text = render_file(baseline.as_ref(), &label, &measurements)?;
+        let text = render_file(baseline.as_ref(), &label, &rows)?;
         std::fs::write(&out, text).map_err(|e| format!("writing {out}: {e}"))?;
         println!("recorded entry {label:?} in {out}");
     }
@@ -718,25 +637,18 @@ fn exact_excess(m: &MediumCounters, base: &BaselineRow) -> [Option<i64>; EXACT_G
     ]
 }
 
-fn render_entry(label: &str, measurements: &[Measurement]) -> String {
-    let scenarios: Vec<String> = measurements.iter().map(Measurement::to_json).collect();
-    format!(
-        r#"{{"label":{},"scenarios":[{}]}}"#,
-        quoted(label),
-        scenarios.join(",")
-    )
-}
-
-fn quoted(s: &str) -> String {
-    Obj::new().str("l", s).finish()[5..]
-        .trim_end_matches('}')
-        .to_string()
+fn render_entry(label: &str, rows: &[String]) -> String {
+    let scenarios = arr(rows.iter().cloned());
+    Obj::new()
+        .str("label", label)
+        .raw("scenarios", &scenarios)
+        .finish()
 }
 
 fn render_file(
     existing: Option<&Baseline>,
     label: &str,
-    measurements: &[Measurement],
+    rows: &[String],
 ) -> Result<String, String> {
     let mut entries = existing
         .map(Baseline::entry_lines)
@@ -758,7 +670,7 @@ fn render_file(
              (pick a new label, e.g. {suggestion:?})"
         ));
     }
-    entries.push(render_entry(label, measurements));
+    entries.push(render_entry(label, rows));
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
@@ -780,36 +692,45 @@ fn render_file(
 mod tests {
     use super::*;
 
+    /// A measurement whose report holds `events` events over 100
+    /// delivered packets.
     fn meas(name: &'static str, events: u64, wall: f64) -> Measurement {
+        let mut profile = mwn::EngineProfile::new();
+        for _ in 0..events {
+            profile.record("mac_timer", 9);
+        }
+        profile.record_wave(4_000, true);
+        for _ in 1..30 {
+            profile.record_wave(0, true);
+        }
+        profile.record_timed("medium_tick", 0.045);
+        profile.record_timed("medium_lazy", 0.08);
+        profile.nav_parked = 70;
+        profile.nav_materialised = 2;
+        profile.mac_batches_without_actions = 900;
         Measurement {
             name,
-            events,
-            peak_queue_depth: 9,
-            delivered: 100,
-            sim_secs: 2.5,
             wall_secs: wall,
             build_secs: 0.125,
-            medium_tick_secs: 0.045,
-            medium_lazy_secs: 0.08,
-            signal_edges: 4_000,
-            wave_yields: 30,
-            ratios: WaveRatios {
-                events_per_pkt: events as f64 / 100.0,
-                rx_per_tx: 4.0,
-                yield_share: 0.25,
-            },
-            nav_parked: 70,
-            nav_materialised: 2,
-            mac_batches_without_actions: 900,
-            medium: MediumCounters {
-                builds: 9,
-                rebuilds: 40,
-                sorts: 49,
-                ..MediumCounters::default()
-            },
             bytes_per_node: 2_048,
             peak_rss_bytes: Some(64 << 20),
+            report: MetricsReport {
+                totals: mwn::MetricsSnapshot::empty(SimTime::from_nanos(2_500_000_000)),
+                profile,
+                medium: MediumCounters {
+                    builds: 9,
+                    rebuilds: 40,
+                    sorts: 49,
+                    ..MediumCounters::default()
+                },
+                delivered: 100,
+                ..MetricsReport::default()
+            },
         }
+    }
+
+    fn row(name: &'static str, events: u64, wall: f64) -> String {
+        meas(name, events, wall).to_json()
     }
 
     fn parsed(text: &str) -> Baseline {
@@ -818,9 +739,9 @@ mod tests {
 
     #[test]
     fn file_roundtrip_preserves_entries() {
-        let first = render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap();
+        let first = render_file(None, "pre", &[row("a", 1000, 0.5)]).unwrap();
         assert!(first.contains(SCHEMA));
-        let second = render_file(Some(&parsed(&first)), "post", &[meas("a", 4000, 0.5)]).unwrap();
+        let second = render_file(Some(&parsed(&first)), "post", &[row("a", 4000, 0.5)]).unwrap();
         let second = parsed(&second);
         assert_eq!(second.entries.len(), 2);
         assert_eq!(second.entry_lines().unwrap().len(), 2);
@@ -841,8 +762,8 @@ mod tests {
     /// entry lines it can no longer find.
     #[test]
     fn reformatted_baseline_is_read_but_never_rewritten() {
-        let first = render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap();
-        let two = render_file(Some(&parsed(&first)), "post", &[meas("a", 4000, 0.25)]).unwrap();
+        let first = render_file(None, "pre", &[row("a", 1000, 0.5)]).unwrap();
+        let two = render_file(Some(&parsed(&first)), "post", &[row("a", 4000, 0.25)]).unwrap();
         let pretty = parsed(&two.replace(r#"{"label":"#, "{\n      \"label\": "));
         let rows = pretty.last_entry();
         assert_eq!(rows.len(), 1);
@@ -850,7 +771,7 @@ mod tests {
             (rows[0].wall_secs - 0.25).abs() < 1e-12,
             "not the last entry"
         );
-        let err = render_file(Some(&pretty), "next", &[meas("a", 1, 1.0)]).unwrap_err();
+        let err = render_file(Some(&pretty), "next", &[row("a", 1, 1.0)]).unwrap_err();
         assert!(
             err.contains("refusing to rewrite 2 entries"),
             "unhelpful error: {err}"
@@ -900,9 +821,14 @@ mod tests {
         );
     }
 
+    /// A row's wave ratios are the report's: events per delivered
+    /// packet, receptions per transmission and the yield share, 0 where
+    /// a run left a denominator empty.
     #[test]
     fn wave_ratios_come_from_the_profile_and_survive_empty_runs() {
-        let mut p = EngineProfile::new();
+        let mut m = meas("w", 0, 1.0);
+        let p = &mut m.report.profile;
+        *p = mwn::EngineProfile::new();
         for _ in 0..3 {
             p.record("signal_start", 1);
         }
@@ -911,26 +837,29 @@ mod tests {
         p.record_wave(8, false);
         p.record("tx_end", 1);
         p.record("tx_end", 1);
-        let r = WaveRatios::new(&p, 3);
-        assert!((r.events_per_pkt - 2.0).abs() < 1e-12);
-        assert!((r.rx_per_tx - 5.0).abs() < 1e-12, "20 edges / 2 / 2 tx");
-        assert!((r.yield_share - 0.25).abs() < 1e-12, "1 yield / 4 segments");
-        let idle = WaveRatios::new(&EngineProfile::new(), 0);
+        m.report.delivered = 3;
+        let ratios = |m: &Measurement| {
+            let row = Json::parse(&m.to_json()).unwrap();
+            ["events_per_pkt", "rx_per_tx", "wave_yield_share"]
+                .map(|key| row.get(key).and_then(Json::as_f64).unwrap())
+        };
         assert_eq!(
-            (idle.events_per_pkt, idle.rx_per_tx, idle.yield_share),
-            (0.0, 0.0, 0.0),
-            "zero denominators must not divide"
+            ratios(&m),
+            [2.0, 5.0, 0.25],
+            "6 events / 3 pkts; 20 edges / 2 / 2 tx; 1 yield / 4 segments"
         );
+        m.report = MetricsReport::default();
+        assert_eq!(ratios(&m), [0.0; 3], "zero denominators must not divide");
     }
 
     #[test]
     fn duplicate_label_rejected_with_a_free_suggestion() {
-        let first = parsed(&render_file(None, "pre", &[meas("a", 1000, 0.5)]).unwrap());
-        let err = render_file(Some(&first), "pre", &[meas("a", 1, 1.0)]).unwrap_err();
+        let first = parsed(&render_file(None, "pre", &[row("a", 1000, 0.5)]).unwrap());
+        let err = render_file(Some(&first), "pre", &[row("a", 1, 1.0)]).unwrap_err();
         assert!(err.contains("\"pre-2\""), "unhelpful error: {err}");
         // The suggestion skips suffixes that are themselves taken.
-        let second = render_file(Some(&first), "pre-2", &[meas("a", 1000, 0.5)]).unwrap();
-        let err = render_file(Some(&parsed(&second)), "pre", &[meas("a", 1, 1.0)]).unwrap_err();
+        let second = render_file(Some(&first), "pre-2", &[row("a", 1000, 0.5)]).unwrap();
+        let err = render_file(Some(&parsed(&second)), "pre", &[row("a", 1, 1.0)]).unwrap_err();
         assert!(err.contains("\"pre-3\""), "suggestion not free: {err}");
     }
 
@@ -949,9 +878,10 @@ mod tests {
         // longer an event count.
         assert_eq!(num("signal_edges"), Some(4000.0));
         assert_eq!(num("wave_yields"), Some(30.0));
-        assert_eq!(num("rx_per_tx"), Some(4.0));
-        assert_eq!(num("wave_yield_share"), Some(0.25));
         assert_eq!(num("events_per_pkt"), Some(1.23));
+        assert_eq!(num("delivered"), Some(100.0));
+        assert_eq!(num("sim_secs"), Some(2.5));
+        assert_eq!(num("peak_queue_depth"), Some(9.0));
         assert_eq!(num("nav_parked"), Some(70.0));
         assert_eq!(num("nav_materialised"), Some(2.0));
         assert_eq!(num("mac_batches_without_actions"), Some(900.0));
@@ -964,11 +894,10 @@ mod tests {
     #[test]
     fn medium_share_of_wall_is_derived_per_row() {
         let m = meas("chain", 123, 0.25);
-        assert!((m.medium_secs() - 0.125).abs() < 1e-12);
+        assert_eq!(m.medium_secs(), (0.045, 0.08));
         assert!((m.medium_pct() - 50.0).abs() < 1e-9);
         let mut idle = meas("idle", 0, 0.0);
-        idle.medium_tick_secs = 0.0;
-        idle.medium_lazy_secs = 0.0;
+        idle.report.profile = mwn::EngineProfile::new();
         assert_eq!(idle.medium_pct(), 0.0, "zero wall must not divide");
     }
 

@@ -10,7 +10,7 @@ use mwn_check::golden::{conformance, format_digests, parse_digests, BUILTIN_DIGE
 use mwn_check::{canonical_cases, fast_cases, fuzz, CanonicalCase, CaseReport};
 use mwn_runner::pool;
 
-use crate::args::{parse, reject_leftovers, take_flag, take_value};
+use crate::args::{reject_leftovers, take_flag, take_parsed, take_value};
 
 /// Where `--bless` writes (and where the build embeds the digests from),
 /// relative to the repository root.
@@ -20,14 +20,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let mut argv = argv.to_vec();
     let suite = take_value(&mut argv, "--suite")?.unwrap_or_else(|| "full".to_string());
     let bless = take_flag(&mut argv, "--bless");
-    let fuzz_cases: u32 = match take_value(&mut argv, "--fuzz")? {
-        Some(v) => parse(&v, "fuzz case count")?,
-        None => 0,
-    };
-    let jobs: usize = match take_value(&mut argv, "--jobs")? {
-        Some(v) => parse(&v, "job count")?,
-        None => 0,
-    };
+    let fuzz_cases: u32 = take_parsed(&mut argv, "--fuzz", "fuzz case count", 0)?;
+    let jobs: usize = take_parsed(&mut argv, "--jobs", "job count", 0)?;
     let golden_path = take_value(&mut argv, "--golden")?;
     reject_leftovers(&argv)?;
 

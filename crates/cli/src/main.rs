@@ -15,6 +15,9 @@
 
 use std::process::ExitCode;
 
+use mwn::mobility::RandomWaypoint;
+use mwn::SimDuration;
+
 mod bench_cmd;
 mod check_cmd;
 mod report_cmd;
@@ -24,6 +27,18 @@ mod stats_cmd;
 mod sweep;
 mod trace_cmd;
 mod traffic_cmd;
+
+/// Random-waypoint mobility over a `(width, height)` m field, as every
+/// mobile bench case and `mwn stats --topology random200|random500` run
+/// it: 1–10 m/s, 2 s pauses, 100 ms position ticks.
+pub(crate) fn waypoints((width, height): (f64, f64)) -> RandomWaypoint {
+    let strip = RandomWaypoint::strip(10.0, SimDuration::from_secs(2));
+    RandomWaypoint {
+        width,
+        height,
+        ..strip
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -112,9 +127,11 @@ fn print_usage() {
          \x20             [--seed S] [--reps R] [--jobs N] [--deadline SECS] [--json]\n\
          \x20     Drive an open-loop workload (finite flows, flow churn) over\n\
          \x20     a connected random topology until every flow completes, and\n\
-         \x20     report per-class FCT percentiles, goodput, the summed TCP\n\
-         \x20     statistics of completed flows and the journal digest\n\
-         \x20     (bit-identical across --jobs worker counts).\n\n\
+         \x20     print the journal digests and the run report: per-layer\n\
+         \x20     counters, the summed TCP statistics of completed flows, the\n\
+         \x20     drop ledger, per-class FCT percentiles and goodput\n\
+         \x20     (bit-identical across --jobs worker counts). --json prints\n\
+         \x20     one JSON object per replication.\n\n\
          \x20 mwn report [--store results.jsonl] [--scenario S] [--variant V] [--seed N]\n\
          \x20            [--csv] [--curve] [--diff OTHER.jsonl]\n\
          \x20     Aggregate a sweep's JSONL store: per-cell goodput, summed\n\
@@ -151,19 +168,13 @@ pub(crate) mod args {
         default_transport: &str,
     ) -> Result<ScenarioArgs, String> {
         let topology = take_value(argv, "--topology")?.unwrap_or_else(|| "chain".into());
-        let hops: usize = match take_value(argv, "--hops")? {
-            Some(v) => parse(&v, "hop count")?,
-            None => default_hops,
-        };
+        let hops: usize = take_parsed(argv, "--hops", "hop count", default_hops)?;
         if hops == 0 {
             return Err("--hops must be positive".into());
         }
         let (bandwidth, transport) = take_link(argv, "2", default_transport)?;
-        let seed: u64 = match take_value(argv, "--seed")? {
-            Some(v) => parse(&v, "seed")?,
-            None => 42,
-        };
-        let scale = ExperimentScale::scaled(take_scale(argv)?);
+        let seed: u64 = take_parsed(argv, "--seed", "seed", 42)?;
+        let scale = ExperimentScale::scaled(take_count(argv, "--scale", "scale")?);
         Ok(ScenarioArgs {
             topology,
             hops,
@@ -257,17 +268,24 @@ pub(crate) mod args {
         }
     }
 
-    /// Extracts `--scale N` (default 1). `ExperimentScale::scaled` would
-    /// quietly run a 0 at scale 1, so it is refused here.
-    pub fn take_scale(argv: &mut Vec<String>) -> Result<u64, String> {
-        let mult = match take_value(argv, "--scale")? {
-            Some(v) => parse(&v, "scale")?,
-            None => 1,
-        };
-        if mult == 0 {
-            return Err("--scale must be at least 1".into());
+    /// Extracts `key V` parsed as a `what`, or `default` without the flag.
+    pub fn take_parsed<T: std::str::FromStr>(
+        argv: &mut Vec<String>,
+        key: &str,
+        what: &str,
+        default: T,
+    ) -> Result<T, String> {
+        take_value(argv, key)?.map_or(Ok(default), |v| parse(&v, what))
+    }
+
+    /// Extracts a count `key N` (default 1) that must be at least 1: a
+    /// zero `--scale`, `--reps` or `--repeat` would otherwise quietly run
+    /// once.
+    pub fn take_count(argv: &mut Vec<String>, key: &str, what: &str) -> Result<u64, String> {
+        match take_parsed(argv, key, what, 1)? {
+            0 => Err(format!("{key} must be at least 1")),
+            n => Ok(n),
         }
-        Ok(mult)
     }
 
     /// Extracts a boolean `--flag`.

@@ -92,11 +92,8 @@ pub fn list() {
 
 pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
-    let mult = args::take_scale(&mut argv)?;
-    let jobs: usize = match args::take_value(&mut argv, "--jobs")? {
-        Some(v) => mwn_runner::worker_count(args::parse(&v, "job count")?),
-        None => 1,
-    };
+    let mult = args::take_count(&mut argv, "--scale", "scale")?;
+    let jobs = mwn_runner::worker_count(args::take_parsed(&mut argv, "--jobs", "job count", 1)?);
     let csv = args::take_flag(&mut argv, "--csv");
     let Some(which) = argv.first().cloned() else {
         return Err("repro needs an experiment id (see `mwn list`)".into());

@@ -9,12 +9,10 @@ use crate::args;
 
 pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
-    let workers: usize = match args::take_value(&mut argv, "--jobs")? {
-        Some(v) => args::parse(&v, "job count")?,
-        None => 0, // auto: one worker per CPU
-    };
+    // 0: one worker per CPU.
+    let workers: usize = args::take_parsed(&mut argv, "--jobs", "job count", 0)?;
     let out = args::take_value(&mut argv, "--out")?.unwrap_or_else(|| "results.jsonl".into());
-    let mult = args::take_scale(&mut argv)?;
+    let mult = args::take_count(&mut argv, "--scale", "scale")?;
     let suite = args::take_value(&mut argv, "--suite")?.unwrap_or_else(|| "chain".into());
     let metrics = args::take_flag(&mut argv, "--metrics");
     args::reject_leftovers(&argv)?;

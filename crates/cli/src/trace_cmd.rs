@@ -6,14 +6,8 @@ use crate::args;
 
 pub fn command(rest: &[String]) -> Result<(), String> {
     let mut argv: Vec<String> = rest.to_vec();
-    let hops: usize = match args::take_value(&mut argv, "--hops")? {
-        Some(v) => args::parse(&v, "hop count")?,
-        None => 2,
-    };
-    let events: usize = match args::take_value(&mut argv, "--events")? {
-        Some(v) => args::parse(&v, "event count")?,
-        None => 60,
-    };
+    let hops: usize = args::take_parsed(&mut argv, "--hops", "hop count", 2)?;
+    let events: usize = args::take_parsed(&mut argv, "--events", "event count", 60)?;
     let (bandwidth, transport) = args::take_link(&mut argv, "2", "newreno")?;
     let format = args::take_value(&mut argv, "--format")?.unwrap_or_else(|| "text".into());
     args::reject_leftovers(&argv)?;

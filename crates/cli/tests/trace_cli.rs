@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use mwn_runner::query::Json;
+
 fn mwn(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_mwn"))
         .args(args)
@@ -54,13 +56,13 @@ fn trace_unknown_transport_exits_2() {
 /// stdout — no run started. `--shards` is here because the within-run
 /// sharded engine it selected is gone; it must be rejected, not ignored.
 /// So are `run`'s old `--mbits`/`--variant`: it reads `--rate` and
-/// `--transport`, like `stats`.
+/// `--transport`, like `stats`. A zero count is refused, not run once.
 #[test]
 fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
     let scale = "--scale must be at least 1";
-    let table: [(&[&str], &str); 13] = [
+    let table: [(&[&str], &str); 15] = [
         (
             &["run", "--mbits", "2"],
             "unrecognized argument \"--mbits\"",
@@ -86,6 +88,8 @@ fn bad_arguments_exit_2_before_anything_runs() {
             &["traffic", "--transport", "bogus"],
             "unknown variant \"bogus\"",
         ),
+        (&["traffic", "--reps", "0"], "--reps must be at least 1"),
+        (&["bench", "--repeat", "0"], "--repeat must be at least 1"),
     ];
     for (args, reason) in table {
         let out = mwn(args);
@@ -93,6 +97,38 @@ fn bad_arguments_exit_2_before_anything_runs() {
         let stderr = String::from_utf8(out.stderr).expect("utf-8");
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
         assert!(out.stdout == usage, "{args:?} printed more than usage");
+    }
+}
+
+/// `mwn traffic --json` is JSONL: one parsable object per replication,
+/// carrying the seed, both digests, the outcome and the run report with
+/// its traffic sections.
+#[test]
+fn traffic_json_prints_one_report_object_per_replication() {
+    let out = mwn(&[
+        "traffic", "--nodes", "6", "--flows", "20", "--reps", "2", "--json",
+    ]);
+    assert!(out.status.success(), "traffic failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "one line per replication:\n{stdout}");
+    for (line, seed) in lines.into_iter().zip(1u64..) {
+        let row = Json::parse(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"));
+        assert_eq!(row.get("seed").and_then(Json::as_u64), Some(seed));
+        assert_eq!(
+            row.get("outcome").and_then(Json::as_str),
+            Some("TargetReached")
+        );
+        for key in ["journal", "arrivals"] {
+            assert!(
+                row.get(key).and_then(Json::as_str).is_some(),
+                "{key}: {line}"
+            );
+        }
+        let report = row.get("report").expect("report");
+        for key in ["fct", "drops", "retired_tcp"] {
+            assert!(report.get(key).is_some(), "report lacks {key}: {line}");
+        }
     }
 }
 

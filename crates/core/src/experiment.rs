@@ -346,20 +346,12 @@ pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsCon
     };
     let energy = net.total_energy_joules();
     let delivered_total = net.total_delivered().max(1);
-    let end = net.now();
-    let metrics = obs.enabled().then(|| MetricsReport {
-        batches: registry
+    let metrics = obs.enabled().then(|| {
+        let mut report = net.report();
+        report.batches = registry
             .map(MetricsRegistry::into_batches)
-            .unwrap_or_default(),
-        totals: net.collect_metrics(),
-        probes: net
-            .probes()
-            .map(|p| p.samples().copied().collect())
-            .unwrap_or_default(),
-        profile: net.profile().cloned().unwrap_or_default(),
-        medium: net.medium_counters(),
-        drops: Some(net.drop_report()),
-        fct: net.traffic_summary().map(|s| s.to_json(end)),
+            .unwrap_or_default();
+        report
     });
     let conservation = net.conservation_report();
 
@@ -481,9 +473,26 @@ mod tests {
         let cons = r.conservation.expect("audit ran");
         assert!(cons.is_balanced(), "{cons}");
         assert!(cons.flows_checked > 0);
-        // The FCT section rides along for open-loop runs.
+        // The FCT section and the completed flows' TCP totals ride
+        // along for open-loop runs.
         let m = r.metrics.expect("instrumented");
-        assert!(m.fct.as_deref().is_some_and(|f| f.contains("\"classes\"")));
+        assert!(m.fct.is_some_and(|f| f.class_count() > 0));
+        assert!(m.retired_tcp.is_some_and(|t| t.sender.is_some()));
+    }
+
+    /// Paced-UDP sinks keep no TCP counters, so events per packet divides
+    /// by the network's deliveries, not by the sinks' statistics.
+    #[test]
+    fn udp_report_counts_events_per_delivered_packet() {
+        let udp = Transport::paced_udp(SimDuration::from_millis(2));
+        let s = Scenario::chain(2, DataRate::MBPS_2, udp, 1);
+        let r = run_instrumented(&s, ExperimentScale::smoke(), ObsConfig::full(0));
+        let m = r.metrics.expect("instrumented");
+        assert!(m.totals.flows.iter().all(|f| f.sink.is_none()));
+        assert!(m.delivered >= r.packets_measured);
+        assert!(m.events_per_packet() > 0.0);
+        let text = m.text(None, 0, None).to_string();
+        assert!(text.contains("\n  events/packet "), "{text}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mwn_mac80211::{Dcf, MacCounters, MacTimer};
 use mwn_obs::flight::{self, FlightRecorder};
 use mwn_obs::{
     ConservationAudit, ConservationReport, CounterBlock, DropLedger, DropReason, FctSummary,
-    FlowCounters, MetricsSnapshot, NodeCounters, ProbeBuffer,
+    FlowCounters, MetricsReport, MetricsSnapshot, NodeCounters, ProbeBuffer,
 };
 use mwn_phy::{EnergyMeter, EnergyParams, Medium, Transceiver, TxId};
 use mwn_pkt::{Body, FlowId, NodeId, Packet};
@@ -643,7 +643,7 @@ impl Network {
     }
 
     /// Sender statistics for a TCP flow (`None` for paced UDP or a
-    /// vacated slot — see [`Network::retired_tcp_stats`]).
+    /// vacated slot — see [`MetricsReport::retired_tcp`]).
     pub fn flow_sender_stats(&self, flow: FlowId) -> Option<&TcpSenderStats> {
         match &self.flows.src_ref(flow)?.source {
             SourceAgent::Tcp(s) => Some(s.stats()),
@@ -732,6 +732,31 @@ impl Network {
         }
     }
 
+    /// The run report at the current instant: counter totals, probes,
+    /// profile, medium counters, deliveries, the drop ledger and, for
+    /// open-loop traffic, the FCT summary and retired TCP totals. Its
+    /// `batches` are empty; `experiment::run_instrumented` adds them.
+    pub fn report(&self) -> MetricsReport {
+        MetricsReport {
+            batches: Vec::new(),
+            totals: self.collect_metrics(),
+            probes: self
+                .probes
+                .as_ref()
+                .map(|p| p.samples().copied().collect())
+                .unwrap_or_default(),
+            profile: self.profile.clone().unwrap_or_default(),
+            medium: self.medium_counters(),
+            delivered: self.total_delivered,
+            drops: Some(self.drop_report()),
+            fct: self.traffic_summary().cloned(),
+            retired_tcp: self.traffic.as_ref().map(|t| FlowCounters {
+                sender: Some(t.retired.0),
+                sink: Some(t.retired.1),
+            }),
+        }
+    }
+
     /// Total radio energy consumed by `node` so far, in joules.
     pub fn node_energy_joules(&self, node: NodeId) -> f64 {
         self.energy[node.index()].consumed(self.now)
@@ -804,12 +829,6 @@ impl Network {
         self.traffic
             .as_ref()
             .map(|t| (t.arrival_count, t.arrival_hash))
-    }
-
-    /// Summed sender and sink statistics of every *completed* traffic leg
-    /// (completion recycles the slot that held the per-flow ones).
-    pub fn retired_tcp_stats(&self) -> Option<(TcpSenderStats, TcpSinkStats)> {
-        self.traffic.as_ref().map(|t| t.retired)
     }
 
     /// Traffic legs spawned so far (requests plus response legs).

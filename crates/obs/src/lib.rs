@@ -22,6 +22,7 @@
 //!   recorded into a bounded ring buffer and exportable as JSONL;
 //! * [`probe`] — on-change time-series sampling of cwnd, srtt, the Vegas
 //!   `diff` signal and interface-queue depth;
+//! * [`text`] — the one text rendering of a [`MetricsReport`];
 //! * [`json`] — the hand-rolled, byte-deterministic JSON emitter shared
 //!   with the results store (no serde: the workspace builds offline).
 //!
@@ -43,6 +44,7 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod probe;
+pub mod text;
 pub mod trace;
 
 pub use drop::{ConservationAudit, ConservationReport, Custody, DropLedger, DropReason, Imbalance};

@@ -16,9 +16,11 @@ use mwn_aodv::AodvCounters;
 use mwn_mac80211::MacCounters;
 use mwn_phy::{MediumCounters, PhyCounters};
 use mwn_sim::profile::EngineProfile;
+use mwn_sim::stats::BatchMeans;
 use mwn_sim::{Pcg32, SimTime};
 use mwn_tcp::{TcpSenderStats, TcpSinkStats};
 
+use crate::fct::FctSummary;
 use crate::json::{arr, Obj};
 use crate::probe::ProbeSample;
 
@@ -146,9 +148,6 @@ impl Quantiles {
 /// Implemented by each layer's statistics struct so that summation over
 /// nodes, batch-boundary deltas and serialization are uniform.
 pub trait CounterBlock: Copy {
-    /// Short layer tag (`"phy"`, `"mac"`, ...), used as the JSON key.
-    const KIND: &'static str;
-
     /// Field names, in declaration order.
     fn field_names() -> &'static [&'static str];
 
@@ -173,10 +172,8 @@ pub trait CounterBlock: Copy {
 }
 
 macro_rules! counter_block {
-    ($ty:ty, $kind:literal, [$($field:ident),+ $(,)?]) => {
+    ($ty:ty, [$($field:ident),+ $(,)?]) => {
         impl CounterBlock for $ty {
-            const KIND: &'static str = $kind;
-
             fn field_names() -> &'static [&'static str] {
                 &[$(stringify!($field)),+]
             }
@@ -201,11 +198,10 @@ macro_rules! counter_block {
     };
 }
 
-counter_block!(PhyCounters, "phy", [captures, collisions, undecoded]);
+counter_block!(PhyCounters, [captures, collisions, undecoded]);
 
 counter_block!(
     MacCounters,
-    "mac",
     [
         unicast_accepted,
         broadcast_accepted,
@@ -224,7 +220,6 @@ counter_block!(
 
 counter_block!(
     AodvCounters,
-    "aodv",
     [
         false_route_failures,
         rreqs_originated,
@@ -240,7 +235,6 @@ counter_block!(
 
 counter_block!(
     TcpSenderStats,
-    "tcp_tx",
     [
         data_packets_sent,
         retransmissions,
@@ -252,7 +246,6 @@ counter_block!(
 
 counter_block!(
     TcpSinkStats,
-    "tcp_rx",
     [
         delivered,
         acks_sent,
@@ -504,10 +497,15 @@ impl MetricsRegistry {
     }
 }
 
-/// Everything the observability layer collected over one experiment.
+/// The one run report: everything the observability layer collected over
+/// one run. `mwn::Network::report` builds it; sweep rows and `mwn traffic
+/// --json` serialize it with [`MetricsReport::to_json`], `mwn stats` and
+/// `mwn traffic` render it with [`MetricsReport::text`], and `mwn bench`
+/// reads its rows from it.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsReport {
-    /// Per-batch counter deltas (index 0 is the discarded transient).
+    /// Per-batch counter deltas (index 0 is the discarded transient;
+    /// empty unless the run was split into batches).
     pub batches: Vec<BatchMetrics>,
     /// Cumulative whole-run snapshot at the end.
     pub totals: MetricsSnapshot,
@@ -516,19 +514,26 @@ pub struct MetricsReport {
     /// Engine self-profiling (zeroed unless profiling was enabled).
     pub profile: EngineProfile,
     /// The medium's lazy-path counters at the end of the run (list
-    /// builds, rebuilds, sorts).
+    /// builds, rebuilds, sorts). Not serialized.
     pub medium: MediumCounters,
+    /// Packets delivered in order to every sink, TCP or paced UDP, live
+    /// or retired: the denominator of
+    /// [`MetricsReport::events_per_packet`]. Not serialized.
+    pub delivered: u64,
     /// The drop ledger (loss counts per reason, node and traffic
     /// class), when loss accounting was collected.
     pub drops: Option<crate::drop::DropLedger>,
-    /// Pre-serialized per-class FCT summary JSON
-    /// ([`crate::fct::FctSummary::to_json`]), for open-loop traffic runs.
-    pub fct: Option<String>,
+    /// Per-class flow-completion summary, for open-loop traffic runs.
+    pub fct: Option<FctSummary>,
+    /// Summed TCP counters of completed open-loop flows, whose slots (and
+    /// the per-flow counters in [`MetricsReport::totals`]) were recycled.
+    pub retired_tcp: Option<FlowCounters>,
 }
 
 impl MetricsReport {
     /// Serializes the report as one deterministic JSON object (the
-    /// optional `metrics` field of a sweep result row).
+    /// optional `metrics` field of a sweep result row, the `report` of an
+    /// `mwn traffic --json` line).
     ///
     /// Wall-clock rates are deliberately absent: everything here is a
     /// pure function of the job spec, preserving the store's
@@ -548,9 +553,61 @@ impl MetricsReport {
             obj = obj.raw("drops", &drops.to_json());
         }
         if let Some(fct) = &self.fct {
-            obj = obj.raw("fct", fct);
+            obj = obj.raw("fct", &fct.to_json(self.totals.time));
+        }
+        if let Some(retired) = self.retired_tcp {
+            obj = obj.raw("retired_tcp", &retired.to_json());
         }
         obj.finish()
+    }
+
+    /// Events popped per packet delivered to a sink (0 without a
+    /// delivery).
+    pub fn events_per_packet(&self) -> f64 {
+        ratio(self.profile.events_processed() as f64, self.delivered)
+    }
+
+    /// Receptions (decodable or carrier-sense only) per frame put on the
+    /// air: signal edges, halved, per transmission — every transmission
+    /// ends in exactly one `tx_end`.
+    pub fn rx_per_tx(&self) -> f64 {
+        ratio(
+            self.profile.signal_edges() as f64 / 2.0,
+            self.events_of("tx_end"),
+        )
+    }
+
+    /// Share of wave segments that ended by going back through the queue
+    /// instead of reaching the wave's last receiver.
+    pub fn wave_yield_share(&self) -> f64 {
+        let segments = self.events_of("signal_start") + self.events_of("signal_end");
+        ratio(self.profile.wave_yields() as f64, segments)
+    }
+
+    /// The paper's steady-state link-layer dropping probability (Figure
+    /// 14): the batch mean over the measured batches, the transient
+    /// excluded.
+    pub fn drop_probability(&self) -> f64 {
+        let measured = self.batches.iter().skip(1);
+        let means: BatchMeans = measured.map(BatchMetrics::drop_probability).collect();
+        means.estimate().mean
+    }
+
+    fn events_of(&self, kind: &str) -> u64 {
+        let by_kind = self.profile.by_kind();
+        by_kind
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, n)| n)
+    }
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: f64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num / den as f64
     }
 }
 
@@ -801,13 +858,8 @@ mod tests {
     #[test]
     fn report_json_shape_is_stable() {
         let report = MetricsReport {
-            batches: vec![],
             totals: MetricsSnapshot::empty(SimTime::from_nanos(1_000_000_000)),
-            probes: vec![],
-            profile: EngineProfile::default(),
-            medium: MediumCounters::default(),
-            drops: None,
-            fct: None,
+            ..MetricsReport::default()
         };
         assert_eq!(
             report.to_json(),
@@ -817,19 +869,34 @@ mod tests {
 
     #[test]
     fn report_json_appends_optional_sections_after_fixed_prefix() {
+        let mut fct = FctSummary::new(&["web"]);
+        fct.class_mut(0).record_arrival();
         let report = MetricsReport {
-            batches: vec![],
-            totals: MetricsSnapshot::empty(SimTime::ZERO),
-            probes: vec![],
-            profile: EngineProfile::default(),
-            medium: MediumCounters::default(),
+            totals: MetricsSnapshot::empty(SimTime::from_nanos(2_500_000_000)),
             drops: Some(crate::drop::DropLedger::new(1, vec!["all".into()])),
-            fct: Some(r#"{"classes":[]}"#.into()),
+            fct: Some(fct),
+            retired_tcp: Some(FlowCounters {
+                sender: Some(TcpSenderStats {
+                    data_packets_sent: 7,
+                    ..Default::default()
+                }),
+                sink: None,
+            }),
+            ..MetricsReport::default()
         };
         let json = report.to_json();
         assert!(json.starts_with(r#"{"profile":{"events":0"#));
         assert!(json.contains(r#","drops":{"total":0,"#));
-        assert!(json.ends_with(r#""fct":{"classes":[]}}"#));
+        // The typed sections serialize last, the summary stamped with the
+        // report's end time.
+        assert!(
+            json.ends_with(concat!(
+                r#","fct":{"t_secs":2.5,"arrivals":1,"completions":0,"classes":[{"class":"web","arrivals":1,"completions":0,"packets":0,"#,
+                r#""fct_mean_secs":null,"fct_p50_secs":null,"fct_p95_secs":null,"fct_p99_secs":null,"goodput_p50_kbps":null,"goodput_p99_kbps":null}]},"#,
+                r#""retired_tcp":{"sender":{"data_packets_sent":7,"retransmissions":0,"timeouts":0,"fast_retransmits":0,"dup_acks":0},"sink":null}}"#
+            )),
+            "{json}"
+        );
     }
 
     #[test]

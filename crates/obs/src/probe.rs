@@ -170,11 +170,6 @@ impl ProbeBuffer {
         self.dropped
     }
 
-    /// Drains the buffer into a vector, oldest first.
-    pub fn into_samples(self) -> Vec<ProbeSample> {
-        self.samples.into_iter().collect()
-    }
-
     /// Heap bytes held by the buffer (ring plus change-detection state),
     /// for the engine's `bytes_per_node` accounting.
     pub fn memory_bytes(&self) -> usize {

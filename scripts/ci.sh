@@ -41,15 +41,27 @@ cargo run --release -q -p mwn-cli -- check --suite full --jobs 0
 
 # Open-loop traffic determinism: the same finite-flow workload must
 # print byte-identical reports — journal and arrival digests included —
-# for any worker count. Two replications, one vs four workers.
-echo "==> mwn traffic determinism (--jobs 1 vs --jobs 4)"
-t1=$(cargo run --release -q -p mwn-cli -- traffic --nodes 10 --flows 300 --profile web --reps 2 --jobs 1)
-t4=$(cargo run --release -q -p mwn-cli -- traffic --nodes 10 --flows 300 --profile web --reps 2 --jobs 4)
-if [ "$t1" != "$t4" ]; then
-    echo "error: mwn traffic output differs across --jobs" >&2
-    diff <(printf '%s\n' "$t1") <(printf '%s\n' "$t4") >&2 || true
-    exit 1
-fi
+# for any worker count, as text and as JSON Lines. Two replications, one
+# vs four workers.
+echo "==> mwn traffic determinism (--jobs 1 vs --jobs 4, text and --json)"
+for format in "" "--json"; do
+    t1=$(cargo run --release -q -p mwn-cli -- traffic --nodes 10 --flows 300 --profile web --reps 2 --jobs 1 $format)
+    t4=$(cargo run --release -q -p mwn-cli -- traffic --nodes 10 --flows 300 --profile web --reps 2 --jobs 4 $format)
+    if [ "$t1" != "$t4" ]; then
+        echo "error: mwn traffic ${format:-text} output differs across --jobs" >&2
+        diff <(printf '%s\n' "$t1") <(printf '%s\n' "$t4") >&2 || true
+        exit 1
+    fi
+done
+
+# One instrumented run through the report's text renderer: `mwn stats`
+# must print the drop ledger and a balanced conservation audit.
+echo "==> mwn stats --hops 4 (run report smoke)"
+stats_out=$(cargo run --release -q -p mwn-cli -- stats --hops 4 2>/dev/null)
+for expected in "^drop ledger — " "^conservation audit: conservation holds"; do
+    grep -q "$expected" <<<"$stats_out" || {
+        echo "error: mwn stats printed no line matching '$expected'" >&2; exit 1; }
+done
 
 # Paper reproduction smoke: one figure through `mwn repro` on the worker
 # pool (one worker per CPU) must exit 0 and print its CSV header. About

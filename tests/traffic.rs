@@ -3,7 +3,7 @@
 //! deadline subdivision.
 
 use mwn::{
-    topology, Arrival, DataRate, Scenario, SimDuration, SimTime, SizeDist, StepOutcome,
+    topology, Arrival, DataRate, Network, Scenario, SimDuration, SimTime, SizeDist, StepOutcome,
     TrafficClass, TrafficModel, TrafficSpec, Transport,
 };
 use std::collections::HashSet;
@@ -172,7 +172,7 @@ fn open_loop_run_reports_per_class_percentiles() {
 }
 
 /// Completing a flow recycles its slot and with it the per-flow TCP
-/// counters; `retired_tcp_stats` is where they go. On a lossy run the
+/// counters; the report's `retired_tcp` is where they go. On a lossy run the
 /// timeouts and retransmissions of finished flows must survive there.
 #[test]
 fn completed_flows_keep_their_tcp_statistics() {
@@ -184,8 +184,12 @@ fn completed_flows_keep_their_tcp_statistics() {
         DataRate::MBPS_2,
         7,
     );
+    let retired = |net: &Network| {
+        let t = net.report().retired_tcp?;
+        Some((t.sender?, t.sink?))
+    };
     let mut net = s.build();
-    assert_eq!(net.retired_tcp_stats(), Some(Default::default()));
+    assert_eq!(retired(&net), Some(Default::default()));
     assert_eq!(
         net.run_until_traffic_done(deadline(20_000)),
         StepOutcome::TargetReached
@@ -196,7 +200,7 @@ fn completed_flows_keep_their_tcp_statistics() {
 
     let sum = net.traffic_summary().unwrap();
     let budgets: u64 = sum.classes().iter().map(|c| c.packets_completed()).sum();
-    let (sender, sink) = net.retired_tcp_stats().unwrap();
+    let (sender, sink) = retired(&net).unwrap();
     assert!(budgets > 150, "web flows carry more than a packet each");
     // Every completed leg delivered exactly its budget, in order…
     assert_eq!(sink.delivered, budgets);
@@ -218,12 +222,12 @@ fn completed_flows_keep_their_tcp_statistics() {
         quiet.run_until_traffic_done(deadline(1_000)),
         StepOutcome::TargetReached
     );
-    let (sender, sink) = quiet.retired_tcp_stats().unwrap();
+    let (sender, sink) = retired(&quiet).unwrap();
     assert_eq!(sender.timeouts, 0);
     assert_eq!(sender.data_packets_sent - sender.retransmissions, 3);
     assert_eq!(sink.delivered, 3);
 
     // Scenarios without a workload have nothing to retire.
     let persistent = Scenario::chain(1, DataRate::MBPS_2, Transport::newreno(), 1).build();
-    assert_eq!(persistent.retired_tcp_stats(), None);
+    assert_eq!(retired(&persistent), None);
 }
