@@ -292,7 +292,7 @@ impl Router {
                 hop_count,
             }) => {
                 let (orig, dst, dst_seq, hop_count) = (*orig, *dst, *dst_seq, *hop_count);
-                self.handle_rrep(now, from, orig, dst, dst_seq, hop_count, out);
+                self.handle_rrep(now, from, packet, orig, dst, dst_seq, hop_count, out);
             }
             Body::Aodv(AodvMessage::Rerr { unreachable }) => {
                 self.handle_rerr(now, from, unreachable, out);
@@ -651,6 +651,7 @@ impl Router {
         &mut self,
         now: SimTime,
         from: NodeId,
+        packet: Packet,
         orig: NodeId,
         dst: NodeId,
         dst_seq: u32,
@@ -678,6 +679,13 @@ impl Router {
             // Discovery complete.
             actions.push(AodvAction::CancelDiscoveryTimer { dst });
             self.flush_buffered(now, dst, actions);
+        } else if packet.ttl <= 1 {
+            // Two neighbours whose reverse routes point at each other
+            // would otherwise pass one RREP back and forth forever.
+            actions.push(AodvAction::Drop {
+                packet,
+                reason: AodvDropReason::TtlExpired,
+            });
         } else if let Some(route) = self.table.active(orig, now) {
             // Forward the RREP along the reverse path.
             let next_hop = route.next_hop;
@@ -688,7 +696,10 @@ impl Router {
                 dst_seq,
                 hop_count: hop_count.saturating_add(1),
             };
-            let packet = Packet::new(self.alloc_uid(), self.me, orig, Body::Aodv(fwd));
+            let packet = Packet {
+                ttl: packet.ttl - 1,
+                ..Packet::new(self.alloc_uid(), self.me, orig, Body::Aodv(fwd))
+            };
             actions.push(AodvAction::Send {
                 packet,
                 next_hop,
@@ -1223,7 +1234,7 @@ mod tests {
                 hop_count: 1,
             }),
         );
-        let a = act!(r.on_received(t(1), NodeId(3), rrep));
+        let a = act!(r.on_received(t(1), NodeId(3), rrep.clone()));
         let s = sends(&a);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].1, NodeId(1));
@@ -1231,11 +1242,25 @@ mod tests {
             s[0].0.body,
             Body::Aodv(AodvMessage::Rrep { hop_count: 2, .. })
         ));
+        assert_eq!(s[0].0.ttl, mwn_pkt::sizes::DEFAULT_TTL - 1);
         // Forward route to 5 installed via 3.
         assert_eq!(
             r.table().active(NodeId(5), t(2)).unwrap().next_hop,
             NodeId(3)
         );
+        // An RREP that arrives on its last hop is dropped, not forwarded:
+        // reverse routes pointing at each other cannot bounce it forever.
+        let mut last_hop = rrep;
+        last_hop.ttl = 1;
+        let a = act!(r.on_received(t(2), NodeId(3), last_hop));
+        assert!(sends(&a).is_empty());
+        assert!(a.iter().any(|x| matches!(
+            x,
+            AodvAction::Drop {
+                reason: AodvDropReason::TtlExpired,
+                ..
+            }
+        )));
     }
 }
 

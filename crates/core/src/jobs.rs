@@ -14,11 +14,16 @@
 //! value. The [`crate::experiments`] drivers run those jobs and fold the
 //! results into figures; [`full_suite`] is the concatenation of the
 //! grids and [`chain_study`] a slice of one, so a sweep cell and the
-//! figure point it feeds are the same job. [`traffic_study`] and
-//! [`traffic_load_study`] add the open-loop workload extension: built-in
-//! [`TrafficModel`] profiles crossed with the TCP variants.
+//! figure point it feeds are the same job. The ablations and extensions
+//! have a grid each too, [`ablation_capture`] through [`ext_elfn`]: a
+//! job's one change from the paper's stack is its [`Ablation`], so every
+//! `mwn repro` study but table 2 runs from this module.
+//! [`traffic_study`] and [`traffic_load_study`] add the open-loop
+//! workload extension: built-in [`TrafficModel`] profiles crossed with
+//! the TCP variants.
 
-use mwn_phy::DataRate;
+use mwn_mac80211::{LinkRedParams, MacParams};
+use mwn_phy::{DataRate, RangeModel};
 use mwn_sim::{fxhash, SimDuration};
 use mwn_tcp::{AckPolicy, Flavor, TcpConfig};
 use mwn_traffic::TrafficModel;
@@ -62,6 +67,13 @@ pub enum ScenarioKind {
         /// it. Stored as an integer so the content key stays exact.
         load: u32,
     },
+    /// The mobility extension's layout ([`Scenario::mobile_strip`]): 30
+    /// nodes on a 1500 × 300 m strip with three fixed flows, moving by
+    /// random waypoint at up to `speed` m/s (0 is static).
+    MobileStrip {
+        /// Maximum node speed in m/s.
+        speed: u32,
+    },
 }
 
 impl ScenarioKind {
@@ -87,6 +99,64 @@ impl ScenarioKind {
                     format!("traffic:{nodes}:{profile}:{flows}:l{load}")
                 }
             }
+            ScenarioKind::MobileStrip { speed } => format!("mobile_strip:{speed}"),
+        }
+    }
+}
+
+/// A job's one change from the paper's protocol stack: what an ablation
+/// or extension study varies beyond topology, rate and transport.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// The paper's stack.
+    None,
+    /// Physical capture off ([`RangeModel::without_capture`]).
+    NoCapture,
+    /// A carrier-sense range of `metres`; the interference range grows
+    /// with it but never falls below the paper's 550 m.
+    CsRange {
+        /// Carrier-sense range in metres.
+        metres: u32,
+    },
+    /// RTS/CTS/ACK at the data rate instead of the 1 Mbit/s basic rate.
+    ControlAtDataRate,
+    /// Fu et al.'s link-layer enhancements.
+    LinkLayer {
+        /// Adaptive pacing.
+        pacing: bool,
+        /// Link RED with [`LinkRedParams::default`].
+        link_red: bool,
+    },
+    /// IEEE 802.11g OFDM timing ([`MacParams::ieee80211g`]).
+    Ofdm,
+    /// Explicit link failure notification (Holland & Vaidya).
+    Elfn,
+}
+
+impl Ablation {
+    /// Applies the change to a scenario built from the paper's stack.
+    fn apply(self, sc: &mut Scenario) {
+        match self {
+            Ablation::None => {}
+            Ablation::NoCapture => sc.ranges = RangeModel::without_capture(),
+            Ablation::CsRange { metres } => {
+                let cs = f64::from(metres);
+                sc.ranges.cs_range = cs;
+                sc.ranges.interference_range = cs.max(sc.ranges.interference_range);
+            }
+            Ablation::ControlAtDataRate => {
+                let mut params = sc.mac_params();
+                params.timing.basic_rate = sc.bandwidth;
+                sc.mac_override = Some(params);
+            }
+            Ablation::LinkLayer { pacing, link_red } => {
+                let mut params = sc.mac_params();
+                params.adaptive_pacing = pacing;
+                params.link_red = link_red.then(LinkRedParams::default);
+                sc.mac_override = Some(params);
+            }
+            Ablation::Ofdm => sc.mac_override = Some(MacParams::ieee80211g(sc.bandwidth)),
+            Ablation::Elfn => sc.aodv.elfn = true,
         }
     }
 }
@@ -104,6 +174,8 @@ pub struct JobSpec {
     pub bandwidth: DataRate,
     /// Transport protocol of every flow.
     pub transport: Transport,
+    /// The one change from the paper's protocol stack, if any.
+    pub ablation: Ablation,
     /// Root RNG seed.
     pub seed: u64,
     /// Work per run.
@@ -150,7 +222,7 @@ impl JobSpec {
     /// simulation result, and nothing else (labels are excluded, so
     /// renaming a figure does not invalidate stored results).
     pub fn canonical(&self) -> String {
-        format!(
+        let mut s = format!(
             "{}|bw={}|{}|seed={}|scale={}x{}x{}",
             self.kind.token(),
             self.bandwidth.bits_per_sec(),
@@ -159,7 +231,14 @@ impl JobSpec {
             self.scale.batch_packets,
             self.scale.batches,
             self.scale.deadline.as_nanos(),
-        )
+        );
+        // The ablation suffix appears only off the paper's stack, so keys
+        // of pre-existing stores stay valid. `Debug` spells every field of
+        // the variant, so a field added later enters the key.
+        if self.ablation != Ablation::None {
+            s.push_str(&format!("|{:?}", self.ablation));
+        }
+        s
     }
 
     /// The stable content key: 16 hex digits of the Fx hash of
@@ -170,7 +249,7 @@ impl JobSpec {
 
     /// Builds the runnable scenario this job describes.
     pub fn scenario(&self) -> Scenario {
-        match self.kind {
+        let mut sc = match self.kind {
             ScenarioKind::Chain { hops } => {
                 Scenario::chain(hops, self.bandwidth, self.transport, self.seed)
             }
@@ -192,7 +271,12 @@ impl JobSpec {
                 }
                 Scenario::open_loop(nodes, model, self.transport, self.bandwidth, self.seed)
             }
-        }
+            ScenarioKind::MobileStrip { speed } => {
+                Scenario::mobile_strip(speed, self.bandwidth, self.transport, self.seed)
+            }
+        };
+        self.ablation.apply(&mut sc);
+        sc
     }
 }
 
@@ -231,6 +315,7 @@ pub fn traffic_study(scale: ExperimentScale) -> Vec<JobSpec> {
                 },
                 bandwidth: DataRate::MBPS_11,
                 transport: t,
+                ablation: Ablation::None,
                 seed: seed_for(&[30, pi as u64, vi as u64]),
                 scale,
             });
@@ -259,6 +344,7 @@ pub fn traffic_load_study(scale: ExperimentScale) -> Vec<JobSpec> {
             },
             bandwidth: DataRate::MBPS_11,
             transport: Transport::newreno(),
+            ablation: Ablation::None,
             seed: seed_for(&[31, u64::from(load)]),
             scale,
         });
@@ -280,6 +366,9 @@ pub struct SeriesJobs {
 /// resulting goodput is the plateau (optimal) paced-UDP goodput.
 const SATURATING_UDP_GAP: SimDuration = SimDuration::from_millis(2);
 
+/// The 7-hop chain of the per-bandwidth studies.
+const CHAIN7: ScenarioKind = ScenarioKind::Chain { hops: 7 };
+
 /// Every figure family's grid, in paper order.
 const FIGURE_GRIDS: [fn(ExperimentScale) -> Vec<SeriesJobs>; 8] = [
     fig2_3, fig4, fig5, fig6_9, fig10, fig11_14, fig16_17, fig18_19,
@@ -291,62 +380,103 @@ fn grid_jobs(grid: Vec<SeriesJobs>) -> impl Iterator<Item = JobSpec> {
         .flat_map(|series| series.points.into_iter().map(|(_, job)| job))
 }
 
-/// One series over [`PAPER_HOPS`] on the 2 Mbit/s chain: x is the hop
-/// count, the point label `"{coord} hops={hops}"`.
-fn over_hops(
-    group: &str,
-    label: &str,
-    coord: &str,
-    transport: Transport,
-    seed: impl Fn(u64) -> u64,
-    scale: ExperimentScale,
-) -> SeriesJobs {
-    let points = PAPER_HOPS.map(|hops| {
-        let job = JobSpec {
-            group: group.to_string(),
-            point: format!("{coord} hops={hops}"),
-            kind: ScenarioKind::Chain { hops },
-            bandwidth: DataRate::MBPS_2,
-            transport,
-            seed: seed(hops as u64),
-            scale,
-        };
-        (hops as f64, job)
-    });
-    SeriesJobs {
-        label: label.to_string(),
-        points: points.into(),
+/// The x axis of a series and the layout it varies.
+#[derive(Debug, Clone, Copy)]
+enum Axis<'a> {
+    /// Chain lengths at 2 Mbit/s; x and the seed part are the hop count.
+    Hops(&'a [usize]),
+    /// Rates on one layout; x is the rate in Mbit/s, the seed part bit/s.
+    Bandwidths(ScenarioKind, &'a [DataRate]),
+}
+
+impl Axis<'_> {
+    /// Per point: x, point-label suffix, layout, rate and seed part.
+    fn cells(self) -> Vec<(f64, String, ScenarioKind, DataRate, u64)> {
+        match self {
+            Axis::Hops(hops) => hops
+                .iter()
+                .map(|&h| {
+                    let (x, kind) = (h as f64, ScenarioKind::Chain { hops: h });
+                    (x, format!("hops={h}"), kind, DataRate::MBPS_2, h as u64)
+                })
+                .collect(),
+            Axis::Bandwidths(kind, rates) => rates
+                .iter()
+                .map(|&bw| (bw_mbit(bw), format!("bw={bw}"), kind, bw, bw.bits_per_sec()))
+                .collect(),
+        }
     }
 }
 
-/// One series over [`PAPER_BANDWIDTHS`] on `kind`: x is the rate in
-/// Mbit/s, the point label `"{coord} bw={bw}"`, and `seed` is given the
-/// rate in bit/s.
-fn over_bandwidths(
+/// One series over `axis`, each point labelled `"{coord} hops={hops}"`
+/// or `"{coord} bw={bw}"` and seeded by `seed` of the axis's seed part.
+#[allow(clippy::too_many_arguments)]
+fn over(
     group: &str,
     label: &str,
     coord: &str,
-    kind: ScenarioKind,
+    axis: Axis,
+    ablation: Ablation,
     transport: Transport,
     seed: impl Fn(u64) -> u64,
     scale: ExperimentScale,
 ) -> SeriesJobs {
-    let points = PAPER_BANDWIDTHS.map(|bw| {
-        let job = JobSpec {
-            group: group.to_string(),
-            point: format!("{coord} bw={bw}"),
-            kind,
-            bandwidth: bw,
-            transport,
-            seed: seed(bw.bits_per_sec()),
-            scale,
-        };
-        (bw_mbit(bw), job)
-    });
+    let points = axis
+        .cells()
+        .into_iter()
+        .map(|(x, at, kind, bandwidth, part)| {
+            let job = JobSpec {
+                group: group.to_string(),
+                point: format!("{coord} {at}"),
+                kind,
+                bandwidth,
+                transport,
+                ablation,
+                seed: seed(part),
+                scale,
+            };
+            (x, job)
+        })
+        .collect();
     SeriesJobs {
         label: label.to_string(),
-        points: points.into(),
+        points,
     }
+}
+
+/// One series per `(label, ablation, transport)` row over `axis`, each
+/// point labelled `"variant={label} …"` and seeded
+/// `seed_for(&[fig_seed, row index, seed part])`.
+fn study(
+    group: &str,
+    fig_seed: u64,
+    axis: Axis,
+    rows: impl IntoIterator<Item = (&'static str, Ablation, Transport)>,
+    scale: ExperimentScale,
+) -> Vec<SeriesJobs> {
+    (0u64..)
+        .zip(rows)
+        .map(|(vi, (label, ablation, t))| {
+            over(
+                group,
+                label,
+                &format!("variant={label}"),
+                axis,
+                ablation,
+                t,
+                |part| seed_for(&[fig_seed, vi, part]),
+                scale,
+            )
+        })
+        .collect()
+}
+
+/// Transport `rows`, every one under `ablation`.
+fn variants(
+    ablation: Ablation,
+    rows: impl IntoIterator<Item = (&'static str, Transport)>,
+) -> impl Iterator<Item = (&'static str, Ablation, Transport)> {
+    rows.into_iter().map(move |(label, t)| (label, ablation, t))
 }
 
 /// Figures 2–3: TCP Vegas with α ∈ {2, 3, 4} over chain length at
@@ -355,10 +485,12 @@ pub fn fig2_3(scale: ExperimentScale) -> Vec<SeriesJobs> {
     [2u32, 3, 4]
         .into_iter()
         .map(|alpha| {
-            over_hops(
+            over(
                 "fig2-3",
                 &format!("Vegas a={alpha}"),
                 &format!("alpha={alpha}"),
+                Axis::Hops(&PAPER_HOPS),
+                Ablation::None,
                 Transport::vegas(alpha),
                 |hops| seed_for(&[23, u64::from(alpha), hops]),
                 scale,
@@ -373,11 +505,12 @@ pub fn fig4(scale: ExperimentScale) -> Vec<SeriesJobs> {
     [2u32, 3, 4]
         .into_iter()
         .map(|alpha| {
-            over_bandwidths(
+            over(
                 "fig4",
                 &format!("Vegas a={alpha}"),
                 &format!("alpha={alpha}"),
-                ScenarioKind::Chain { hops: 7 },
+                Axis::Bandwidths(CHAIN7, &PAPER_BANDWIDTHS),
+                Ablation::None,
                 Transport::vegas(alpha),
                 |bps| seed_for(&[4, u64::from(alpha), bps]),
                 scale,
@@ -389,49 +522,31 @@ pub fn fig4(scale: ExperimentScale) -> Vec<SeriesJobs> {
 /// Figure 5: Vegas with ACK thinning for α ∈ {2, 3, 4}, against plain
 /// Vegas α = 2, over chain length at 2 Mbit/s.
 pub fn fig5(scale: ExperimentScale) -> Vec<SeriesJobs> {
-    let variants = [
-        ("Vegas a=2", Transport::vegas(2)),
-        ("Vegas a=2 +thin", Transport::vegas_thinning(2)),
-        ("Vegas a=3 +thin", Transport::vegas_thinning(3)),
-        ("Vegas a=4 +thin", Transport::vegas_thinning(4)),
-    ];
-    (0u64..)
-        .zip(variants)
-        .map(|(vi, (label, t))| {
-            over_hops(
-                "fig5",
-                label,
-                &format!("variant={label}"),
-                t,
-                |hops| seed_for(&[5, vi, hops]),
-                scale,
-            )
-        })
-        .collect()
+    let rows = variants(
+        Ablation::None,
+        [
+            ("Vegas a=2", Transport::vegas(2)),
+            ("Vegas a=2 +thin", Transport::vegas_thinning(2)),
+            ("Vegas a=3 +thin", Transport::vegas_thinning(3)),
+            ("Vegas a=4 +thin", Transport::vegas_thinning(4)),
+        ],
+    );
+    study("fig5", 5, Axis::Hops(&PAPER_HOPS), rows, scale)
 }
 
 /// Figures 6–9: Vegas, NewReno, NewReno + ACK thinning and paced UDP over
 /// chain length at 2 Mbit/s.
 pub fn fig6_9(scale: ExperimentScale) -> Vec<SeriesJobs> {
-    let variants = [
-        ("Vegas", Transport::vegas(2)),
-        ("NewReno", Transport::newreno()),
-        ("NewReno +thin", Transport::newreno_thinning()),
-        ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
-    ];
-    (0u64..)
-        .zip(variants)
-        .map(|(vi, (label, t))| {
-            over_hops(
-                "fig6-9",
-                label,
-                &format!("variant={label}"),
-                t,
-                |hops| seed_for(&[6, vi, hops]),
-                scale,
-            )
-        })
-        .collect()
+    let rows = variants(
+        Ablation::None,
+        [
+            ("Vegas", Transport::vegas(2)),
+            ("NewReno", Transport::newreno()),
+            ("NewReno +thin", Transport::newreno_thinning()),
+            ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
+        ],
+    );
+    study("fig6-9", 6, Axis::Hops(&PAPER_HOPS), rows, scale)
 }
 
 /// Figure 10: paced UDP on the 7-hop 2 Mbit/s chain; x is the time
@@ -446,6 +561,7 @@ pub fn fig10(scale: ExperimentScale) -> Vec<SeriesJobs> {
                 kind: ScenarioKind::Chain { hops: 7 },
                 bandwidth: DataRate::MBPS_2,
                 transport: Transport::paced_udp(SimDuration::from_millis(gap_ms)),
+                ablation: Ablation::None,
                 seed: seed_for(&[10, gap_ms]),
                 scale,
             };
@@ -461,28 +577,19 @@ pub fn fig10(scale: ExperimentScale) -> Vec<SeriesJobs> {
 /// Figures 11–14: the six variants, in the paper's legend order, on the
 /// 7-hop chain per bandwidth.
 pub fn fig11_14(scale: ExperimentScale) -> Vec<SeriesJobs> {
-    let variants = [
-        ("Vegas", Transport::vegas(2)),
-        ("NewReno", Transport::newreno()),
-        ("Vegas +thin", Transport::vegas_thinning(2)),
-        ("NewReno +thin", Transport::newreno_thinning()),
-        ("NewReno OptWin", Transport::newreno_optimal_window(3)),
-        ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
-    ];
-    (0u64..)
-        .zip(variants)
-        .map(|(vi, (label, t))| {
-            over_bandwidths(
-                "fig11-14",
-                label,
-                &format!("variant={label}"),
-                ScenarioKind::Chain { hops: 7 },
-                t,
-                |bps| seed_for(&[11, vi, bps]),
-                scale,
-            )
-        })
-        .collect()
+    let rows = variants(
+        Ablation::None,
+        [
+            ("Vegas", Transport::vegas(2)),
+            ("NewReno", Transport::newreno()),
+            ("Vegas +thin", Transport::vegas_thinning(2)),
+            ("NewReno +thin", Transport::newreno_thinning()),
+            ("NewReno OptWin", Transport::newreno_optimal_window(3)),
+            ("Paced UDP", Transport::paced_udp(SATURATING_UDP_GAP)),
+        ],
+    );
+    let axis = Axis::Bandwidths(CHAIN7, &PAPER_BANDWIDTHS);
+    study("fig11-14", 11, axis, rows, scale)
 }
 
 /// Figures 16–17 and Table 3: the 21-node grid with six flows.
@@ -515,11 +622,12 @@ fn multiflow(
     variants
         .into_iter()
         .map(|(label, t)| {
-            over_bandwidths(
+            over(
                 group,
                 label,
                 &format!("variant={label}"),
-                kind,
+                Axis::Bandwidths(kind, &PAPER_BANDWIDTHS),
+                Ablation::None,
                 t,
                 |bps| seed_for(&[fig_seed, bps]),
                 scale,
@@ -535,6 +643,177 @@ pub fn full_suite(scale: ExperimentScale) -> Vec<JobSpec> {
     FIGURE_GRIDS
         .into_iter()
         .flat_map(|grid| grid_jobs(grid(scale)))
+        .collect()
+}
+
+/// Ablation A: physical capture on and off for Vegas and NewReno over
+/// 2–16 hops at 2 Mbit/s. The seed names only whether capture is on.
+pub fn ablation_capture(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let capture = [
+        (1, Ablation::None, ""),
+        (0, Ablation::NoCapture, " (no capture)"),
+    ];
+    [
+        ("Vegas", Transport::vegas(2)),
+        ("NewReno", Transport::newreno()),
+    ]
+    .into_iter()
+    .flat_map(|(variant, t)| {
+        capture.map(|(on, ablation, suffix)| {
+            let label = format!("{variant}{suffix}");
+            over(
+                "ablation-capture",
+                &label,
+                &format!("variant={label}"),
+                Axis::Hops(&[2, 4, 8, 16]),
+                ablation,
+                t,
+                |hops| seed_for(&[100, on, hops]),
+                scale,
+            )
+        })
+    })
+    .collect()
+}
+
+/// Ablation B: Vegas on the 7-hop chain per bandwidth, with control
+/// frames at the 1 Mbit/s basic rate and at the data rate.
+pub fn ablation_basic_rate(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let rows = [
+        ("control at 1 Mbit/s", Ablation::None),
+        ("control at data rate", Ablation::ControlAtDataRate),
+    ]
+    .map(|(label, ablation)| (label, ablation, Transport::vegas(2)));
+    let axis = Axis::Bandwidths(CHAIN7, &PAPER_BANDWIDTHS);
+    study("ablation-basic-rate", 101, axis, rows, scale)
+}
+
+/// Ablation C: NewReno on the 4- and 8-hop 2 Mbit/s chains with the
+/// carrier-sense range below, at and above the hidden-terminal threshold.
+pub fn ablation_cs_range(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    [350u32, 550, 650]
+        .into_iter()
+        .map(|metres| {
+            let label = format!("CS range {metres} m");
+            over(
+                "ablation-cs-range",
+                &label,
+                &format!("variant={label}"),
+                Axis::Hops(&[4, 8]),
+                Ablation::CsRange { metres },
+                Transport::newreno(),
+                |hops| seed_for(&[102, u64::from(metres), hops]),
+                scale,
+            )
+        })
+        .collect()
+}
+
+/// Extension: Fu et al.'s adaptive pacing and link RED, alone and
+/// together, under NewReno on the 2 Mbit/s chain.
+pub fn ext_fu(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let rows = [
+        ("NewReno", false, false),
+        ("NewReno +pacing", true, false),
+        ("NewReno +LRED", false, true),
+        ("NewReno +both", true, true),
+    ]
+    .map(|(label, pacing, link_red)| {
+        let ablation = Ablation::LinkLayer { pacing, link_red };
+        (label, ablation, Transport::newreno())
+    });
+    study("ext-fu", 103, Axis::Hops(&[4, 8, 16]), rows, scale)
+}
+
+/// Extension: Tahoe, Reno, NewReno and Vegas on the 2 Mbit/s chain.
+pub fn ext_variants(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let rows = variants(
+        Ablation::None,
+        [
+            ("Tahoe", Transport::tahoe()),
+            ("Reno", Transport::reno()),
+            ("NewReno", Transport::newreno()),
+            ("Vegas a=2", Transport::vegas(2)),
+        ],
+    );
+    study("ext-variants", 104, Axis::Hops(&[2, 4, 8, 16]), rows, scale)
+}
+
+/// Extension: NewReno with its window bounded to MaxWin = 1–8, one
+/// series per chain length at 2 Mbit/s; x is MaxWin.
+pub fn ext_optwin(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    [4usize, 8, 16]
+        .into_iter()
+        .map(|hops| SeriesJobs {
+            label: format!("{hops} hops"),
+            points: (1..=8u32)
+                .map(|max_win| {
+                    let job = JobSpec {
+                        group: "ext-optwin".to_string(),
+                        point: format!("hops={hops} maxwin={max_win}"),
+                        kind: ScenarioKind::Chain { hops },
+                        bandwidth: DataRate::MBPS_2,
+                        transport: Transport::newreno_optimal_window(max_win),
+                        ablation: Ablation::None,
+                        seed: seed_for(&[105, hops as u64, u64::from(max_win)]),
+                        scale,
+                    };
+                    (f64::from(max_win), job)
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Extension: the 7-hop chain over 802.11g OFDM at 11, 24 and 54 Mbit/s.
+pub fn ext_80211g(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let rows = variants(
+        Ablation::Ofdm,
+        [
+            ("Vegas a=2", Transport::vegas(2)),
+            ("NewReno", Transport::newreno()),
+            ("NewReno +thin", Transport::newreno_thinning()),
+        ],
+    );
+    let rates = [DataRate::MBPS_11, DataRate::MBPS_24, DataRate::MBPS_54];
+    let axis = Axis::Bandwidths(CHAIN7, &rates);
+    study("ext-80211g", 106, axis, rows, scale)
+}
+
+/// Extension: NewReno and Vegas, each with and without ELFN, on the
+/// mobile strip per maximum speed; x is the speed in m/s. Each speed has
+/// three jobs, one per drawn layout, whose seed excludes the variant, so
+/// every variant faces the same trajectories (paired comparison).
+pub fn ext_elfn(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    let variants = [
+        ("NewReno", Transport::newreno(), Ablation::None),
+        ("NewReno +ELFN", Transport::newreno(), Ablation::Elfn),
+        ("Vegas", Transport::vegas(2), Ablation::None),
+        ("Vegas +ELFN", Transport::vegas(2), Ablation::Elfn),
+    ];
+    variants
+        .into_iter()
+        .map(|(label, transport, ablation)| SeriesJobs {
+            label: label.to_string(),
+            points: [0u32, 5, 10, 20]
+                .into_iter()
+                .flat_map(|speed| {
+                    (0..3u64).map(move |rep| {
+                        let job = JobSpec {
+                            group: "ext-elfn".to_string(),
+                            point: format!("variant={label} speed={speed} rep={rep}"),
+                            kind: ScenarioKind::MobileStrip { speed },
+                            bandwidth: DataRate::MBPS_2,
+                            transport,
+                            ablation,
+                            seed: seed_for(&[107, u64::from(speed), rep]),
+                            scale,
+                        };
+                        (f64::from(speed), job)
+                    })
+                })
+                .collect(),
+        })
         .collect()
 }
 
@@ -667,6 +946,7 @@ mod tests {
             kind: ScenarioKind::RandomLarge { nodes: 200 },
             bandwidth: DataRate::MBPS_2,
             transport: Transport::newreno(),
+            ablation: Ablation::None,
             seed: 9,
             scale: tiny(),
         };
@@ -751,6 +1031,141 @@ mod tests {
             _ => panic!("web profile arrives Poisson"),
         };
         assert!(rate(&jobs[5]) > rate(&jobs[0]) * 7.0);
+    }
+
+    #[test]
+    fn existing_store_keys_do_not_move() {
+        // Pinned before the ablation field existed: a job on the paper's
+        // stack must keep the key its stored result was filed under.
+        let scale = ExperimentScale::quick();
+        let canonical: String = full_suite(scale)
+            .iter()
+            .chain(&traffic_study(scale))
+            .chain(&traffic_load_study(scale))
+            .map(|job| job.canonical() + "\n")
+            .collect();
+        assert_eq!(canonical.lines().count(), 145);
+        assert_eq!(
+            format!("{:016x}", fxhash::hash_str(&canonical)),
+            "5f93c6fc4c42cbbd"
+        );
+    }
+
+    #[test]
+    fn study_grid_keys_are_distinct_and_new() {
+        let scale = ExperimentScale::quick();
+        let grids = [
+            ablation_capture,
+            ablation_basic_rate,
+            ablation_cs_range,
+            ext_fu,
+            ext_variants,
+            ext_optwin,
+            ext_80211g,
+            ext_elfn,
+        ];
+        let mut keys: Vec<String> = grids
+            .into_iter()
+            .flat_map(|grid| grid_jobs(grid(scale)))
+            .map(|job| job.key())
+            .collect();
+        // 4×4 + 2×3 + 3×2 + 4×3 + 4×4 + 3×8 + 3×3 + 4×4×3.
+        assert_eq!(keys.len(), 16 + 6 + 6 + 12 + 16 + 24 + 9 + 48);
+        let suite: Vec<String> = full_suite(scale).iter().map(JobSpec::key).collect();
+        assert!(keys.iter().all(|k| !suite.contains(k)));
+        let n = keys.len();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), n, "content-key collision across the studies");
+    }
+
+    #[test]
+    fn ablations_build_the_scenarios_their_studies_set() {
+        let scale = ExperimentScale::quick();
+        let first = |grid: fn(ExperimentScale) -> Vec<SeriesJobs>, series: usize| {
+            grid(scale)[series].points[0].1.clone()
+        };
+        let paper = |job: &JobSpec| {
+            JobSpec {
+                ablation: Ablation::None,
+                ..job.clone()
+            }
+            .scenario()
+        };
+
+        let job = first(ablation_capture, 1);
+        assert_eq!(job.ablation, Ablation::NoCapture);
+        assert_eq!(job.scenario().ranges, RangeModel::without_capture());
+        assert_eq!(
+            first(ablation_capture, 0).scenario().ranges,
+            RangeModel::paper()
+        );
+
+        let job = first(ablation_cs_range, 0);
+        assert_eq!(job.ablation, Ablation::CsRange { metres: 350 });
+        let ranges = job.scenario().ranges;
+        assert_eq!((ranges.cs_range, ranges.interference_range), (350.0, 550.0));
+        let ranges = first(ablation_cs_range, 2).scenario().ranges;
+        assert_eq!((ranges.cs_range, ranges.interference_range), (650.0, 650.0));
+
+        let job = first(ablation_basic_rate, 1);
+        assert_eq!(job.ablation, Ablation::ControlAtDataRate);
+        let mut expected = paper(&job).mac_params();
+        expected.timing.basic_rate = job.bandwidth;
+        assert_eq!(job.scenario().mac_params(), expected);
+
+        let job = ext_fu(scale)[3].points[0].1.clone();
+        assert_eq!(
+            job.ablation,
+            Ablation::LinkLayer {
+                pacing: true,
+                link_red: true
+            }
+        );
+        let mut expected = paper(&job).mac_params();
+        expected.adaptive_pacing = true;
+        expected.link_red = Some(LinkRedParams::default());
+        assert_eq!(job.scenario().mac_params(), expected);
+
+        let job = first(ext_80211g, 0);
+        assert_eq!(job.ablation, Ablation::Ofdm);
+        assert_eq!(
+            job.scenario().mac_params(),
+            MacParams::ieee80211g(job.bandwidth)
+        );
+
+        let job = first(ext_elfn, 1);
+        assert_eq!(job.ablation, Ablation::Elfn);
+        let sc = job.scenario();
+        assert!(sc.aodv.elfn);
+        assert!(!paper(&job).aodv.elfn);
+        // Speed 0 is the static strip; the other speeds move.
+        assert_eq!(job.kind, ScenarioKind::MobileStrip { speed: 0 });
+        assert!(sc.mobility.is_none());
+        let endpoints: Vec<(u32, u32)> = sc
+            .flows
+            .iter()
+            .map(|f| (f.src.raw(), f.dst.raw()))
+            .collect();
+        assert_eq!(endpoints, [(0, 15), (7, 22), (29, 3)]);
+        let moving = ext_elfn(scale)[1].points[3].1.clone();
+        assert_eq!(moving.kind, ScenarioKind::MobileStrip { speed: 5 });
+        assert_eq!(moving.scenario().mobility.map(|m| m.max_speed), Some(5.0));
+
+        // An ablation appends its `Debug` form to the key; the paper's
+        // stack appends nothing.
+        let suffix = |ablation| {
+            let job = JobSpec {
+                ablation,
+                ..first(fig6_9, 0)
+            };
+            job.canonical().split('|').nth(5).map(str::to_string)
+        };
+        assert_eq!(suffix(Ablation::None), None);
+        assert_eq!(
+            suffix(Ablation::CsRange { metres: 350 }).unwrap(),
+            "CsRange { metres: 350 }"
+        );
     }
 
     #[test]

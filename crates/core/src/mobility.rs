@@ -3,8 +3,8 @@
 //! The paper studies *static* networks and defers mobility to the ELFN
 //! (Holland & Vaidya) and DOOR (Wang & Zhang) lines of work it cites. This
 //! module provides the standard random-waypoint model those papers
-//! evaluate on, enabling the mobility + ELFN extension study
-//! ([`crate::experiments::extension_mobility_elfn`]).
+//! evaluate on, enabling the mobility + ELFN extension study (the
+//! [`crate::jobs::ext_elfn`] grid over [`crate::Scenario::mobile_strip`]).
 
 use mwn_phy::Position;
 use mwn_sim::{Pcg32, SimDuration};

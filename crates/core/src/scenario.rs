@@ -8,6 +8,7 @@ use mwn_sim::SimDuration;
 use mwn_tcp::{AckPolicy, Flavor, TcpConfig};
 use mwn_traffic::TrafficModel;
 
+use crate::mobility::RandomWaypoint;
 use crate::network::Network;
 use crate::topology::{self, Topology};
 
@@ -169,12 +170,12 @@ pub struct Scenario {
     pub ranges: RangeModel,
     /// AODV parameters.
     pub aodv: AodvConfig,
-    /// Overrides the MAC parameters derived from `bandwidth` (used by the
-    /// ablation benches, e.g. sending control frames at the data rate).
+    /// Overrides the MAC parameters derived from `bandwidth` (set by the
+    /// MAC ablations of [`crate::jobs::Ablation`] and by fault tests).
     pub mac_override: Option<MacParams>,
     /// Node mobility (extension): `None` keeps the paper's static
     /// networks; `Some` runs random waypoint.
-    pub mobility: Option<crate::mobility::RandomWaypoint>,
+    pub mobility: Option<RandomWaypoint>,
     /// Open-loop traffic workload (extension): `None` keeps the paper's
     /// persistent-flows-only model.
     pub traffic: Option<TrafficSpec>,
@@ -293,6 +294,28 @@ impl Scenario {
         let topology = topology::random_large(nodes, seed);
         let flows = random_flows(&topology, 10, transport, seed);
         Scenario::new(topology, flows, bandwidth, seed)
+    }
+
+    /// The mobility extension's layout (after Holland & Vaidya): 30 nodes
+    /// placed uniformly on a 1500 × 300 m strip with the fixed flows
+    /// 0 → 15, 7 → 22 and 29 → 3, moving by random waypoint at up to
+    /// `speed` m/s without pauses; `speed = 0` keeps them static. Node
+    /// trajectories derive from `seed`, so scenarios that share it face
+    /// identical movement.
+    pub fn mobile_strip(speed: u32, bandwidth: DataRate, transport: Transport, seed: u64) -> Self {
+        let topology = topology::random(30, 1500.0, 300.0, 250.0, seed);
+        let flows = [(0, 15), (7, 22), (29, 3)]
+            .map(|(src, dst)| FlowSpec {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                transport,
+            })
+            .into();
+        let mut s = Scenario::new(topology, flows, bandwidth, seed);
+        if speed > 0 {
+            s.mobility = Some(RandomWaypoint::strip(f64::from(speed), SimDuration::ZERO));
+        }
+        s
     }
 
     /// The metro preset: a city-scale mesh of fixed rooftop nodes — a

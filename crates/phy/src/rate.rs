@@ -77,7 +77,7 @@ pub struct PhyTiming {
     pub plcp_overhead: SimDuration,
     /// Rate for control frames (RTS/CTS/ACK): always 1 Mbit/s for
     /// compatibility across 802.11 versions (paper §4.3). Exposed so the
-    /// `ablation_basic_rate` bench can override it.
+    /// `ablation-basic-rate` study (`mwn repro`) can override it.
     pub basic_rate: DataRate,
 }
 

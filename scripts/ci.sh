@@ -71,6 +71,14 @@ repro_csv=$(cargo run --release -q -p mwn-cli -- repro fig4 --scale 1 --jobs 0 -
 sed -n 2p <<<"$repro_csv" | grep -qx "Mbit/s,Vegas_a=2,Vegas_a=2_ci95,Vegas_a=3,Vegas_a=3_ci95,Vegas_a=4,Vegas_a=4_ci95" || {
     echo "error: mwn repro fig4 --csv header mismatch" >&2; exit 1; }
 
+# The one study whose fold pools replicates (three layouts per speed) and
+# the only CI run of mobility with ELFN through `mwn repro`. About 10 s at
+# quick scale.
+echo "==> mwn repro ext-elfn --csv"
+repro_csv=$(cargo run --release -q -p mwn-cli -- repro ext-elfn --scale 1 --csv 2>/dev/null)
+sed -n 2p <<<"$repro_csv" | grep -qx "m/s,NewReno,NewReno_ci95,NewReno_+ELFN,NewReno_+ELFN_ci95,Vegas,Vegas_ci95,Vegas_+ELFN,Vegas_+ELFN_ci95" || {
+    echo "error: mwn repro ext-elfn --csv header mismatch" >&2; exit 1; }
+
 # Store analytics smoke: a tiny instrumented chain sweep must aggregate
 # through `mwn report` in table, CSV and self-diff modes. Uses a temp
 # store so reruns start clean.

@@ -77,6 +77,16 @@ fn long_chain_works() {
 }
 
 #[test]
+fn route_replies_cannot_livelock_the_chain() {
+    // Two neighbours whose reverse routes point at each other must not
+    // pass one route reply back and forth forever: without a TTL on the
+    // reply, this seed's flow stalls after about 7 100 packets.
+    let mut net = Scenario::chain(8, DataRate::MBPS_2, Transport::newreno(), 4).build();
+    let outcome = net.run_until_delivered(8000, deadline(1500));
+    assert_eq!(outcome, mwn::StepOutcome::TargetReached);
+}
+
+#[test]
 fn experiment_results_are_reproducible() {
     let run = || {
         let r = experiment::run(
