@@ -25,8 +25,8 @@ fn fast_canonical_cases_match_committed_digests() {
 
 /// The whole 10-scenario canonical suite (what `mwn check --suite full`
 /// runs) against the committed digests. This is the strongest guard the
-/// repo has against engine refactors that change behavior: the timer
-/// wheel, the shared in-flight frame table and the pooled dispatch
+/// repo has against engine refactors that change behavior: the event
+/// queue, the shared in-flight frame table and the pooled dispatch
 /// buffers must reproduce every golden trace byte-for-byte.
 #[test]
 fn full_canonical_suite_matches_committed_digests() {

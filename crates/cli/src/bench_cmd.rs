@@ -302,6 +302,8 @@ impl Measurement {
             .u64("signal_edges", p.signal_edges())
             .u64("wave_yields", p.wave_yields())
             .f64("events_per_pkt", r.events_per_packet())
+            .f64("schedules_per_pkt", r.schedules_per_packet())
+            .f64("cancels_per_pkt", r.cancels_per_packet())
             .f64("rx_per_tx", r.rx_per_tx())
             .f64("wave_yield_share", r.wave_yield_share())
             .u64("nav_parked", p.nav_parked)
@@ -708,6 +710,8 @@ mod tests {
         profile.nav_parked = 70;
         profile.nav_materialised = 2;
         profile.mac_batches_without_actions = 900;
+        profile.queue_schedules = 425;
+        profile.queue_cancels = 69;
         Measurement {
             name,
             wall_secs: wall,
@@ -879,6 +883,8 @@ mod tests {
         assert_eq!(num("signal_edges"), Some(4000.0));
         assert_eq!(num("wave_yields"), Some(30.0));
         assert_eq!(num("events_per_pkt"), Some(1.23));
+        assert_eq!(num("schedules_per_pkt"), Some(4.25));
+        assert_eq!(num("cancels_per_pkt"), Some(0.69));
         assert_eq!(num("delivered"), Some(100.0));
         assert_eq!(num("sim_secs"), Some(2.5));
         assert_eq!(num("peak_queue_depth"), Some(9.0));

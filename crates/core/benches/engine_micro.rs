@@ -45,6 +45,34 @@ fn bench_event_queue(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // The hold model at a chain's depth: pop the next event, schedule one
+    // at a delay from the mix an 8-hop chain schedules, 1 000 times.
+    c.bench_function("event_queue_hold_chain_mix_100", |b| {
+        let mut rng = Pcg32::new(11);
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule(T::from_nanos(chain_mix_delay(&mut rng)), i);
+        }
+        b.iter(|| {
+            for _ in 0..1000 {
+                let (now, i) = q.pop().expect("the hold model never drains");
+                q.schedule(T::from_nanos(now.as_nanos() + chain_mix_delay(&mut rng)), i);
+            }
+        })
+    });
+}
+
+/// A delay in ns drawn from the schedule mix of an 8-hop chain: 7 % within
+/// 1.024 µs, 34 % under 65 µs, 53 % under 4.2 ms and 6 % under 268 ms.
+fn chain_mix_delay(rng: &mut Pcg32) -> u64 {
+    let (lo, hi) = match rng.gen_range_u32(100) {
+        0..=6 => (0, 1_024),
+        7..=40 => (1_024, 65_536),
+        41..=93 => (65_536, 4_194_304),
+        _ => (4_194_304, 268_435_456),
+    };
+    lo + rng.gen_range_u64(hi - lo)
 }
 
 fn bench_rng(c: &mut Criterion) {

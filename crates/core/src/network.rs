@@ -86,7 +86,7 @@ enum Event {
 }
 
 /// Stable event-kind name for the engine profile's histogram. The two
-/// signal kinds count wave *segments* (wheel pops), not receivers; the
+/// signal kinds count wave *segments* (queue pops), not receivers; the
 /// receivers are [`EngineProfile::signal_edges`].
 fn event_kind(event: &Event) -> &'static str {
     match event {
@@ -745,7 +745,15 @@ impl Network {
                 .as_ref()
                 .map(|p| p.samples().copied().collect())
                 .unwrap_or_default(),
-            profile: self.profile.clone().unwrap_or_default(),
+            profile: self
+                .profile
+                .clone()
+                .map(|mut p| {
+                    p.queue_schedules = self.queue.schedules();
+                    p.queue_cancels = self.queue.cancels();
+                    p
+                })
+                .unwrap_or_default(),
             medium: self.medium_counters(),
             delivered: self.total_delivered,
             drops: Some(self.drop_report()),
@@ -879,8 +887,8 @@ impl Network {
     /// The walk may pass to the next receiver without consulting the
     /// queue iff no other pending event is due at or before that
     /// receiver's time (on a tie the queue decides, by sequence number,
-    /// as it always did). One bounded peek up to the last receiver's time
-    /// answers that for the whole segment, because nothing a signal-edge
+    /// as it always did). One peek at the queue's next event answers that
+    /// for the whole segment, because nothing a signal-edge
     /// cascade does lands inside the wave's own skew window:
     ///
     /// * A wave spans at most the propagation skew across the
@@ -899,9 +907,7 @@ impl Network {
     ///   [`Network::walk_segment`] yields at the first receiver at or after it.
     ///
     /// Debug builds re-check the rest after every receiver
-    /// ([`Network::debug_assert_lookahead`]). The peek must be the
-    /// read-only one: a committing peek would move the wheel's cursor to
-    /// an event the walk does not pop.
+    /// ([`Network::debug_assert_lookahead`]).
     ///
     /// Two more things end a segment early, so that every run loop stops
     /// on the same event and nanosecond it always did: a receiver past
@@ -911,16 +917,13 @@ impl Network {
         let wave = self.frames.wave(tx);
         let (lo, len) = (wave.cursor, wave.receivers().len());
         let mut hi = lo + 1;
-        if hi < len {
-            let limit = wave.time(len - 1, end).min(deadline);
-            let horizon = self.queue.peek_time_within(limit);
-            while hi < len {
-                let t = wave.time(hi, end);
-                if t > limit || horizon.is_some_and(|h| t >= h) {
-                    break;
-                }
-                hi += 1;
+        let horizon = self.queue.peek_time();
+        while hi < len {
+            let t = wave.time(hi, end);
+            if t > deadline || horizon.is_some_and(|h| t >= h) {
+                break;
             }
+            hi += 1;
         }
         #[cfg(any(test, feature = "oracle"))]
         if self.yield_every_receiver {
@@ -978,10 +981,9 @@ impl Network {
     /// before receiver `next`'s edge — the lookahead fact that lets
     /// [`Network::walk_wave`]'s one peek cover a whole segment.
     fn debug_assert_lookahead(&self, tx: TxId, end: bool, next: usize) {
+        let edge = self.frames.wave(tx).time(next, end);
         debug_assert!(
-            self.queue
-                .peek_time_within(self.frames.wave(tx).time(next, end))
-                .is_none(),
+            self.queue.peek_time().is_none_or(|t| t > edge),
             "a signal-edge cascade scheduled inside its wave's skew window"
         );
     }

@@ -567,6 +567,18 @@ impl MetricsReport {
         ratio(self.profile.events_processed() as f64, self.delivered)
     }
 
+    /// Events scheduled per packet delivered to a sink (0 without a
+    /// delivery).
+    pub fn schedules_per_packet(&self) -> f64 {
+        ratio(self.profile.queue_schedules as f64, self.delivered)
+    }
+
+    /// Pending events cancelled per packet delivered to a sink (0 without
+    /// a delivery).
+    pub fn cancels_per_packet(&self) -> f64 {
+        ratio(self.profile.queue_cancels as f64, self.delivered)
+    }
+
     /// Receptions (decodable or carrier-sense only) per frame put on the
     /// air: signal edges, halved, per transmission — every transmission
     /// ends in exactly one `tx_end`.

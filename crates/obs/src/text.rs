@@ -62,6 +62,12 @@ impl MetricsReport {
             writeln!(f, "  receptions/tx    {:>12.1}", self.rx_per_tx())?;
             if self.delivered > 0 {
                 writeln!(f, "  events/packet    {:>12.1}", self.events_per_packet())?;
+                writeln!(
+                    f,
+                    "  schedules/packet {:>12.1}",
+                    self.schedules_per_packet()
+                )?;
+                writeln!(f, "  cancels/packet   {:>12.1}", self.cancels_per_packet())?;
             }
             // What bystanders did not cost: NAV timers that never entered
             // the queue, and radio-event batches the MAC had no answer to.

@@ -1,7 +1,7 @@
 //! Reference future-event list: binary heap + tombstone set.
 //!
-//! This was the engine's event queue before the timer wheel
-//! ([`crate::wheel::EventQueue`]) replaced it on the hot path. It is kept —
+//! This was the engine's event queue before [`crate::EventQueue`]
+//! replaced it on the hot path. It is kept —
 //! unchanged in behaviour — as the trusted oracle for the differential
 //! proptests in `tests/wheel_differential.rs`: any schedule/cancel/pop
 //! interleaving must produce the identical pop sequence on both

@@ -5,8 +5,8 @@
 //!
 //! * [`SimTime`] and [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`EventQueue`] — a cancellable future-event list with a deterministic
-//!   tie-break for events scheduled at the same instant, implemented as a
-//!   hierarchical timer wheel (`ReferenceEventQueue`, behind the `oracle`
+//!   tie-break for events scheduled at the same instant, implemented as
+//!   one ordered `Vec` (`ReferenceEventQueue`, behind the `oracle`
 //!   feature, is the retained binary-heap oracle it is differentially
 //!   tested against),
 //! * [`Pcg32`] — a small, fully deterministic pseudo-random number generator,
@@ -35,6 +35,7 @@ pub mod profile;
 mod rng;
 pub mod stats;
 mod time;
+// The event queue; the module keeps the name of the timer wheel it held.
 mod wheel;
 
 #[cfg(any(test, feature = "oracle"))]

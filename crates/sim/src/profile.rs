@@ -47,6 +47,13 @@ pub struct EngineProfile {
     /// Batches of radio events (one transceiver call's worth) to which
     /// the MAC answered with no action at all.
     pub mac_batches_without_actions: u64,
+    /// Events the host's queue has scheduled, from
+    /// [`EventQueue::schedules`](crate::EventQueue::schedules). (This and
+    /// [`queue_cancels`](Self::queue_cancels) are copied in by the host.)
+    pub queue_schedules: u64,
+    /// Pending events the host's queue has cancelled, from
+    /// [`EventQueue::cancels`](crate::EventQueue::cancels).
+    pub queue_cancels: u64,
 }
 
 impl EngineProfile {

@@ -1,98 +1,46 @@
-//! Hierarchical timer-wheel future-event list.
+//! The future-event list: one `Vec` of `(time, seq, idx)` entries kept in
+//! descending `(time, seq)` order, with the payloads in a slab.
 //!
-//! Drop-in replacement for the binary-heap `ReferenceEventQueue`: same API,
-//! same pop order (time, then FIFO by schedule order), same panics — but tuned
-//! to the event mix of an 802.11 multihop simulation, where almost every
-//! pending event is a MAC-scale timer (SIFS/DIFS/slot/NAV, tens of
-//! microseconds out) and only a handful are transport-scale (RTO, pacing,
-//! route discovery, seconds out).
+//! Same API, pop order (time, then FIFO by schedule order) and panics as
+//! the binary-heap `ReferenceEventQueue` it is tested against. A pop is
+//! `Vec::pop`, a schedule scans back from the end past the entries due
+//! earlier, and a cancel removes its entry at once.
 //!
-//! # Design
+//! # Cost model
 //!
-//! Time is bucketed into 1.024 µs granules (`2^GRAN_BITS` ns). Six wheel
-//! levels of 64 slots each cover `2^(10+36)` ns ≈ 19.5 h from the current
-//! granule; anything beyond the top-level frame waits in a small overflow
-//! heap. Per-level occupancy bitmaps make "find the next non-empty slot" a
-//! couple of `trailing_zeros` instructions, so an idle scan costs O(levels),
-//! not O(slots).
+//! A schedule costs one compare and one 24-byte move per pending event due
+//! *earlier* than the new one. Pending events scale with active
+//! contenders, not nodes (peak depth 13–185 on all `mwn bench` cases, up
+//! to 50 000 nodes), and most schedules are near-future: on an 8-hop chain
+//! 7 % within 1.024 µs, 34 % under 65 µs, 53 % under 4.2 ms, 6 % under
+//! 268 ms. Uniform 1 µs–20 ms delays are the bad case; schedule + pop
+//! under them, against the timer wheel this list replaced (one Xeon core):
 //!
-//! Payloads live in a slab indexed by a `u32`; wheel slots and heaps only
-//! shuffle 24-byte `(time, seq, idx)` entries, so large event payloads are
-//! moved exactly twice (in at `schedule`, out at `pop`) no matter how often
-//! buckets cascade. [`EventId`]s are generation-tagged slab indices: a
-//! cancel after the event fired (or a double cancel) sees a stale generation
-//! and is a no-op, without keeping a tombstone set.
-//!
-//! Events of the granule currently being drained sit in a tiny `ready` heap
-//! ordered by exact `(time, seq)`, which preserves the reference queue's
-//! deterministic FIFO tie-break — the golden-trace digests in `mwn check`
-//! are byte-identical on either implementation.
-//!
-//! Cancellation is eager for wheel-resident events (the bucket entry is
-//! removed, keeping occupancy bitmaps truthful) and lazy for heap-resident
-//! ones (marked and reclaimed when they surface).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! | Depth | Ordered list | Timer wheel |
+//! |---|---|---|
+//! | 16 | 53 ns | 93 ns |
+//! | 100 | 155 ns | 74 ns |
+//! | 1 000 | 1.2 µs | 74 ns |
+//! | 10 000 | 14 µs | 91 ns |
 
 use crate::time::SimTime;
 
-/// Handle to a scheduled event, usable to cancel it before it fires.
+/// Handle to a scheduled event, usable to cancel it before it fires: a
+/// generation-tagged slab index, so a handle outlives its event harmlessly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub(crate) u64);
 
-/// log2 of the granule width in nanoseconds: 1.024 µs, finer than a SIFS
-/// (10 µs) so distinct MAC timers land in distinct granules.
-const GRAN_BITS: u32 = 10;
-/// log2 of the slots per wheel level.
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-/// Wheel levels. Level `l` spans `2^(GRAN_BITS + SLOT_BITS*(l+1))` ns:
-/// 65 µs, 4.2 ms, 268 ms, 17 s, 18 min, 19.5 h.
-const LEVELS: usize = 6;
-/// Ticks above this many bits are beyond the top level and overflow.
-const TOP_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// A list entry, `(time_ns, seq, slab index)`; `seq` alone is unique.
+type Ent = (u64, u64, u32);
 
-/// A wheel/heap entry: event identity plus everything ordering needs, so the
-/// slab is only touched on schedule, cancel and pop. Derived `Ord` compares
-/// `(time_ns, seq, idx)`; `seq` is unique, so `idx` never decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Ent {
-    time_ns: u64,
-    seq: u64,
-    idx: u32,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Pending,
-    /// Cancelled while heap-resident; reclaimed when the entry surfaces.
-    Cancelled,
-    Free,
-}
-
-/// Where a pending event's `Ent` currently lives (needed by `cancel`).
-#[derive(Debug, Clone, Copy)]
-enum Loc {
-    Wheel {
-        level: u8,
-        slot: u8,
-    },
-    /// In the `ready` or `overflow` heap, where eager removal is impossible.
-    Heap,
-}
-
+/// A slab slot; its payload is `Some` while the event is pending.
 #[derive(Debug)]
 struct Slot<E> {
     gen: u32,
-    state: State,
-    loc: Loc,
     payload: Option<E>,
 }
 
-/// The future-event list of a discrete-event simulation, as a hierarchical
-/// timer wheel.
+/// The future-event list of a discrete-event simulation.
 ///
 /// Events scheduled for the same instant are popped in the order they were
 /// scheduled (FIFO), which keeps runs deterministic.
@@ -113,21 +61,12 @@ struct Slot<E> {
 pub struct EventQueue<E> {
     slab: Vec<Slot<E>>,
     free: Vec<u32>,
-    levels: [[Vec<Ent>; SLOTS]; LEVELS],
-    /// Per-level bitmap of non-empty slots.
-    occ: [u64; LEVELS],
-    /// Events of the granule currently being drained, plus any scheduled at
-    /// the current granule while draining it. Ordered by exact `(time, seq)`.
-    ready: BinaryHeap<Reverse<Ent>>,
-    /// Events beyond the top-level frame (≈19.5 h out).
-    overflow: BinaryHeap<Reverse<Ent>>,
-    /// Granule the `ready` heap is drawn from. Pending events never have an
-    /// earlier tick.
-    cur_tick: u64,
+    /// Pending entries in descending `(time, seq)` order.
+    list: Vec<Ent>,
     next_seq: u64,
-    /// Live (non-cancelled) event count.
-    live: usize,
     last_popped: SimTime,
+    schedules: u64,
+    cancels: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -136,14 +75,11 @@ impl<E> EventQueue<E> {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
-            levels: std::array::from_fn(|_| std::array::from_fn(|_| Vec::new())),
-            occ: [0; LEVELS],
-            ready: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            cur_tick: 0,
+            list: Vec::new(),
             next_seq: 0,
-            live: 0,
             last_popped: SimTime::ZERO,
+            schedules: 0,
+            cancels: 0,
         }
     }
 
@@ -158,13 +94,11 @@ impl<E> EventQueue<E> {
         self.schedule_keyed(time, seq, event)
     }
 
-    /// Sets aside the next `n` schedule sequence numbers and returns the
-    /// first. A caller that stands in for `n` events with fewer wheel
-    /// entries (one cursor event walking a list, say) reserves the
-    /// numbers those events would have drawn, so everything scheduled
-    /// afterwards keeps the FIFO tie-break it would have had, and files
-    /// its stand-in under the reserved numbers with
-    /// [`schedule_keyed`](Self::schedule_keyed).
+    /// Sets aside the next `n` sequence numbers and returns the first. A
+    /// caller that stands in for `n` events with fewer entries (one cursor
+    /// event walking a list, say) reserves the numbers those events would
+    /// have drawn, so later schedules keep their FIFO tie-break, and files
+    /// its stand-in under them with [`schedule_keyed`](Self::schedule_keyed).
     pub fn reserve_seqs(&mut self, n: u64) -> u64 {
         let first = self.next_seq;
         self.next_seq += n;
@@ -190,315 +124,92 @@ impl<E> EventQueue<E> {
             seq < self.next_seq,
             "sequence number {seq} was not reserved"
         );
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let slot = &mut self.slab[idx as usize];
-                slot.state = State::Pending;
-                slot.payload = Some(event);
-                idx
-            }
-            None => {
-                let idx = u32::try_from(self.slab.len()).expect("event slab overflow");
-                self.slab.push(Slot {
-                    gen: 0,
-                    state: State::Pending,
-                    loc: Loc::Heap,
-                    payload: Some(event),
-                });
-                idx
-            }
-        };
-        self.live += 1;
-        self.place(Ent {
-            time_ns: time.as_nanos(),
-            seq,
-            idx,
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Slot {
+                gen: 0,
+                payload: None,
+            });
+            u32::try_from(self.slab.len() - 1).expect("event slab overflow")
         });
-        EventId(u64::from(self.slab[idx as usize].gen) << 32 | u64::from(idx))
+        let slot = &mut self.slab[idx as usize];
+        slot.payload = Some(event);
+        let id = EventId(u64::from(slot.gen) << 32 | u64::from(idx));
+        let ent = (time.as_nanos(), seq, idx);
+        let later = self.list.iter().rposition(|e| *e > ent);
+        self.list.insert(later.map_or(0, |i| i + 1), ent);
+        self.schedules += 1;
+        id
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Cancelling an event that already fired (or was already cancelled) is a
-    /// no-op: the handle's generation no longer matches its slab slot.
+    /// Cancels a previously scheduled event. Cancelling one that already
+    /// fired or was cancelled is a no-op: its generation no longer matches.
     pub fn cancel(&mut self, id: EventId) {
         let idx = id.0 as u32;
-        let gen = (id.0 >> 32) as u32;
-        let Some(slot) = self.slab.get_mut(idx as usize) else {
-            return;
-        };
-        if slot.gen != gen || slot.state != State::Pending {
-            return;
+        match self.slab.get(idx as usize) {
+            Some(slot) if slot.gen == (id.0 >> 32) as u32 && slot.payload.is_some() => {}
+            _ => return,
         }
-        self.live -= 1;
-        match slot.loc {
-            // Heap entries can't be removed from the middle of a BinaryHeap;
-            // mark and reclaim when they surface.
-            Loc::Heap => slot.state = State::Cancelled,
-            Loc::Wheel { level, slot: s } => {
-                let bucket = &mut self.levels[level as usize][s as usize];
-                let pos = bucket
-                    .iter()
-                    .position(|e| e.idx == idx)
-                    .expect("pending event is in its recorded wheel bucket");
-                bucket.swap_remove(pos);
-                if bucket.is_empty() {
-                    self.occ[level as usize] &= !(1u64 << s);
-                }
-                self.free_slot(idx);
-            }
-        }
+        let at = self.list.iter().rposition(|e| e.2 == idx);
+        self.list.remove(at.expect("pending event is in the list"));
+        self.free_slot(idx);
+        self.cancels += 1;
     }
 
-    /// Removes and returns the next live event, skipping cancelled ones.
+    /// Removes and returns the next pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_keyed().map(|(time, _, payload)| (time, payload))
     }
 
-    /// Like [`pop`](Self::pop), but also returns the event's schedule
-    /// sequence number — the FIFO tie-break key. `(time, seq)` totally
-    /// orders every event ever scheduled, so callers that stage popped
-    /// events in a side buffer can later merge them against the queue
-    /// head without losing the deterministic pop order.
+    /// Like [`pop`](Self::pop), but also returns the event's sequence
+    /// number, the FIFO tie-break key: `(time, seq)` totally orders every
+    /// event ever scheduled, so popped events can be merged back against
+    /// the queue head without losing the deterministic pop order.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        loop {
-            let Some(Reverse(ent)) = self.ready.pop() else {
-                if self.refill() {
-                    continue;
-                }
-                return None;
-            };
-            if self.slab[ent.idx as usize].state == State::Cancelled {
-                self.free_slot(ent.idx);
-                continue;
-            }
-            let payload = self.slab[ent.idx as usize]
-                .payload
-                .take()
-                .expect("pending event has a payload");
-            self.free_slot(ent.idx);
-            self.live -= 1;
-            let time = SimTime::from_nanos(ent.time_ns);
-            self.last_popped = time;
-            return Some((time, ent.seq, payload));
-        }
+        let (time_ns, seq, idx) = self.list.pop()?;
+        let time = SimTime::from_nanos(time_ns);
+        self.last_popped = time;
+        Some((time, seq, self.free_slot(idx)))
     }
 
-    /// The timestamp of the next live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// The timestamp of the next pending event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.peek_key().map(|(time, _)| time)
     }
 
-    /// The `(time, seq)` ordering key of the next live event without
+    /// The `(time, seq)` ordering key of the next pending event without
     /// removing it (see [`pop_keyed`](Self::pop_keyed)).
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            match self.ready.peek() {
-                Some(&Reverse(ent)) => {
-                    if self.slab[ent.idx as usize].state == State::Cancelled {
-                        self.ready.pop();
-                        self.free_slot(ent.idx);
-                        continue;
-                    }
-                    return Some((SimTime::from_nanos(ent.time_ns), ent.seq));
-                }
-                None => {
-                    if !self.refill() {
-                        return None;
-                    }
-                }
-            }
-        }
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        let &(time_ns, seq, _) = self.list.last()?;
+        Some((SimTime::from_nanos(time_ns), seq))
     }
 
-    /// The timestamp of the next live event, **only if** it is at or
-    /// before `limit` — without advancing the wheel.
-    ///
-    /// [`peek_time`](Self::peek_time) commits the wheel's cursor to the
-    /// next event's granule, after which nothing earlier may be
-    /// scheduled. Callers that peek ahead *speculatively* — like the
-    /// network loop probing whether another event falls inside a wave's
-    /// skew window — must not pay that commitment for events they
-    /// will not pop. This read-only scan visits only the buckets whose
-    /// tick range intersects `[cur, limit]`, so with a limit a few
-    /// granules out it touches a handful of slots regardless of queue
-    /// size.
-    pub fn peek_time_within(&self, limit: SimTime) -> Option<SimTime> {
-        let limit_ns = limit.as_nanos();
-        let limit_tick = limit_ns >> GRAN_BITS;
-        if limit_tick < self.cur_tick {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        let mut consider = |time_ns: u64| {
-            if time_ns <= limit_ns && best.is_none_or(|b| time_ns < b) {
-                best = Some(time_ns);
-            }
-        };
-        // The ready heap can hold lazily-cancelled entries; skip them.
-        for &Reverse(ent) in &self.ready {
-            if self.slab[ent.idx as usize].state == State::Pending {
-                consider(ent.time_ns);
-            }
-        }
-        // Wheel buckets are eagerly pruned on cancel, so every entry is
-        // live. Only slots covering ticks in `[cur, limit]` within each
-        // level's current frame can qualify; an occupied earlier slot
-        // belongs to the level's *next* frame (see `refill`).
-        for level in 0..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let lo = self.cur_tick >> shift;
-            let hi = limit_tick >> shift;
-            let s_lo = (lo & SLOT_MASK) as u32;
-            let s_hi = if (hi & !SLOT_MASK) == (lo & !SLOT_MASK) {
-                (hi & SLOT_MASK) as u32
-            } else {
-                SLOT_MASK as u32
-            };
-            let mut occ = self.occ[level] & (!0u64 << s_lo) & (!0u64 >> (63 - s_hi));
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for ent in &self.levels[level][slot] {
-                    consider(ent.time_ns);
-                }
-            }
-        }
-        // The overflow heap starts a whole top-level frame out; scan it
-        // only when the limit reaches that far.
-        if (limit_tick >> TOP_BITS) != (self.cur_tick >> TOP_BITS) {
-            for &Reverse(ent) in &self.overflow {
-                if self.slab[ent.idx as usize].state == State::Pending {
-                    consider(ent.time_ns);
-                }
-            }
-        }
-        best.map(SimTime::from_nanos)
-    }
-
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.list.len()
     }
 
-    /// `true` if no live events remain.
+    /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.list.is_empty()
     }
 
-    /// Files an entry into the ready heap, a wheel bucket, or the overflow
-    /// heap, whichever its tick calls for.
-    fn place(&mut self, ent: Ent) {
-        let tick = ent.time_ns >> GRAN_BITS;
-        debug_assert!(tick >= self.cur_tick, "placing an entry behind the wheel");
-        if tick == self.cur_tick {
-            self.slab[ent.idx as usize].loc = Loc::Heap;
-            self.ready.push(Reverse(ent));
-        } else if (tick >> TOP_BITS) != (self.cur_tick >> TOP_BITS) {
-            self.slab[ent.idx as usize].loc = Loc::Heap;
-            self.overflow.push(Reverse(ent));
-        } else {
-            // The highest bit where the tick differs from `cur_tick` picks
-            // the level: the entry cascades down when the wheel reaches its
-            // slot, and everything below that bit is still in the future.
-            let diff = tick ^ self.cur_tick;
-            let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-            let slot = ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-            self.slab[ent.idx as usize].loc = Loc::Wheel {
-                level: level as u8,
-                slot: slot as u8,
-            };
-            self.levels[level][slot].push(ent);
-            self.occ[level] |= 1 << slot;
-        }
+    /// Events scheduled so far, keyed or not.
+    pub fn schedules(&self) -> u64 {
+        self.schedules
     }
 
-    /// Advances the wheel to the next occupied granule and moves that
-    /// granule's events onto the (empty) ready heap. Returns `false` if
-    /// nothing is pending anywhere.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.ready.is_empty());
-        'scan: loop {
-            // A cascade or overflow jump may have fed `ready` directly
-            // (entries landing exactly on `cur_tick`). Those are the earliest
-            // pending events, so stop before draining a later granule on top.
-            if !self.ready.is_empty() {
-                return true;
-            }
-            for level in 0..LEVELS {
-                let shift = SLOT_BITS * level as u32;
-                let pos = ((self.cur_tick >> shift) & SLOT_MASK) as u32;
-                // Slots at or after the current position within this level's
-                // frame. Earlier slots would belong to the next frame and are
-                // filed at a higher level instead, so they can't be occupied.
-                let in_frame = self.occ[level] & (!0u64 << pos);
-                if in_frame == 0 {
-                    continue;
-                }
-                let slot = in_frame.trailing_zeros() as usize;
-                if level == 0 {
-                    self.cur_tick = (self.cur_tick & !SLOT_MASK) | slot as u64;
-                    self.occ[0] &= !(1u64 << slot);
-                    for ent in self.levels[0][slot].drain(..) {
-                        self.slab[ent.idx as usize].loc = Loc::Heap;
-                        self.ready.push(Reverse(ent));
-                    }
-                    return true;
-                }
-                // A higher level is due first: advance to that slot's start
-                // and cascade its bucket down, then rescan from level 0.
-                let base = (self.cur_tick >> shift) & !SLOT_MASK;
-                let slot_start = (base | slot as u64) << shift;
-                if slot_start > self.cur_tick {
-                    self.cur_tick = slot_start;
-                }
-                self.occ[level] &= !(1u64 << slot);
-                let mut bucket = std::mem::take(&mut self.levels[level][slot]);
-                for ent in bucket.drain(..) {
-                    self.place(ent);
-                }
-                self.levels[level][slot] = bucket; // keep the allocation
-                continue 'scan;
-            }
-            // Every wheel level is empty: jump to the overflow frame, if any.
-            loop {
-                match self.overflow.peek() {
-                    None => return false,
-                    Some(&Reverse(ent))
-                        if self.slab[ent.idx as usize].state == State::Cancelled =>
-                    {
-                        self.overflow.pop();
-                        self.free_slot(ent.idx);
-                    }
-                    Some(&Reverse(ent)) => {
-                        self.cur_tick = ent.time_ns >> GRAN_BITS;
-                        break;
-                    }
-                }
-            }
-            let frame = self.cur_tick >> TOP_BITS;
-            while let Some(&Reverse(ent)) = self.overflow.peek() {
-                if (ent.time_ns >> GRAN_BITS) >> TOP_BITS != frame {
-                    break;
-                }
-                self.overflow.pop();
-                if self.slab[ent.idx as usize].state == State::Cancelled {
-                    self.free_slot(ent.idx);
-                } else {
-                    self.place(ent);
-                }
-            }
-        }
+    /// Pending events cancelled so far (no-op cancels not counted).
+    pub fn cancels(&self) -> u64 {
+        self.cancels
     }
 
     /// Returns a slab slot to the free list, bumping its generation so stale
-    /// `EventId`s stop matching.
-    fn free_slot(&mut self, idx: u32) {
+    /// `EventId`s stop matching, and hands back its payload.
+    fn free_slot(&mut self, idx: u32) -> E {
         let slot = &mut self.slab[idx as usize];
         slot.gen = slot.gen.wrapping_add(1);
-        slot.state = State::Free;
-        slot.payload = None;
         self.free.push(idx);
+        slot.payload.take().expect("pending event has a payload")
     }
 }
 
@@ -654,13 +365,20 @@ mod tests {
         q.schedule_keyed(t(2), 1, ());
     }
 
-    /// One event per wheel level plus one in the overflow heap.
+    /// Times from 1 ns to past 2^46 ns (≈19.5 h), scheduled latest first.
     #[test]
     fn events_across_all_levels_pop_in_order() {
         let mut q = EventQueue::new();
-        let times: Vec<u64> = (0..=LEVELS as u32)
-            .map(|l| 1u64 << (GRAN_BITS + SLOT_BITS * l))
-            .collect();
+        let times: [u64; 8] = [
+            1,
+            1_024,
+            65_536,
+            4_194_304,
+            268_435_456,
+            17_179_869_184,
+            1_099_511_627_776,
+            70_368_744_177_671,
+        ];
         for (i, &ns) in times.iter().enumerate().rev() {
             q.schedule(t(ns), i);
         }
@@ -673,12 +391,11 @@ mod tests {
     #[test]
     fn cascade_preserves_fifo_ties() {
         let mut q = EventQueue::new();
-        // Far enough out to start at level 2 and cascade twice.
-        let far = 3u64 << (GRAN_BITS + 2 * SLOT_BITS);
+        let far = 12_582_912; // 12.6 ms
         for i in 0..10 {
             q.schedule(t(far), i);
         }
-        // An earlier event forces the wheel to turn before the cascade.
+        // An earlier event scheduled after them pops first.
         q.schedule(t(100), 99);
         assert_eq!(q.pop(), Some((t(100), 99)));
         for i in 0..10 {
@@ -689,7 +406,7 @@ mod tests {
     #[test]
     fn cancel_wheel_resident_event_clears_it() {
         let mut q = EventQueue::new();
-        let far = 5u64 << (GRAN_BITS + SLOT_BITS);
+        let far = 327_680;
         let a = q.schedule(t(far), 'a');
         q.schedule(t(far), 'b');
         q.cancel(a);
@@ -702,7 +419,7 @@ mod tests {
     #[test]
     fn overflow_events_fire_after_the_frame_jump() {
         let mut q = EventQueue::new();
-        let beyond = 1u64 << (GRAN_BITS + TOP_BITS); // past the top frame
+        let beyond = 70_368_744_177_664; // 2^46 ns
         q.schedule(t(beyond + 7), 'z');
         let a = q.schedule(t(beyond + 3), 'y');
         q.schedule(t(40), 'a');
@@ -729,16 +446,16 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// The whole point of `peek_time_within`: probing past the next
-    /// event must not commit the wheel, so earlier schedules stay legal.
+    /// A peek commits nothing: probing past the next event leaves
+    /// earlier schedules legal.
     #[test]
     fn bounded_peek_does_not_advance_the_wheel() {
         let mut q = EventQueue::new();
         q.schedule(t(5_000_000), 'z'); // 5 ms out
-        assert_eq!(q.peek_time_within(t(100_000)), None);
-        // A plain peek here would advance to the 5 ms granule and make
-        // this schedule panic.
+        assert_eq!(q.peek_time(), Some(t(5_000_000)));
+        assert_eq!(q.peek_key(), Some((t(5_000_000), 0)));
         q.schedule(t(10_000), 'a');
+        assert_eq!(q.peek_time(), Some(t(10_000)));
         assert_eq!(q.pop(), Some((t(10_000), 'a')));
         assert_eq!(q.pop(), Some((t(5_000_000), 'z')));
     }
@@ -746,35 +463,38 @@ mod tests {
     #[test]
     fn bounded_peek_finds_events_across_granules_and_levels() {
         let mut q = EventQueue::new();
-        // Level-1 resident (beyond the 65 µs level-0 frame).
         q.schedule(t(80_000), 'b');
-        assert_eq!(q.peek_time_within(t(79_999)), None);
-        assert_eq!(q.peek_time_within(t(80_000)), Some(t(80_000)));
-        // A nearer level-0 event wins.
+        assert_eq!(q.peek_time(), Some(t(80_000)));
+        // A nearer event wins.
         q.schedule(t(3_000), 'a');
-        assert_eq!(q.peek_time_within(t(80_000)), Some(t(3_000)));
+        assert_eq!(q.peek_time(), Some(t(3_000)));
         // Cancelled events are invisible.
         let c = q.schedule(t(1_000), 'c');
+        assert_eq!(q.peek_time(), Some(t(1_000)));
         q.cancel(c);
-        assert_eq!(q.peek_time_within(t(80_000)), Some(t(3_000)));
+        assert_eq!(q.peek_time(), Some(t(3_000)));
         assert_eq!(q.pop(), Some((t(3_000), 'a')));
         assert_eq!(q.pop(), Some((t(80_000), 'b')));
-        assert_eq!(q.peek_time_within(t(1 << 40)), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn bounded_peek_sees_the_ready_heap_and_overflow() {
         let mut q = EventQueue::new();
         q.schedule(t(1_000), 'a');
-        q.schedule(t(1_100), 'b'); // same granule → both hit ready
+        q.schedule(t(1_100), 'b');
         assert_eq!(q.pop(), Some((t(1_000), 'a')));
-        assert_eq!(q.peek_time_within(t(1_050)), None);
-        assert_eq!(q.peek_time_within(t(1_100)), Some(t(1_100)));
-        let beyond = 1u64 << (GRAN_BITS + TOP_BITS);
+        assert_eq!(q.peek_time(), Some(t(1_100)));
+        let beyond = 70_368_744_177_664; // 2^46 ns
         q.schedule(t(beyond + 3), 'z');
-        assert_eq!(q.peek_time_within(t(beyond)), Some(t(1_100)));
+        assert_eq!(q.peek_time(), Some(t(1_100)));
         assert_eq!(q.pop(), Some((t(1_100), 'b')));
-        assert_eq!(q.peek_time_within(t(beyond + 10)), Some(t(beyond + 3)));
+        assert_eq!(q.peek_time(), Some(t(beyond + 3)));
+        // Peeking far ahead still lets the popped instant take new events.
+        q.schedule(t(1_100), 'c');
+        assert_eq!(q.peek_time(), Some(t(1_100)));
+        assert_eq!(q.pop(), Some((t(1_100), 'c')));
+        assert_eq!(q.pop(), Some((t(beyond + 3), 'z')));
     }
 
     #[test]
@@ -793,5 +513,38 @@ mod tests {
         }
         assert_eq!(popped, 25);
         assert!(q.is_empty());
+    }
+
+    /// The traffic counters balance: every event scheduled was cancelled,
+    /// popped or is still pending, and no-op cancels count for nothing.
+    #[test]
+    fn schedules_minus_cancels_minus_pops_is_len() {
+        let mut q = EventQueue::new();
+        let mut popped = 0u64;
+        let balanced = |q: &EventQueue<u64>, popped: u64| {
+            q.schedules() - q.cancels() - popped == q.len() as u64
+        };
+        let ids: Vec<_> = (0..20).map(|i| q.schedule(t(1_000 * i), i)).collect();
+        q.cancel(ids[0]); // the head
+        q.cancel(ids[19]); // the tail
+        assert!(balanced(&q, popped));
+        for _ in 0..5 {
+            q.pop();
+            popped += 1;
+        }
+        q.cancel(ids[1]); // already fired
+        q.cancel(ids[0]); // already cancelled
+        assert_eq!(q.cancels(), 2);
+        assert!(balanced(&q, popped));
+        let base = q.reserve_seqs(2);
+        q.schedule_keyed(t(7_500), base, 99);
+        let tail = q.schedule(t(1 << 40), 100);
+        q.cancel(tail);
+        assert_eq!((q.schedules(), q.cancels()), (22, 3));
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert!(balanced(&q, popped));
+        assert_eq!(popped, 19);
     }
 }

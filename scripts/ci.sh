@@ -55,10 +55,11 @@ for format in "" "--json"; do
 done
 
 # One instrumented run through the report's text renderer: `mwn stats`
-# must print the drop ledger and a balanced conservation audit.
+# must print the drop ledger, a balanced conservation audit and the
+# event queue's schedules per delivered packet.
 echo "==> mwn stats --hops 4 (run report smoke)"
 stats_out=$(cargo run --release -q -p mwn-cli -- stats --hops 4 2>/dev/null)
-for expected in "^drop ledger — " "^conservation audit: conservation holds"; do
+for expected in "^drop ledger — " "^conservation audit: conservation holds" "^  schedules/packet "; do
     grep -q "$expected" <<<"$stats_out" || {
         echo "error: mwn stats printed no line matching '$expected'" >&2; exit 1; }
 done
@@ -123,9 +124,10 @@ cargo bench -p mwn --bench obs_overhead -- --quick
 # the release-mode `effects_of` assertion run in this build): grid vs
 # dense all-pairs, incremental moves and lists first built at any epoch
 # included, every refreshed list in arrival order, plus the
-# random-waypoint trajectory differential. Wheel: timer wheel vs binary
-# heap on the engine's schedule/cancel/pop mix.
-echo "==> medium and wheel differentials (proptest + mobility trajectories)"
+# random-waypoint trajectory differential. Event queue: ordered list vs
+# binary heap on the engine's schedule/cancel/pop mix, plus a
+# deterministic case 20 000 events deep.
+echo "==> medium and event queue differentials (proptest + mobility trajectories)"
 cargo test --release -q -p mwn-phy --features oracle
 cargo test --release -q -p mwn-check --test medium_mobility
 cargo test --release -q -p mwn-sim --features oracle --test wheel_differential
