@@ -4,9 +4,10 @@
 //! delivered, splits the output into 11 batches of 10 000 packets, discards
 //! the first batch as the initial transient, and reports batch means with
 //! 95 % confidence intervals. [`run`] reproduces that procedure at a
-//! configurable scale.
+//! configurable scale: a [`MetricsRegistry`] closes each batch, and every
+//! estimate is folded from its per-batch deltas.
 
-use mwn_obs::{MetricsRegistry, MetricsReport};
+use mwn_obs::{BatchMetrics, MetricsRegistry, MetricsReport};
 use mwn_pkt::FlowId;
 use mwn_sim::stats::{jain_fairness, BatchMeans, Estimate};
 use mwn_sim::{SimDuration, SimTime};
@@ -79,10 +80,12 @@ impl ExperimentScale {
 /// What the observability layer collects during a run.
 ///
 /// Everything defaults to off; [`run`] uses [`ObsConfig::off`], so
-/// uninstrumented experiments pay nothing.
+/// uninstrumented experiments pay only the counter snapshots every run
+/// takes at its batch boundaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Collect per-batch counter deltas and whole-run totals.
+    /// Keep the per-batch counter deltas in the report
+    /// ([`MetricsReport::batches`]).
     pub metrics: bool,
     /// Probe-buffer capacity in samples (0 disables time-series probes).
     pub probe_capacity: usize,
@@ -93,7 +96,7 @@ pub struct ObsConfig {
     pub audit: bool,
     /// Ignored; kept only so the frozen benchmark source under `bench/`
     /// (which builds this struct as a literal) compiles. Delete with
-    /// ROADMAP item 2(c).
+    /// ROADMAP item 6(b).
     pub shards: usize,
 }
 
@@ -154,7 +157,8 @@ pub struct RunResults {
     /// Jain's fairness index over per-flow goodputs.
     pub fairness: Estimate,
     /// Link-layer dropping probability (contention drops per packet that
-    /// entered MAC service), network-wide.
+    /// entered MAC service), network-wide: the run's
+    /// [`BatchMetrics::steady_drop_probability`].
     pub drop_probability: Estimate,
     /// False route failures observed during the measured batches.
     pub false_route_failures: u64,
@@ -179,15 +183,12 @@ pub struct RunResults {
     pub conservation: Option<mwn_obs::ConservationReport>,
 }
 
-/// Per-slot counters snapshot at a batch boundary. `tenant` keys the
-/// baseline to the flow that produced it: open-loop churn can vacate and
-/// re-let a slot mid-batch, and a baseline from the previous tenant must
-/// not be subtracted from the new one's counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct FlowSnapshot {
-    tenant: Option<FlowId>,
-    delivered: u64,
-    retransmissions: u64,
+/// Batch means of one flow slot's measures.
+#[derive(Debug, Clone, Default)]
+struct SlotMeans {
+    goodput_kbps: BatchMeans,
+    retx_per_packet: BatchMeans,
+    avg_window: BatchMeans,
 }
 
 /// Runs `scenario` at `scale` and reports batch-means estimates.
@@ -219,154 +220,118 @@ pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsCon
     if obs.audit {
         net.enable_audit();
     }
-    let mut registry = obs.metrics.then(MetricsRegistry::new);
-    if let Some(reg) = &mut registry {
-        reg.begin(net.collect_metrics());
-    }
-    let flows = net.flow_count();
+    let mut registry = MetricsRegistry::new();
+    registry.begin(net.collect_metrics());
     let deadline = SimTime::ZERO + scale.deadline;
 
-    let mut goodput = vec![BatchMeans::new(); flows];
-    let mut retx = vec![BatchMeans::new(); flows];
-    let mut window = vec![BatchMeans::new(); flows];
+    let mut batches = Vec::with_capacity(scale.batches);
+    let mut slots = vec![SlotMeans::default(); net.flow_count()];
     let mut aggregate = BatchMeans::new();
     let mut fairness = BatchMeans::new();
-    let mut drop_prob = BatchMeans::new();
-
-    let mut snapshots: Vec<FlowSnapshot> = vec![FlowSnapshot::default(); flows];
-    let mut batch_start = net.now();
-    let mut mac_accepted_prev = 0u64;
-    let mut mac_drops_prev = 0u64;
-    let mut frf_at_transient_end = 0u64;
-    let mut packets_measured = 0u64;
-    let mut measured_time = SimDuration::ZERO;
-    let mut completed_batches = 0usize;
     let mut outcome = RunOutcome::Completed;
 
     for batch in 0..scale.batches {
         let target = scale.batch_packets * (batch as u64 + 1);
-        let res = net.run_until_delivered(target, deadline);
-        let now = net.now();
-        let elapsed = now.duration_since(batch_start);
-
-        if res != StepOutcome::TargetReached {
-            outcome = RunOutcome::Truncated { completed_batches };
+        if net.run_until_delivered(target, deadline) != StepOutcome::TargetReached {
+            outcome = RunOutcome::Truncated {
+                completed_batches: batch.saturating_sub(1),
+            };
             break;
         }
-
-        // Per-flow batch measures. Open-loop churn can grow the slot
-        // table between boundaries; extend the trackers to match (the
-        // persistent prefix keeps its full batch history).
-        let flows = net.flow_count();
-        if flows > snapshots.len() {
-            snapshots.resize(flows, FlowSnapshot::default());
-            goodput.resize(flows, BatchMeans::new());
-            retx.resize(flows, BatchMeans::new());
-            window.resize(flows, BatchMeans::new());
-        }
-        let mut flow_goodputs = Vec::with_capacity(flows);
-        for i in 0..flows {
-            let tenant = net.flow_at(i);
-            let (delivered, retx_total) = match tenant {
-                Some(flow) => (
-                    net.flow_delivered(flow),
-                    net.flow_sender_stats(flow).map_or(0, |s| s.retransmissions),
-                ),
-                None => (0, 0),
-            };
-            // A tenant change invalidates the baseline: the new flow's
-            // counters started from zero after the snapshot was taken.
-            let stale = tenant != snapshots[i].tenant;
-            let d_delta = delivered.saturating_sub(if stale { 0 } else { snapshots[i].delivered });
-            let r_delta = retx_total.saturating_sub(if stale {
-                0
-            } else {
-                snapshots[i].retransmissions
-            });
-            let gp = if elapsed.is_zero() {
-                0.0
-            } else {
-                d_delta as f64 * BITS_PER_PACKET / elapsed.as_secs_f64() / 1000.0
-            };
-            let rpp = if d_delta == 0 {
-                0.0
-            } else {
-                r_delta as f64 / d_delta as f64
-            };
-            let win = tenant.map_or(1.0, |f| net.flow_avg_window(f));
-            snapshots[i] = FlowSnapshot {
-                tenant,
-                delivered,
-                retransmissions: retx_total,
-            };
-            flow_goodputs.push(gp);
-            if batch > 0 {
-                goodput[i].push(gp);
-                retx[i].push(rpp);
-                window[i].push(win);
-            }
-        }
-        let totals = net.totals();
-        let accepted_delta = totals.mac.unicast_accepted - mac_accepted_prev;
-        let drops_delta = totals.mac.contention_drops() - mac_drops_prev;
-        mac_accepted_prev = totals.mac.unicast_accepted;
-        mac_drops_prev = totals.mac.contention_drops();
-
-        if batch > 0 {
-            aggregate.push(flow_goodputs.iter().sum());
-            fairness.push(jain_fairness(&flow_goodputs));
-            drop_prob.push(if accepted_delta == 0 {
-                0.0
-            } else {
-                drops_delta as f64 / accepted_delta as f64
-            });
-            packets_measured += scale.batch_packets;
-            measured_time += elapsed;
-            completed_batches += 1;
-        } else {
-            // End of the transient batch: snapshot route-failure count.
-            frf_at_transient_end = totals.aodv.false_route_failures;
-        }
-        if let Some(reg) = &mut registry {
-            reg.end_batch(net.collect_metrics());
-        }
+        // The window averages are the one per-flow measure the counters
+        // do not carry; read them for each slot's tenant at the boundary.
+        let snapshot = net.collect_metrics();
+        let windows: Vec<f64> = snapshot
+            .flows
+            .iter()
+            .map(|f| f.tenant.map_or(1.0, |flow| net.flow_avg_window(flow)))
+            .collect();
         net.reset_window_averages();
-        batch_start = now;
+        let b = registry.end_batch(snapshot);
+
+        // Open-loop churn can grow the slot table between boundaries;
+        // the persistent prefix keeps its full batch history.
+        if b.flows.len() > slots.len() {
+            slots.resize(b.flows.len(), SlotMeans::default());
+        }
+        if batch > 0 {
+            let elapsed = b.end.duration_since(b.start);
+            let goodputs: Vec<f64> = b
+                .flows
+                .iter()
+                .map(|f| goodput_kbps(f.delivered, elapsed))
+                .collect();
+            for (i, f) in b.flows.iter().enumerate() {
+                let retx = f.sender.map_or(0, |s| s.retransmissions);
+                let slot = &mut slots[i];
+                slot.goodput_kbps.push(goodputs[i]);
+                slot.retx_per_packet.push(if f.delivered == 0 {
+                    0.0
+                } else {
+                    retx as f64 / f.delivered as f64
+                });
+                slot.avg_window.push(windows[i]);
+            }
+            aggregate.push(goodputs.iter().sum());
+            fairness.push(jain_fairness(&goodputs));
+        }
+        // Without `obs.metrics` no batch rides along in the report: keep
+        // only the node totals the estimates below read, so a run's peak
+        // memory does not grow with its node count times its batches.
+        batches.push(if obs.metrics {
+            b
+        } else {
+            BatchMetrics {
+                nodes: vec![b.node_totals()],
+                flows: Vec::new(),
+                ..b
+            }
+        });
     }
 
-    let frf = net
-        .totals()
-        .aodv
-        .false_route_failures
-        .saturating_sub(frf_at_transient_end);
+    let measured = batches.get(1..).unwrap_or_default();
+    let measured_time = measured
+        .iter()
+        .fold(SimDuration::ZERO, |t, b| t + b.end.duration_since(b.start));
+    let packets_measured = measured.len() as u64 * scale.batch_packets;
+    // A truncated run also counts the partial batch it stopped in.
+    let trailing = registry.open_batch(&net.collect_metrics());
+    let frf: u64 = measured
+        .iter()
+        .chain([&trailing])
+        .map(|b| b.node_totals().aodv.false_route_failures)
+        .sum();
     let frf_paper_scale = if packets_measured == 0 {
         0.0
     } else {
         frf as f64 * 110_000.0 / packets_measured as f64
     };
+    let drop_probability = BatchMetrics::steady_drop_probability(&batches);
     let energy = net.total_energy_joules();
     let delivered_total = net.total_delivered().max(1);
     let metrics = obs.enabled().then(|| {
         let mut report = net.report();
-        report.batches = registry
-            .map(MetricsRegistry::into_batches)
-            .unwrap_or_default();
+        if obs.metrics {
+            report.batches = batches;
+        }
         report
     });
     let conservation = net.conservation_report();
 
     RunResults {
-        per_flow: (0..goodput.len())
-            .map(|i| FlowResult {
+        per_flow: slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| FlowResult {
                 flow: FlowId(i as u32),
-                goodput_kbps: goodput[i].estimate(),
-                retx_per_packet: retx[i].estimate(),
-                avg_window: window[i].estimate(),
+                goodput_kbps: slot.goodput_kbps.estimate(),
+                retx_per_packet: slot.retx_per_packet.estimate(),
+                avg_window: slot.avg_window.estimate(),
             })
             .collect(),
         aggregate_goodput_kbps: aggregate.estimate(),
         fairness: fairness.estimate(),
-        drop_probability: drop_prob.estimate(),
+        drop_probability,
         false_route_failures: frf,
         false_route_failures_paper_scale: frf_paper_scale,
         packets_measured,
@@ -376,6 +341,15 @@ pub fn run_instrumented(scenario: &Scenario, scale: ExperimentScale, obs: ObsCon
         outcome,
         metrics,
         conservation,
+    }
+}
+
+/// Goodput in kbit/s of `delivered` packets over `elapsed`.
+fn goodput_kbps(delivered: u64, elapsed: SimDuration) -> f64 {
+    if elapsed.is_zero() {
+        0.0
+    } else {
+        delivered as f64 * BITS_PER_PACKET / elapsed.as_secs_f64() / 1000.0
     }
 }
 
@@ -478,6 +452,29 @@ mod tests {
         let m = r.metrics.expect("instrumented");
         assert!(m.fct.is_some_and(|f| f.class_count() > 0));
         assert!(m.retired_tcp.is_some_and(|t| t.sender.is_some()));
+    }
+
+    #[test]
+    fn drop_probability_is_the_reports_under_churn() {
+        // One computation serves both: the run's estimate and the
+        // report's method fold the same registry batches.
+        use mwn_traffic::TrafficModel;
+        let s = Scenario::open_loop(
+            10,
+            TrafficModel::web(600),
+            Transport::newreno(),
+            DataRate::MBPS_2,
+            9,
+        );
+        let obs = ObsConfig {
+            metrics: true,
+            ..ObsConfig::off()
+        };
+        let r = run_instrumented(&s, ExperimentScale::smoke(), obs);
+        let m = r.metrics.expect("metrics collected");
+        assert!(m.batches.len() > 1, "no measured batch");
+        assert!(r.drop_probability.mean > 0.0);
+        assert_eq!(r.drop_probability.mean, m.drop_probability());
     }
 
     /// Paced-UDP sinks keep no TCP counters, so events per packet divides

@@ -495,11 +495,6 @@ impl Network {
         self.audit = Some(ConservationAudit::new(self.macs.len()));
     }
 
-    /// `true` if custody tracking is on.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
     /// The loss ledger with PHY frame-level tallies synthesized from the
     /// transceiver counters (collision, capture loss, undecodable). PHY
     /// losses are per frame, not per packet, so they land in the
@@ -554,11 +549,6 @@ impl Network {
     /// the retained events, oldest first).
     pub fn flight_dump(&self) -> Vec<String> {
         self.flight.lock().unwrap().dump_lines()
-    }
-
-    /// Flight-recorder events written so far (retained or evicted).
-    pub fn flight_written(&self) -> u64 {
-        self.flight.lock().unwrap().written()
     }
 
     /// Current simulated time.
@@ -710,23 +700,14 @@ impl Network {
                 })
                 .collect(),
             flows: (0..self.flows.len())
-                .map(|i| {
-                    if self.flows.slots[i].meta.is_none() {
-                        return FlowCounters {
-                            sender: None,
-                            sink: None,
-                        };
-                    }
-                    FlowCounters {
-                        sender: match self.flows.srcs[i].as_ref().map(|s| &s.source) {
-                            Some(SourceAgent::Tcp(s)) => Some(*s.stats()),
-                            _ => None,
-                        },
-                        sink: match self.flows.dsts[i].as_ref().map(|d| &d.sink) {
-                            Some(SinkAgent::Tcp(s)) => Some(*s.stats()),
-                            _ => None,
-                        },
-                    }
+                .map(|slot| match self.flow_at(slot) {
+                    Some(flow) => FlowCounters {
+                        tenant: Some(flow),
+                        delivered: self.flow_delivered(flow),
+                        sender: self.flow_sender_stats(flow).copied(),
+                        sink: self.flow_sink_stats(flow).copied(),
+                    },
+                    None => FlowCounters::default(),
                 })
                 .collect(),
         }
@@ -761,6 +742,7 @@ impl Network {
             retired_tcp: self.traffic.as_ref().map(|t| FlowCounters {
                 sender: Some(t.retired.0),
                 sink: Some(t.retired.1),
+                ..FlowCounters::default()
             }),
         }
     }

@@ -8,8 +8,8 @@
 //!
 //! * [`metrics`] — typed counter blocks ([`CounterBlock`]) unifying the
 //!   PHY, MAC, AODV and TCP statistics structs, a [`MetricsRegistry`]
-//!   that snapshots them per node per batch, and the bounded-reservoir
-//!   [`Quantiles`] estimator;
+//!   that differences them per node and flow slot at batch boundaries,
+//!   and the bounded-reservoir [`Quantiles`] estimator;
 //! * [`fct`] — streaming per-class flow-completion summaries (p50/p95/p99
 //!   FCT and goodput) for open-loop traffic, no per-event retention;
 //! * [`mod@drop`] — the cross-layer [`DropReason`] loss taxonomy, the always-on
@@ -34,8 +34,8 @@
 //!
 //! let mut reg = MetricsRegistry::new();
 //! reg.begin(MetricsSnapshot::empty(SimTime::ZERO));
-//! reg.end_batch(MetricsSnapshot::empty(SimTime::from_nanos(1_000)));
-//! assert_eq!(reg.batches().len(), 1);
+//! let batch = reg.end_batch(MetricsSnapshot::empty(SimTime::from_nanos(1_000)));
+//! assert_eq!(batch.end, SimTime::from_nanos(1_000));
 //! ```
 
 pub mod drop;

@@ -8,15 +8,15 @@
 //! serialization are written once instead of once per struct.
 //!
 //! A [`MetricsRegistry`] turns whole-network [`MetricsSnapshot`]s taken at
-//! batch boundaries into per-batch deltas, reproducing the paper's
-//! batch-means methodology for *internal* counters the same way
-//! `mwn::experiment` does for goodput.
+//! batch boundaries into per-batch deltas: the paper's batch boundary,
+//! from which `mwn::experiment` folds every batch-means measure.
 
 use mwn_aodv::AodvCounters;
 use mwn_mac80211::MacCounters;
 use mwn_phy::{MediumCounters, PhyCounters};
+use mwn_pkt::FlowId;
 use mwn_sim::profile::EngineProfile;
-use mwn_sim::stats::BatchMeans;
+use mwn_sim::stats::{BatchMeans, Estimate};
 use mwn_sim::{Pcg32, SimTime};
 use mwn_tcp::{TcpSenderStats, TcpSinkStats};
 
@@ -154,8 +154,9 @@ pub trait CounterBlock: Copy {
     /// Field values, in the same order as [`CounterBlock::field_names`].
     fn values(&self) -> Vec<u64>;
 
-    /// Element-wise difference `self - earlier` (counters are monotonic;
-    /// callers pass a snapshot taken earlier in the same run).
+    /// Element-wise difference `self - earlier`. Counters are monotonic:
+    /// callers pass a snapshot of the same node or flow taken earlier in
+    /// the same run.
     fn minus(&self, earlier: &Self) -> Self;
 
     /// Element-wise sum.
@@ -183,12 +184,7 @@ macro_rules! counter_block {
             }
 
             fn minus(&self, earlier: &Self) -> Self {
-                // Saturating: under flow churn a slot can be re-occupied by
-                // a younger flow whose counters restart from zero, making
-                // "later minus earlier" briefly non-monotonic. Clamping to
-                // zero beats a debug-build underflow panic there, and is
-                // exact whenever counters are monotone (the steady case).
-                Self { $($field: self.$field.saturating_sub(earlier.$field)),+ }
+                Self { $($field: self.$field - earlier.$field),+ }
             }
 
             fn plus(&self, other: &Self) -> Self {
@@ -306,9 +302,16 @@ impl NodeCounters {
     }
 }
 
-/// One flow's transport counters (`None` at the non-TCP end of UDP flows).
+/// One flow slot's counters: its tenant, deliveries and transport stats
+/// (`None` at the non-TCP end of UDP flows and in a vacant slot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowCounters {
+    /// The flow occupying the slot (`None` when vacant or summed). Not
+    /// serialized.
+    pub tenant: Option<FlowId>,
+    /// In-order packets the tenant's sink delivered, TCP or paced UDP.
+    /// Not serialized.
+    pub delivered: u64,
     /// Sender-side TCP stats.
     pub sender: Option<TcpSenderStats>,
     /// Sink-side TCP stats.
@@ -316,16 +319,25 @@ pub struct FlowCounters {
 }
 
 impl FlowCounters {
-    /// Counter deltas since `earlier`.
+    /// Counter deltas since `earlier`, the same slot at an earlier
+    /// boundary. A slot re-let since then holds a new tenant whose
+    /// counters started from zero, so it is measured against zero.
     pub fn delta_since(&self, earlier: &Self) -> Self {
+        let earlier = if self.tenant == earlier.tenant {
+            *earlier
+        } else {
+            FlowCounters::default()
+        };
         FlowCounters {
-            sender: match (&self.sender, &earlier.sender) {
-                (Some(a), Some(b)) => Some(a.minus(b)),
-                (s, _) => *s,
+            tenant: self.tenant,
+            delivered: self.delivered - earlier.delivered,
+            sender: match (self.sender, earlier.sender) {
+                (Some(a), Some(b)) => Some(a.minus(&b)),
+                (s, _) => s,
             },
-            sink: match (&self.sink, &earlier.sink) {
-                (Some(a), Some(b)) => Some(a.minus(b)),
-                (s, _) => *s,
+            sink: match (self.sink, earlier.sink) {
+                (Some(a), Some(b)) => Some(a.minus(&b)),
+                (s, _) => s,
             },
         }
     }
@@ -348,7 +360,7 @@ pub struct MetricsSnapshot {
     pub time: SimTime,
     /// Per-node counters, indexed by node id.
     pub nodes: Vec<NodeCounters>,
-    /// Per-flow transport counters, indexed by flow id.
+    /// Per-slot flow counters, indexed by flow slot.
     pub flows: Vec<FlowCounters>,
 }
 
@@ -387,7 +399,8 @@ pub struct BatchMetrics {
     pub end: SimTime,
     /// Per-node deltas (gauges: value at batch end).
     pub nodes: Vec<NodeCounters>,
-    /// Per-flow deltas.
+    /// Per-slot deltas; a slot re-let mid-batch holds its new tenant's
+    /// counts since it started, and a slot vacated mid-batch holds none.
     pub flows: Vec<FlowCounters>,
 }
 
@@ -405,6 +418,16 @@ impl BatchMetrics {
         self.node_totals().mac.drop_probability()
     }
 
+    /// The paper's steady-state link-layer dropping probability (Figure
+    /// 14) over a run's `batches`: the batch means of
+    /// [`BatchMetrics::drop_probability`], the transient (index 0)
+    /// excluded.
+    pub fn steady_drop_probability(batches: &[BatchMetrics]) -> Estimate {
+        let measured = batches.iter().skip(1);
+        let means: BatchMeans = measured.map(BatchMetrics::drop_probability).collect();
+        means.estimate()
+    }
+
     fn to_json(&self) -> String {
         Obj::new()
             .f64("start_secs", self.start.as_secs_f64())
@@ -415,15 +438,14 @@ impl BatchMetrics {
     }
 }
 
-/// Accumulates batch-boundary snapshots into per-batch deltas.
+/// Differences batch-boundary snapshots into per-batch deltas.
 ///
 /// Call [`MetricsRegistry::begin`] with the run's initial snapshot, then
-/// [`MetricsRegistry::end_batch`] at each batch boundary; each call yields
+/// [`MetricsRegistry::end_batch`] at each batch boundary; each call returns
 /// one [`BatchMetrics`] covering the interval since the previous boundary.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     baseline: Option<MetricsSnapshot>,
-    batches: Vec<BatchMetrics>,
 }
 
 impl MetricsRegistry {
@@ -438,21 +460,35 @@ impl MetricsRegistry {
         self.baseline = Some(snapshot);
     }
 
-    /// Closes a batch: records the deltas since the previous boundary and
+    /// Closes a batch: returns the deltas since the previous boundary and
     /// makes `snapshot` the new baseline.
     ///
+    /// # Panics
+    ///
+    /// As [`MetricsRegistry::open_batch`].
+    pub fn end_batch(&mut self, snapshot: MetricsSnapshot) -> BatchMetrics {
+        let batch = self.open_batch(&snapshot);
+        self.baseline = Some(snapshot);
+        batch
+    }
+
+    /// The deltas of the batch still open at `snapshot`: what
+    /// [`MetricsRegistry::end_batch`] would return, without closing it.
+    ///
     /// The *node* population is fixed for the life of a run, but the flow
-    /// table churns under open-loop traffic: a flow may appear (slot
-    /// grown) or vanish (slot freed) between boundaries. A flow absent
-    /// from one side is measured against [`FlowCounters::default`], so a
-    /// flow born mid-batch contributes its whole lifetime-so-far and a
-    /// flow that completed contributes nothing further.
+    /// table churns under open-loop traffic: slots are added, vacated and
+    /// re-let to new tenants between boundaries. A slot is measured
+    /// against its baseline only while the same tenant holds it (see
+    /// [`FlowCounters::delta_since`]); a slot absent from the baseline is
+    /// measured against [`FlowCounters::default`]. So a flow born
+    /// mid-batch contributes its whole lifetime so far, and a flow that
+    /// completed contributes nothing further.
     ///
     /// # Panics
     ///
     /// Panics if [`MetricsRegistry::begin`] was never called, or if the
     /// snapshot's node count changed mid-run.
-    pub fn end_batch(&mut self, snapshot: MetricsSnapshot) {
+    pub fn open_batch(&self, snapshot: &MetricsSnapshot) -> BatchMetrics {
         let base = self
             .baseline
             .as_ref()
@@ -460,7 +496,7 @@ impl MetricsRegistry {
         assert_eq!(base.nodes.len(), snapshot.nodes.len(), "node count changed");
         let empty = FlowCounters::default();
         let flow_slots = base.flows.len().max(snapshot.flows.len());
-        self.batches.push(BatchMetrics {
+        BatchMetrics {
             start: base.time,
             end: snapshot.time,
             nodes: snapshot
@@ -476,24 +512,7 @@ impl MetricsRegistry {
                     now.delta_since(then)
                 })
                 .collect(),
-        });
-        self.baseline = Some(snapshot);
-    }
-
-    /// The recorded batch deltas, oldest first.
-    pub fn batches(&self) -> &[BatchMetrics] {
-        &self.batches
-    }
-
-    /// Discards all recorded batches and the baseline.
-    pub fn reset(&mut self) {
-        self.baseline = None;
-        self.batches.clear();
-    }
-
-    /// Consumes the registry into its batch list.
-    pub fn into_batches(self) -> Vec<BatchMetrics> {
-        self.batches
+        }
     }
 }
 
@@ -600,9 +619,7 @@ impl MetricsReport {
     /// 14): the batch mean over the measured batches, the transient
     /// excluded.
     pub fn drop_probability(&self) -> f64 {
-        let measured = self.batches.iter().skip(1);
-        let means: BatchMeans = measured.map(BatchMetrics::drop_probability).collect();
-        means.estimate().mean
+        BatchMetrics::steady_drop_probability(&self.batches).mean
     }
 
     fn events_of(&self, kind: &str) -> u64 {
@@ -668,7 +685,7 @@ mod tests {
                     data_packets_sent: accepted,
                     ..Default::default()
                 }),
-                sink: None,
+                ..Default::default()
             }],
         }
     }
@@ -677,11 +694,10 @@ mod tests {
     fn registry_deltas_across_batch_boundaries() {
         let mut reg = MetricsRegistry::new();
         reg.begin(snap(0, 10, 1, 3));
-        reg.end_batch(snap(1_000, 110, 5, 4));
-        reg.end_batch(snap(2_000, 310, 5, 2));
-
-        let b = reg.batches();
-        assert_eq!(b.len(), 2);
+        let b = [
+            reg.end_batch(snap(1_000, 110, 5, 4)),
+            reg.end_batch(snap(2_000, 310, 5, 2)),
+        ];
         // First batch: counters are deltas, gauges are end-of-batch values.
         assert_eq!(b[0].nodes[0].mac.unicast_accepted, 100);
         assert_eq!(b[0].nodes[0].mac.rts_retry_drops, 4);
@@ -694,22 +710,6 @@ mod tests {
         assert_eq!(b[1].nodes[0].mac.rts_retry_drops, 0);
         assert_eq!(b[1].nodes[0].route_table_size, 2);
         assert!((b[0].drop_probability() - 0.04).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registry_reset_clears_batches_and_baseline() {
-        let mut reg = MetricsRegistry::new();
-        reg.begin(snap(0, 0, 0, 0));
-        reg.end_batch(snap(1_000, 50, 0, 1));
-        assert_eq!(reg.batches().len(), 1);
-        reg.reset();
-        assert!(reg.batches().is_empty());
-        // A fresh begin/end cycle works and measures from the new baseline.
-        reg.begin(snap(5_000, 100, 0, 1));
-        reg.end_batch(snap(6_000, 160, 0, 1));
-        assert_eq!(reg.batches().len(), 1);
-        assert_eq!(reg.batches()[0].nodes[0].mac.unicast_accepted, 60);
-        assert_eq!(reg.batches()[0].start, SimTime::from_nanos(5_000));
     }
 
     #[test]
@@ -761,7 +761,7 @@ mod tests {
                 data_packets_sent: sent,
                 ..Default::default()
             }),
-            sink: None,
+            ..Default::default()
         };
         let mut reg = MetricsRegistry::new();
         reg.begin(MetricsSnapshot {
@@ -769,18 +769,18 @@ mod tests {
             nodes: vec![],
             flows: vec![flow(10), flow(20)],
         });
-        reg.end_batch(MetricsSnapshot {
-            time: SimTime::from_nanos(1_000),
-            nodes: vec![],
-            flows: vec![flow(15), flow(26), flow(4)],
-        });
-        reg.end_batch(MetricsSnapshot {
-            time: SimTime::from_nanos(2_000),
-            nodes: vec![],
-            flows: vec![flow(18)],
-        });
-
-        let b = reg.batches();
+        let b = [
+            reg.end_batch(MetricsSnapshot {
+                time: SimTime::from_nanos(1_000),
+                nodes: vec![],
+                flows: vec![flow(15), flow(26), flow(4)],
+            }),
+            reg.end_batch(MetricsSnapshot {
+                time: SimTime::from_nanos(2_000),
+                nodes: vec![],
+                flows: vec![flow(18)],
+            }),
+        ];
         assert_eq!(b[0].flows.len(), 3);
         assert_eq!(b[0].flows[0].sender.unwrap().data_packets_sent, 5);
         // Born mid-batch: measured against an empty baseline.
@@ -792,21 +792,38 @@ mod tests {
     }
 
     #[test]
-    fn minus_saturates_on_slot_reuse() {
-        // A freed slot re-occupied by a younger flow makes counters go
-        // backwards; the delta clamps to zero instead of underflowing.
-        let older = TcpSenderStats {
-            data_packets_sent: 100,
-            retransmissions: 7,
-            ..Default::default()
+    fn end_batch_measures_relet_slot_from_zero() {
+        // Slot 0 is re-let between two boundaries: its old tenant had sent
+        // 100 segments at the baseline, the new one 3 since it started.
+        // The batch holds the new tenant's 3, not a clamp against the old.
+        let tenant = |generation, sent, delivered| FlowCounters {
+            tenant: Some(FlowId::from_parts(0, generation)),
+            delivered,
+            sender: Some(TcpSenderStats {
+                data_packets_sent: sent,
+                retransmissions: sent / 10,
+                ..Default::default()
+            }),
+            sink: None,
         };
-        let younger = TcpSenderStats {
-            data_packets_sent: 3,
-            ..Default::default()
+        let at = |t_ns, flow| MetricsSnapshot {
+            time: SimTime::from_nanos(t_ns),
+            nodes: vec![],
+            flows: vec![flow],
         };
-        let d = younger.minus(&older);
-        assert_eq!(d.data_packets_sent, 0);
-        assert_eq!(d.retransmissions, 0);
+        let mut reg = MetricsRegistry::new();
+        reg.begin(at(0, tenant(0, 100, 90)));
+        let b = [
+            reg.end_batch(at(1_000, tenant(1, 3, 2))),
+            reg.end_batch(at(2_000, tenant(1, 25, 20))),
+        ];
+        assert_eq!(b[0].flows[0], tenant(1, 3, 2));
+        // The same tenant at both ends: an ordinary difference.
+        let d = b[1].flows[0];
+        assert_eq!(d.tenant, Some(FlowId::from_parts(0, 1)));
+        assert_eq!(d.delivered, 18);
+        assert_eq!(d.sender.unwrap().data_packets_sent, 22);
+        assert_eq!(d.sender.unwrap().retransmissions, 2);
     }
 
     #[test]
@@ -892,7 +909,7 @@ mod tests {
                     data_packets_sent: 7,
                     ..Default::default()
                 }),
-                sink: None,
+                ..Default::default()
             }),
             ..MetricsReport::default()
         };

@@ -343,6 +343,7 @@ mod tests {
             retired_tcp: Some(FlowCounters {
                 sender: Some(TcpSenderStats::default()),
                 sink: Some(TcpSinkStats::default()),
+                ..Default::default()
             }),
             ..MetricsReport::default()
         };

@@ -42,7 +42,7 @@ pub struct MediumCounters {
     /// came after the list was built.
     pub rebuilds: u64,
     /// Always 0; kept only so the frozen benchmark source under `bench/`
-    /// (which reads it) compiles. Delete with ROADMAP item 2(c).
+    /// (which reads it) compiles. Delete with ROADMAP item 6(b).
     pub revalidations: u64,
     /// Effect lists put into arrival order: at most one per build or
     /// rebuild, so `sorts ≤ builds + rebuilds` (equal on a `Medium::lazy`

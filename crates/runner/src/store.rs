@@ -238,7 +238,7 @@ impl Journal {
 /// Writes the final results file: manifest first, then result lines
 /// sorted by content key. Replaces `out` atomically (write + rename).
 pub fn compact(out: &Path, manifest: &Manifest, lines: &mut [String]) -> std::io::Result<()> {
-    lines.sort_by_key(|l| extract_str_field(l, "key").unwrap_or_default());
+    lines.sort_by_cached_key(|l| extract_str_field(l, "key").unwrap_or_default());
     let tmp = out.with_extension("tmp");
     {
         let mut w = BufWriter::new(File::create(&tmp)?);

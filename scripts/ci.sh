@@ -63,6 +63,15 @@ for expected in "^drop ledger — " "^conservation audit: conservation holds" "^
     grep -q "$expected" <<<"$stats_out" || {
         echo "error: mwn stats printed no line matching '$expected'" >&2; exit 1; }
 done
+# `mwn run`'s estimate and the report's steady-state mean are one
+# computation over the same batches: the two must print the same value.
+run_drop=$(cargo run --release -q -p mwn-cli -- run --hops 4 --transport newreno 2>/dev/null |
+    sed -n 's/^link-layer drop prob *//p')
+stats_drop=$(sed -n 's/^  steady-state mean (batch-means over measured batches): //p' <<<"$stats_out")
+if [ -z "$run_drop" ] || [ "$run_drop" != "$stats_drop" ]; then
+    echo "error: mwn run drop prob '$run_drop' != mwn stats steady-state mean '$stats_drop'" >&2
+    exit 1
+fi
 
 # Paper reproduction smoke: one figure through `mwn repro` on the worker
 # pool (one worker per CPU) must exit 0 and print its CSV header. About
