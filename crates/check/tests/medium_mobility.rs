@@ -12,9 +12,11 @@
 //! deliberately *sparse* — only a rotating subset of nodes is refreshed
 //! each tick, so staleness accumulates across many epochs before a node
 //! is read, exactly the transmission pattern the lazy medium optimizes
-//! for. A list served without the rebuild a move batch demands would
-//! surface here as a divergent refresh, and a rebuild the staleness rule
-//! does not call for as a counter mismatch.
+//! for — and a fixed subset is refreshed twice per tick, as repeat
+//! transmitters are, so lists are both filled one-shot and stored. A
+//! list served without the rebuild a move batch demands would surface
+//! here as a divergent refresh, and a one-shot, build or rebuild the
+//! rules do not call for as a counter mismatch.
 
 use mwn::mobility::{MobilityModel, RandomWaypoint};
 use mwn::{topology, SimDuration};
@@ -22,13 +24,16 @@ use mwn_phy::{Medium, Position, RangeModel, ReferenceMedium};
 use mwn_pkt::NodeId;
 use mwn_sim::Pcg32;
 
-/// The medium's staleness rule, modelled outside it: the epoch each
-/// node's list was last built at (`None` = never built), the lists
-/// built up front, and what each query found.
+/// The medium's staleness and admission rules, modelled outside it: the
+/// epoch each node's list was last stored at (`None` = never stored)
+/// and of its latest one-shot fill, the lists built up front, and what
+/// each query found.
 struct Staleness {
     built: Vec<Option<u64>>,
+    once: Vec<Option<u64>>,
     up_front: u64,
     hits: u64,
+    one_shots: u64,
     builds: u64,
     rebuilds: u64,
 }
@@ -39,30 +44,39 @@ impl Staleness {
     fn new(nodes: usize, eager: bool) -> Self {
         Staleness {
             built: vec![eager.then_some(0); nodes],
+            once: vec![None; nodes],
             up_front: if eager { nodes as u64 } else { 0 },
             hits: 0,
+            one_shots: 0,
             builds: 0,
             rebuilds: 0,
         }
     }
 
-    /// Every query hits, builds or rebuilds: it builds iff the list was
-    /// never built, and rebuilds iff a move batch happened since it was.
+    /// Every query hits, fills a one-shot list or stores one: it hits iff
+    /// the stored list is current; otherwise a node's first query in the
+    /// epoch is a one-shot, and its second builds iff the list was never
+    /// stored and rebuilds iff a move batch happened since it was.
     fn assert_matches(&self, c: &mwn_phy::MediumCounters) {
-        assert_eq!(c.queries, self.hits + self.builds + self.rebuilds, "{c:?}");
+        let stored = self.builds + self.rebuilds;
+        assert_eq!(c.queries, self.hits + self.one_shots + stored, "{c:?}");
+        assert_eq!(c.one_shots, self.one_shots, "{c:?}");
         assert_eq!(c.builds, self.up_front + self.builds, "{c:?}");
         assert_eq!(c.rebuilds, self.rebuilds, "{c:?}");
         assert_eq!(c.revalidations, 0);
     }
 }
 
-/// Refreshes `grid`'s list for every node satisfying `pick` and compares
-/// it against the dense oracle, which is recomputed eagerly every tick.
+/// Refreshes `grid`'s list for every node satisfying `pick` — twice for
+/// those satisfying `repeat`, the nodes that transmit more than once in
+/// an epoch — and compares it against the dense oracle, which is
+/// recomputed eagerly every tick.
 fn assert_media_agree(
     grid: &mut Medium,
     dense: &ReferenceMedium,
     tick: usize,
     pick: impl Fn(usize) -> bool,
+    repeat: impl Fn(usize) -> bool,
     model: &mut Staleness,
 ) {
     assert_eq!(
@@ -70,14 +84,24 @@ fn assert_media_agree(
         dense.positions(),
         "positions at tick {tick}"
     );
-    for tx in (0..grid.positions().len()).filter(|&tx| pick(tx)) {
+    let reads = (0..grid.positions().len())
+        .filter(|&tx| pick(tx))
+        .flat_map(|tx| std::iter::repeat_n(tx, 1 + repeat(tx) as usize));
+    for tx in reads {
         let id = NodeId(tx as u32);
-        match model.built[tx] {
-            Some(epoch) if epoch == grid.epoch() => model.hits += 1,
-            Some(_) => model.rebuilds += 1,
-            None => model.builds += 1,
+        let now = Some(grid.epoch());
+        if model.built[tx] == now {
+            model.hits += 1;
+        } else if model.once[tx] != now {
+            model.one_shots += 1;
+            model.once[tx] = now;
+        } else {
+            match model.built[tx] {
+                Some(_) => model.rebuilds += 1,
+                None => model.builds += 1,
+            }
+            model.built[tx] = now;
         }
-        model.built[tx] = Some(grid.epoch());
         assert_eq!(
             grid.refresh(id),
             dense.effects_of(id),
@@ -105,7 +129,7 @@ fn waypoint_trajectories_keep_lazy_and_dense_media_identical() {
     let mut grid = Medium::new(topo.positions().to_vec(), RangeModel::paper());
     let mut dense = ReferenceMedium::new(topo.positions().to_vec(), RangeModel::paper());
     let mut staleness = Staleness::new(40, true);
-    assert_media_agree(&mut grid, &dense, 0, |_| true, &mut staleness);
+    assert_media_agree(&mut grid, &dense, 0, |_| true, |_| false, &mut staleness);
 
     let mut moves: Vec<(NodeId, Position)> = Vec::new();
     for tick in 1..=300 {
@@ -125,6 +149,7 @@ fn waypoint_trajectories_keep_lazy_and_dense_media_identical() {
             &dense,
             tick,
             |tx| full || (tx + tick) % 3 == 0,
+            |tx| tx % 4 == 0,
             &mut staleness,
         );
     }
@@ -181,6 +206,7 @@ fn sparse_moves_under_long_pauses_stay_identical() {
             &dense,
             tick,
             |tx| full || (tx * 7 + tick) % 5 == 0,
+            |tx| tx % 3 == 0,
             &mut staleness,
         );
     }
@@ -188,6 +214,6 @@ fn sparse_moves_under_long_pauses_stay_identical() {
         saw_sparse_tick,
         "pause regime never produced a sparse move batch; test lost its point"
     );
-    assert!(staleness.builds > 0 && staleness.rebuilds > 0);
+    assert!(staleness.one_shots > 0 && staleness.builds > 0 && staleness.rebuilds > 0);
     staleness.assert_matches(&grid.counters());
 }

@@ -269,8 +269,9 @@ impl Network {
     pub(crate) fn build(scenario: &Scenario) -> Network {
         let n = scenario.topology.len();
         let params = scenario.mac_params();
-        // Lists are built when their node first transmits: a mobile
-        // field's first tick would make any list built here stale.
+        // Lists are stored when their node transmits twice in an
+        // epoch: a mobile field's first tick would make any list built
+        // here stale.
         let medium = Medium::lazy(scenario.topology.positions().to_vec(), scenario.ranges);
         let mut root = Pcg32::new(scenario.seed);
 
@@ -592,7 +593,8 @@ impl Network {
     /// fixed struct-of-arrays slot every node occupies (transceiver,
     /// MAC, router, timer-table rows) plus each node's dynamic
     /// per-destination state (routing/duplicate tables, discovery
-    /// buffers, interface queue), averaged over the node count.
+    /// buffers, interface queue) and the medium's effect lists
+    /// ([`Network::medium_memory_bytes`]), averaged over the node count.
     ///
     /// This is an accounting estimate of what the flat per-node layouts
     /// charge — not an allocator measurement; pair it with the bench's
@@ -613,7 +615,8 @@ impl Network {
                     + self.routers[i].memory_bytes()
                     + self.discovery_timers[i].memory_bytes()
             })
-            .sum();
+            .sum::<usize>()
+            + self.medium.memory_bytes();
         (fixed + dynamic / n) as u64
     }
 
@@ -1014,10 +1017,16 @@ impl Network {
         }
     }
 
-    /// Cumulative lazy-medium statistics (epoch, queries, builds,
-    /// rebuilds, sorts) since construction.
+    /// Cumulative lazy-medium statistics (epoch, queries, one-shot
+    /// fills, builds, rebuilds, sorts) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
+    }
+
+    /// Heap bytes of the medium's effect lists: the stored lists plus
+    /// the one-shot ring (see `Medium::memory_bytes`).
+    pub fn medium_memory_bytes(&self) -> usize {
+        self.medium.memory_bytes()
     }
 
     /// Test oracle: forces the pre-lazy eager behaviour — every mobility

@@ -992,8 +992,9 @@ impl Network {
         });
         self.energy[node.index()].add_tx(duration);
         // Transmission time is where lazy medium staleness resolves:
-        // `refresh` rebuilds the effect list only if this node's 3×3
-        // neighborhood changed since the list was built. The returned
+        // `refresh` serves the stored list if no move batch came since
+        // it was built, else fills it one-shot (this node's first
+        // transmission in the epoch) or stores it anew. The returned
         // borrow lives in place while the slab copies it; everything
         // touched meanwhile (queue, frames, energy) is a disjoint field.
         let effects = self.medium.refresh(node);

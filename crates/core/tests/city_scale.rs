@@ -10,6 +10,7 @@
 use mwn::{
     topology, AodvConfig, DataRate, FlowSpec, NodeId, Scenario, SimDuration, SimTime, Transport,
 };
+use mwn_phy::{Medium, RangeModel};
 
 /// Picks `count` flows with endpoints exactly 3 hops apart, sources
 /// spread across the node-id space. Expanding rings help when routes are
@@ -87,35 +88,63 @@ fn expanding_ring_cuts_rreq_rebroadcasts_5x_on_random5k() {
     );
 }
 
-/// The network's medium builds an effect list when its node first
-/// transmits, not at set-up: a 5000-node field starts with no list, and
-/// a static run ends with exactly one build per node that put a frame on
-/// the air — no rebuilds, since nothing moved.
+/// The network's medium stores an effect list when its node transmits a
+/// second time, not at set-up nor on its first transmission: a
+/// 5000-node field starts with no list, and a static run (one epoch)
+/// fills one one-shot list per node that put a frame on the air and
+/// stores lists only for the nodes that put two or more there. The
+/// expanding-ring discoveries make many nodes transmit exactly once
+/// (a route request they forward), and those hold no list at the end.
 #[test]
-fn effect_lists_are_built_on_first_transmission() {
+fn effect_lists_are_stored_on_second_transmission() {
     let topology = topology::random_large_giant(5000, 4242);
+    let eager = Medium::new(topology.positions().to_vec(), RangeModel::paper());
     let flows = local_flows(&topology, 3);
     let mut scenario = Scenario::new(topology, flows, DataRate::MBPS_11, 4242);
     scenario.aodv = AodvConfig::city();
     let mut net = scenario.build();
     let c = net.medium_counters();
     assert_eq!((c.builds, c.rebuilds, c.queries), (0, 0, 0), "{c:?}");
+    assert_eq!(net.medium_memory_bytes(), 0);
 
     net.enable_trace(1 << 20);
     net.run_until_delivered(20, SimTime::ZERO + SimDuration::from_secs(10));
     assert!(net.total_delivered() > 0, "the run proved nothing");
     assert_eq!(net.trace_dropped(), 0, "trace buffer overflowed");
-    let transmitters: std::collections::BTreeSet<NodeId> = net
-        .trace()
-        .into_iter()
-        .filter(|r| matches!(r.event, mwn::trace::TraceEvent::MacTx { .. }))
-        .map(|r| r.node)
+    let mut transmissions = std::collections::BTreeMap::<NodeId, u64>::new();
+    for r in net.trace() {
+        if matches!(r.event, mwn::trace::TraceEvent::MacTx { .. }) {
+            *transmissions.entry(r.node).or_default() += 1;
+        }
+    }
+    let repeaters: Vec<NodeId> = transmissions
+        .iter()
+        .filter(|&(_, &count)| count >= 2)
+        .map(|(&node, _)| node)
         .collect();
+    let once = transmissions.len() - repeaters.len();
     let c = net.medium_counters();
-    assert_eq!(c.builds, transmitters.len() as u64, "{c:?}");
+    assert_eq!(c.one_shots, transmissions.len() as u64, "{c:?}");
+    assert_eq!(c.builds, repeaters.len() as u64, "{c:?}");
     assert_eq!(c.rebuilds, 0, "{c:?}");
     assert!(
-        c.builds < 5000 / 2,
+        once >= repeaters.len(),
+        "the run lost its point: {once} nodes transmitted once, {} repeatedly",
+        repeaters.len()
+    );
+    assert!(
+        transmissions.len() < 5000 / 2,
         "most of the city never transmitted: {c:?}"
     );
+    // The stored lists hold at least the repeaters' effects, and all of
+    // them with the ring still fall short of what storing every
+    // transmitter's list would take.
+    let bytes = |nodes: &mut dyn Iterator<Item = &NodeId>| -> usize {
+        nodes
+            .map(|&n| std::mem::size_of_val(eager.effects_of(n)))
+            .sum()
+    };
+    let held = net.medium_memory_bytes();
+    assert!(held >= bytes(&mut repeaters.iter()), "{held} B");
+    assert!(held < bytes(&mut transmissions.keys()), "{held} B");
 }

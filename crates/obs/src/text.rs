@@ -84,19 +84,20 @@ impl MetricsReport {
                 "  quiet mac batches{:>12}",
                 p.mac_batches_without_actions
             )?;
-            // The lazy medium: a list is built when its node first
-            // transmits, and every sort puts a list a build or rebuild
-            // left behind into arrival order.
+            // The lazy medium: a node's first transmission in an epoch
+            // fills a one-shot list, its second stores the list (a build
+            // or a rebuild, each sorted into arrival order once).
             writeln!(
                 f,
-                "  lists built      {:>12}  of {} nodes",
+                "  lists built      {:>12}  of {} nodes, {} one-shot",
                 self.medium.builds,
-                self.totals.nodes.len()
+                self.totals.nodes.len(),
+                self.medium.one_shots
             )?;
             writeln!(
                 f,
-                "  medium sorts     {:>12}  (= {} builds + {} rebuilds)",
-                self.medium.sorts, self.medium.builds, self.medium.rebuilds
+                "  medium sorts     {:>12}  (= {} builds + {} rebuilds) + {} one-shot",
+                self.medium.sorts, self.medium.builds, self.medium.rebuilds, self.medium.one_shots
             )?;
             for (kind, invocations, secs) in p.timed() {
                 write!(f, "  {kind:<18} {invocations:>10} calls")?;
@@ -278,6 +279,7 @@ mod tests {
     use crate::drop::DropLedger;
     use crate::fct::FctSummary;
     use crate::metrics::{MetricsSnapshot, NodeCounters};
+    use mwn_phy::MediumCounters;
     use mwn_sim::{EngineProfile, SimDuration, SimTime};
     use mwn_tcp::{TcpSenderStats, TcpSinkStats};
 
@@ -338,6 +340,12 @@ mod tests {
             },
             profile,
             delivered: 5,
+            medium: MediumCounters {
+                one_shots: 3,
+                builds: 1,
+                sorts: 1,
+                ..MediumCounters::default()
+            },
             drops: Some(DropLedger::new(2, vec!["web".into()])),
             fct: Some(fct),
             retired_tcp: Some(FlowCounters {
@@ -351,7 +359,8 @@ mod tests {
         for present in [
             "engine profile\n",
             "  events/packet             0.2\n",
-            "  lists built                 0  of 2 nodes\n",
+            "  lists built                 1  of 2 nodes, 3 one-shot\n",
+            "  medium sorts                1  (= 1 builds + 0 rebuilds) + 3 one-shot\n",
             "  medium_lazy                 3 calls\n",
             "\nper-layer counter totals (all nodes, whole run)\n",
             "\ntransport counter totals (completed flows)\n  tx     data_packets_sent 0",

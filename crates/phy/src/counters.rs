@@ -20,32 +20,40 @@ pub struct PhyCounters {
 }
 
 /// Cumulative statistics of the lazy epoch-stamped medium (see
-/// `Medium`): how often transmission-time queries found their effect
-/// list built at the current epoch, never built, or stale.
+/// `Medium`): how often transmission-time queries found their node's
+/// stored effect list current, filled a one-shot list, or stored one.
 ///
-/// For a `Medium::lazy` medium, `queries = fast-path hits + builds +
-/// rebuilds` — the fast-path count is the difference. A mobile workload
-/// where `builds + rebuilds` stays far below `epoch × nodes` is exactly
-/// the regime the lazy medium exists for: most nodes move every tick but
-/// transmit rarely.
+/// For a `Medium::lazy` medium, `queries = fast-path hits + one_shots +
+/// builds + rebuilds` — the fast-path count is the difference. A list a
+/// second query adopts from the one-shot ring counts as a build or
+/// rebuild without a scan of its own. A mobile workload where
+/// `one_shots + builds + rebuilds` stays far below `epoch × nodes` is
+/// exactly the regime the lazy medium exists for: most nodes move every
+/// tick but transmit rarely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumCounters {
     /// Global move epoch (one bump per non-empty move batch).
     pub epoch: u64,
     /// `Medium::refresh` calls.
     pub queries: u64,
-    /// Effect lists built where none existed: every list of a
-    /// `Medium::new`, and each node's first `Medium::refresh` on a
-    /// `Medium::lazy` medium.
+    /// Effect lists filled and sorted for a node's first query in an
+    /// epoch, served once and not stored.
+    pub one_shots: u64,
+    /// Effect lists stored where none had been: every list of a
+    /// `Medium::new`, and on a `Medium::lazy` medium each node's first
+    /// second-in-an-epoch query.
     pub builds: u64,
-    /// Queries that paid an O(k) effect-list rebuild because a move batch
-    /// came after the list was built.
+    /// Effect lists stored over one built before a move batch: a node's
+    /// second query in an epoch, or any `Medium::refresh_all` of a stale
+    /// list.
     pub rebuilds: u64,
     /// Always 0; kept only so the frozen benchmark source under `bench/`
     /// (which reads it) compiles. Delete with ROADMAP item 6(b).
     pub revalidations: u64,
-    /// Effect lists put into arrival order: at most one per build or
-    /// rebuild, so `sorts ≤ builds + rebuilds` (equal on a `Medium::lazy`
-    /// medium, where every list is sorted by the refresh that built it).
+    /// Stored effect lists put into arrival order (one adopted from the
+    /// one-shot ring was sorted there): at most one per build or rebuild,
+    /// so `sorts ≤ builds + rebuilds` (equal on a `Medium::lazy` medium,
+    /// where every list is sorted as it is stored). One-shot sorts count
+    /// in `one_shots` alone.
     pub sorts: u64,
 }

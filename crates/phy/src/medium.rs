@@ -184,23 +184,36 @@ pub struct SignalClass {
 /// [`Medium::move_nodes`] is O(moved): it only updates positions,
 /// relocates grid occupants and bumps a global **epoch**. Effect lists
 /// are *not* recomputed at move time. Instead each node carries the epoch
-/// its list was built at, and [`Medium::refresh`] rebuilds a list iff
-/// that epoch is not the current one: a list built at epoch *e* is exact
-/// iff no move batch happened since. [`Medium::lazy`] builds no list at
-/// all: it stamps every node with an epoch no list can reach, so the same
-/// rule builds each list when its node first transmits. At city scale
-/// most nodes move every tick but transmit rarely, so almost all build
-/// and recompute work vanishes;
-/// correctness is unchanged because link sets depend only on *current*
-/// positions at query time (pinned by the lazy-vs-eager differentials
-/// against the dense all-pairs `ReferenceMedium` oracle).
+/// its stored list was built at, and [`Medium::refresh`] serves that list
+/// iff it is the current one: a list built at epoch *e* is exact iff no
+/// move batch happened since. [`Medium::lazy`] stores no list at all: it
+/// stamps every node with an epoch no list can reach. At city scale most
+/// nodes move every tick but transmit rarely, so almost all build and
+/// recompute work vanishes; correctness is unchanged because link sets
+/// depend only on *current* positions at query time (pinned by the
+/// lazy-vs-eager differentials against the dense all-pairs
+/// `ReferenceMedium` oracle).
+///
+/// # Admission: a list is stored on its node's second refresh in an epoch
+///
+/// A node's first [`Medium::refresh`] in an epoch without a current
+/// stored list fills the list into a small ring of one-shot buffers and
+/// stores nothing; its second stores the list in the node's own slot,
+/// adopting it from the ring if the ring still holds it, else building
+/// (never stored) or rebuilding (stored before a move batch) it in
+/// place. So a route-request flood, where most forwarders transmit once,
+/// pins no list per forwarder, while a node that transmits repeatedly
+/// pays one scan per epoch. A one-shot list and a stored list at the
+/// same epoch are the same pure function of the positions, so what a
+/// refresh returns does not depend on the rule. [`Medium::new`] and
+/// [`Medium::refresh_all`] store every list.
 ///
 /// The grid is a pure acceleration structure: candidate receivers still
 /// pass the exact [`RangeModel::classify`] distance tests, and a refreshed
 /// list is in *arrival order* — by propagation delay, ties by node id — so
 /// it is bit-identical to the dense scan's (a differential proptest checks
-/// this). Builds and rebuilds leave lists unsorted; [`Medium::refresh`]
-/// sorts each such list once.
+/// this). [`Medium::new`]'s eager build leaves its lists unsorted;
+/// [`Medium::refresh`] sorts each such list once.
 ///
 /// [`Medium::new`] is the eager constructor, for callers that read lists
 /// through `&self` ([`Medium::effects_of`]) right away; a host that reads
@@ -233,7 +246,8 @@ pub struct Medium {
     /// `effects[tx]` lists every node a transmission from `tx` affects, exact
     /// as of epoch `node_epoch[tx]`, in arrival order unless `unsorted[tx]`.
     effects: Vec<Vec<Effect>>,
-    /// Lists a build or rebuild left for [`Medium::refresh`] to sort.
+    /// Lists [`Medium::new`]'s eager build left for [`Medium::refresh`] to
+    /// sort.
     unsorted: Vec<bool>,
     /// Node index per cell; cell size = `ranges.max_range()`.
     grid: SpatialGrid,
@@ -242,19 +256,41 @@ pub struct Medium {
     /// Global move epoch: bumped once per non-empty [`Medium::move_nodes`]
     /// batch.
     epoch: u64,
-    /// Epoch at which each node's effect list was built; [`NEVER_BUILT`]
-    /// before its first build.
+    /// Epoch at which each node's effect list was stored; [`NEVER_BUILT`]
+    /// before its first.
     node_epoch: Vec<u64>,
+    /// Epoch of each node's latest one-shot list ([`NEVER_BUILT`] before
+    /// its first): a refresh that finds the current epoch here is the
+    /// node's second in this epoch, and stores its list.
+    one_shot_epoch: Vec<u64>,
+    /// The latest one-shot lists, filled round robin from `ring_next`.
+    ring: Vec<OneShot>,
+    ring_next: usize,
     /// Cumulative lazy-path statistics (see [`MediumCounters`]).
     counters: MediumCounters,
-    /// Calls and wall seconds per lazy tier — builds and rebuilds, sorts —
-    /// since the last [`Medium::take_lazy_profile`] drain.
+    /// Calls and wall seconds per lazy tier — scans, sorts — since the
+    /// last [`Medium::take_lazy_profile`] drain.
     pending: [(u64, f64); 2],
 }
 
 /// The `node_epoch` of a list never built: an epoch the move counter
 /// never reaches, so [`Medium::refresh`]'s one staleness rule builds it.
 const NEVER_BUILT: u64 = u64::MAX;
+
+/// One-shot buffers kept for a second refresh to adopt. On a flooding
+/// `city-mobile` round 91 % of stored lists are adopted at 16 (79 % at
+/// 8, 96 % at 32), and 16 lists of ≈ 2 KB cost next to nothing beside
+/// the stored ones.
+const ONE_SHOT_RING: usize = 16;
+
+/// A one-shot list and whose it is: `node`'s list at `epoch`
+/// ([`NEVER_BUILT`] once adopted, or before the slot is first filled).
+#[derive(Debug, Clone)]
+struct OneShot {
+    node: usize,
+    epoch: u64,
+    list: Vec<Effect>,
+}
 
 /// One receiver affected by a given transmitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -283,9 +319,10 @@ impl Medium {
     }
 
     /// Builds the grid and the positions but no effect list: each list is
-    /// built by the first [`Medium::refresh`] of its node, through the
-    /// same scan and sort a rebuild uses, so it is bit-identical to the
-    /// list [`Medium::new`] would have served.
+    /// stored by the second [`Medium::refresh`] of its node in one epoch
+    /// (see [`Medium`]), through the same scan and sort a rebuild uses,
+    /// so it is bit-identical to the list [`Medium::new`] would have
+    /// served.
     ///
     /// # Panics
     ///
@@ -304,6 +341,16 @@ impl Medium {
             scratch: Vec::new(),
             epoch: 0,
             node_epoch: vec![NEVER_BUILT; n],
+            one_shot_epoch: vec![NEVER_BUILT; n],
+            ring: vec![
+                OneShot {
+                    node: 0,
+                    epoch: NEVER_BUILT,
+                    list: Vec::new(),
+                };
+                ONE_SHOT_RING
+            ],
+            ring_next: 0,
             counters: MediumCounters::default(),
             pending: [(0, 0.0); 2],
         }
@@ -339,36 +386,85 @@ impl Medium {
         }
     }
 
-    /// Brings `tx`'s effect list up to date and returns it in arrival order
-    /// — the hot-path accessor for transmission-time fan-out. A list built
-    /// at this epoch returns at once; any other is built (first use) or
-    /// rebuilt (a move batch came after it) in O(k). A list a build or
-    /// rebuild left unsorted is sorted.
+    /// Returns `tx`'s current effect list in arrival order — the hot-path
+    /// accessor for transmission-time fan-out. A list stored at this
+    /// epoch returns at once (sorted first if [`Medium::new`] left it
+    /// unsorted). Otherwise the node's first refresh in this epoch fills
+    /// a one-shot list and stores nothing, and its second stores the list
+    /// (see [`Medium`]).
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
-        let i = tx.index();
+        self.refresh_admitting(tx.index(), false)
+    }
+
+    /// [`Medium::refresh`], storing the list at once if `store`.
+    fn refresh_admitting(&mut self, i: usize, store: bool) -> &[Effect] {
         self.counters.queries += 1;
-        if self.node_epoch[i] == self.epoch && !self.unsorted[i] {
-            return &self.effects[i];
-        }
-        let mut mark = Instant::now();
         if self.node_epoch[i] != self.epoch {
-            if self.node_epoch[i] == NEVER_BUILT {
-                self.counters.builds += 1;
-            } else {
-                self.counters.rebuilds += 1;
+            if !store && self.one_shot_epoch[i] != self.epoch {
+                return self.fill_one_shot(i);
             }
-            self.fill_effects(i);
-            self.node_epoch[i] = self.epoch;
-            self.unsorted[i] = true;
-            mark = self.accrue(0, mark);
-        }
-        if self.unsorted[i] {
+            self.store(i);
+        } else if self.unsorted[i] {
+            let mark = Instant::now();
             sort_into_arrival_order(&mut self.effects[i]);
             self.unsorted[i] = false;
             self.counters.sorts += 1;
             self.accrue(1, mark);
         }
         &self.effects[i]
+    }
+
+    /// Fills node `i`'s list at this epoch into the next ring slot, in
+    /// arrival order, and returns it without storing it.
+    fn fill_one_shot(&mut self, i: usize) -> &[Effect] {
+        self.one_shot_epoch[i] = self.epoch;
+        self.counters.one_shots += 1;
+        let slot = self.ring_next;
+        self.ring_next = (slot + 1) % ONE_SHOT_RING;
+        let mut list = std::mem::take(&mut self.ring[slot].list);
+        self.fill_sorted(i, &mut list);
+        self.ring[slot] = OneShot {
+            node: i,
+            epoch: self.epoch,
+            list,
+        };
+        &self.ring[slot].list
+    }
+
+    /// Stores node `i`'s list at this epoch: adopted from the ring if a
+    /// one-shot fill left it there, else built or rebuilt in place.
+    fn store(&mut self, i: usize) {
+        if self.node_epoch[i] == NEVER_BUILT {
+            self.counters.builds += 1;
+        } else {
+            self.counters.rebuilds += 1;
+        }
+        self.counters.sorts += 1;
+        self.node_epoch[i] = self.epoch;
+        self.unsorted[i] = false;
+        let epoch = self.epoch;
+        if let Some(shot) = self
+            .ring
+            .iter_mut()
+            .find(|s| s.node == i && s.epoch == epoch)
+        {
+            std::mem::swap(&mut self.effects[i], &mut shot.list);
+            shot.epoch = NEVER_BUILT;
+            return;
+        }
+        let mut list = std::mem::take(&mut self.effects[i]);
+        self.fill_sorted(i, &mut list);
+        self.effects[i] = list;
+    }
+
+    /// Scans node `i`'s neighborhood into `list` and sorts it, timing
+    /// each step in its lazy tier.
+    fn fill_sorted(&mut self, i: usize, list: &mut Vec<Effect>) {
+        let mark = Instant::now();
+        self.fill_effects(i, list);
+        let mark = self.accrue(0, mark);
+        sort_into_arrival_order(list);
+        self.accrue(1, mark);
     }
 
     /// Charges the time since `since` to lazy tier `tier`; returns "now".
@@ -380,18 +476,20 @@ impl Medium {
         now
     }
 
-    /// Brings every effect list up to date (the eager mode of the
-    /// lazy-vs-eager differential, and the escape hatch for callers that
-    /// want to iterate lists through `&self` after moves).
+    /// Brings every effect list up to date and stores it, whatever the
+    /// admission rule would do (the eager mode of the lazy-vs-eager
+    /// differential, and the escape hatch for callers that want to
+    /// iterate lists through `&self` after moves).
     pub fn refresh_all(&mut self) {
         for i in 0..self.positions.len() {
-            self.refresh(NodeId(i as u32));
+            self.refresh_admitting(i, true);
         }
     }
 
-    /// `true` if `tx`'s effect list was built at the current epoch — i.e.
-    /// [`Medium::effects_of`] may be read without a [`Medium::refresh`].
-    /// A list never built is not fresh.
+    /// `true` if `tx`'s effect list was stored at the current epoch —
+    /// i.e. [`Medium::effects_of`] may be read without a
+    /// [`Medium::refresh`]. A list never built, or only filled one-shot,
+    /// is not fresh.
     pub fn is_fresh(&self, tx: NodeId) -> bool {
         self.node_epoch[tx.index()] == self.epoch
     }
@@ -410,8 +508,10 @@ impl Medium {
     }
 
     /// Drains the `(calls, wall seconds)` [`Medium::refresh`] spent per
-    /// lazy tier since the last drain: `[builds and rebuilds, sorts]` —
-    /// the host feeds these into its engine profile's timed buckets.
+    /// lazy tier since the last drain: `[scans, sorts]`, each counting
+    /// one-shot fills, builds and rebuilds (a list adopted from the ring
+    /// costs neither) — the host feeds these into its engine profile's
+    /// timed buckets.
     pub fn take_lazy_profile(&mut self) -> [(u64, f64); 2] {
         std::mem::take(&mut self.pending)
     }
@@ -462,17 +562,24 @@ impl Medium {
         }
     }
 
-    /// Recomputes `tx`'s effect list in place from its grid neighborhood.
+    /// Heap bytes of the effect lists: every stored list plus the
+    /// one-shot ring, by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        let lists = self.effects.iter().chain(self.ring.iter().map(|s| &s.list));
+        lists.map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Effect>()
+    }
+
+    /// Recomputes `tx`'s effect list into `bucket` from its grid neighborhood.
     /// Candidates beyond `max_range` (plus a 1 µm guard for the
     /// inclusive boundary) are rejected on the squared distance, skipping
     /// the sqrt for the ~⅔ of each 3×3 neighborhood that lies outside the
     /// range circle; survivors pass the exact [`RangeModel::classify`]
     /// test on `sqrt(d²)` — bit-identical to [`Position::distance_to`],
     /// which evaluates the same expression. The list is left in candidate
-    /// order for [`Medium::refresh`] to sort.
-    fn fill_effects(&mut self, tx: usize) {
+    /// order.
+    fn fill_effects(&mut self, tx: usize, bucket: &mut Vec<Effect>) {
         let pos = self.positions[tx];
-        let (bucket, scratch) = (&mut self.effects[tx], &mut self.scratch);
+        let scratch = &mut self.scratch;
         bucket.clear();
         scratch.clear();
         self.grid.candidates_near(pos, scratch);
@@ -739,7 +846,7 @@ mod mobility_tests {
         // Node 1 walks out of decode range but stays sensed.
         m.move_nodes(&[(NodeId(1), Position::new(400.0, 0.0))]);
         assert!(decoders(&mut m, 0).is_empty());
-        assert!(m.effects_of(NodeId(0)).iter().any(|e| e.class.senses));
+        assert!(m.refresh(NodeId(0)).iter().any(|e| e.class.senses));
         // And fully out of range.
         m.move_nodes(&[(NodeId(1), Position::new(900.0, 0.0))]);
         assert!(m.refresh(NodeId(0)).is_empty());
@@ -893,16 +1000,18 @@ mod lazy_tests {
         for i in 0..3u32 {
             assert!(!m.is_fresh(NodeId(i)));
         }
-        // A stale list pays a rebuild.
+        // A stale list's first read this epoch is a one-shot fill.
         let fx = m.refresh(NodeId(0));
         assert_eq!(fx.len(), 1, "node 1 is ~224 m away");
         assert!(fx[0].class.decodable);
         m.refresh(NodeId(2));
-        // A second query at the same epoch is a no-op.
+        // A second query at the same epoch stores the list, a third is a
+        // no-op.
         m.refresh(NodeId(2));
-        assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(1)));
+        m.refresh(NodeId(2));
+        assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(0)) && !m.is_fresh(NodeId(1)));
         let c = m.counters();
-        assert_eq!((c.epoch, c.queries, c.rebuilds), (1, 3, 2));
+        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (1, 4, 2, 1));
         assert_eq!(c.revalidations, 0);
     }
 
@@ -911,17 +1020,18 @@ mod lazy_tests {
         let mut m = cluster_and_far();
         m.refresh(NodeId(2)); // only the sort the build left
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
-        m.refresh(NodeId(0)); // rebuild, then sort
-        m.refresh(NodeId(0)); // neither
-        let [rebuilds, sorts] = m.take_lazy_profile();
-        assert_eq!((rebuilds.0, sorts.0), (1, 2));
-        assert!(rebuilds.1 >= 0.0 && sorts.1 >= 0.0);
+        m.refresh(NodeId(0)); // one-shot scan, then sort
+        m.refresh(NodeId(0)); // neither: the ring's list is adopted
+        m.refresh(NodeId(0)); // a hit
+        let [scans, sorts] = m.take_lazy_profile();
+        assert_eq!((scans.0, sorts.0), (1, 2));
+        assert!(scans.1 >= 0.0 && sorts.1 >= 0.0);
         assert_eq!(m.take_lazy_profile(), [(0, 0.0); 2], "drain must reset");
-        // A lazy medium's first refresh is timed in the same tier.
+        // A lazy medium's first refresh is timed in the same tiers.
         let mut lazy = Medium::lazy(m.positions().to_vec(), m.ranges());
         lazy.refresh(NodeId(1));
-        let [builds, sorts] = lazy.take_lazy_profile();
-        assert_eq!((builds.0, sorts.0), (1, 1));
+        let [scans, sorts] = lazy.take_lazy_profile();
+        assert_eq!((scans.0, sorts.0), (1, 1));
     }
 
     /// Bit-level view of a list: node, delay and the power's exact bits.
@@ -932,56 +1042,180 @@ mod lazy_tests {
     }
 
     /// `Medium::lazy` builds nothing up front; each node's first refresh
-    /// builds its list through the rebuild's scan and sort, bit for bit
-    /// what the eager `Medium::new` serves, and counts one build.
+    /// fills its list one-shot and its second stores it, both through
+    /// the rebuild's scan and sort, bit for bit what the eager
+    /// `Medium::new` serves.
     #[test]
-    fn lazy_medium_builds_each_list_on_first_refresh() {
+    fn lazy_medium_stores_each_list_on_second_refresh() {
         let mut eager = cluster_and_far();
         let mut lazy = Medium::lazy(eager.positions().to_vec(), eager.ranges());
         assert_eq!(lazy.counters(), MediumCounters::default());
         assert!((0..3).all(|i| !lazy.is_fresh(NodeId(i))), "nothing built");
         assert_eq!(eager.counters().builds, 3, "the eager build counts");
         for i in 0..3u32 {
+            let k = i as u64;
             let want = eager.refresh(NodeId(i)).to_vec();
-            let got = lazy.refresh(NodeId(i)).to_vec();
-            assert_eq!(got, want, "tx {i}");
-            assert_eq!(bits(&got), bits(&want), "tx {i}");
-            assert!(lazy.is_fresh(NodeId(i)));
-            let c = lazy.counters();
-            assert_eq!(
-                (c.queries, c.builds, c.rebuilds),
-                (2 * i as u64 + 1, i as u64 + 1, 0)
+            let once = lazy.refresh(NodeId(i)).to_vec();
+            assert!(
+                !lazy.is_fresh(NodeId(i)),
+                "tx {i}: a one-shot is not stored"
             );
-            // A second refresh at the same epoch is a fast hit.
+            let c = lazy.counters();
+            assert_eq!((c.queries, c.one_shots, c.builds), (3 * k + 1, k + 1, k));
+            let stored = lazy.refresh(NodeId(i)).to_vec();
+            assert!(lazy.is_fresh(NodeId(i)));
+            for got in [&once, &stored] {
+                assert_eq!(got, &want, "tx {i}");
+                assert_eq!(bits(got), bits(&want), "tx {i}");
+            }
+            // A third refresh at the same epoch is a fast hit.
             lazy.refresh(NodeId(i));
             let c = lazy.counters();
             assert_eq!(
-                (c.queries, c.builds, c.sorts),
-                (2 * i as u64 + 2, i as u64 + 1, i as u64 + 1)
+                (c.queries, c.one_shots, c.builds, c.sorts),
+                (3 * k + 3, k + 1, k + 1, k + 1)
             );
         }
         assert_eq!(eager.counters().builds, 3, "refreshing built nothing new");
     }
 
-    /// A node first read after move batches is a build: staleness is
+    /// A node first stored after move batches is a build: staleness is
     /// about lists that exist, and this one never did.
     #[test]
-    fn first_refresh_after_moves_counts_a_build_not_a_rebuild() {
+    fn first_store_after_moves_counts_a_build_not_a_rebuild() {
         let mut m = Medium::lazy(cluster_and_far().positions().to_vec(), RangeModel::paper());
         m.move_nodes(&[(NodeId(1), Position::new(150.0, 0.0))]);
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 50.0))]);
+        m.refresh(NodeId(0));
         let fx = m.refresh(NodeId(0)).to_vec();
         let c = m.counters();
-        assert_eq!((c.epoch, c.builds, c.rebuilds), (2, 1, 0));
+        assert_eq!((c.epoch, c.one_shots, c.builds, c.rebuilds), (2, 1, 1, 0));
         assert_eq!(
             fx,
             ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(0))
         );
-        // The same list after the next batch is a rebuild.
+        // The same list stored after the next batch is a rebuild.
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 0.0))]);
         m.refresh(NodeId(0));
+        m.refresh(NodeId(0));
         let c = m.counters();
-        assert_eq!((c.builds, c.rebuilds), (1, 1));
+        assert_eq!((c.one_shots, c.builds, c.rebuilds), (2, 1, 1));
+    }
+
+    /// `n` nodes 100 m apart on a line: every list is non-empty.
+    fn line(n: usize) -> Vec<Position> {
+        (0..n)
+            .map(|i| Position::new(i as f64 * 100.0, 0.0))
+            .collect()
+    }
+
+    /// The admission rule's first half: a node's first refresh in an
+    /// epoch serves its list and keeps nothing but the ring's buffer —
+    /// however many nodes transmit once, the stored lists stay empty.
+    #[test]
+    fn first_refresh_in_an_epoch_stores_nothing() {
+        let positions = line(4 * ONE_SHOT_RING);
+        let n = positions.len();
+        let mut m = Medium::lazy(positions, RangeModel::paper());
+        assert_eq!(m.memory_bytes(), 0);
+        for tx in 0..n as u32 {
+            let fx = m.refresh(NodeId(tx)).to_vec();
+            assert_eq!(
+                fx,
+                ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(tx))
+            );
+            assert!(!m.is_fresh(NodeId(tx)), "tx {tx}");
+        }
+        let c = m.counters();
+        assert_eq!(
+            (c.one_shots, c.builds, c.rebuilds, c.sorts),
+            (n as u64, 0, 0, 0)
+        );
+        assert!(
+            m.effects.iter().all(|l| l.capacity() == 0),
+            "no list stored"
+        );
+        let ring: usize = m.ring.iter().map(|s| s.list.capacity()).sum();
+        assert!(ring > 0);
+        assert_eq!(m.memory_bytes(), ring * std::mem::size_of::<Effect>());
+    }
+
+    /// The admission rule's second half: a node's second refresh in an
+    /// epoch stores its list, adopted from the ring when the ring still
+    /// holds it (no scan) and scanned in place when later one-shots have
+    /// pushed it out — the same list either way.
+    #[test]
+    fn second_refresh_adopts_from_the_ring_or_builds_in_place() {
+        let mut m = Medium::lazy(line(ONE_SHOT_RING + 4), RangeModel::paper());
+        let want = |m: &Medium, tx: u32| {
+            ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(tx))
+        };
+        // Adopted: the list moves from the ring into node 0's slot.
+        m.refresh(NodeId(0));
+        let _ = m.take_lazy_profile();
+        let expected = want(&m, 0);
+        assert_eq!(m.refresh(NodeId(0)), expected);
+        assert!(m.is_fresh(NodeId(0)));
+        assert_eq!(
+            m.take_lazy_profile(),
+            [(0, 0.0); 2],
+            "adoption scans nothing"
+        );
+        // Pushed out: a full ring of other one-shots comes between node
+        // 1's two refreshes.
+        m.refresh(NodeId(1));
+        for tx in 2..=ONE_SHOT_RING as u32 + 1 {
+            m.refresh(NodeId(tx));
+        }
+        let _ = m.take_lazy_profile();
+        let expected = want(&m, 1);
+        assert_eq!(m.refresh(NodeId(1)), expected);
+        assert!(m.is_fresh(NodeId(1)));
+        let [scans, sorts] = m.take_lazy_profile();
+        assert_eq!(
+            (scans.0, sorts.0),
+            (1, 1),
+            "an evicted list is scanned again"
+        );
+        let c = m.counters();
+        assert_eq!(
+            (c.one_shots, c.builds, c.sorts),
+            (ONE_SHOT_RING as u64 + 2, 2, 2)
+        );
+        // The next batch makes both stale: stored again, as rebuilds.
+        m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
+        for tx in [0, 1, 0, 1] {
+            let expected = want(&m, tx);
+            assert_eq!(m.refresh(NodeId(tx)), expected);
+        }
+        let c = m.counters();
+        assert_eq!((c.builds, c.rebuilds, c.sorts), (2, 2, 4));
+    }
+
+    /// `Medium::new` and `refresh_all` store every list, whatever the
+    /// admission rule would do.
+    #[test]
+    fn new_and_refresh_all_store_every_list() {
+        let positions = line(6);
+        let mut eager = Medium::new(positions.clone(), RangeModel::paper());
+        assert!((0..6).all(|i| eager.is_fresh(NodeId(i))));
+        let stored = eager.memory_bytes();
+        assert!(stored > 0);
+        eager.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
+        eager.refresh_all();
+        assert!((0..6).all(|i| eager.is_fresh(NodeId(i))));
+        let c = eager.counters();
+        assert_eq!((c.one_shots, c.builds, c.rebuilds), (0, 6, 6));
+        let mut lazy = Medium::lazy(positions, RangeModel::paper());
+        lazy.refresh(NodeId(3)); // a one-shot, then stored all the same
+        lazy.refresh_all();
+        assert!((0..6).all(|i| lazy.is_fresh(NodeId(i))));
+        let c = lazy.counters();
+        assert_eq!((c.queries, c.one_shots, c.builds, c.sorts), (7, 1, 6, 6));
+        for tx in 0..6u32 {
+            let want = ReferenceMedium::effects_from(lazy.positions(), lazy.ranges(), NodeId(tx));
+            assert_eq!(lazy.effects_of(NodeId(tx)), want);
+        }
     }
 
     /// `effects_of` serves no list it cannot vouch for — in release too:
@@ -997,19 +1231,23 @@ mod lazy_tests {
     }
 
     /// The one staleness rule: a move batch rebuilds every list read
-    /// after it, even one nothing moved near — and the rebuild runs the
-    /// same exact scan and sort, so the list comes back bit for bit.
+    /// after it, even one nothing moved near — and the one-shot fill and
+    /// the rebuild run the same exact scan and sort, so the list comes
+    /// back bit for bit.
     #[test]
     fn far_move_rebuilds_an_unchanged_list_bit_for_bit() {
         let mut m = cluster_and_far();
         let before = m.refresh(NodeId(0)).to_vec();
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
         assert!(!m.is_fresh(NodeId(0)));
+        let once = m.refresh(NodeId(0)).to_vec();
         let after = m.refresh(NodeId(0)).to_vec();
         let c = m.counters();
-        assert_eq!((c.rebuilds, c.revalidations), (1, 0));
-        assert_eq!(after, before);
-        assert_eq!(bits(&after), bits(&before));
+        assert_eq!((c.one_shots, c.rebuilds, c.revalidations), (1, 1, 0));
+        for list in [&once, &after] {
+            assert_eq!(list, &before);
+            assert_eq!(bits(list), bits(&before));
+        }
     }
 
     #[test]

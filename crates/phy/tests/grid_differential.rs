@@ -2,10 +2,10 @@
 //!
 //! [`Medium`] derives effect lists from a spatial hash grid and, since
 //! the lazy epoch-stamped refactor, defers rebuilding them from
-//! [`Medium::move_nodes`] to the first [`Medium::refresh`] of a list built
-//! before the latest move batch ([`Medium::lazy`] defers even the first
-//! build to the first refresh); [`ReferenceMedium`] is the dense all-pairs
-//! implementation it replaced. For ANY initial placement and ANY
+//! [`Medium::move_nodes`] to the [`Medium::refresh`] that reads them
+//! (storing a list only on its node's second refresh in an epoch;
+//! [`Medium::lazy`] defers even the first build); [`ReferenceMedium`] is
+//! the dense all-pairs implementation it replaced. For ANY initial placement and ANY
 //! sequence of move batches — including co-located nodes, nodes exactly
 //! on cell boundaries, and distances exactly at the inclusive
 //! 250 m / 550 m classification boundaries — both media must agree on
@@ -106,11 +106,14 @@ proptest! {
         }
     }
 
-    /// `Medium::lazy` against the dense oracle: each node is first read
-    /// at a drawn epoch (some never), so lists are built after any number
-    /// of move batches; every read list must equal the oracle's, a
-    /// node's first read counts a build and every later stale read a
-    /// rebuild.
+    /// `Medium::lazy` against the dense oracle under the admission rule:
+    /// each epoch reads a drawn sequence of nodes, some once, some
+    /// repeatedly, some not at all, so lists are filled one-shot, adopted
+    /// from the ring, pushed out of it and built or rebuilt in place.
+    /// Every read must equal the oracle's list; a node's first read in an
+    /// epoch counts a one-shot and stores nothing, its second stores the
+    /// list (a build if it never had one, else a rebuild), later ones are
+    /// hits.
     #[test]
     fn lazy_medium_matches_dense_reference(
         initial in proptest::collection::vec(arb_point(), 1..32),
@@ -118,14 +121,20 @@ proptest! {
             proptest::collection::vec((0usize..32, arb_point()), 1..8),
             0..6,
         ),
-        first_read in proptest::collection::vec(0usize..8, 32..33),
+        reads in proptest::collection::vec(
+            proptest::collection::vec(0usize..32, 0..24),
+            7..8,
+        ),
     ) {
         let initial = positions_of(&initial);
         let n = initial.len();
         let mut lazy = Medium::lazy(initial.clone(), RangeModel::paper());
         let mut dense = ReferenceMedium::new(initial, RangeModel::paper());
         prop_assert_eq!(lazy.counters().builds, 0);
-        let (mut built, mut rebuilt) = (0u64, 0u64);
+        // The rule, modelled: the epoch of each node's stored list and of
+        // its latest one-shot, and what every read should have counted.
+        let (mut stored, mut once) = (vec![None; n], vec![None; n]);
+        let (mut one_shots, mut built, mut rebuilt) = (0u64, 0u64, 0u64);
         for epoch in 0..=batches.len() {
             if epoch > 0 {
                 let batch = &batches[epoch - 1];
@@ -138,18 +147,27 @@ proptest! {
                 lazy.move_nodes(&moves);
                 dense.move_nodes(&moves);
             }
-            for tx in (0..n).filter(|&tx| first_read[tx] <= epoch) {
+            let now = Some(lazy.epoch());
+            for tx in reads[epoch].iter().map(|&i| i % n) {
                 let id = NodeId(tx as u32);
-                if first_read[tx] == epoch {
-                    prop_assert!(!lazy.is_fresh(id), "tx {} built before its first read", tx);
-                    built += 1;
-                } else if !lazy.is_fresh(id) {
-                    rebuilt += 1;
+                prop_assert_eq!(lazy.is_fresh(id), stored[tx] == now, "tx {} before its read", tx);
+                if stored[tx] != now {
+                    if once[tx] != now {
+                        once[tx] = now;
+                        one_shots += 1;
+                    } else {
+                        if stored[tx].is_none() { built += 1 } else { rebuilt += 1 }
+                        stored[tx] = now;
+                    }
                 }
                 prop_assert_eq!(lazy.refresh(id), dense.effects_of(id), "tx {} at epoch {}", tx, epoch);
+                prop_assert_eq!(lazy.is_fresh(id), stored[tx] == now, "tx {} after its read", tx);
+                let c = lazy.counters();
+                prop_assert_eq!(
+                    (c.one_shots, c.builds, c.rebuilds, c.sorts),
+                    (one_shots, built, rebuilt, built + rebuilt)
+                );
             }
-            let c = lazy.counters();
-            prop_assert_eq!((c.builds, c.rebuilds, c.sorts), (built, rebuilt, built + rebuilt));
         }
         prop_assert_eq!(lazy.positions(), dense.positions());
     }

@@ -55,11 +55,13 @@ for format in "" "--json"; do
 done
 
 # One instrumented run through the report's text renderer: `mwn stats`
-# must print the drop ledger, a balanced conservation audit and the
-# event queue's schedules per delivered packet.
+# must print the drop ledger, a balanced conservation audit, the event
+# queue's schedules per delivered packet and the medium's one-shot
+# list fills beside its stored builds and rebuilds.
 echo "==> mwn stats --hops 4 (run report smoke)"
 stats_out=$(cargo run --release -q -p mwn-cli -- stats --hops 4 2>/dev/null)
-for expected in "^drop ledger — " "^conservation audit: conservation holds" "^  schedules/packet "; do
+for expected in "^drop ledger — " "^conservation audit: conservation holds" "^  schedules/packet " \
+    "^  medium sorts  *[0-9]*  (= [0-9]* builds + [0-9]* rebuilds) + [0-9]* one-shot$"; do
     grep -q "$expected" <<<"$stats_out" || {
         echo "error: mwn stats printed no line matching '$expected'" >&2; exit 1; }
 done
