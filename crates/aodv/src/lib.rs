@@ -24,7 +24,6 @@
 //! the MAC.
 
 mod config;
-mod nodemap;
 mod router;
 mod table;
 
@@ -32,6 +31,5 @@ pub use config::{
     AodvConfig, ACTIVE_ROUTE_LIFETIME, BROADCAST_JITTER, BUFFER_CAPACITY, RREQ_WAIT, TTL_INCREMENT,
     TTL_START, TTL_THRESHOLD,
 };
-pub use nodemap::NodeMap;
 pub use router::{AodvAction, AodvCounters, AodvDropReason, Router, MIN_JITTER};
 pub use table::{Route, RoutingTable};

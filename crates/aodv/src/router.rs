@@ -2,14 +2,13 @@
 
 use std::collections::VecDeque;
 
-use mwn_pkt::{AodvMessage, Body, NodeId, Packet};
+use mwn_pkt::{AodvMessage, Body, NodeId, NodeMap, Packet};
 use mwn_sim::{Pcg32, SimDuration, SimTime};
 
 use crate::config::{
     AodvConfig, ACTIVE_ROUTE_LIFETIME, BROADCAST_JITTER, BUFFER_CAPACITY, RREQ_WAIT, TTL_INCREMENT,
     TTL_START, TTL_THRESHOLD,
 };
-use crate::nodemap::NodeMap;
 use crate::table::RoutingTable;
 
 /// Floor on every non-zero broadcast-jitter draw. This is the *only*

@@ -1,7 +1,6 @@
 //! The sequence-numbered routing table.
 
-use crate::nodemap::NodeMap;
-use mwn_pkt::NodeId;
+use mwn_pkt::{NodeId, NodeMap};
 use mwn_sim::{SimDuration, SimTime};
 
 /// One routing table entry.

@@ -13,7 +13,8 @@
 //! mwn bench --quick              run the quick subset only (CI gate)
 //! mwn bench --check              exit non-zero when a case's wall time regresses >20%,
 //!                                its events/packet grows >1% or its medium list builds
-//!                                or rebuilds grow
+//!                                or rebuilds grow; every gate is judged and printed,
+//!                                and the error names each one that failed
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
@@ -408,11 +409,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     // Rendered rows, not measurements: a case's report is dropped before
     // the next case runs, so it does not count towards that one's RSS.
     let mut rows = Vec::new();
-    let mut worst_ratio: Option<(f64, &'static str)> = None;
-    // Largest events/packet growth over the baseline (1.0 = unchanged).
-    let mut worst_growth: Option<(f64, &'static str)> = None;
-    // Largest excess over the baseline per exact gate (0 = unchanged).
-    let mut worst_exact: [Option<(i64, &'static str)>; EXACT_GATES.len()] = Default::default();
+    let mut worst = Worst::default();
     for case in &selected {
         let m = run_case(case, repeat);
         let eps = m.report.profile.events_per_sec(m.wall_secs);
@@ -423,12 +420,13 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         let vs = base.map(|base| (base.wall_secs / m.wall_secs, eps / base.events_per_sec));
         if let Some(base_epp) = base.and_then(|b| b.events_per_pkt).filter(|&e| e > 0.0) {
             let growth = m.report.events_per_packet() / base_epp;
-            if worst_growth.is_none_or(|(g, _)| growth > g) {
-                worst_growth = Some((growth, m.name));
+            if worst.growth.is_none_or(|(g, _)| growth > g) {
+                worst.growth = Some((growth, m.name));
             }
         }
         if let Some(base) = base {
-            for (worst, excess) in worst_exact
+            for (worst, excess) in worst
+                .exact
                 .iter_mut()
                 .zip(exact_excess(&m.report.medium, base))
             {
@@ -458,8 +456,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         }
         let versus = match vs {
             Some((wall, evs)) => {
-                if worst_ratio.is_none_or(|(w, _)| wall < w) {
-                    worst_ratio = Some((wall, m.name));
+                if worst.ratio.is_none_or(|(w, _)| wall < w) {
+                    worst.ratio = Some((wall, m.name));
                 }
                 format!("({wall:.2}x wall, {evs:.2}x ev/s vs baseline)")
             }
@@ -482,55 +480,102 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     }
 
     if check {
-        let Some((ratio, name)) = worst_ratio else {
+        if worst.ratio.is_none() {
             return Err(format!(
                 "--check: no committed baseline in {out} (record one first)"
             ));
-        };
-        if ratio < 1.0 - REGRESSION_TOLERANCE {
+        }
+        let mut failed = Vec::new();
+        for (gate, verdict) in worst.verdicts() {
+            match verdict {
+                Ok(line) => println!("check passed: {line}"),
+                Err(line) => {
+                    println!("check FAILED: {line}");
+                    failed.push(gate);
+                }
+            }
+        }
+        if !failed.is_empty() {
             return Err(format!(
-                "wall-clock regression: {name} runs at {:.0}% of the committed \
-                 baseline's speed (tolerance {:.0}%)",
-                ratio * 100.0,
-                (1.0 - REGRESSION_TOLERANCE) * 100.0
+                "--check failed {} gate(s): {}",
+                failed.len(),
+                failed.join(", ")
             ));
         }
-        println!(
-            "check passed: worst scenario {name} at {:.2}x of the committed baseline's speed (wall)",
-            ratio
-        );
+    }
+    Ok(())
+}
+
+/// The worst case per `--check` gate over the cases run, each with the
+/// case's name (`None` while no case had a baseline value for it).
+#[derive(Default)]
+struct Worst {
+    /// Lowest wall speed ratio, baseline ÷ measured (1.0 = unchanged).
+    ratio: Option<(f64, &'static str)>,
+    /// Largest events/packet growth over the baseline (1.0 = unchanged).
+    growth: Option<(f64, &'static str)>,
+    /// Largest excess over the baseline per exact gate (0 = unchanged).
+    exact: [Option<(i64, &'static str)>; EXACT_GATES.len()],
+}
+
+impl Worst {
+    /// Every gate's verdict, in gate order: `(gate, Ok(passed line) or
+    /// Err(failure line))`. Each gate is judged on its own, so a host
+    /// that fails the wall gate still reports the host-independent ones.
+    /// Gates the baseline entry has no key for are left out.
+    fn verdicts(&self) -> Vec<(&'static str, Result<String, String>)> {
+        let mut out = Vec::new();
+        if let Some((ratio, name)) = self.ratio {
+            let verdict = if ratio < 1.0 - REGRESSION_TOLERANCE {
+                Err(format!(
+                    "wall-clock regression: {name} runs at {:.0}% of the committed \
+                     baseline's speed (tolerance {:.0}%)",
+                    ratio * 100.0,
+                    (1.0 - REGRESSION_TOLERANCE) * 100.0
+                ))
+            } else {
+                Ok(format!(
+                    "worst scenario {name} at {ratio:.2}x of the committed baseline's speed (wall)"
+                ))
+            };
+            out.push(("wall clock", verdict));
+        }
         // Entries older than PR 14 carry no events/packet; nothing to gate.
-        if let Some((growth, name)) = worst_growth {
-            if growth > 1.0 + EVENTS_PER_PKT_TOLERANCE {
-                return Err(format!(
+        if let Some((growth, name)) = self.growth {
+            let verdict = if growth > 1.0 + EVENTS_PER_PKT_TOLERANCE {
+                Err(format!(
                     "event-count regression: {name} pops {:.1}% more events per delivered \
                      packet than the committed baseline (tolerance {:.0}%)",
                     (growth - 1.0) * 100.0,
                     EVENTS_PER_PKT_TOLERANCE * 100.0
-                ));
-            }
-            println!(
-                "check passed: worst scenario {name} at {growth:.3}x of the committed baseline's events/packet"
-            );
+                ))
+            } else {
+                Ok(format!(
+                    "worst scenario {name} at {growth:.3}x of the committed baseline's events/packet"
+                ))
+            };
+            out.push(("events per packet", verdict));
         }
         // Entries recorded before a counter's key carry no count for it;
         // nothing to gate.
-        for (what, worst) in EXACT_GATES.into_iter().zip(worst_exact) {
+        for (what, worst) in EXACT_GATES.into_iter().zip(self.exact) {
             let Some((excess, name)) = worst else {
                 continue;
             };
-            if excess > 0 {
-                return Err(format!(
+            let verdict = if excess > 0 {
+                Err(format!(
                     "{what} regression: {name} paid {excess} more {what} than the \
                      committed baseline (exact gate: any growth fails)"
-                ));
-            }
-            println!(
-                "check passed: worst scenario {name} at {excess:+} {what} vs the committed baseline"
-            );
+                ))
+            } else {
+                Ok(format!(
+                    "worst scenario {name} at {excess:+} {what} vs the committed baseline"
+                ))
+            };
+            out.push((what, verdict));
         }
+        out
     }
-    Ok(())
 }
 
 // ---- BENCH_engine.json ----------------------------------------------------
@@ -823,6 +868,46 @@ mod tests {
             [Some(0), None],
             "pre-builds row gates rebuilds only"
         );
+    }
+
+    /// A failing wall gate does not hide the gates after it: every
+    /// verdict is reported, and every failed gate is named.
+    #[test]
+    fn check_reports_every_gate_when_wall_fails() {
+        let worst = Worst {
+            ratio: Some((0.5, "slow")),
+            growth: Some((1.0, "same")),
+            exact: [Some((3, "rebuilt")), Some((0, "built"))],
+        };
+        let verdicts = worst.verdicts();
+        let gates: Vec<_> = verdicts.iter().map(|(gate, _)| *gate).collect();
+        assert_eq!(
+            gates,
+            [
+                "wall clock",
+                "events per packet",
+                "medium rebuilds",
+                "medium list builds"
+            ]
+        );
+        let failed: Vec<_> = verdicts
+            .iter()
+            .filter(|(_, v)| v.is_err())
+            .map(|(gate, _)| *gate)
+            .collect();
+        assert_eq!(failed, ["wall clock", "medium rebuilds"]);
+        let (_, rebuilds) = &verdicts[2];
+        assert!(rebuilds
+            .as_ref()
+            .unwrap_err()
+            .contains("rebuilt paid 3 more"));
+        // Gates the baseline has no key for are left out, not passed.
+        let partial = Worst {
+            ratio: Some((1.1, "fast")),
+            ..Worst::default()
+        };
+        assert_eq!(partial.verdicts().len(), 1);
+        assert!(partial.verdicts()[0].1.is_ok());
     }
 
     /// A row's wave ratios are the report's: events per delivered

@@ -8,8 +8,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use mwn_aodv::{AodvCounters, NodeMap, Router};
-use mwn_mac80211::{Dcf, MacCounters, MacTimer};
+use mwn_aodv::{AodvCounters, Router};
+use mwn_mac80211::{Dcf, MacCounters, MacParams, MacTimer};
 use mwn_obs::flight::{self, FlightRecorder};
 use mwn_obs::{
     ConservationAudit, ConservationReport, CounterBlock, DropLedger, DropReason, FctSummary,
@@ -18,7 +18,7 @@ use mwn_obs::{
 use mwn_phy::{EnergyMeter, EnergyParams, Medium, Transceiver, TxId};
 use mwn_pkt::{Body, FlowId, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
-use mwn_sim::{EngineProfile, EventId, EventQueue, Pcg32, SimDuration, SimTime};
+use mwn_sim::{EngineProfile, EventId, EventQueue, FxHashMap, Pcg32, SimDuration, SimTime};
 use mwn_tcp::{
     PacedUdpSource, TcpSender, TcpSenderStats, TcpSink, TcpSinkStats, TransportTimer, UdpSink,
 };
@@ -32,7 +32,7 @@ mod cascade;
 mod flows;
 mod frames;
 
-use cascade::Pools;
+use cascade::{ParkedNav, Pools};
 use flows::{FlowDst, FlowMeta, FlowSrc, Flows};
 use frames::FrameSlab;
 
@@ -200,11 +200,14 @@ pub struct Network {
     now: SimTime,
     queue: EventQueue<Event>,
     medium: Medium,
-    params: mwn_mac80211::MacParams,
+    /// The one MAC parameter set every [`Dcf`] shares.
+    params: Arc<MacParams>,
     transceivers: Vec<Transceiver>,
     macs: Vec<Dcf>,
     routers: Vec<Router>,
     energy: Vec<EnergyMeter>,
+    /// The one power draw every [`EnergyMeter`] is read at.
+    energy_params: EnergyParams,
     /// Flow slab: persistent flows occupy slots `0..n` forever; traffic
     /// flows churn through the remainder via the free list.
     flows: Flows,
@@ -214,14 +217,13 @@ pub struct Network {
     frames: FrameSlab,
     /// Flat per-node MAC timer table, indexed by [`MacTimer::index`].
     mac_timers: Vec<[Option<EventId>; MacTimer::COUNT]>,
-    /// Per node: the `(time, seq)` of a parked NAV (`cascade::set_mac_timer`).
-    nav_parked: Vec<Option<(SimTime, u64)>>,
+    /// Per node: the parked NAV, if any (`cascade::set_mac_timer`).
+    nav_parked: Vec<Option<ParkedNav>>,
     /// Earliest NAV woken during the segment [`Network::walk_segment`] walks.
     wave_floor: SimTime,
-    /// Flat per-node AODV discovery timer table: outer `Vec` indexed by
-    /// node, inner sorted map keyed by the destination being discovered
-    /// (a node rarely runs more than a handful of discoveries at once).
-    discovery_timers: Vec<NodeMap<EventId>>,
+    /// AODV discovery timers, keyed by `(node, destination)`: one map for
+    /// the network, since only the few nodes running a discovery hold one.
+    discovery_timers: FxHashMap<(NodeId, NodeId), EventId>,
     /// Flat per-flow transport timer table, `[role][timer]`.
     transport_timers: Vec<[[Option<EventId>; TransportTimer::COUNT]; 2]>,
     total_delivered: u64,
@@ -268,7 +270,7 @@ impl std::fmt::Debug for Network {
 impl Network {
     pub(crate) fn build(scenario: &Scenario) -> Network {
         let n = scenario.topology.len();
-        let params = scenario.mac_params();
+        let params = Arc::new(scenario.mac_params());
         // Lists are stored when their node transmits twice in an
         // epoch: a mobile field's first tick would make any list built
         // here stale.
@@ -277,7 +279,7 @@ impl Network {
 
         let transceivers = vec![Transceiver::with_capture(scenario.ranges.capture_threshold); n];
         let macs: Vec<Dcf> = (0..n)
-            .map(|i| Dcf::new(NodeId(i as u32), params, root.fork()))
+            .map(|i| Dcf::new(NodeId(i as u32), Arc::clone(&params), root.fork()))
             .collect();
         let routers: Vec<Router> = (0..n)
             .map(|i| {
@@ -290,7 +292,7 @@ impl Network {
                 )
             })
             .collect();
-        let energy = vec![EnergyMeter::new(EnergyParams::wavelan()); n];
+        let energy = vec![EnergyMeter::new(); n];
 
         let mut queue = EventQueue::new();
         let mut flows = Flows::default();
@@ -416,13 +418,14 @@ impl Network {
             macs,
             routers,
             energy,
+            energy_params: EnergyParams::wavelan(),
             flows,
             traffic,
             frames: FrameSlab::new(),
             mac_timers: vec![[None; MacTimer::COUNT]; n],
             nav_parked: vec![None; n],
             wave_floor: SimTime::MAX,
-            discovery_timers: vec![NodeMap::new(); n],
+            discovery_timers: FxHashMap::default(),
             transport_timers: vec![[[None; TransportTimer::COUNT]; 2]; flow_count],
             total_delivered: 0,
             trace: None,
@@ -590,34 +593,42 @@ impl Network {
     }
 
     /// Tracked estimate of per-node engine state, in heap bytes: the
-    /// fixed struct-of-arrays slot every node occupies (transceiver,
-    /// MAC, router, timer-table rows) plus each node's dynamic
+    /// fixed struct-of-arrays slot every node occupies
+    /// ([`Network::fixed_bytes_per_node`]) plus each node's dynamic
     /// per-destination state (routing/duplicate tables, discovery
-    /// buffers, interface queue) and the medium's effect lists
-    /// ([`Network::medium_memory_bytes`]), averaged over the node count.
+    /// buffers, interface queue, receive-dedup cache, active-signal
+    /// list), the network's discovery-timer map and the medium's effect
+    /// lists ([`Network::medium_memory_bytes`]), averaged over the node
+    /// count.
     ///
     /// This is an accounting estimate of what the flat per-node layouts
     /// charge — not an allocator measurement; pair it with the bench's
     /// peak-RSS column for ground truth.
     pub fn bytes_per_node(&self) -> u64 {
-        use std::mem::size_of;
         let n = self.macs.len().max(1);
-        let fixed = size_of::<Transceiver>()
+        let dynamic: usize = (0..n)
+            .map(|i| {
+                self.transceivers[i].memory_bytes()
+                    + self.macs[i].memory_bytes()
+                    + self.routers[i].memory_bytes()
+            })
+            .sum::<usize>()
+            + self.discovery_timers.capacity() * std::mem::size_of::<((NodeId, NodeId), EventId)>()
+            + self.medium.memory_bytes();
+        Self::fixed_bytes_per_node() + (dynamic / n) as u64
+    }
+
+    /// The fixed part of [`Network::bytes_per_node`]: one node's
+    /// transceiver, MAC, router, energy meter, MAC timer row and parked
+    /// NAV slot, whatever the node does.
+    pub fn fixed_bytes_per_node() -> u64 {
+        use std::mem::size_of;
+        (size_of::<Transceiver>()
             + size_of::<Dcf>()
             + size_of::<Router>()
             + size_of::<EnergyMeter>()
             + size_of::<[Option<EventId>; MacTimer::COUNT]>()
-            + size_of::<Option<(SimTime, u64)>>()
-            + size_of::<NodeMap<EventId>>();
-        let dynamic: usize = (0..n)
-            .map(|i| {
-                self.macs[i].memory_bytes()
-                    + self.routers[i].memory_bytes()
-                    + self.discovery_timers[i].memory_bytes()
-            })
-            .sum::<usize>()
-            + self.medium.memory_bytes();
-        (fixed + dynamic / n) as u64
+            + size_of::<Option<ParkedNav>>()) as u64
     }
 
     /// The live flow id occupying `slot`, if any (traffic churn means a
@@ -752,13 +763,13 @@ impl Network {
 
     /// Total radio energy consumed by `node` so far, in joules.
     pub fn node_energy_joules(&self, node: NodeId) -> f64 {
-        self.energy[node.index()].consumed(self.now)
+        self.energy[node.index()].consumed(&self.energy_params, self.now)
     }
 
     /// Total radio energy over all nodes, in joules.
     pub fn total_energy_joules(&self) -> f64 {
         (0..self.energy.len())
-            .map(|i| self.energy[i].consumed(self.now))
+            .map(|i| self.energy[i].consumed(&self.energy_params, self.now))
             .sum()
     }
 

@@ -16,6 +16,8 @@
 //! pay for their radio state only: a MAC that answers with no action skips
 //! the apply path, and a NAV it has no use for is parked, not queued.
 
+use std::num::NonZeroU64;
+
 use mwn_aodv::{AodvAction, AodvDropReason};
 use mwn_mac80211::{MacAction, MacDropReason, MacTimer};
 use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
@@ -34,6 +36,26 @@ use super::{
     fnv_mix, transport_flow, Event, Network, Role, SinkAgent, SourceAgent, JOURNAL_ARRIVAL,
     JOURNAL_COMPLETION, PERSISTENT,
 };
+
+/// A parked NAV: the `(time, seq)` it would have been queued under. The
+/// number is kept plus one, so `Option<ParkedNav>` is 16 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ParkedNav {
+    time: SimTime,
+    seq_plus_one: NonZeroU64,
+}
+
+impl ParkedNav {
+    fn new(time: SimTime, seq: u64) -> Self {
+        let seq_plus_one = NonZeroU64::MIN.saturating_add(seq);
+        ParkedNav { time, seq_plus_one }
+    }
+
+    /// The `(time, seq)` to queue the NAV under.
+    fn key(self) -> (SimTime, u64) {
+        (self.time, self.seq_plus_one.get() - 1)
+    }
+}
 
 /// Recycled action buffers. Dispatch re-enters (a delivered frame can
 /// trigger a new send), so each taker pops its own buffer and the apply
@@ -74,7 +96,7 @@ impl Network {
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvDiscovery { node, dst } => {
-                self.discovery_timers[node.index()].remove(dst);
+                self.discovery_timers.remove(&(node, dst));
                 let mut actions = self.pools.aodv.pop().unwrap_or_default();
                 self.routers[node.index()].on_discovery_timeout(self.now, dst, &mut actions);
                 self.apply_aodv_actions(node, actions);
@@ -860,7 +882,7 @@ impl Network {
         #[cfg(any(test, feature = "oracle"))]
         let park = park && !self.eager_nav;
         if park {
-            self.nav_parked[node.index()] = Some((time, self.queue.reserve_seqs(1)));
+            self.nav_parked[node.index()] = Some(ParkedNav::new(time, self.queue.reserve_seqs(1)));
         } else {
             let id = self.queue.schedule(time, Event::Mac { node, timer });
             self.mac_timers[node.index()][timer.index()] = Some(id);
@@ -886,7 +908,10 @@ impl Network {
     /// (one already due fired unnoticed, a no-op); a walked wave yields to it.
     fn wake_parked_nav(&mut self, node: NodeId) {
         let i = node.index();
-        let Some((time, seq)) = self.nav_parked[i].filter(|_| self.macs[i].wants_medium()) else {
+        let Some((time, seq)) = self.nav_parked[i]
+            .filter(|_| self.macs[i].wants_medium())
+            .map(ParkedNav::key)
+        else {
             return;
         };
         self.nav_parked[i] = None;
@@ -939,17 +964,15 @@ impl Network {
     }
 
     fn set_discovery_timer(&mut self, time: SimTime, node: NodeId, dst: NodeId) {
-        if let Some(old) = self.discovery_timers[node.index()].remove(dst) {
-            self.queue.cancel(old);
-        }
+        self.cancel_discovery_timer(node, dst);
         let id = self
             .queue
             .schedule(time, Event::AodvDiscovery { node, dst });
-        self.discovery_timers[node.index()].insert(dst, id);
+        self.discovery_timers.insert((node, dst), id);
     }
 
     fn cancel_discovery_timer(&mut self, node: NodeId, dst: NodeId) {
-        if let Some(old) = self.discovery_timers[node.index()].remove(dst) {
+        if let Some(old) = self.discovery_timers.remove(&(node, dst)) {
             self.queue.cancel(old);
         }
     }

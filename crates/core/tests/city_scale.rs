@@ -6,9 +6,13 @@
 //! the claim with the router counters — same topology, same local flows,
 //! naive flooding vs [`AodvConfig::city`] — and asserts at least a 5×
 //! reduction in RREQ rebroadcasts.
+//!
+//! Beside it, what a city costs per node: the fixed slot every node
+//! occupies, and the heap a freshly built network holds (none).
 
 use mwn::{
-    topology, AodvConfig, DataRate, FlowSpec, NodeId, Scenario, SimDuration, SimTime, Transport,
+    topology, AodvConfig, DataRate, FlowSpec, Network, NodeId, Scenario, SimDuration, SimTime,
+    Transport,
 };
 use mwn_phy::{Medium, RangeModel};
 
@@ -147,4 +151,23 @@ fn effect_lists_are_stored_on_second_transmission() {
     let held = net.medium_memory_bytes();
     assert!(held >= bytes(&mut repeaters.iter()), "{held} B");
     assert!(held < bytes(&mut transmissions.keys()), "{held} B");
+}
+
+/// Every node occupies a fixed slot — transceiver, MAC, router, energy
+/// meter, timer row — that holds no network-wide constant, and every
+/// per-node table, queue and list allocates on first use: a freshly
+/// built 20 000-node city holds no per-node heap at all.
+#[test]
+fn city_network_starts_with_no_per_node_heap() {
+    let fixed = Network::fixed_bytes_per_node();
+    assert!(fixed <= 700, "fixed per-node slot is {fixed} B");
+    let topology = topology::random_large(20_000, 4242);
+    let flows = vec![FlowSpec {
+        src: NodeId(0),
+        dst: NodeId(19_999),
+        transport: Transport::newreno(),
+    }];
+    let net = Scenario::new(topology, flows, DataRate::MBPS_11, 4242).build();
+    assert_eq!(net.node_count(), 20_000);
+    assert_eq!(net.bytes_per_node(), fixed, "per-node heap at set-up");
 }

@@ -1,10 +1,9 @@
 //! The DCF state machine.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use mwn_sim::FxHashMap;
-
-use mwn_pkt::{MacFrame, NodeId, Packet};
+use mwn_pkt::{MacFrame, NodeId, NodeMap, Packet};
 use mwn_sim::{Pcg32, SimDuration, SimTime};
 
 use crate::backoff::Backoff;
@@ -159,8 +158,12 @@ struct CurrentTx {
 #[derive(Debug, Clone)]
 pub struct Dcf {
     me: NodeId,
-    params: MacParams,
+    /// Shared by every MAC of a network: one copy, not one per node.
+    params: Arc<MacParams>,
     rng: Pcg32,
+    /// The interface queue. Most nodes of a large field only ever
+    /// forward a flood's one broadcast, so its first allocation holds
+    /// one packet.
     queue: VecDeque<(NodeId, Packet)>,
     current: Option<CurrentTx>,
     on_air: Option<OnAir>,
@@ -173,7 +176,7 @@ pub struct Dcf {
     nav_until: SimTime,
     eifs_next: bool,
     next_seq: u16,
-    rx_cache: FxHashMap<NodeId, u16>,
+    rx_cache: NodeMap<u16>,
     /// EWMA of transmission attempts per completed exchange (link-RED
     /// extension's contention estimate).
     retry_ewma: f64,
@@ -184,10 +187,13 @@ pub struct Dcf {
 }
 
 impl Dcf {
-    /// Creates an idle MAC for node `me`.
-    pub fn new(me: NodeId, params: MacParams, rng: Pcg32) -> Self {
+    /// Creates an idle MAC for node `me`. A network hands every MAC a
+    /// clone of one `Arc<MacParams>`; a lone `MacParams` is wrapped.
+    pub fn new(me: NodeId, params: impl Into<Arc<MacParams>>, rng: Pcg32) -> Self {
+        let params = params.into();
         Dcf {
             me,
+            cw: params.cw_min,
             params,
             rng,
             queue: VecDeque::new(),
@@ -196,13 +202,12 @@ impl Dcf {
             awaiting: None,
             pending_resp: None,
             backoff: Backoff::new(),
-            cw: params.cw_min,
             defer_armed: false,
             carrier_busy: false,
             nav_until: SimTime::ZERO,
             eifs_next: false,
             next_seq: 0,
-            rx_cache: FxHashMap::default(),
+            rx_cache: NodeMap::new(),
             retry_ewma: 0.0,
             counters: MacCounters::default(),
             #[cfg(any(test, feature = "oracle"))]
@@ -237,7 +242,7 @@ impl Dcf {
     /// accounting.
     pub fn memory_bytes(&self) -> usize {
         self.queue.capacity() * std::mem::size_of::<(NodeId, Packet)>()
-            + self.rx_cache.capacity() * std::mem::size_of::<(NodeId, u16)>()
+            + self.rx_cache.memory_bytes()
     }
 
     /// This node's MAC address.
@@ -283,6 +288,9 @@ impl Dcf {
                 reason: MacDropReason::QueueFull,
             });
             return;
+        }
+        if self.queue.capacity() == 0 {
+            self.queue.reserve_exact(1);
         }
         self.queue.push_back((next_hop, packet));
         self.maybe_start_contention(now, out);
@@ -622,7 +630,7 @@ impl Dcf {
                 delay: self.params.sifs,
             });
         }
-        if self.rx_cache.get(&src) == Some(&seq) {
+        if self.rx_cache.get(src) == Some(&seq) {
             self.counters.duplicates_suppressed += 1;
         } else {
             self.rx_cache.insert(src, seq);
@@ -966,6 +974,35 @@ mod tests {
         )));
         assert_eq!(m.counters().queue_drops, 1);
         assert_eq!(m.queue_len(), 50);
+    }
+
+    /// An idle MAC holds no heap; its first packet reserves one queue
+    /// slot, and a backlog grows the queue amortised.
+    #[test]
+    fn first_enqueue_reserves_exactly_one_slot() {
+        let mut m = mac(0);
+        assert_eq!(m.memory_bytes(), 0);
+        act!(m.on_carrier_busy(t(0)));
+        let slot = std::mem::size_of::<(NodeId, Packet)>();
+        let mut slots = Vec::new();
+        for i in 0..5 {
+            act!(m.enqueue(t(1), NodeId(1), data_packet(i)));
+            slots.push(m.memory_bytes() / slot);
+        }
+        assert_eq!(slots, vec![1, 4, 4, 4, 8]);
+    }
+
+    /// Every MAC built from one `Arc<MacParams>` shares it.
+    #[test]
+    fn macs_share_one_parameter_set() {
+        let shared = std::sync::Arc::new(params());
+        let macs: Vec<Dcf> = (0..3)
+            .map(|i| Dcf::new(NodeId(i), shared.clone(), Pcg32::new(u64::from(i))))
+            .collect();
+        assert_eq!(std::sync::Arc::strong_count(&shared), 4);
+        assert!(macs
+            .iter()
+            .all(|m| std::sync::Arc::ptr_eq(&m.params, &shared)));
     }
 
     #[test]

@@ -39,34 +39,33 @@ impl Default for EnergyParams {
 
 /// Accumulates radio airtime for one node and converts it to joules.
 ///
+/// The meter holds only the node's two airtimes; the power draw is one
+/// [`EnergyParams`] for the whole network, passed to
+/// [`EnergyMeter::consumed`].
+///
 /// # Example
 ///
 /// ```
 /// use mwn_phy::{EnergyMeter, EnergyParams};
 /// use mwn_sim::{SimDuration, SimTime};
 ///
-/// let mut m = EnergyMeter::new(EnergyParams::wavelan());
+/// let mut m = EnergyMeter::new();
 /// m.add_tx(SimDuration::from_secs(1));
 /// m.add_rx(SimDuration::from_secs(2));
-/// let joules = m.consumed(SimTime::ZERO + SimDuration::from_secs(10));
+/// let joules = m.consumed(&EnergyParams::wavelan(), SimTime::ZERO + SimDuration::from_secs(10));
 /// // 1s tx + 2s rx + 7s idle
 /// assert!((joules - (1.4 + 2.0 * 0.9 + 7.0 * 0.74)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyMeter {
-    params: EnergyParams,
     tx_time: SimDuration,
     rx_time: SimDuration,
 }
 
 impl EnergyMeter {
-    /// Creates a meter with the given power parameters.
-    pub fn new(params: EnergyParams) -> Self {
-        EnergyMeter {
-            params,
-            tx_time: SimDuration::ZERO,
-            rx_time: SimDuration::ZERO,
-        }
+    /// Creates a meter with no airtime recorded.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records transmit airtime.
@@ -89,18 +88,18 @@ impl EnergyMeter {
         self.rx_time
     }
 
-    /// Total energy consumed (joules) by time `now`, counting all
-    /// non-tx/rx time as idle.
+    /// Total energy consumed (joules) by time `now` at power draw
+    /// `params`, counting all non-tx/rx time as idle.
     ///
     /// If recorded airtime exceeds `now` (overlapping receive intervals),
     /// idle time is clamped to zero rather than going negative.
-    pub fn consumed(&self, now: SimTime) -> f64 {
+    pub fn consumed(&self, params: &EnergyParams, now: SimTime) -> f64 {
         let total = now.saturating_duration_since(SimTime::ZERO);
         let busy = self.tx_time + self.rx_time;
         let idle = total.saturating_sub(busy);
-        self.tx_time.as_secs_f64() * self.params.tx_watts
-            + self.rx_time.as_secs_f64() * self.params.rx_watts
-            + idle.as_secs_f64() * self.params.idle_watts
+        self.tx_time.as_secs_f64() * params.tx_watts
+            + self.rx_time.as_secs_f64() * params.rx_watts
+            + idle.as_secs_f64() * params.idle_watts
     }
 }
 
@@ -110,22 +109,28 @@ mod tests {
 
     #[test]
     fn idle_only_node_draws_idle_power() {
-        let m = EnergyMeter::new(EnergyParams::wavelan());
-        let j = m.consumed(SimTime::ZERO + SimDuration::from_secs(100));
+        let m = EnergyMeter::new();
+        let j = m.consumed(
+            &EnergyParams::wavelan(),
+            SimTime::ZERO + SimDuration::from_secs(100),
+        );
         assert!((j - 74.0).abs() < 1e-9);
     }
 
     #[test]
     fn idle_clamped_when_airtime_overlaps() {
-        let mut m = EnergyMeter::new(EnergyParams::wavelan());
+        let mut m = EnergyMeter::new();
         m.add_rx(SimDuration::from_secs(10)); // more than elapsed
-        let j = m.consumed(SimTime::ZERO + SimDuration::from_secs(5));
+        let j = m.consumed(
+            &EnergyParams::wavelan(),
+            SimTime::ZERO + SimDuration::from_secs(5),
+        );
         assert!((j - 9.0).abs() < 1e-9); // 10s rx, no negative idle
     }
 
     #[test]
     fn accumulates() {
-        let mut m = EnergyMeter::new(EnergyParams::wavelan());
+        let mut m = EnergyMeter::new();
         m.add_tx(SimDuration::from_millis(500));
         m.add_tx(SimDuration::from_millis(500));
         assert_eq!(m.tx_time(), SimDuration::from_secs(1));

@@ -201,9 +201,12 @@ pub struct SignalClass {
 /// stores nothing; its second stores the list in the node's own slot,
 /// adopting it from the ring if the ring still holds it, else building
 /// (never stored) or rebuilding (stored before a move batch) it in
-/// place. So a route-request flood, where most forwarders transmit once,
-/// pins no list per forwarder, while a node that transmits repeatedly
-/// pays one scan per epoch. A one-shot list and a stored list at the
+/// place. A node whose list was stored in the previous epoch stores at
+/// its first refresh: it already holds the slot, and a repeat
+/// transmitter is the likeliest to send again before the ring wraps. So
+/// a route-request flood, where most forwarders transmit once, pins no
+/// list per forwarder, while a node that transmits repeatedly pays one
+/// scan per epoch. A one-shot list and a stored list at the
 /// same epoch are the same pure function of the positions, so what a
 /// refresh returns does not depend on the rule. [`Medium::new`] and
 /// [`Medium::refresh_all`] store every list.
@@ -278,9 +281,10 @@ pub struct Medium {
 const NEVER_BUILT: u64 = u64::MAX;
 
 /// One-shot buffers kept for a second refresh to adopt. On a flooding
-/// `city-mobile` round 91 % of stored lists are adopted at 16 (79 % at
-/// 8, 96 % at 32), and 16 lists of ≈ 2 KB cost next to nothing beside
-/// the stored ones.
+/// `city-mobile` round 91 % of stored lists were adopted at 16 (79 % at
+/// 8, 96 % at 32) before lists stored in the previous epoch skipped the
+/// ring, and 16 lists of ≈ 2 KB cost next to nothing beside the stored
+/// ones.
 const ONE_SHOT_RING: usize = 16;
 
 /// A one-shot list and whose it is: `node`'s list at `epoch`
@@ -390,7 +394,8 @@ impl Medium {
     /// accessor for transmission-time fan-out. A list stored at this
     /// epoch returns at once (sorted first if [`Medium::new`] left it
     /// unsorted). Otherwise the node's first refresh in this epoch fills
-    /// a one-shot list and stores nothing, and its second stores the list
+    /// a one-shot list and stores nothing, and its second stores the list;
+    /// a node that stored its list in the previous epoch stores at once
     /// (see [`Medium`]).
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
         self.refresh_admitting(tx.index(), false)
@@ -400,7 +405,9 @@ impl Medium {
     fn refresh_admitting(&mut self, i: usize, store: bool) -> &[Effect] {
         self.counters.queries += 1;
         if self.node_epoch[i] != self.epoch {
-            if !store && self.one_shot_epoch[i] != self.epoch {
+            let second = self.one_shot_epoch[i] == self.epoch;
+            let stored_last_epoch = self.epoch.checked_sub(1) == Some(self.node_epoch[i]);
+            if !(store || second || stored_last_epoch) {
                 return self.fill_one_shot(i);
             }
             self.store(i);
@@ -996,11 +1003,12 @@ mod lazy_tests {
     fn refresh_tiers_and_counters() {
         let mut m = cluster_and_far();
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
+        m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
         // One move batch makes every list stale, near the mover or not.
         for i in 0..3u32 {
             assert!(!m.is_fresh(NodeId(i)));
         }
-        // A stale list's first read this epoch is a one-shot fill.
+        // A list stored two epochs ago is read one-shot first.
         let fx = m.refresh(NodeId(0));
         assert_eq!(fx.len(), 1, "node 1 is ~224 m away");
         assert!(fx[0].class.decodable);
@@ -1011,8 +1019,16 @@ mod lazy_tests {
         m.refresh(NodeId(2));
         assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(0)) && !m.is_fresh(NodeId(1)));
         let c = m.counters();
-        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (1, 4, 2, 1));
+        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (2, 4, 2, 1));
         assert_eq!(c.revalidations, 0);
+        // One batch later node 2's list, stored last epoch, is stored at
+        // its first read; node 0's, two epochs old, is read one-shot.
+        m.move_nodes(&[(NodeId(1), Position::new(200.0, 0.0))]);
+        m.refresh(NodeId(2));
+        m.refresh(NodeId(0));
+        assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(0)));
+        let c = m.counters();
+        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (3, 6, 3, 2));
     }
 
     #[test]
@@ -1020,6 +1036,7 @@ mod lazy_tests {
         let mut m = cluster_and_far();
         m.refresh(NodeId(2)); // only the sort the build left
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
+        m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
         m.refresh(NodeId(0)); // one-shot scan, then sort
         m.refresh(NodeId(0)); // neither: the ring's list is adopted
         m.refresh(NodeId(0)); // a hit
@@ -1094,12 +1111,48 @@ mod lazy_tests {
             fx,
             ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(0))
         );
-        // The same list stored after the next batch is a rebuild.
+        // The same list stored after the next batch is a rebuild, at its
+        // first read: it was stored in the previous epoch.
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 0.0))]);
         m.refresh(NodeId(0));
+        assert!(m.is_fresh(NodeId(0)));
+        let c = m.counters();
+        assert_eq!((c.one_shots, c.builds, c.rebuilds), (1, 1, 1));
+    }
+
+    /// The admission rule's carry-over: a node that stored its list in
+    /// the previous epoch stores it at its first refresh of this one, so
+    /// however many one-shots come before its next refresh it pays one
+    /// scan per epoch; one epoch without a refresh returns it to the
+    /// one-shot rule.
+    #[test]
+    fn list_stored_last_epoch_is_stored_at_first_refresh() {
+        let mut m = Medium::lazy(line(ONE_SHOT_RING + 4), RangeModel::paper());
+        m.refresh(NodeId(0));
+        m.refresh(NodeId(0));
+        assert!(m.is_fresh(NodeId(0)));
+        m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
+        let _ = m.take_lazy_profile();
+        let want = ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(0));
+        assert_eq!(m.refresh(NodeId(0)), want);
+        assert!(m.is_fresh(NodeId(0)), "stored at the first refresh");
+        for tx in 1..=ONE_SHOT_RING as u32 + 1 {
+            m.refresh(NodeId(tx));
+        }
         m.refresh(NodeId(0));
         let c = m.counters();
-        assert_eq!((c.one_shots, c.builds, c.rebuilds), (2, 1, 1));
+        assert_eq!(
+            (c.one_shots, c.builds, c.rebuilds),
+            (ONE_SHOT_RING as u64 + 2, 1, 1)
+        );
+        let [scans, _] = m.take_lazy_profile();
+        assert_eq!(scans.0, ONE_SHOT_RING as u64 + 2, "node 0 scanned once");
+        // Two batches with no refresh between them: one-shot again.
+        m.move_nodes(&[(NodeId(5), Position::new(500.0, 0.0))]);
+        m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
+        m.refresh(NodeId(0));
+        assert!(!m.is_fresh(NodeId(0)));
+        assert_eq!(m.counters().one_shots, ONE_SHOT_RING as u64 + 3);
     }
 
     /// `n` nodes 100 m apart on a line: every list is non-empty.
@@ -1182,7 +1235,8 @@ mod lazy_tests {
             (c.one_shots, c.builds, c.sorts),
             (ONE_SHOT_RING as u64 + 2, 2, 2)
         );
-        // The next batch makes both stale: stored again, as rebuilds.
+        // The next batch makes both stale: stored again at their first
+        // refresh (both stored last epoch), as rebuilds.
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
         for tx in [0, 1, 0, 1] {
             let expected = want(&m, tx);
@@ -1239,6 +1293,7 @@ mod lazy_tests {
         let mut m = cluster_and_far();
         let before = m.refresh(NodeId(0)).to_vec();
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
+        m.move_nodes(&[(NodeId(2), Position::new(5000.0, 50.0))]);
         assert!(!m.is_fresh(NodeId(0)));
         let once = m.refresh(NodeId(0)).to_vec();
         let after = m.refresh(NodeId(0)).to_vec();

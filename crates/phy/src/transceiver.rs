@@ -76,16 +76,19 @@ pub enum RadioEvent {
 pub struct Transceiver {
     /// All signals currently on the air at this node. A handful at most, so
     /// a flat list beats a hash map on every lookup the hot path makes.
+    /// Most nodes of a large field only ever hear one at a time, so the
+    /// first allocation holds one signal.
     active: Vec<(TxId, SignalClass)>,
     /// Count of active signals with `senses == true`.
-    sensing: usize,
+    sensing: u32,
     /// The reception we are locked onto, if any.
     rx: Option<RxState>,
     transmitting: bool,
     /// Physical-capture threshold (linear power ratio; ns-2 `CPThresh_`).
     /// A locked frame survives interference weaker than
-    /// `locked_power / threshold`; `None` means any overlap corrupts.
-    capture_threshold: Option<f64>,
+    /// `locked_power / threshold`; infinite (no capture) means any overlap
+    /// corrupts.
+    capture_threshold: f64,
     /// Capture/collision/EIFS decision counts.
     counters: PhyCounters,
 }
@@ -121,9 +124,15 @@ impl Transceiver {
             sensing: 0,
             rx: None,
             transmitting: false,
-            capture_threshold,
+            capture_threshold: capture_threshold.unwrap_or(f64::INFINITY),
             counters: PhyCounters::default(),
         }
+    }
+
+    /// Heap bytes of the active-signal list, by capacity, for the
+    /// engine's `bytes_per_node` accounting.
+    pub fn memory_bytes(&self) -> usize {
+        self.active.capacity() * std::mem::size_of::<(TxId, SignalClass)>()
     }
 
     /// Capture/collision/EIFS statistics accumulated so far.
@@ -134,10 +143,8 @@ impl Transceiver {
     /// `true` if interference at `interferer_power` corrupts a locked
     /// frame received at `locked_power`.
     fn corrupts(&self, locked_power: f64, interferer_power: f64) -> bool {
-        match self.capture_threshold {
-            None => true,
-            Some(thr) => locked_power < interferer_power * thr,
-        }
+        let thr = self.capture_threshold;
+        thr == f64::INFINITY || locked_power < interferer_power * thr
     }
 
     /// Physical carrier sense: busy while transmitting or while any
@@ -168,6 +175,9 @@ impl Transceiver {
             !self.active.iter().any(|&(id, _)| id == tx),
             "duplicate signal id {tx:?}"
         );
+        if self.active.capacity() == 0 {
+            self.active.reserve_exact(1);
+        }
         self.active.push((tx, class));
         if class.senses {
             self.sensing += 1;
@@ -521,6 +531,22 @@ mod tests {
                 RadioEvent::CarrierIdle
             ]
         );
+    }
+
+    /// An idle radio holds no heap; the first signal it hears reserves
+    /// one slot, and overlapping signals grow the list amortised.
+    #[test]
+    fn first_signal_reserves_exactly_one_slot() {
+        let mut r = Transceiver::new();
+        assert_eq!(r.memory_bytes(), 0);
+        let slot = std::mem::size_of::<(TxId, SignalClass)>();
+        let mut slots = Vec::new();
+        for i in 0..5 {
+            start(&mut r, TxId(i), interference());
+            slots.push(r.memory_bytes() / slot);
+        }
+        assert_eq!(slots, vec![1, 4, 4, 4, 8]);
+        assert!(std::mem::size_of::<Transceiver>() <= 88);
     }
 
     /// The duplicate-id check is a debug assertion (skipped in release).

@@ -3,7 +3,8 @@
 //! Defines the identifiers, network-layer packets and link-layer frames that
 //! flow between the PHY (`mwn-phy`), MAC (`mwn-mac80211`), routing
 //! (`mwn-aodv`) and transport (`mwn-tcp`) crates, together with the exact
-//! wire sizes used to compute frame airtimes.
+//! wire sizes used to compute frame airtimes, and [`NodeMap`], the
+//! per-node map the MAC and routing tables are keyed by.
 //!
 //! The transport layer is *packet-granularity*, exactly like ns-2's TCP
 //! agents (and therefore like the paper): a TCP sequence number counts
@@ -24,6 +25,7 @@
 mod aodv;
 mod ids;
 mod mac;
+mod nodemap;
 mod packet;
 pub mod sizes;
 mod tcp;
@@ -32,6 +34,7 @@ mod udp;
 pub use aodv::AodvMessage;
 pub use ids::{FlowId, NodeId};
 pub use mac::{MacFrame, MacFrameKind};
+pub use nodemap::NodeMap;
 pub use packet::{Body, Packet};
 pub use tcp::TcpSegment;
 pub use udp::UdpDatagram;

@@ -1,7 +1,8 @@
-//! A flat, sorted per-destination map keyed by [`NodeId`].
+//! A flat, sorted per-node map keyed by [`NodeId`].
 //!
 //! The router's destination-keyed tables (routes, RREQ duplicate
-//! suppression, pending discoveries) used to be hash maps. At city scale
+//! suppression, pending discoveries) and the MAC's receive-dedup cache
+//! used to be hash maps. At city scale
 //! (50 000 routers) the per-map overhead — heap-sparse buckets, hasher
 //! state, worst-case iteration order — dominates the entries themselves,
 //! and hash iteration order is a determinism hazard. `NodeMap` stores
@@ -12,9 +13,12 @@
 //!
 //! Typical tables hold a handful of destinations (a router only learns
 //! routes its traffic touches), where a sorted vec also beats a hash map
-//! on constants.
+//! on constants. Most hold one: a route-request flood leaves every
+//! forwarder with one reverse route and one seen-request entry and
+//! nothing more, so a map's first allocation is exactly one entry, and
+//! growth is amortised from the second insert on (capacity 1 → 4 → 8).
 
-use mwn_pkt::NodeId;
+use crate::NodeId;
 
 /// A sorted-`Vec` map from [`NodeId`] to `V`.
 #[derive(Debug, Clone)]
@@ -40,6 +44,15 @@ impl<V> NodeMap<V> {
         self.entries.binary_search_by_key(&key, |(k, _)| *k)
     }
 
+    /// Inserts a new entry at `i`: the first allocation holds exactly
+    /// one, later ones grow as `Vec` does.
+    fn insert_at(&mut self, i: usize, key: NodeId, value: V) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(1);
+        }
+        self.entries.insert(i, (key, value));
+    }
+
     /// The value for `key`, if present.
     pub fn get(&self, key: NodeId) -> Option<&V> {
         self.position(key).ok().map(|i| &self.entries[i].1)
@@ -63,7 +76,7 @@ impl<V> NodeMap<V> {
         match self.position(key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
-                self.entries.insert(i, (key, value));
+                self.insert_at(i, key, value);
                 None
             }
         }
@@ -74,7 +87,7 @@ impl<V> NodeMap<V> {
         let i = match self.position(key) {
             Ok(i) => i,
             Err(i) => {
-                self.entries.insert(i, (key, default()));
+                self.insert_at(i, key, default());
                 i
             }
         };
@@ -146,6 +159,24 @@ mod tests {
         let keys: Vec<NodeId> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![NodeId(2), NodeId(5)]);
         assert!(m.memory_bytes() >= 2 * std::mem::size_of::<(NodeId, &str)>());
+    }
+
+    /// A map that is never written allocates nothing; the first insert
+    /// reserves one entry, and growth is amortised after it.
+    #[test]
+    fn first_insert_reserves_exactly_one_entry() {
+        let mut m: NodeMap<u32> = NodeMap::new();
+        assert_eq!(m.memory_bytes(), 0);
+        let entry = std::mem::size_of::<(NodeId, u32)>();
+        let mut capacities = Vec::new();
+        for k in 0..5 {
+            m.insert(NodeId(k), k);
+            capacities.push(m.memory_bytes() / entry);
+        }
+        assert_eq!(capacities, vec![1, 4, 4, 4, 8]);
+        let mut m: NodeMap<u32> = NodeMap::new();
+        *m.or_insert_with(NodeId(3), || 0) += 1;
+        assert_eq!(m.memory_bytes(), entry);
     }
 
     /// One step of the map-differential op language.

@@ -9,6 +9,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 use crate::fxhash::FxHashSet;
 
@@ -118,7 +119,8 @@ impl<E> ReferenceEventQueue<E> {
             self.last_popped
         );
         assert!(seq < self.next_id, "sequence number {seq} was not reserved");
-        let id = EventId(seq);
+        // Handles are non-zero: number `seq` is handle `seq + 1`.
+        let id = EventId(NonZeroU64::MIN.saturating_add(seq));
         let fresh = self.pending.insert(id);
         assert!(fresh, "sequence number {seq} already has a pending event");
         self.heap.push(Reverse(Entry { time, id, event }));
@@ -147,7 +149,7 @@ impl<E> ReferenceEventQueue<E> {
                 continue; // cancelled
             }
             self.last_popped = entry.time;
-            return Some((entry.time, entry.id.0, entry.event));
+            return Some((entry.time, entry.id.0.get() - 1, entry.event));
         }
         None
     }
@@ -166,7 +168,7 @@ impl<E> ReferenceEventQueue<E> {
                 self.heap.pop();
                 continue;
             }
-            return Some((entry.time, entry.id.0));
+            return Some((entry.time, entry.id.0.get() - 1));
         }
         None
     }

@@ -23,12 +23,35 @@
 //! | 1 000 | 1.2 µs | 74 ns |
 //! | 10 000 | 14 µs | 91 ns |
 
+use std::num::NonZeroU64;
+
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable to cancel it before it fires: a
 /// generation-tagged slab index, so a handle outlives its event harmlessly.
+///
+/// The generation is the high half and the slab index *plus one* the low
+/// half, so no handle is zero and `Option<EventId>` is eight bytes: a
+/// node's timer row is one word per timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId(pub(crate) NonZeroU64);
+
+impl EventId {
+    fn new(gen: u32, idx: u32) -> Self {
+        let low = u64::from(idx) + 1;
+        EventId(NonZeroU64::new(u64::from(gen) << 32 | low).expect("the low half is non-zero"))
+    }
+
+    /// The generation the slot had when this handle was issued.
+    fn gen(self) -> u32 {
+        (self.0.get() >> 32) as u32
+    }
+
+    /// The slab index.
+    fn idx(self) -> u32 {
+        (self.0.get() as u32).wrapping_sub(1)
+    }
+}
 
 /// A list entry, `(time_ns, seq, slab index)`; `seq` alone is unique.
 type Ent = (u64, u64, u32);
@@ -129,11 +152,12 @@ impl<E> EventQueue<E> {
                 gen: 0,
                 payload: None,
             });
-            u32::try_from(self.slab.len() - 1).expect("event slab overflow")
+            // Below `u32::MAX`, so the index plus one fits a handle's low half.
+            u32::try_from(self.slab.len()).expect("event slab overflow") - 1
         });
         let slot = &mut self.slab[idx as usize];
         slot.payload = Some(event);
-        let id = EventId(u64::from(slot.gen) << 32 | u64::from(idx));
+        let id = EventId::new(slot.gen, idx);
         let ent = (time.as_nanos(), seq, idx);
         let later = self.list.iter().rposition(|e| *e > ent);
         self.list.insert(later.map_or(0, |i| i + 1), ent);
@@ -144,9 +168,9 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Cancelling one that already
     /// fired or was cancelled is a no-op: its generation no longer matches.
     pub fn cancel(&mut self, id: EventId) {
-        let idx = id.0 as u32;
+        let idx = id.idx();
         match self.slab.get(idx as usize) {
-            Some(slot) if slot.gen == (id.0 >> 32) as u32 && slot.payload.is_some() => {}
+            Some(slot) if slot.gen == id.gen() && slot.payload.is_some() => {}
             _ => return,
         }
         let at = self.list.iter().rposition(|e| e.2 == idx);
@@ -299,12 +323,52 @@ mod tests {
     #[test]
     fn stale_handle_does_not_cancel_slab_reuser() {
         let mut q = EventQueue::new();
+        // The first handle ever issued: generation 0, slab index 0.
         let a = q.schedule(t(1), 'a');
+        assert_eq!((a.gen(), a.idx()), (0, 0));
         assert_eq!(q.pop(), Some((t(1), 'a')));
         // 'b' reuses a's slab slot; a's stale handle must not cancel it.
-        let _b = q.schedule(t(2), 'b');
+        let b = q.schedule(t(2), 'b');
+        assert_eq!((b.gen(), b.idx()), (1, 0));
         q.cancel(a);
         assert_eq!(q.pop(), Some((t(2), 'b')));
+        // A live generation-0 handle at index 0 still cancels its event,
+        // and a later index's generation 0 is told apart from index 0's.
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), 'a');
+        let c = q.schedule(t(1), 'c');
+        assert_eq!((c.gen(), c.idx()), (0, 1));
+        assert_ne!(a, c);
+        q.cancel(a);
+        assert_eq!(q.pop(), Some((t(1), 'c')));
+        q.cancel(c);
+        // Both slots are free again; re-let, neither stale handle cancels.
+        q.schedule(t(2), 'd');
+        q.schedule(t(2), 'e');
+        q.cancel(a);
+        q.cancel(c);
+        assert_eq!(q.len(), 2);
+    }
+
+    /// The niche: a timer slot holding "no event" costs no more than one
+    /// holding a handle.
+    #[test]
+    fn optional_handle_is_one_word() {
+        assert_eq!(std::mem::size_of::<Option<EventId>>(), 8);
+        assert_eq!(std::mem::size_of::<EventId>(), 8);
+    }
+
+    #[test]
+    fn handles_round_trip_at_the_extremes() {
+        for (gen, idx) in [
+            (0, 0),
+            (u32::MAX, 0),
+            (0, u32::MAX - 1),
+            (u32::MAX, u32::MAX - 1),
+        ] {
+            let id = EventId::new(gen, idx);
+            assert_eq!((id.gen(), id.idx()), (gen, idx));
+        }
     }
 
     #[test]

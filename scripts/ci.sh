@@ -23,6 +23,12 @@ RUSTDOCFLAGS="--deny warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
+# The fixed benchmark under bench/ is a workspace of its own that the
+# build above never compiles; it calls the crates' public API, so a
+# change that breaks it fails here, before any test runs.
+echo "==> cargo build --release --manifest-path bench/Cargo.toml"
+cargo build --release --manifest-path bench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
