@@ -55,9 +55,9 @@ impl Staleness {
 
     /// Every query hits, fills a one-shot list or stores one: it hits iff
     /// the stored list is current; otherwise a node's first query in the
-    /// epoch is a one-shot, unless its list was stored in the previous
-    /// epoch, and the query that stores builds iff the list was never
-    /// stored and rebuilds iff a move batch happened since it was.
+    /// epoch is a one-shot, unless its list was ever stored, and the
+    /// query that stores builds iff the list was never stored and
+    /// rebuilds iff a move batch happened since it was.
     fn assert_matches(&self, c: &mwn_phy::MediumCounters) {
         let stored = self.builds + self.rebuilds;
         assert_eq!(c.queries, self.hits + self.one_shots + stored, "{c:?}");
@@ -91,11 +91,9 @@ fn assert_media_agree(
     for tx in reads {
         let id = NodeId(tx as u32);
         let now = Some(grid.epoch());
-        let last = grid.epoch().checked_sub(1);
-        let stored_last_epoch = last.is_some() && model.built[tx] == last;
         if model.built[tx] == now {
             model.hits += 1;
-        } else if model.once[tx] != now && !stored_last_epoch {
+        } else if model.once[tx] != now && model.built[tx].is_none() {
             model.one_shots += 1;
             model.once[tx] = now;
         } else {

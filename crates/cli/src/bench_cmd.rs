@@ -313,6 +313,8 @@ impl Measurement {
             .u64("medium_builds", r.medium.builds)
             .u64("medium_rebuilds", r.medium.rebuilds)
             .u64("medium_sorts", r.medium.sorts)
+            .u64("node_records", p.node_records)
+            .usize("nodes", r.totals.nodes.len())
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
@@ -440,9 +442,11 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         // cases read 0.0%), so lazy-path regressions are readable at a
         // glance without jq over BENCH_engine.json.
         let medium = format!(
-            "  medium {:>4.1}%  {} lists built",
+            "  medium {:>4.1}%  {} lists built  node records {} of {}",
             m.medium_pct(),
-            m.report.medium.builds
+            m.report.medium.builds,
+            m.report.profile.node_records,
+            m.report.totals.nodes.len()
         );
         let waves = format!(
             "  {:.0} ev/pkt  {:.1} rx/tx  yield {:.0}%",

@@ -109,6 +109,15 @@ impl MobilityModel {
         &self.positions
     }
 
+    /// Heap bytes of the per-node state, by capacity: one stream, one
+    /// position and one phase per node.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rngs.capacity() * size_of::<Pcg32>()
+            + self.positions.capacity() * size_of::<Position>()
+            + self.phases.capacity() * size_of::<Phase>()
+    }
+
     /// The reposition interval.
     pub fn tick(&self) -> SimDuration {
         self.params.tick

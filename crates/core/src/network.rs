@@ -8,14 +8,14 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use mwn_aodv::{AodvCounters, Router};
-use mwn_mac80211::{Dcf, MacCounters, MacParams, MacTimer};
+use mwn_aodv::AodvCounters;
+use mwn_mac80211::{MacCounters, MacParams, MacTimer};
 use mwn_obs::flight::{self, FlightRecorder};
 use mwn_obs::{
     ConservationAudit, ConservationReport, CounterBlock, DropLedger, DropReason, FctSummary,
     FlowCounters, MetricsReport, MetricsSnapshot, NodeCounters, ProbeBuffer,
 };
-use mwn_phy::{EnergyMeter, EnergyParams, Medium, Transceiver, TxId};
+use mwn_phy::{EnergyParams, Medium, TxId};
 use mwn_pkt::{Body, FlowId, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
 use mwn_sim::{EngineProfile, EventId, EventQueue, FxHashMap, Pcg32, SimDuration, SimTime};
@@ -31,10 +31,12 @@ use crate::trace::{TraceBuffer, TraceRecord};
 mod cascade;
 mod flows;
 mod frames;
+mod nodes;
 
-use cascade::{ParkedNav, Pools};
+use cascade::Pools;
 use flows::{FlowDst, FlowMeta, FlowSrc, Flows};
 use frames::FrameSlab;
+use nodes::NodeTable;
 
 /// Which end of a flow a transport timer belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,13 +202,11 @@ pub struct Network {
     now: SimTime,
     queue: EventQueue<Event>,
     medium: Medium,
-    /// The one MAC parameter set every [`Dcf`] shares.
+    /// The one MAC parameter set every DCF shares.
     params: Arc<MacParams>,
-    transceivers: Vec<Transceiver>,
-    macs: Vec<Dcf>,
-    routers: Vec<Router>,
-    energy: Vec<EnergyMeter>,
-    /// The one power draw every [`EnergyMeter`] is read at.
+    /// Every node's protocol state, built when a signal first reaches it.
+    nodes: NodeTable,
+    /// The one power draw every energy meter is read at.
     energy_params: EnergyParams,
     /// Flow slab: persistent flows occupy slots `0..n` forever; traffic
     /// flows churn through the remainder via the free list.
@@ -215,10 +215,6 @@ pub struct Network {
     traffic: Option<TrafficState>,
     /// Frames on the air, keyed by generation-tagged [`TxId`].
     frames: FrameSlab,
-    /// Flat per-node MAC timer table, indexed by [`MacTimer::index`].
-    mac_timers: Vec<[Option<EventId>; MacTimer::COUNT]>,
-    /// Per node: the parked NAV, if any (`cascade::set_mac_timer`).
-    nav_parked: Vec<Option<ParkedNav>>,
     /// Earliest NAV woken during the segment [`Network::walk_segment`] walks.
     wave_floor: SimTime,
     /// AODV discovery timers, keyed by `(node, destination)`: one map for
@@ -260,7 +256,7 @@ impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("now", &self.now)
-            .field("nodes", &self.macs.len())
+            .field("nodes", &self.nodes.len())
             .field("flows", &self.flows.len())
             .field("total_delivered", &self.total_delivered)
             .finish_non_exhaustive()
@@ -275,24 +271,16 @@ impl Network {
         // epoch: a mobile field's first tick would make any list built
         // here stale.
         let medium = Medium::lazy(scenario.topology.positions().to_vec(), scenario.ranges);
+        // The root's forks: DCF i is fork i, router i fork n + i (each
+        // drawn when its record is built), mobility fork 2n.
         let mut root = Pcg32::new(scenario.seed);
-
-        let transceivers = vec![Transceiver::with_capture(scenario.ranges.capture_threshold); n];
-        let macs: Vec<Dcf> = (0..n)
-            .map(|i| Dcf::new(NodeId(i as u32), Arc::clone(&params), root.fork()))
-            .collect();
-        let routers: Vec<Router> = (0..n)
-            .map(|i| {
-                Router::new(
-                    NodeId(i as u32),
-                    scenario.aodv,
-                    root.fork(),
-                    // uid namespace: top bit set, node id in the next bits.
-                    (1 << 63) | ((i as u64) << 40),
-                )
-            })
-            .collect();
-        let energy = vec![EnergyMeter::new(); n];
+        let nodes = NodeTable::new(
+            n,
+            Arc::clone(&params),
+            scenario.ranges.capture_threshold,
+            scenario.aodv,
+            root.clone(),
+        );
 
         let mut queue = EventQueue::new();
         let mut flows = Flows::default();
@@ -348,8 +336,10 @@ impl Network {
         }
 
         let mobility = scenario.mobility.map(|params| {
-            MobilityModel::new(params, scenario.topology.positions().to_vec(), root.fork())
+            let positions = scenario.topology.positions().to_vec();
+            MobilityModel::new(params, positions, root.fork_at(2 * n as u64))
         });
+        root.advance(4 * (2 * n as u64 + u64::from(mobility.is_some())));
         if let Some(m) = &mobility {
             queue.schedule(SimTime::ZERO + m.tick(), Event::MobilityTick);
         }
@@ -414,16 +404,11 @@ impl Network {
             queue,
             medium,
             params,
-            transceivers,
-            macs,
-            routers,
-            energy,
+            nodes,
             energy_params: EnergyParams::wavelan(),
             flows,
             traffic,
             frames: FrameSlab::new(),
-            mac_timers: vec![[None; MacTimer::COUNT]; n],
-            nav_parked: vec![None; n],
             wave_floor: SimTime::MAX,
             discovery_timers: FxHashMap::default(),
             transport_timers: vec![[[None; TransportTimer::COUNT]; 2]; flow_count],
@@ -496,7 +481,7 @@ impl Network {
     /// Call before running; the equations only balance when every custody
     /// event since time zero was seen.
     pub fn enable_audit(&mut self) {
-        self.audit = Some(ConservationAudit::new(self.macs.len()));
+        self.audit = Some(ConservationAudit::new(self.nodes.len()));
     }
 
     /// The loss ledger with PHY frame-level tallies synthesized from the
@@ -506,8 +491,8 @@ impl Network {
     pub fn drop_report(&self) -> DropLedger {
         let mut ledger = self.ledger.clone();
         let unattributed = self.unattributed;
-        for (i, t) in self.transceivers.iter().enumerate() {
-            let c = t.counters();
+        for (i, record) in self.nodes.iter() {
+            let c = record.radio.counters();
             ledger.add(i, unattributed, DropReason::PhyCollision, c.collisions);
             ledger.add(i, unattributed, DropReason::PhyCaptureLoss, c.captures);
             ledger.add(i, unattributed, DropReason::PhyUndecodable, c.undecoded);
@@ -523,7 +508,7 @@ impl Network {
     /// [`Network::enable_audit`] was called before the run.
     pub fn conservation_report(&self) -> Option<ConservationReport> {
         let audit = self.audit.as_ref()?;
-        let mut node_residual = vec![0u64; self.macs.len()];
+        let mut node_residual = vec![0u64; self.nodes.len()];
         let mut flow_residual: HashMap<u32, u64> = HashMap::new();
         {
             let mut count = |i: usize, p: &Packet| {
@@ -532,16 +517,12 @@ impl Network {
                     *flow_residual.entry(flow).or_insert(0) += 1;
                 }
             };
-            for (i, mac) in self.macs.iter().enumerate() {
-                for p in mac.queued_packets() {
+            for (i, record) in self.nodes.iter() {
+                let mac = &record.mac;
+                for p in mac.queued_packets().chain(mac.current_packet()) {
                     count(i, p);
                 }
-                if let Some(p) = mac.current_packet() {
-                    count(i, p);
-                }
-            }
-            for (i, router) in self.routers.iter().enumerate() {
-                for p in router.buffered_packets() {
+                for p in record.router.buffered_packets() {
                     count(i, p);
                 }
             }
@@ -589,46 +570,48 @@ impl Network {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.macs.len()
+        self.nodes.len()
     }
 
-    /// Tracked estimate of per-node engine state, in heap bytes: the
-    /// fixed struct-of-arrays slot every node occupies
-    /// ([`Network::fixed_bytes_per_node`]) plus each node's dynamic
-    /// per-destination state (routing/duplicate tables, discovery
-    /// buffers, interface queue, receive-dedup cache, active-signal
-    /// list), the network's discovery-timer map and the medium's effect
-    /// lists ([`Network::medium_memory_bytes`]), averaged over the node
-    /// count.
+    /// Number of nodes whose protocol state has been built: those a
+    /// signal reached, plus flow sources (the rest read as pristine).
+    pub fn node_records(&self) -> usize {
+        self.nodes.records()
+    }
+
+    /// Tracked estimate of per-node engine state, in bytes: the record-table
+    /// entry every node holds ([`Network::fixed_bytes_per_node`]) plus,
+    /// averaged over the node count, the built node records and what
+    /// they hold (routing/duplicate tables, discovery buffers, interface
+    /// queue, receive-dedup cache, active-signal list), the network's
+    /// discovery-timer map and moved-node batch, the medium's per-node
+    /// arrays and effect lists ([`Network::medium_memory_bytes`]) and the
+    /// mobility model's per-node streams, positions and phases — each
+    /// array by capacity.
     ///
-    /// This is an accounting estimate of what the flat per-node layouts
+    /// This is an accounting estimate of what the per-node layouts
     /// charge — not an allocator measurement; pair it with the bench's
     /// peak-RSS column for ground truth.
     pub fn bytes_per_node(&self) -> u64 {
-        let n = self.macs.len().max(1);
-        let dynamic: usize = (0..n)
-            .map(|i| {
-                self.transceivers[i].memory_bytes()
-                    + self.macs[i].memory_bytes()
-                    + self.routers[i].memory_bytes()
-            })
-            .sum::<usize>()
-            + self.discovery_timers.capacity() * std::mem::size_of::<((NodeId, NodeId), EventId)>()
-            + self.medium.memory_bytes();
-        Self::fixed_bytes_per_node() + (dynamic / n) as u64
+        use std::mem::size_of;
+        let n = self.nodes.len().max(1);
+        let shared = self.nodes.memory_bytes()
+            + self.discovery_timers.capacity() * size_of::<((NodeId, NodeId), EventId)>()
+            + self.moved.capacity() * size_of::<(NodeId, mwn_phy::Position)>()
+            + self.medium.memory_bytes()
+            + self.medium.index_bytes()
+            + self
+                .mobility
+                .as_ref()
+                .map_or(0, MobilityModel::memory_bytes);
+        Self::fixed_bytes_per_node() + (shared / n) as u64
     }
 
-    /// The fixed part of [`Network::bytes_per_node`]: one node's
-    /// transceiver, MAC, router, energy meter, MAC timer row and parked
-    /// NAV slot, whatever the node does.
+    /// The fixed part of [`Network::bytes_per_node`]: one node's entry in
+    /// the record table, whatever the node does. A node's record is
+    /// charged only once it is built.
     pub fn fixed_bytes_per_node() -> u64 {
-        use std::mem::size_of;
-        (size_of::<Transceiver>()
-            + size_of::<Dcf>()
-            + size_of::<Router>()
-            + size_of::<EnergyMeter>()
-            + size_of::<[Option<EventId>; MacTimer::COUNT]>()
-            + size_of::<Option<ParkedNav>>()) as u64
+        std::mem::size_of::<Option<Box<nodes::NodeRecord>>>() as u64
     }
 
     /// The live flow id occupying `slot`, if any (traffic churn means a
@@ -689,11 +672,9 @@ impl Network {
     /// Aggregate MAC and AODV counters over all nodes.
     pub fn totals(&self) -> NetworkTotals {
         let mut t = NetworkTotals::default();
-        for m in &self.macs {
-            t.mac = t.mac.plus(m.counters());
-        }
-        for r in &self.routers {
-            t.aodv = t.aodv.plus(r.counters());
+        for (_, record) in self.nodes.iter() {
+            t.mac = t.mac.plus(record.mac.counters());
+            t.aodv = t.aodv.plus(record.router.counters());
         }
         t
     }
@@ -704,13 +685,16 @@ impl Network {
     pub fn collect_metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             time: self.now,
-            nodes: (0..self.macs.len())
-                .map(|i| NodeCounters {
-                    phy: *self.transceivers[i].counters(),
-                    mac: *self.macs[i].counters(),
-                    aodv: *self.routers[i].counters(),
-                    route_table_size: self.routers[i].table().len() as u64,
-                    ifq_depth: self.macs[i].queue_len() as u64,
+            nodes: (0..self.nodes.len())
+                .map(|i| {
+                    let r = self.nodes.get(NodeId(i as u32));
+                    NodeCounters {
+                        phy: *r.radio.counters(),
+                        mac: *r.mac.counters(),
+                        aodv: *r.router.counters(),
+                        route_table_size: r.router.table().len() as u64,
+                        ifq_depth: r.mac.queue_len() as u64,
+                    }
                 })
                 .collect(),
             flows: (0..self.flows.len())
@@ -746,6 +730,7 @@ impl Network {
                 .map(|mut p| {
                     p.queue_schedules = self.queue.schedules();
                     p.queue_cancels = self.queue.cancels();
+                    p.node_records = self.nodes.records() as u64;
                     p
                 })
                 .unwrap_or_default(),
@@ -763,13 +748,14 @@ impl Network {
 
     /// Total radio energy consumed by `node` so far, in joules.
     pub fn node_energy_joules(&self, node: NodeId) -> f64 {
-        self.energy[node.index()].consumed(&self.energy_params, self.now)
+        let meter = &self.nodes.get(node).energy;
+        meter.consumed(&self.energy_params, self.now)
     }
 
     /// Total radio energy over all nodes, in joules.
     pub fn total_energy_joules(&self) -> f64 {
-        (0..self.energy.len())
-            .map(|i| self.energy[i].consumed(&self.energy_params, self.now))
+        (0..self.nodes.len())
+            .map(|i| self.node_energy_joules(NodeId(i as u32)))
             .sum()
     }
 
@@ -1048,6 +1034,18 @@ impl Network {
     #[cfg(any(test, feature = "oracle"))]
     pub fn set_eager_medium(&mut self, eager: bool) {
         self.eager_medium = eager;
+    }
+
+    /// Test oracle: builds every node's record now, in node order, as the
+    /// set-up of a network without the record slab did. Every observable
+    /// is identical either way (`tests/eager_nodes.rs`).
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_eager_nodes(&mut self, eager: bool) {
+        if eager {
+            for i in 0..self.nodes.len() {
+                self.nodes.touch(NodeId(i as u32));
+            }
+        }
     }
 
     /// Test oracle: queues every NAV timer, parks none. A run that reaches

@@ -80,10 +80,11 @@ impl Network {
         match event {
             Event::TxEnd { node } => self.tx_end(node),
             Event::Mac { node, timer } => {
-                // The id just fired: forget it, nothing to cancel.
-                self.mac_timers[node.index()][timer.index()] = None;
                 let mut actions = self.pools.mac.pop().unwrap_or_default();
-                self.macs[node.index()].on_timer(self.now, timer, &mut actions);
+                let record = &mut self.nodes[node];
+                // The id just fired: forget it, nothing to cancel.
+                record.mac_timers[timer.index()] = None;
+                record.mac.on_timer(self.now, timer, &mut actions);
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvSend {
@@ -92,13 +93,15 @@ impl Network {
                 packet,
             } => {
                 let mut actions = self.pools.mac.pop().unwrap_or_default();
-                self.macs[node.index()].enqueue(self.now, next_hop, packet, &mut actions);
+                let mac = &mut self.nodes.touch(node).mac;
+                mac.enqueue(self.now, next_hop, packet, &mut actions);
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvDiscovery { node, dst } => {
                 self.discovery_timers.remove(&(node, dst));
                 let mut actions = self.pools.aodv.pop().unwrap_or_default();
-                self.routers[node.index()].on_discovery_timeout(self.now, dst, &mut actions);
+                let router = &mut self.nodes[node].router;
+                router.on_discovery_timeout(self.now, dst, &mut actions);
                 self.apply_aodv_actions(node, actions);
             }
             Event::Transport { flow, role, timer } => {
@@ -121,11 +124,12 @@ impl Network {
     }
 
     /// One receiver's share of a wave: the leading (`end = false`) or
-    /// trailing edge of transmission `tx` arriving at `rx.node`. The
+    /// trailing edge of transmission `tx` arriving at `rx.node`, whose
+    /// record is built here if this is the first signal to reach it. The
     /// caller has already set [`Self::now`] to the arrival time.
     pub(super) fn signal_edge(&mut self, rx: &Effect, tx: TxId, end: bool) {
         let base = self.pools.edge_scratch.len();
-        let radio = &mut self.transceivers[rx.node.index()];
+        let radio = &mut self.nodes.touch(rx.node).radio;
         if end {
             radio.signal_end(tx, &mut self.pools.edge_scratch);
         } else {
@@ -139,11 +143,11 @@ impl Network {
 
     fn tx_end(&mut self, node: NodeId) {
         let mut actions = self.pools.mac.pop().unwrap_or_default();
-        self.macs[node.index()].on_tx_done(self.now, &mut actions);
+        self.nodes[node].mac.on_tx_done(self.now, &mut actions);
         // (No `StartTx` in there: the DCF only sends from timer handlers.)
         self.apply_mac_actions(node, actions);
         let base = self.pools.edge_scratch.len();
-        self.transceivers[node.index()].tx_end(&mut self.pools.edge_scratch);
+        self.nodes[node].radio.tx_end(&mut self.pools.edge_scratch);
         self.process_radio_events(node, base);
     }
 
@@ -438,25 +442,26 @@ impl Network {
         for k in base..top {
             match self.pools.edge_scratch[k] {
                 RadioEvent::CarrierBusy => {
-                    self.macs[node.index()].on_carrier_busy(self.now, &mut actions);
+                    self.nodes[node].mac.on_carrier_busy(self.now, &mut actions);
                 }
                 RadioEvent::CarrierIdle => {
-                    self.macs[node.index()].on_carrier_idle(self.now, &mut actions);
+                    self.nodes[node].mac.on_carrier_idle(self.now, &mut actions);
                 }
                 RadioEvent::RxStart(_) => {}
                 RadioEvent::RxEnd { tx, ok: true } => {
                     self.trace_event(node, || TraceEvent::PhyRxOk);
                     let frame = self.frames.get(tx).expect("RxEnd for unknown transmission");
-                    self.macs[node.index()].on_rx_frame(self.now, frame, &mut actions);
+                    let mac = &mut self.nodes[node].mac;
+                    mac.on_rx_frame(self.now, frame, &mut actions);
                 }
                 RadioEvent::RxEnd { ok: false, .. } | RadioEvent::UndecodedEnd => {
                     self.trace_event(node, || TraceEvent::PhyCorrupt);
-                    self.macs[node.index()].on_rx_corrupt(self.now);
+                    self.nodes[node].mac.on_rx_corrupt(self.now);
                 }
             }
             if actions.is_empty() {
                 // An empty apply still ran the probe, which dates first samples.
-                let depth = self.macs[node.index()].queue_len();
+                let depth = self.nodes[node].mac.queue_len();
                 self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
             } else {
                 quiet = false;
@@ -499,7 +504,8 @@ impl Network {
                         a.deliver_up(node.index(), flow);
                     }
                     let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    self.routers[node.index()].on_received(self.now, from, packet, &mut aodv);
+                    let router = &mut self.nodes[node].router;
+                    router.on_received(self.now, from, packet, &mut aodv);
                     self.apply_aodv_actions(node, aodv);
                 }
                 MacAction::TxConfirm {
@@ -529,8 +535,8 @@ impl Network {
                         self.flight_note(node, FlightKind::TxFail, packet.uid);
                     }
                     let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    self.routers[node.index()]
-                        .on_tx_confirm(self.now, next_hop, packet, success, &mut aodv);
+                    let router = &mut self.nodes[node].router;
+                    router.on_tx_confirm(self.now, next_hop, packet, success, &mut aodv);
                     self.apply_aodv_actions(node, aodv);
                 }
                 MacAction::Dropped { ref packet, reason } => {
@@ -544,7 +550,7 @@ impl Network {
                 }
             }
         }
-        let depth = self.macs[node.index()].queue_len();
+        let depth = self.nodes[node].mac.queue_len();
         self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
         self.pools.mac.push(actions);
         self.wake_parked_nav(node);
@@ -559,9 +565,10 @@ impl Network {
                     delay,
                 } => {
                     if delay.is_zero() {
-                        let mut mac = self.pools.mac.pop().unwrap_or_default();
-                        self.macs[node.index()].enqueue(self.now, next_hop, packet, &mut mac);
-                        self.apply_mac_actions(node, mac);
+                        let mut actions = self.pools.mac.pop().unwrap_or_default();
+                        let mac = &mut self.nodes[node].mac;
+                        mac.enqueue(self.now, next_hop, packet, &mut actions);
+                        self.apply_mac_actions(node, actions);
                     } else {
                         self.queue.schedule(
                             self.now + delay,
@@ -803,8 +810,10 @@ impl Network {
                     if let (Some(a), Some(flow_raw)) = (&mut self.audit, transport_flow(&packet)) {
                         a.originate(node.index(), flow_raw);
                     }
+                    // A flow source's first send builds its node's record.
                     let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    self.routers[node.index()].send(self.now, packet, &mut aodv);
+                    let router = &mut self.nodes.touch(node).router;
+                    router.send(self.now, packet, &mut aodv);
                     self.apply_aodv_actions(node, aodv);
                 }
                 TransportAction::SetTimer { timer, delay } => {
@@ -878,14 +887,15 @@ impl Network {
     /// sequence number it would have drawn so later events keep their tie-break.
     fn set_mac_timer(&mut self, time: SimTime, node: NodeId, timer: MacTimer) {
         self.cancel_mac_timer(node, timer);
-        let park = timer == MacTimer::Nav && !self.macs[node.index()].wants_medium();
+        let park = timer == MacTimer::Nav && !self.nodes[node].mac.wants_medium();
         #[cfg(any(test, feature = "oracle"))]
         let park = park && !self.eager_nav;
         if park {
-            self.nav_parked[node.index()] = Some(ParkedNav::new(time, self.queue.reserve_seqs(1)));
+            let parked = ParkedNav::new(time, self.queue.reserve_seqs(1));
+            self.nodes[node].nav_parked = Some(parked);
         } else {
             let id = self.queue.schedule(time, Event::Mac { node, timer });
-            self.mac_timers[node.index()][timer.index()] = Some(id);
+            self.nodes[node].mac_timers[timer.index()] = Some(id);
         }
         if let Some(p) = self.profile.as_mut().filter(|_| timer == MacTimer::Nav) {
             p.nav_parked += u64::from(park);
@@ -894,11 +904,12 @@ impl Network {
     }
 
     fn cancel_mac_timer(&mut self, node: NodeId, timer: MacTimer) {
-        if let Some(old) = self.mac_timers[node.index()][timer.index()].take() {
+        let record = &mut self.nodes[node];
+        if let Some(old) = record.mac_timers[timer.index()].take() {
             self.queue.cancel(old);
         }
         if timer == MacTimer::Nav {
-            self.nav_parked[node.index()] = None;
+            record.nav_parked = None;
         }
     }
 
@@ -907,19 +918,20 @@ impl Network {
     /// medium is queued under its own `(time, seq)` and pops where it always did
     /// (one already due fired unnoticed, a no-op); a walked wave yields to it.
     fn wake_parked_nav(&mut self, node: NodeId) {
-        let i = node.index();
-        let Some((time, seq)) = self.nav_parked[i]
-            .filter(|_| self.macs[i].wants_medium())
+        let record = &mut self.nodes[node];
+        let Some((time, seq)) = record
+            .nav_parked
+            .filter(|_| record.mac.wants_medium())
             .map(ParkedNav::key)
         else {
             return;
         };
-        self.nav_parked[i] = None;
+        record.nav_parked = None;
         if time > self.now {
             let timer = MacTimer::Nav;
             let nav = Event::Mac { node, timer };
             let id = self.queue.schedule_keyed(time, seq, nav);
-            self.mac_timers[i][timer.index()] = Some(id);
+            record.mac_timers[timer.index()] = Some(id);
             self.wave_floor = self.wave_floor.min(time);
             if let Some(p) = &mut self.profile {
                 p.nav_materialised += 1;
@@ -1013,13 +1025,15 @@ impl Network {
             airtime: duration,
             nav,
         });
-        self.energy[node.index()].add_tx(duration);
+        self.nodes[node].energy.add_tx(duration);
         // Transmission time is where lazy medium staleness resolves:
         // `refresh` serves the stored list if no move batch came since
         // it was built, else fills it one-shot (this node's first
         // transmission in the epoch) or stores it anew. The returned
         // borrow lives in place while the slab copies it; everything
-        // touched meanwhile (queue, frames, energy) is a disjoint field.
+        // touched meanwhile (queue, frames, node records) is a disjoint
+        // field. A decodable receiver's record is built here, for its
+        // energy meter, if no signal reached it before.
         let effects = self.medium.refresh(node);
         if !effects.is_empty() {
             // The numbers the per-receiver start/end events would have
@@ -1029,7 +1043,7 @@ impl Network {
             let tx = self.frames.insert(frame, now, duration, seq_base, effects);
             for e in effects {
                 if e.class.decodable {
-                    self.energy[e.node.index()].add_rx(duration);
+                    self.nodes.touch(e.node).energy.add_rx(duration);
                 }
             }
             let wave = self.frames.wave(tx);
@@ -1041,7 +1055,9 @@ impl Network {
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });
         let base = self.pools.edge_scratch.len();
-        self.transceivers[node.index()].tx_start(&mut self.pools.edge_scratch);
+        self.nodes[node]
+            .radio
+            .tx_start(&mut self.pools.edge_scratch);
         self.process_radio_events(node, base);
     }
 }
@@ -1083,7 +1099,8 @@ mod tests {
             nav: until.duration_since(net.now),
         };
         let mut actions = Vec::new();
-        net.macs[B.index()].on_rx_frame(net.now, &rts, &mut actions);
+        let mac = &mut net.nodes.touch(B).mac;
+        mac.on_rx_frame(net.now, &rts, &mut actions);
         net.apply_mac_actions(B, actions);
     }
 
@@ -1100,6 +1117,7 @@ mod tests {
         let mut net = line(t0, false);
         let batch = |net: &mut Network, evs: &[RadioEvent]| {
             net.pools.edge_scratch.extend_from_slice(evs);
+            net.nodes.touch(B);
             net.process_radio_events(B, 0);
             assert!(net.pools.edge_scratch.is_empty());
         };
@@ -1152,6 +1170,7 @@ mod tests {
         net.pools.edge_scratch.extend_from_slice(&below);
         let reported = [RadioEvent::UndecodedEnd, RadioEvent::RxEnd { tx, ok: true }];
         net.pools.edge_scratch.extend_from_slice(&reported);
+        net.nodes.touch(B);
         net.process_radio_events(B, below.len());
 
         assert_eq!(net.pools.edge_scratch, below);
@@ -1163,7 +1182,7 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::PhyCorrupt | TraceEvent::PhyRxOk))
             .collect();
         assert_eq!(phy, [TraceEvent::PhyCorrupt, TraceEvent::PhyRxOk]);
-        assert!(net.nav_parked[B.index()].is_some(), "the RTS set B's NAV");
+        assert!(net.nodes[B].nav_parked.is_some(), "the RTS set B's NAV");
         assert_eq!(net.profile().unwrap().mac_batches_without_actions, 0);
     }
 
@@ -1179,7 +1198,7 @@ mod tests {
         for (eager, end) in [(false, t0), (true, until)] {
             let mut net = line(t0, eager);
             overhear_rts(&mut net, until);
-            assert_eq!(net.nav_parked[B.index()].is_some(), !eager);
+            assert_eq!(net.nodes[B].nav_parked.is_some(), !eager);
             assert_eq!(net.queue.len(), usize::from(eager));
             assert_eq!(net.run_until_delivered(1, deadline), StepOutcome::Quiescent);
             assert_eq!(net.now(), end, "eager = {eager}");

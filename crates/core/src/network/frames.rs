@@ -20,7 +20,7 @@
 //! Numbering edges by arrival position orders them exactly as the old
 //! node-ordered numbering did: edges of one wave that share a time share
 //! a delay, so both put them in node-id order, and the reserved block sits
-//! where it always did (EXPERIMENTS.md, "Edge cost").
+//! where it always did (CHANGES.md, the "Edge cost" history).
 //!
 //! Slots are freed when the last receiver's trailing edge releases them,
 //! so allocation order (and therefore every `TxId` value) is a

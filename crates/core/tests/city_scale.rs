@@ -7,8 +7,10 @@
 //! naive flooding vs [`AodvConfig::city`] — and asserts at least a 5×
 //! reduction in RREQ rebroadcasts.
 //!
-//! Beside it, what a city costs per node: the fixed slot every node
-//! occupies, and the heap a freshly built network holds (none).
+//! Beside it, what a city costs per node: the record-table entry every
+//! node occupies, the heap a freshly built network holds (none beyond the
+//! medium's per-node arrays), and which nodes hold a record after a
+//! round (those a signal reached).
 
 use mwn::{
     topology, AodvConfig, DataRate, FlowSpec, Network, NodeId, Scenario, SimDuration, SimTime,
@@ -153,15 +155,18 @@ fn effect_lists_are_stored_on_second_transmission() {
     assert!(held < bytes(&mut transmissions.keys()), "{held} B");
 }
 
-/// Every node occupies a fixed slot — transceiver, MAC, router, energy
-/// meter, timer row — that holds no network-wide constant, and every
-/// per-node table, queue and list allocates on first use: a freshly
-/// built 20 000-node city holds no per-node heap at all.
+/// Every node holds one record-table entry. Its protocol state — radio,
+/// MAC, router, energy meter, timer row — is built when a signal first
+/// reaches it, and every per-node table, queue and list allocates on
+/// first use: a freshly built 20 000-node city holds no node record, and
+/// no per-node heap beyond the medium's positions, list headers, epoch
+/// stamps and grid.
 #[test]
 fn city_network_starts_with_no_per_node_heap() {
     let fixed = Network::fixed_bytes_per_node();
-    assert!(fixed <= 700, "fixed per-node slot is {fixed} B");
+    assert_eq!(fixed, 8, "the record-table entry");
     let topology = topology::random_large(20_000, 4242);
+    let index = Medium::lazy(topology.positions().to_vec(), RangeModel::paper()).index_bytes();
     let flows = vec![FlowSpec {
         src: NodeId(0),
         dst: NodeId(19_999),
@@ -169,5 +174,46 @@ fn city_network_starts_with_no_per_node_heap() {
     }];
     let net = Scenario::new(topology, flows, DataRate::MBPS_11, 4242).build();
     assert_eq!(net.node_count(), 20_000);
-    assert_eq!(net.bytes_per_node(), fixed, "per-node heap at set-up");
+    assert_eq!(net.node_records(), 0, "records at set-up");
+    assert_eq!(
+        net.bytes_per_node(),
+        fixed + (index / 20_000) as u64,
+        "per-node heap at set-up"
+    );
+}
+
+/// After a round, the built records are exactly the nodes a signal
+/// reached — every receiver of every transmission whose leading edge
+/// arrived by the end of the round, and every decodable receiver at once
+/// (its energy meter counts the whole frame) — plus the flow sources.
+#[test]
+fn node_records_are_the_nodes_a_signal_reached() {
+    let topology = topology::random_large_giant(20_000, 4242);
+    let mut lists = Medium::lazy(topology.positions().to_vec(), RangeModel::paper());
+    let flows = local_flows(&topology, 2);
+    let mut reached: std::collections::BTreeSet<NodeId> = flows.iter().map(|f| f.src).collect();
+    let mut scenario = Scenario::new(topology, flows, DataRate::MBPS_11, 4242);
+    scenario.aodv = AodvConfig::city();
+    let mut net = scenario.build();
+    net.enable_trace(1 << 20);
+    let end = SimTime::ZERO + SimDuration::from_millis(300);
+    net.run_until(end);
+    assert_eq!(net.trace_dropped(), 0, "trace buffer overflowed");
+    for r in net.trace() {
+        if matches!(r.event, mwn::trace::TraceEvent::MacTx { .. }) {
+            // Static field: the list is the one the frame went out with.
+            for e in lists.refresh(r.node) {
+                if e.class.decodable || r.time + e.delay <= end {
+                    reached.insert(e.node);
+                }
+            }
+        }
+    }
+    assert!(reached.len() > 50, "the round proved nothing: {reached:?}");
+    assert!(
+        reached.len() < 20_000 / 4,
+        "{} nodes reached",
+        reached.len()
+    );
+    assert_eq!(net.node_records(), reached.len());
 }

@@ -84,15 +84,20 @@ impl MetricsReport {
                 "  quiet mac batches{:>12}",
                 p.mac_batches_without_actions
             )?;
-            // The lazy medium: a node's first transmission in an epoch
-            // fills a one-shot list, its second stores the list (a build
-            // or a rebuild, each sorted into arrival order once).
+            // Protocol state is built for the nodes a signal reached. The
+            // lazy medium: a node's first transmission in an epoch fills a
+            // one-shot list, its second stores the list (a build or a
+            // rebuild, each sorted into arrival order once).
+            let nodes = self.totals.nodes.len();
             writeln!(
                 f,
-                "  lists built      {:>12}  of {} nodes, {} one-shot",
-                self.medium.builds,
-                self.totals.nodes.len(),
-                self.medium.one_shots
+                "  node records     {:>12}  of {nodes} nodes",
+                p.node_records
+            )?;
+            writeln!(
+                f,
+                "  lists built      {:>12}  of {nodes} nodes, {} one-shot",
+                self.medium.builds, self.medium.one_shots
             )?;
             writeln!(
                 f,
@@ -328,6 +333,7 @@ mod tests {
         let mut profile = EngineProfile::new();
         profile.record("tx_end", 1);
         profile.record_timed_n("medium_lazy", 3, 0.25);
+        profile.node_records = 2;
         let mut fct = FctSummary::new(&["web"]);
         fct.class_mut(0).record_arrival();
         fct.class_mut(0)
@@ -359,6 +365,7 @@ mod tests {
         for present in [
             "engine profile\n",
             "  events/packet             0.2\n",
+            "  node records                2  of 2 nodes\n",
             "  lists built                 1  of 2 nodes, 3 one-shot\n",
             "  medium sorts                1  (= 1 builds + 0 rebuilds) + 3 one-shot\n",
             "  medium_lazy                 3 calls\n",

@@ -37,16 +37,16 @@ pub struct MediumCounters {
     /// `Medium::refresh` calls.
     pub queries: u64,
     /// Effect lists filled and sorted for a node's first query in an
-    /// epoch (unless it stored its list in the previous one), served
+    /// epoch (unless it ever stored its list), served
     /// once and not stored.
     pub one_shots: u64,
     /// Effect lists stored where none had been: every list of a
     /// `Medium::new`, and on a `Medium::lazy` medium each node's first
     /// second-in-an-epoch query.
     pub builds: u64,
-    /// Effect lists stored over one built before a move batch: a node's
-    /// second query in an epoch, its first if it stored its list in the
-    /// previous epoch, or any `Medium::refresh_all` of a stale list.
+    /// Effect lists stored over one built before a move batch: the first
+    /// query in an epoch of a node that ever stored its list, or any
+    /// `Medium::refresh_all` of a stale list.
     pub rebuilds: u64,
     /// Always 0; kept only so the frozen benchmark source under `bench/`
     /// (which reads it) compiles. Delete with ROADMAP item 6(b).

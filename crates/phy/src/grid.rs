@@ -55,6 +55,14 @@ impl SpatialGrid {
         grid
     }
 
+    /// Heap bytes, by capacity: the cell map's buckets and each cell's
+    /// node list.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.cells.capacity() * size_of::<((i64, i64), Vec<u32>)>()
+            + self.cells.values().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
+    }
+
     /// The configured cell side length.
     pub fn cell_size(&self) -> f64 {
         self.cell

@@ -201,9 +201,9 @@ pub struct SignalClass {
 /// stores nothing; its second stores the list in the node's own slot,
 /// adopting it from the ring if the ring still holds it, else building
 /// (never stored) or rebuilding (stored before a move batch) it in
-/// place. A node whose list was stored in the previous epoch stores at
-/// its first refresh: it already holds the slot, and a repeat
-/// transmitter is the likeliest to send again before the ring wraps. So
+/// place. A node whose list was ever stored stores at its first
+/// refresh: it already holds the slot, and a repeat transmitter is the
+/// likeliest to send again before the ring wraps. So
 /// a route-request flood, where most forwarders transmit once, pins no
 /// list per forwarder, while a node that transmits repeatedly pays one
 /// scan per epoch. A one-shot list and a stored list at the
@@ -282,8 +282,7 @@ const NEVER_BUILT: u64 = u64::MAX;
 
 /// One-shot buffers kept for a second refresh to adopt. On a flooding
 /// `city-mobile` round 91 % of stored lists were adopted at 16 (79 % at
-/// 8, 96 % at 32) before lists stored in the previous epoch skipped the
-/// ring, and 16 lists of ≈ 2 KB cost next to nothing beside the stored
+/// 8, 96 % at 32) before lists stored earlier skipped the ring, and 16 lists of ≈ 2 KB cost next to nothing beside the stored
 /// ones.
 const ONE_SHOT_RING: usize = 16;
 
@@ -395,8 +394,7 @@ impl Medium {
     /// epoch returns at once (sorted first if [`Medium::new`] left it
     /// unsorted). Otherwise the node's first refresh in this epoch fills
     /// a one-shot list and stores nothing, and its second stores the list;
-    /// a node that stored its list in the previous epoch stores at once
-    /// (see [`Medium`]).
+    /// a node that ever stored its list stores at once (see [`Medium`]).
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
         self.refresh_admitting(tx.index(), false)
     }
@@ -406,8 +404,8 @@ impl Medium {
         self.counters.queries += 1;
         if self.node_epoch[i] != self.epoch {
             let second = self.one_shot_epoch[i] == self.epoch;
-            let stored_last_epoch = self.epoch.checked_sub(1) == Some(self.node_epoch[i]);
-            if !(store || second || stored_last_epoch) {
+            let stored_before = self.node_epoch[i] != NEVER_BUILT;
+            if !(store || second || stored_before) {
                 return self.fill_one_shot(i);
             }
             self.store(i);
@@ -574,6 +572,20 @@ impl Medium {
     pub fn memory_bytes(&self) -> usize {
         let lists = self.effects.iter().chain(self.ring.iter().map(|s| &s.list));
         lists.map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Effect>()
+    }
+
+    /// Heap bytes of the per-node arrays, by capacity: positions,
+    /// effect-list headers, the two epoch stamps, the unsorted flags and
+    /// the spatial grid's entries — what a node costs the medium whether
+    /// or not it ever transmits. The lists themselves are
+    /// [`Medium::memory_bytes`].
+    pub fn index_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.positions.capacity() * size_of::<Position>()
+            + self.effects.capacity() * size_of::<Vec<Effect>>()
+            + (self.node_epoch.capacity() + self.one_shot_epoch.capacity()) * size_of::<u64>()
+            + self.unsorted.capacity() * size_of::<bool>()
+            + self.grid.memory_bytes()
     }
 
     /// Recomputes `tx`'s effect list into `bucket` from its grid neighborhood.
@@ -1008,27 +1020,26 @@ mod lazy_tests {
         for i in 0..3u32 {
             assert!(!m.is_fresh(NodeId(i)));
         }
-        // A list stored two epochs ago is read one-shot first.
+        // A list stored before, even two epochs ago, is stored again at
+        // its first read.
         let fx = m.refresh(NodeId(0));
         assert_eq!(fx.len(), 1, "node 1 is ~224 m away");
         assert!(fx[0].class.decodable);
         m.refresh(NodeId(2));
-        // A second query at the same epoch stores the list, a third is a
-        // no-op.
+        // Later queries at the same epoch are no-ops.
         m.refresh(NodeId(2));
         m.refresh(NodeId(2));
-        assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(0)) && !m.is_fresh(NodeId(1)));
+        assert!(m.is_fresh(NodeId(2)) && m.is_fresh(NodeId(0)) && !m.is_fresh(NodeId(1)));
         let c = m.counters();
-        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (2, 4, 2, 1));
+        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (2, 4, 0, 2));
         assert_eq!(c.revalidations, 0);
-        // One batch later node 2's list, stored last epoch, is stored at
-        // its first read; node 0's, two epochs old, is read one-shot.
+        // One batch later both are stored at their first read again.
         m.move_nodes(&[(NodeId(1), Position::new(200.0, 0.0))]);
         m.refresh(NodeId(2));
         m.refresh(NodeId(0));
-        assert!(m.is_fresh(NodeId(2)) && !m.is_fresh(NodeId(0)));
+        assert!(m.is_fresh(NodeId(2)) && m.is_fresh(NodeId(0)));
         let c = m.counters();
-        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (3, 6, 3, 2));
+        assert_eq!((c.epoch, c.queries, c.one_shots, c.rebuilds), (3, 6, 0, 4));
     }
 
     #[test]
@@ -1037,9 +1048,9 @@ mod lazy_tests {
         m.refresh(NodeId(2)); // only the sort the build left
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
-        m.refresh(NodeId(0)); // one-shot scan, then sort
-        m.refresh(NodeId(0)); // neither: the ring's list is adopted
+        m.refresh(NodeId(0)); // stored again: a scan, then a sort
         m.refresh(NodeId(0)); // a hit
+        m.refresh(NodeId(0)); // another
         let [scans, sorts] = m.take_lazy_profile();
         assert_eq!((scans.0, sorts.0), (1, 2));
         assert!(scans.1 >= 0.0 && sorts.1 >= 0.0);
@@ -1112,7 +1123,7 @@ mod lazy_tests {
             ReferenceMedium::effects_from(m.positions(), m.ranges(), NodeId(0))
         );
         // The same list stored after the next batch is a rebuild, at its
-        // first read: it was stored in the previous epoch.
+        // first read: it was stored before.
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 0.0))]);
         m.refresh(NodeId(0));
         assert!(m.is_fresh(NodeId(0)));
@@ -1121,10 +1132,9 @@ mod lazy_tests {
     }
 
     /// The admission rule's carry-over: a node that stored its list in
-    /// the previous epoch stores it at its first refresh of this one, so
-    /// however many one-shots come before its next refresh it pays one
-    /// scan per epoch; one epoch without a refresh returns it to the
-    /// one-shot rule.
+    /// the previous epoch — or in any earlier one — stores it at its first
+    /// refresh of this one, so however many one-shots come before its
+    /// next refresh it pays one scan per epoch.
     #[test]
     fn list_stored_last_epoch_is_stored_at_first_refresh() {
         let mut m = Medium::lazy(line(ONE_SHOT_RING + 4), RangeModel::paper());
@@ -1147,12 +1157,13 @@ mod lazy_tests {
         );
         let [scans, _] = m.take_lazy_profile();
         assert_eq!(scans.0, ONE_SHOT_RING as u64 + 2, "node 0 scanned once");
-        // Two batches with no refresh between them: one-shot again.
+        // Two batches with no refresh between them: still stored at once.
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 0.0))]);
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
         m.refresh(NodeId(0));
-        assert!(!m.is_fresh(NodeId(0)));
-        assert_eq!(m.counters().one_shots, ONE_SHOT_RING as u64 + 3);
+        assert!(m.is_fresh(NodeId(0)));
+        let c = m.counters();
+        assert_eq!((c.one_shots, c.rebuilds), (ONE_SHOT_RING as u64 + 2, 2));
     }
 
     /// `n` nodes 100 m apart on a line: every list is non-empty.
@@ -1236,7 +1247,7 @@ mod lazy_tests {
             (ONE_SHOT_RING as u64 + 2, 2, 2)
         );
         // The next batch makes both stale: stored again at their first
-        // refresh (both stored last epoch), as rebuilds.
+        // refresh (both stored before), as rebuilds.
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
         for tx in [0, 1, 0, 1] {
             let expected = want(&m, tx);
@@ -1295,11 +1306,13 @@ mod lazy_tests {
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 50.0))]);
         assert!(!m.is_fresh(NodeId(0)));
-        let once = m.refresh(NodeId(0)).to_vec();
+        // Stored before, so stored again at the first refresh; the
+        // second is a hit.
+        let first = m.refresh(NodeId(0)).to_vec();
         let after = m.refresh(NodeId(0)).to_vec();
         let c = m.counters();
-        assert_eq!((c.one_shots, c.rebuilds, c.revalidations), (1, 1, 0));
-        for list in [&once, &after] {
+        assert_eq!((c.one_shots, c.rebuilds, c.revalidations), (0, 1, 0));
+        for list in [&first, &after] {
             assert_eq!(list, &before);
             assert_eq!(bits(list), bits(&before));
         }

@@ -113,8 +113,8 @@ proptest! {
     /// Every read must equal the oracle's list; a node's first read in an
     /// epoch counts a one-shot and stores nothing, its second stores the
     /// list (a build if it never had one, else a rebuild), later ones are
-    /// hits — except that a node whose list was stored in the previous
-    /// epoch stores (rebuilds) it at its first read.
+    /// hits — except that a node whose list was ever stored stores
+    /// (rebuilds) it at its first read.
     #[test]
     fn lazy_medium_matches_dense_reference(
         initial in proptest::collection::vec(arb_point(), 1..32),
@@ -153,9 +153,7 @@ proptest! {
                 let id = NodeId(tx as u32);
                 prop_assert_eq!(lazy.is_fresh(id), stored[tx] == now, "tx {} before its read", tx);
                 if stored[tx] != now {
-                    let stored_last_epoch =
-                        lazy.epoch().checked_sub(1).is_some_and(|e| stored[tx] == Some(e));
-                    if once[tx] != now && !stored_last_epoch {
+                    if once[tx] != now && stored[tx].is_none() {
                         once[tx] = now;
                         one_shots += 1;
                     } else {

@@ -54,6 +54,9 @@ pub struct EngineProfile {
     /// Pending events the host's queue has cancelled, from
     /// [`EventQueue::cancels`](crate::EventQueue::cancels).
     pub queue_cancels: u64,
+    /// Nodes whose protocol state the host has built (copied in by the
+    /// host; a node no signal reached holds none).
+    pub node_records: u64,
 }
 
 impl EngineProfile {

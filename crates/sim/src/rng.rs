@@ -54,6 +54,35 @@ impl Pcg32 {
         Pcg32::with_stream(seed, stream)
     }
 
+    /// The child [`Pcg32::fork`] would return after `k` earlier forks,
+    /// without drawing them: each fork consumes four outputs, so this
+    /// is a copy advanced `4k` steps, forked once. `self` is unchanged.
+    pub fn fork_at(&self, k: u64) -> Pcg32 {
+        let mut rng = self.clone();
+        rng.advance(k.wrapping_mul(4));
+        rng.fork()
+    }
+
+    /// Skips `delta` outputs in O(log delta): the state becomes what
+    /// `delta` calls of [`Pcg32::next_u32`] would leave. The LCG step
+    /// `s ↦ a·s + c` composed with itself is again such a step, so the
+    /// skip squares its way up through the bits of `delta` (Brown,
+    /// "Random number generation with arbitrary strides", 1994).
+    pub fn advance(&mut self, mut delta: u64) {
+        let (mut mult, mut plus) = (PCG_MULT, self.inc);
+        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
+        while delta > 0 {
+            if delta & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(mult);
+                acc_plus = acc_plus.wrapping_mul(mult).wrapping_add(plus);
+            }
+            plus = mult.wrapping_add(1).wrapping_mul(plus);
+            mult = mult.wrapping_mul(mult);
+            delta >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
+
     /// Next uniformly distributed 32-bit value.
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
@@ -165,6 +194,45 @@ mod tests {
     }
 
     #[test]
+    fn advance_matches_stepping() {
+        let start = Pcg32::new(2024);
+        for k in [0u64, 1, 2, 3, 4, 7, 64, 1000, 4097] {
+            let (mut stepped, mut skipped) = (start.clone(), start.clone());
+            for _ in 0..k {
+                stepped.next_u32();
+            }
+            skipped.advance(k);
+            assert_eq!(skipped, stepped, "k = {k}");
+        }
+    }
+
+    /// Skips past 2³² outputs compose like any other, and the generator's
+    /// period is 2⁶⁴: `2⁶⁴ − 1` skips and one step come back to the start.
+    #[test]
+    fn advance_beyond_two_to_the_32_composes_and_wraps_the_period() {
+        let start = Pcg32::new(99);
+        let mut whole = start.clone();
+        whole.advance((1 << 33) + 5);
+        let mut halves = start.clone();
+        halves.advance(1 << 32);
+        halves.advance((1 << 32) + 5);
+        assert_eq!(whole, halves);
+        let mut around = start.clone();
+        around.advance(u64::MAX);
+        around.next_u32();
+        assert_eq!(around, start);
+    }
+
+    #[test]
+    fn fork_at_matches_sequential_forks() {
+        let root = Pcg32::new(7);
+        let mut sequential = root.clone();
+        for k in 0..40 {
+            assert_eq!(root.fork_at(k), sequential.fork(), "fork {k}");
+        }
+    }
+
+    #[test]
     fn range_mean_is_plausible() {
         let mut rng = Pcg32::new(99);
         let n = 20_000;
@@ -198,6 +266,35 @@ mod tests {
             for _ in 0..32 {
                 prop_assert!(rng.gen_range_u64(bound) < bound);
             }
+        }
+
+        #[test]
+        fn advance_is_stepping_and_composes(seed: u64, k in 0u64..2048, far: u64) {
+            let start = Pcg32::new(seed);
+            let mut stepped = start.clone();
+            for _ in 0..k {
+                stepped.next_u32();
+            }
+            let mut skipped = start.clone();
+            skipped.advance(k);
+            prop_assert_eq!(&skipped, &stepped);
+            // A far skip then `k` more is one skip of the sum.
+            let mut two = start.clone();
+            two.advance(far);
+            two.advance(k);
+            let mut one = start;
+            one.advance(far.wrapping_add(k));
+            prop_assert_eq!(two, one);
+        }
+
+        #[test]
+        fn fork_at_is_the_kth_sequential_fork(seed: u64, k in 0u64..64) {
+            let root = Pcg32::new(seed);
+            let mut sequential = root.clone();
+            for _ in 0..k {
+                sequential.fork();
+            }
+            prop_assert_eq!(root.fork_at(k), sequential.fork());
         }
 
         #[test]

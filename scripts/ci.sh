@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# The parent-equivalence harness is run by hand (it builds a second
+# tree); CI only checks that it parses.
+echo "==> bash -n scripts/parent.sh"
+bash -n scripts/parent.sh
+
 # Clippy is best-effort: not every toolchain installation ships it, and
 # the gate must stay runnable offline. When present, warnings are errors.
 if cargo clippy --version >/dev/null 2>&1; then
