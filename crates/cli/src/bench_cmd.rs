@@ -32,7 +32,7 @@ use mwn_phy::{DataRate, MediumCounters};
 use mwn_runner::query::Json;
 
 use crate::args::{reject_leftovers, take_count, take_flag, take_value};
-use crate::waypoints;
+use crate::{waypoints, Failure};
 
 /// Version tag of the `BENCH_engine.json` schema.
 const SCHEMA: &str = "mwn-bench-engine/1";
@@ -362,7 +362,7 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
-pub fn command(argv: &[String]) -> Result<(), String> {
+pub fn command(argv: &[String]) -> Result<(), Failure> {
     let mut argv = argv.to_vec();
     let quick = take_flag(&mut argv, "--quick");
     let check = take_flag(&mut argv, "--check");
@@ -372,19 +372,20 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let repeat = take_count(&mut argv, "--repeat", "repeat count")?;
     reject_leftovers(&argv)?;
     if record.is_some() && quick {
-        return Err("--record requires the full scenario set (drop --quick)".to_string());
+        return Err("--record requires the full scenario set (drop --quick)".into());
     }
     if record.is_some() && case_filter.is_some() {
-        return Err("--record requires the full scenario set (drop --case)".to_string());
+        return Err("--record requires the full scenario set (drop --case)".into());
     }
 
     let baseline = match std::fs::read_to_string(&out) {
-        Ok(text) => Some(Baseline::parse(text).map_err(|e| format!("{out}: {e}"))?),
+        Ok(text) => Some(Baseline::parse(text).map_err(|e| Failure::Run(format!("{out}: {e}")))?),
         Err(_) => None,
     };
     if let Some(label) = &record {
         // Dry-run the rewrite: a refusal must cost no run.
-        render_file(baseline.as_ref(), label, &[]).map_err(|e| format!("{out}: {e}"))?;
+        render_file(baseline.as_ref(), label, &[])
+            .map_err(|e| Failure::Run(format!("{out}: {e}")))?;
     }
     let baseline_rows = baseline.as_ref().map(Baseline::last_entry);
 
@@ -398,10 +399,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         })
         .collect();
     if selected.is_empty() {
-        return Err(format!(
-            "--case {:?} matches no benchmark scenario",
-            case_filter.as_deref().unwrap_or_default()
-        ));
+        let pattern = case_filter.as_deref().unwrap_or_default();
+        return Err(format!("--case {pattern:?} matches no benchmark scenario").into());
     }
     println!(
         "running {} scenario(s), best of {repeat} run(s) each:",
@@ -478,16 +477,16 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     }
 
     if let Some(label) = record {
-        let text = render_file(baseline.as_ref(), &label, &rows)?;
-        std::fs::write(&out, text).map_err(|e| format!("writing {out}: {e}"))?;
+        let text = render_file(baseline.as_ref(), &label, &rows).map_err(Failure::Run)?;
+        std::fs::write(&out, text).map_err(|e| Failure::Run(format!("writing {out}: {e}")))?;
         println!("recorded entry {label:?} in {out}");
     }
 
     if check {
         if worst.ratio.is_none() {
-            return Err(format!(
+            return Err(Failure::Run(format!(
                 "--check: no committed baseline in {out} (record one first)"
-            ));
+            )));
         }
         let mut failed = Vec::new();
         for (gate, verdict) in worst.verdicts() {
@@ -500,11 +499,11 @@ pub fn command(argv: &[String]) -> Result<(), String> {
             }
         }
         if !failed.is_empty() {
-            return Err(format!(
+            return Err(Failure::Run(format!(
                 "--check failed {} gate(s): {}",
                 failed.len(),
                 failed.join(", ")
-            ));
+            )));
         }
     }
     Ok(())

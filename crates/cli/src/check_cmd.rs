@@ -11,12 +11,13 @@ use mwn_check::{canonical_cases, fast_cases, fuzz, CanonicalCase, CaseReport};
 use mwn_runner::pool;
 
 use crate::args::{reject_leftovers, take_flag, take_parsed, take_value};
+use crate::Failure;
 
 /// Where `--bless` writes (and where the build embeds the digests from),
 /// relative to the repository root.
 const GOLDEN_PATH: &str = "crates/check/golden/digests.txt";
 
-pub fn command(argv: &[String]) -> Result<(), String> {
+pub fn command(argv: &[String]) -> Result<(), Failure> {
     let mut argv = argv.to_vec();
     let suite = take_value(&mut argv, "--suite")?.unwrap_or_else(|| "full".to_string());
     let bless = take_flag(&mut argv, "--bless");
@@ -33,7 +34,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         match suite.as_str() {
             "full" => canonical_cases(),
             "fast" => fast_cases(),
-            other => return Err(format!("unknown suite {other:?} (use fast or full)")),
+            other => return Err(format!("unknown suite {other:?} (use fast or full)").into()),
         }
     };
 
@@ -48,13 +49,13 @@ pub fn command(argv: &[String]) -> Result<(), String> {
 
     if bless {
         if failures > 0 {
-            return Err(format!(
+            return Err(Failure::Run(format!(
                 "{failures} invariant violation(s); refusing to bless a non-conforming trace"
-            ));
+            )));
         }
         let path = golden_path.unwrap_or_else(|| GOLDEN_PATH.to_string());
         std::fs::write(&path, format_digests(&reports))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+            .map_err(|e| Failure::Run(format!("writing {path}: {e}")))?;
         println!("blessed {} scenario digests -> {path}", reports.len());
         return Ok(());
     }
@@ -62,13 +63,13 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     let from_file;
     let golden_text = match &golden_path {
         Some(path) => {
-            from_file =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            from_file = std::fs::read_to_string(path)
+                .map_err(|e| Failure::Run(format!("reading {path}: {e}")))?;
             from_file.as_str()
         }
         None => BUILTIN_DIGESTS,
     };
-    let golden = parse_digests(golden_text)?;
+    let golden = parse_digests(golden_text).map_err(Failure::Run)?;
     for report in &reports {
         match conformance(report, &golden) {
             Some(msg) => {
@@ -97,7 +98,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     }
 
     if failures > 0 {
-        Err(format!("{failures} check failure(s)"))
+        Err(Failure::Run(format!("{failures} check failure(s)")))
     } else {
         Ok(())
     }

@@ -40,18 +40,32 @@ pub(crate) fn waypoints((width, height): (f64, f64)) -> RandomWaypoint {
     }
 }
 
+/// Why a command failed: its arguments, refused before anything ran, or
+/// the run itself (a gate, a job, a store, a study). Both exit 2; only
+/// bad arguments are followed by the usage text.
+pub(crate) enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl<T: Into<String>> From<T> for Failure {
+    fn from(msg: T) -> Self {
+        Failure::Usage(msg.into())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("repro") => repro::command(&args[1..]),
         Some("sweep") => sweep::command(&args[1..]),
-        Some("run") => run::command(&args[1..]),
-        Some("stats") => stats_cmd::command(&args[1..]),
+        Some("run") => run::command(&args[1..]).map_err(Failure::Usage),
+        Some("stats") => stats_cmd::command(&args[1..]).map_err(Failure::Usage),
         Some("list") => {
-            repro::list();
+            print!("{}", repro::listing());
             Ok(())
         }
-        Some("trace") => trace_cmd::command(&args[1..]),
+        Some("trace") => trace_cmd::command(&args[1..]).map_err(Failure::Usage),
         Some("check") => check_cmd::command(&args[1..]),
         Some("bench") => bench_cmd::command(&args[1..]),
         Some("traffic") => traffic_cmd::command(&args[1..]),
@@ -60,17 +74,18 @@ fn main() -> ExitCode {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command {other:?}")),
+        Some(other) => Err(format!("unknown command {other:?}").into()),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             print_usage();
-            ExitCode::from(2)
         }
+        Err(Failure::Run(msg)) => eprintln!("error: {msg}"),
     }
+    ExitCode::from(2)
 }
 
 fn print_usage() {
@@ -81,7 +96,7 @@ fn print_usage() {
          \x20 mwn repro <experiment|all> [--scale N] [--jobs N] [--csv]\n\
          \x20     Regenerate a paper figure/table (see `mwn list`).\n\
          \x20     --scale N   batch size multiplier (1 = quick, 25 = paper scale)\n\
-         \x20     --jobs N    run experiments on N worker threads (0 = one per CPU)\n\
+         \x20     --jobs N    worker threads for the studies' jobs (0 = one per CPU, default)\n\
          \x20     --csv       emit CSV instead of aligned text\n\n\
          \x20 mwn sweep [--suite chain|full|traffic|load] [--jobs N] [--out results.jsonl] [--scale N]\n\
          \x20           [--metrics]\n\

@@ -8,9 +8,9 @@ use std::path::Path;
 
 use mwn_runner::query::{aggregate, GroupSummary, RowFilter, StoreView};
 
-use crate::args;
+use crate::{args, Failure};
 
-pub fn command(rest: &[String]) -> Result<(), String> {
+pub fn command(rest: &[String]) -> Result<(), Failure> {
     let mut argv: Vec<String> = rest.to_vec();
     let store = args::take_value(&mut argv, "--store")?.unwrap_or_else(|| "results.jsonl".into());
     let filter = RowFilter {
@@ -26,13 +26,13 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     let diff = args::take_value(&mut argv, "--diff")?;
     args::reject_leftovers(&argv)?;
 
-    let view = load(&store)?;
+    let view = load(&store).map_err(Failure::Run)?;
     let rows = view.select(&filter);
     if rows.is_empty() {
-        return Err(format!(
+        return Err(Failure::Run(format!(
             "no completed rows in {store:?} match the filter (store has {} row(s))",
             view.rows.len()
-        ));
+        )));
     }
     let failed = view.rows.iter().filter(|r| r.status == "failed").count();
     eprintln!(
@@ -43,7 +43,7 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     let groups = aggregate(&rows);
 
     if let Some(other_path) = diff {
-        let other_view = load(&other_path)?;
+        let other_view = load(&other_path).map_err(Failure::Run)?;
         let other_rows = other_view.select(&filter);
         let other_groups = aggregate(&other_rows);
         print_diff(&groups, &other_groups, &store, &other_path, csv);

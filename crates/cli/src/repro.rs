@@ -1,99 +1,26 @@
 //! `mwn repro` — regenerate the paper's figures and tables.
 
-use mwn::experiments::{self, FigureData, TableData};
-use mwn::ExperimentScale;
-use mwn_runner::pool;
+use mwn::experiments::{Curve, Printout, Study, STUDIES};
+use mwn::jobs::JobSpec;
+use mwn::{ExperimentScale, RunResults};
+use mwn_runner::{pool, simulate, worker_count};
 
-use crate::args;
+use crate::{args, Failure};
 
-/// What one experiment produces: its figures and tables.
-type Output = (Vec<FigureData>, Vec<TableData>);
-
-/// One reproducible experiment: id, description, producer.
-type Producer = fn(ExperimentScale) -> Output;
-
-fn catalog() -> Vec<(&'static str, &'static str, Producer)> {
-    vec![
-        ("table2", "4-hop propagation delay per bandwidth", |_s| {
-            (vec![], vec![experiments::table2()])
-        }),
-        (
-            "fig2-3",
-            "Vegas alpha sweep: goodput and window vs hops",
-            |s| {
-                let (a, b) = experiments::figs_2_3(s);
-                (vec![a, b], vec![])
-            },
-        ),
-        ("fig4", "Vegas goodput vs bandwidth (7 hops)", |s| {
-            (vec![experiments::fig4(s)], vec![])
-        }),
-        ("fig5", "Vegas with ACK thinning vs hops", |s| {
-            (vec![experiments::fig5(s)], vec![])
-        }),
-        (
-            "fig6-9",
-            "chain study: goodput/retx/window/route failures",
-            |s| (experiments::figs_6_to_9(s).to_vec(), vec![]),
-        ),
-        ("fig10", "paced-UDP rate sweep (7 hops)", |s| {
-            (vec![experiments::fig10(s)], vec![])
-        }),
-        ("fig11-14", "7-hop chain across bandwidths", |s| {
-            (experiments::figs_11_to_14(s).to_vec(), vec![])
-        }),
-        ("fig16-17", "grid topology + Table 3 fairness", |s| {
-            let (a, b, t) = experiments::grid_study(s);
-            (vec![a, b], vec![t])
-        }),
-        ("fig18-19", "random topology + Table 4 fairness", |s| {
-            let (a, b, t) = experiments::random_study(s);
-            (vec![a, b], vec![t])
-        }),
-        ("ablation-capture", "physical capture on/off", |s| {
-            (vec![experiments::ablation_capture(s)], vec![])
-        }),
-        (
-            "ablation-basic-rate",
-            "control frames at basic vs data rate",
-            |s| (vec![experiments::ablation_basic_rate(s)], vec![]),
-        ),
-        (
-            "ablation-cs-range",
-            "carrier-sense range vs hidden terminals",
-            |s| (vec![experiments::ablation_cs_range(s)], vec![]),
-        ),
-        ("ext-fu", "Fu et al. link-layer pacing + RED", |s| {
-            (vec![experiments::extension_fu_enhancements(s)], vec![])
-        }),
-        ("ext-variants", "Tahoe/Reno/NewReno/Vegas comparison", |s| {
-            (vec![experiments::extension_tcp_variants(s)], vec![])
-        }),
-        ("ext-optwin", "optimal window bound vs h/4 law", |s| {
-            (vec![experiments::extension_optimal_window(s)], vec![])
-        }),
-        ("ext-80211g", "802.11g OFDM rates", |s| {
-            (vec![experiments::extension_80211g(s)], vec![])
-        }),
-        ("ext-elfn", "mobility + ELFN (Holland & Vaidya)", |s| {
-            (vec![experiments::extension_mobility_elfn(s)], vec![])
-        }),
-    ]
-}
-
-/// Prints the experiment catalog.
-pub fn list() {
-    println!("{:<20} description", "experiment");
-    for (id, desc, _) in catalog() {
-        println!("{id:<20} {desc}");
+/// The study catalog `mwn list` prints.
+pub fn listing() -> String {
+    let mut out = format!("{:<20} description\n", "experiment");
+    for study in &STUDIES {
+        out.push_str(&format!("{:<20} {}\n", study.id, study.description));
     }
-    println!("{:<20} run every experiment above", "all");
+    out + &format!("{:<20} run every experiment above\n", "all")
 }
 
-pub fn command(rest: &[String]) -> Result<(), String> {
+pub fn command(rest: &[String]) -> Result<(), Failure> {
     let mut argv: Vec<String> = rest.to_vec();
     let mult = args::take_count(&mut argv, "--scale", "scale")?;
-    let jobs = mwn_runner::worker_count(args::take_parsed(&mut argv, "--jobs", "job count", 1)?);
+    // 0: one worker per CPU.
+    let workers = worker_count(args::take_parsed(&mut argv, "--jobs", "job count", 0)?);
     let csv = args::take_flag(&mut argv, "--csv");
     let Some(which) = argv.first().cloned() else {
         return Err("repro needs an experiment id (see `mwn list`)".into());
@@ -101,46 +28,27 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     argv.remove(0);
     args::reject_leftovers(&argv)?;
 
-    let scale = ExperimentScale::scaled(mult);
+    let selected: Vec<&Study> = STUDIES
+        .iter()
+        .filter(|study| which == "all" || study.id == which)
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("unknown experiment {which:?} (see `mwn list`)").into());
+    }
+    for study in &selected {
+        eprintln!("[{}] {} (scale x{mult})...", study.id, study.description);
+    }
 
-    let catalog = catalog();
-    let selected: Vec<_> = if which == "all" {
-        catalog
-    } else {
-        let found: Vec<_> = catalog
-            .into_iter()
-            .filter(|(id, _, _)| *id == which)
-            .collect();
-        if found.is_empty() {
-            return Err(format!("unknown experiment {which:?} (see `mwn list`)"));
-        }
-        found
-    };
-
-    // Experiments are independent, so they run on a worker pool (one
-    // worker by default); output is collected and printed in catalog
-    // order whatever the worker count.
-    let mut produced: Vec<Option<Result<Output, String>>> = selected.iter().map(|_| None).collect();
-    pool::run(
-        selected.clone(),
-        jobs,
-        |(_, _, produce)| produce(scale),
-        |event| match event {
-            pool::Event::Started { index, .. } => {
-                let (id, desc, _) = selected[index];
-                eprintln!("[{id}] {desc} (scale x{mult})...");
-            }
-            pool::Event::Finished { index, result, .. } => produced[index] = Some(result),
-        },
-    );
-
-    let mut failures = Vec::new();
-    for ((id, _, _), outcome) in selected.into_iter().zip(produced) {
-        let (figures, tables) = match outcome.expect("pool finished every experiment") {
-            Ok(data) => data,
-            Err(panic) => {
-                eprintln!("[{id}] FAILED: {panic}");
-                failures.push(id);
+    let mut failed = Vec::new();
+    let outcomes = run_studies(&selected, ExperimentScale::scaled(mult), workers, simulate);
+    for (study, outcome) in selected.iter().zip(outcomes) {
+        let (figures, tables) = match outcome {
+            Ok(printout) => printout,
+            Err(failures) => {
+                for failure in failures {
+                    eprintln!("[{}] FAILED: {failure}", study.id);
+                }
+                failed.push(study.id);
                 continue;
             }
         };
@@ -158,22 +66,87 @@ pub fn command(rest: &[String]) -> Result<(), String> {
             println!();
         }
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("experiment(s) failed: {}", failures.join(", ")))
+    if !failed.is_empty() {
+        return Err(Failure::Run(format!(
+            "experiment(s) failed: {}",
+            failed.join(", ")
+        )));
     }
+    Ok(())
+}
+
+/// Runs the studies' jobs through `exec` as one list, in study order, on
+/// `workers` threads, and folds each study from its own results. A study
+/// with a job that panicked is not folded: its entry lists
+/// `"<point>: <panic message>"` per failed job instead.
+fn run_studies(
+    studies: &[&Study],
+    scale: ExperimentScale,
+    workers: usize,
+    exec: fn(&JobSpec) -> RunResults,
+) -> Vec<Result<Printout, Vec<String>>> {
+    let grids: Vec<_> = studies.iter().map(|study| (study.grid)(scale)).collect();
+    let jobs: Vec<JobSpec> = grids
+        .iter()
+        .flatten()
+        .flat_map(|series| series.points.iter().map(|(_, job)| job.clone()))
+        .collect();
+    let mut results = pool::parallel_map(jobs, workers, exec).into_iter();
+    studies
+        .iter()
+        .zip(grids)
+        .map(|(study, grid)| {
+            let mut failures = Vec::new();
+            let curves: Vec<Curve> = grid
+                .into_iter()
+                .map(|series| Curve {
+                    label: series.label,
+                    points: series
+                        .points
+                        .into_iter()
+                        .zip(results.by_ref())
+                        .filter_map(|((x, job), result)| match result {
+                            Ok(r) => Some((x, (job, r))),
+                            Err(msg) => {
+                                failures.push(format!("{}: {msg}", job.point));
+                                None
+                            }
+                        })
+                        .collect(),
+                })
+                .collect();
+            if failures.is_empty() {
+                Ok((study.fold)(curves))
+            } else {
+                Err(failures)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::catalog;
+    use super::*;
+    use mwn::experiment;
+    use mwn::SimDuration;
 
-    /// Exactly one id per public function in `mwn::experiments` (bar
-    /// `seed_for`): one missing here can be run from no command.
+    fn tiny() -> ExperimentScale {
+        ExperimentScale {
+            batch_packets: 60,
+            batches: 3,
+            deadline: SimDuration::from_secs(600),
+        }
+    }
+
+    fn study(id: &str) -> &'static Study {
+        STUDIES.iter().find(|s| s.id == id).unwrap()
+    }
+
+    /// The ids are unique, in catalog order, and are what `mwn list`
+    /// prints: one missing here can be run from no command.
     #[test]
     fn catalog_names_every_experiment_once() {
-        let ids: Vec<&str> = catalog().iter().map(|(id, _, _)| *id).collect();
+        let ids: Vec<&str> = STUDIES.iter().map(|study| study.id).collect();
         assert_eq!(
             ids,
             [
@@ -196,5 +169,77 @@ mod tests {
                 "ext-elfn",
             ]
         );
+        let listing = listing();
+        let listed: Vec<&str> = listing
+            .lines()
+            .skip(1)
+            .map(|line| line.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(listed[..ids.len()], ids);
+        assert_eq!(listed[ids.len()..], ["all"]);
+    }
+
+    /// `fig4` and `ext-elfn` (the fold that pools three layouts per
+    /// point), folded from the pool at one and at two workers, print
+    /// exactly what the same fold prints over each job run on its own;
+    /// and every `fig4` point is its own job's goodput.
+    #[test]
+    fn studies_fold_the_pooled_runs_of_their_own_jobs() {
+        let scale = tiny();
+        let csv = |(figures, _): &Printout| figures.iter().map(|f| f.to_csv()).collect::<String>();
+        for id in ["fig4", "ext-elfn"] {
+            let study = study(id);
+            let curves: Vec<Curve> = (study.grid)(scale)
+                .into_iter()
+                .map(|series| Curve {
+                    label: series.label,
+                    points: series
+                        .points
+                        .into_iter()
+                        .map(|(x, job)| {
+                            let r = experiment::run(&job.scenario(), job.scale);
+                            (x, (job, r))
+                        })
+                        .collect(),
+                })
+                .collect();
+            let alone = (study.fold)(curves.clone());
+            if id == "fig4" {
+                let points = alone.0[0].series.iter().flat_map(|s| &s.points);
+                let runs = curves.iter().flat_map(|c| &c.points);
+                for ((_, point), (_, (job, r))) in points.zip(runs) {
+                    assert_eq!(*point, r.aggregate_goodput_kbps, "{}", job.point);
+                }
+            }
+            for workers in [1, 2] {
+                let pooled = run_studies(&[study], scale, workers, simulate).remove(0);
+                let pooled = pooled.unwrap_or_else(|e| panic!("{id}: {e:?}"));
+                assert_eq!(csv(&pooled), csv(&alone), "{id} at {workers} worker(s)");
+            }
+        }
+    }
+
+    /// A panicking job fails the study that needs it, naming the job's
+    /// point; the study after it still folds from its own runs.
+    #[test]
+    fn a_failed_job_fails_only_its_study() {
+        fn alpha3_panics(job: &JobSpec) -> RunResults {
+            assert!(!job.point.starts_with("alpha=3"), "planted failure");
+            simulate(job)
+        }
+        let studies = [study("fig4"), study("fig10")];
+        let mut outcomes = run_studies(&studies, tiny(), 2, alpha3_panics).into_iter();
+        let failures = outcomes.next().unwrap().expect_err("fig4 fails");
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(
+            failures[0].starts_with("alpha=3 bw=2Mbit/s: ")
+                && failures[0].ends_with("planted failure"),
+            "{failures:?}"
+        );
+        let fig10 = outcomes.next().unwrap().expect("fig10 folds");
+        let alone = run_studies(&studies[1..], tiny(), 1, simulate)
+            .remove(0)
+            .unwrap();
+        assert_eq!(fig10.0[0].to_csv(), alone.0[0].to_csv());
     }
 }

@@ -5,9 +5,9 @@ use mwn::jobs::{self, JobSpec};
 use mwn::{ExperimentScale, RunResults};
 use mwn_runner::{run_sweep, simulate, simulate_instrumented, worker_count, SweepOptions};
 
-use crate::args;
+use crate::{args, Failure};
 
-pub fn command(rest: &[String]) -> Result<(), String> {
+pub fn command(rest: &[String]) -> Result<(), Failure> {
     let mut argv: Vec<String> = rest.to_vec();
     // 0: one worker per CPU.
     let workers: usize = args::take_parsed(&mut argv, "--jobs", "job count", 0)?;
@@ -24,9 +24,9 @@ pub fn command(rest: &[String]) -> Result<(), String> {
         "traffic" => jobs::traffic_study(scale),
         "load" => jobs::traffic_load_study(scale),
         other => {
-            return Err(format!(
-                "unknown suite {other:?} (use chain, full, traffic or load)"
-            ))
+            return Err(
+                format!("unknown suite {other:?} (use chain, full, traffic or load)").into(),
+            )
         }
     };
 
@@ -41,13 +41,13 @@ pub fn command(rest: &[String]) -> Result<(), String> {
     } else {
         &simulate
     };
-    let summary =
-        run_sweep(&jobs, &opts, exec).map_err(|e| format!("results store {out:?}: {e}"))?;
+    let summary = run_sweep(&jobs, &opts, exec)
+        .map_err(|e| Failure::Run(format!("results store {out:?}: {e}")))?;
     if summary.failed > 0 {
-        return Err(format!(
+        return Err(Failure::Run(format!(
             "{} of {} job(s) failed; see \"status\":\"failed\" lines in {out}",
             summary.failed, summary.total
-        ));
+        )));
     }
     Ok(())
 }

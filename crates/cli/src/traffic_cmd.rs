@@ -7,6 +7,7 @@ use mwn_obs::json::Obj;
 use mwn_runner::pool;
 
 use crate::args::{reject_leftovers, take_count, take_flag, take_link, take_parsed, take_value};
+use crate::Failure;
 
 /// One replication's result.
 struct RepResult {
@@ -16,7 +17,7 @@ struct RepResult {
     report: MetricsReport,
 }
 
-pub fn command(argv: &[String]) -> Result<(), String> {
+pub fn command(argv: &[String]) -> Result<(), Failure> {
     let mut argv = argv.to_vec();
     let nodes: usize = take_parsed(&mut argv, "--nodes", "node count", 20)?;
     let flows: u64 = take_parsed(&mut argv, "--flows", "flow count", 2_000)?;
@@ -36,7 +37,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     reject_leftovers(&argv)?;
 
     if !(load > 0.0 && load.is_finite()) {
-        return Err("--load must be a positive finite factor".to_string());
+        return Err("--load must be a positive finite factor".into());
     }
     let model = TrafficModel::profile(&profile, flows)
         .ok_or_else(|| {
@@ -50,17 +51,15 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         .validate()
         .map_err(|e| format!("invalid traffic model: {e}"))?;
     if !matches!(transport, Transport::Tcp { .. }) {
-        return Err("open-loop traffic needs a TCP transport (not udp)".to_string());
+        return Err("open-loop traffic needs a TCP transport (not udp)".into());
     }
     if nodes < 2 {
-        return Err("traffic needs at least two nodes".to_string());
+        return Err("traffic needs at least two nodes".into());
     }
     // The deadline becomes a u64 count of nanoseconds.
     let max_deadline = u64::MAX / 1_000_000_000;
     if deadline_secs > max_deadline {
-        return Err(format!(
-            "--deadline must be at most {max_deadline} simulated seconds"
-        ));
+        return Err(format!("--deadline must be at most {max_deadline} simulated seconds").into());
     }
 
     // Replications (seeds `seed..seed+reps`) run on a worker pool and
@@ -116,7 +115,9 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         }
     }
     if failures > 0 {
-        Err(format!("{failures} replication(s) did not complete"))
+        Err(Failure::Run(format!(
+            "{failures} replication(s) did not complete"
+        )))
     } else {
         Ok(())
     }

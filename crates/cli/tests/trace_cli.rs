@@ -160,3 +160,32 @@ fn bench_record_refuses_a_reformatted_baseline() {
     );
     assert_eq!(after, pretty, "the baseline was rewritten");
 }
+
+/// A run that fails after its arguments were accepted is not a usage
+/// error: exit code 2 and the reason on stderr, but no usage text. A
+/// store in a directory that does not exist fails when the sweep opens
+/// its journal, before any job runs.
+#[test]
+fn run_failures_exit_2_without_the_usage_text() {
+    let dir = std::env::temp_dir().join(format!("mwn-missing-{}", std::process::id()));
+    let out = dir.join("r.jsonl");
+    let out = mwn(&[
+        "sweep",
+        "--suite",
+        "chain",
+        "--out",
+        out.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(
+        stderr.contains("results store") && stderr.contains("r.jsonl"),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "stdout: {:?}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(!dir.exists(), "the sweep created {dir:?}");
+}

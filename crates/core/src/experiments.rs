@@ -1,21 +1,19 @@
-//! One driver per figure and table of the paper's evaluation (Section 4).
+//! The paper's evaluation (Section 4) as [`STUDIES`]: each pairs a
+//! [`crate::jobs`] grid — the same jobs a sweep runs — with a fold that
+//! turns their results into printable [`FigureData`]/[`TableData`]. A fold
+//! runs nothing and owns only titles, axis labels and which metric each
+//! figure reads. Figures that the paper derives from the *same* simulation
+//! runs (e.g. Figures 6–9) are one study, so the runs are not repeated.
 //!
-//! Each function returns printable [`FigureData`]/[`TableData`]. Every
-//! driver but [`table2`] runs the jobs of its [`crate::jobs`] grid — the
-//! same jobs a sweep runs — and folds the results into curves; it owns
-//! only titles, axis labels and which metric each figure reads. Figures that
-//! the paper derives from the *same* simulation runs (e.g. Figures 6–9)
-//! are produced together so the runs are not repeated.
-//!
-//! `mwn repro <id> --scale N` runs each function at
-//! [`ExperimentScale::scaled`]`(N)`; `--scale 25` reproduces the paper's
-//! 11 × 10 000-packet runs.
+//! `mwn repro <id> --scale N` runs the studies' jobs at
+//! [`ExperimentScale::scaled`]`(N)` on one worker pool; `--scale 25`
+//! reproduces the paper's 11 × 10 000-packet runs.
 
 use mwn_phy::DataRate;
 use mwn_sim::stats::{BatchMeans, Estimate};
 use mwn_sim::{SimDuration, SimTime};
 
-use crate::experiment::{self, ExperimentScale, RunResults};
+use crate::experiment::{ExperimentScale, RunResults};
 use crate::jobs::{self, JobSpec, SeriesJobs};
 use crate::scenario::{Scenario, Transport};
 
@@ -26,13 +24,15 @@ pub const PAPER_HOPS: [usize; 6] = [2, 4, 8, 16, 32, 64];
 pub const PAPER_BANDWIDTHS: [DataRate; 3] =
     [DataRate::MBPS_2, DataRate::MBPS_5_5, DataRate::MBPS_11];
 
-/// One curve of a figure.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Legend label.
+/// One legend series: its label and `(x, point)` per x value, in axis
+/// order. A figure's points are `y ± CI` estimates; a study grid's are its
+/// jobs ([`SeriesJobs`]) and, once run, their results ([`Curve`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series<P = Estimate> {
+    /// Legend label, e.g. `"NewReno +thin"`.
     pub label: String,
-    /// `(x, y ± CI)` points.
-    pub points: Vec<(f64, Estimate)>,
+    /// `(x, point)` per x value.
+    pub points: Vec<(f64, P)>,
 }
 
 /// The data behind one figure.
@@ -165,7 +165,7 @@ fn format_estimate(e: &Estimate) -> String {
 /// Deterministic seed for a (figure, series, point) triple.
 ///
 /// Every study's seeds are spelled once, in the [`crate::jobs`] grids
-/// the drivers fold; only [`table2`], which times one packet instead of
+/// the studies fold; only [`table2`], which times one packet instead of
 /// running batch means, calls it here.
 pub fn seed_for(parts: &[u64]) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -225,33 +225,69 @@ pub fn table2() -> TableData {
 }
 
 // ---------------------------------------------------------------------
-// Figure drivers: folds over the `jobs` grids
+// The study table, and the folds of the chain studies
 // ---------------------------------------------------------------------
 
-/// One figure series with its runs done: legend label and
-/// `(x, job, results)` per point.
-struct Curve {
-    label: String,
-    points: Vec<(f64, JobSpec, RunResults)>,
+/// What a study prints: its figures, then its tables.
+pub type Printout = (Vec<FigureData>, Vec<TableData>);
+
+/// One reproducible study: an `mwn repro` id, the [`crate::jobs`] grid
+/// of its runs and the fold that turns their results into figures and
+/// tables.
+pub struct Study {
+    /// The `mwn repro` id; the `group` of every job in the grid.
+    pub id: &'static str,
+    /// One line for `mwn list`.
+    pub description: &'static str,
+    /// The study's runs, as legend series (empty for `table2`, which
+    /// times one packet instead of running batch means).
+    pub grid: fn(ExperimentScale) -> Vec<SeriesJobs>,
+    /// Folds the runs, one [`Curve`] per grid series in grid order.
+    pub fold: fn(Vec<Curve>) -> Printout,
 }
 
-/// Runs every job of a figure grid, in series-major order, exactly as a
-/// sweep runs it.
-fn run_grid(grid: Vec<SeriesJobs>) -> Vec<Curve> {
-    grid.into_iter()
-        .map(|series| Curve {
-            label: series.label,
-            points: series
-                .points
-                .into_iter()
-                .map(|(x, job)| {
-                    let results = experiment::run(&job.scenario(), job.scale);
-                    (x, job, results)
-                })
-                .collect(),
-        })
-        .collect()
-}
+/// Every study, in `mwn list` order. The `fig` studies are the paper's
+/// figures; [`jobs::full_suite`] is their grids concatenated.
+#[rustfmt::skip] // one study per entry reads as a table
+pub static STUDIES: [Study; 17] = [
+    Study { id: "table2", description: "4-hop propagation delay per bandwidth",
+            grid: |_| Vec::new(), fold: |_| (Vec::new(), vec![table2()]) },
+    Study { id: "fig2-3", description: "Vegas alpha sweep: goodput and window vs hops",
+            grid: jobs::fig2_3, fold: figs_2_3 },
+    Study { id: "fig4", description: "Vegas goodput vs bandwidth (7 hops)",
+            grid: jobs::fig4, fold: fig4 },
+    Study { id: "fig5", description: "Vegas with ACK thinning vs hops",
+            grid: jobs::fig5, fold: fig5 },
+    Study { id: "fig6-9", description: "chain study: goodput/retx/window/route failures",
+            grid: jobs::fig6_9, fold: figs_6_to_9 },
+    Study { id: "fig10", description: "paced-UDP rate sweep (7 hops)",
+            grid: jobs::fig10, fold: fig10 },
+    Study { id: "fig11-14", description: "7-hop chain across bandwidths",
+            grid: jobs::fig11_14, fold: figs_11_to_14 },
+    Study { id: "fig16-17", description: "grid topology + Table 3 fairness",
+            grid: jobs::fig16_17, fold: grid_study },
+    Study { id: "fig18-19", description: "random topology + Table 4 fairness",
+            grid: jobs::fig18_19, fold: random_study },
+    Study { id: "ablation-capture", description: "physical capture on/off",
+            grid: jobs::ablation_capture, fold: ablation_capture },
+    Study { id: "ablation-basic-rate", description: "control frames at basic vs data rate",
+            grid: jobs::ablation_basic_rate, fold: ablation_basic_rate },
+    Study { id: "ablation-cs-range", description: "carrier-sense range vs hidden terminals",
+            grid: jobs::ablation_cs_range, fold: ablation_cs_range },
+    Study { id: "ext-fu", description: "Fu et al. link-layer pacing + RED",
+            grid: jobs::ext_fu, fold: extension_fu_enhancements },
+    Study { id: "ext-variants", description: "Tahoe/Reno/NewReno/Vegas comparison",
+            grid: jobs::ext_variants, fold: extension_tcp_variants },
+    Study { id: "ext-optwin", description: "optimal window bound vs h/4 law",
+            grid: jobs::ext_optwin, fold: extension_optimal_window },
+    Study { id: "ext-80211g", description: "802.11g OFDM rates",
+            grid: jobs::ext_80211g, fold: extension_80211g },
+    Study { id: "ext-elfn", description: "mobility + ELFN (Holland & Vaidya)",
+            grid: jobs::ext_elfn, fold: extension_mobility_elfn },
+];
+
+/// One grid series with its runs done: `(x, (job, results))` per point.
+pub type Curve = Series<(JobSpec, RunResults)>;
 
 /// Reads `metric` off every run: one series per curve, or per TCP curve
 /// if `tcp_only` (window and retransmissions mean nothing for paced UDP).
@@ -260,23 +296,24 @@ fn series(
     tcp_only: bool,
     metric: impl Fn(&RunResults) -> Estimate,
 ) -> Vec<Series> {
-    let is_tcp =
-        |(_, job, _): &(f64, JobSpec, RunResults)| matches!(job.transport, Transport::Tcp { .. });
+    let is_tcp = |(_, (job, _)): &(f64, (JobSpec, RunResults))| {
+        matches!(job.transport, Transport::Tcp { .. })
+    };
     curves
         .iter()
         .filter(|c| !tcp_only || c.points.iter().all(is_tcp))
         .map(|c| Series {
             label: c.label.clone(),
-            points: c.points.iter().map(|(x, _, r)| (*x, metric(r))).collect(),
+            points: c.points.iter().map(|(x, (_, r))| (*x, metric(r))).collect(),
         })
         .collect()
 }
 
-/// Runs `grid` into a figure of each series' aggregate goodput.
-fn goodput(grid: Vec<SeriesJobs>, id: &str, title: &str, x_label: &str) -> FigureData {
-    let curves = run_grid(grid);
-    let series = series(&curves, false, |r| r.aggregate_goodput_kbps);
-    figure(id, title, x_label, "goodput [kbit/s]", series)
+/// One figure of each series' aggregate goodput.
+fn goodput(curves: &[Curve], id: &str, title: &str, x_label: &str) -> Printout {
+    let series = series(curves, false, |r| r.aggregate_goodput_kbps);
+    let figure = figure(id, title, x_label, "goodput [kbit/s]", series);
+    (vec![figure], Vec::new())
 }
 
 fn figure(id: &str, title: &str, x_label: &str, y_label: &str, series: Vec<Series>) -> FigureData {
@@ -291,9 +328,8 @@ fn figure(id: &str, title: &str, x_label: &str, y_label: &str, series: Vec<Serie
 
 /// Figures 2 and 3: TCP Vegas with α ∈ {2, 3, 4} on the h-hop chain at
 /// 2 Mbit/s — goodput (Fig 2) and average window size (Fig 3) vs hops.
-pub fn figs_2_3(scale: ExperimentScale) -> (FigureData, FigureData) {
-    let curves = run_grid(jobs::fig2_3(scale));
-    (
+pub fn figs_2_3(curves: Vec<Curve>) -> Printout {
+    let figures = vec![
         figure(
             "Fig 2",
             "h-hop chain with 2 Mbit/s: TCP Vegas goodput vs number of hops",
@@ -308,29 +344,29 @@ pub fn figs_2_3(scale: ExperimentScale) -> (FigureData, FigureData) {
             "window [packets]",
             series(&curves, false, |r| r.per_flow[0].avg_window),
         ),
-    )
+    ];
+    (figures, Vec::new())
 }
 
 /// Figure 4: 7-hop chain, TCP Vegas goodput for α ∈ {2, 3, 4} at each
 /// bandwidth.
-pub fn fig4(scale: ExperimentScale) -> FigureData {
+pub fn fig4(curves: Vec<Curve>) -> Printout {
     let title = "7-hop chain: TCP Vegas goodput for different bandwidths";
-    goodput(jobs::fig4(scale), "Fig 4", title, "Mbit/s")
+    goodput(&curves, "Fig 4", title, "Mbit/s")
 }
 
 /// Figure 5: Vegas with ACK thinning for α ∈ {2, 3, 4}, against plain
 /// Vegas α = 2, on the 2 Mbit/s chain.
-pub fn fig5(scale: ExperimentScale) -> FigureData {
+pub fn fig5(curves: Vec<Curve>) -> Printout {
     let title = "h-hop chain with 2 Mbit/s: TCP Vegas with ACK thinning: goodput vs hops";
-    goodput(jobs::fig5(scale), "Fig 5", title, "hops")
+    goodput(&curves, "Fig 5", title, "hops")
 }
 
 /// Figures 6–9 (one set of runs): goodput, transport retransmissions,
 /// average window and false route failures vs chain length at 2 Mbit/s,
 /// for Vegas, NewReno, NewReno + ACK thinning and paced UDP.
-pub fn figs_6_to_9(scale: ExperimentScale) -> [FigureData; 4] {
-    let curves = run_grid(jobs::fig6_9(scale));
-    [
+pub fn figs_6_to_9(curves: Vec<Curve>) -> Printout {
+    let figures = vec![
         figure(
             "Fig 6",
             "h-hop chain with 2 Mbit/s: goodput vs number of hops",
@@ -363,21 +399,21 @@ pub fn figs_6_to_9(scale: ExperimentScale) -> [FigureData; 4] {
                 half_width: 0.0,
             }),
         ),
-    ]
+    ];
+    (figures, Vec::new())
 }
 
 /// Figure 10: paced-UDP goodput on the 7-hop 2 Mbit/s chain vs the time
 /// between successive packet transmissions (paper optimum ≈ 35.7 ms).
-pub fn fig10(scale: ExperimentScale) -> FigureData {
+pub fn fig10(curves: Vec<Curve>) -> Printout {
     let title = "7-hop chain with 2 Mbit/s: goodput vs packet inter-sending time";
-    goodput(jobs::fig10(scale), "Fig 10", title, "t [ms]")
+    goodput(&curves, "Fig 10", title, "t [ms]")
 }
 
 /// Figures 11–14 (one set of runs): goodput, retransmissions, window and
 /// link-layer dropping probability on the 7-hop chain at 2/5.5/11 Mbit/s.
-pub fn figs_11_to_14(scale: ExperimentScale) -> [FigureData; 4] {
-    let curves = run_grid(jobs::fig11_14(scale));
-    [
+pub fn figs_11_to_14(curves: Vec<Curve>) -> Printout {
+    let figures = vec![
         figure(
             "Fig 11",
             "7-hop chain: goodput for different bandwidths",
@@ -406,23 +442,25 @@ pub fn figs_11_to_14(scale: ExperimentScale) -> [FigureData; 4] {
             "drop probability",
             series(&curves, false, |r| r.drop_probability),
         ),
-    ]
+    ];
+    (figures, Vec::new())
 }
 
 // ---------------------------------------------------------------------
 // Multi-flow studies: Figures 16–19, Tables 3–4
 // ---------------------------------------------------------------------
 
-fn fairness_cell(e: &Estimate) -> String {
+fn fairness_cell((_, (_, r)): &(f64, (JobSpec, RunResults))) -> String {
+    let e = &r.fairness;
     format!("{:.2} [{:.2} : {:.2}]", e.mean, e.lo(), e.hi())
 }
 
 /// Figures 16–17 and Table 3 (one set of runs): the 21-node grid with six
 /// competing flows — aggregate goodput per bandwidth, per-flow goodput at
 /// 11 Mbit/s, and Jain's fairness index.
-pub fn grid_study(scale: ExperimentScale) -> (FigureData, FigureData, TableData) {
+pub fn grid_study(curves: Vec<Curve>) -> Printout {
     multiflow_study(
-        jobs::fig16_17(scale),
+        &curves,
         (
             "Fig 16",
             "Grid topology: aggregate goodput for different bandwidths",
@@ -434,9 +472,9 @@ pub fn grid_study(scale: ExperimentScale) -> (FigureData, FigureData, TableData)
 
 /// Figures 18–19 and Table 4 (one set of runs): the 120-node random
 /// topology with ten concurrent flows.
-pub fn random_study(scale: ExperimentScale) -> (FigureData, FigureData, TableData) {
+pub fn random_study(curves: Vec<Curve>) -> Printout {
     multiflow_study(
-        jobs::fig18_19(scale),
+        &curves,
         (
             "Fig 18",
             "Random topology: aggregate goodput for different bandwidths",
@@ -447,20 +485,19 @@ pub fn random_study(scale: ExperimentScale) -> (FigureData, FigureData, TableDat
 }
 
 fn multiflow_study(
-    grid: Vec<SeriesJobs>,
+    curves: &[Curve],
     agg_meta: (&str, &str),
     flow_meta: (&str, &str),
     table_meta: (&str, &str),
-) -> (FigureData, FigureData, TableData) {
-    let curves = run_grid(grid);
+) -> Printout {
     // Per-flow goodput at 11 Mbit/s; x is the flow's 1-based index.
     let per_flow = curves
         .iter()
         .filter_map(|c| {
-            let (_, _, r) = c
+            let (_, (_, r)) = c
                 .points
                 .iter()
-                .find(|(_, job, _)| job.bandwidth == DataRate::MBPS_11)?;
+                .find(|(_, (job, _))| job.bandwidth == DataRate::MBPS_11)?;
             let points = r
                 .per_flow
                 .iter()
@@ -478,26 +515,22 @@ fn multiflow_study(
         .points
         .iter()
         .enumerate()
-        .map(|(i, (_, job, _))| {
+        .map(|(i, (_, (job, _)))| {
             std::iter::once(job.bandwidth.to_string())
-                .chain(
-                    curves
-                        .iter()
-                        .map(|c| fairness_cell(&c.points[i].2.fairness)),
-                )
+                .chain(curves.iter().map(|c| fairness_cell(&c.points[i])))
                 .collect()
         })
         .collect();
     let headers = std::iter::once(String::new())
         .chain(curves.iter().map(|c| c.label.clone()))
         .collect();
-    (
+    let figures = vec![
         figure(
             agg_meta.0,
             agg_meta.1,
             "Mbit/s",
             "aggregate goodput [kbit/s]",
-            series(&curves, false, |r| r.aggregate_goodput_kbps),
+            series(curves, false, |r| r.aggregate_goodput_kbps),
         ),
         figure(
             flow_meta.0,
@@ -506,13 +539,14 @@ fn multiflow_study(
             "goodput [kbit/s]",
             per_flow,
         ),
-        TableData {
-            id: table_meta.0.into(),
-            title: table_meta.1.into(),
-            headers,
-            rows,
-        },
-    )
+    ];
+    let table = TableData {
+        id: table_meta.0.into(),
+        title: table_meta.1.into(),
+        headers,
+        rows,
+    };
+    (figures, vec![table])
 }
 
 // ---------------------------------------------------------------------
@@ -523,32 +557,31 @@ fn multiflow_study(
 /// 2 Mbit/s chain. Shows that ns-2's capture threshold is load-bearing
 /// for the chain results (without it, same-direction traffic destroys
 /// itself and every variant collapses).
-pub fn ablation_capture(scale: ExperimentScale) -> FigureData {
+pub fn ablation_capture(curves: Vec<Curve>) -> Printout {
     let title = "Physical capture on/off: chain goodput at 2 Mbit/s";
-    goodput(jobs::ablation_capture(scale), "Ablation A", title, "hops")
+    goodput(&curves, "Ablation A", title, "hops")
 }
 
 /// Ablation: control frames at the data rate instead of 1 Mbit/s. Shows
 /// the sub-linear goodput growth of Figures 4/11 is caused by the fixed
 /// basic rate.
-pub fn ablation_basic_rate(scale: ExperimentScale) -> FigureData {
+pub fn ablation_basic_rate(curves: Vec<Curve>) -> Printout {
     let title = "Basic-rate control frames vs data-rate control frames (7-hop Vegas)";
-    let grid = jobs::ablation_basic_rate(scale);
-    goodput(grid, "Ablation B", title, "Mbit/s")
+    goodput(&curves, "Ablation B", title, "Mbit/s")
 }
 
 /// Ablation: carrier-sense range below/at/above the hidden-terminal
 /// threshold. With CS range ≥ 3 hops (600 m) the chain has no hidden
 /// terminals and NewReno's losses fall sharply.
-pub fn ablation_cs_range(scale: ExperimentScale) -> FigureData {
-    let curves = run_grid(jobs::ablation_cs_range(scale));
-    figure(
+pub fn ablation_cs_range(curves: Vec<Curve>) -> Printout {
+    let figure = figure(
         "Ablation C",
         "Carrier-sense range vs NewReno retransmission rate (hidden-terminal regime)",
         "hops",
         "retransmissions per delivered packet",
         series(&curves, false, |r| r.per_flow[0].retx_per_packet),
-    )
+    );
+    (vec![figure], Vec::new())
 }
 
 /// Extension: the link-layer enhancements of Fu et al. (the paper's
@@ -556,34 +589,34 @@ pub fn ablation_cs_range(scale: ExperimentScale) -> FigureData {
 /// NewReno on the 2 Mbit/s chain. Fu et al. report 5–30 % goodput
 /// improvement; the paper positions TCP Vegas as an end-to-end
 /// alternative to these link-layer fixes.
-pub fn extension_fu_enhancements(scale: ExperimentScale) -> FigureData {
+pub fn extension_fu_enhancements(curves: Vec<Curve>) -> Printout {
     let title = "Fu et al. link-layer enhancements under TCP NewReno (2 Mbit/s chain)";
-    goodput(jobs::ext_fu(scale), "Extension", title, "hops")
+    goodput(&curves, "Extension", title, "hops")
 }
 
 /// Extension: the four-variant TCP comparison of Xu & Saadawi (WCMC 2002,
 /// the paper's reference \[15\]) — Tahoe, Reno, NewReno and Vegas on the
 /// 2 Mbit/s chain. Xu & Saadawi report 15–20 % more goodput for Vegas;
 /// the paper (with α tuned to 2) finds up to 83 %.
-pub fn extension_tcp_variants(scale: ExperimentScale) -> FigureData {
+pub fn extension_tcp_variants(curves: Vec<Curve>) -> Printout {
     let title = "Four TCP variants on the 2 Mbit/s chain (cf. Xu & Saadawi)";
-    goodput(jobs::ext_variants(scale), "Extension", title, "hops")
+    goodput(&curves, "Extension", title, "hops")
 }
 
 /// Extension: verifies the paper's §2 claim that "for the h-hop chain the
 /// optimum TCP window size is given by h/4" by sweeping NewReno's MaxWin.
-pub fn extension_optimal_window(scale: ExperimentScale) -> FigureData {
+pub fn extension_optimal_window(curves: Vec<Curve>) -> Printout {
     let title = "NewReno goodput vs window bound MaxWin (optimum expected near h/4)";
-    goodput(jobs::ext_optwin(scale), "Extension", title, "MaxWin")
+    goodput(&curves, "Extension", title, "MaxWin")
 }
 
 /// Extension: the 7-hop chain pushed to IEEE 802.11g OFDM rates (24 and
 /// 54 Mbit/s) — the "bandwidths higher than 2 Mbit/s" future the paper's
 /// introduction motivates. The sub-linear goodput law continues: the
 /// fixed preamble and basic-rate control frames dominate ever more.
-pub fn extension_80211g(scale: ExperimentScale) -> FigureData {
+pub fn extension_80211g(curves: Vec<Curve>) -> Printout {
     let title = "7-hop chain over 802.11g OFDM: goodput at 11/24/54 Mbit/s";
-    goodput(jobs::ext_80211g(scale), "Extension", title, "Mbit/s")
+    goodput(&curves, "Extension", title, "Mbit/s")
 }
 
 /// Extension: mobility and ELFN (Holland & Vaidya, the paper's reference
@@ -591,8 +624,7 @@ pub fn extension_80211g(scale: ExperimentScale) -> FigureData {
 /// maximum node speed (0 = the paper's static case). With ELFN the TCP
 /// sender freezes on an explicit route-failure notice and probes instead
 /// of backing off exponentially.
-pub fn extension_mobility_elfn(scale: ExperimentScale) -> FigureData {
-    let curves = run_grid(jobs::ext_elfn(scale));
+pub fn extension_mobility_elfn(curves: Vec<Curve>) -> Printout {
     // Mobility outcomes depend heavily on the drawn trajectories: each
     // point pools the goodputs of the layouts run at its speed.
     let pooled = curves
@@ -604,7 +636,7 @@ pub fn extension_mobility_elfn(scale: ExperimentScale) -> FigureData {
                 .chunk_by(|a, b| a.0 == b.0)
                 .map(|layouts| {
                     let mut over_seeds = BatchMeans::new();
-                    for (_, _, r) in layouts {
+                    for (_, (_, r)) in layouts {
                         over_seeds.push(r.aggregate_goodput_kbps.mean);
                     }
                     (layouts[0].0, over_seeds.estimate())
@@ -612,26 +644,19 @@ pub fn extension_mobility_elfn(scale: ExperimentScale) -> FigureData {
                 .collect(),
         })
         .collect();
-    figure(
+    let figure = figure(
         "Extension",
         "Mobility (random waypoint) and ELFN: aggregate goodput vs max speed",
         "m/s",
         "aggregate goodput [kbit/s]",
         pooled,
-    )
+    );
+    (vec![figure], Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExperimentScale {
-        ExperimentScale {
-            batch_packets: 60,
-            batches: 3,
-            deadline: SimDuration::from_secs(600),
-        }
-    }
 
     #[test]
     fn table2_measures_plausible_delays() {
@@ -692,31 +717,5 @@ mod tests {
         assert_eq!(seed_for(&[1, 2, 3]), seed_for(&[1, 2, 3]));
         assert_ne!(seed_for(&[1, 2, 3]), seed_for(&[1, 2, 4]));
         assert_ne!(seed_for(&[1, 2, 3]), seed_for(&[3, 2, 1]));
-    }
-
-    #[test]
-    fn fig4_runs_at_tiny_scale() {
-        let f = fig4(tiny());
-        assert_eq!(f.series.len(), 3);
-        for s in &f.series {
-            assert_eq!(s.points.len(), 3);
-            // Goodput grows with bandwidth.
-            assert!(s.points[2].1.mean > s.points[0].1.mean);
-        }
-        // Every figure point is the run of the matching sweep cell.
-        let cells: Vec<JobSpec> = jobs::full_suite(tiny())
-            .into_iter()
-            .filter(|job| job.group == "fig4")
-            .collect();
-        let points: Vec<Estimate> = f
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|(_, e)| *e))
-            .collect();
-        assert_eq!(points.len(), cells.len());
-        for (point, cell) in points.iter().zip(&cells) {
-            let run = experiment::run(&cell.scenario(), cell.scale);
-            assert_eq!(*point, run.aggregate_goodput_kbps, "{}", cell.point);
-        }
     }
 }

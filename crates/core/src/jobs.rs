@@ -11,13 +11,13 @@
 //!
 //! Each figure family has one grid here, [`fig2_3`] through
 //! [`fig18_19`]: its legend series in order, each with one job per x
-//! value. The [`crate::experiments`] drivers run those jobs and fold the
-//! results into figures; [`full_suite`] is the concatenation of the
-//! grids and [`chain_study`] a slice of one, so a sweep cell and the
-//! figure point it feeds are the same job. The ablations and extensions
-//! have a grid each too, [`ablation_capture`] through [`ext_elfn`]: a
-//! job's one change from the paper's stack is its [`Ablation`], so every
-//! `mwn repro` study but table 2 runs from this module.
+//! value. The ablations and extensions have a grid each too,
+//! [`ablation_capture`] through [`ext_elfn`]: a job's one change from the
+//! paper's stack is its [`Ablation`]. [`STUDIES`] pairs every grid with
+//! the fold that turns its results into figures, so every `mwn repro`
+//! study but table 2 runs from this module; [`full_suite`] is the figure
+//! studies' grids concatenated and [`chain_study`] a slice of one, so a
+//! sweep cell and the figure point it feeds are the same job.
 //! [`traffic_study`] and [`traffic_load_study`] add the open-loop
 //! workload extension: built-in [`TrafficModel`] profiles crossed with
 //! the TCP variants.
@@ -29,7 +29,7 @@ use mwn_tcp::{AckPolicy, Flavor, TcpConfig};
 use mwn_traffic::TrafficModel;
 
 use crate::experiment::ExperimentScale;
-use crate::experiments::{bw_mbit, seed_for, PAPER_BANDWIDTHS, PAPER_HOPS};
+use crate::experiments::{bw_mbit, seed_for, Series, PAPER_BANDWIDTHS, PAPER_HOPS, STUDIES};
 use crate::scenario::{Scenario, Transport};
 
 /// Which topology/flow layout a job simulates.
@@ -352,15 +352,8 @@ pub fn traffic_load_study(scale: ExperimentScale) -> Vec<JobSpec> {
     jobs
 }
 
-/// One legend series of a paper figure: its label and one job per x
-/// value, in axis order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesJobs {
-    /// Legend label, e.g. `"NewReno +thin"`.
-    pub label: String,
-    /// `(x, job)` per point.
-    pub points: Vec<(f64, JobSpec)>,
-}
+/// One legend series of a study grid: a job per x value.
+pub type SeriesJobs = Series<JobSpec>;
 
 /// A pacing gap that saturates the chain at every bandwidth; the
 /// resulting goodput is the plateau (optimal) paced-UDP goodput.
@@ -368,11 +361,6 @@ const SATURATING_UDP_GAP: SimDuration = SimDuration::from_millis(2);
 
 /// The 7-hop chain of the per-bandwidth studies.
 const CHAIN7: ScenarioKind = ScenarioKind::Chain { hops: 7 };
-
-/// Every figure family's grid, in paper order.
-const FIGURE_GRIDS: [fn(ExperimentScale) -> Vec<SeriesJobs>; 8] = [
-    fig2_3, fig4, fig5, fig6_9, fig10, fig11_14, fig16_17, fig18_19,
-];
 
 /// The jobs of a figure grid, series-major.
 fn grid_jobs(grid: Vec<SeriesJobs>) -> impl Iterator<Item = JobSpec> {
@@ -479,44 +467,37 @@ fn variants(
     rows.into_iter().map(move |(label, t)| (label, ablation, t))
 }
 
-/// Figures 2–3: TCP Vegas with α ∈ {2, 3, 4} over chain length at
-/// 2 Mbit/s.
-pub fn fig2_3(scale: ExperimentScale) -> Vec<SeriesJobs> {
+/// TCP Vegas with α ∈ {2, 3, 4}, one series each over `axis`, seeded
+/// `seed_for(&[fig_seed, α, seed part])`.
+fn vegas_alphas(group: &str, fig_seed: u64, axis: Axis, scale: ExperimentScale) -> Vec<SeriesJobs> {
     [2u32, 3, 4]
         .into_iter()
         .map(|alpha| {
             over(
-                "fig2-3",
+                group,
                 &format!("Vegas a={alpha}"),
                 &format!("alpha={alpha}"),
-                Axis::Hops(&PAPER_HOPS),
+                axis,
                 Ablation::None,
                 Transport::vegas(alpha),
-                |hops| seed_for(&[23, u64::from(alpha), hops]),
+                |part| seed_for(&[fig_seed, u64::from(alpha), part]),
                 scale,
             )
         })
         .collect()
 }
 
+/// Figures 2–3: TCP Vegas with α ∈ {2, 3, 4} over chain length at
+/// 2 Mbit/s.
+pub fn fig2_3(scale: ExperimentScale) -> Vec<SeriesJobs> {
+    vegas_alphas("fig2-3", 23, Axis::Hops(&PAPER_HOPS), scale)
+}
+
 /// Figure 4: TCP Vegas with α ∈ {2, 3, 4} per bandwidth on the 7-hop
 /// chain.
 pub fn fig4(scale: ExperimentScale) -> Vec<SeriesJobs> {
-    [2u32, 3, 4]
-        .into_iter()
-        .map(|alpha| {
-            over(
-                "fig4",
-                &format!("Vegas a={alpha}"),
-                &format!("alpha={alpha}"),
-                Axis::Bandwidths(CHAIN7, &PAPER_BANDWIDTHS),
-                Ablation::None,
-                Transport::vegas(alpha),
-                |bps| seed_for(&[4, u64::from(alpha), bps]),
-                scale,
-            )
-        })
-        .collect()
+    let axis = Axis::Bandwidths(CHAIN7, &PAPER_BANDWIDTHS);
+    vegas_alphas("fig4", 4, axis, scale)
 }
 
 /// Figure 5: Vegas with ACK thinning for α ∈ {2, 3, 4}, against plain
@@ -638,11 +619,13 @@ fn multiflow(
 
 /// The full figure suite: every simulation run behind Figures 2–14, the
 /// grid study (Figures 16–17 / Table 3) and the random study (Figures
-/// 18–19 / Table 4) — the figure grids concatenated in paper order.
+/// 18–19 / Table 4) — the jobs of `mwn repro fig2-3` … `fig18-19`, the
+/// `fig` studies of [`STUDIES`], in table order.
 pub fn full_suite(scale: ExperimentScale) -> Vec<JobSpec> {
-    FIGURE_GRIDS
-        .into_iter()
-        .flat_map(|grid| grid_jobs(grid(scale)))
+    STUDIES
+        .iter()
+        .filter(|study| study.id.starts_with("fig"))
+        .flat_map(|study| grid_jobs((study.grid)(scale)))
         .collect()
 }
 
@@ -864,32 +847,29 @@ mod tests {
         assert_eq!(jobs.len(), 18 + 9 + 24 + 24 + 13 + 18 + 12 + 12);
     }
 
+    /// Every job of a study is filed under the study's id, and the full
+    /// suite is the eight paper-figure studies' grids, in table order.
     #[test]
     fn full_suite_is_the_figure_lists_concatenated() {
         let scale = ExperimentScale::quick();
-        let lists = [
-            fig2_3(scale),
-            fig4(scale),
-            fig5(scale),
-            fig6_9(scale),
-            fig10(scale),
-            fig11_14(scale),
-            fig16_17(scale),
-            fig18_19(scale),
-        ];
-        let mut groups: Vec<String> = Vec::new();
+        let mut figures: Vec<&str> = Vec::new();
         let mut concatenated: Vec<String> = Vec::new();
-        for list in lists {
-            let jobs: Vec<JobSpec> = grid_jobs(list).collect();
-            let group = &jobs[0].group;
+        for study in &STUDIES {
+            let jobs: Vec<JobSpec> = grid_jobs((study.grid)(scale)).collect();
             assert!(
-                jobs.iter().all(|j| &j.group == group),
-                "{group} mixes groups"
+                jobs.iter().all(|j| j.group == study.id),
+                "{} holds a job of another group",
+                study.id
             );
-            assert!(!groups.contains(group), "{group} appears in two lists");
-            groups.push(group.clone());
-            concatenated.extend(jobs.iter().map(JobSpec::key));
+            if study.id.starts_with("fig") {
+                figures.push(study.id);
+                concatenated.extend(jobs.iter().map(JobSpec::key));
+            }
         }
+        assert_eq!(
+            figures,
+            ["fig2-3", "fig4", "fig5", "fig6-9", "fig10", "fig11-14", "fig16-17", "fig18-19"]
+        );
         let suite: Vec<String> = full_suite(scale).iter().map(JobSpec::key).collect();
         assert_eq!(suite, concatenated);
     }
@@ -1054,19 +1034,10 @@ mod tests {
     #[test]
     fn study_grid_keys_are_distinct_and_new() {
         let scale = ExperimentScale::quick();
-        let grids = [
-            ablation_capture,
-            ablation_basic_rate,
-            ablation_cs_range,
-            ext_fu,
-            ext_variants,
-            ext_optwin,
-            ext_80211g,
-            ext_elfn,
-        ];
-        let mut keys: Vec<String> = grids
-            .into_iter()
-            .flat_map(|grid| grid_jobs(grid(scale)))
+        let mut keys: Vec<String> = STUDIES
+            .iter()
+            .filter(|study| !study.id.starts_with("fig"))
+            .flat_map(|study| grid_jobs((study.grid)(scale)))
             .map(|job| job.key())
             .collect();
         // 4×4 + 2×3 + 3×2 + 4×3 + 4×4 + 3×8 + 3×3 + 4×4×3.

@@ -86,13 +86,19 @@ if [ -z "$run_drop" ] || [ "$run_drop" != "$stats_drop" ]; then
     exit 1
 fi
 
-# Paper reproduction smoke: one figure through `mwn repro` on the worker
-# pool (one worker per CPU) must exit 0 and print its CSV header. About
-# 5 s at quick scale.
-echo "==> mwn repro fig4 --csv"
-repro_csv=$(cargo run --release -q -p mwn-cli -- repro fig4 --scale 1 --jobs 0 --csv 2>/dev/null)
+# Paper reproduction smoke: one figure through `mwn repro`, its nine jobs
+# on the one job pool, must exit 0, print its CSV header, and print the
+# same bytes on one worker as on two. About 5 s at quick scale.
+echo "==> mwn repro fig4 --csv (--jobs 1 vs --jobs 2)"
+repro_csv=$(cargo run --release -q -p mwn-cli -- repro fig4 --scale 1 --jobs 1 --csv 2>/dev/null)
 sed -n 2p <<<"$repro_csv" | grep -qx "Mbit/s,Vegas_a=2,Vegas_a=2_ci95,Vegas_a=3,Vegas_a=3_ci95,Vegas_a=4,Vegas_a=4_ci95" || {
     echo "error: mwn repro fig4 --csv header mismatch" >&2; exit 1; }
+repro_csv2=$(cargo run --release -q -p mwn-cli -- repro fig4 --scale 1 --jobs 2 --csv 2>/dev/null)
+if [ "$repro_csv" != "$repro_csv2" ]; then
+    echo "error: mwn repro fig4 --csv output differs across --jobs" >&2
+    diff <(printf '%s\n' "$repro_csv") <(printf '%s\n' "$repro_csv2") >&2 || true
+    exit 1
+fi
 
 # The one study whose fold pools replicates (three layouts per speed) and
 # the only CI run of mobility with ELFN through `mwn repro`. About 10 s at
