@@ -269,11 +269,10 @@ impl Measurement {
     /// Wall seconds the best run spent on the medium: in the mobility
     /// tick proper (position diffs, grid relocation, the epoch bump; 0 for
     /// static scenarios), and keeping effect lists current at transmission
-    /// time (builds, rebuilds and sorts into arrival order).
+    /// time (scans and sorts of one-shot fills, builds and rebuilds).
     fn medium_secs(&self) -> (f64, f64) {
         let p = &self.report.profile;
-        let lazy = p.timed_secs("medium_lazy") + p.timed_secs("medium_sort");
-        (p.timed_secs("medium_tick"), lazy)
+        (p.timed_secs("medium_tick"), p.timed_secs("medium_lazy"))
     }
 
     /// Medium share of wall time in percent (the at-a-glance regression
@@ -312,7 +311,6 @@ impl Measurement {
             .u64("mac_batches_without_actions", p.mac_batches_without_actions)
             .u64("medium_builds", r.medium.builds)
             .u64("medium_rebuilds", r.medium.rebuilds)
-            .u64("medium_sorts", r.medium.sorts)
             .u64("node_records", p.node_records)
             .usize("nodes", r.totals.nodes.len())
             .u64("bytes_per_node", self.bytes_per_node);
@@ -772,7 +770,6 @@ mod tests {
                 medium: MediumCounters {
                     builds: 9,
                     rebuilds: 40,
-                    sorts: 49,
                     ..MediumCounters::default()
                 },
                 delivered: 100,
@@ -981,7 +978,6 @@ mod tests {
         assert_eq!(num("mac_batches_without_actions"), Some(900.0));
         assert_eq!(num("medium_builds"), Some(9.0));
         assert_eq!(num("medium_rebuilds"), Some(40.0));
-        assert_eq!(num("medium_sorts"), Some(49.0));
         assert_eq!(num("build_secs"), Some(0.125));
     }
 

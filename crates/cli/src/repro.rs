@@ -75,10 +75,15 @@ pub fn command(rest: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Runs the studies' jobs through `exec` as one list, in study order, on
-/// `workers` threads, and folds each study from its own results. A study
-/// with a job that panicked is not folded: its entry lists
+/// Runs the studies' jobs through `exec` as one list on `workers`
+/// threads, and folds each study from its own results. A study with a
+/// job that panicked is not folded: its entry lists
 /// `"<point>: <panic message>"` per failed job instead.
+///
+/// Jobs are queued round robin across the studies — job k of every
+/// study before job k + 1 of any — so one study's heavy runs do not
+/// queue back to back; results are mapped back to table order before
+/// folding.
 fn run_studies(
     studies: &[&Study],
     scale: ExperimentScale,
@@ -86,12 +91,26 @@ fn run_studies(
     exec: fn(&JobSpec) -> RunResults,
 ) -> Vec<Result<Printout, Vec<String>>> {
     let grids: Vec<_> = studies.iter().map(|study| (study.grid)(scale)).collect();
-    let jobs: Vec<JobSpec> = grids
+    // Keyed (job index in its study, study index), so sorting queues
+    // round robin.
+    let mut queue: Vec<((usize, usize), JobSpec)> = grids
         .iter()
-        .flatten()
-        .flat_map(|series| series.points.iter().map(|(_, job)| job.clone()))
+        .enumerate()
+        .flat_map(|(s, grid)| {
+            grid.iter()
+                .flat_map(|series| &series.points)
+                .enumerate()
+                .map(move |(k, (_, job))| ((k, s), job.clone()))
+        })
         .collect();
-    let mut results = pool::parallel_map(jobs, workers, exec).into_iter();
+    queue.sort_by_key(|&(at, _)| at);
+    let (order, jobs): (Vec<_>, Vec<_>) = queue.into_iter().unzip();
+    let mut done: Vec<_> = order
+        .into_iter()
+        .zip(pool::parallel_map(jobs, workers, exec))
+        .collect();
+    done.sort_by_key(|&((k, s), _)| (s, k));
+    let mut results = done.into_iter().map(|(_, result)| result);
     studies
         .iter()
         .zip(grids)

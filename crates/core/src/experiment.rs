@@ -96,7 +96,7 @@ pub struct ObsConfig {
     pub audit: bool,
     /// Ignored; kept only so the frozen benchmark source under `bench/`
     /// (which builds this struct as a literal) compiles. Delete with
-    /// ROADMAP item 6(b).
+    /// ROADMAP item 9(b).
     pub shards: usize,
 }
 

@@ -1001,21 +1001,19 @@ impl Network {
     }
 
     /// Drains what `Medium::refresh` accrued into the profile's timed
-    /// buckets (no-op without profiling): builds and rebuilds into
-    /// `medium_lazy`, sorts into `medium_sort`. Called once per mobility
-    /// tick and at the end of every run loop, so the buckets are complete
+    /// `medium_lazy` bucket (no-op without profiling): every scan and
+    /// sort of a one-shot fill, build or rebuild. Called once per mobility
+    /// tick and at the end of every run loop, so the bucket is complete
     /// whenever a caller reads the profile.
     fn flush_medium_profile(&mut self) {
         if let Some(p) = &mut self.profile {
-            let tiers = ["medium_lazy", "medium_sort"];
-            for (kind, (calls, secs)) in tiers.into_iter().zip(self.medium.take_lazy_profile()) {
-                p.record_timed_n(kind, calls, secs);
-            }
+            let (calls, secs) = self.medium.take_lazy_profile();
+            p.record_timed_n("medium_lazy", calls, secs);
         }
     }
 
     /// Cumulative lazy-medium statistics (epoch, queries, one-shot
-    /// fills, builds, rebuilds, sorts) since construction.
+    /// fills, builds, rebuilds) since construction.
     pub fn medium_counters(&self) -> mwn_phy::MediumCounters {
         self.medium.counters()
     }

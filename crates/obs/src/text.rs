@@ -102,7 +102,10 @@ impl MetricsReport {
             writeln!(
                 f,
                 "  medium sorts     {:>12}  (= {} builds + {} rebuilds) + {} one-shot",
-                self.medium.sorts, self.medium.builds, self.medium.rebuilds, self.medium.one_shots
+                self.medium.builds + self.medium.rebuilds,
+                self.medium.builds,
+                self.medium.rebuilds,
+                self.medium.one_shots
             )?;
             for (kind, invocations, secs) in p.timed() {
                 write!(f, "  {kind:<18} {invocations:>10} calls")?;
@@ -349,7 +352,6 @@ mod tests {
             medium: MediumCounters {
                 one_shots: 3,
                 builds: 1,
-                sorts: 1,
                 ..MediumCounters::default()
             },
             drops: Some(DropLedger::new(2, vec!["web".into()])),

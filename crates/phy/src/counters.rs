@@ -26,7 +26,9 @@ pub struct PhyCounters {
 /// For a `Medium::lazy` medium, `queries = fast-path hits + one_shots +
 /// builds + rebuilds` — the fast-path count is the difference. A list a
 /// second query adopts from the one-shot ring counts as a build or
-/// rebuild without a scan of its own. A mobile workload where
+/// rebuild without a scan of its own. Every list is sorted into arrival
+/// order as it is filled (an adopted list was sorted in the ring). A
+/// mobile workload where
 /// `one_shots + builds + rebuilds` stays far below `epoch × nodes` is
 /// exactly the regime the lazy medium exists for: most nodes move every
 /// tick but transmit rarely.
@@ -49,12 +51,6 @@ pub struct MediumCounters {
     /// `Medium::refresh_all` of a stale list.
     pub rebuilds: u64,
     /// Always 0; kept only so the frozen benchmark source under `bench/`
-    /// (which reads it) compiles. Delete with ROADMAP item 6(b).
+    /// (which reads it) compiles. Delete with ROADMAP item 9(b).
     pub revalidations: u64,
-    /// Stored effect lists put into arrival order (one adopted from the
-    /// one-shot ring was sorted there): at most one per build or rebuild,
-    /// so `sorts ≤ builds + rebuilds` (equal on a `Medium::lazy` medium,
-    /// where every list is sorted as it is stored). One-shot sorts count
-    /// in `one_shots` alone.
-    pub sorts: u64,
 }

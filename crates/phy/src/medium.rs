@@ -209,18 +209,19 @@ pub struct SignalClass {
 /// scan per epoch. A one-shot list and a stored list at the
 /// same epoch are the same pure function of the positions, so what a
 /// refresh returns does not depend on the rule. [`Medium::new`] and
-/// [`Medium::refresh_all`] store every list.
+/// [`Medium::refresh_all`] store every list through the same scan and
+/// sort.
 ///
 /// The grid is a pure acceleration structure: candidate receivers still
-/// pass the exact [`RangeModel::classify`] distance tests, and a refreshed
-/// list is in *arrival order* — by propagation delay, ties by node id — so
-/// it is bit-identical to the dense scan's (a differential proptest checks
-/// this). [`Medium::new`]'s eager build leaves its lists unsorted;
-/// [`Medium::refresh`] sorts each such list once.
+/// pass the exact [`RangeModel::classify`] distance tests, and every list
+/// is in *arrival order* — by propagation delay, ties by node id — so it
+/// is bit-identical to the dense scan's (a differential proptest checks
+/// this).
 ///
-/// [`Medium::new`] is the eager constructor, for callers that read lists
-/// through `&self` ([`Medium::effects_of`]) right away; a host that reads
-/// through [`Medium::refresh`] uses [`Medium::lazy`].
+/// [`Medium::new`] is [`Medium::lazy`] with every list stored, for
+/// callers that read lists through `&self` ([`Medium::effects_of`])
+/// right away; a host that reads through [`Medium::refresh`] uses
+/// [`Medium::lazy`].
 ///
 /// # Example
 ///
@@ -247,11 +248,8 @@ pub struct Medium {
     positions: Vec<Position>,
     ranges: RangeModel,
     /// `effects[tx]` lists every node a transmission from `tx` affects, exact
-    /// as of epoch `node_epoch[tx]`, in arrival order unless `unsorted[tx]`.
+    /// as of epoch `node_epoch[tx]`, in arrival order.
     effects: Vec<Vec<Effect>>,
-    /// Lists [`Medium::new`]'s eager build left for [`Medium::refresh`] to
-    /// sort.
-    unsorted: Vec<bool>,
     /// Node index per cell; cell size = `ranges.max_range()`.
     grid: SpatialGrid,
     /// Reusable candidate-id buffer (steady state allocates nothing).
@@ -271,9 +269,9 @@ pub struct Medium {
     ring_next: usize,
     /// Cumulative lazy-path statistics (see [`MediumCounters`]).
     counters: MediumCounters,
-    /// Calls and wall seconds per lazy tier — scans, sorts — since the
-    /// last [`Medium::take_lazy_profile`] drain.
-    pending: [(u64, f64); 2],
+    /// Scan-and-sort calls and their wall seconds since the last
+    /// [`Medium::take_lazy_profile`] drain.
+    pending: (u64, f64),
 }
 
 /// The `node_epoch` of a list never built: an epoch the move counter
@@ -307,9 +305,9 @@ pub struct Effect {
 }
 
 impl Medium {
-    /// Builds the medium and precomputes all effect lists through the
-    /// spatial grid — the eager constructor, for callers that read lists
-    /// through [`Medium::effects_of`] without refreshing them first.
+    /// [`Medium::lazy`] with every effect list stored, for callers that
+    /// read lists through [`Medium::effects_of`] without refreshing them
+    /// first.
     ///
     /// # Panics
     ///
@@ -317,15 +315,16 @@ impl Medium {
     /// inconsistent (see [`RangeModel::validate`]).
     pub fn new(positions: Vec<Position>, ranges: RangeModel) -> Self {
         let mut medium = Self::lazy(positions, ranges);
-        medium.build_all();
+        for i in 0..medium.len() {
+            medium.store(i);
+        }
         medium
     }
 
     /// Builds the grid and the positions but no effect list: each list is
     /// stored by the second [`Medium::refresh`] of its node in one epoch
-    /// (see [`Medium`]), through the same scan and sort a rebuild uses,
-    /// so it is bit-identical to the list [`Medium::new`] would have
-    /// served.
+    /// (see [`Medium`]), through the same scan and sort [`Medium::new`]
+    /// and a rebuild use.
     ///
     /// # Panics
     ///
@@ -339,7 +338,6 @@ impl Medium {
             positions,
             ranges,
             effects: vec![Vec::new(); n],
-            unsorted: vec![false; n],
             grid,
             scratch: Vec::new(),
             epoch: 0,
@@ -355,7 +353,7 @@ impl Medium {
             ],
             ring_next: 0,
             counters: MediumCounters::default(),
-            pending: [(0, 0.0); 2],
+            pending: (0, 0.0),
         }
     }
 
@@ -391,10 +389,10 @@ impl Medium {
 
     /// Returns `tx`'s current effect list in arrival order — the hot-path
     /// accessor for transmission-time fan-out. A list stored at this
-    /// epoch returns at once (sorted first if [`Medium::new`] left it
-    /// unsorted). Otherwise the node's first refresh in this epoch fills
-    /// a one-shot list and stores nothing, and its second stores the list;
-    /// a node that ever stored its list stores at once (see [`Medium`]).
+    /// epoch returns at once. Otherwise the node's first refresh in this
+    /// epoch fills a one-shot list and stores nothing, and its second
+    /// stores the list; a node that ever stored its list stores at once
+    /// (see [`Medium`]).
     pub fn refresh(&mut self, tx: NodeId) -> &[Effect] {
         self.refresh_admitting(tx.index(), false)
     }
@@ -409,12 +407,6 @@ impl Medium {
                 return self.fill_one_shot(i);
             }
             self.store(i);
-        } else if self.unsorted[i] {
-            let mark = Instant::now();
-            sort_into_arrival_order(&mut self.effects[i]);
-            self.unsorted[i] = false;
-            self.counters.sorts += 1;
-            self.accrue(1, mark);
         }
         &self.effects[i]
     }
@@ -444,9 +436,7 @@ impl Medium {
         } else {
             self.counters.rebuilds += 1;
         }
-        self.counters.sorts += 1;
         self.node_epoch[i] = self.epoch;
-        self.unsorted[i] = false;
         let epoch = self.epoch;
         if let Some(shot) = self
             .ring
@@ -463,22 +453,13 @@ impl Medium {
     }
 
     /// Scans node `i`'s neighborhood into `list` and sorts it, timing
-    /// each step in its lazy tier.
+    /// both as one call.
     fn fill_sorted(&mut self, i: usize, list: &mut Vec<Effect>) {
         let mark = Instant::now();
         self.fill_effects(i, list);
-        let mark = self.accrue(0, mark);
         sort_into_arrival_order(list);
-        self.accrue(1, mark);
-    }
-
-    /// Charges the time since `since` to lazy tier `tier`; returns "now".
-    fn accrue(&mut self, tier: usize, since: Instant) -> Instant {
-        let now = Instant::now();
-        let (calls, secs) = &mut self.pending[tier];
-        *calls += 1;
-        *secs += (now - since).as_secs_f64();
-        now
+        self.pending.0 += 1;
+        self.pending.1 += mark.elapsed().as_secs_f64();
     }
 
     /// Brings every effect list up to date and stores it, whatever the
@@ -512,59 +493,12 @@ impl Medium {
         }
     }
 
-    /// Drains the `(calls, wall seconds)` [`Medium::refresh`] spent per
-    /// lazy tier since the last drain: `[scans, sorts]`, each counting
-    /// one-shot fills, builds and rebuilds (a list adopted from the ring
-    /// costs neither) — the host feeds these into its engine profile's
-    /// timed buckets.
-    pub fn take_lazy_profile(&mut self) -> [(u64, f64); 2] {
+    /// Drains the `(calls, wall seconds)` of the scans and sorts since
+    /// the last drain: one call per one-shot fill, build and rebuild (a
+    /// list adopted from the ring costs none) — the host feeds this into
+    /// a timed bucket of its engine profile.
+    pub fn take_lazy_profile(&mut self) -> (u64, f64) {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Builds every per-transmitter effect list via the grid, visiting
-    /// each unordered pair once: distance, class and delay are symmetric
-    /// (squaring the coordinate deltas erases their sign), so one exact
-    /// test feeds both directions' effect lists — bit-identical to two
-    /// independent per-transmitter scans at half the distance work, once
-    /// sorted. Runs on a freshly [`Medium::lazy`] medium only.
-    fn build_all(&mut self) {
-        let n = self.positions.len();
-        self.node_epoch.fill(self.epoch);
-        self.unsorted.fill(true);
-        self.counters.builds += n as u64;
-        let scratch = &mut self.scratch;
-        let limit = self.ranges.max_range() + 1e-6;
-        let limit2 = limit * limit;
-        for a in 0..n {
-            let pa = self.positions[a];
-            scratch.clear();
-            self.grid.candidates_near(pa, scratch);
-            for &rx in scratch.iter() {
-                let b = rx as usize;
-                if b <= a {
-                    continue; // each unordered pair exactly once
-                }
-                let pb = self.positions[b];
-                let d2 = (pa.x - pb.x).powi(2) + (pa.y - pb.y).powi(2);
-                if d2 > limit2 {
-                    continue;
-                }
-                let d = d2.sqrt();
-                if let Some(class) = self.ranges.classify(d) {
-                    let delay = SimDuration::from_secs_f64(d / SPEED_OF_LIGHT);
-                    self.effects[a].push(Effect {
-                        node: NodeId(rx),
-                        class,
-                        delay,
-                    });
-                    self.effects[b].push(Effect {
-                        node: NodeId(a as u32),
-                        class,
-                        delay,
-                    });
-                }
-            }
-        }
     }
 
     /// Heap bytes of the effect lists: every stored list plus the
@@ -575,8 +509,8 @@ impl Medium {
     }
 
     /// Heap bytes of the per-node arrays, by capacity: positions,
-    /// effect-list headers, the two epoch stamps, the unsorted flags and
-    /// the spatial grid's entries — what a node costs the medium whether
+    /// effect-list headers, the two epoch stamps and the spatial grid's
+    /// entries — what a node costs the medium whether
     /// or not it ever transmits. The lists themselves are
     /// [`Medium::memory_bytes`].
     pub fn index_bytes(&self) -> usize {
@@ -584,7 +518,6 @@ impl Medium {
         self.positions.capacity() * size_of::<Position>()
             + self.effects.capacity() * size_of::<Vec<Effect>>()
             + (self.node_epoch.capacity() + self.one_shot_epoch.capacity()) * size_of::<u64>()
-            + self.unsorted.capacity() * size_of::<bool>()
             + self.grid.memory_bytes()
     }
 
@@ -647,11 +580,11 @@ impl Medium {
     /// Every node affected by a transmission from `tx`, with classification
     /// and propagation delay.
     ///
-    /// Reads the stored list without refreshing it: exact for a static
-    /// [`Medium::new`] medium (no moves ever), or after
-    /// [`Medium::refresh`] / [`Medium::refresh_all`], and in arrival order
-    /// only once refreshed. Hosts driving mobility, and any
-    /// [`Medium::lazy`] medium, use [`Medium::refresh`] instead.
+    /// Reads the stored list, in arrival order, without refreshing it:
+    /// exact for a static [`Medium::new`] medium (no moves ever), or after
+    /// [`Medium::refresh`] / [`Medium::refresh_all`]. Hosts driving
+    /// mobility, and any [`Medium::lazy`] medium, use [`Medium::refresh`]
+    /// instead.
     ///
     /// # Panics
     ///
@@ -1045,21 +978,21 @@ mod lazy_tests {
     #[test]
     fn take_lazy_profile_drains_rebuild_costs() {
         let mut m = cluster_and_far();
-        m.refresh(NodeId(2)); // only the sort the build left
+        assert_eq!(m.take_lazy_profile().0, 3, "new scans every list");
+        m.refresh(NodeId(2)); // a hit: no scan
         m.move_nodes(&[(NodeId(0), Position::new(0.0, 100.0))]);
         m.move_nodes(&[(NodeId(2), Position::new(5000.0, 100.0))]);
-        m.refresh(NodeId(0)); // stored again: a scan, then a sort
+        m.refresh(NodeId(0)); // stored again: one scan and sort
         m.refresh(NodeId(0)); // a hit
         m.refresh(NodeId(0)); // another
-        let [scans, sorts] = m.take_lazy_profile();
-        assert_eq!((scans.0, sorts.0), (1, 2));
-        assert!(scans.1 >= 0.0 && sorts.1 >= 0.0);
-        assert_eq!(m.take_lazy_profile(), [(0, 0.0); 2], "drain must reset");
-        // A lazy medium's first refresh is timed in the same tiers.
+        let (calls, secs) = m.take_lazy_profile();
+        assert_eq!(calls, 1);
+        assert!(secs >= 0.0);
+        assert_eq!(m.take_lazy_profile(), (0, 0.0), "drain must reset");
+        // A lazy medium's first refresh (a one-shot) is timed alike.
         let mut lazy = Medium::lazy(m.positions().to_vec(), m.ranges());
         lazy.refresh(NodeId(1));
-        let [scans, sorts] = lazy.take_lazy_profile();
-        assert_eq!((scans.0, sorts.0), (1, 1));
+        assert_eq!(lazy.take_lazy_profile().0, 1);
     }
 
     /// Bit-level view of a list: node, delay and the power's exact bits.
@@ -1100,8 +1033,8 @@ mod lazy_tests {
             lazy.refresh(NodeId(i));
             let c = lazy.counters();
             assert_eq!(
-                (c.queries, c.one_shots, c.builds, c.sorts),
-                (3 * k + 3, k + 1, k + 1, k + 1)
+                (c.queries, c.one_shots, c.builds),
+                (3 * k + 3, k + 1, k + 1)
             );
         }
         assert_eq!(eager.counters().builds, 3, "refreshing built nothing new");
@@ -1155,8 +1088,8 @@ mod lazy_tests {
             (c.one_shots, c.builds, c.rebuilds),
             (ONE_SHOT_RING as u64 + 2, 1, 1)
         );
-        let [scans, _] = m.take_lazy_profile();
-        assert_eq!(scans.0, ONE_SHOT_RING as u64 + 2, "node 0 scanned once");
+        let (scans, _) = m.take_lazy_profile();
+        assert_eq!(scans, ONE_SHOT_RING as u64 + 2, "node 0 scanned once");
         // Two batches with no refresh between them: still stored at once.
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 0.0))]);
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
@@ -1191,10 +1124,7 @@ mod lazy_tests {
             assert!(!m.is_fresh(NodeId(tx)), "tx {tx}");
         }
         let c = m.counters();
-        assert_eq!(
-            (c.one_shots, c.builds, c.rebuilds, c.sorts),
-            (n as u64, 0, 0, 0)
-        );
+        assert_eq!((c.one_shots, c.builds, c.rebuilds), (n as u64, 0, 0));
         assert!(
             m.effects.iter().all(|l| l.capacity() == 0),
             "no list stored"
@@ -1220,11 +1150,7 @@ mod lazy_tests {
         let expected = want(&m, 0);
         assert_eq!(m.refresh(NodeId(0)), expected);
         assert!(m.is_fresh(NodeId(0)));
-        assert_eq!(
-            m.take_lazy_profile(),
-            [(0, 0.0); 2],
-            "adoption scans nothing"
-        );
+        assert_eq!(m.take_lazy_profile(), (0, 0.0), "adoption scans nothing");
         // Pushed out: a full ring of other one-shots comes between node
         // 1's two refreshes.
         m.refresh(NodeId(1));
@@ -1235,17 +1161,10 @@ mod lazy_tests {
         let expected = want(&m, 1);
         assert_eq!(m.refresh(NodeId(1)), expected);
         assert!(m.is_fresh(NodeId(1)));
-        let [scans, sorts] = m.take_lazy_profile();
-        assert_eq!(
-            (scans.0, sorts.0),
-            (1, 1),
-            "an evicted list is scanned again"
-        );
+        let (scans, _) = m.take_lazy_profile();
+        assert_eq!(scans, 1, "an evicted list is scanned again");
         let c = m.counters();
-        assert_eq!(
-            (c.one_shots, c.builds, c.sorts),
-            (ONE_SHOT_RING as u64 + 2, 2, 2)
-        );
+        assert_eq!((c.one_shots, c.builds), (ONE_SHOT_RING as u64 + 2, 2));
         // The next batch makes both stale: stored again at their first
         // refresh (both stored before), as rebuilds.
         m.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
@@ -1254,16 +1173,19 @@ mod lazy_tests {
             assert_eq!(m.refresh(NodeId(tx)), expected);
         }
         let c = m.counters();
-        assert_eq!((c.builds, c.rebuilds, c.sorts), (2, 2, 4));
+        assert_eq!((c.builds, c.rebuilds), (2, 2));
     }
 
     /// `Medium::new` and `refresh_all` store every list, whatever the
-    /// admission rule would do.
+    /// admission rule would do; `new` counts one build per node and
+    /// nothing else.
     #[test]
     fn new_and_refresh_all_store_every_list() {
         let positions = line(6);
         let mut eager = Medium::new(positions.clone(), RangeModel::paper());
         assert!((0..6).all(|i| eager.is_fresh(NodeId(i))));
+        let c = eager.counters();
+        assert_eq!((c.queries, c.one_shots, c.builds, c.rebuilds), (0, 0, 6, 0));
         let stored = eager.memory_bytes();
         assert!(stored > 0);
         eager.move_nodes(&[(NodeId(5), Position::new(500.0, 10.0))]);
@@ -1276,7 +1198,7 @@ mod lazy_tests {
         lazy.refresh_all();
         assert!((0..6).all(|i| lazy.is_fresh(NodeId(i))));
         let c = lazy.counters();
-        assert_eq!((c.queries, c.one_shots, c.builds, c.sorts), (7, 1, 6, 6));
+        assert_eq!((c.queries, c.one_shots, c.builds), (7, 1, 6));
         for tx in 0..6u32 {
             let want = ReferenceMedium::effects_from(lazy.positions(), lazy.ranges(), NodeId(tx));
             assert_eq!(lazy.effects_of(NodeId(tx)), want);
