@@ -7,6 +7,7 @@
 //! [`crate::jobs::ext_elfn`] grid over [`crate::Scenario::mobile_strip`]).
 
 use mwn_phy::Position;
+use mwn_pkt::NodeId;
 use mwn_sim::{Pcg32, SimDuration};
 
 /// Random-waypoint parameters.
@@ -125,11 +126,22 @@ impl MobilityModel {
 
     /// Advances every node by one tick and returns the new positions.
     pub fn step(&mut self) -> &[Position] {
+        self.step_into(&mut Vec::new());
+        &self.positions
+    }
+
+    /// Advances every node by one tick, appending `(node, new position)`
+    /// to `moved` for each node whose position changed (a paused node's
+    /// does not), in node order.
+    pub fn step_into(&mut self, moved: &mut Vec<(NodeId, Position)>) {
         let dt = self.params.tick.as_secs_f64();
         for i in 0..self.positions.len() {
+            let old = self.positions[i];
             self.advance(i, dt);
+            if self.positions[i] != old {
+                moved.push((NodeId(i as u32), self.positions[i]));
+            }
         }
-        &self.positions
     }
 
     fn advance(&mut self, i: usize, mut dt: f64) {
@@ -231,6 +243,32 @@ mod tests {
             }
             prev = next;
         }
+    }
+
+    #[test]
+    fn step_into_batch_is_the_position_diff() {
+        // Long pauses mix paused and moving nodes within one tick.
+        let (mut a, mut b) = (model(700), model(700));
+        let mut moved = Vec::new();
+        let mut paused = [false; 10];
+        for _ in 0..3000 {
+            let old = a.positions().to_vec();
+            let diff: Vec<(NodeId, Position)> = a
+                .step()
+                .iter()
+                .zip(&old)
+                .enumerate()
+                .filter(|(_, (new, old))| new != old)
+                .map(|(i, (&new, _))| (NodeId(i as u32), new))
+                .collect();
+            moved.clear();
+            b.step_into(&mut moved);
+            assert_eq!(moved, diff);
+            for (i, was) in paused.iter_mut().enumerate() {
+                *was |= diff.iter().all(|&(id, _)| id != NodeId(i as u32));
+            }
+        }
+        assert_eq!(paused, [true; 10], "a node never paused");
     }
 
     #[test]

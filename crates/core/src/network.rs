@@ -973,16 +973,10 @@ impl Network {
     fn mobility_tick(&mut self) {
         if let Some(m) = &mut self.mobility {
             let started = std::time::Instant::now();
-            let positions = m.step();
-            // Diff against the medium's current positions so the lazy
-            // update only touches nodes that moved (paused nodes hold
+            // Only nodes that moved enter the batch (paused nodes hold
             // their position across ticks).
             self.moved.clear();
-            for (i, (&new, &old)) in positions.iter().zip(self.medium.positions()).enumerate() {
-                if new != old {
-                    self.moved.push((NodeId(i as u32), new));
-                }
-            }
+            m.step_into(&mut self.moved);
             // O(moved): positions, grid relocation and an epoch bump only.
             // Effect-list builds and rebuilds happen at transmission time
             // and are accounted separately (the `medium_lazy` bucket).

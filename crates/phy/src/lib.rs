@@ -23,7 +23,7 @@ mod transceiver;
 
 pub use counters::{MediumCounters, PhyCounters};
 pub use energy::{EnergyMeter, EnergyParams};
-pub use grid::SpatialGrid;
+pub use grid::{CellTable, SpatialGrid};
 #[cfg(any(test, feature = "oracle"))]
 pub use medium::ReferenceMedium;
 pub use medium::{Effect, Medium, RangeModel, SignalClass};

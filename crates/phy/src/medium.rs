@@ -175,9 +175,10 @@ pub struct SignalClass {
 /// The shared wireless medium: node positions plus the range model, with
 /// per-transmitter effect lists built and rebuilt *lazily*.
 ///
-/// Effect lists are derived through a uniform [`SpatialGrid`] with cell
-/// size [`RangeModel::max_range`], so one list costs O(k) for k = nodes
-/// per 3×3 cell neighborhood (instead of the dense O(n)).
+/// Effect lists are derived through a [`SpatialGrid`] with cell size
+/// [`RangeModel::max_range`] — a flat cell table over the initial
+/// positions' bounding box — so one list costs O(k) for k = nodes per
+/// 3×3 cell neighborhood (instead of the dense O(n)).
 ///
 /// # Epoch-stamped laziness
 ///

@@ -1,13 +1,14 @@
 //! Differential test: the spatial-grid medium against the dense oracle.
 //!
-//! [`Medium`] derives effect lists from a spatial hash grid and, since
+//! [`Medium`] derives effect lists from a flat spatial grid and, since
 //! the lazy epoch-stamped refactor, defers rebuilding them from
 //! [`Medium::move_nodes`] to the [`Medium::refresh`] that reads them
 //! (storing a list only on its node's second refresh in an epoch;
 //! [`Medium::lazy`] defers even the first build); [`ReferenceMedium`] is
 //! the dense all-pairs implementation it replaced. For ANY initial placement and ANY
 //! sequence of move batches — including co-located nodes, nodes exactly
-//! on cell boundaries, and distances exactly at the inclusive
+//! on cell boundaries, moves outside the box the grid was built over,
+//! and distances exactly at the inclusive
 //! 250 m / 550 m classification boundaries — both media must agree on
 //! every refreshed effect list bit for bit: same receivers in the same
 //! arrival order (delay, then node id), same signal class, same power,
@@ -31,6 +32,24 @@ fn snap(v: f64, lattice: u32) -> f64 {
 
 fn arb_point() -> impl Strategy<Value = (f64, f64, u32)> {
     (0.0f64..2200.0, 0.0f64..1100.0, 0u32..8)
+}
+
+/// A move target: mostly inside the initial field, sometimes well
+/// outside the box the grid was built over (negative coordinates
+/// included), sometimes to one of two spots 10⁹ m away, within range of
+/// each other there. Outside the box a node clamps to the nearest
+/// border cell.
+fn arb_move() -> impl Strategy<Value = (f64, f64, u32)> {
+    prop_oneof![
+        arb_point(),
+        arb_point(),
+        (-3000.0f64..6000.0, -2500.0f64..4000.0, 0u32..8),
+        (
+            prop_oneof![Just(-1e9f64), Just(1e9f64)],
+            1e9f64 - 600.0..1e9,
+            0u32..1
+        ),
+    ]
 }
 
 fn positions_of(raw: &[(f64, f64, u32)]) -> Vec<Position> {
@@ -64,7 +83,7 @@ proptest! {
     fn grid_medium_matches_dense_reference(
         initial in proptest::collection::vec(arb_point(), 1..32),
         batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..32, arb_point()), 1..8),
+            proptest::collection::vec((0usize..32, arb_move()), 1..8),
             0..6,
         ),
     ) {
@@ -113,7 +132,7 @@ proptest! {
     fn lazy_medium_matches_dense_reference(
         initial in proptest::collection::vec(arb_point(), 1..32),
         batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..32, arb_point()), 1..8),
+            proptest::collection::vec((0usize..32, arb_move()), 1..8),
             0..6,
         ),
         reads in proptest::collection::vec(
@@ -169,7 +188,7 @@ proptest! {
     #[test]
     fn set_positions_matches_dense_reference(
         initial in proptest::collection::vec(arb_point(), 1..24),
-        next in proptest::collection::vec(arb_point(), 1..24),
+        next in proptest::collection::vec(arb_move(), 1..24),
     ) {
         let initial = positions_of(&initial);
         let n = initial.len();
@@ -193,10 +212,10 @@ proptest! {
     fn refreshed_lists_are_in_arrival_order(
         initial in proptest::collection::vec(arb_point(), 1..32),
         batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..32, arb_point()), 1..8),
+            proptest::collection::vec((0usize..32, arb_move()), 1..8),
             0..6,
         ),
-        next in proptest::collection::vec(arb_point(), 1..32),
+        next in proptest::collection::vec(arb_move(), 1..32),
     ) {
         let initial = positions_of(&initial);
         let n = initial.len();

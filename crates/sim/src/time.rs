@@ -117,7 +117,7 @@ impl SimDuration {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_to_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -154,8 +154,25 @@ impl SimDuration {
     /// nanoseconds so that a receiver never finishes before the sender.
     pub fn for_bits(bits: u64, bits_per_sec: u64) -> SimDuration {
         assert!(bits_per_sec > 0, "bit rate must be positive");
-        let ns = (bits as u128 * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        SimDuration(ns as u64)
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(bits_per_sec),
+            None => (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(bits_per_sec)) as u64,
+        };
+        SimDuration(ns)
+    }
+}
+
+/// `v.round() as u64` for `v ≥ 0` — halves away from zero, saturating at
+/// `u64::MAX` — without a libm call: truncate, then add one when the
+/// dropped fraction is at least one half. The fraction is exact: below
+/// 2⁶⁴ the truncation lies within a factor of two of `v` (or is zero),
+/// so the subtraction is exact.
+fn round_to_u64(v: f64) -> u64 {
+    let t = v as u64;
+    if v - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -265,6 +282,56 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Non-negative reals where rounding is delicate: effect-list delays,
+    /// exact ties at .5, and magnitudes at and past 2⁵² and 2⁶⁴.
+    fn delicate_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0f64..4000.0,
+            0.0f64..1e12,
+            (0u64..1 << 51).prop_map(|k| k as f64 + 0.5),
+            (0u64..1 << 20).prop_map(|k| k as f64 + 0.5),
+            (1u64 << 52..=u64::MAX).prop_map(|k| k as f64),
+            (0.0f64..4.0).prop_map(|f| f * 2f64.powi(64)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn round_to_u64_matches_libm_round(v in delicate_f64()) {
+            prop_assert_eq!(round_to_u64(v), v.round() as u64, "v = {}", v);
+            prop_assert_eq!(
+                SimDuration::from_secs_f64(v / 1e9).as_nanos(),
+                (v / 1e9 * 1e9).round() as u64,
+                "s = {}", v / 1e9
+            );
+        }
+
+        #[test]
+        fn for_bits_matches_wide_arithmetic(
+            bits in prop_oneof![0u64..100_000, 0u64..=u64::MAX, (1u64 << 34)..(1u64 << 35)],
+            rate in prop_oneof![1u64..100_000_000, 1u64..=u64::MAX, 1u64..4],
+        ) {
+            let wide = (bits as u128 * 1_000_000_000).div_ceil(rate as u128) as u64;
+            prop_assert_eq!(SimDuration::for_bits(bits, rate).as_nanos(), wide);
+        }
+    }
+
+    #[test]
+    fn round_to_u64_edges() {
+        for (v, r) in [
+            (0.0, 0),
+            (-0.0, 0),
+            (0.49999999999999994, 0),
+            (0.5, 1),
+            (2.5, 3),
+            (1e300, u64::MAX),
+        ] {
+            assert_eq!(round_to_u64(v), r, "{v}");
+            assert_eq!(round_to_u64(v), v.round() as u64, "{v}");
+        }
+    }
 
     #[test]
     fn time_arithmetic_roundtrips() {

@@ -152,15 +152,22 @@ cargo bench -p mwn --bench obs_overhead -- --quick
 # exist only under each crate's `oracle` feature. Medium: the whole
 # mwn-phy crate (its unit tests too, so the lazy-construction tests and
 # the release-mode `effects_of` assertion run in this build): grid vs
-# dense all-pairs, incremental moves and lists first built at any epoch
-# included, every refreshed list in arrival order, plus the
-# random-waypoint trajectory differential. Event queue: ordered list vs
-# binary heap on the engine's schedule/cancel/pop mix, plus a
-# deterministic case 20 000 events deep.
+# dense all-pairs, incremental moves (outside the grid's build-time box
+# too) and lists first built at any epoch included, every refreshed list
+# in arrival order, plus the random-waypoint trajectory differential.
+# Event queue: ordered list vs binary heap on the engine's
+# schedule/cancel/pop mix, plus a deterministic case 20 000 events deep.
 echo "==> medium and event queue differentials (proptest + mobility trajectories)"
 cargo test --release -q -p mwn-phy --features oracle
 cargo test --release -q -p mwn-check --test medium_mobility
 cargo test --release -q -p mwn-sim --features oracle --test wheel_differential
+
+# Component sweep: `Topology::is_connected` and
+# `largest_component_fraction`, one cell-ordered sweep, against an O(n²)
+# union-find. Runs in release so the 5 000-node field (city density) is
+# enabled; debug builds cap the proptest at 500 nodes.
+echo "==> topology component differential (cell-ordered sweep vs union-find)"
+cargo test --release -q -p mwn --test topology_differential
 
 # Lazy epoch-stamped medium: the lazy-vs-dense-oracle differential
 # proptest (random-waypoint mobility, refreshed lists compared against
