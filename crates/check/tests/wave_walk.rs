@@ -11,8 +11,10 @@
 //!
 //! The same goes for NAV timers at MACs with nothing to send, which are
 //! parked beside the node instead of queued: `Network::set_eager_nav`
-//! queues every one of them, as the engine always used to. Every case
-//! below therefore runs the default engine against the *oracle* — both
+//! queues every one of them, as the engine always used to. And for radio
+//! batches at such MACs, which stay in the node's radio cell:
+//! `Network::set_eager_mac` hands every one to the MAC. Every case below
+//! therefore runs the default engine against the *oracle* — all three
 //! switches on — and the proptest against each switch alone as well.
 
 use mwn::mobility::RandomWaypoint;
@@ -48,15 +50,18 @@ struct Observation {
 struct Engine {
     per_receiver: bool,
     eager_nav: bool,
+    eager_mac: bool,
 }
 
 const DEFAULT: Engine = Engine {
     per_receiver: false,
     eager_nav: false,
+    eager_mac: false,
 };
 const ORACLE: Engine = Engine {
     per_receiver: true,
     eager_nav: true,
+    eager_mac: true,
 };
 
 fn traced(scenario: &Scenario, engine: Engine) -> Network {
@@ -65,6 +70,7 @@ fn traced(scenario: &Scenario, engine: Engine) -> Network {
     net.enable_probes(TRACE_CAPACITY);
     net.set_yield_every_receiver(engine.per_receiver);
     net.set_eager_nav(engine.eager_nav);
+    net.set_eager_mac(engine.eager_mac);
     net
 }
 
@@ -114,7 +120,7 @@ fn scenario_for(spec: &ScenarioSpec, field: u8, mobile: bool) -> Scenario {
 
 /// Differential proptest: static, random-waypoint and open-loop specs,
 /// the default engine against yield-after-every-receiver, eager NAV
-/// timers, and both.
+/// timers, every radio batch handed to the MAC, and all three.
 ///
 /// (A run that gives up — `DeadlineExpired`, `Quiescent` — leaves `now` at
 /// the last event popped, and a parked NAV is by design an event that
@@ -139,14 +145,18 @@ fn inline_walk_matches_one_event_per_receiver() {
         };
         let reference = run(DEFAULT);
         let per_receiver_only = Engine {
-            eager_nav: false,
-            ..ORACLE
+            per_receiver: true,
+            ..DEFAULT
         };
         let eager_nav_only = Engine {
-            per_receiver: false,
-            ..ORACLE
+            eager_nav: true,
+            ..DEFAULT
         };
-        for engine in [per_receiver_only, eager_nav_only, ORACLE] {
+        let eager_mac_only = Engine {
+            eager_mac: true,
+            ..DEFAULT
+        };
+        for engine in [per_receiver_only, eager_nav_only, eager_mac_only, ORACLE] {
             assert_eq!(
                 reference,
                 run(engine),

@@ -204,7 +204,8 @@ pub struct Network {
     medium: Medium,
     /// The one MAC parameter set every DCF shares.
     params: Arc<MacParams>,
-    /// Every node's protocol state, built when a signal first reaches it.
+    /// Every node's radio state, and its protocol state once its MAC or
+    /// router first acts.
     nodes: NodeTable,
     /// The one power draw every energy meter is read at.
     energy_params: EnergyParams,
@@ -250,6 +251,8 @@ pub struct Network {
     yield_every_receiver: bool,
     #[cfg(any(test, feature = "oracle"))]
     eager_nav: bool,
+    #[cfg(any(test, feature = "oracle"))]
+    eager_mac: bool,
 }
 
 impl std::fmt::Debug for Network {
@@ -429,6 +432,8 @@ impl Network {
             yield_every_receiver: false,
             #[cfg(any(test, feature = "oracle"))]
             eager_nav: false,
+            #[cfg(any(test, feature = "oracle"))]
+            eager_mac: false,
         }
     }
 
@@ -491,8 +496,8 @@ impl Network {
     pub fn drop_report(&self) -> DropLedger {
         let mut ledger = self.ledger.clone();
         let unattributed = self.unattributed;
-        for (i, record) in self.nodes.iter() {
-            let c = record.radio.counters();
+        for (i, radio) in self.nodes.radios().iter().enumerate() {
+            let c = radio.counters();
             ledger.add(i, unattributed, DropReason::PhyCollision, c.collisions);
             ledger.add(i, unattributed, DropReason::PhyCaptureLoss, c.captures);
             ledger.add(i, unattributed, DropReason::PhyUndecodable, c.undecoded);
@@ -573,17 +578,19 @@ impl Network {
         self.nodes.len()
     }
 
-    /// Number of nodes whose protocol state has been built: those a
-    /// signal reached, plus flow sources (the rest read as pristine).
+    /// Number of nodes whose protocol state has been built: those whose
+    /// MAC or router has acted (the rest read as pristine).
     pub fn node_records(&self) -> usize {
         self.nodes.records()
     }
 
-    /// Tracked estimate of per-node engine state, in bytes: the record-table
-    /// entry every node holds ([`Network::fixed_bytes_per_node`]) plus,
-    /// averaged over the node count, the built node records and what
-    /// they hold (routing/duplicate tables, discovery buffers, interface
-    /// queue, receive-dedup cache, active-signal list), the network's
+    /// Tracked estimate of per-node engine state, in bytes: the radio state
+    /// and record-table entry every node holds
+    /// ([`Network::fixed_bytes_per_node`]) plus, averaged over the node
+    /// count, the radios' active-signal lists, the energy meters added,
+    /// the built node records and
+    /// what they hold (routing/duplicate tables, discovery buffers,
+    /// interface queue, receive-dedup cache), the network's
     /// discovery-timer map and moved-node batch, the medium's per-node
     /// arrays and effect lists ([`Network::medium_memory_bytes`]) and the
     /// mobility model's per-node streams, positions and phases — each
@@ -607,11 +614,13 @@ impl Network {
         Self::fixed_bytes_per_node() + (shared / n) as u64
     }
 
-    /// The fixed part of [`Network::bytes_per_node`]: one node's entry in
-    /// the record table, whatever the node does. A node's record is
-    /// charged only once it is built.
+    /// The fixed part of [`Network::bytes_per_node`]: one node's radio
+    /// state (transceiver, quiet and EIFS bits, energy-meter slot) and its
+    /// entry in the record table, whatever the node does. A node's energy
+    /// meter is charged once added, its record once built.
     pub fn fixed_bytes_per_node() -> u64 {
-        std::mem::size_of::<Option<Box<nodes::NodeRecord>>>() as u64
+        let entry = std::mem::size_of::<Option<Box<nodes::NodeRecord>>>();
+        (NodeTable::radio_bytes() + entry) as u64
     }
 
     /// The live flow id occupying `slot`, if any (traffic churn means a
@@ -687,9 +696,10 @@ impl Network {
             time: self.now,
             nodes: (0..self.nodes.len())
                 .map(|i| {
-                    let r = self.nodes.get(NodeId(i as u32));
+                    let node = NodeId(i as u32);
+                    let r = self.nodes.get(node);
                     NodeCounters {
-                        phy: *r.radio.counters(),
+                        phy: *self.nodes.radio(node).counters(),
                         mac: *r.mac.counters(),
                         aodv: *r.router.counters(),
                         route_table_size: r.router.table().len() as u64,
@@ -748,7 +758,7 @@ impl Network {
 
     /// Total radio energy consumed by `node` so far, in joules.
     pub fn node_energy_joules(&self, node: NodeId) -> f64 {
-        let meter = &self.nodes.get(node).energy;
+        let meter = self.nodes.energy(node);
         meter.consumed(&self.energy_params, self.now)
     }
 
@@ -896,7 +906,8 @@ impl Network {
     /// `deadline`, and a receiver whose cascade moved what the loops'
     /// stop conditions read ([`Network::walk_segment`]).
     fn walk_wave(&mut self, tx: TxId, end: bool, deadline: SimTime) {
-        let wave = self.frames.wave(tx);
+        let slot = self.frames.live_slot(tx);
+        let wave = self.frames.wave_in(slot);
         let (lo, len) = (wave.cursor, wave.receivers().len());
         let mut hi = lo + 1;
         let horizon = self.queue.peek_time();
@@ -912,17 +923,17 @@ impl Network {
             hi = lo + 1;
         }
 
-        let hi = self.walk_segment(tx, end, lo, hi);
+        let hi = self.walk_segment(tx, slot, end, lo, hi);
 
         // The trailing edge's last receiver released the slot: only a
         // wave with receivers left (or a leading edge) is touched again.
         if hi < len {
-            self.frames.set_cursor(tx, hi);
-            let (time, seq) = self.frames.wave(tx).key(hi, end);
+            self.frames.set_cursor(slot, hi);
+            let (time, seq) = self.frames.wave_in(slot).key(hi, end);
             self.queue
                 .schedule_keyed(time, seq, Event::Wave { tx, end });
         } else if !end {
-            self.frames.set_cursor(tx, 0);
+            self.frames.set_cursor(slot, 0);
         }
         if let Some(p) = &mut self.profile {
             p.record_wave((hi - lo) as u64, hi < len);
@@ -936,27 +947,35 @@ impl Network {
         self.total_delivered + self.traffic.as_ref().map_or(0, |t| t.journal_count)
     }
 
-    /// Walks receivers `lo..hi` of `tx`'s wave, advancing the clock per
-    /// receiver. Stops early after a receiver whose cascade moved the
-    /// [stop mark](Self::stop_mark) — the run loops regain control at the
-    /// very receiver that satisfied them — and before one due at or after a
-    /// NAV an earlier cascade woke. Returns the first receiver *not* visited.
-    fn walk_segment(&mut self, tx: TxId, end: bool, lo: usize, hi: usize) -> usize {
+    /// Walks receivers `lo..hi` of `tx`'s wave, which lives in frame-slab
+    /// `slot`, advancing the clock per receiver. Stops early after a
+    /// receiver whose cascade moved the [stop mark](Self::stop_mark) — the
+    /// run loops regain control at the very receiver that satisfied them —
+    /// and before one due at or after a NAV an earlier cascade woke. A
+    /// trailing edge's visited receivers release their claims on the frame
+    /// together, once the last of them has read it. Returns the first
+    /// receiver *not* visited.
+    fn walk_segment(&mut self, tx: TxId, slot: usize, end: bool, lo: usize, hi: usize) -> usize {
         let mark = self.stop_mark();
         self.wave_floor = SimTime::MAX;
-        for i in lo..hi {
-            let wave = self.frames.wave(tx);
+        let mut i = lo;
+        while i < hi {
+            let wave = self.frames.wave_in(slot);
             let (rx, time) = (wave.receivers()[i], wave.time(i, end));
             if i > lo {
                 if self.stop_mark() != mark || time >= self.wave_floor {
-                    return i;
+                    break;
                 }
                 self.debug_assert_lookahead(tx, end, i);
             }
             self.now = time;
             self.signal_edge(&rx, tx, end);
+            i += 1;
         }
-        hi
+        if end {
+            self.frames.release(tx, i - lo);
+        }
+        i
     }
 
     /// Debug builds: nothing the cascades so far scheduled is due at or
@@ -1030,7 +1049,8 @@ impl Network {
 
     /// Test oracle: builds every node's record now, in node order, as the
     /// set-up of a network without the record slab did. Every observable
-    /// is identical either way (`tests/eager_nodes.rs`).
+    /// but the record count is identical either way
+    /// (`tests/eager_nodes.rs`).
     #[cfg(any(test, feature = "oracle"))]
     pub fn set_eager_nodes(&mut self, eager: bool) {
         if eager {
@@ -1045,6 +1065,16 @@ impl Network {
     #[cfg(any(test, feature = "oracle"))]
     pub fn set_eager_nav(&mut self, eager: bool) {
         self.eager_nav = eager;
+    }
+
+    /// Test oracle: hands every radio batch to the node's MAC, absorbing
+    /// none beside the radio, so a record is built at the first batch
+    /// that reaches its node. Every observable but the record count is
+    /// identical either way (`mwn-check`, `wave_walk.rs`;
+    /// `tests/eager_nodes.rs`). Set it before the run.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_eager_mac(&mut self, eager: bool) {
+        self.eager_mac = eager;
     }
 
     /// Test oracle: makes every wave yield to the queue after each

@@ -13,13 +13,16 @@
 //! `Event::Wave` per edge kind; [`Network::walk_wave`] (which carries the
 //! exactness argument) walks the snapshot in place, one
 //! [`Network::signal_edge`] per receiver. Most receivers are bystanders and
-//! pay for their radio state only: a MAC that answers with no action skips
-//! the apply path, and a NAV it has no use for is parked, not queued.
+//! pay for their radio state only: the batch of a MAC with nothing to do
+//! stops at its node's transceiver ([`Network::process_radio_events`]), a
+//! MAC that answers with no action skips the apply path, and a NAV it has
+//! no use for is parked, not queued.
 
 use std::num::NonZeroU64;
+use std::ops::Range;
 
 use mwn_aodv::{AodvAction, AodvDropReason};
-use mwn_mac80211::{MacAction, MacDropReason, MacTimer};
+use mwn_mac80211::{Dcf, MacAction, MacDropReason, MacTimer};
 use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
 use mwn_obs::{CounterBlock, DropReason, ProbeKind};
 use mwn_phy::{Effect, RadioEvent, TxId};
@@ -81,10 +84,11 @@ impl Network {
             Event::TxEnd { node } => self.tx_end(node),
             Event::Mac { node, timer } => {
                 let mut actions = self.pools.mac.pop().unwrap_or_default();
-                let record = &mut self.nodes[node];
                 // The id just fired: forget it, nothing to cancel.
-                record.mac_timers[timer.index()] = None;
-                record.mac.on_timer(self.now, timer, &mut actions);
+                self.nodes[node].mac_timers[timer.index()] = None;
+                let now = self.now;
+                self.enter_mac(node, 0..0)
+                    .on_timer(now, timer, &mut actions);
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvSend {
@@ -93,8 +97,9 @@ impl Network {
                 packet,
             } => {
                 let mut actions = self.pools.mac.pop().unwrap_or_default();
-                let mac = &mut self.nodes.touch(node).mac;
-                mac.enqueue(self.now, next_hop, packet, &mut actions);
+                let now = self.now;
+                let mac = self.enter_mac(node, 0..0);
+                mac.enqueue(now, next_hop, packet, &mut actions);
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvDiscovery { node, dst } => {
@@ -124,31 +129,82 @@ impl Network {
     }
 
     /// One receiver's share of a wave: the leading (`end = false`) or
-    /// trailing edge of transmission `tx` arriving at `rx.node`, whose
-    /// record is built here if this is the first signal to reach it. The
-    /// caller has already set [`Self::now`] to the arrival time.
+    /// trailing edge of transmission `tx` arriving at `rx.node`. The
+    /// caller has already set [`Self::now`] to the arrival time, and
+    /// releases the receivers of a trailing edge once its segment is
+    /// walked.
     pub(super) fn signal_edge(&mut self, rx: &Effect, tx: TxId, end: bool) {
         let base = self.pools.edge_scratch.len();
-        let radio = &mut self.nodes.touch(rx.node).radio;
+        let radio = self.nodes.radio_mut(rx.node);
         if end {
             radio.signal_end(tx, &mut self.pools.edge_scratch);
         } else {
             radio.signal_start(tx, rx.class, &mut self.pools.edge_scratch);
         }
         self.process_radio_events(rx.node, base);
-        if end {
-            self.frames.release(tx);
-        }
     }
 
     fn tx_end(&mut self, node: NodeId) {
         let mut actions = self.pools.mac.pop().unwrap_or_default();
-        self.nodes[node].mac.on_tx_done(self.now, &mut actions);
+        let now = self.now;
+        self.enter_mac(node, 0..0).on_tx_done(now, &mut actions);
         // (No `StartTx` in there: the DCF only sends from timer handlers.)
         self.apply_mac_actions(node, actions);
         let base = self.pools.edge_scratch.len();
-        self.nodes[node].radio.tx_end(&mut self.pools.edge_scratch);
+        let radio = self.nodes.radio_mut(node);
+        radio.tx_end(&mut self.pools.edge_scratch);
         self.process_radio_events(node, base);
+    }
+
+    /// Every input to `node`'s MAC goes through here: a radio batch it
+    /// cannot be spared (the events in `batch` of the edge stack), a
+    /// timer, a queued packet, the end of its own transmission. A MAC
+    /// marked quiet wakes — its batches stop being absorbed, and the MAC
+    /// gets the carrier state from before `batch` (the batch itself brings
+    /// it the rest) and any EIFS absorbed meanwhile — and its record is
+    /// built if this is the first time it acts. Returns the MAC.
+    pub(super) fn enter_mac(&mut self, node: NodeId, batch: Range<usize>) -> &mut Dcf {
+        let rest = self.nodes.rest_mut(node);
+        let resume = rest.quiet.then(|| {
+            rest.quiet = false;
+            std::mem::take(&mut rest.eifs)
+        });
+        let resume = resume.map(|eifs| {
+            let busy = self.nodes.radio(node).carrier_busy();
+            let before =
+                self.pools.edge_scratch[batch]
+                    .iter()
+                    .fold(busy, |busy, event| match event {
+                        RadioEvent::CarrierBusy => false,
+                        RadioEvent::CarrierIdle => true,
+                        _ => busy,
+                    });
+            (before, eifs)
+        });
+        let mac = &mut self.nodes.touch(node).mac;
+        if let Some((busy, eifs)) = resume {
+            mac.resume(busy, eifs);
+        }
+        mac
+    }
+
+    /// `true` if `node`'s MAC may sit out a radio batch: it is marked
+    /// quiet, or it has been handed every batch so far and has nothing to
+    /// do ([`Dcf::is_quiet`]), and is marked now. Asked only before a batch
+    /// is handed over, never in the middle of one — a batch nested in
+    /// another is a transmitting MAC's, which is not quiet — so a marked
+    /// MAC is in step with its radio as of the batch that marked it.
+    fn mac_sits_out(&mut self, node: NodeId) -> bool {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.eager_mac {
+            return false;
+        }
+        if self.nodes.rest(node).quiet {
+            return true;
+        }
+        let quiet = self.nodes[node].mac.is_quiet();
+        self.nodes.rest_mut(node).quiet = quiet;
+        quiet
     }
 
     /// One open-loop arrival: draw the flow, reschedule the class's next
@@ -431,12 +487,34 @@ impl Network {
     /// MAC in the order reported, reading them in place, and pops them. A
     /// call nested inside the batch (none is: the DCF only sends from timer
     /// handlers) pops back to its own base. Only a non-empty batch is applied.
+    ///
+    /// A quiet MAC ([`mwn_mac80211::Dcf::is_quiet`]) is not called for a
+    /// batch without an intact reception: it would answer with no action
+    /// and change only its carrier flag, which the radio holds already, and
+    /// its EIFS debt, which its `MacRest` keeps ([`Self::absorb_radio_events`]).
+    #[inline]
     fn process_radio_events(&mut self, node: NodeId, base: usize) {
         let top = self.pools.edge_scratch.len();
         debug_assert!(top - base <= 2, "{} events from one radio call", top - base);
         if top == base {
             return;
         }
+        let intact = self.pools.edge_scratch[base..top]
+            .iter()
+            .any(|e| matches!(e, RadioEvent::RxEnd { ok: true, .. }));
+        if !intact && self.mac_sits_out(node) {
+            self.absorb_radio_events(node, base);
+        } else {
+            self.deliver_radio_events(node, base);
+        }
+    }
+
+    /// [`Self::process_radio_events`]'s MAC path: the batch above `base`
+    /// goes to `node`'s MAC, which is woken first if it was quiet.
+    #[inline(never)]
+    fn deliver_radio_events(&mut self, node: NodeId, base: usize) {
+        let top = self.pools.edge_scratch.len();
+        self.enter_mac(node, base..top);
         let mut actions = self.pools.mac.pop().unwrap_or_default();
         let mut quiet = true;
         for k in base..top {
@@ -474,6 +552,34 @@ impl Network {
         self.pools.mac.push(actions);
         if let Some(p) = self.profile.as_mut().filter(|_| quiet) {
             p.mac_batches_without_actions += 1;
+        }
+    }
+
+    /// [`Self::process_radio_events`] for a quiet MAC's batch without an
+    /// intact reception: what the MAC path leaves behind, without the MAC.
+    /// A corrupt or undecoded end is traced and owes an EIFS; each event
+    /// takes the queue-depth sample the MAC path takes (0: a quiet MAC's
+    /// queue is empty).
+    #[inline]
+    fn absorb_radio_events(&mut self, node: NodeId, base: usize) {
+        let top = self.pools.edge_scratch.len();
+        let corrupt =
+            |e: &RadioEvent| matches!(e, RadioEvent::RxEnd { .. } | RadioEvent::UndecodedEnd);
+        if self.trace.is_some() || self.probes.is_some() {
+            for k in base..top {
+                if corrupt(&self.pools.edge_scratch[k]) {
+                    self.trace_event(node, || TraceEvent::PhyCorrupt);
+                }
+                self.probe(ProbeKind::IfqDepth, node.raw(), 0.0);
+            }
+        }
+        if self.pools.edge_scratch[base..top].iter().any(corrupt) {
+            self.nodes.rest_mut(node).eifs = true;
+        }
+        self.pools.edge_scratch.truncate(base);
+        if let Some(p) = &mut self.profile {
+            p.mac_batches_without_actions += 1;
+            p.radio_batches_absorbed += 1;
         }
     }
 
@@ -566,8 +672,9 @@ impl Network {
                 } => {
                     if delay.is_zero() {
                         let mut actions = self.pools.mac.pop().unwrap_or_default();
-                        let mac = &mut self.nodes[node].mac;
-                        mac.enqueue(self.now, next_hop, packet, &mut actions);
+                        let now = self.now;
+                        let mac = self.enter_mac(node, 0..0);
+                        mac.enqueue(now, next_hop, packet, &mut actions);
                         self.apply_mac_actions(node, actions);
                     } else {
                         self.queue.schedule(
@@ -1025,15 +1132,14 @@ impl Network {
             airtime: duration,
             nav,
         });
-        self.nodes[node].energy.add_tx(duration);
+        self.nodes.energy_mut(node).add_tx(duration);
         // Transmission time is where lazy medium staleness resolves:
         // `refresh` serves the stored list if no move batch came since
         // it was built, else fills it one-shot (this node's first
         // transmission in the epoch) or stores it anew. The returned
         // borrow lives in place while the slab copies it; everything
         // touched meanwhile (queue, frames, node records) is a disjoint
-        // field. A decodable receiver's record is built here, for its
-        // energy meter, if no signal reached it before.
+        // field.
         let effects = self.medium.refresh(node);
         if !effects.is_empty() {
             // The numbers the per-receiver start/end events would have
@@ -1043,7 +1149,7 @@ impl Network {
             let tx = self.frames.insert(frame, now, duration, seq_base, effects);
             for e in effects {
                 if e.class.decodable {
-                    self.nodes.touch(e.node).energy.add_rx(duration);
+                    self.nodes.energy_mut(e.node).add_rx(duration);
                 }
             }
             let wave = self.frames.wave(tx);
@@ -1055,9 +1161,8 @@ impl Network {
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });
         let base = self.pools.edge_scratch.len();
-        self.nodes[node]
-            .radio
-            .tx_start(&mut self.pools.edge_scratch);
+        let radio = self.nodes.radio_mut(node);
+        radio.tx_start(&mut self.pools.edge_scratch);
         self.process_radio_events(node, base);
     }
 }
@@ -1099,8 +1204,8 @@ mod tests {
             nav: until.duration_since(net.now),
         };
         let mut actions = Vec::new();
-        let mac = &mut net.nodes.touch(B).mac;
-        mac.on_rx_frame(net.now, &rts, &mut actions);
+        let now = net.now;
+        net.enter_mac(B, 0..0).on_rx_frame(now, &rts, &mut actions);
         net.apply_mac_actions(B, actions);
     }
 
@@ -1110,43 +1215,96 @@ mod tests {
 
     /// A radio batch the MAC has no answer to costs one buffer round trip
     /// and no `apply_mac_actions` — but still dates the node's first
-    /// queue-depth sample, as the empty apply it replaces did.
+    /// queue-depth sample, as the empty apply it replaces did. A quiet MAC
+    /// is not even called: its batches stop at the radio, its `MacRest` keeps
+    /// the EIFS they owe, and no record is built for it. Both paths leave
+    /// the same trace, probes and profile.
     #[test]
     fn quiet_radio_batch_balances_the_pool_and_dates_the_first_ifq_sample() {
         let t0 = SimTime::from_nanos(5_000);
-        let mut net = line(t0, false);
-        let batch = |net: &mut Network, evs: &[RadioEvent]| {
-            net.pools.edge_scratch.extend_from_slice(evs);
-            net.nodes.touch(B);
-            net.process_radio_events(B, 0);
-            assert!(net.pools.edge_scratch.is_empty());
-        };
-        let locked = [RadioEvent::CarrierBusy, RadioEvent::RxStart(TxId(7))];
-        batch(&mut net, &locked);
-        let pooled = net.pools.mac.len();
-        assert_eq!(pooled, 1, "the one buffer taken went back");
-        net.now = SimTime::from_nanos(9_000);
-        batch(&mut net, &[RadioEvent::CarrierIdle]);
-        batch(&mut net, &[]);
-        assert_eq!(net.pools.mac.len(), pooled);
-        assert!(net.pools.mac.iter().all(Vec::is_empty));
+        let run = |eager_mac: bool| {
+            let mut net = line(t0, false);
+            net.set_eager_mac(eager_mac);
+            let batch = |net: &mut Network, evs: &[RadioEvent]| {
+                net.pools.edge_scratch.extend_from_slice(evs);
+                net.process_radio_events(B, 0);
+                assert!(net.pools.edge_scratch.is_empty());
+            };
+            let locked = [RadioEvent::CarrierBusy, RadioEvent::RxStart(TxId(7))];
+            batch(&mut net, &locked);
+            let pooled = net.pools.mac.len();
+            assert_eq!(pooled, usize::from(eager_mac), "the buffer taken went back");
+            net.now = SimTime::from_nanos(9_000);
+            batch(
+                &mut net,
+                &[RadioEvent::UndecodedEnd, RadioEvent::CarrierIdle],
+            );
+            batch(&mut net, &[]);
+            assert_eq!(net.pools.mac.len(), pooled);
+            assert!(net.pools.mac.iter().all(Vec::is_empty));
+            assert_eq!(net.node_records(), usize::from(eager_mac));
+            let rest = net.nodes.rest(B);
+            assert_eq!(rest.eifs, !eager_mac, "EIFS kept beside the radio");
+            assert_eq!(rest.quiet, !eager_mac);
 
-        let profile = net.profile().unwrap();
-        assert_eq!(
-            profile.mac_batches_without_actions, 2,
-            "empty batches don't count"
-        );
-        let samples: Vec<_> = net.probes().unwrap().samples().collect();
-        assert_eq!(samples.len(), 1, "on-change: depth never moved");
-        assert_eq!(
-            (
-                samples[0].time,
-                samples[0].kind,
-                samples[0].id,
-                samples[0].value
-            ),
-            (t0, ProbeKind::IfqDepth, B.raw(), 0.0)
-        );
+            let profile = net.profile().unwrap();
+            assert_eq!(
+                profile.mac_batches_without_actions, 2,
+                "empty batches don't count"
+            );
+            let absorbed = if eager_mac { 0 } else { 2 };
+            assert_eq!(profile.radio_batches_absorbed, absorbed);
+            let samples: Vec<_> = net.probes().unwrap().samples().copied().collect();
+            assert_eq!(samples.len(), 1, "on-change: depth never moved");
+            assert_eq!(
+                (
+                    samples[0].time,
+                    samples[0].kind,
+                    samples[0].id,
+                    samples[0].value
+                ),
+                (t0, ProbeKind::IfqDepth, B.raw(), 0.0)
+            );
+            trace_lines(&net)
+        };
+        let trace = run(false);
+        assert_eq!(trace.len(), 1, "{trace:?}");
+        assert!(trace[0].contains("PhyCorrupt"), "{trace:?}");
+        assert_eq!(trace, run(true));
+    }
+
+    /// A MAC that wakes for a batch is handed the carrier state from
+    /// before it and the EIFS its absorbed batches owe — the state it
+    /// would hold had it been handed every batch — and is marked quiet
+    /// again at the next batch it has no use for.
+    #[test]
+    fn a_woken_mac_resumes_where_every_batch_would_have_left_it() {
+        let t0 = SimTime::from_nanos(5_000);
+        let mut net = line(t0, false);
+        net.pools
+            .edge_scratch
+            .extend_from_slice(&[RadioEvent::UndecodedEnd]);
+        net.process_radio_events(B, 0);
+        assert_eq!(net.node_records(), 0);
+        // The radio reads busy; the batch that wakes the MAC turned it so.
+        let radio = net.nodes.radio_mut(B);
+        let mut ignored = Vec::new();
+        radio.tx_start(&mut ignored);
+        net.pools.edge_scratch.push(RadioEvent::CarrierBusy);
+        let mut expected = line(t0, false);
+        expected.nodes.touch(B).mac.resume(false, true);
+        net.enter_mac(B, 0..1);
+        let woken = format!("{:?}", net.nodes[B].mac);
+        assert_eq!(woken, format!("{:?}", expected.nodes[B].mac));
+        let rest = net.nodes.rest(B);
+        assert!(!rest.quiet && !rest.eifs, "the debt moved to the MAC");
+        net.pools.edge_scratch.clear();
+        // With nothing to do, the MAC sits out the next batch again.
+        net.pools.edge_scratch.push(RadioEvent::UndecodedEnd);
+        net.process_radio_events(B, 0);
+        let rest = net.nodes.rest(B);
+        assert!(rest.quiet && rest.eifs, "owing an EIFS again");
+        assert_eq!(net.profile().unwrap().radio_batches_absorbed, 2);
     }
 
     /// The radio-event buffer is a stack: a batch pushed above a non-zero

@@ -158,13 +158,14 @@ impl FrameSlab {
         Self::pack(slot, s.generation)
     }
 
-    /// The slot of live transmission `tx`.
+    /// The slot of live transmission `tx`, which stays its slot until its
+    /// last receiver is released.
     ///
     /// # Panics
     ///
     /// Panics on a dead or recycled id: a wave event only exists while
     /// its transmission has receivers left to visit.
-    fn live_slot(&self, tx: TxId) -> usize {
+    pub(super) fn live_slot(&self, tx: TxId) -> usize {
         let (slot, generation) = Self::unpack(tx);
         let s = &self.slots[slot as usize];
         assert!(
@@ -176,13 +177,17 @@ impl FrameSlab {
 
     /// The wave of live transmission `tx` (panics on a stale id).
     pub(super) fn wave(&self, tx: TxId) -> &Wave {
-        &self.slots[self.live_slot(tx)].wave
+        self.wave_in(self.live_slot(tx))
     }
 
-    /// Moves `tx`'s wave cursor (see [`Wave::cursor`]; panics on a stale
-    /// id).
-    pub(super) fn set_cursor(&mut self, tx: TxId, cursor: usize) {
-        let slot = self.live_slot(tx);
+    /// The wave in `slot`, a [live slot](Self::live_slot).
+    pub(super) fn wave_in(&self, slot: usize) -> &Wave {
+        &self.slots[slot].wave
+    }
+
+    /// Moves the wave cursor (see [`Wave::cursor`]) of the transmission in
+    /// `slot`, a [live slot](Self::live_slot).
+    pub(super) fn set_cursor(&mut self, slot: usize, cursor: usize) {
         self.slots[slot].wave.cursor = cursor;
     }
 
@@ -197,11 +202,15 @@ impl FrameSlab {
         s.frame.as_ref()
     }
 
-    /// Drops one receiver's claim on `tx`; the last release vacates the
-    /// slot and bumps its generation. A stale id (already fully released,
-    /// or from a recycled slot) is rejected and counted, never applied to
-    /// the slot's next tenant.
-    pub(super) fn release(&mut self, tx: TxId) {
+    /// Drops the claims of `receivers` receivers on `tx`; the last
+    /// release vacates the slot and bumps its generation. A stale id
+    /// (already fully released, or from a recycled slot) is rejected and
+    /// counted once, never applied to the slot's next tenant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx` has fewer claims left than `receivers`.
+    pub(super) fn release(&mut self, tx: TxId, receivers: usize) {
         let (slot, generation) = Self::unpack(tx);
         let Some(s) = self.slots.get_mut(slot as usize) else {
             self.stale_releases += 1;
@@ -211,7 +220,10 @@ impl FrameSlab {
             self.stale_releases += 1;
             return;
         }
-        s.remaining -= 1;
+        s.remaining = s
+            .remaining
+            .checked_sub(receivers)
+            .expect("more releases than receivers");
         if s.remaining == 0 {
             s.frame = None;
             s.generation = s.generation.wrapping_add(1);
@@ -279,19 +291,35 @@ mod tests {
         let tx = slab.insert_n(frame(1), 2);
         assert!(slab.get(tx).is_some());
         assert_eq!(slab.live(), 1);
-        slab.release(tx);
+        slab.release(tx, 1);
         assert!(slab.get(tx).is_some(), "one receiver still outstanding");
-        slab.release(tx);
+        slab.release(tx, 1);
         assert!(slab.get(tx).is_none(), "fully released");
         assert_eq!(slab.live(), 0);
         assert_eq!(slab.stale_releases(), 0);
+    }
+
+    /// A walked segment releases its receivers' claims in one call: the
+    /// frame stays readable until the last claim goes, and a stale id is
+    /// counted once, whatever the count it names.
+    #[test]
+    fn a_segment_releases_its_receivers_at_once() {
+        let mut slab = FrameSlab::new();
+        let tx = slab.insert_n(frame(1), 5);
+        slab.release(tx, 3);
+        assert!(slab.get(tx).is_some(), "two receivers still outstanding");
+        slab.release(tx, 2);
+        assert!(slab.get(tx).is_none());
+        assert_eq!(slab.live(), 0);
+        slab.release(tx, 4);
+        assert_eq!(slab.stale_releases(), 1);
     }
 
     #[test]
     fn slot_reuse_bumps_generation_so_ids_never_alias() {
         let mut slab = FrameSlab::new();
         let old = slab.insert_n(frame(1), 1);
-        slab.release(old);
+        slab.release(old, 1);
         let new = slab.insert_n(frame(2), 1);
         assert_ne!(old, new, "recycled slot must mint a fresh id");
         assert!(slab.get(old).is_none(), "stale id must not see new tenant");
@@ -305,20 +333,20 @@ mod tests {
     fn stale_release_is_rejected_not_replayed() {
         let mut slab = FrameSlab::new();
         let old = slab.insert_n(frame(1), 1);
-        slab.release(old);
+        slab.release(old, 1);
         let new = slab.insert_n(frame(2), 3);
         // Straggler releases of the dead id: all rejected.
-        slab.release(old);
-        slab.release(old);
+        slab.release(old, 1);
+        slab.release(old, 1);
         assert_eq!(slab.stale_releases(), 2);
         assert!(slab.get(new).is_some(), "tenant survived stale releases");
-        slab.release(new);
-        slab.release(new);
+        slab.release(new, 1);
+        slab.release(new, 1);
         assert!(slab.get(new).is_some(), "refcount untouched by stale ids");
-        slab.release(new);
+        slab.release(new, 1);
         assert!(slab.get(new).is_none());
         // An id for a slot that never existed is also just counted.
-        slab.release(TxId(u64::from(u32::MAX)));
+        slab.release(TxId(u64::from(u32::MAX)), 1);
         assert_eq!(slab.stale_releases(), 3);
     }
 
@@ -359,7 +387,7 @@ mod tests {
         assert_eq!(wave.key(0, true), (start + near + airtime, 41));
         assert_eq!(wave.key(2, true), (start + far + airtime, 45));
         assert_eq!(wave.cursor, 0);
-        slab.set_cursor(tx, 2);
+        slab.set_cursor(slab.live_slot(tx), 2);
         assert_eq!(slab.wave(tx).cursor, 2);
     }
 
@@ -404,8 +432,8 @@ mod tests {
         let mut slab = FrameSlab::new();
         let a = slab.insert_n(frame(1), 1);
         let b = slab.insert_n(frame(2), 1);
-        slab.release(a);
-        slab.release(b);
+        slab.release(a, 1);
+        slab.release(b, 1);
         // LIFO: b's slot comes back first.
         let c = slab.insert_n(frame(3), 1);
         assert_eq!(c.0 & SLOT_MASK, b.0 & SLOT_MASK);

@@ -1,11 +1,18 @@
-//! Per-node protocol state, built when a signal first reaches its node.
+//! Per-node state: a dense radio table for every node, and protocol
+//! state built when its node's MAC or router first acts.
 //!
-//! Most nodes of a large field never hear a thing: a round's signals
-//! reach a tenth of a city, a route-request flood about half. So a node's
-//! [`NodeRecord`] is built the first time anything writes to it — a
-//! wave's signal edge, a decodable reception's energy meter, a flow
-//! source's first send — exactly as a set-up-time build would have built
-//! it. Each record's random streams come from the root by jump-ahead
+//! Every node has its radio state from set-up on, in dense node-indexed
+//! arrays: its transceiver, and two [`MacRest`] bits that let a signal
+//! edge at a node whose MAC has nothing to do stop at the transceiver
+//! (see `cascade::process_radio_events`). Its energy meter is added the
+//! first time it transmits or starts a decodable reception.
+//! Most receivers of a large field are such bystanders: a transmission
+//! reaches about 45 nodes inside its 550 m carrier-sense range, and
+//! most of them only sense it. So a node's [`NodeRecord`] (MAC, router,
+//! timer row, parked NAV) is built the first time its MAC or router
+//! acts — an intact reception, a queued send, a flow source's first
+//! send — exactly as a set-up-time build would have built it. Each
+//! record's random streams come from the root by jump-ahead
 //! ([`Pcg32::fork_at`]): fork *i* for DCF *i*, fork *n + i* for router
 //! *i*, the streams the sequential set-up forks drew, so runs do not
 //! depend on the order records are built in.
@@ -21,14 +28,23 @@ use mwn_sim::{EventId, Pcg32};
 
 use super::cascade::ParkedNav;
 
-/// One node's protocol state: radio, MAC, router, energy meter, MAC
-/// timer row and parked NAV.
+/// What the host keeps for a node's MAC while the MAC sits out radio
+/// batches, held for every node.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct MacRest {
+    /// The node's MAC is quiet ([`Dcf::is_quiet`]) and sits out radio
+    /// batches it has no answer to; the radio tracks the carrier for it.
+    pub quiet: bool,
+    /// A corrupt or undecoded end reached the node while it was quiet:
+    /// its MAC owes an EIFS.
+    pub eifs: bool,
+}
+
+/// One node's protocol state: MAC, router, MAC timer row and parked NAV.
 #[derive(Debug)]
 pub(super) struct NodeRecord {
-    pub radio: Transceiver,
     pub mac: Dcf,
     pub router: Router,
-    pub energy: EnergyMeter,
     /// Queued MAC timers, indexed by [`MacTimer::index`].
     pub mac_timers: [Option<EventId>; MacTimer::COUNT],
     /// The parked NAV, if any (`cascade::set_mac_timer`).
@@ -41,7 +57,6 @@ pub(super) struct NodeRecord {
 struct Recipe {
     nodes: u64,
     params: Arc<MacParams>,
-    capture: Option<f64>,
     aodv: AodvConfig,
     root: Pcg32,
 }
@@ -51,7 +66,6 @@ impl Recipe {
     fn build(&self, i: usize) -> NodeRecord {
         let id = NodeId(i as u32);
         NodeRecord {
-            radio: Transceiver::with_capture(self.capture),
             mac: Dcf::new(id, Arc::clone(&self.params), self.root.fork_at(i as u64)),
             router: Router::new(
                 id,
@@ -60,15 +74,22 @@ impl Recipe {
                 // uid namespace: top bit set, node id in the next bits.
                 (1 << 63) | ((i as u64) << 40),
             ),
-            energy: EnergyMeter::new(),
             mac_timers: [None; MacTimer::COUNT],
             nav_parked: None,
         }
     }
 }
 
-/// Every node's [`NodeRecord`], built on first write and indexed by node
-/// id.
+/// Every node's transceiver and [`MacRest`], its energy meter once
+/// charged and its [`NodeRecord`] once built, all by node id.
+///
+/// The radio state is arrays, not one array of cells: a bystander's
+/// signal edge reads its rest bits (2 B a node, so a 20 000-node field's
+/// fit in the cache) and updates its transceiver, and never touches the
+/// energy meters, which only a decodable reception's start and a
+/// transmission charge. Those are kept only for the nodes they charged
+/// (a round of a 20 000-node field charges about one in twenty), behind
+/// a 4-byte slot per node.
 ///
 /// Each record is its own allocation behind an 8-byte entry (a null
 /// entry is a node no record was built for), so the table never grows
@@ -78,6 +99,12 @@ impl Recipe {
 /// more CPU per packet than this layout.
 #[derive(Debug)]
 pub(super) struct NodeTable {
+    radios: Vec<Transceiver>,
+    rest: Vec<MacRest>,
+    /// Per node, its index in `meters` plus one; 0 while it was never
+    /// charged.
+    meter_slots: Vec<u32>,
+    meters: Vec<EnergyMeter>,
     records: Vec<Option<Box<NodeRecord>>>,
     built: usize,
     /// What an untouched node reads as.
@@ -86,8 +113,9 @@ pub(super) struct NodeTable {
 }
 
 impl NodeTable {
-    /// A table for `n` nodes holding no record; `root` is the scenario's
-    /// root stream before any fork.
+    /// A table for `n` nodes holding `n` idle radios with quiet MACs, no
+    /// energy meter and no record; `root` is the scenario's root stream
+    /// before any fork.
     pub fn new(
         n: usize,
         params: Arc<MacParams>,
@@ -98,11 +126,18 @@ impl NodeTable {
         let recipe = Recipe {
             nodes: n as u64,
             params,
-            capture,
             aodv,
             root,
         };
+        let rest = MacRest {
+            quiet: true,
+            eifs: false,
+        };
         NodeTable {
+            radios: (0..n).map(|_| Transceiver::with_capture(capture)).collect(),
+            rest: vec![rest; n],
+            meter_slots: vec![0; n],
+            meters: Vec::new(),
             records: (0..n).map(|_| None).collect(),
             built: 0,
             pristine: Box::new(recipe.build(0)),
@@ -118,6 +153,69 @@ impl NodeTable {
     /// Number of records built.
     pub fn records(&self) -> usize {
         self.built
+    }
+
+    /// `node`'s transceiver.
+    #[inline]
+    pub fn radio(&self, node: NodeId) -> &Transceiver {
+        &self.radios[node.index()]
+    }
+
+    /// `node`'s transceiver, mutably.
+    #[inline]
+    pub fn radio_mut(&mut self, node: NodeId) -> &mut Transceiver {
+        &mut self.radios[node.index()]
+    }
+
+    /// Every node's transceiver, in node order.
+    pub fn radios(&self) -> &[Transceiver] {
+        &self.radios
+    }
+
+    /// `node`'s energy meter (an empty one if it was never charged).
+    pub fn energy(&self, node: NodeId) -> EnergyMeter {
+        match self.meter_slots[node.index()] {
+            0 => EnergyMeter::new(),
+            s => self.meters[s as usize - 1].clone(),
+        }
+    }
+
+    /// `node`'s energy meter, mutably, added first if it was never
+    /// charged.
+    #[inline]
+    pub fn energy_mut(&mut self, node: NodeId) -> &mut EnergyMeter {
+        let slot = match self.meter_slots[node.index()] {
+            0 => self.add_meter(node.index()),
+            s => s as usize - 1,
+        };
+        &mut self.meters[slot]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn add_meter(&mut self, i: usize) -> usize {
+        self.meters.push(EnergyMeter::new());
+        self.meter_slots[i] = self.meters.len() as u32;
+        self.meters.len() - 1
+    }
+
+    /// What the host keeps for `node`'s MAC.
+    #[inline]
+    pub fn rest(&self, node: NodeId) -> MacRest {
+        self.rest[node.index()]
+    }
+
+    /// What the host keeps for `node`'s MAC, mutably.
+    #[inline]
+    pub fn rest_mut(&mut self, node: NodeId) -> &mut MacRest {
+        &mut self.rest[node.index()]
+    }
+
+    /// The radio state every node holds, in bytes: transceiver,
+    /// [`MacRest`] and energy-meter slot.
+    pub const fn radio_bytes() -> usize {
+        use std::mem::size_of;
+        size_of::<Transceiver>() + size_of::<MacRest>() + size_of::<u32>()
     }
 
     /// `node`'s record, building it first if it has none.
@@ -143,18 +241,20 @@ impl NodeTable {
             .unwrap_or(&self.pristine)
     }
 
-    /// Heap bytes of the built records: each record itself plus what it
-    /// holds (active signals, interface queue, receive-dedup cache,
-    /// routing and duplicate tables, discovery buffers).
+    /// Heap bytes of the transceivers' active-signal lists, of the energy
+    /// meters (by capacity) and of the built records: each record itself
+    /// plus what it holds (interface queue, receive-dedup cache, routing
+    /// and duplicate tables, discovery buffers).
     pub fn memory_bytes(&self) -> usize {
-        self.iter()
+        let lists: usize = self.radios.iter().map(Transceiver::memory_bytes).sum();
+        let radios = lists + self.meters.capacity() * std::mem::size_of::<EnergyMeter>();
+        let records: usize = self
+            .iter()
             .map(|(_, r)| {
-                std::mem::size_of::<NodeRecord>()
-                    + r.radio.memory_bytes()
-                    + r.mac.memory_bytes()
-                    + r.router.memory_bytes()
+                std::mem::size_of::<NodeRecord>() + r.mac.memory_bytes() + r.router.memory_bytes()
             })
-            .sum()
+            .sum();
+        radios + records
     }
 
     /// The built records with their node indices, in node order.
@@ -164,9 +264,8 @@ impl NodeTable {
     }
 }
 
-/// The record of a node that is acting: a signal or its flow's start
-/// reached it before, so its record exists. Indexing a node without one
-/// panics.
+/// The record of a node that is acting: its MAC or router acted before,
+/// so its record exists. Indexing a node without one panics.
 impl Index<NodeId> for NodeTable {
     type Output = NodeRecord;
 

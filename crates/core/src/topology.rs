@@ -58,9 +58,13 @@ impl Topology {
     /// scans its 3×3 cell neighborhood as three contiguous runs of slots —
     /// O(n·k) for k = nodes per neighborhood, which keeps the resample
     /// loops of [`random`] and [`random_large_giant`] cheap on 50 000-node
-    /// fields.
+    /// fields. A candidate whose squared distance exceeds `range²` by a
+    /// relative margin far above rounding error is out of range without the
+    /// `sqrt`; every other one takes the exact [`Position::distance_to`]
+    /// test, so the links are the ones that test alone would find.
     fn largest_component(&self, range: f64) -> usize {
         let n = self.positions.len();
+        let beyond = range * range * (1.0 + 1e-9);
         let table = CellTable::covering(range, &self.positions);
         let (start, order) = table.sort(&self.positions);
         let sorted: Vec<Position> = order.iter().map(|&i| self.positions[i as usize]).collect();
@@ -78,7 +82,13 @@ impl Topology {
                 let p = sorted[i];
                 for run in table.neighborhood(p) {
                     for j in start[run.start]..start[run.end] {
-                        if !seen[j] && p.distance_to(sorted[j]) <= range {
+                        if seen[j] {
+                            continue;
+                        }
+                        let q = sorted[j];
+                        // `distance_to` is `sqrt` of this very expression.
+                        let d2 = (p.x - q.x).powi(2) + (p.y - q.y).powi(2);
+                        if d2 <= beyond && d2.sqrt() <= range {
                             seen[j] = true;
                             size += 1;
                             stack.push(j);

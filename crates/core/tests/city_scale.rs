@@ -7,16 +7,22 @@
 //! naive flooding vs [`AodvConfig::city`] — and asserts at least a 5×
 //! reduction in RREQ rebroadcasts.
 //!
-//! Beside it, what a city costs per node: the record-table entry every
-//! node occupies, the heap a freshly built network holds (none beyond the
-//! medium's per-node arrays), and which nodes hold a record after a
-//! round (those a signal reached).
+//! Beside it, what a city costs per node: the radio state and record-table
+//! entry every node occupies, the heap a freshly built network holds (none
+//! beyond the medium's per-node arrays), and which nodes hold a record
+//! after a round (those whose MAC or router acted).
 
+use mwn::trace::TraceEvent;
 use mwn::{
     topology, AodvConfig, DataRate, FlowSpec, Network, NodeId, Scenario, SimDuration, SimTime,
     Transport,
 };
 use mwn_phy::{Medium, RangeModel};
+use std::collections::BTreeSet;
+
+/// What every node costs whatever it does: its radio state and its
+/// record-table entry (`Network::fixed_bytes_per_node`).
+const FIXED_BYTES: u64 = 102;
 
 /// Picks `count` flows with endpoints exactly 3 hops apart, sources
 /// spread across the node-id space. Expanding rings help when routes are
@@ -155,16 +161,16 @@ fn effect_lists_are_stored_on_second_transmission() {
     assert!(held < bytes(&mut transmissions.keys()), "{held} B");
 }
 
-/// Every node holds one record-table entry. Its protocol state — radio,
-/// MAC, router, energy meter, timer row — is built when a signal first
-/// reaches it, and every per-node table, queue and list allocates on
-/// first use: a freshly built 20 000-node city holds no node record, and
-/// no per-node heap beyond the medium's positions, list headers, epoch
-/// stamps and grid.
+/// Every node holds its radio state (transceiver, two bits, meter slot)
+/// and one record-table entry. Its protocol state — MAC, router, timer
+/// row — is built when its MAC or router first acts, and every per-node
+/// table, queue and list allocates on first use: a freshly built
+/// 20 000-node city holds no node record, and no per-node heap beyond the
+/// medium's positions, list headers, epoch stamps and grid.
 #[test]
 fn city_network_starts_with_no_per_node_heap() {
     let fixed = Network::fixed_bytes_per_node();
-    assert_eq!(fixed, 8, "the record-table entry");
+    assert_eq!(fixed, FIXED_BYTES, "radio state and record-table entry");
     let topology = topology::random_large(20_000, 4242);
     let index = Medium::lazy(topology.positions().to_vec(), RangeModel::paper()).index_bytes();
     let flows = vec![FlowSpec {
@@ -182,16 +188,20 @@ fn city_network_starts_with_no_per_node_heap() {
     );
 }
 
-/// After a round, the built records are exactly the nodes a signal
-/// reached — every receiver of every transmission whose leading edge
-/// arrived by the end of the round, and every decodable receiver at once
-/// (its energy meter counts the whole frame) — plus the flow sources.
+/// After a round, the built records are exactly the nodes whose MAC or
+/// router acted: the flow sources, whose routers sent, and every node
+/// that received a frame intact. Every other node a signal reached — a
+/// receiver of a transmission whose leading edge arrived by the end of the
+/// round, or a decodable receiver at once (its energy meter counts the
+/// whole frame) — holds only its radio state.
 #[test]
-fn node_records_are_the_nodes_a_signal_reached() {
+fn node_records_are_the_nodes_whose_mac_or_router_acted() {
     let topology = topology::random_large_giant(20_000, 4242);
     let mut lists = Medium::lazy(topology.positions().to_vec(), RangeModel::paper());
     let flows = local_flows(&topology, 2);
-    let mut reached: std::collections::BTreeSet<NodeId> = flows.iter().map(|f| f.src).collect();
+    let sources: BTreeSet<NodeId> = flows.iter().map(|f| f.src).collect();
+    let mut reached = sources.clone();
+    let mut acted = sources;
     let mut scenario = Scenario::new(topology, flows, DataRate::MBPS_11, 4242);
     scenario.aodv = AodvConfig::city();
     let mut net = scenario.build();
@@ -200,20 +210,33 @@ fn node_records_are_the_nodes_a_signal_reached() {
     net.run_until(end);
     assert_eq!(net.trace_dropped(), 0, "trace buffer overflowed");
     for r in net.trace() {
-        if matches!(r.event, mwn::trace::TraceEvent::MacTx { .. }) {
+        match r.event {
+            TraceEvent::PhyRxOk => {
+                acted.insert(r.node);
+            }
             // Static field: the list is the one the frame went out with.
-            for e in lists.refresh(r.node) {
-                if e.class.decodable || r.time + e.delay <= end {
-                    reached.insert(e.node);
+            TraceEvent::MacTx { .. } => {
+                for e in lists.refresh(r.node) {
+                    if e.class.decodable || r.time + e.delay <= end {
+                        reached.insert(e.node);
+                    }
                 }
             }
+            _ => {}
         }
     }
-    assert!(reached.len() > 50, "the round proved nothing: {reached:?}");
+    assert!(acted.len() > 10, "the round proved nothing: {acted:?}");
+    assert!(acted.is_subset(&reached));
     assert!(
         reached.len() < 20_000 / 4,
         "{} nodes reached",
         reached.len()
     );
-    assert_eq!(net.node_records(), reached.len());
+    assert_eq!(net.node_records(), acted.len());
+    assert!(
+        3 * acted.len() < reached.len(),
+        "{} of {} reached nodes acted",
+        acted.len(),
+        reached.len()
+    );
 }

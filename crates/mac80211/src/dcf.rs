@@ -259,6 +259,28 @@ impl Dcf {
         self.have_traffic() || self.backoff.pending()
     }
 
+    /// `true` if no radio event can make this MAC act: nothing queued
+    /// or in service, no exchange, no deference armed and no backoff
+    /// counting. Carrier transitions and corrupt ends then change only
+    /// the carrier flag and the EIFS debt, so a host may keep those two
+    /// itself and skip the MAC until its next input, handing them back
+    /// through [`Dcf::resume`] first.
+    pub fn is_quiet(&self) -> bool {
+        !self.wants_medium()
+            && !self.busy_with_exchange()
+            && !self.defer_armed
+            && !self.backoff.counting()
+    }
+
+    /// Brings a MAC whose radio batches a host kept while it was
+    /// [quiet](Dcf::is_quiet) up to date: physical carrier sense as it
+    /// stands, and an EIFS owed if a corrupt or undecoded frame ended
+    /// meanwhile.
+    pub fn resume(&mut self, carrier_busy: bool, eifs: bool) {
+        self.carrier_busy = carrier_busy;
+        self.eifs_next |= eifs;
+    }
+
     /// Accepts a packet from the network layer for transmission to
     /// `next_hop` (or [`NodeId::BROADCAST`]); resulting actions are
     /// appended to `out`.
@@ -1091,6 +1113,42 @@ mod tests {
         assert!(m.wants_medium());
         let a = act!(m.on_timer(t(3700), MacTimer::Nav));
         assert!(has_timer(&a, MacTimer::Defer));
+    }
+
+    /// The fact a host relies on to skip a quiet MAC's radio batches:
+    /// carrier transitions and corrupt ends emit nothing there, and
+    /// `resume` with the carrier state and the EIFS debt leaves the MAC
+    /// exactly as delivering them would have.
+    #[test]
+    fn a_quiet_mac_is_resumed_to_the_state_its_radio_batches_leave() {
+        let mut live = mac(2);
+        let overheard = MacFrame::Rts {
+            src: NodeId(0),
+            dst: NodeId(1),
+            nav: SimDuration::from_micros(700),
+        };
+        act!(live.on_rx_frame(t(400), &overheard));
+        assert!(live.is_quiet(), "a NAV alone keeps the MAC quiet");
+        let mut kept = live.clone();
+        assert!(act!(live.on_carrier_busy(t(500))).is_empty());
+        live.on_rx_corrupt(t(800));
+        assert!(act!(live.on_carrier_idle(t(800))).is_empty());
+        assert!(act!(live.on_carrier_busy(t(900))).is_empty());
+        assert!(live.is_quiet());
+        kept.resume(true, true);
+        assert_eq!(format!("{kept:?}"), format!("{live:?}"));
+
+        // Both owe the EIFS once a packet arrives and the carrier clears.
+        for m in [&mut live, &mut kept] {
+            assert!(act!(m.enqueue(t(1000), NodeId(1), data_packet(1))).is_empty());
+            assert!(!m.is_quiet());
+            let a = act!(m.on_carrier_idle(t(1200)));
+            let defer = MacAction::SetTimer {
+                timer: MacTimer::Defer,
+                delay: params().eifs(),
+            };
+            assert_eq!(a, [defer]);
+        }
     }
 
     #[test]

@@ -84,7 +84,13 @@ impl MetricsReport {
                 "  quiet mac batches{:>12}",
                 p.mac_batches_without_actions
             )?;
-            // Protocol state is built for the nodes a signal reached. The
+            writeln!(
+                f,
+                "  bystander batches absorbed {} of {}",
+                p.radio_batches_absorbed, p.mac_batches_without_actions
+            )?;
+            // Protocol state is built for the nodes whose MAC or router
+            // acted. The
             // lazy medium: a node's first transmission in an epoch fills a
             // one-shot list, its second stores the list (a build or a
             // rebuild, each sorted into arrival order once).
@@ -337,6 +343,8 @@ mod tests {
         profile.record("tx_end", 1);
         profile.record_timed_n("medium_lazy", 3, 0.25);
         profile.node_records = 2;
+        profile.mac_batches_without_actions = 7;
+        profile.radio_batches_absorbed = 6;
         let mut fct = FctSummary::new(&["web"]);
         fct.class_mut(0).record_arrival();
         fct.class_mut(0)
@@ -367,6 +375,7 @@ mod tests {
         for present in [
             "engine profile\n",
             "  events/packet             0.2\n",
+            "  bystander batches absorbed 6 of 7\n",
             "  node records                2  of 2 nodes\n",
             "  lists built                 1  of 2 nodes, 3 one-shot\n",
             "  medium sorts                1  (= 1 builds + 0 rebuilds) + 3 one-shot\n",

@@ -35,7 +35,7 @@ pub struct EngineProfile {
     timed: Vec<(&'static str, u64, f64)>,
     /// NAV timers the host scheduled at once, because the MAC wanted the
     /// medium. With [`nav_parked`](Self::nav_parked), every NAV set.
-    /// (These four are incremented by the host.)
+    /// (These five are incremented by the host.)
     pub nav_armed: u64,
     /// NAV timers the host parked beside the node instead of scheduling,
     /// because the MAC had nothing to send.
@@ -45,8 +45,12 @@ pub struct EngineProfile {
     /// [`nav_parked`](Self::nav_parked) never cost a queue operation.
     pub nav_materialised: u64,
     /// Batches of radio events (one transceiver call's worth) to which
-    /// the MAC answered with no action at all.
+    /// the MAC answered, or would have answered, with no action at all.
     pub mac_batches_without_actions: u64,
+    /// Those of [`mac_batches_without_actions`](Self::mac_batches_without_actions)
+    /// that never reached the MAC: the host kept them beside the radio
+    /// because the MAC had nothing to do.
+    pub radio_batches_absorbed: u64,
     /// Events the host's queue has scheduled, from
     /// [`EventQueue::schedules`](crate::EventQueue::schedules). (This and
     /// [`queue_cancels`](Self::queue_cancels) are copied in by the host.)

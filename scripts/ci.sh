@@ -68,13 +68,14 @@ done
 # One instrumented run through the report's text renderer: `mwn stats`
 # must print the drop ledger, a balanced conservation audit, the event
 # queue's schedules per delivered packet, the medium's one-shot
-# list fills beside its stored builds and rebuilds, and the one timed
-# bucket for the medium's transmission-time scans and sorts.
+# list fills beside its stored builds and rebuilds, the one timed
+# bucket for the medium's transmission-time scans and sorts, and the
+# radio batches that quiet MACs were spared.
 echo "==> mwn stats --hops 4 (run report smoke)"
 stats_out=$(cargo run --release -q -p mwn-cli -- stats --hops 4 2>/dev/null)
 for expected in "^drop ledger — " "^conservation audit: conservation holds" "^  schedules/packet " \
     "^  medium sorts  *[0-9]*  (= [0-9]* builds + [0-9]* rebuilds) + [0-9]* one-shot$" \
-    "^  medium_lazy  *[0-9]* calls"; do
+    "^  medium_lazy  *[0-9]* calls" "^  bystander batches absorbed [0-9]* of [0-9]*$"; do
     grep -q "$expected" <<<"$stats_out" || {
         echo "error: mwn stats printed no line matching '$expected'" >&2; exit 1; }
 done
