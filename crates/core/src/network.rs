@@ -496,8 +496,8 @@ impl Network {
     pub fn drop_report(&self) -> DropLedger {
         let mut ledger = self.ledger.clone();
         let unattributed = self.unattributed;
-        for (i, radio) in self.nodes.radios().iter().enumerate() {
-            let c = radio.counters();
+        for i in 0..self.nodes.len() {
+            let c = self.nodes.radios().counters(NodeId(i as u32));
             ledger.add(i, unattributed, DropReason::PhyCollision, c.collisions);
             ledger.add(i, unattributed, DropReason::PhyCaptureLoss, c.captures);
             ledger.add(i, unattributed, DropReason::PhyUndecodable, c.undecoded);
@@ -584,10 +584,22 @@ impl Network {
         self.nodes.records()
     }
 
+    /// Transmissions on the air: those whose signal edges have not all
+    /// reached their receivers.
+    pub fn frames_on_air(&self) -> usize {
+        self.frames.live()
+    }
+
+    /// Signals in the radios' overflow store now: every signal on the air
+    /// at a node beside the one its slot holds.
+    pub fn radio_overflow_len(&self) -> usize {
+        self.nodes.radios().overflow_len()
+    }
+
     /// Tracked estimate of per-node engine state, in bytes: the radio state
     /// and record-table entry every node holds
     /// ([`Network::fixed_bytes_per_node`]) plus, averaged over the node
-    /// count, the radios' active-signal lists, the energy meters added,
+    /// count, the radios' overflow store, the energy meters added,
     /// the built node records and
     /// what they hold (routing/duplicate tables, discovery buffers,
     /// interface queue, receive-dedup cache), the network's
@@ -614,8 +626,16 @@ impl Network {
         Self::fixed_bytes_per_node() + (shared / n) as u64
     }
 
+    /// The radio part of [`Network::bytes_per_node`]: one node's radio
+    /// state plus, averaged over the node count, the radios' overflow
+    /// store and energy meters.
+    fn radio_bytes_per_node(&self) -> u64 {
+        let n = self.nodes.len().max(1);
+        (NodeTable::radio_bytes() + self.nodes.radios().memory_bytes() / n) as u64
+    }
+
     /// The fixed part of [`Network::bytes_per_node`]: one node's radio
-    /// state (transceiver, quiet and EIFS bits, energy-meter slot) and its
+    /// state (radio slot, energy-meter slot, quiet and EIFS bits) and its
     /// entry in the record table, whatever the node does. A node's energy
     /// meter is charged once added, its record once built.
     pub fn fixed_bytes_per_node() -> u64 {
@@ -699,7 +719,7 @@ impl Network {
                     let node = NodeId(i as u32);
                     let r = self.nodes.get(node);
                     NodeCounters {
-                        phy: *self.nodes.radio(node).counters(),
+                        phy: self.nodes.radios().counters(node),
                         mac: *r.mac.counters(),
                         aodv: *r.router.counters(),
                         route_table_size: r.router.table().len() as u64,
@@ -741,6 +761,8 @@ impl Network {
                     p.queue_schedules = self.queue.schedules();
                     p.queue_cancels = self.queue.cancels();
                     p.node_records = self.nodes.records() as u64;
+                    p.radio_overflow_peak = self.nodes.radios().overflow_peak() as u64;
+                    p.radio_bytes_per_node = self.radio_bytes_per_node();
                     p
                 })
                 .unwrap_or_default(),
@@ -758,7 +780,7 @@ impl Network {
 
     /// Total radio energy consumed by `node` so far, in joules.
     pub fn node_energy_joules(&self, node: NodeId) -> f64 {
-        let meter = self.nodes.energy(node);
+        let meter = self.nodes.radios().energy(node);
         meter.consumed(&self.energy_params, self.now)
     }
 
@@ -899,7 +921,7 @@ impl Network {
     ///   [`Network::walk_segment`] yields at the first receiver at or after it.
     ///
     /// Debug builds re-check the rest after every receiver
-    /// ([`Network::debug_assert_lookahead`]).
+    /// (`Network::debug_assert_lookahead`).
     ///
     /// Two more things end a segment early, so that every run loop stops
     /// on the same event and nanosecond it always did: a receiver past
@@ -966,6 +988,7 @@ impl Network {
                 if self.stop_mark() != mark || time >= self.wave_floor {
                     break;
                 }
+                #[cfg(debug_assertions)]
                 self.debug_assert_lookahead(tx, end, i);
             }
             self.now = time;
@@ -980,7 +1003,9 @@ impl Network {
 
     /// Debug builds: nothing the cascades so far scheduled is due at or
     /// before receiver `next`'s edge — the lookahead fact that lets
-    /// [`Network::walk_wave`]'s one peek cover a whole segment.
+    /// [`Network::walk_wave`]'s one peek cover a whole segment. Compiled
+    /// out of release builds, whose slab lookup would still run.
+    #[cfg(debug_assertions)]
     fn debug_assert_lookahead(&self, tx: TxId, end: bool, next: usize) {
         let edge = self.frames.wave(tx).time(next, end);
         debug_assert!(

@@ -135,11 +135,11 @@ impl Network {
     /// walked.
     pub(super) fn signal_edge(&mut self, rx: &Effect, tx: TxId, end: bool) {
         let base = self.pools.edge_scratch.len();
-        let radio = self.nodes.radio_mut(rx.node);
+        let radios = self.nodes.radios_mut();
         if end {
-            radio.signal_end(tx, &mut self.pools.edge_scratch);
+            radios.signal_end(rx.node, tx, &mut self.pools.edge_scratch);
         } else {
-            radio.signal_start(tx, rx.class, &mut self.pools.edge_scratch);
+            radios.signal_start(rx.node, tx, rx.class, &mut self.pools.edge_scratch);
         }
         self.process_radio_events(rx.node, base);
     }
@@ -151,8 +151,9 @@ impl Network {
         // (No `StartTx` in there: the DCF only sends from timer handlers.)
         self.apply_mac_actions(node, actions);
         let base = self.pools.edge_scratch.len();
-        let radio = self.nodes.radio_mut(node);
-        radio.tx_end(&mut self.pools.edge_scratch);
+        self.nodes
+            .radios_mut()
+            .tx_end(node, &mut self.pools.edge_scratch);
         self.process_radio_events(node, base);
     }
 
@@ -170,7 +171,7 @@ impl Network {
             std::mem::take(&mut rest.eifs)
         });
         let resume = resume.map(|eifs| {
-            let busy = self.nodes.radio(node).carrier_busy();
+            let busy = self.nodes.radios().carrier_busy(node);
             let before =
                 self.pools.edge_scratch[batch]
                     .iter()
@@ -1132,7 +1133,7 @@ impl Network {
             airtime: duration,
             nav,
         });
-        self.nodes.energy_mut(node).add_tx(duration);
+        self.nodes.radios_mut().energy_mut(node).add_tx(duration);
         // Transmission time is where lazy medium staleness resolves:
         // `refresh` serves the stored list if no move batch came since
         // it was built, else fills it one-shot (this node's first
@@ -1149,7 +1150,7 @@ impl Network {
             let tx = self.frames.insert(frame, now, duration, seq_base, effects);
             for e in effects {
                 if e.class.decodable {
-                    self.nodes.energy_mut(e.node).add_rx(duration);
+                    self.nodes.radios_mut().energy_mut(e.node).add_rx(duration);
                 }
             }
             let wave = self.frames.wave(tx);
@@ -1161,8 +1162,9 @@ impl Network {
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });
         let base = self.pools.edge_scratch.len();
-        let radio = self.nodes.radio_mut(node);
-        radio.tx_start(&mut self.pools.edge_scratch);
+        self.nodes
+            .radios_mut()
+            .tx_start(node, &mut self.pools.edge_scratch);
         self.process_radio_events(node, base);
     }
 }
@@ -1287,9 +1289,8 @@ mod tests {
         net.process_radio_events(B, 0);
         assert_eq!(net.node_records(), 0);
         // The radio reads busy; the batch that wakes the MAC turned it so.
-        let radio = net.nodes.radio_mut(B);
         let mut ignored = Vec::new();
-        radio.tx_start(&mut ignored);
+        net.nodes.radios_mut().tx_start(B, &mut ignored);
         net.pools.edge_scratch.push(RadioEvent::CarrierBusy);
         let mut expected = line(t0, false);
         expected.nodes.touch(B).mac.resume(false, true);

@@ -2,10 +2,14 @@
 //! state built when its node's MAC or router first acts.
 //!
 //! Every node has its radio state from set-up on, in dense node-indexed
-//! arrays: its transceiver, and two [`MacRest`] bits that let a signal
-//! edge at a node whose MAC has nothing to do stop at the transceiver
-//! (see `cascade::process_radio_events`). Its energy meter is added the
-//! first time it transmits or starts a decodable reception.
+//! arrays: a 32-byte slot of the [`RadioTable`] (the signal on the air,
+//! the lock, the transmitting bit, the `undecoded` count; overlapping
+//! signals go to the table's one overflow store while they overlap), a
+//! 4-byte slot for the energy meter it gets at its first transmission or
+//! decodable reception (with its capture and collision counts beside it),
+//! and two [`MacRest`] bits that let a signal edge at a node whose MAC
+//! has nothing to do stop at the radio (see
+//! `cascade::process_radio_events`): 38 B a node.
 //! Most receivers of a large field are such bystanders: a transmission
 //! reaches about 45 nodes inside its 550 m carrier-sense range, and
 //! most of them only sense it. So a node's [`NodeRecord`] (MAC, router,
@@ -22,7 +26,7 @@ use std::sync::Arc;
 
 use mwn_aodv::{AodvConfig, Router};
 use mwn_mac80211::{Dcf, MacParams, MacTimer};
-use mwn_phy::{EnergyMeter, Transceiver};
+use mwn_phy::RadioTable;
 use mwn_pkt::NodeId;
 use mwn_sim::{EventId, Pcg32};
 
@@ -80,12 +84,12 @@ impl Recipe {
     }
 }
 
-/// Every node's transceiver and [`MacRest`], its energy meter once
-/// charged and its [`NodeRecord`] once built, all by node id.
+/// Every node's radio (its energy meter once charged) and [`MacRest`],
+/// and its [`NodeRecord`] once built, all by node id.
 ///
 /// The radio state is arrays, not one array of cells: a bystander's
 /// signal edge reads its rest bits (2 B a node, so a 20 000-node field's
-/// fit in the cache) and updates its transceiver, and never touches the
+/// fit in the cache) and updates its radio slot, and never touches the
 /// energy meters, which only a decodable reception's start and a
 /// transmission charge. Those are kept only for the nodes they charged
 /// (a round of a 20 000-node field charges about one in twenty), behind
@@ -99,12 +103,8 @@ impl Recipe {
 /// more CPU per packet than this layout.
 #[derive(Debug)]
 pub(super) struct NodeTable {
-    radios: Vec<Transceiver>,
+    radios: RadioTable,
     rest: Vec<MacRest>,
-    /// Per node, its index in `meters` plus one; 0 while it was never
-    /// charged.
-    meter_slots: Vec<u32>,
-    meters: Vec<EnergyMeter>,
     records: Vec<Option<Box<NodeRecord>>>,
     built: usize,
     /// What an untouched node reads as.
@@ -134,10 +134,8 @@ impl NodeTable {
             eifs: false,
         };
         NodeTable {
-            radios: (0..n).map(|_| Transceiver::with_capture(capture)).collect(),
+            radios: RadioTable::new(n, capture),
             rest: vec![rest; n],
-            meter_slots: vec![0; n],
-            meters: Vec::new(),
             records: (0..n).map(|_| None).collect(),
             built: 0,
             pristine: Box::new(recipe.build(0)),
@@ -155,48 +153,16 @@ impl NodeTable {
         self.built
     }
 
-    /// `node`'s transceiver.
+    /// Every node's radio.
     #[inline]
-    pub fn radio(&self, node: NodeId) -> &Transceiver {
-        &self.radios[node.index()]
-    }
-
-    /// `node`'s transceiver, mutably.
-    #[inline]
-    pub fn radio_mut(&mut self, node: NodeId) -> &mut Transceiver {
-        &mut self.radios[node.index()]
-    }
-
-    /// Every node's transceiver, in node order.
-    pub fn radios(&self) -> &[Transceiver] {
+    pub fn radios(&self) -> &RadioTable {
         &self.radios
     }
 
-    /// `node`'s energy meter (an empty one if it was never charged).
-    pub fn energy(&self, node: NodeId) -> EnergyMeter {
-        match self.meter_slots[node.index()] {
-            0 => EnergyMeter::new(),
-            s => self.meters[s as usize - 1].clone(),
-        }
-    }
-
-    /// `node`'s energy meter, mutably, added first if it was never
-    /// charged.
+    /// Every node's radio, mutably.
     #[inline]
-    pub fn energy_mut(&mut self, node: NodeId) -> &mut EnergyMeter {
-        let slot = match self.meter_slots[node.index()] {
-            0 => self.add_meter(node.index()),
-            s => s as usize - 1,
-        };
-        &mut self.meters[slot]
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn add_meter(&mut self, i: usize) -> usize {
-        self.meters.push(EnergyMeter::new());
-        self.meter_slots[i] = self.meters.len() as u32;
-        self.meters.len() - 1
+    pub fn radios_mut(&mut self) -> &mut RadioTable {
+        &mut self.radios
     }
 
     /// What the host keeps for `node`'s MAC.
@@ -211,11 +177,10 @@ impl NodeTable {
         &mut self.rest[node.index()]
     }
 
-    /// The radio state every node holds, in bytes: transceiver,
-    /// [`MacRest`] and energy-meter slot.
+    /// The radio state every node holds, in bytes: radio slot,
+    /// energy-meter slot and [`MacRest`].
     pub const fn radio_bytes() -> usize {
-        use std::mem::size_of;
-        size_of::<Transceiver>() + size_of::<MacRest>() + size_of::<u32>()
+        RadioTable::BYTES_PER_NODE + std::mem::size_of::<MacRest>()
     }
 
     /// `node`'s record, building it first if it has none.
@@ -241,13 +206,12 @@ impl NodeTable {
             .unwrap_or(&self.pristine)
     }
 
-    /// Heap bytes of the transceivers' active-signal lists, of the energy
-    /// meters (by capacity) and of the built records: each record itself
-    /// plus what it holds (interface queue, receive-dedup cache, routing
-    /// and duplicate tables, discovery buffers).
+    /// Heap bytes of the radios' overflow store and energy meters (by
+    /// capacity) and of the built records: each record itself plus what
+    /// it holds (interface queue, receive-dedup cache, routing and
+    /// duplicate tables, discovery buffers).
     pub fn memory_bytes(&self) -> usize {
-        let lists: usize = self.radios.iter().map(Transceiver::memory_bytes).sum();
-        let radios = lists + self.meters.capacity() * std::mem::size_of::<EnergyMeter>();
+        let radios = self.radios.memory_bytes();
         let records: usize = self
             .iter()
             .map(|(_, r)| {

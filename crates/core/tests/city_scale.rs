@@ -9,8 +9,9 @@
 //!
 //! Beside it, what a city costs per node: the radio state and record-table
 //! entry every node occupies, the heap a freshly built network holds (none
-//! beyond the medium's per-node arrays), and which nodes hold a record
-//! after a round (those whose MAC or router acted).
+//! beyond the medium's per-node arrays), which nodes hold a record
+//! after a round (those whose MAC or router acted), and that the radios'
+//! overflow store holds overlapping signals only while they overlap.
 
 use mwn::trace::TraceEvent;
 use mwn::{
@@ -20,9 +21,10 @@ use mwn::{
 use mwn_phy::{Medium, RangeModel};
 use std::collections::BTreeSet;
 
-/// What every node costs whatever it does: its radio state and its
-/// record-table entry (`Network::fixed_bytes_per_node`).
-const FIXED_BYTES: u64 = 102;
+/// What every node costs whatever it does: its radio state (32-byte
+/// radio slot, energy-meter slot, two MAC bits) and its record-table
+/// entry (`Network::fixed_bytes_per_node`).
+const FIXED_BYTES: u64 = 46;
 
 /// Picks `count` flows with endpoints exactly 3 hops apart, sources
 /// spread across the node-id space. Expanding rings help when routes are
@@ -161,7 +163,7 @@ fn effect_lists_are_stored_on_second_transmission() {
     assert!(held < bytes(&mut transmissions.keys()), "{held} B");
 }
 
-/// Every node holds its radio state (transceiver, two bits, meter slot)
+/// Every node holds its radio state (radio slot, meter slot, two bits)
 /// and one record-table entry. Its protocol state — MAC, router, timer
 /// row — is built when its MAC or router first acts, and every per-node
 /// table, queue and list allocates on first use: a freshly built
@@ -239,4 +241,30 @@ fn node_records_are_the_nodes_whose_mac_or_router_acted() {
         acted.len(),
         reached.len()
     );
+}
+
+/// A flood round — every node of the city rebroadcasts each route
+/// request — puts many overlapping signals on the air at once. They live
+/// in the radios' one overflow store only while they overlap: once no
+/// frame is on the air, the store is empty.
+#[test]
+fn a_drained_flood_round_leaves_the_overflow_store_empty() {
+    let topology = topology::random_large_giant(20_000, 4242);
+    let flows = local_flows(&topology, 2);
+    let mut net = Scenario::new(topology, flows, DataRate::MBPS_11, 3).build();
+    net.enable_profiling();
+    net.run_until_delivered(5, SimTime::ZERO + SimDuration::from_secs(10));
+    assert!(net.total_delivered() >= 5, "the round proved nothing");
+    let report = net.report();
+    let forwarded = report.totals.node_totals().aodv.rreqs_forwarded;
+    assert!(forwarded > 1000, "no city-scale flood: {forwarded} RREQs");
+    let peak = report.profile.radio_overflow_peak;
+    assert!(peak >= 100, "the flood overlapped only {peak} signals");
+    let mut steps = 0;
+    while net.frames_on_air() > 0 {
+        assert!(steps < 1_000_000, "the air never drained");
+        net.step();
+        steps += 1;
+    }
+    assert_eq!(net.radio_overflow_len(), 0);
 }

@@ -647,6 +647,7 @@ fn ratio(num: f64, den: u64) -> f64 {
 /// *counts* only: their wall-clock seconds vary across machines, which
 /// would break the sweep store's byte-determinism, so seconds stay
 /// API-only (`EngineProfile::timed_secs`) for `mwn stats` / `mwn bench`.
+/// The radios' overflow-store peak closes the object.
 pub fn profile_json(p: &EngineProfile) -> String {
     let mut hist = Obj::new();
     for (kind, count) in p.by_kind() {
@@ -661,6 +662,7 @@ pub fn profile_json(p: &EngineProfile) -> String {
         .usize("peak_queue", p.peak_queue_depth())
         .raw("by_kind", &hist.finish())
         .raw("timed_counts", &timed.finish())
+        .u64("radio_overflow_peak", p.radio_overflow_peak)
         .finish()
 }
 
@@ -892,7 +894,7 @@ mod tests {
         };
         assert_eq!(
             report.to_json(),
-            r#"{"profile":{"events":0,"peak_queue":0,"by_kind":{},"timed_counts":{}},"totals":{"t_secs":1,"nodes":[],"flows":[]},"batches":[],"probes":[]}"#
+            r#"{"profile":{"events":0,"peak_queue":0,"by_kind":{},"timed_counts":{},"radio_overflow_peak":0},"totals":{"t_secs":1,"nodes":[],"flows":[]},"batches":[],"probes":[]}"#
         );
     }
 

@@ -102,6 +102,11 @@ impl MetricsReport {
             )?;
             writeln!(
                 f,
+                "  radio bytes/node {:>12}  overflow peak {} signals",
+                p.radio_bytes_per_node, p.radio_overflow_peak
+            )?;
+            writeln!(
+                f,
                 "  lists built      {:>12}  of {nodes} nodes, {} one-shot",
                 self.medium.builds, self.medium.one_shots
             )?;
@@ -343,6 +348,8 @@ mod tests {
         profile.record("tx_end", 1);
         profile.record_timed_n("medium_lazy", 3, 0.25);
         profile.node_records = 2;
+        profile.radio_bytes_per_node = 38;
+        profile.radio_overflow_peak = 4;
         profile.mac_batches_without_actions = 7;
         profile.radio_batches_absorbed = 6;
         let mut fct = FctSummary::new(&["web"]);
@@ -377,6 +384,7 @@ mod tests {
             "  events/packet             0.2\n",
             "  bystander batches absorbed 6 of 7\n",
             "  node records                2  of 2 nodes\n",
+            "  radio bytes/node           38  overflow peak 4 signals\n",
             "  lists built                 1  of 2 nodes, 3 one-shot\n",
             "  medium sorts                1  (= 1 builds + 0 rebuilds) + 3 one-shot\n",
             "  medium_lazy                 3 calls\n",

@@ -8,7 +8,8 @@
 //! overlapping transmissions collide.
 //!
 //! The crate is *sans-IO*: [`Medium`] answers the static question "who hears
-//! a transmission from node X, and how", and [`Transceiver`] consumes
+//! a transmission from node X, and how", and [`RadioTable`] (every node's
+//! radio; a [`Transceiver`] is a table of one) consumes
 //! signal-start/-end notifications in time order and emits radio events
 //! (carrier busy/idle, reception start/end). The event scheduling itself
 //! lives in the `mwn` composition crate.
@@ -18,6 +19,7 @@ mod energy;
 mod grid;
 mod medium;
 mod position;
+mod radio;
 mod rate;
 mod transceiver;
 
@@ -28,5 +30,8 @@ pub use grid::{CellTable, SpatialGrid};
 pub use medium::ReferenceMedium;
 pub use medium::{Effect, Medium, RangeModel, SignalClass};
 pub use position::Position;
+pub use radio::RadioTable;
 pub use rate::{DataRate, PhyTiming};
+#[cfg(any(test, feature = "oracle"))]
+pub use transceiver::ReferenceTransceiver;
 pub use transceiver::{RadioEvent, Transceiver, TxId};

@@ -20,9 +20,16 @@
 //! All event-producing methods append to a caller-supplied buffer instead
 //! of returning a fresh `Vec`: the transceiver sits on the event loop's hot
 //! path and must not allocate per event.
+//!
+//! A network runs the model for all its nodes in one
+//! [`RadioTable`](crate::RadioTable); [`Transceiver`] is that table for
+//! one node.
+
+use mwn_pkt::NodeId;
 
 use crate::counters::PhyCounters;
 use crate::medium::SignalClass;
+use crate::radio::RadioTable;
 
 /// Identifies one transmission on the medium (assigned by the caller;
 /// unique per simulation).
@@ -56,7 +63,8 @@ pub enum RadioEvent {
     UndecodedEnd,
 }
 
-/// Per-node radio reception/carrier-sense state machine.
+/// One node's radio reception/carrier-sense state machine: a
+/// one-radio [`RadioTable`], so it runs exactly the table's slot code.
 ///
 /// # Example
 ///
@@ -74,6 +82,105 @@ pub enum RadioEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Transceiver {
+    table: RadioTable,
+}
+
+/// The one radio of a [`Transceiver`]'s table.
+const NODE: NodeId = NodeId(0);
+
+impl Default for Transceiver {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Transceiver {
+    /// Creates an idle transceiver with ns-2's default 10× capture
+    /// threshold.
+    pub fn new() -> Self {
+        Self::with_capture(Some(10.0))
+    }
+
+    /// Creates a transceiver with an explicit capture threshold (`None`
+    /// disables capture: any overlapping interference corrupts).
+    pub fn with_capture(capture_threshold: Option<f64>) -> Self {
+        Transceiver {
+            table: RadioTable::new(1, capture_threshold),
+        }
+    }
+
+    /// Heap bytes held for overlapping signals and overlap counts (see
+    /// [`RadioTable::memory_bytes`]).
+    pub fn memory_bytes(&self) -> usize {
+        self.table.memory_bytes()
+    }
+
+    /// Capture/collision/EIFS statistics accumulated so far.
+    pub fn counters(&self) -> PhyCounters {
+        self.table.counters(NODE)
+    }
+
+    /// Physical carrier sense: busy while transmitting or while any
+    /// sensed signal is on the air.
+    pub fn carrier_busy(&self) -> bool {
+        self.table.carrier_busy(NODE)
+    }
+
+    /// `true` while the radio is locked onto a decodable incoming frame
+    /// (not mere noise).
+    pub fn receiving(&self) -> bool {
+        self.table.receiving(NODE)
+    }
+
+    /// `true` while the radio transmits.
+    pub fn transmitting(&self) -> bool {
+        self.table.transmitting(NODE)
+    }
+
+    /// A classified signal starts arriving; resulting events are appended
+    /// to `out`.
+    ///
+    /// Callers must assign unique ids; a duplicate active `tx` panics in
+    /// debug builds (skipped in release).
+    pub fn signal_start(&mut self, tx: TxId, class: SignalClass, out: &mut Vec<RadioEvent>) {
+        self.table.signal_start(NODE, tx, class, out);
+    }
+
+    /// A previously started signal ends; resulting events are appended to
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx` was never started.
+    pub fn signal_end(&mut self, tx: TxId, out: &mut Vec<RadioEvent>) {
+        self.table.signal_end(NODE, tx, out);
+    }
+
+    /// The node starts transmitting. Any reception in progress is
+    /// abandoned (no `RxEnd` will be reported for it). Resulting events
+    /// are appended to `out`.
+    pub fn tx_start(&mut self, out: &mut Vec<RadioEvent>) {
+        self.table.tx_start(NODE, out);
+    }
+
+    /// The node's transmission ends; resulting events are appended to
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was not transmitting.
+    pub fn tx_end(&mut self, out: &mut Vec<RadioEvent>) {
+        self.table.tx_end(NODE, out);
+    }
+}
+
+/// The list-based transceiver [`RadioTable`] replaced, kept as the oracle
+/// of its differential test: every signal on the air in one list, the
+/// lock a copy of its signal, the threshold and all three counters in
+/// every radio.
+#[cfg(any(test, feature = "oracle"))]
+#[derive(Debug, Clone)]
+pub struct ReferenceTransceiver {
     /// All signals currently on the air at this node. A handful at most, so
     /// a flat list beats a hash map on every lookup the hot path makes.
     /// Most nodes of a large field only ever hear one at a time, so the
@@ -93,6 +200,7 @@ pub struct Transceiver {
     counters: PhyCounters,
 }
 
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Debug, Clone, Copy)]
 struct RxState {
     tx: TxId,
@@ -103,23 +211,12 @@ struct RxState {
     corrupted: bool,
 }
 
-impl Default for Transceiver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Transceiver {
-    /// Creates an idle transceiver with ns-2's default 10× capture
-    /// threshold.
-    pub fn new() -> Self {
-        Self::with_capture(Some(10.0))
-    }
-
+#[cfg(any(test, feature = "oracle"))]
+impl ReferenceTransceiver {
     /// Creates a transceiver with an explicit capture threshold (`None`
     /// disables capture: any overlapping interference corrupts).
     pub fn with_capture(capture_threshold: Option<f64>) -> Self {
-        Transceiver {
+        ReferenceTransceiver {
             active: Vec::new(),
             sensing: 0,
             rx: None,
@@ -127,12 +224,6 @@ impl Transceiver {
             capture_threshold: capture_threshold.unwrap_or(f64::INFINITY),
             counters: PhyCounters::default(),
         }
-    }
-
-    /// Heap bytes of the active-signal list, by capacity, for the
-    /// engine's `bytes_per_node` accounting.
-    pub fn memory_bytes(&self) -> usize {
-        self.active.capacity() * std::mem::size_of::<(TxId, SignalClass)>()
     }
 
     /// Capture/collision/EIFS statistics accumulated so far.
@@ -533,20 +624,29 @@ mod tests {
         );
     }
 
-    /// An idle radio holds no heap; the first signal it hears reserves
-    /// one slot, and overlapping signals grow the list amortised.
+    /// A radio's slot is 32 bytes, and a radio that never had two
+    /// signals on the air holds no heap: not for its signals, nor for
+    /// overlap counts it never took.
     #[test]
-    fn first_signal_reserves_exactly_one_slot() {
+    fn a_radio_without_overlaps_holds_no_heap() {
+        const { assert!(RadioTable::BYTES_PER_NODE - std::mem::size_of::<u32>() <= 32) };
         let mut r = Transceiver::new();
-        assert_eq!(r.memory_bytes(), 0);
-        let slot = std::mem::size_of::<(TxId, SignalClass)>();
-        let mut slots = Vec::new();
         for i in 0..5 {
-            start(&mut r, TxId(i), interference());
-            slots.push(r.memory_bytes() / slot);
+            start(&mut r, TxId(2 * i), decodable());
+            end(&mut r, TxId(2 * i));
+            start(&mut r, TxId(2 * i + 1), interference());
+            end(&mut r, TxId(2 * i + 1));
         }
-        assert_eq!(slots, vec![1, 4, 4, 4, 8]);
-        assert!(std::mem::size_of::<Transceiver>() <= 88);
+        tx_start(&mut r);
+        start(&mut r, TxId(10), decodable());
+        end(&mut r, TxId(10));
+        tx_end(&mut r);
+        assert_eq!(r.memory_bytes(), 0);
+        assert_eq!(r.counters().undecoded, 5);
+        start(&mut r, TxId(11), decodable());
+        start(&mut r, TxId(12), interference());
+        assert!(r.memory_bytes() > 0, "an overlap spills");
+        assert_eq!(r.counters().captures, 1);
     }
 
     /// The duplicate-id check is a debug assertion (skipped in release).

@@ -61,6 +61,14 @@ pub struct EngineProfile {
     /// Nodes whose protocol state the host has built (copied in by the
     /// host; a node no signal reached holds none).
     pub node_records: u64,
+    /// The most signals the host's radios held at once beside the one
+    /// each node keeps inline: overlapping signals (copied in by the
+    /// host).
+    pub radio_overflow_peak: u64,
+    /// Radio bytes per node: the fixed radio state plus the overflow
+    /// store and energy meters averaged over the nodes (copied in by the
+    /// host; an accounting estimate, not serialized).
+    pub radio_bytes_per_node: u64,
 }
 
 impl EngineProfile {

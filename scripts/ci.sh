@@ -69,13 +69,15 @@ done
 # must print the drop ledger, a balanced conservation audit, the event
 # queue's schedules per delivered packet, the medium's one-shot
 # list fills beside its stored builds and rebuilds, the one timed
-# bucket for the medium's transmission-time scans and sorts, and the
-# radio batches that quiet MACs were spared.
+# bucket for the medium's transmission-time scans and sorts, the
+# radio batches that quiet MACs were spared, and the radio bytes per node
+# with the radios' overflow-store peak.
 echo "==> mwn stats --hops 4 (run report smoke)"
 stats_out=$(cargo run --release -q -p mwn-cli -- stats --hops 4 2>/dev/null)
 for expected in "^drop ledger — " "^conservation audit: conservation holds" "^  schedules/packet " \
     "^  medium sorts  *[0-9]*  (= [0-9]* builds + [0-9]* rebuilds) + [0-9]* one-shot$" \
-    "^  medium_lazy  *[0-9]* calls" "^  bystander batches absorbed [0-9]* of [0-9]*$"; do
+    "^  medium_lazy  *[0-9]* calls" "^  bystander batches absorbed [0-9]* of [0-9]*$" \
+    "^  radio bytes/node  *[0-9]*  overflow peak [0-9]* signals$"; do
     grep -q "$expected" <<<"$stats_out" || {
         echo "error: mwn stats printed no line matching '$expected'" >&2; exit 1; }
 done
@@ -149,13 +151,17 @@ echo "==> observability overhead bench (trace disabled vs enabled)"
 cargo bench -p mwn --bench obs_overhead -- --quick
 
 # Oracle differentials, in release so the gate exercises the exact build
-# CI benchmarks below. The oracles (ReferenceMedium, ReferenceEventQueue)
-# exist only under each crate's `oracle` feature. Medium: the whole
+# CI benchmarks below. The oracles (ReferenceMedium, ReferenceTransceiver,
+# ReferenceEventQueue) exist only under each crate's `oracle` feature.
+# Medium: the whole
 # mwn-phy crate (its unit tests too, so the lazy-construction tests and
 # the release-mode `effects_of` assertion run in this build): grid vs
 # dense all-pairs, incremental moves (outside the grid's build-time box
 # too) and lists first built at any epoch included, every refreshed list
 # in arrival order, plus the random-waypoint trajectory differential.
+# Radios: `radio_differential`, the slot table (several nodes sharing one
+# overflow store) against the list-based ReferenceTransceiver on random
+# signal/transmission sequences, with capture at 10x, at 2.5x and off.
 # Event queue: ordered list vs binary heap on the engine's
 # schedule/cancel/pop mix, plus a deterministic case 20 000 events deep.
 echo "==> medium and event queue differentials (proptest + mobility trajectories)"
