@@ -8,6 +8,16 @@
 //! recorder). A cascade only ever touches the *current node's* protocol
 //! state plus flow halves anchored at that node.
 //!
+//! Each layer is entered through one method, which pops a pooled action
+//! buffer, finds the agent, calls it, applies its actions and returns the
+//! buffer: [`Network::mac_input`] (a MAC timer, a queued packet, the end
+//! of a transmission), [`Network::deliver_radio_events`] (a radio batch,
+//! the one input that hands the MAC several events in a row),
+//! [`Network::router_input`] (a discovery timeout, a delivered or
+//! confirmed frame, a transport send) and [`Network::transport_input`]
+//! (a start, a data segment, an ACK, a timer, a route failure). The
+//! `apply_*_actions` methods only drain a borrowed buffer.
+//!
 //! Signal edges arrive as *waves*: [`Network::start_tx`] snapshots a
 //! transmission's receivers into its frame-slab slot and schedules one
 //! `Event::Wave` per edge kind; [`Network::walk_wave`] (which carries the
@@ -21,7 +31,7 @@
 use std::num::NonZeroU64;
 use std::ops::Range;
 
-use mwn_aodv::{AodvAction, AodvDropReason};
+use mwn_aodv::{AodvAction, AodvDropReason, Router};
 use mwn_mac80211::{Dcf, MacAction, MacDropReason, MacTimer};
 use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
 use mwn_obs::{CounterBlock, DropReason, ProbeKind};
@@ -60,9 +70,12 @@ impl ParkedNav {
     }
 }
 
-/// Recycled action buffers. Dispatch re-enters (a delivered frame can
-/// trigger a new send), so each taker pops its own buffer and the apply
-/// path returns it once drained — the steady state allocates nothing.
+/// Recycled action buffers, one stack per layer. Dispatch re-enters (a
+/// delivered frame can trigger a new send), so each layer's entry method
+/// ([`Network::mac_input`], [`Network::router_input`],
+/// [`Network::transport_input`], and [`Network::deliver_radio_events`] for
+/// a radio batch) pops its own buffer, has the apply path drain it and
+/// pushes it back — the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub(super) struct Pools {
     pub mac: Vec<Vec<MacAction>>,
@@ -75,6 +88,21 @@ pub(super) struct Pools {
     pub flow_scratch: Vec<FlowId>,
 }
 
+/// What a transport agent is handed by [`Network::transport_input`].
+#[derive(Debug, Clone, Copy)]
+enum TransportInput {
+    /// The source starts sending.
+    Start,
+    /// A data segment or datagram reached the sink.
+    Data { seq: u64 },
+    /// An ACK reached the source.
+    Ack { ack: u64 },
+    /// One of the agent's timers fired.
+    Timer(TransportTimer),
+    /// ELFN: the source's route failed.
+    RouteFailure,
+}
+
 impl Network {
     /// Dispatch for every event kind except the two the network loop
     /// handles itself: `MobilityTick` (it moves the medium) and `Wave`
@@ -83,44 +111,29 @@ impl Network {
         match event {
             Event::TxEnd { node } => self.tx_end(node),
             Event::Mac { node, timer } => {
-                let mut actions = self.pools.mac.pop().unwrap_or_default();
                 // The id just fired: forget it, nothing to cancel.
                 self.nodes[node].mac_timers[timer.index()] = None;
-                let now = self.now;
-                self.enter_mac(node, 0..0)
-                    .on_timer(now, timer, &mut actions);
-                self.apply_mac_actions(node, actions);
+                self.mac_input(node, |mac, now, out| mac.on_timer(now, timer, out));
             }
             Event::AodvSend {
                 node,
                 next_hop,
                 packet,
-            } => {
-                let mut actions = self.pools.mac.pop().unwrap_or_default();
-                let now = self.now;
-                let mac = self.enter_mac(node, 0..0);
-                mac.enqueue(now, next_hop, packet, &mut actions);
-                self.apply_mac_actions(node, actions);
-            }
+            } => self.mac_input(node, |mac, now, out| {
+                mac.enqueue(now, next_hop, packet, out);
+            }),
             Event::AodvDiscovery { node, dst } => {
                 self.discovery_timers.remove(&(node, dst));
-                let mut actions = self.pools.aodv.pop().unwrap_or_default();
-                let router = &mut self.nodes[node].router;
-                router.on_discovery_timeout(self.now, dst, &mut actions);
-                self.apply_aodv_actions(node, actions);
+                self.router_input(node, |router, now, out| {
+                    router.on_discovery_timeout(now, dst, out);
+                });
             }
             Event::Transport { flow, role, timer } => {
-                // A completed traffic flow cancels its timers, so a stale
-                // generation firing here should be impossible — but if one
-                // ever slipped through, clearing the slot would wipe the
-                // next tenant's timer id, so guard anyway.
-                if self.flows.meta(flow).is_some() {
-                    let timers = &mut self.transport_timers[flow.slot() as usize];
-                    timers[role.index()][timer.index()] = None;
-                    self.dispatch_transport_timer(flow, role, timer);
-                }
+                self.transport_input(flow, role, TransportInput::Timer(timer));
             }
-            Event::FlowStart { flow } => self.flow_start(flow),
+            Event::FlowStart { flow } => {
+                self.transport_input(flow, Role::Source, TransportInput::Start);
+            }
             Event::TrafficArrival { class } => self.handle_traffic_arrival(class),
             Event::Wave { .. } | Event::MobilityTick => {
                 unreachable!("waves and mobility ticks are handled by the network loop")
@@ -145,11 +158,8 @@ impl Network {
     }
 
     fn tx_end(&mut self, node: NodeId) {
-        let mut actions = self.pools.mac.pop().unwrap_or_default();
-        let now = self.now;
-        self.enter_mac(node, 0..0).on_tx_done(now, &mut actions);
         // (No `StartTx` in there: the DCF only sends from timer handlers.)
-        self.apply_mac_actions(node, actions);
+        self.mac_input(node, |mac, now, out| mac.on_tx_done(now, out));
         let base = self.pools.edge_scratch.len();
         self.nodes
             .radios_mut()
@@ -206,6 +216,121 @@ impl Network {
         let quiet = self.nodes[node].mac.is_quiet();
         self.nodes.rest_mut(node).quiet = quiet;
         quiet
+    }
+
+    // ---- layer entries ---------------------------------------------------
+
+    /// The MAC's entry for an input that is not a radio batch (those go
+    /// through [`Self::deliver_radio_events`]): a timer, a queued packet,
+    /// the end of its own transmission. `input` is handed `node`'s DCF,
+    /// woken and built by [`Self::enter_mac`], the clock and an action
+    /// buffer; the actions are applied.
+    fn mac_input(
+        &mut self,
+        node: NodeId,
+        input: impl FnOnce(&mut Dcf, SimTime, &mut Vec<MacAction>),
+    ) {
+        let mut actions = self.pools.mac.pop().unwrap_or_default();
+        let now = self.now;
+        input(self.enter_mac(node, 0..0), now, &mut actions);
+        self.apply_mac_actions(node, &mut actions);
+        self.pools.mac.push(actions);
+    }
+
+    /// The router's entry: a discovery timeout, a packet its MAC delivered
+    /// or confirmed, a packet a local transport agent sends (a flow
+    /// source's first send builds its node's record). `input` is handed
+    /// `node`'s router, the clock and an action buffer; the actions are
+    /// applied.
+    fn router_input(
+        &mut self,
+        node: NodeId,
+        input: impl FnOnce(&mut Router, SimTime, &mut Vec<AodvAction>),
+    ) {
+        let mut actions = self.pools.aodv.pop().unwrap_or_default();
+        let now = self.now;
+        input(&mut self.nodes.touch(node).router, now, &mut actions);
+        self.apply_aodv_actions(node, &mut actions);
+        self.pools.aodv.push(actions);
+    }
+
+    /// A transport agent's entry: hands `input` to `flow`'s `role` end,
+    /// counts what a sink delivers, notes the sender's window after a
+    /// start, an ACK or a retransmission timeout, and applies the actions.
+    /// A stale flow id does nothing (a completed traffic flow cancels its
+    /// timers, so none should fire; if one slipped through, clearing its
+    /// slot would wipe the next tenant's timer id), and so does an input
+    /// the agent has no handler for.
+    fn transport_input(&mut self, flow: FlowId, role: Role, input: TransportInput) {
+        let Some(meta) = self.flows.meta(flow) else {
+            return;
+        };
+        let node = match role {
+            Role::Source => meta.src,
+            Role::Sink => meta.dst,
+        };
+        if let TransportInput::Timer(timer) = input {
+            // The id just fired: forget it, nothing to cancel.
+            self.transport_timers[flow.slot() as usize][role.index()][timer.index()] = None;
+        }
+        let now = self.now;
+        let mut actions = self.pools.transport.pop().unwrap_or_default();
+        let out = &mut actions;
+        match role {
+            Role::Source => match (
+                &mut self.flows.src_mut(flow).expect("a live flow").source,
+                input,
+            ) {
+                (SourceAgent::Tcp(s), TransportInput::Start) => s.start(now, out),
+                (SourceAgent::Udp(s), TransportInput::Start) => s.start(now, out),
+                (SourceAgent::Tcp(s), TransportInput::Ack { ack }) => s.on_ack(now, ack, out),
+                (SourceAgent::Tcp(s), TransportInput::Timer(TransportTimer::Rtx)) => {
+                    s.on_rtx_timeout(now, out);
+                }
+                (SourceAgent::Tcp(s), TransportInput::Timer(TransportTimer::Probe)) => {
+                    s.on_probe_timer(now, out);
+                }
+                (SourceAgent::Udp(s), TransportInput::Timer(TransportTimer::Pace)) => {
+                    s.on_pace_timer(now, out);
+                }
+                (SourceAgent::Tcp(s), TransportInput::RouteFailure) => s.on_route_failure(now, out),
+                _ => {}
+            },
+            Role::Sink => {
+                let fd = self.flows.dst_mut(flow).expect("a live flow");
+                let delivered = match (&mut fd.sink, input) {
+                    (SinkAgent::Tcp(s), TransportInput::Data { seq }) => {
+                        let before = s.stats().delivered;
+                        s.on_data(now, seq, out);
+                        s.stats().delivered - before
+                    }
+                    (SinkAgent::Udp(s), TransportInput::Data { seq }) => {
+                        s.on_data(seq);
+                        1
+                    }
+                    (SinkAgent::Tcp(s), TransportInput::Timer(TransportTimer::DelayedAck)) => {
+                        s.on_delayed_ack_timer(now, out);
+                        0
+                    }
+                    _ => 0,
+                };
+                if delivered > 0 {
+                    fd.last_delivery = Some(now);
+                }
+                fd.delivered += delivered;
+                self.total_delivered += delivered;
+            }
+        }
+        if matches!(
+            input,
+            TransportInput::Start
+                | TransportInput::Ack { .. }
+                | TransportInput::Timer(TransportTimer::Rtx)
+        ) {
+            self.note_window(flow);
+        }
+        self.apply_transport_actions(flow, role, node, &mut actions);
+        self.pools.transport.push(actions);
     }
 
     /// One open-loop arrival: draw the flow, reschedule the class's next
@@ -332,15 +457,7 @@ impl Network {
             packets,
         });
         self.flight_note(src, FlightKind::FlowOpen, u64::from(flow_id.raw()));
-
-        let mut actions = self.pools.transport.pop().unwrap_or_default();
-        let fs = self.flows.src_mut(flow_id).expect("slot was just filled");
-        let SourceAgent::Tcp(s) = &mut fs.source else {
-            unreachable!("traffic flows are TCP");
-        };
-        s.start(now, &mut actions);
-        self.note_window(flow_id);
-        self.apply_transport_actions(flow_id, Role::Source, src, actions);
+        self.transport_input(flow_id, Role::Source, TransportInput::Start);
         flow_id
     }
 
@@ -392,94 +509,6 @@ impl Network {
             fct_nanos: fct.as_nanos(),
         });
         self.flight_note(meta.src, FlightKind::FlowClose, u64::from(flow.raw()));
-    }
-
-    fn flow_start(&mut self, flow: FlowId) {
-        let mut actions = self.pools.transport.pop().unwrap_or_default();
-        let Some(meta) = self.flows.meta(flow) else {
-            self.pools.transport.push(actions);
-            return;
-        };
-        let node = meta.src;
-        let Some(fs) = self.flows.src_mut(flow) else {
-            self.pools.transport.push(actions);
-            return;
-        };
-        match &mut fs.source {
-            SourceAgent::Tcp(s) => s.start(self.now, &mut actions),
-            SourceAgent::Udp(s) => s.start(self.now, &mut actions),
-        }
-        self.note_window(flow);
-        self.apply_transport_actions(flow, Role::Source, node, actions);
-    }
-
-    fn dispatch_transport_timer(&mut self, flow: FlowId, role: Role, timer: TransportTimer) {
-        let mut actions = self.pools.transport.pop().unwrap_or_default();
-        let Some(meta) = self.flows.meta(flow) else {
-            self.pools.transport.push(actions);
-            return;
-        };
-        let (src, dst) = (meta.src, meta.dst);
-        let mut note = false;
-        let node = match (role, timer) {
-            (Role::Source, TransportTimer::Rtx) => {
-                let Some(FlowSrc {
-                    source: SourceAgent::Tcp(s),
-                    ..
-                }) = self.flows.src_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_rtx_timeout(self.now, &mut actions);
-                note = true;
-                src
-            }
-            (Role::Source, TransportTimer::Probe) => {
-                let Some(FlowSrc {
-                    source: SourceAgent::Tcp(s),
-                    ..
-                }) = self.flows.src_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_probe_timer(self.now, &mut actions);
-                src
-            }
-            (Role::Source, TransportTimer::Pace) => {
-                let Some(FlowSrc {
-                    source: SourceAgent::Udp(s),
-                    ..
-                }) = self.flows.src_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_pace_timer(self.now, &mut actions);
-                src
-            }
-            (Role::Sink, TransportTimer::DelayedAck) => {
-                let Some(FlowDst {
-                    sink: SinkAgent::Tcp(s),
-                    ..
-                }) = self.flows.dst_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_delayed_ack_timer(self.now, &mut actions);
-                dst
-            }
-            _ => {
-                self.pools.transport.push(actions);
-                return;
-            }
-        };
-        if note {
-            self.note_window(flow);
-        }
-        self.apply_transport_actions(flow, role, node, actions);
     }
 
     // ---- PHY plumbing ----------------------------------------------------
@@ -544,8 +573,7 @@ impl Network {
                 self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
             } else {
                 quiet = false;
-                self.apply_mac_actions(node, actions);
-                actions = self.pools.mac.pop().unwrap_or_default();
+                self.apply_mac_actions(node, &mut actions);
             }
             debug_assert_eq!(self.pools.edge_scratch.len(), top, "nested batch left");
         }
@@ -586,7 +614,7 @@ impl Network {
 
     // ---- action application ----------------------------------------------
 
-    fn apply_mac_actions(&mut self, node: NodeId, mut actions: Vec<MacAction>) {
+    fn apply_mac_actions(&mut self, node: NodeId, actions: &mut Vec<MacAction>) {
         for action in actions.drain(..) {
             match action {
                 MacAction::StartTx(frame) => self.start_tx(node, frame),
@@ -610,10 +638,9 @@ impl Network {
                     if let (Some(a), Some(flow)) = (&mut self.audit, transport_flow(&packet)) {
                         a.deliver_up(node.index(), flow);
                     }
-                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    let router = &mut self.nodes[node].router;
-                    router.on_received(self.now, from, packet, &mut aodv);
-                    self.apply_aodv_actions(node, aodv);
+                    self.router_input(node, |router, now, out| {
+                        router.on_received(now, from, packet, out);
+                    });
                 }
                 MacAction::TxConfirm {
                     next_hop,
@@ -641,10 +668,9 @@ impl Network {
                         }
                         self.flight_note(node, FlightKind::TxFail, packet.uid);
                     }
-                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    let router = &mut self.nodes[node].router;
-                    router.on_tx_confirm(self.now, next_hop, packet, success, &mut aodv);
-                    self.apply_aodv_actions(node, aodv);
+                    self.router_input(node, |router, now, out| {
+                        router.on_tx_confirm(now, next_hop, packet, success, out);
+                    });
                 }
                 MacAction::Dropped { ref packet, reason } => {
                     let uid = packet.uid;
@@ -659,11 +685,10 @@ impl Network {
         }
         let depth = self.nodes[node].mac.queue_len();
         self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
-        self.pools.mac.push(actions);
         self.wake_parked_nav(node);
     }
 
-    fn apply_aodv_actions(&mut self, node: NodeId, mut actions: Vec<AodvAction>) {
+    fn apply_aodv_actions(&mut self, node: NodeId, actions: &mut Vec<AodvAction>) {
         for action in actions.drain(..) {
             match action {
                 AodvAction::Send {
@@ -672,11 +697,9 @@ impl Network {
                     delay,
                 } => {
                     if delay.is_zero() {
-                        let mut actions = self.pools.mac.pop().unwrap_or_default();
-                        let now = self.now;
-                        let mac = self.enter_mac(node, 0..0);
-                        mac.enqueue(now, next_hop, packet, &mut actions);
-                        self.apply_mac_actions(node, actions);
+                        self.mac_input(node, |mac, now, out| {
+                            mac.enqueue(now, next_hop, packet, out);
+                        });
                     } else {
                         self.queue.schedule(
                             self.now + delay,
@@ -732,104 +755,50 @@ impl Network {
                 }
             }
         }
-        self.pools.aodv.push(actions);
     }
 
+    /// Hands a packet the router delivered here to its flow's end: data to
+    /// the sink, an ACK to the source. A finished flow's straggler and a
+    /// packet at the wrong node or going the wrong way are dropped; an
+    /// ACK that completes a traffic leg retires it.
     fn deliver_to_transport(&mut self, node: NodeId, packet: Packet) {
-        match &packet.body {
-            Body::Tcp(seg) => {
-                let flow_id = seg.flow;
-                let flow_raw = flow_id.raw();
-                let (seq, ack, is_data) = (seg.seq, seg.ack, seg.is_data());
-                let mut actions = self.pools.transport.pop().unwrap_or_default();
-                let Some(meta) = self.flows.meta(flow_id) else {
-                    // Stale generation: a straggler from a finished flow.
-                    self.pools.transport.push(actions);
-                    self.record_drop(node, &packet, DropReason::FlowTeardown);
-                    return;
-                };
-                let (src, dst, class) = (meta.src, meta.dst, meta.class);
-                if is_data && node == dst {
-                    let Some(fd) = self.flows.dst_mut(flow_id) else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    let SinkAgent::Tcp(sink) = &mut fd.sink else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    let before = sink.stats().delivered;
-                    sink.on_data(self.now, seq, &mut actions);
-                    let after = sink.stats().delivered;
-                    if after > before {
-                        fd.last_delivery = Some(self.now);
-                    }
-                    fd.delivered += after - before;
-                    self.total_delivered += after - before;
-                    // Custody: the endpoint consumed this copy (duplicate
-                    // or not).
-                    if let Some(a) = &mut self.audit {
-                        a.consume(node.index(), flow_raw);
-                    }
-                    self.apply_transport_actions(flow_id, Role::Sink, dst, actions);
-                } else if !is_data && node == src {
-                    let Some(fs) = self.flows.src_mut(flow_id) else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    let SourceAgent::Tcp(sender) = &mut fs.source else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    sender.on_ack(self.now, ack, &mut actions);
-                    if let Some(a) = &mut self.audit {
-                        a.consume(node.index(), flow_raw);
-                    }
-                    self.note_window(flow_id);
-                    self.apply_transport_actions(flow_id, Role::Source, src, actions);
-                    // The ACK may have been the flow's last: an app-limited
-                    // sender with its whole budget acknowledged retires.
-                    let done = class != PERSISTENT
-                        && self.flows.src_mut(flow_id).is_some_and(
-                            |fs| matches!(&fs.source, SourceAgent::Tcp(s) if s.is_complete()),
-                        );
-                    if done {
-                        self.complete_traffic_flow(flow_id);
-                    }
-                } else {
-                    self.pools.transport.push(actions);
-                    // Wrong node or wrong direction: nothing consumes it.
-                    self.record_drop(node, &packet, DropReason::SinkDiscard);
-                }
-            }
-            Body::Udp(d) => {
-                let flow_id = d.flow;
-                let flow_raw = flow_id.raw();
-                let Some(meta) = self.flows.meta(flow_id) else {
-                    self.record_drop(node, &packet, DropReason::FlowTeardown);
-                    return;
-                };
-                if node == meta.dst {
-                    let Some(fd) = self.flows.dst_mut(flow_id) else {
-                        return;
-                    };
-                    let SinkAgent::Udp(sink) = &mut fd.sink else {
-                        return;
-                    };
-                    sink.on_data(d.seq);
-                    fd.delivered += 1;
-                    fd.last_delivery = Some(self.now);
-                    self.total_delivered += 1;
-                    if let Some(a) = &mut self.audit {
-                        a.consume(node.index(), flow_raw);
-                    }
-                } else {
-                    self.record_drop(node, &packet, DropReason::SinkDiscard);
-                }
-            }
-            Body::Aodv(_) => {
-                // Routing messages never reach the transport layer.
-            }
+        let (flow, input) = match &packet.body {
+            Body::Tcp(seg) if seg.is_data() => (seg.flow, TransportInput::Data { seq: seg.seq }),
+            Body::Tcp(seg) => (seg.flow, TransportInput::Ack { ack: seg.ack }),
+            Body::Udp(d) => (d.flow, TransportInput::Data { seq: d.seq }),
+            // Routing messages never reach the transport layer.
+            Body::Aodv(_) => return,
+        };
+        let Some(&meta) = self.flows.meta(flow) else {
+            // Stale generation: a straggler from a finished flow.
+            self.record_drop(node, &packet, DropReason::FlowTeardown);
+            return;
+        };
+        let ack = matches!(input, TransportInput::Ack { .. });
+        let (role, end) = match ack {
+            false => (Role::Sink, meta.dst),
+            true => (Role::Source, meta.src),
+        };
+        if node != end {
+            // Wrong node or wrong direction: nothing consumes it.
+            self.record_drop(node, &packet, DropReason::SinkDiscard);
+            return;
+        }
+        // Custody: the endpoint consumed this copy (duplicate or not).
+        if let Some(a) = &mut self.audit {
+            a.consume(node.index(), flow.raw());
+        }
+        self.transport_input(flow, role, input);
+        // The ACK may have been the flow's last: an app-limited sender
+        // with its whole budget acknowledged retires.
+        let done = ack
+            && meta.class != PERSISTENT
+            && self
+                .flows
+                .src_ref(flow)
+                .is_some_and(|fs| matches!(&fs.source, SourceAgent::Tcp(s) if s.is_complete()));
+        if done {
+            self.complete_traffic_flow(flow);
         }
     }
 
@@ -840,23 +809,10 @@ impl Network {
         let mut ids = std::mem::take(&mut self.pools.flow_scratch);
         ids.clear();
         self.flows.collect_tcp_src_flows(node, &mut ids);
-        for flow_id in ids.drain(..) {
-            let Some(meta) = self.flows.meta(flow_id) else {
-                continue;
-            };
-            if meta.dst != dst {
-                continue;
+        for flow in ids.drain(..) {
+            if self.flows.meta(flow).is_some_and(|m| m.dst == dst) {
+                self.transport_input(flow, Role::Source, TransportInput::RouteFailure);
             }
-            let mut actions = self.pools.transport.pop().unwrap_or_default();
-            let Some(FlowSrc {
-                source: SourceAgent::Tcp(sender),
-                ..
-            }) = self.flows.src_mut(flow_id)
-            else {
-                unreachable!("collected flows are TCP and sourced here");
-            };
-            sender.on_route_failure(self.now, &mut actions);
-            self.apply_transport_actions(flow_id, Role::Source, node, actions);
         }
         self.pools.flow_scratch = ids;
     }
@@ -901,7 +857,7 @@ impl Network {
         flow: FlowId,
         role: Role,
         node: NodeId,
-        mut actions: Vec<TransportAction>,
+        actions: &mut Vec<TransportAction>,
     ) {
         for action in actions.drain(..) {
             match action {
@@ -918,11 +874,7 @@ impl Network {
                     if let (Some(a), Some(flow_raw)) = (&mut self.audit, transport_flow(&packet)) {
                         a.originate(node.index(), flow_raw);
                     }
-                    // A flow source's first send builds its node's record.
-                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    let router = &mut self.nodes.touch(node).router;
-                    router.send(self.now, packet, &mut aodv);
-                    self.apply_aodv_actions(node, aodv);
+                    self.router_input(node, |router, now, out| router.send(now, packet, out));
                 }
                 TransportAction::SetTimer { timer, delay } => {
                     self.set_transport_timer(self.now + delay, flow, role, timer);
@@ -932,7 +884,6 @@ impl Network {
                 }
             }
         }
-        self.pools.transport.push(actions);
     }
 
     /// The ledger class a packet's losses are attributed to: its flow's
@@ -1205,10 +1156,7 @@ mod tests {
             dst: S,
             nav: until.duration_since(net.now),
         };
-        let mut actions = Vec::new();
-        let now = net.now;
-        net.enter_mac(B, 0..0).on_rx_frame(now, &rts, &mut actions);
-        net.apply_mac_actions(B, actions);
+        net.mac_input(B, |mac, now, out| mac.on_rx_frame(now, &rts, out));
     }
 
     fn trace_lines(net: &Network) -> Vec<String> {
