@@ -490,6 +490,16 @@ impl Router {
         if orig == self.me {
             return; // our own flood echoed back
         }
+        // Duplicate suppression first (RFC 3561 §6.5): a copy already
+        // seen leaves the reverse route alone, or a forwarder hearing
+        // its successor's echo would point the route at that successor.
+        // Ids increase monotonically per originator, so remembering the
+        // highest seen id suffices.
+        let newest = self.seen_rreqs.or_insert_with(orig, || 0);
+        if rreq_id <= *newest {
+            return;
+        }
+        *newest = rreq_id;
         // Reverse route towards the originator.
         if self.table.update(
             orig,
@@ -511,14 +521,6 @@ impl Router {
             self.flush_buffered(now, orig, actions);
             actions.push(AodvAction::CancelDiscoveryTimer { dst: orig });
         }
-
-        // Duplicate suppression: ids increase monotonically per
-        // originator, so remembering the highest seen id suffices.
-        let newest = self.seen_rreqs.or_insert_with(orig, || 0);
-        if rreq_id <= *newest {
-            return;
-        }
-        *newest = rreq_id;
 
         if dst == self.me {
             // We are the destination: reply.
@@ -1474,6 +1476,58 @@ mod dup_tests {
         let a = act!(r.on_received(SimTime::ZERO, NodeId(3), mk(2)));
         assert!(!a.iter().any(|x| matches!(x, AodvAction::Send { .. })));
         assert_eq!(r.counters().rreqs_forwarded, 1);
+    }
+
+    /// RFC 3561 §6.5: a duplicate RREQ is discarded before it touches the
+    /// reverse route. Node 3 forwards O = node 0's request (heard from
+    /// node 2), then loses its route to O (sequence number bumped), then
+    /// hears its own rebroadcast echoed by its successor, node 4. Taking
+    /// the echo's reverse route would point 3 at 4 while 4 points at 3:
+    /// a routing loop.
+    #[test]
+    fn duplicate_rreq_leaves_an_invalidated_reverse_route_alone() {
+        let mut r = Router::new(NodeId(3), AodvConfig::default(), Pcg32::new(3), 3 << 16);
+        let rreq = |uid, hop_count| {
+            Packet::new(
+                uid,
+                NodeId(0),
+                NodeId::BROADCAST,
+                Body::Aodv(AodvMessage::Rreq {
+                    rreq_id: 1,
+                    orig: NodeId(0),
+                    orig_seq: 4,
+                    dst: NodeId(9),
+                    dst_seq: None,
+                    hop_count,
+                }),
+            )
+        };
+        let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let a = act!(r.on_received(t(0), NodeId(2), rreq(1, 2)));
+        assert!(a.iter().any(|x| matches!(x, AodvAction::Send { .. })));
+        assert_eq!(
+            r.table().active(NodeId(0), t(0)).unwrap().next_hop,
+            NodeId(2)
+        );
+
+        let lost = Packet::new(
+            7,
+            NodeId(3),
+            NodeId(0),
+            Body::Tcp(mwn_pkt::TcpSegment::data(mwn_pkt::FlowId(0), 0)),
+        );
+        act!(r.on_tx_confirm(t(10), NodeId(2), lost, false));
+        let route = *r.table().get(NodeId(0)).unwrap();
+        assert!(!route.valid);
+        assert_eq!(route.dst_seq, 5, "invalidation bumps the sequence number");
+
+        let a = act!(r.on_received(t(20), NodeId(4), rreq(2, 3)));
+        assert!(a.is_empty(), "a duplicate does nothing: {a:?}");
+        assert_eq!(*r.table().get(NodeId(0)).unwrap(), route);
+        assert_eq!(
+            r.table().active(NodeId(4), t(20)).unwrap().next_hop,
+            NodeId(4)
+        );
     }
 }
 
