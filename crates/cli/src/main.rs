@@ -174,15 +174,20 @@ pub(crate) mod args {
         pub scale: ExperimentScale,
     }
 
-    /// Extracts `--topology` (default chain), `--hops`, `--rate` (default
-    /// 2), `--transport`, `--seed` (default 42) and `--scale`; each
-    /// command passes its own hop and transport defaults.
+    /// Extracts `--topology` (default chain), `--hops` (chain only),
+    /// `--rate` (default 2), `--transport`, `--seed` (default 42) and
+    /// `--scale`; each command passes its own hop and transport defaults.
     pub fn take_scenario(
         argv: &mut Vec<String>,
         default_hops: usize,
         default_transport: &str,
     ) -> Result<ScenarioArgs, String> {
         let topology = take_value(argv, "--topology")?.unwrap_or_else(|| "chain".into());
+        if topology != "chain" && argv.iter().any(|a| a == "--hops") {
+            return Err(format!(
+                "--hops applies only to --topology chain, not {topology:?}"
+            ));
+        }
         let hops: usize = take_parsed(argv, "--hops", "hop count", default_hops)?;
         if hops == 0 {
             return Err("--hops must be positive".into());

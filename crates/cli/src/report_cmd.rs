@@ -7,6 +7,7 @@
 use std::path::Path;
 
 use mwn_runner::query::{aggregate, GroupSummary, RowFilter, StoreView};
+use mwn_runner::store::journal_path;
 
 use crate::{args, Failure};
 
@@ -62,6 +63,13 @@ pub fn command(rest: &[String]) -> Result<(), Failure> {
 }
 
 fn load(path: &str) -> Result<StoreView, String> {
+    // `StoreView::load` reads a missing file as an empty store; a sweep
+    // still running (or interrupted) has only its journal.
+    if let Err(e) = std::fs::File::open(path) {
+        if !journal_path(Path::new(path)).exists() {
+            return Err(format!("cannot open {path:?}: {e}"));
+        }
+    }
     let view = StoreView::load(Path::new(path))?;
     if view.rows.is_empty() {
         return Err(format!(

@@ -189,3 +189,48 @@ fn run_failures_exit_2_without_the_usage_text() {
     );
     assert!(!dir.exists(), "the sweep created {dir:?}");
 }
+
+/// `mwn report` names a store it cannot open, for `--store` and `--diff`
+/// alike, rather than calling it empty: a failed run, exit 2, no usage
+/// text.
+#[test]
+fn report_names_a_store_it_cannot_open() {
+    let missing = std::env::temp_dir().join(format!("mwn-no-store-{}.jsonl", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 path");
+    let store = std::env::temp_dir().join(format!("mwn-report-{}.jsonl", std::process::id()));
+    let row = r#"{"type":"result","key":"k","group":"g","point":"p","spec":"chain:h1|newreno","seed":1,"status":"done"}"#;
+    std::fs::write(&store, format!("{row}\n")).expect("write a one-row store");
+    let store_arg = store.to_str().expect("utf-8 path");
+    for args in [
+        vec!["report", "--store", missing],
+        vec!["report", "--store", store_arg, "--diff", missing],
+    ] {
+        let out = mwn(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        assert!(
+            stderr.contains("cannot open") && stderr.contains(missing),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+    std::fs::remove_file(&store).expect("remove the store");
+}
+
+/// `--hops` sizes a chain; `run` and `stats` refuse it on any other
+/// topology instead of ignoring it.
+#[test]
+fn hops_is_refused_off_the_chain() {
+    let usage = mwn(&["--help"]).stdout;
+    for (args, topology) in [
+        (["run", "--topology", "grid", "--hops", "3"], "grid"),
+        (["stats", "--topology", "random", "--hops", "9"], "random"),
+    ] {
+        let out = mwn(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        let reason = format!("--hops applies only to --topology chain, not \"{topology}\"");
+        assert!(stderr.contains(&reason), "{args:?}: {stderr}");
+        assert!(out.stdout == usage, "{args:?} printed more than usage");
+    }
+}
