@@ -56,13 +56,15 @@ fn trace_unknown_transport_exits_2() {
 /// stdout — no run started. `--shards` is here because the within-run
 /// sharded engine it selected is gone; it must be rejected, not ignored.
 /// So are `run`'s old `--mbits`/`--variant`: it reads `--rate` and
-/// `--transport`, like `stats`. A zero count is refused, not run once.
+/// `--transport`, like `stats`. A zero count is refused, not run once,
+/// and `--hops` off the chain is refused, not ignored.
 #[test]
 fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
     let scale = "--scale must be at least 1";
-    let table: [(&[&str], &str); 15] = [
+    let hops = "--hops applies only to --topology chain";
+    let table: [(&[&str], &str); 17] = [
         (
             &["run", "--mbits", "2"],
             "unrecognized argument \"--mbits\"",
@@ -90,6 +92,8 @@ fn bad_arguments_exit_2_before_anything_runs() {
         ),
         (&["traffic", "--reps", "0"], "--reps must be at least 1"),
         (&["bench", "--repeat", "0"], "--repeat must be at least 1"),
+        (&["run", "--topology", "grid", "--hops", "3"], hops),
+        (&["stats", "--topology", "random", "--hops", "9"], hops),
     ];
     for (args, reason) in table {
         let out = mwn(args);
@@ -215,22 +219,4 @@ fn report_names_a_store_it_cannot_open() {
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
     std::fs::remove_file(&store).expect("remove the store");
-}
-
-/// `--hops` sizes a chain; `run` and `stats` refuse it on any other
-/// topology instead of ignoring it.
-#[test]
-fn hops_is_refused_off_the_chain() {
-    let usage = mwn(&["--help"]).stdout;
-    for (args, topology) in [
-        (["run", "--topology", "grid", "--hops", "3"], "grid"),
-        (["stats", "--topology", "random", "--hops", "9"], "random"),
-    ] {
-        let out = mwn(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-        let stderr = String::from_utf8(out.stderr).expect("utf-8");
-        let reason = format!("--hops applies only to --topology chain, not \"{topology}\"");
-        assert!(stderr.contains(&reason), "{args:?}: {stderr}");
-        assert!(out.stdout == usage, "{args:?} printed more than usage");
-    }
 }

@@ -277,27 +277,29 @@ impl Network {
         let mut actions = self.pools.transport.pop().unwrap_or_default();
         let out = &mut actions;
         match role {
-            Role::Source => match (
-                &mut self.flows.src_mut(flow).expect("a live flow").source,
-                input,
-            ) {
-                (SourceAgent::Tcp(s), TransportInput::Start) => s.start(now, out),
-                (SourceAgent::Udp(s), TransportInput::Start) => s.start(now, out),
-                (SourceAgent::Tcp(s), TransportInput::Ack { ack }) => s.on_ack(now, ack, out),
-                (SourceAgent::Tcp(s), TransportInput::Timer(TransportTimer::Rtx)) => {
-                    s.on_rtx_timeout(now, out);
+            Role::Source => {
+                let fs = self.flows.src_mut(flow).expect("a live flow has both ends");
+                match (&mut fs.source, input) {
+                    (SourceAgent::Tcp(s), TransportInput::Start) => s.start(now, out),
+                    (SourceAgent::Udp(s), TransportInput::Start) => s.start(now, out),
+                    (SourceAgent::Tcp(s), TransportInput::Ack { ack }) => s.on_ack(now, ack, out),
+                    (SourceAgent::Tcp(s), TransportInput::Timer(TransportTimer::Rtx)) => {
+                        s.on_rtx_timeout(now, out);
+                    }
+                    (SourceAgent::Tcp(s), TransportInput::Timer(TransportTimer::Probe)) => {
+                        s.on_probe_timer(now, out);
+                    }
+                    (SourceAgent::Udp(s), TransportInput::Timer(TransportTimer::Pace)) => {
+                        s.on_pace_timer(now, out);
+                    }
+                    (SourceAgent::Tcp(s), TransportInput::RouteFailure) => {
+                        s.on_route_failure(now, out)
+                    }
+                    _ => {}
                 }
-                (SourceAgent::Tcp(s), TransportInput::Timer(TransportTimer::Probe)) => {
-                    s.on_probe_timer(now, out);
-                }
-                (SourceAgent::Udp(s), TransportInput::Timer(TransportTimer::Pace)) => {
-                    s.on_pace_timer(now, out);
-                }
-                (SourceAgent::Tcp(s), TransportInput::RouteFailure) => s.on_route_failure(now, out),
-                _ => {}
-            },
+            }
             Role::Sink => {
-                let fd = self.flows.dst_mut(flow).expect("a live flow");
+                let fd = self.flows.dst_mut(flow).expect("a live flow has both ends");
                 let delivered = match (&mut fd.sink, input) {
                     (SinkAgent::Tcp(s), TransportInput::Data { seq }) => {
                         let before = s.stats().delivered;
@@ -775,9 +777,10 @@ impl Network {
             return;
         };
         let ack = matches!(input, TransportInput::Ack { .. });
-        let (role, end) = match ack {
-            false => (Role::Sink, meta.dst),
-            true => (Role::Source, meta.src),
+        let (role, end) = if ack {
+            (Role::Source, meta.src)
+        } else {
+            (Role::Sink, meta.dst)
         };
         if node != end {
             // Wrong node or wrong direction: nothing consumes it.
