@@ -1,8 +1,8 @@
 //! `mwn` — command-line front end for the multihop-wireless TCP study.
 //!
 //! ```text
-//! mwn repro <experiment|all> [--scale N] [--jobs N] [--csv]   regenerate paper figures/tables
-//! mwn sweep [--suite chain|full|traffic|load] [--jobs N] [--out F]  parallel sweep into a JSONL store
+//! mwn repro <experiment…|all> [--scale N] [--jobs N] [--csv]   regenerate paper figures/tables
+//!           [--out F] [--metrics]                             ... keeping (resuming) a JSONL store
 //! mwn run [options]                                           run one scenario, print measures
 //! mwn stats [options]                                         run instrumented, print metrics
 //! mwn list                                                    list reproducible experiments
@@ -10,7 +10,7 @@
 //! mwn check [--suite fast|full] [--bless] [--fuzz N]          invariants + golden-trace conformance
 //! mwn bench [--quick] [--check] [--record LABEL]              engine wall time vs committed baseline
 //! mwn traffic [--nodes N] [--flows F] [--profile P]           open-loop workload, per-class FCT percentiles
-//! mwn report [--store F] [--csv] [--curve] [--diff F2]        aggregate/diff a sweep's JSONL store
+//! mwn report [--store F] [--csv] [--curve] [--diff F2]        aggregate/diff a repro results store
 //! ```
 
 use std::process::ExitCode;
@@ -24,7 +24,6 @@ mod report_cmd;
 mod repro;
 mod run;
 mod stats_cmd;
-mod sweep;
 mod trace_cmd;
 mod traffic_cmd;
 
@@ -58,7 +57,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("repro") => repro::command(&args[1..]),
-        Some("sweep") => sweep::command(&args[1..]),
         Some("run") => run::command(&args[1..]).map_err(Failure::Usage),
         Some("stats") => stats_cmd::command(&args[1..]).map_err(Failure::Usage),
         Some("list") => {
@@ -93,18 +91,17 @@ fn print_usage() {
         "mwn — TCP over multihop wireless 802.11, reproduction of \
          ElRakabawy/Lindemann/Vernon (DSN 2005)\n\n\
          USAGE:\n\
-         \x20 mwn repro <experiment|all> [--scale N] [--jobs N] [--csv]\n\
-         \x20     Regenerate a paper figure/table (see `mwn list`).\n\
+         \x20 mwn repro <experiment>... | all [--scale N] [--jobs N] [--csv] [--out results.jsonl]\n\
+         \x20           [--metrics]\n\
+         \x20     Regenerate paper figures/tables (see `mwn list`).\n\
          \x20     --scale N   batch size multiplier (1 = quick, 25 = paper scale)\n\
          \x20     --jobs N    worker threads for the studies' jobs (0 = one per CPU, default)\n\
-         \x20     --csv       emit CSV instead of aligned text\n\n\
-         \x20 mwn sweep [--suite chain|full|traffic|load] [--jobs N] [--out results.jsonl] [--scale N]\n\
-         \x20           [--metrics]\n\
-         \x20     Run a suite of experiment jobs on a worker pool, appending\n\
-         \x20     results to a JSONL store. Re-running with the same --out\n\
-         \x20     resumes: completed jobs are skipped, failed ones retried.\n\
+         \x20     --csv       emit CSV instead of aligned text\n\
+         \x20     --out F     keep every job's result row in a JSONL store; re-running\n\
+         \x20                 with the same --out resumes: completed jobs are skipped,\n\
+         \x20                 failed ones retried\n\
          \x20     --metrics   attach per-batch counter deltas and an engine\n\
-         \x20                 profile to every result row\n\n\
+         \x20                 profile to every stored row (needs --out)\n\n\
          \x20 mwn run [--topology chain|grid|random] [--hops H] [--rate 2|5.5|11]\n\
          \x20         [--transport vegas|vegas-thin|newreno|newreno-thin|reno|tahoe|optwin|udp]\n\
          \x20         [--seed S] [--scale N]\n\
@@ -149,10 +146,10 @@ fn print_usage() {
          \x20     one JSON object per replication.\n\n\
          \x20 mwn report [--store results.jsonl] [--scenario S] [--variant V] [--seed N]\n\
          \x20            [--csv] [--curve] [--diff OTHER.jsonl]\n\
-         \x20     Aggregate a sweep's JSONL store: per-cell goodput, summed\n\
+         \x20     Aggregate a `repro --out` store: per-cell goodput, summed\n\
          \x20     drop ledgers and averaged FCT percentiles across\n\
          \x20     replications, as aligned tables or CSV. --curve renders the\n\
-         \x20     FCT-vs-offered-load relation from a `--suite load` sweep;\n\
+         \x20     FCT-vs-offered-load relation from a `repro load` store;\n\
          \x20     --diff compares two stores cell by cell (A/B).\n\n\
          \x20 mwn list\n\
          \x20     List the reproducible experiments."

@@ -1,8 +1,8 @@
-//! `mwn report` — analytics over a sweep's JSONL results store: filter
+//! `mwn report` — analytics over a `mwn repro --out` results store: filter
 //! rows, aggregate replications per cell (drop ledgers summed, goodput
 //! and FCT percentiles averaged), and render aligned tables or CSV.
 //! `--curve` extracts the FCT-vs-offered-load relation from a
-//! `--suite load` sweep; `--diff` compares two stores cell by cell.
+//! `mwn repro load` store; `--diff` compares two stores cell by cell.
 
 use std::path::Path;
 
@@ -63,8 +63,8 @@ pub fn command(rest: &[String]) -> Result<(), Failure> {
 }
 
 fn load(path: &str) -> Result<StoreView, String> {
-    // `StoreView::load` reads a missing file as an empty store; a sweep
-    // still running (or interrupted) has only its journal.
+    // `StoreView::load` reads a missing file as an empty store; a run
+    // still going (or interrupted) has only its journal.
     if let Err(e) = std::fs::File::open(path) {
         if !journal_path(Path::new(path)).exists() {
             return Err(format!("cannot open {path:?}: {e}"));
@@ -73,7 +73,7 @@ fn load(path: &str) -> Result<StoreView, String> {
     let view = StoreView::load(Path::new(path))?;
     if view.rows.is_empty() {
         return Err(format!(
-            "{path:?} has no result rows (run `mwn sweep --out {path}` first)"
+            "{path:?} has no result rows (run `mwn repro <study> --out {path}` first)"
         ));
     }
     Ok(view)
@@ -202,7 +202,7 @@ fn print_csv(groups: &[GroupSummary]) {
 fn print_curve(groups: &[GroupSummary], csv: bool) {
     let mut points: Vec<&GroupSummary> = groups.iter().filter(|g| g.load.is_some()).collect();
     if points.is_empty() {
-        eprintln!("no traffic cells selected; --curve needs a `--suite load` (or traffic) sweep");
+        eprintln!("no traffic cells selected; --curve needs a `mwn repro load` (or traffic) store");
         return;
     }
     points.sort_by(|a, b| {

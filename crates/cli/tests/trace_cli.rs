@@ -57,14 +57,15 @@ fn trace_unknown_transport_exits_2() {
 /// sharded engine it selected is gone; it must be rejected, not ignored.
 /// So are `run`'s old `--mbits`/`--variant`: it reads `--rate` and
 /// `--transport`, like `stats`. A zero count is refused, not run once,
-/// and `--hops` off the chain is refused, not ignored.
+/// and `--hops` off the chain is refused, not ignored, as is `repro
+/// --metrics` without a store to keep the metrics in.
 #[test]
 fn bad_arguments_exit_2_before_anything_runs() {
     let usage = mwn(&["--help"]).stdout;
     let shards = "unrecognized argument \"--shards\"";
     let scale = "--scale must be at least 1";
     let hops = "--hops applies only to --topology chain";
-    let table: [(&[&str], &str); 17] = [
+    let table: [(&[&str], &str); 18] = [
         (
             &["run", "--mbits", "2"],
             "unrecognized argument \"--mbits\"",
@@ -74,6 +75,7 @@ fn bad_arguments_exit_2_before_anything_runs() {
             "unrecognized argument \"--variant\"",
         ),
         (&["repro", "fig10", "--shards", "2"], shards),
+        (&["repro", "fig4", "--metrics"], "--metrics needs --out"),
         (&["run", "--shards", "2"], shards),
         (&["check", "--suite", "fast", "--shards", "2"], shards),
         (&["bench", "--quick", "--shards", "2"], shards),
@@ -167,19 +169,13 @@ fn bench_record_refuses_a_reformatted_baseline() {
 
 /// A run that fails after its arguments were accepted is not a usage
 /// error: exit code 2 and the reason on stderr, but no usage text. A
-/// store in a directory that does not exist fails when the sweep opens
+/// store in a directory that does not exist fails when the run opens
 /// its journal, before any job runs.
 #[test]
 fn run_failures_exit_2_without_the_usage_text() {
     let dir = std::env::temp_dir().join(format!("mwn-missing-{}", std::process::id()));
     let out = dir.join("r.jsonl");
-    let out = mwn(&[
-        "sweep",
-        "--suite",
-        "chain",
-        "--out",
-        out.to_str().expect("utf-8 path"),
-    ]);
+    let out = mwn(&["repro", "fig4", "--out", out.to_str().expect("utf-8 path")]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8(out.stderr).expect("utf-8");
     assert!(
@@ -191,7 +187,7 @@ fn run_failures_exit_2_without_the_usage_text() {
         "stdout: {:?}",
         String::from_utf8_lossy(&out.stdout)
     );
-    assert!(!dir.exists(), "the sweep created {dir:?}");
+    assert!(!dir.exists(), "the run created {dir:?}");
 }
 
 /// `mwn report` names a store it cannot open, for `--store` and `--diff`

@@ -5,9 +5,10 @@
 //! figure reads. Figures that the paper derives from the *same* simulation
 //! runs (e.g. Figures 6–9) are one study, so the runs are not repeated.
 //!
-//! `mwn repro <id> --scale N` runs the studies' jobs at
-//! [`ExperimentScale::scaled`]`(N)` on one worker pool; `--scale 25`
-//! reproduces the paper's 11 × 10 000-packet runs.
+//! `mwn repro <id>… --scale N` runs the studies' jobs at
+//! [`ExperimentScale::scaled`]`(N)` through one `mwn_runner::run_sweep`
+//! and folds each study from the rows; `--scale 25` reproduces the
+//! paper's 11 × 10 000-packet runs.
 
 use mwn_phy::DataRate;
 use mwn_sim::stats::{BatchMeans, Estimate};
@@ -247,9 +248,9 @@ pub struct Study {
 }
 
 /// Every study, in `mwn list` order. The `fig` studies are the paper's
-/// figures; [`jobs::full_suite`] is their grids concatenated.
+/// figures; `traffic` and `load` are the open-loop workload extension.
 #[rustfmt::skip] // one study per entry reads as a table
-pub static STUDIES: [Study; 17] = [
+pub static STUDIES: [Study; 19] = [
     Study { id: "table2", description: "4-hop propagation delay per bandwidth",
             grid: |_| Vec::new(), fold: |_| (Vec::new(), vec![table2()]) },
     Study { id: "fig2-3", description: "Vegas alpha sweep: goodput and window vs hops",
@@ -284,6 +285,14 @@ pub static STUDIES: [Study; 17] = [
             grid: jobs::ext_80211g, fold: extension_80211g },
     Study { id: "ext-elfn", description: "mobility + ELFN (Holland & Vaidya)",
             grid: jobs::ext_elfn, fold: extension_mobility_elfn },
+    Study { id: "traffic", description: "open-loop workload profiles x TCP variants",
+            grid: jobs::traffic_study,
+            fold: |c| goodput(&c, "Extension", "Open-loop workloads, 20 nodes at 11 Mbit/s \
+                              (variant 1 NewReno, 2 NewReno +thin, 3 Vegas)", "variant") },
+    Study { id: "load", description: "open-loop web workload vs offered load",
+            grid: jobs::traffic_load_study,
+            fold: |c| goodput(&c, "Extension", "Open-loop web workload under NewReno vs \
+                              offered load (20 nodes, 11 Mbit/s)", "load") },
 ];
 
 /// One grid series with its runs done: `(x, (job, results))` per point.
@@ -316,6 +325,20 @@ fn goodput(curves: &[Curve], id: &str, title: &str, x_label: &str) -> Printout {
     (vec![figure], Vec::new())
 }
 
+/// One figure of a study that reads several metrics off the same runs:
+/// its id, title and y label, whether only the TCP curves are drawn
+/// (see [`series`]), and the metric.
+type Panel<'a> = (&'a str, &'a str, &'a str, bool, fn(&RunResults) -> Estimate);
+
+/// The figures `panels` read off the runs, all over the x axis `x_label`.
+fn panels(curves: &[Curve], x_label: &str, panels: &[Panel]) -> Printout {
+    let draw = |&(id, title, y_label, tcp_only, metric): &Panel| {
+        let series = series(curves, tcp_only, metric);
+        figure(id, title, x_label, y_label, series)
+    };
+    (panels.iter().map(draw).collect(), Vec::new())
+}
+
 fn figure(id: &str, title: &str, x_label: &str, y_label: &str, series: Vec<Series>) -> FigureData {
     FigureData {
         id: id.into(),
@@ -328,24 +351,14 @@ fn figure(id: &str, title: &str, x_label: &str, y_label: &str, series: Vec<Serie
 
 /// Figures 2 and 3: TCP Vegas with α ∈ {2, 3, 4} on the h-hop chain at
 /// 2 Mbit/s — goodput (Fig 2) and average window size (Fig 3) vs hops.
+#[rustfmt::skip] // one figure per entry reads as a table
 pub fn figs_2_3(curves: Vec<Curve>) -> Printout {
-    let figures = vec![
-        figure(
-            "Fig 2",
-            "h-hop chain with 2 Mbit/s: TCP Vegas goodput vs number of hops",
-            "hops",
-            "goodput [kbit/s]",
-            series(&curves, false, |r| r.aggregate_goodput_kbps),
-        ),
-        figure(
-            "Fig 3",
-            "h-hop chain with 2 Mbit/s: TCP Vegas average window size vs number of hops",
-            "hops",
-            "window [packets]",
-            series(&curves, false, |r| r.per_flow[0].avg_window),
-        ),
-    ];
-    (figures, Vec::new())
+    panels(&curves, "hops", &[
+        ("Fig 2", "h-hop chain with 2 Mbit/s: TCP Vegas goodput vs number of hops",
+         "goodput [kbit/s]", false, |r| r.aggregate_goodput_kbps),
+        ("Fig 3", "h-hop chain with 2 Mbit/s: TCP Vegas average window size vs number of hops",
+         "window [packets]", false, |r| r.per_flow[0].avg_window),
+    ])
 }
 
 /// Figure 4: 7-hop chain, TCP Vegas goodput for α ∈ {2, 3, 4} at each
@@ -365,42 +378,20 @@ pub fn fig5(curves: Vec<Curve>) -> Printout {
 /// Figures 6–9 (one set of runs): goodput, transport retransmissions,
 /// average window and false route failures vs chain length at 2 Mbit/s,
 /// for Vegas, NewReno, NewReno + ACK thinning and paced UDP.
+#[rustfmt::skip] // one figure per entry reads as a table
 pub fn figs_6_to_9(curves: Vec<Curve>) -> Printout {
-    let figures = vec![
-        figure(
-            "Fig 6",
-            "h-hop chain with 2 Mbit/s: goodput vs number of hops",
-            "hops",
-            "goodput [kbit/s]",
-            series(&curves, false, |r| r.aggregate_goodput_kbps),
-        ),
-        figure(
-            "Fig 7",
-            "h-hop chain with 2 Mbit/s: retransmissions vs number of hops",
-            "hops",
-            "retransmissions per delivered packet",
-            series(&curves, true, |r| r.per_flow[0].retx_per_packet),
-        ),
-        figure(
-            "Fig 8",
-            "h-hop chain with 2 Mbit/s: window size vs number of hops",
-            "hops",
-            "window [packets]",
-            series(&curves, true, |r| r.per_flow[0].avg_window),
-        ),
-        figure(
-            "Fig 9",
-            "h-hop chain with 2 Mbit/s: false route failures vs number of hops \
-             (normalized to the paper's 110k-packet run length)",
-            "hops",
-            "false route failures",
-            series(&curves, false, |r| Estimate {
-                mean: r.false_route_failures_paper_scale,
-                half_width: 0.0,
-            }),
-        ),
-    ];
-    (figures, Vec::new())
+    panels(&curves, "hops", &[
+        ("Fig 6", "h-hop chain with 2 Mbit/s: goodput vs number of hops",
+         "goodput [kbit/s]", false, |r| r.aggregate_goodput_kbps),
+        ("Fig 7", "h-hop chain with 2 Mbit/s: retransmissions vs number of hops",
+         "retransmissions per delivered packet", true, |r| r.per_flow[0].retx_per_packet),
+        ("Fig 8", "h-hop chain with 2 Mbit/s: window size vs number of hops",
+         "window [packets]", true, |r| r.per_flow[0].avg_window),
+        ("Fig 9", "h-hop chain with 2 Mbit/s: false route failures vs number of hops \
+                   (normalized to the paper's 110k-packet run length)",
+         "false route failures", false,
+         |r| Estimate { mean: r.false_route_failures_paper_scale, half_width: 0.0 }),
+    ])
 }
 
 /// Figure 10: paced-UDP goodput on the 7-hop 2 Mbit/s chain vs the time
@@ -412,38 +403,18 @@ pub fn fig10(curves: Vec<Curve>) -> Printout {
 
 /// Figures 11–14 (one set of runs): goodput, retransmissions, window and
 /// link-layer dropping probability on the 7-hop chain at 2/5.5/11 Mbit/s.
+#[rustfmt::skip] // one figure per entry reads as a table
 pub fn figs_11_to_14(curves: Vec<Curve>) -> Printout {
-    let figures = vec![
-        figure(
-            "Fig 11",
-            "7-hop chain: goodput for different bandwidths",
-            "Mbit/s",
-            "goodput [kbit/s]",
-            series(&curves, false, |r| r.aggregate_goodput_kbps),
-        ),
-        figure(
-            "Fig 12",
-            "7-hop chain: retransmissions for different bandwidths",
-            "Mbit/s",
-            "retransmissions per delivered packet",
-            series(&curves, true, |r| r.per_flow[0].retx_per_packet),
-        ),
-        figure(
-            "Fig 13",
-            "7-hop chain: window size for different bandwidths",
-            "Mbit/s",
-            "window [packets]",
-            series(&curves, true, |r| r.per_flow[0].avg_window),
-        ),
-        figure(
-            "Fig 14",
-            "7-hop chain: packet dropping probability at link layer",
-            "Mbit/s",
-            "drop probability",
-            series(&curves, false, |r| r.drop_probability),
-        ),
-    ];
-    (figures, Vec::new())
+    panels(&curves, "Mbit/s", &[
+        ("Fig 11", "7-hop chain: goodput for different bandwidths",
+         "goodput [kbit/s]", false, |r| r.aggregate_goodput_kbps),
+        ("Fig 12", "7-hop chain: retransmissions for different bandwidths",
+         "retransmissions per delivered packet", true, |r| r.per_flow[0].retx_per_packet),
+        ("Fig 13", "7-hop chain: window size for different bandwidths",
+         "window [packets]", true, |r| r.per_flow[0].avg_window),
+        ("Fig 14", "7-hop chain: packet dropping probability at link layer",
+         "drop probability", false, |r| r.drop_probability),
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -459,37 +430,18 @@ fn fairness_cell((_, (_, r)): &(f64, (JobSpec, RunResults))) -> String {
 /// competing flows — aggregate goodput per bandwidth, per-flow goodput at
 /// 11 Mbit/s, and Jain's fairness index.
 pub fn grid_study(curves: Vec<Curve>) -> Printout {
-    multiflow_study(
-        &curves,
-        (
-            "Fig 16",
-            "Grid topology: aggregate goodput for different bandwidths",
-        ),
-        ("Fig 17", "Grid topology: per-flow goodput at 11 Mbit/s"),
-        ("Table 3", "Grid topology: Jain's fairness index"),
-    )
+    multiflow_study(&curves, "Grid topology", ["Fig 16", "Fig 17", "Table 3"])
 }
 
 /// Figures 18–19 and Table 4 (one set of runs): the 120-node random
 /// topology with ten concurrent flows.
 pub fn random_study(curves: Vec<Curve>) -> Printout {
-    multiflow_study(
-        &curves,
-        (
-            "Fig 18",
-            "Random topology: aggregate goodput for different bandwidths",
-        ),
-        ("Fig 19", "Random topology: per-flow goodput at 11 Mbit/s"),
-        ("Table 4", "Random topology: Jain's fairness index"),
-    )
+    multiflow_study(&curves, "Random topology", ["Fig 18", "Fig 19", "Table 4"])
 }
 
-fn multiflow_study(
-    curves: &[Curve],
-    agg_meta: (&str, &str),
-    flow_meta: (&str, &str),
-    table_meta: (&str, &str),
-) -> Printout {
+/// The aggregate-goodput figure, the per-flow figure and the fairness
+/// table of a multi-flow study on `topology`, under the ids `ids`.
+fn multiflow_study(curves: &[Curve], topology: &str, ids: [&str; 3]) -> Printout {
     // Per-flow goodput at 11 Mbit/s; x is the flow's 1-based index.
     let per_flow = curves
         .iter()
@@ -526,23 +478,23 @@ fn multiflow_study(
         .collect();
     let figures = vec![
         figure(
-            agg_meta.0,
-            agg_meta.1,
+            ids[0],
+            &format!("{topology}: aggregate goodput for different bandwidths"),
             "Mbit/s",
             "aggregate goodput [kbit/s]",
             series(curves, false, |r| r.aggregate_goodput_kbps),
         ),
         figure(
-            flow_meta.0,
-            flow_meta.1,
+            ids[1],
+            &format!("{topology}: per-flow goodput at 11 Mbit/s"),
             "flow",
             "goodput [kbit/s]",
             per_flow,
         ),
     ];
     let table = TableData {
-        id: table_meta.0.into(),
-        title: table_meta.1.into(),
+        id: ids[2].into(),
+        title: format!("{topology}: Jain's fairness index"),
         headers,
         rows,
     };

@@ -1,6 +1,6 @@
-//! Serializable experiment jobs: the unit of work of the parallel sweep
-//! engine (`mwn-runner`), and the one place that knows which simulation
-//! runs make up each paper figure.
+//! Serializable experiment jobs: the unit of work of the job runner
+//! (`mwn-runner`'s `run_sweep`), and the one place that knows which
+//! simulation runs make up each paper figure.
 //!
 //! The paper's evaluation is a grid of independent simulation runs —
 //! (topology × bandwidth × transport × seed). A [`JobSpec`] captures one
@@ -13,14 +13,14 @@
 //! [`fig18_19`]: its legend series in order, each with one job per x
 //! value. The ablations and extensions have a grid each too,
 //! [`ablation_capture`] through [`ext_elfn`]: a job's one change from the
-//! paper's stack is its [`Ablation`]. [`STUDIES`] pairs every grid with
+//! paper's stack is its [`Ablation`]. [`STUDIES`](crate::experiments::STUDIES) pairs every grid with
 //! the fold that turns its results into figures, so every `mwn repro`
-//! study but table 2 runs from this module; [`full_suite`] is the figure
-//! studies' grids concatenated and [`chain_study`] a slice of one, so a
-//! sweep cell and the figure point it feeds are the same job.
-//! [`traffic_study`] and [`traffic_load_study`] add the open-loop
-//! workload extension: built-in [`TrafficModel`] profiles crossed with
-//! the TCP variants.
+//! study but table 2 runs from this module, and a results-store row and
+//! the figure point it feeds are the same job. [`traffic_study`] and
+//! [`traffic_load_study`] are the open-loop workload extension: built-in
+//! [`TrafficModel`] profiles crossed with the TCP variants, and the web
+//! profile over offered load. [`chain_study`] is a slice of [`fig6_9`]
+//! (the benchmark's `paper-sweep` job list).
 
 use mwn_mac80211::{LinkRedParams, MacParams};
 use mwn_phy::{DataRate, RangeModel};
@@ -29,7 +29,7 @@ use mwn_tcp::{AckPolicy, Flavor, TcpConfig};
 use mwn_traffic::TrafficModel;
 
 use crate::experiment::ExperimentScale;
-use crate::experiments::{bw_mbit, seed_for, Series, PAPER_BANDWIDTHS, PAPER_HOPS, STUDIES};
+use crate::experiments::{bw_mbit, seed_for, Series, PAPER_BANDWIDTHS, PAPER_HOPS};
 use crate::scenario::{Scenario, Transport};
 
 /// Which topology/flow layout a job simulates.
@@ -281,7 +281,7 @@ impl JobSpec {
 }
 
 /// The quick chain study: the Figure 6–9 grid ([`fig6_9`]) restricted
-/// to chains of at most 8 hops, so a sweep completes in minutes at quick
+/// to chains of at most 8 hops, so a run completes in minutes at quick
 /// scale.
 pub fn chain_study(scale: ExperimentScale) -> Vec<JobSpec> {
     grid_jobs(fig6_9(scale))
@@ -291,65 +291,80 @@ pub fn chain_study(scale: ExperimentScale) -> Vec<JobSpec> {
 
 /// The open-loop traffic study (extension): every built-in workload
 /// profile crossed with the TCP variants of interest, each over a
-/// 20-node connected random field at 11 Mbit/s. The flow count scales
-/// with the batch size so larger `--scale` sweeps see proportionally
-/// more churn rather than truncating early.
-pub fn traffic_study(scale: ExperimentScale) -> Vec<JobSpec> {
+/// 20-node connected random field at 11 Mbit/s; one series per profile,
+/// x the variant's 1-based index. The flow count scales with the batch
+/// size so larger `--scale` runs see proportionally more churn rather
+/// than truncating early.
+pub fn traffic_study(scale: ExperimentScale) -> Vec<SeriesJobs> {
     let flows = scale.batch_packets.saturating_mul(3);
     let variants: [(&str, Transport); 3] = [
         ("NewReno", Transport::newreno()),
         ("NewReno +thin", Transport::newreno_thinning()),
         ("Vegas", Transport::vegas(2)),
     ];
-    let mut jobs = Vec::new();
-    for (pi, profile) in TrafficModel::PROFILES.into_iter().enumerate() {
-        for (vi, (label, t)) in variants.into_iter().enumerate() {
-            jobs.push(JobSpec {
-                group: "traffic".to_string(),
-                point: format!("profile={profile} variant={label}"),
-                kind: ScenarioKind::Traffic {
-                    nodes: 20,
-                    profile,
-                    flows,
-                    load: 1000,
-                },
-                bandwidth: DataRate::MBPS_11,
-                transport: t,
-                ablation: Ablation::None,
-                seed: seed_for(&[30, pi as u64, vi as u64]),
-                scale,
-            });
-        }
-    }
-    jobs
+    (0u64..)
+        .zip(TrafficModel::PROFILES)
+        .map(|(pi, profile)| SeriesJobs {
+            label: profile.to_string(),
+            points: (0u64..)
+                .zip(variants)
+                .map(|(vi, (label, t))| {
+                    let job = JobSpec {
+                        group: "traffic".to_string(),
+                        point: format!("profile={profile} variant={label}"),
+                        kind: ScenarioKind::Traffic {
+                            nodes: 20,
+                            profile,
+                            flows,
+                            load: 1000,
+                        },
+                        bandwidth: DataRate::MBPS_11,
+                        transport: t,
+                        ablation: Ablation::None,
+                        seed: seed_for(&[30, pi, vi]),
+                        scale,
+                    };
+                    ((vi + 1) as f64, job)
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// The FCT-vs-offered-load study (extension): the web profile under
 /// NewReno, with the arrival rate swept from one quarter of to double
-/// the profile's nominal load. Aggregated with `mwn report --curve`,
-/// the per-load FCT percentiles trace the congestion knee that
-/// open-loop workloads expose and closed-loop persistent flows cannot.
-pub fn traffic_load_study(scale: ExperimentScale) -> Vec<JobSpec> {
+/// the profile's nominal load (x, as a factor). Aggregated with
+/// `mwn report --curve`, the per-load FCT percentiles trace the
+/// congestion knee that open-loop workloads expose and closed-loop
+/// persistent flows cannot.
+pub fn traffic_load_study(scale: ExperimentScale) -> Vec<SeriesJobs> {
     let flows = scale.batch_packets.saturating_mul(3);
-    let mut jobs = Vec::new();
-    for load in [250u32, 500, 750, 1000, 1500, 2000] {
-        jobs.push(JobSpec {
-            group: "load".to_string(),
-            point: format!("profile=web load={:.2}x", f64::from(load) / 1000.0),
-            kind: ScenarioKind::Traffic {
-                nodes: 20,
-                profile: "web",
-                flows,
-                load,
-            },
-            bandwidth: DataRate::MBPS_11,
-            transport: Transport::newreno(),
-            ablation: Ablation::None,
-            seed: seed_for(&[31, u64::from(load)]),
-            scale,
-        });
-    }
-    jobs
+    let points = [250u32, 500, 750, 1000, 1500, 2000]
+        .into_iter()
+        .map(|load| {
+            let factor = f64::from(load) / 1000.0;
+            let job = JobSpec {
+                group: "load".to_string(),
+                point: format!("profile=web load={factor:.2}x"),
+                kind: ScenarioKind::Traffic {
+                    nodes: 20,
+                    profile: "web",
+                    flows,
+                    load,
+                },
+                bandwidth: DataRate::MBPS_11,
+                transport: Transport::newreno(),
+                ablation: Ablation::None,
+                seed: seed_for(&[31, u64::from(load)]),
+                scale,
+            };
+            (factor, job)
+        })
+        .collect();
+    vec![SeriesJobs {
+        label: "web NewReno".to_string(),
+        points,
+    }]
 }
 
 /// One legend series of a study grid: a job per x value.
@@ -617,18 +632,6 @@ fn multiflow(
         .collect()
 }
 
-/// The full figure suite: every simulation run behind Figures 2–14, the
-/// grid study (Figures 16–17 / Table 3) and the random study (Figures
-/// 18–19 / Table 4) — the jobs of `mwn repro fig2-3` … `fig18-19`, the
-/// `fig` studies of [`STUDIES`], in table order.
-pub fn full_suite(scale: ExperimentScale) -> Vec<JobSpec> {
-    STUDIES
-        .iter()
-        .filter(|study| study.id.starts_with("fig"))
-        .flat_map(|study| grid_jobs((study.grid)(scale)))
-        .collect()
-}
-
 /// Ablation A: physical capture on and off for Vegas and NewReno over
 /// 2–16 hops at 2 Mbit/s. The seed names only whether capture is on.
 pub fn ablation_capture(scale: ExperimentScale) -> Vec<SeriesJobs> {
@@ -803,6 +806,7 @@ pub fn ext_elfn(scale: ExperimentScale) -> Vec<SeriesJobs> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::STUDIES;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {
@@ -830,9 +834,30 @@ mod tests {
         assert_ne!(d.key(), b.key());
     }
 
+    /// The jobs of every study whose id `pick` accepts, in table order.
+    fn study_jobs(pick: impl Fn(&str) -> bool) -> Vec<JobSpec> {
+        let scale = ExperimentScale::quick();
+        STUDIES
+            .iter()
+            .filter(|study| pick(study.id))
+            .flat_map(|study| grid_jobs((study.grid)(scale)))
+            .collect()
+    }
+
+    /// Every job of a study is filed under the study's id, and no two
+    /// jobs of all the studies share a content key: a results store holds
+    /// one row per job of `mwn repro all`.
     #[test]
     fn suite_keys_are_distinct() {
-        let jobs = full_suite(ExperimentScale::quick());
+        for study in &STUDIES {
+            let jobs: Vec<JobSpec> = grid_jobs((study.grid)(ExperimentScale::quick())).collect();
+            assert!(
+                jobs.iter().all(|j| j.group == study.id),
+                "{} holds a job of another group",
+                study.id
+            );
+        }
+        let jobs = study_jobs(|_| true);
         let mut keys: Vec<String> = jobs.iter().map(JobSpec::key).collect();
         keys.sort();
         keys.dedup();
@@ -840,50 +865,14 @@ mod tests {
     }
 
     #[test]
-    fn full_suite_matches_figure_grid_size() {
-        let jobs = full_suite(ExperimentScale::quick());
-        // fig2-3: 3×6, fig4: 3×3, fig5: 4×6, fig6-9: 4×6, fig10: 13,
-        // fig11-14: 6×3, grid: 4×3, random: 4×3.
-        assert_eq!(jobs.len(), 18 + 9 + 24 + 24 + 13 + 18 + 12 + 12);
-    }
-
-    /// Every job of a study is filed under the study's id, and the full
-    /// suite is the eight paper-figure studies' grids, in table order.
-    #[test]
-    fn full_suite_is_the_figure_lists_concatenated() {
-        let scale = ExperimentScale::quick();
-        let mut figures: Vec<&str> = Vec::new();
-        let mut concatenated: Vec<String> = Vec::new();
-        for study in &STUDIES {
-            let jobs: Vec<JobSpec> = grid_jobs((study.grid)(scale)).collect();
-            assert!(
-                jobs.iter().all(|j| j.group == study.id),
-                "{} holds a job of another group",
-                study.id
-            );
-            if study.id.starts_with("fig") {
-                figures.push(study.id);
-                concatenated.extend(jobs.iter().map(JobSpec::key));
-            }
-        }
-        assert_eq!(
-            figures,
-            ["fig2-3", "fig4", "fig5", "fig6-9", "fig10", "fig11-14", "fig16-17", "fig18-19"]
-        );
-        let suite: Vec<String> = full_suite(scale).iter().map(JobSpec::key).collect();
-        assert_eq!(suite, concatenated);
-    }
-
-    #[test]
-    fn chain_study_is_a_subset_of_the_full_suite() {
-        let suite: Vec<String> = full_suite(ExperimentScale::quick())
-            .iter()
-            .map(JobSpec::key)
+    fn chain_study_is_a_slice_of_fig6_9() {
+        let grid: Vec<String> = grid_jobs(fig6_9(ExperimentScale::quick()))
+            .map(|job| job.key())
             .collect();
         for job in chain_study(ExperimentScale::quick()) {
             assert!(
-                suite.contains(&job.key()),
-                "{} missing from suite",
+                grid.contains(&job.key()),
+                "{} missing from fig6-9",
                 job.canonical()
             );
         }
@@ -941,7 +930,7 @@ mod tests {
 
     #[test]
     fn traffic_study_jobs_are_distinct_and_build() {
-        let jobs = traffic_study(tiny());
+        let jobs: Vec<JobSpec> = grid_jobs(traffic_study(tiny())).collect();
         // profiles × variants.
         assert_eq!(jobs.len(), 9);
         let mut keys: Vec<String> = jobs.iter().map(JobSpec::key).collect();
@@ -964,7 +953,7 @@ mod tests {
 
     #[test]
     fn traffic_kind_participates_in_the_content_key() {
-        let base = traffic_study(tiny()).remove(0);
+        let base = traffic_study(tiny()).remove(0).points.remove(0).1;
         let mut other = base.clone();
         other.kind = ScenarioKind::Traffic {
             nodes: 20,
@@ -996,7 +985,7 @@ mod tests {
 
     #[test]
     fn load_study_jobs_are_distinct_and_scale_arrivals() {
-        let jobs = traffic_load_study(tiny());
+        let jobs: Vec<JobSpec> = grid_jobs(traffic_load_study(tiny())).collect();
         assert_eq!(jobs.len(), 6);
         let mut keys: Vec<String> = jobs.iter().map(JobSpec::key).collect();
         keys.sort();
@@ -1017,13 +1006,11 @@ mod tests {
     fn existing_store_keys_do_not_move() {
         // Pinned before the ablation field existed: a job on the paper's
         // stack must keep the key its stored result was filed under.
-        let scale = ExperimentScale::quick();
-        let canonical: String = full_suite(scale)
-            .iter()
-            .chain(&traffic_study(scale))
-            .chain(&traffic_load_study(scale))
-            .map(|job| job.canonical() + "\n")
-            .collect();
+        let canonical: String =
+            study_jobs(|id| id.starts_with("fig") || matches!(id, "traffic" | "load"))
+                .iter()
+                .map(|job| job.canonical() + "\n")
+                .collect();
         assert_eq!(canonical.lines().count(), 145);
         assert_eq!(
             format!("{:016x}", fxhash::hash_str(&canonical)),
@@ -1031,18 +1018,15 @@ mod tests {
         );
     }
 
+    /// The ablation and extension studies add keys no earlier store
+    /// holds.
     #[test]
     fn study_grid_keys_are_distinct_and_new() {
-        let scale = ExperimentScale::quick();
-        let mut keys: Vec<String> = STUDIES
-            .iter()
-            .filter(|study| !study.id.starts_with("fig"))
-            .flat_map(|study| grid_jobs((study.grid)(scale)))
-            .map(|job| job.key())
-            .collect();
+        let old = |id: &str| id.starts_with("fig") || matches!(id, "traffic" | "load");
+        let mut keys: Vec<String> = study_jobs(|id| !old(id)).iter().map(JobSpec::key).collect();
         // 4×4 + 2×3 + 3×2 + 4×3 + 4×4 + 3×8 + 3×3 + 4×4×3.
         assert_eq!(keys.len(), 16 + 6 + 6 + 12 + 16 + 24 + 9 + 48);
-        let suite: Vec<String> = full_suite(scale).iter().map(JobSpec::key).collect();
+        let suite: Vec<String> = study_jobs(old).iter().map(JobSpec::key).collect();
         assert!(keys.iter().all(|k| !suite.contains(k)));
         let n = keys.len();
         keys.sort();

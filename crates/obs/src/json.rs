@@ -2,10 +2,10 @@
 //! serializers here and the `mwn-runner` results store.
 //!
 //! The output format is JSON Lines with a *fixed field order*, so that two
-//! runs producing the same results produce byte-identical files. A full
-//! JSON parser is deliberately out of scope: the only reader is the store's
-//! resume path, which needs two string fields out of lines this module
-//! itself wrote, so a targeted scanner suffices.
+//! runs producing the same results produce byte-identical files. The
+//! store's resume path needs only string fields out of lines this module
+//! itself wrote, so a targeted scanner suffices there; everything else
+//! reads the store through `mwn_runner::query::Json`.
 
 use std::fmt::Write as _;
 

@@ -18,7 +18,11 @@
 //!   output bytes;
 //! * [`run_sweep`] — the driver tying them together, with resume: jobs
 //!   whose key already has a `"status":"done"` line are skipped and
-//!   their lines carried over verbatim.
+//!   their lines carried over verbatim. It is the one runner of study
+//!   jobs: `mwn repro` sends every selected study's jobs through it (with
+//!   a store for `--out`, in memory without) and folds each study from
+//!   the returned [`SweepSummary::rows`], read back by
+//!   [`store::read_line`].
 //!
 //! ```no_run
 //! use mwn::jobs::chain_study;
@@ -47,10 +51,11 @@ use mwn_sim::fxhash::FxHashSet;
 pub use store::Manifest;
 
 /// Configuration of one sweep invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Results file (JSONL). Also consulted for resume.
-    pub out: PathBuf,
+    /// Results file (JSONL). Also consulted for resume. `None` writes no
+    /// file: the rows come back only in [`SweepSummary::rows`].
+    pub out: Option<PathBuf>,
     /// Worker threads. 0 means one per available CPU.
     pub workers: usize,
     /// Suppress progress output (tests, library callers).
@@ -64,10 +69,8 @@ pub struct SweepOptions {
 impl SweepOptions {
     pub fn new(out: impl Into<PathBuf>) -> Self {
         SweepOptions {
-            out: out.into(),
-            workers: 0,
-            quiet: false,
-            manifest: None,
+            out: Some(out.into()),
+            ..SweepOptions::default()
         }
     }
 
@@ -99,8 +102,8 @@ pub fn simulate_instrumented(spec: &JobSpec) -> RunResults {
     )
 }
 
-/// What a sweep did, by job count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a sweep did, by job count, and the rows it left.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSummary {
     /// Jobs in the (deduplicated) request.
     pub total: usize,
@@ -110,6 +113,10 @@ pub struct SweepSummary {
     pub ran: usize,
     /// Executed jobs that panicked (recorded as `"status":"failed"`).
     pub failed: usize,
+    /// The result lines of every job, sorted by content key: the lines
+    /// carried over from the store and this invocation's `done` and
+    /// `failed` lines. [`store::read_line`] reads one back.
+    pub rows: Vec<String>,
 }
 
 /// The production executor: runs the job's scenario at its scale.
@@ -128,7 +135,7 @@ pub fn worker_count(jobs: usize) -> usize {
 }
 
 /// Runs `jobs` on a worker pool, streaming results into the store at
-/// `opts.out`.
+/// `opts.out`, if any.
 ///
 /// Jobs are deduplicated by content key (first occurrence wins). Jobs
 /// whose key already has a completed line in the store — from an earlier
@@ -152,7 +159,10 @@ pub fn run_sweep(
     let jobs: Vec<&JobSpec> = jobs.iter().filter(|j| seen.insert(j.key())).collect();
 
     // Resume: carry completed lines over, run everything else.
-    let done = store::load_done(&opts.out)?;
+    let done = match &opts.out {
+        Some(out) => store::load_done(out)?,
+        None => store::DoneMap::default(),
+    };
     let (resumed, pending): (Vec<&JobSpec>, Vec<&JobSpec>) =
         jobs.iter().partition(|j| done.contains_key(&j.key()));
     let mut lines: Vec<String> = resumed.iter().map(|j| done[&j.key()].clone()).collect();
@@ -163,7 +173,7 @@ pub fn run_sweep(
         .iter()
         .map(|j| format!("{} [{}]", j.point, j.group))
         .collect();
-    let mut journal = store::Journal::open(&opts.out)?;
+    let mut journal = opts.out.as_deref().map(store::Journal::open).transpose()?;
     let mut progress = progress::Progress::new(total, skipped, workers, opts.quiet);
     let mut io_error: Option<std::io::Error> = None;
     let mut events_processed = 0u64;
@@ -196,7 +206,7 @@ pub fn run_sweep(
                     Err(msg) => (store::failed_line(pending[index], &msg), true, 0),
                 };
                 events_processed += events;
-                if let Err(e) = journal.append(&line) {
+                if let Some(Err(e)) = journal.as_mut().map(|j| j.append(&line)) {
                     io_error.get_or_insert(e);
                 }
                 progress.on_finish(worker, &labels[index], failed);
@@ -211,36 +221,39 @@ pub fn run_sweep(
     let failed = progress.failed();
     let ran = progress.done();
 
-    let mut manifest = match &opts.manifest {
-        Some(m) => m.clone(),
-        None => {
-            let owned: Vec<JobSpec> = jobs.iter().map(|j| (*j).clone()).collect();
-            let mut m = Manifest::for_jobs(&owned, workers, detect_commit());
-            m.wall_clock_secs = start.elapsed().as_secs_f64();
-            m.events_processed = events_processed;
-            m.events_per_sec = if m.wall_clock_secs > 0.0 {
-                events_processed as f64 / m.wall_clock_secs
-            } else {
-                0.0
-            };
-            m
+    match (&opts.out, journal) {
+        (Some(out), Some(journal)) => {
+            let mut manifest = opts.manifest.clone().unwrap_or_else(|| {
+                let owned: Vec<JobSpec> = jobs.iter().map(|j| (*j).clone()).collect();
+                let mut m = Manifest::for_jobs(&owned, workers, detect_commit());
+                m.wall_clock_secs = start.elapsed().as_secs_f64();
+                m.events_processed = events_processed;
+                m.events_per_sec = if m.wall_clock_secs > 0.0 {
+                    events_processed as f64 / m.wall_clock_secs
+                } else {
+                    0.0
+                };
+                m
+            });
+            manifest.jobs = total;
+            store::compact(out, &manifest, &mut lines)?;
+            journal.remove()?;
         }
-    };
-    manifest.jobs = total;
-    store::compact(&opts.out, &manifest, &mut lines)?;
-    journal.remove()?;
-
+        _ => store::sort_by_key(&mut lines),
+    }
     if !opts.quiet {
-        eprintln!(
-            "sweep complete: {ran} ran, {skipped} resumed, {failed} failed -> {}",
-            opts.out.display()
-        );
+        let to = opts
+            .out
+            .as_ref()
+            .map_or(String::new(), |out| format!(" -> {}", out.display()));
+        eprintln!("sweep complete: {ran} ran, {skipped} resumed, {failed} failed{to}");
     }
     Ok(SweepSummary {
         total,
         skipped,
         ran,
         failed,
+        rows: lines,
     })
 }
 

@@ -365,42 +365,32 @@ pub struct StoreView {
 
 impl StoreView {
     /// Loads a results file (and an interrupted run's journal, if one is
-    /// lying next to it), skipping torn lines like the sweep's resume
-    /// path does.
+    /// lying next to it), skipping torn lines like the resume path does
+    /// ([`crate::store::intact_lines`]).
     pub fn load(path: &Path) -> Result<StoreView, String> {
+        let at = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
         let mut view = StoreView::default();
         let mut seen = std::collections::HashSet::new();
-        for p in [path.to_path_buf(), crate::store::journal_path(path)] {
-            let text = match std::fs::read_to_string(&p) {
-                Ok(t) => t,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(format!("{}: {e}", p.display())),
-            };
-            for line in text.lines() {
-                if !line.ends_with('}') {
-                    continue; // torn journal write
-                }
-                let v = Json::parse(line).map_err(|e| format!("{}: {e}", p.display()))?;
-                match v.get("type").and_then(Json::as_str) {
-                    Some("manifest") => view.manifest = Some(v),
-                    Some("result") => {
-                        let field =
-                            |k: &str| v.get(k).and_then(Json::as_str).unwrap_or("").to_string();
-                        let row = Row {
-                            key: field("key"),
-                            group: field("group"),
-                            point: field("point"),
-                            spec: field("spec"),
-                            seed: v.get("seed").and_then(Json::as_u64).unwrap_or(0),
-                            status: field("status"),
-                            json: v,
-                        };
-                        if seen.insert(row.key.clone()) {
-                            view.rows.push(row);
-                        }
+        for line in crate::store::intact_lines(path).map_err(|e| at(&e))? {
+            let v = Json::parse(&line).map_err(|e| at(&e))?;
+            match v.get("type").and_then(Json::as_str) {
+                Some("manifest") => view.manifest = Some(v),
+                Some("result") => {
+                    let field = |k: &str| v.get(k).and_then(Json::as_str).unwrap_or("").to_string();
+                    let row = Row {
+                        key: field("key"),
+                        group: field("group"),
+                        point: field("point"),
+                        spec: field("spec"),
+                        seed: v.get("seed").and_then(Json::as_u64).unwrap_or(0),
+                        status: field("status"),
+                        json: v,
+                    };
+                    if seen.insert(row.key.clone()) {
+                        view.rows.push(row);
                     }
-                    _ => {}
                 }
+                _ => {}
             }
         }
         Ok(view)

@@ -17,10 +17,11 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use mwn::jobs::JobSpec;
-use mwn::{Estimate, RunOutcome, RunResults};
+use mwn::{Estimate, FlowId, FlowResult, RunOutcome, RunResults, SimDuration};
 use mwn_sim::fxhash::FxHashMap;
 
 use crate::json::{arr, extract_str_field, Obj};
+use crate::query::Json;
 
 /// Run metadata written as the first line of every results file.
 #[derive(Debug, Clone)]
@@ -147,6 +148,68 @@ pub fn done_line(spec: &JobSpec, r: &RunResults) -> String {
     obj.finish()
 }
 
+/// Reads a result line back: for a `done` line, the [`RunResults`] it
+/// records (`metrics` and `conservation` stay `None`), so that
+/// [`done_line`] of them writes an uninstrumented row's bytes again; for
+/// a `failed` line, its error. A `null` (non-finite) number reads as NaN.
+pub fn read_line(line: &str) -> Result<RunResults, String> {
+    let row = Json::parse(line)?;
+    if row.get("status").and_then(Json::as_str) == Some("failed") {
+        let error = row.get("error").and_then(Json::as_str);
+        return Err(error.unwrap_or_default().to_string());
+    }
+    read_done(&row)
+        .ok_or_else(|| "unreadable row; remove it from the store to rerun the job".into())
+}
+
+fn read_done(row: &Json) -> Option<RunResults> {
+    if row.get("status")?.as_str()? != "done" {
+        return None;
+    }
+    let float = |v: &Json, name: &str| match v.get(name)? {
+        Json::Null => Some(f64::NAN),
+        n => n.as_f64(),
+    };
+    let count = |v: &Json, name: &str| v.get(name)?.as_u64();
+    let estimate = |v: &Json, name: &str| {
+        let e = v.get(name)?;
+        Some(Estimate {
+            mean: float(e, "mean")?,
+            half_width: float(e, "half_width")?,
+        })
+    };
+    let outcome = match row.get("outcome")?.as_str()? {
+        "completed" => RunOutcome::Completed,
+        other => RunOutcome::Truncated {
+            completed_batches: other.strip_prefix("truncated:")?.parse().ok()?,
+        },
+    };
+    let per_flow = row.get("flows")?.as_arr()?.iter().map(|f| {
+        Some(FlowResult {
+            flow: FlowId(u32::try_from(count(f, "flow")?).ok()?),
+            goodput_kbps: estimate(f, "goodput_kbps")?,
+            retx_per_packet: estimate(f, "retx_per_packet")?,
+            avg_window: estimate(f, "avg_window")?,
+        })
+    });
+    let measured_secs = float(row, "measured_secs").filter(|s| *s >= 0.0 && s.is_finite())?;
+    Some(RunResults {
+        per_flow: per_flow.collect::<Option<_>>()?,
+        aggregate_goodput_kbps: estimate(row, "aggregate_goodput_kbps")?,
+        fairness: estimate(row, "fairness")?,
+        drop_probability: estimate(row, "drop_probability")?,
+        false_route_failures: count(row, "false_route_failures")?,
+        false_route_failures_paper_scale: float(row, "false_route_failures_paper_scale")?,
+        packets_measured: count(row, "packets_measured")?,
+        measured_time: SimDuration::from_secs_f64(measured_secs),
+        total_energy_joules: float(row, "total_energy_joules")?,
+        energy_per_packet: float(row, "energy_per_packet")?,
+        outcome,
+        metrics: None,
+        conservation: None,
+    })
+}
+
 /// Serializes a crashed job as one store line (`"status":"failed"`).
 pub fn failed_line(spec: &JobSpec, error: &str) -> String {
     job_head(spec)
@@ -181,31 +244,32 @@ pub fn journal_path(out: &Path) -> PathBuf {
 /// so their jobs re-run.
 pub fn load_done(out: &Path) -> std::io::Result<DoneMap> {
     let mut done = DoneMap::default();
-    for path in [out.to_path_buf(), journal_path(out)] {
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        for line in text.lines() {
-            // A crash mid-append can leave a final line cut off anywhere;
-            // every line this store writes ends with `}`, so anything else
-            // is a torn write and its job must re-run.
-            if !line.ends_with('}') {
-                continue;
-            }
-            if extract_str_field(line, "type").as_deref() != Some("result") {
-                continue;
-            }
-            if extract_str_field(line, "status").as_deref() != Some("done") {
-                continue;
-            }
-            if let Some(key) = extract_str_field(line, "key") {
-                done.insert(key, line.to_string());
+    for line in intact_lines(out)? {
+        let field = |name| extract_str_field(&line, name);
+        if field("type").as_deref() == Some("result") && field("status").as_deref() == Some("done")
+        {
+            if let Some(key) = field("key") {
+                done.insert(key, line);
             }
         }
     }
     Ok(done)
+}
+
+/// The lines of the results file at `out` and of a leftover journal, in
+/// that order, without torn writes: a crash mid-append can leave a final
+/// line cut off anywhere, and every line this store writes ends with `}`.
+/// A missing file has no lines.
+pub fn intact_lines(out: &Path) -> std::io::Result<Vec<String>> {
+    let mut lines = Vec::new();
+    for path in [out.to_path_buf(), journal_path(out)] {
+        match fs::read_to_string(&path) {
+            Ok(text) => lines.extend(text.lines().filter(|l| l.ends_with('}')).map(String::from)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(lines)
 }
 
 /// Line-buffered appender for the crash-safe journal.
@@ -235,10 +299,15 @@ impl Journal {
     }
 }
 
+/// Sorts result lines by content key, the order of a compacted store.
+pub fn sort_by_key(lines: &mut [String]) {
+    lines.sort_by_cached_key(|l| extract_str_field(l, "key").unwrap_or_default());
+}
+
 /// Writes the final results file: manifest first, then result lines
 /// sorted by content key. Replaces `out` atomically (write + rename).
 pub fn compact(out: &Path, manifest: &Manifest, lines: &mut [String]) -> std::io::Result<()> {
-    lines.sort_by_cached_key(|l| extract_str_field(l, "key").unwrap_or_default());
+    sort_by_key(lines);
     let tmp = out.with_extension("tmp");
     {
         let mut w = BufWriter::new(File::create(&tmp)?);
@@ -390,5 +459,95 @@ mod tests {
             "torn line must re-run its job"
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every number a fold reads, as bits: the estimates of Figs 2–19
+    /// and Tables 3–4 and the Fig 9 count.
+    fn fold_bits(r: &RunResults) -> Vec<u64> {
+        let est = |e: &Estimate| [e.mean.to_bits(), e.half_width.to_bits()];
+        let mut bits: Vec<u64> = [&r.aggregate_goodput_kbps, &r.fairness, &r.drop_probability]
+            .into_iter()
+            .flat_map(est)
+            .collect();
+        bits.push(r.false_route_failures_paper_scale.to_bits());
+        for f in &r.per_flow {
+            bits.push(u64::from(f.flow.raw()));
+            bits.extend(est(&f.goodput_kbps));
+            bits.extend(est(&f.retx_per_packet));
+            bits.extend(est(&f.avg_window));
+        }
+        bits
+    }
+
+    /// A `done` row read back writes the same bytes again and hands a
+    /// fold the same numbers, bit for bit: a six-flow grid run, a run
+    /// cut off after one batch, and one cut off before any (zero
+    /// goodput). A non-finite number, written as `null`, reads back as
+    /// NaN and renders as it did.
+    #[test]
+    fn done_rows_read_back_as_the_results_that_wrote_them() {
+        use mwn::experiments::{FigureData, Series};
+        use mwn::ExperimentScale;
+
+        let tiny = ExperimentScale {
+            batch_packets: 60,
+            batches: 3,
+            deadline: SimDuration::from_secs(600),
+        };
+        let cut_at = |ms| {
+            let mut job = sample_job();
+            job.scale = ExperimentScale {
+                deadline: SimDuration::from_millis(ms),
+                ..tiny
+            };
+            job
+        };
+        let jobs = [
+            mwn::jobs::fig16_17(tiny).remove(0).points.remove(0).1,
+            cut_at(3_000),
+            cut_at(50),
+        ];
+        let results: Vec<RunResults> = jobs.iter().map(crate::simulate).collect();
+        assert!(results[0].per_flow.len() > 1);
+        assert_eq!(
+            results[1].outcome,
+            RunOutcome::Truncated {
+                completed_batches: 1
+            }
+        );
+        assert_eq!(results[2].aggregate_goodput_kbps.mean, 0.0);
+        for (job, r) in jobs.iter().zip(&results) {
+            let line = done_line(job, r);
+            let back = read_line(&line).unwrap_or_else(|e| panic!("{}: {e}", job.point));
+            assert_eq!(done_line(job, &back), line);
+            assert_eq!(fold_bits(&back), fold_bits(r), "{}", job.point);
+            assert_eq!(back.outcome, r.outcome);
+        }
+
+        let mut r = results[1].clone();
+        r.fairness.mean = f64::NAN;
+        let line = done_line(&jobs[1], &r);
+        assert!(line.contains(r#""fairness":{"mean":null,"#), "{line}");
+        let render = |r: &RunResults| {
+            let series = vec![Series {
+                label: "fairness".into(),
+                points: vec![(1.0, r.fairness)],
+            }];
+            let figure = FigureData {
+                id: "Fig".into(),
+                title: String::new(),
+                x_label: "x".into(),
+                y_label: "y".into(),
+                series,
+            };
+            figure.render() + &figure.to_csv()
+        };
+        assert_eq!(render(&read_line(&line).unwrap()), render(&r));
+    }
+
+    #[test]
+    fn a_failed_row_reads_back_as_its_error() {
+        let line = failed_line(&sample_job(), "worker panicked: boom");
+        assert_eq!(read_line(&line).unwrap_err(), "worker panicked: boom");
     }
 }

@@ -113,13 +113,26 @@ repro_csv=$(cargo run --release -q -p mwn-cli -- repro ext-elfn --scale 1 --csv 
 sed -n 2p <<<"$repro_csv" | grep -qx "m/s,NewReno,NewReno_ci95,NewReno_+ELFN,NewReno_+ELFN_ci95,Vegas,Vegas_ci95,Vegas_+ELFN,Vegas_+ELFN_ci95" || {
     echo "error: mwn repro ext-elfn --csv header mismatch" >&2; exit 1; }
 
-# Store analytics smoke: a tiny instrumented chain sweep must aggregate
-# through `mwn report` in table, CSV and self-diff modes. Uses a temp
-# store so reruns start clean.
-echo "==> mwn report smoke (sweep --metrics -> report/--csv/--diff)"
+# Store analytics smoke: one instrumented figure kept in a store must
+# aggregate through `mwn report` in table, CSV and self-diff modes. Uses
+# a temp store so reruns start clean. About 1 s on two cores.
+echo "==> mwn report smoke (repro fig4 --metrics --out -> report/--csv/--diff)"
 report_store=$(mktemp -t mwn-report-XXXXXX.jsonl)
 rm -f "$report_store"
-cargo run --release -q -p mwn-cli -- sweep --suite chain --metrics --jobs 0 --out "$report_store" >/dev/null 2>&1
+repro_first=$(cargo run --release -q -p mwn-cli -- repro fig4 --metrics --jobs 0 --out "$report_store" 2>/dev/null)
+# Resume smoke: the same command on the same store runs nothing and
+# prints the same bytes, folded from the stored rows.
+repro_err=$(mktemp -t mwn-repro-err-XXXXXX)
+repro_again=$(cargo run --release -q -p mwn-cli -- repro fig4 --metrics --jobs 0 --out "$report_store" 2>"$repro_err")
+if [ "$repro_first" != "$repro_again" ]; then
+    echo "error: mwn repro fig4 resumed from its store printed different bytes" >&2
+    diff <(printf '%s\n' "$repro_first") <(printf '%s\n' "$repro_again") >&2 || true
+    exit 1
+fi
+grep -q "0 ran, 9 resumed" "$repro_err" || {
+    echo "error: mwn repro fig4 rerun on its store did not resume all nine jobs" >&2
+    cat "$repro_err" >&2; exit 1; }
+rm -f "$repro_err"
 report_out=$(cargo run --release -q -p mwn-cli -- report --store "$report_store" 2>/dev/null)
 grep -q "drop ledger by reason" <<<"$report_out" || {
     echo "error: mwn report did not render a drop ledger" >&2; exit 1; }

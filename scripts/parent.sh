@@ -8,8 +8,9 @@
 #
 # The set, each compared byte for byte:
 #   * `mwn repro all --scale 1 --jobs 1`, as text and as --csv;
-#   * `mwn sweep --suite chain`, with and without --metrics, from line 2
-#     (line 1 is the run manifest: wall clock, worker count, commit);
+#   * the store of `mwn repro fig4 --out`, with and without --metrics,
+#     from line 2 (line 1 is the run manifest: wall clock, worker count,
+#     commit);
 #   * `mwn check --suite full`, without --bless;
 #   * the benchmark's (bench/) sim_fingerprint on each of its workloads.
 #
@@ -56,10 +57,10 @@ run() {
 
 run repro-text repro all --scale 1 --jobs 1
 run repro-csv repro all --scale 1 --jobs 1 --csv
-run sweep sweep --suite chain --jobs 1 --out @
-run sweep-metrics sweep --suite chain --metrics --jobs 1 --out @
+run store repro fig4 --jobs 1 --out @
+run store-metrics repro fig4 --metrics --jobs 1 --out @
 run check check --suite full --jobs 1
-for name in sweep sweep-metrics; do
+for name in store store-metrics; do
     for side in parent this; do
         tail -n +2 "$out/$name.$side.store" >"$out/$name.$side"
     done
