@@ -65,7 +65,7 @@ fn transport_name(idx: u8) -> &'static str {
 /// A compact, shrinkable description of one fuzzed scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioSpec {
-    /// Chain length in hops (1..=6).
+    /// Chain length in hops (1..=16).
     pub hops: u8,
     /// Add a second flow in the reverse direction.
     pub reverse: bool,
@@ -73,9 +73,9 @@ pub struct ScenarioSpec {
     pub rate: u8,
     /// Transport variant index (0 = NewReno, the shrink target).
     pub transport: u8,
-    /// Packets to deliver per flow (the run's delivery target).
+    /// Packets to deliver per flow (the run's delivery target; 10..=250).
     pub packets: u8,
-    /// Open-loop traffic arrivals riding along (0 = none): short finite
+    /// Open-loop traffic arrivals riding along (0 = none, at most 64): short finite
     /// NewReno flows churning through the flow table while the
     /// persistent flows run.
     pub traffic: u8,
@@ -198,9 +198,9 @@ impl ScenarioSpec {
 /// The proptest strategy drawing random scenario specs.
 pub fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
-        (1u8..=6, proptest::any::<bool>()),
+        (1u8..=16, proptest::any::<bool>()),
         (0u8..3, 0u8..TRANSPORT_VARIANTS),
-        (10u8..=40, 0u8..=16, 0u16..1024),
+        (10u8..=250, 0u8..=64, 0u16..1024),
     )
         .prop_map(
             |((hops, reverse), (rate, transport), (packets, traffic, seed))| ScenarioSpec {
@@ -314,11 +314,11 @@ mod tests {
         let mut seen_traffic = false;
         for case in 0..200 {
             let s = strategy.generate(&mut TestRng::for_case("bounds", case));
-            assert!((1..=6).contains(&s.hops));
+            assert!((1..=16).contains(&s.hops));
             assert!(s.rate < 3);
             assert!(s.transport < TRANSPORT_VARIANTS);
-            assert!((10..=40).contains(&s.packets));
-            assert!(s.traffic <= 16);
+            assert!((10..=250).contains(&s.packets));
+            assert!(s.traffic <= 64);
             seen_reverse |= s.reverse;
             seen_udp |= s.transport == TRANSPORT_VARIANTS - 1;
             seen_traffic |= s.traffic > 0;

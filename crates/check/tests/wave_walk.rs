@@ -124,9 +124,14 @@ fn scenario_for(spec: &ScenarioSpec, field: u8, mobile: bool) -> Scenario {
 ///
 /// (A run that gives up — `DeadlineExpired`, `Quiescent` — leaves `now` at
 /// the last event popped, and a parked NAV is by design an event that
-/// never pops. The one case drawn here that gives up ends on an event
+/// never pops. Every case drawn here that gives up ends on an event
 /// that does something; if a new draw ends on a do-nothing NAV, `now` is
 /// the one field the eager-NAV engines may legitimately run past.)
+///
+/// On the grid and the random field a case costs up to forty times a
+/// chain case, so there the draw's packets (10–250) and churned flows
+/// (≤ 64) are scaled down into 10–40 and ≤ 16, the fuzzer's ranges
+/// before they grew to the paper's; the test keeps its few seconds.
 #[test]
 fn inline_walk_matches_one_event_per_receiver() {
     let strategy = (spec_strategy(), 0u8..3, proptest::any::<bool>());
@@ -135,6 +140,14 @@ fn inline_walk_matches_one_event_per_receiver() {
     for case in 0..24u32 {
         let mut rng = TestRng::for_case("wave-walk-differential", case);
         let (spec, field, mobile) = strategy.generate(&mut rng);
+        let spec = match field {
+            0 => spec,
+            _ => ScenarioSpec {
+                packets: 10 + (spec.packets - 10) / 8,
+                traffic: spec.traffic / 4,
+                ..spec
+            },
+        };
         let scenario = scenario_for(&spec, field, mobile);
         open_loop += u32::from(scenario.traffic.is_some());
         mobile_cases += u32::from(mobile);
