@@ -189,29 +189,20 @@ pub fn run_sweep(
                 .map_or(0, |m| m.profile.events_processed());
             (store::done_line(spec, &results), events)
         },
-        |event| match event {
-            pool::Event::Started { worker, index } => {
-                progress.on_start(worker, &labels[index]);
+        |index, result| {
+            // A panic in the executor or in serialising its line is
+            // recorded as a failed line under the job's key, so the next
+            // invocation retries it.
+            let (line, failed, events) = match result {
+                Ok((line, events)) => (line, false, events),
+                Err(msg) => (store::failed_line(pending[index], &msg), true, 0),
+            };
+            events_processed += events;
+            if let Some(Err(e)) = journal.as_mut().map(|j| j.append(&line)) {
+                io_error.get_or_insert(e);
             }
-            pool::Event::Finished {
-                worker,
-                index,
-                result,
-            } => {
-                // A panic in the executor or in serialising its line is
-                // recorded as a failed line under the job's key, so the
-                // next invocation retries it.
-                let (line, failed, events) = match result {
-                    Ok((line, events)) => (line, false, events),
-                    Err(msg) => (store::failed_line(pending[index], &msg), true, 0),
-                };
-                events_processed += events;
-                if let Some(Err(e)) = journal.as_mut().map(|j| j.append(&line)) {
-                    io_error.get_or_insert(e);
-                }
-                progress.on_finish(worker, &labels[index], failed);
-                lines.push(line);
-            }
+            progress.on_finish(&labels[index], failed);
+            lines.push(line);
         },
     );
     if let Some(e) = io_error {

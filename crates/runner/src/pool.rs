@@ -8,22 +8,9 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::Mutex;
 use std::thread;
-
-/// Progress events emitted while a pool runs, in wall-clock order.
-pub enum Event<R> {
-    /// Worker `worker` picked up item `index`.
-    Started { worker: usize, index: usize },
-    /// Worker `worker` finished item `index`. `Err` holds the panic
-    /// message if the item's closure panicked.
-    Finished {
-        worker: usize,
-        index: usize,
-        result: Result<R, String>,
-    },
-}
 
 /// Renders a `catch_unwind` payload as a message.
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -36,49 +23,40 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `work` over `items` on `workers` threads, streaming [`Event`]s to
-/// `on_event` from the calling thread as they arrive.
+/// Runs `work` over `items` on `workers` threads, handing each item's
+/// index and result to `on_finish` on the calling thread as it finishes.
+/// `Err` holds the panic message if the item's closure panicked.
 ///
-/// `on_event` runs on the caller's thread, so it may do I/O (journal
+/// `on_finish` runs on the caller's thread, so it may do I/O (journal
 /// writes, progress printing) without synchronization.
-pub fn run<T, R, F, E>(items: Vec<T>, workers: usize, work: F, mut on_event: E)
+pub fn run<T, R, F, E>(items: Vec<T>, workers: usize, work: F, mut on_finish: E)
 where
     T: Send,
     R: Send,
     F: Fn(&T) -> R + Sync,
-    E: FnMut(Event<R>),
+    E: FnMut(usize, Result<R, String>),
 {
     let workers = workers.max(1).min(items.len().max(1));
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let (tx, rx) = channel::<Event<R>>();
+    let (tx, rx) = channel::<(usize, Result<R, String>)>();
 
     thread::scope(|s| {
-        for worker in 0..workers {
-            let tx: Sender<Event<R>> = tx.clone();
+        for _ in 0..workers {
+            let tx = tx.clone();
             let queue = &queue;
             let work = &work;
             s.spawn(move || loop {
                 let item = queue.lock().expect("queue poisoned").pop_front();
                 let Some((index, item)) = item else { break };
-                if tx.send(Event::Started { worker, index }).is_err() {
-                    break;
-                }
                 let result = catch_unwind(AssertUnwindSafe(|| work(&item))).map_err(panic_message);
-                if tx
-                    .send(Event::Finished {
-                        worker,
-                        index,
-                        result,
-                    })
-                    .is_err()
-                {
+                if tx.send((index, result)).is_err() {
                     break;
                 }
             });
         }
         drop(tx);
-        for event in rx {
-            on_event(event);
+        for (index, result) in rx {
+            on_finish(index, result);
         }
     });
 }
@@ -93,10 +71,8 @@ where
 {
     let mut results: Vec<Option<Result<R, String>>> = Vec::new();
     results.resize_with(items.len(), || None);
-    run(items, workers, work, |event| {
-        if let Event::Finished { index, result, .. } = event {
-            results[index] = Some(result);
-        }
+    run(items, workers, work, |index, result| {
+        results[index] = Some(result)
     });
     results
         .into_iter()
@@ -131,23 +107,18 @@ mod tests {
     }
 
     #[test]
-    fn event_stream_pairs_start_and_finish() {
-        let mut started = [false; 10];
-        let mut finished = [false; 10];
+    fn run_finishes_every_item_once() {
+        let mut finished = [0u32; 10];
         run(
             (0..10u32).collect(),
             3,
             |&x| x,
-            |event| match event {
-                Event::Started { index, .. } => started[index] = true,
-                Event::Finished { index, result, .. } => {
-                    assert!(started[index], "finish before start for {index}");
-                    assert_eq!(result.unwrap() as usize, index);
-                    finished[index] = true;
-                }
+            |index, result| {
+                assert_eq!(result.unwrap() as usize, index);
+                finished[index] += 1;
             },
         );
-        assert!(finished.iter().all(|&f| f));
+        assert!(finished.iter().all(|&f| f == 1), "{finished:?}");
     }
 
     #[test]

@@ -1,73 +1,69 @@
-//! Live sweep progress on stderr: done/total counts, a wall-clock ETA
-//! from the mean completed-job duration, and what every worker is doing.
+//! Sweep progress on stderr: a line for every failed job and at each 5 %
+//! of the jobs that run, with done/total counts and a wall-clock ETA from
+//! the mean completed-job duration. Resumed jobs are named once, in the
+//! opening line, and counted nowhere else.
 
 use std::time::Instant;
+
+/// Progress lines per sweep, failures aside: one at each 5 % of the jobs
+/// that run, the last at the end.
+const STEPS: usize = 20;
 
 /// Tracks and prints sweep progress. All output goes to stderr so result
 /// pipelines on stdout stay clean; `quiet` disables printing entirely
 /// (used by tests and library callers).
 pub struct Progress {
+    /// Jobs this invocation runs (resumed jobs excluded).
     total: usize,
-    skipped: usize,
     done: usize,
     failed: usize,
     start: Instant,
-    /// What each worker is running right now (`None` = idle).
-    current: Vec<Option<String>>,
     quiet: bool,
 }
 
 impl Progress {
+    /// Starts tracking a sweep of `total` jobs, `skipped` of which were
+    /// resumed from a store and do not run.
     pub fn new(total: usize, skipped: usize, workers: usize, quiet: bool) -> Self {
-        let p = Progress {
-            total,
-            skipped,
+        if !quiet {
+            eprintln!(
+                "sweep: {total} job(s), {skipped} already done (resumed), {} worker(s)",
+                workers.max(1)
+            );
+        }
+        Progress {
+            total: total - skipped,
             done: 0,
             failed: 0,
             start: Instant::now(),
-            current: vec![None; workers.max(1)],
             quiet,
-        };
-        if !p.quiet {
-            eprintln!(
-                "sweep: {} job(s), {} already done (resumed), {} worker(s)",
-                p.total,
-                p.skipped,
-                p.current.len()
-            );
-        }
-        p
-    }
-
-    pub fn on_start(&mut self, worker: usize, label: &str) {
-        if let Some(slot) = self.current.get_mut(worker) {
-            *slot = Some(label.to_string());
-        }
-        if !self.quiet {
-            eprintln!("  w{worker} -> {label}");
         }
     }
 
-    pub fn on_finish(&mut self, worker: usize, label: &str, failed: bool) {
+    /// Counts a finished job and returns its progress line if it failed,
+    /// completes another 5 % of the jobs, or is the last; the line is
+    /// printed unless `quiet`.
+    pub fn on_finish(&mut self, label: &str, failed: bool) -> Option<String> {
         self.done += 1;
         if failed {
             self.failed += 1;
         }
-        if let Some(slot) = self.current.get_mut(worker) {
-            *slot = None;
-        }
-        if self.quiet {
-            return;
+        let step = |done: usize| done * STEPS / self.total.max(1);
+        if !failed && step(self.done) == step(self.done - 1) {
+            return None;
         }
         let elapsed = self.start.elapsed().as_secs_f64();
         let status = if failed { "FAILED" } else { "done" };
-        eprintln!(
-            "[{}/{}] {label} {status} ({:.1}s elapsed{})",
+        let line = format!(
+            "[{}/{}] {label} {status} ({elapsed:.1}s elapsed{})",
             self.done,
             self.total,
-            elapsed,
             self.eta_note(elapsed),
         );
+        if !self.quiet {
+            eprintln!("{line}");
+        }
+        Some(line)
     }
 
     fn eta_note(&self, elapsed: f64) -> String {
@@ -76,19 +72,6 @@ impl Progress {
         }
         let remaining = (self.total - self.done) as f64 * elapsed / self.done as f64;
         format!(", ETA {remaining:.0}s")
-    }
-
-    /// One line per busy worker — printed at the end of a run that still
-    /// has stragglers, or on demand.
-    pub fn worker_state(&self) -> Vec<String> {
-        self.current
-            .iter()
-            .enumerate()
-            .map(|(w, job)| match job {
-                Some(label) => format!("w{w}: {label}"),
-                None => format!("w{w}: idle"),
-            })
-            .collect()
     }
 
     pub fn done(&self) -> usize {
@@ -105,25 +88,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_and_worker_state_track_events() {
-        let mut p = Progress::new(3, 1, 2, true);
-        p.on_start(0, "job-a");
-        p.on_start(1, "job-b");
-        assert_eq!(p.worker_state(), vec!["w0: job-a", "w1: job-b"]);
-        p.on_finish(0, "job-a", false);
-        p.on_finish(1, "job-b", true);
-        assert_eq!(p.done(), 2);
-        assert_eq!(p.failed(), 1);
-        assert_eq!(p.worker_state(), vec!["w0: idle", "w1: idle"]);
+    fn resumed_jobs_count_neither_in_progress_nor_eta() {
+        let mut p = Progress::new(9, 6, 2, true);
+        let lines: Vec<String> = ["a", "b", "c"]
+            .iter()
+            .filter_map(|job| p.on_finish(job, false))
+            .collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("[1/3] a done ("), "{}", lines[0]);
+        assert!(lines[0].contains(", ETA "), "{}", lines[0]);
+        assert!(lines[2].starts_with("[3/3] c done ("), "{}", lines[2]);
+        assert!(!lines[2].contains("ETA"), "{}", lines[2]);
+        assert_eq!((p.done(), p.failed()), (3, 0));
+    }
+
+    #[test]
+    fn a_long_sweep_prints_every_twentieth_and_every_failure() {
+        let mut p = Progress::new(100, 0, 2, true);
+        let failing = [33, 50];
+        let lines: Vec<String> = (1..=100)
+            .filter_map(|job| p.on_finish(&format!("job{job}"), failing.contains(&job)))
+            .collect();
+        assert_eq!(lines.len(), 21, "{lines:#?}");
+        for job in failing {
+            let line = format!("[{job}/100] job{job} FAILED (");
+            assert!(lines.iter().any(|l| l.starts_with(&line)), "{lines:#?}");
+        }
+        assert!(lines[20].starts_with("[100/100] job100 done ("));
+        assert_eq!((p.done(), p.failed()), (100, 2));
     }
 
     #[test]
     fn eta_is_empty_at_the_edges() {
         let mut p = Progress::new(2, 0, 1, true);
         assert_eq!(p.eta_note(10.0), "");
-        p.on_finish(0, "a", false);
+        p.on_finish("a", false);
         assert!(p.eta_note(10.0).starts_with(", ETA "));
-        p.on_finish(0, "b", false);
+        p.on_finish("b", false);
         assert_eq!(p.eta_note(10.0), "");
     }
 }

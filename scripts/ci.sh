@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (best-effort), build and the tier-1
 # test suite. Everything runs offline — the workspace has no registry
-# dependencies (proptest/criterion are vendored path crates).
+# dependencies (proptest is a vendored path crate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,22 +17,26 @@ bash -n scripts/parent.sh
 # the gate must stay runnable offline. When present, warnings are errors.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
-    cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --locked --workspace --all-targets -- -D warnings
 else
     echo "==> cargo clippy unavailable; skipping lints"
 fi
 
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="--deny warnings" cargo doc --workspace --no-deps --quiet
+RUSTDOCFLAGS="--deny warnings" cargo doc --locked --workspace --no-deps --quiet
 
-echo "==> cargo build --release"
-cargo build --release
+# Both workspaces build `--locked` (as clippy and rustdoc above do): a
+# manifest change that would rewrite a committed Cargo.lock (the root
+# one, or bench/'s frozen one) fails here instead of leaving the
+# lockfile silently out of date.
+echo "==> cargo build --release --locked"
+cargo build --release --locked
 
 # The fixed benchmark under bench/ is a workspace of its own that the
 # build above never compiles; it calls the crates' public API, so a
 # change that breaks it fails here, before any test runs.
-echo "==> cargo build --release --manifest-path bench/Cargo.toml"
-cargo build --release --manifest-path bench/Cargo.toml
+echo "==> cargo build --release --locked --manifest-path bench/Cargo.toml"
+cargo build --release --locked --manifest-path bench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
@@ -155,13 +159,6 @@ rm -f "$report_store"
 # flight-recorder dump (crates/check/tests/conservation.rs).
 echo "==> fault injection (invariant rules, conservation audit, flight-recorder dump)"
 cargo test --release -q -p mwn-check --test faults --test conservation
-
-# The Criterion benches are compiled nowhere else when clippy is absent.
-echo "==> cargo bench --no-run (engine_micro, obs_overhead)"
-cargo bench -p mwn --no-run
-
-echo "==> observability overhead bench (trace disabled vs enabled)"
-cargo bench -p mwn --bench obs_overhead -- --quick
 
 # Oracle differentials, in release so the gate exercises the exact build
 # CI benchmarks below. The oracles (ReferenceMedium, ReferenceTransceiver,
